@@ -1190,9 +1190,10 @@ let fig_churn () =
       else
         List.iter
           (fun sh ->
-            ignore
-              (Rp_engine.Shard.dispatch sh ~now:0L
-                 (Mbuf.synth ~key ~len:1000 ())))
+            Ip_core.run (Rp_engine.Shard.ctx sh) ~now:0L
+              [| Mbuf.synth ~key ~len:1000 () |]
+              ~n:1
+              ~emit:(fun _ _ _ -> ()))
           shards
     done;
     let churn_filter i =

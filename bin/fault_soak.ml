@@ -10,10 +10,15 @@
    2. a plugin that burns cycles past the router's per-invocation
       budget: same containment, same quarantine.
 
-   A third, telemetry phase runs clean traffic with sampled tracing on
-   and asserts the NetFlow-style flow records reconcile exactly with
-   the gate dispatch and flow-accounting counters, writing the trace
-   and flow log out for CI to archive.  With [--engine sharded N] all
+   A third phase binds a plugin that raises on every second packet of
+   one flow, through the engine: each clean return resets the
+   consecutive-fault run, so the instance must never be quarantined,
+   and every drop must reconcile with its reason.
+
+   A telemetry phase runs clean traffic with sampled tracing on and
+   asserts the NetFlow-style flow records reconcile exactly with the
+   gate dispatch and flow-accounting counters, writing the trace and
+   flow log out for CI to archive.  With [--engine sharded N] all
    phases also run through the multicore engine.
 
    Exits 0 only if every assertion holds — "zero crashes and a clean
@@ -255,6 +260,63 @@ let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
      incr failures);
   Engine.stop e
 
+(* Intermittent faults: one flow (so on a sharded engine one shard sees
+   every packet and reports its faults and recoveries in order) through
+   a plugin raising on every second packet. *)
+let run_intermittent_phase mode =
+  let open Rp_engine in
+  let label = "intermittent faults (every=2)" in
+  Printf.printf "== %s (%s) ==\n" label (Engine.mode_to_string mode);
+  Rp_obs.Registry.reset ();
+  let s = Rp_sim.Scenario.single_router () in
+  let router = s.Rp_sim.Scenario.router in
+  let script =
+    String.concat "\n"
+      [ "modload fault-firewall";
+        "create fault-firewall mode=raise every=2";
+        "bind 1 <*, *, UDP, *, *, *>" ]
+  in
+  (match Rp_control.Pmgr.exec_script router script with
+   | Ok _ -> ()
+   | Error e ->
+     Printf.printf "FAIL setup: %s\n" e;
+     incr failures);
+  let e = Engine.create mode router in
+  let total = 400 in
+  let results = ref 0 and dropped = ref 0 in
+  let record (res : Shard.result) =
+    incr results;
+    match res.Shard.outcome with
+    | Shard.Dropped _ -> incr dropped
+    | Shard.Forwarded _ | Shard.Absorbed -> ()
+  in
+  for _ = 1 to total do
+    let key = Rp_sim.Scenario.sink_key ~id:4000 () in
+    let m = Rp_pkt.Mbuf.synth ~key ~len:1000 () in
+    while not (Engine.submit e ~now:0L m) do
+      ignore (Engine.drain e ~f:record)
+    done
+  done;
+  ignore (Engine.flush e ~f:record);
+  Engine.stop e;
+  check
+    (Printf.sprintf "%s: every packet came back (%d)" label !results)
+    (!results = total);
+  check
+    (Printf.sprintf "%s: every second packet faulted and dropped (%d)" label
+       !dropped)
+    (!dropped = total / 2
+    && Rp_obs.Counter.get (Gate.faults Gate.Firewall) = total / 2);
+  check (label ^ ": instance never quarantined")
+    (not (Pcu.is_quarantined router.Router.pcu 1));
+  check (label ^ ": consecutive-fault run reset by every success")
+    (List.for_all
+       (fun (f : Pcu.fault_info) -> f.Pcu.consecutive_faults <= 1)
+       (Pcu.fault_report router.Router.pcu));
+  check_drop_conservation ~label
+    ~shards:(match mode with Engine.Inline -> 0 | Engine.Sharded n -> n)
+    ()
+
 (* Churn regression: a quarantine's unbinds must travel the snapshot
    delta log — every shard replays them on its private classifier
    without recompiling — and once the shards have synced, the
@@ -475,9 +537,11 @@ let () =
     ();
   run_phase ~label:"cycle-budget burn" ~fault_config:"mode=burn every=1"
     ~cycle_budget:50_000 ();
+  run_intermittent_phase Rp_engine.Engine.Inline;
   run_telemetry_phase ();
   (match sharded_domains () with
    | Some n ->
+     run_intermittent_phase (Rp_engine.Engine.Sharded n);
      run_sharded_phase ~label:"raise on every packet" ~shards:n
        ~fault_config:"mode=raise every=1" ();
      run_sharded_phase ~label:"cycle-budget burn" ~shards:n

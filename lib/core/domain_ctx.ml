@@ -1,0 +1,106 @@
+(* A per-domain data-path context: the state one domain's packets read
+   while they cross {!Ip_core}, the meters and verdict counters they
+   write, and the scratch of its batches.  The router owns one, with
+   [owner] set, so router-owned stages run at once; each engine shard
+   builds its own from the published snapshot, with no owner, and hands
+   those stages back.  ['r] is the router type, which holds a context. *)
+
+open Rp_pkt
+
+(* Verdict counters.  A shard's [delivered] is its [absorbed]. *)
+type tally = {
+  packets : Rp_obs.Counter.t;
+  forwarded : Rp_obs.Counter.t;
+  delivered : Rp_obs.Counter.t;
+  absorbed : Rp_obs.Counter.t;
+  dropped : Rp_obs.Counter.t;
+}
+
+(* Scratch for one batch, by position: {!Ip_core}'s packet states, and
+   what the states that set them carry. *)
+type frame = {
+  pkts : Mbuf.t array;  (* a batch of one lives here *)
+  state : int array;
+  out : int array;  (* egress interface *)
+  why : string array;  (* drop reason *)
+  icmp : Icmp.message array;  (* error the control domain originates *)
+  sched : Plugin.t Rp_classifier.Flow_table.binding option array;
+  now : int64 array;
+  t0 : int array;  (* telemetry start stamp *)
+}
+
+type 'r t = {
+  mutable owner : 'r option;
+  shard : int;  (* SLO histogram index *)
+  birth_clock : bool;  (* a packet's [now] is its [birth_ns] *)
+  meters : Gate.Meters.t;
+  tally : tally;
+  mutable aiu : Plugin.t Rp_classifier.Aiu.t;
+  mutable routes : Route_table.t;
+  mutable gates : Gate.t list;  (* enabled *)
+  mutable policy : Fault.policy;
+  mutable budget : int option;
+  mutable punts : int list;  (* protocols with a punt handler *)
+  mutable locals : Ipaddr.t list;
+  mutable mtus : int array;  (* by interface *)
+  mutable events : Fault.event list;  (* newest first; owner-less only *)
+  mutable outstanding : int list;  (* instances whose last call here faulted *)
+  mutable frames : frame array;  (* by nesting depth *)
+  mutable depth : int;
+}
+
+let batch = 32
+
+let dummy_mbuf =
+  Mbuf.synth
+    ~key:
+      (Flow_key.make ~src:Ipaddr.zero_v4 ~dst:Ipaddr.zero_v4 ~proto:0 ~sport:0
+         ~dport:0 ~iface:0)
+    ~len:0 ()
+
+let frame () =
+  {
+    pkts = Array.make batch dummy_mbuf;
+    state = Array.make batch 0;
+    out = Array.make batch (-1);
+    why = Array.make batch "";
+    icmp = Array.make batch Icmp.Time_exceeded;
+    sched = Array.make batch None;
+    now = Array.make batch 0L;
+    t0 = Array.make batch 0;
+  }
+
+let tally ~prefix ~packets ~delivered =
+  let c name = Rp_obs.Registry.counter (prefix ^ name) in
+  {
+    packets = c packets;
+    forwarded = c "forwarded";
+    delivered = c delivered;
+    absorbed = c "absorbed";
+    dropped = c "dropped";
+  }
+
+(* Registered at load, so a metrics dump always carries them. *)
+let core_tally =
+  tally ~prefix:"ip_core." ~packets:"packets" ~delivered:"delivered_local"
+
+let create ~shard ~birth_clock ~meters ~tally ~aiu ~routes ~mtus =
+  {
+    owner = None;
+    shard;
+    birth_clock;
+    meters;
+    tally;
+    aiu;
+    routes;
+    gates = [];
+    policy = Fault.Drop_packet;
+    budget = None;
+    punts = [];
+    locals = [];
+    mtus;
+    events = [];
+    outstanding = [];
+    frames = [| frame () |];
+    depth = 0;
+  }

@@ -7,6 +7,10 @@ type reason =
   | Exn of string
   | Budget of int
 
+type event =
+  | Faulted of int * string
+  | Recovered of int
+
 let policy_name = function
   | Drop_packet -> "drop"
   | Continue_packet -> "continue"

@@ -21,6 +21,13 @@ type reason =
   | Exn of string  (** an exception escaped the handler *)
   | Budget of int  (** handler burned this many cycles, over the budget *)
 
+(** What a data-path context reports to the PCU about an instance: a
+    contained fault, or the first clean return after one (ending its
+    consecutive-fault run). *)
+type event =
+  | Faulted of int * string  (** instance id, reason *)
+  | Recovered of int  (** instance id *)
+
 val policy_name : policy -> string
 val policy_of_name : string -> policy option
 val reason_to_string : reason -> string

@@ -1,4 +1,5 @@
 open Rp_pkt
+module D = Domain_ctx
 
 type verdict =
   | Enqueued of int
@@ -12,33 +13,47 @@ let pp_verdict ppf = function
   | Absorbed -> Format.pp_print_string ppf "consumed by a plugin"
   | Dropped why -> Format.fprintf ppf "dropped (%s)" why
 
-(* Verdict counters over every [process] invocation, self-generated
-   ICMP traffic included (unlike the per-node simulator stats, which
-   count injected packets only). *)
-let m_packets = Rp_obs.Registry.counter "ip_core.packets"
-let m_forwarded = Rp_obs.Registry.counter "ip_core.forwarded"
-let m_delivered = Rp_obs.Registry.counter "ip_core.delivered_local"
-let m_absorbed = Rp_obs.Registry.counter "ip_core.absorbed"
-let m_dropped = Rp_obs.Registry.counter "ip_core.dropped"
+type handoff =
+  | Settled
+  | Icmp_error of Icmp.message
+  | Local
+  | Egress of int * Plugin.t Rp_classifier.Flow_table.binding option
+
+type ctx = Router.t D.t
 
 (* Fragments lost to a full output queue while siblings of the same
    datagram were accepted — the datagram itself is then reported
    [Dropped], since an incomplete fragment set cannot reassemble. *)
 let m_frag_drops = Rp_obs.Registry.counter "ip_core.fragment_drops"
 
+(* A packet's state in its frame: live, settled, or parked (its next,
+   router-owned stage handed back by an owner-less context). *)
+let live = 0
+let forwarded = 1
+let delivered = 2
+let absorbed = 3
+let dropped = 4
+let dropped_icmp = 5 (* dropped, its ICMP error handed back *)
+let parked_local = 6
+let parked_egress = 7
+
+(* Where a frame starts: a fresh packet, or a handed-back one. *)
+let from_entry = 0
+let from_local = 1
+let from_egress = 2
+
+(* Gates traversed inline, in data-path order (routing and scheduling
+   run at their own stages). *)
+let inline_gates_pre = [ Gate.Ip_options; Gate.Security_in; Gate.Firewall ]
+let inline_gates_post = [ Gate.Congestion; Gate.Security_out; Gate.Stats ]
+
 (* --- latency SLOs ---------------------------------------------------- *)
 
 (* The SLO layer only *reads* the cost-model clock — [Cost.get] is
    free — so Table-3 cycles are byte-identical with stamping on or
-   off.  [slo_open]/[slo_close] bracket one packet's traversal;
-   [slo_attrib] accumulates per-gate cycles into the mbuf when
-   exemplar capture is armed.  Shared with the sharded engine's worker
-   dispatch (hence exported), which passes its own shard index. *)
-
-let slo_class = function
-  | Enqueued _ -> Rp_obs.Slo.Fwd
-  | Delivered_local | Absorbed -> Rp_obs.Slo.Absorb
-  | Dropped _ -> Rp_obs.Slo.Drop
+   off.  [slo_open]/[slo_close] bracket one packet's traversal of a
+   domain; [slo_attrib] accumulates per-gate cycles into the mbuf when
+   exemplar capture is armed. *)
 
 let slo_open m =
   if Rp_obs.Slo.on () then begin
@@ -60,582 +75,557 @@ let slo_attrib m ~gate cycles =
     a.(g) <- a.(g) + cycles
   end
 
-let slo_close ~shard m verdict =
+let slo_close ~shard m cls =
   if Rp_obs.Slo.on () then begin
-    let cls = slo_class verdict in
     let cycles = Cost.get () - m.Mbuf.ingress_cycles in
     Rp_obs.Slo.observe ~shard cls cycles;
     if Rp_obs.Slo.armed () && Rp_obs.Slo.is_breach cycles then begin
-      let gates = ref [] in
       let a = m.Mbuf.gate_cycles in
-      for g = Gate.count - 1 downto 0 do
-        if Array.length a > 0 && a.(g) > 0 then
-          let name =
-            match Gate.of_int g with
-            | Some gate -> Gate.name gate
-            | None -> string_of_int g
-          in
-          gates := (name, a.(g)) :: !gates
-      done;
+      let gates =
+        List.filter_map
+          (fun g ->
+            let c = if Array.length a > 0 then a.(Gate.to_int g) else 0 in
+            if c > 0 then Some (Gate.name g, c) else None)
+          Gate.all
+      in
       Rp_obs.Slo.capture ~shard ~cls ~cycles
         ~key:(Flow_key.to_string m.Mbuf.key)
-        ~gates:!gates ~trace_pkt:m.Mbuf.tseq
+        ~gates ~trace_pkt:m.Mbuf.tseq
     end
   end
 
-(* Classify at [gate] via the engine-shared entry point ({!Classify}),
-   which charges the framework costs: the flow hash the first time
-   this packet consults the AIU, one gate's invocation overhead, and
-   the measured memory accesses of whatever lookups the AIU performed
-   (a cached flow costs ~2; the first packet of a flow pays the full
-   cold-start resolution). *)
-let classify_at router ~now ~gate m = Classify.at (Router.aiu router) ~now ~gate m
+(* --- fault containment ----------------------------------------------- *)
 
-let binding_of record ~gate =
-  Rp_classifier.Flow_table.binding record ~gate:(Gate.to_int gate)
+(* Attribute a fault event to the instance in the PCU — which
+   auto-quarantines past the consecutive-fault threshold — and apply
+   the [Unbind] policy.  True when a quarantine changed the bindings. *)
+let apply_event router = function
+  | Fault.Recovered id ->
+    Pcu.record_success router.Router.pcu id;
+    false
+  | Fault.Faulted (id, reason) ->
+    Logs.warn (fun m -> m "ip_core: contained fault of instance %d: %s" id reason);
+    let pcu = router.Router.pcu in
+    let threshold = Pcu.record_fault pcu id ~reason = `Quarantine in
+    let unbind =
+      router.Router.fault_policy = Fault.Unbind && not (Pcu.is_quarantined pcu id)
+    in
+    if threshold || unbind then ignore (Router.quarantine router id);
+    threshold || unbind
+
+(* PCU fault accounting is router-owned: the router's context applies
+   an event at once, a shard's queues it for the control domain. *)
+let post (ctx : ctx) ev =
+  match ctx.D.owner with
+  | Some router -> ignore (apply_event router ev)
+  | None -> ctx.D.events <- ev :: ctx.D.events
 
 (* Fault containment (the plugin may be third-party code the router
-   does not trust): count the fault, attribute it to the instance in
-   the PCU — which auto-quarantines past the consecutive-fault
-   threshold — and convert it to the router's fault policy.  Nothing
-   here charges the cost model. *)
-let contain_fault router ~gate ~tseq inst (reason : Fault.reason) =
-  Rp_obs.Counter.inc (Gate.faults gate);
+   does not trust): count the fault, report it, and convert it to the
+   fault policy.  Nothing here charges the cost model. *)
+let contain (ctx : ctx) ~gate m inst (reason : Fault.reason) =
+  Rp_obs.Counter.inc (Gate.Meters.faults ctx.D.meters gate);
+  if ctx.D.meters != Gate.Meters.default then
+    Rp_obs.Counter.inc (Gate.faults gate);
   let id = inst.Plugin.instance_id in
   (* Faults are rare and diagnostic gold: when tracing is on they are
      recorded even for unsampled packets (pkt 0). *)
   if Rp_obs.Telemetry.on () then
     Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Fault
-      ~gate:(Gate.to_int gate) ~pkt:tseq ~arg:id;
-  Logs.warn (fun m ->
-      m "ip_core: contained fault of %a at gate %s: %s" Plugin.pp inst
-        (Gate.name gate) (Fault.reason_to_string reason));
-  (match
-     Pcu.record_fault router.Router.pcu id
-       ~reason:(Fault.reason_to_string reason)
-   with
-   | `Quarantine -> ignore (Router.quarantine router id)
-   | `Ok -> ());
-  match router.Router.fault_policy with
+      ~gate:(Gate.to_int gate) ~pkt:m.Mbuf.tseq ~arg:id;
+  if not (List.mem id ctx.D.outstanding) then
+    ctx.D.outstanding <- id :: ctx.D.outstanding;
+  post ctx (Fault.Faulted (id, Fault.reason_to_string reason));
+  match ctx.D.policy with
   | Fault.Drop_packet -> Plugin.Drop "plugin fault"
-  | Fault.Continue_packet -> Plugin.Continue
-  | Fault.Unbind ->
-    if not (Pcu.is_quarantined router.Router.pcu id) then
-      ignore (Router.quarantine router id);
-    Plugin.Continue
+  | Fault.Continue_packet | Fault.Unbind -> Plugin.Continue
+
+(* A clean return ends the instance's consecutive-fault run — which
+   only exists if its last invocation here faulted. *)
+let recovered (ctx : ctx) id =
+  if List.mem id ctx.D.outstanding then begin
+    ctx.D.outstanding <- List.filter (fun o -> o <> id) ctx.D.outstanding;
+    post ctx (Fault.Recovered id)
+  end
 
 (* Run one instance's handler under containment: an escaping exception
    or a per-invocation cycle-budget overrun becomes a fault instead of
-   unwinding [process].  The inner [Cost.measure] only reads the cycle
-   counter, so the charged costs are exactly the handler's own. *)
-let run_handler router ~now ~gate inst binding m =
-  let outcome, handler_cycles =
-    Cost.measure (fun () ->
-        try Ok (inst.Plugin.handle { Plugin.now_ns = now; binding } m)
-        with e -> Error (Fault.Exn (Printexc.to_string e)))
-  in
-  let tseq = m.Mbuf.tseq in
-  match outcome with
-  | Error reason -> contain_fault router ~gate ~tseq inst reason
-  | Ok action -> (
-      match router.Router.cycle_budget with
-      | Some budget when handler_cycles > budget ->
-        contain_fault router ~gate ~tseq inst (Fault.Budget handler_cycles)
+   unwinding the pipeline. *)
+let run_handler (ctx : ctx) ~now ~gate inst binding m =
+  let c0 = Cost.get () in
+  match inst.Plugin.handle { Plugin.now_ns = now; binding } m with
+  | exception e -> contain ctx ~gate m inst (Fault.Exn (Printexc.to_string e))
+  | action -> (
+      let used = Cost.get () - c0 in
+      match ctx.D.budget with
+      | Some budget when used > budget -> contain ctx ~gate m inst (Fault.Budget used)
       | _ ->
-        Pcu.record_success router.Router.pcu inst.Plugin.instance_id;
+        if ctx.D.outstanding <> [] then recovered ctx inst.Plugin.instance_id;
         action)
 
-(* One gate traversal: dispatch count, cycle cost attributed to the
-   gate, and (behind the flag) a trace span.  Shared by [invoke_gate]
-   and the scheduling classification in [enqueue], so every gate call
-   site meters identically.  The meters only observe the existing
-   [Cost] / [Access] counters — nothing here charges the cost model,
-   so Table-3 figures are untouched. *)
-let instrumented ~gate m f =
-  let tseq = m.Mbuf.tseq in
-  Rp_obs.Counter.inc (Gate.dispatch gate);
-  if tseq <> 0 then
-    Rp_obs.Telemetry.record ~ts:(Cost.get ())
-      ~kind:Rp_obs.Telemetry.Gate_enter ~gate:(Gate.to_int gate) ~pkt:tseq
-      ~arg:0;
-  let (result, cycles), accesses =
-    Rp_lpm.Access.measure (fun () -> Cost.measure f)
-  in
-  Rp_obs.Counter.add (Gate.cycles gate) cycles;
-  slo_attrib m ~gate cycles;
-  if tseq <> 0 then begin
-    Rp_obs.Telemetry.record ~ts:(Cost.get ())
-      ~kind:Rp_obs.Telemetry.Gate_exit ~gate:(Gate.to_int gate) ~pkt:tseq
-      ~arg:accesses;
-    Rp_obs.Histogram.observe (Gate.span gate) cycles
-  end;
-  if !Rp_obs.Trace.enabled then
-    Rp_obs.Trace.record ~name:("gate." ^ Gate.name gate) ~cycles ~accesses;
+(* --- the gate stage -------------------------------------------------- *)
+
+(* Classify at [gate], charging the framework costs: the flow hash the
+   first time this packet consults the AIU, the measured memory
+   accesses of whatever lookups the AIU performed (a cached flow costs
+   ~2; the first packet of a flow pays the full cold-start
+   resolution), one gate's invocation overhead. *)
+let classify aiu ~now ~gate m =
+  let had_fix = m.Mbuf.fix <> None in
+  let a0 = Rp_lpm.Access.get () in
+  let result = Rp_classifier.Aiu.classify aiu m ~gate:(Gate.to_int gate) ~now in
+  let accesses = Rp_lpm.Access.get () - a0 in
+  if not had_fix then Cost.charge Cost.flow_hash;
+  Cost.charge_mem accesses;
+  Cost.charge Cost.gate_invoke;
+  if m.Mbuf.tseq <> 0 then
+    Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Classify
+      ~gate:(Gate.to_int gate) ~pkt:m.Mbuf.tseq ~arg:accesses;
   result
 
-let invoke_gate router ~now ~gate m =
-  let verdict =
-    instrumented ~gate m (fun () ->
-        match classify_at router ~now ~gate m with
-        | None -> Plugin.Continue
-        | Some (inst, record) ->
-          let binding = binding_of record ~gate in
-          run_handler router ~now ~gate inst binding m)
-  in
-  (match verdict with
-   | Plugin.Drop _ -> Rp_obs.Counter.inc (Gate.drops gate)
-   | Plugin.Continue | Plugin.Consumed -> ());
-  verdict
+let rec mem_gate g = function
+  | [] -> false
+  | x :: rest -> Gate.equal g x || mem_gate g rest
 
-(* Gates traversed inline, in data-path order (scheduling is handled
-   at enqueue time, routing right after the punt check). *)
-let inline_gates_pre = [ Gate.Ip_options; Gate.Security_in; Gate.Firewall ]
-let inline_gates_post = [ Gate.Congestion; Gate.Security_out; Gate.Stats ]
+let gate_enabled (ctx : ctx) g = mem_gate g ctx.D.gates
 
-(* A drop, optionally accompanied by an ICMP error to the source. *)
-exception Dropped_exn of string * Icmp.message option
+let settle_drop (f : D.frame) i why =
+  f.D.state.(i) <- dropped;
+  f.D.why.(i) <- why
 
-exception Consumed_exn
+(* One gate over every live packet of a frame (gate-major): classify,
+   run the bound handler under containment — the scheduling gate only
+   classifies, its binding riding to the output queue — and meter the
+   traversal.  The meters only observe the [Cost] / [Access] counters,
+   so Table-3 figures are untouched; the per-gate counters are added
+   once per frame. *)
+let sweep (ctx : ctx) (f : D.frame) batch off n gate =
+  let g = Gate.to_int gate in
+  let visits = ref 0 and cycles = ref 0 and drops = ref 0 in
+  for i = 0 to n - 1 do
+    if f.D.state.(i) = live then begin
+      incr visits;
+      let m = batch.(off + i) in
+      let now = f.D.now.(i) in
+      let tseq = m.Mbuf.tseq in
+      if tseq <> 0 then
+        Rp_obs.Telemetry.record ~ts:(Cost.get ())
+          ~kind:Rp_obs.Telemetry.Gate_enter ~gate:g ~pkt:tseq ~arg:0;
+      let c0 = Cost.get () and a0 = Rp_lpm.Access.get () in
+      let action =
+        match (gate, classify ctx.D.aiu ~now ~gate m) with
+        | Gate.Scheduling, found ->
+          f.D.sched.(i) <-
+            (match found with
+             | Some (_, r) -> Rp_classifier.Flow_table.binding r ~gate:g
+             | None -> None);
+          Plugin.Continue
+        | _, None -> Plugin.Continue
+        | _, Some (inst, r) ->
+          run_handler ctx ~now ~gate inst (Rp_classifier.Flow_table.binding r ~gate:g) m
+      in
+      let c = Cost.get () - c0 and accesses = Rp_lpm.Access.get () - a0 in
+      cycles := !cycles + c;
+      slo_attrib m ~gate c;
+      if tseq <> 0 then begin
+        Rp_obs.Telemetry.record ~ts:(Cost.get ())
+          ~kind:Rp_obs.Telemetry.Gate_exit ~gate:g ~pkt:tseq ~arg:accesses;
+        Rp_obs.Histogram.observe (Gate.span gate) c
+      end;
+      if !Rp_obs.Trace.enabled then
+        Rp_obs.Trace.record ~name:("gate." ^ Gate.name gate) ~cycles:c ~accesses;
+      match action with
+      | Plugin.Continue -> ()
+      | Plugin.Consumed -> f.D.state.(i) <- absorbed
+      | Plugin.Drop why ->
+        incr drops;
+        settle_drop f i why
+    end
+  done;
+  if !visits > 0 then begin
+    Rp_obs.Counter.add (Gate.Meters.dispatch ctx.D.meters gate) !visits;
+    Rp_obs.Counter.add (Gate.Meters.cycles ctx.D.meters gate) !cycles
+  end;
+  if !drops > 0 then Rp_obs.Counter.add (Gate.Meters.drops ctx.D.meters gate) !drops
 
-let run_gates router ~now m gates =
-  List.iter
-    (fun gate ->
-      if Router.gate_enabled router gate then
-        match invoke_gate router ~now ~gate m with
-        | Plugin.Continue -> ()
-        | Plugin.Consumed -> raise Consumed_exn
-        | Plugin.Drop why -> raise (Dropped_exn (why, None)))
-    gates
+let rec run_gates ctx f batch off n = function
+  | [] -> ()
+  | gate :: rest ->
+    if gate_enabled ctx gate then sweep ctx f batch off n gate;
+    run_gates ctx f batch off n rest
 
-let route router ~now m =
-  (* A routing-gate plugin may have fixed the output interface (L4
-     switching); otherwise consult the routing table. *)
-  (if Router.gate_enabled router Gate.Routing then
-     match invoke_gate router ~now ~gate:Gate.Routing m with
-     | Plugin.Continue -> ()
-     | Plugin.Consumed -> raise Consumed_exn
-     | Plugin.Drop why -> raise (Dropped_exn (why, None)));
-  match m.Mbuf.out_iface with
-  | Some i -> i
-  | None -> (
-      match Route_table.lookup router.Router.routes m.Mbuf.key.Flow_key.dst with
-      | Some r ->
-        m.Mbuf.out_iface <- Some r.Route_table.iface;
-        m.Mbuf.next_hop <-
-          (match r.Route_table.next_hop with
-           | Some _ as nh -> nh
-           | None -> Some m.Mbuf.key.Flow_key.dst);
-        r.Route_table.iface
+(* --- frames ---------------------------------------------------------- *)
+
+(* Frames stack by nesting depth, so a packet the router originates
+   mid-batch (an ICMP error, an echo reply) runs in its own frame.  The
+   router's context copies in the router's live gate set and fault
+   settings whenever it opens one. *)
+let enter (ctx : ctx) =
+  (match ctx.D.owner with
+   | Some r ->
+     ctx.D.gates <-
+       (if r.Router.mode = Router.Best_effort then [] else r.Router.enabled_gates);
+     ctx.D.policy <- r.Router.fault_policy;
+     ctx.D.budget <- r.Router.cycle_budget
+   | None -> ());
+  let d = ctx.D.depth in
+  if d = Array.length ctx.D.frames then
+    ctx.D.frames <- Array.append ctx.D.frames [| D.frame () |];
+  ctx.D.depth <- d + 1;
+  ctx.D.frames.(d)
+
+let leave (ctx : ctx) = ctx.D.depth <- ctx.D.depth - 1
+
+let verdict_of (f : D.frame) i =
+  let st = f.D.state.(i) in
+  if st = forwarded || st = parked_egress then Enqueued f.D.out.(i)
+  else if st = delivered || st = parked_local then Delivered_local
+  else if st = absorbed then Absorbed
+  else Dropped f.D.why.(i)
+
+let handoff_of (f : D.frame) i =
+  let st = f.D.state.(i) in
+  if st = dropped_icmp then Icmp_error f.D.icmp.(i)
+  else if st = parked_local then Local
+  else if st = parked_egress then Egress (f.D.out.(i), f.D.sched.(i))
+  else Settled
+
+(* Verdict accounting: each settled packet counts once, in the
+   counters of the context it entered ([tally]); a parked one counts
+   when the control domain settles it.  Then the packet's traversal of
+   this domain closes — telemetry end, SLO latency, NetFlow accounting
+   against the record its FIX names, a parked packet under its
+   provisional verdict — unless it is a resumed one, whose domain
+   closed it when parking it ([span] false). *)
+let close (ctx : ctx) (f : D.frame) ~tally ~span batch off n =
+  let fwd = ref 0 and del = ref 0 and abso = ref 0 and drop = ref 0 in
+  let ft = Rp_classifier.Aiu.flow_table ctx.D.aiu in
+  for i = 0 to n - 1 do
+    let m = batch.(off + i) in
+    let st = f.D.state.(i) in
+    let is_drop = st = dropped || st = dropped_icmp in
+    let is_fwd = st = forwarded || st = parked_egress in
+    if st = forwarded then incr fwd
+    else if st = delivered then incr del
+    else if st = absorbed then incr abso
+    else if is_drop then begin
+      incr drop;
+      Rp_obs.Drop_reason.count_why f.D.why.(i)
+    end;
+    let tseq = m.Mbuf.tseq in
+    if span && tseq <> 0 then begin
+      let ts = Cost.get () in
+      if is_drop then
+        Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
+          ~pkt:tseq ~arg:0;
+      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
+        ~pkt:tseq ~arg:0;
+      Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - f.D.t0.(i))
+    end;
+    if span then begin
+      slo_close ~shard:ctx.D.shard m
+        Rp_obs.Slo.(if is_drop then Drop else if is_fwd then Fwd else Absorb);
+      Rp_classifier.Flow_table.account ft m
+        ~verdict:(if is_drop then `Drop else if is_fwd then `Fwd else `Absorb)
+    end;
+    if st >= parked_local then begin
+      (* The trace ends with this domain's traversal; a packet leaving
+         mid-path is classified again where it resumes. *)
+      m.Mbuf.tseq <- 0;
+      if st = parked_local then m.Mbuf.fix <- None
+    end
+  done;
+  if !fwd > 0 then Rp_obs.Counter.add tally.D.forwarded !fwd;
+  if !del > 0 then Rp_obs.Counter.add tally.D.delivered !del;
+  if !abso > 0 then Rp_obs.Counter.add tally.D.absorbed !abso;
+  if !drop > 0 then Rp_obs.Counter.add tally.D.dropped !drop
+
+(* --- the pipeline ---------------------------------------------------- *)
+
+let family_of m = match m.Mbuf.version with Mbuf.V4 -> `V4 | Mbuf.V6 -> `V6
+let unreachable = Icmp.Dest_unreachable Icmp.Net_unreachable
+
+(* One frame through the data path, stage by stage (paper, Figure 3):
+   entry/TTL, pre-routing gates, punt/local delivery, routing (gate,
+   else table), post-routing gates, scheduling classification, the
+   fragment/DF decision and the output queue, verdict accounting.
+   Each stage walks the whole frame before the next begins; a settled
+   packet sits out the rest.  Router-owned stages run at once on the
+   router's context and park the packet on a shard's. *)
+let rec run_frame (ctx : ctx) f ~tally ~from ~now batch off n =
+  if from = from_entry then begin
+    entry ctx f ~tally ~now batch off n;
+    run_gates ctx f batch off n inline_gates_pre
+  end;
+  if from <= from_local then begin
+    local ctx f batch off n;
+    run_gates ctx f batch off n [ Gate.Routing ];
+    route ctx f batch off n;
+    run_gates ctx f batch off n inline_gates_post;
+    run_gates ctx f batch off n [ Gate.Scheduling ]
+  end;
+  egress_stage ctx f batch off n;
+  close ctx f ~tally ~span:(from = from_entry) batch off n
+
+and run_in ctx f ~tally ~from ~now batch off n =
+  match run_frame ctx f ~tally ~from ~now batch off n with
+  | () -> ()
+  | exception e ->
+    leave ctx;
+    raise e
+
+(* Sampling decision, arrival accounting, TTL.  Nothing in the
+   telemetry path charges the cost model. *)
+and entry ctx f ~tally ~now batch off n =
+  Rp_obs.Counter.add tally.D.packets n;
+  for i = 0 to n - 1 do
+    let m = batch.(off + i) in
+    f.D.state.(i) <- live;
+    f.D.now.(i) <- (if ctx.D.birth_clock then m.Mbuf.birth_ns else now);
+    if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
+      m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
+    let tseq = m.Mbuf.tseq in
+    if tseq <> 0 then begin
+      let ts = Cost.get () in
+      f.D.t0.(i) <- ts;
+      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
+        ~pkt:tseq ~arg:m.Mbuf.len
+    end;
+    slo_open m;
+    Cost.charge Cost.base_forward;
+    (match ctx.D.owner with
+     | Some router -> Iface.count_rx (Router.iface router m.Mbuf.key.Flow_key.iface) m
+     | None -> ());
+    if m.Mbuf.ttl <= 1 then drop_icmp ctx f i m "ttl expired" Icmp.Time_exceeded
+    else m.Mbuf.ttl <- m.Mbuf.ttl - 1
+  done
+
+(* A drop with an ICMP error to the source. *)
+and drop_icmp ctx f i m why message =
+  match ctx.D.owner with
+  | Some router ->
+    icmp_error router ~now:f.D.now.(i) m message;
+    settle_drop f i why
+  | None ->
+    f.D.state.(i) <- dropped_icmp;
+    f.D.why.(i) <- why;
+    f.D.icmp.(i) <- message
+
+(* Local punt (protocols handled by a daemon on this router, e.g. SSP)
+   and local delivery.  A shard recognises these packets by the punt
+   protocols and local addresses of its snapshot and hands them back. *)
+and local ctx f batch off n =
+  for i = 0 to n - 1 do
+    if f.D.state.(i) = live then
+      let m = batch.(off + i) in
+      match ctx.D.owner with
+      | Some router ->
+        let now = f.D.now.(i) and key = m.Mbuf.key in
+        if
+          (match Hashtbl.find_opt router.Router.punts key.Flow_key.proto with
+           | Some handler -> handler ~now m = Router.Punt_consume
+           | None -> false)
+          || Router.is_local router key.Flow_key.dst
+             && begin
+               answer_echo router ~now m;
+               true
+             end
+        then f.D.state.(i) <- delivered
       | None ->
-        raise
-          (Dropped_exn
-             ( "no route to destination",
-               Some (Icmp.Dest_unreachable Icmp.Net_unreachable) )))
+        let key = m.Mbuf.key in
+        if
+          List.mem key.Flow_key.proto ctx.D.punts
+          || (ctx.D.locals <> []
+             && List.exists (Ipaddr.equal key.Flow_key.dst) ctx.D.locals)
+        then f.D.state.(i) <- parked_local
+  done
+
+(* A routing-gate plugin may have fixed the output interface (L4
+   switching), which must exist; otherwise consult the routing table. *)
+and route ctx f batch off n =
+  for i = 0 to n - 1 do
+    if f.D.state.(i) = live then
+      let m = batch.(off + i) in
+      match m.Mbuf.out_iface with
+      | Some o when o >= 0 && o < Array.length ctx.D.mtus -> f.D.out.(i) <- o
+      | Some _ -> drop_icmp ctx f i m "no route to destination" unreachable
+      | None -> (
+          match Route_table.lookup ctx.D.routes m.Mbuf.key.Flow_key.dst with
+          | Some r ->
+            m.Mbuf.out_iface <- Some r.Route_table.iface;
+            m.Mbuf.next_hop <-
+              (match r.Route_table.next_hop with
+               | Some _ as nh -> nh
+               | None -> Some m.Mbuf.key.Flow_key.dst);
+            f.D.out.(i) <- r.Route_table.iface
+          | None -> drop_icmp ctx f i m "no route to destination" unreachable)
+  done
+
+(* After all gates, the fragment/DF decision: a datagram over the
+   egress MTU that may not be fragmented (IPv4 with DF, IPv6) is
+   dropped with an ICMP "packet too big"; the rest go to the output
+   queue. *)
+and egress_stage ctx f batch off n =
+  let sched = gate_enabled ctx Gate.Scheduling in
+  for i = 0 to n - 1 do
+    if f.D.state.(i) = live then
+      let m = batch.(off + i) in
+      let mtu = ctx.D.mtus.(f.D.out.(i)) in
+      let big = Frag.needs_fragmentation m ~mtu in
+      if big && (m.Mbuf.version = Mbuf.V6 || m.Mbuf.dont_fragment) then
+        drop_icmp ctx f i m "needs fragmentation" (Icmp.Packet_too_big mtu)
+      else begin
+        if not sched then f.D.sched.(i) <- None;
+        match ctx.D.owner with
+        | None -> f.D.state.(i) <- parked_egress
+        | Some router when not big ->
+          if enqueue router f i m then f.D.state.(i) <- forwarded
+          else settle_drop f i "output queue"
+        | Some router -> (
+            (* A datagram missing fragments cannot reassemble: it drops. *)
+            match Frag.fragment m ~mtu with
+            | Ok fragments ->
+              let total = List.length fragments in
+              let queued = List.filter (enqueue router f i) fragments in
+              let lost = total - List.length queued in
+              if lost > 0 then Rp_obs.Counter.add m_frag_drops lost;
+              if lost = 0 then f.D.state.(i) <- forwarded
+              else if lost = total then settle_drop f i "output queue"
+              else
+                settle_drop f i
+                  (Printf.sprintf "partial fragment loss (%d/%d fragments queued)"
+                     (total - lost) total)
+            | Error _ -> settle_drop f i "needs fragmentation")
+      end
+  done
 
 (* Hand one packet (or fragment) to the output queue, with the same
-   containment as [invoke_gate]: an exception escaping an attached
+   containment as a gate handler: an exception escaping an attached
    scheduler is counted at the scheduling gate, attributed to the
    qdisc instance, and treated as a queue drop (a quarantined qdisc is
    detached, so subsequent packets take the default FIFO).  Queue
-   rejections count as scheduling-gate drops, matching the drop
-   metering of the inline gates. *)
-let queue_on router ifc ~now ~binding m =
-  let sched_on = Router.gate_enabled router Gate.Scheduling in
+   rejections count as scheduling-gate drops. *)
+and enqueue router f i piece =
+  let ctx = router.Router.ctx and ifc = Router.iface router f.D.out.(i) in
   let ok =
-    match Iface.enqueue ifc ~now ~binding m with
+    match Iface.enqueue ifc ~now:f.D.now.(i) ~binding:f.D.sched.(i) piece with
     | ok ->
       (match ifc.Iface.qdisc with
-       | Some inst when ok ->
-         Pcu.record_success router.Router.pcu inst.Plugin.instance_id
+       | Some inst when ok && ctx.D.outstanding <> [] ->
+         recovered ctx inst.Plugin.instance_id
        | Some _ | None -> ());
       ok
     | exception e ->
       (match ifc.Iface.qdisc with
        | Some inst ->
          ignore
-           (contain_fault router ~gate:Gate.Scheduling ~tseq:m.Mbuf.tseq inst
+           (contain ctx ~gate:Gate.Scheduling piece inst
               (Fault.Exn (Printexc.to_string e)))
        | None -> Rp_obs.Counter.inc (Gate.faults Gate.Scheduling));
       false
   in
-  if (not ok) && sched_on then
+  if (not ok) && gate_enabled ctx Gate.Scheduling then
     Rp_obs.Counter.inc (Gate.drops Gate.Scheduling);
   ok
-
-(* Queue one (possibly fragmented) packet on the egress interface.
-   Fragmentation happens here, after all gates: a datagram larger than
-   the egress MTU is split (IPv4 without DF), or dropped with an ICMP
-   "packet too big" error. *)
-let rec enqueue router ~now m out =
-  let ifc = Router.iface router out in
-  let binding =
-    if Router.gate_enabled router Gate.Scheduling then
-      instrumented ~gate:Gate.Scheduling m (fun () ->
-          match classify_at router ~now ~gate:Gate.Scheduling m with
-          | Some (_inst, record) -> binding_of record ~gate:Gate.Scheduling
-          | None -> None)
-    else None
-  in
-  if not (Frag.needs_fragmentation m ~mtu:ifc.Iface.mtu) then begin
-    if queue_on router ifc ~now ~binding m then Enqueued out
-    else Dropped "output queue"
-  end
-  else
-    match Frag.fragment m ~mtu:ifc.Iface.mtu with
-    | Ok fragments ->
-      let total = List.length fragments in
-      let accepted =
-        List.fold_left
-          (fun acc f -> if queue_on router ifc ~now ~binding f then acc + 1 else acc)
-          0 fragments
-      in
-      let lost = total - accepted in
-      if lost > 0 then Rp_obs.Counter.add m_frag_drops lost;
-      if accepted = 0 then Dropped "output queue"
-      else if lost > 0 then
-        Dropped
-          (Printf.sprintf "partial fragment loss (%d/%d fragments queued)"
-             accepted total)
-      else Enqueued out
-    | Error (`Dont_fragment | `V6_never_fragments) ->
-      raise
-        (Dropped_exn
-           ("needs fragmentation", Some (Icmp.Packet_too_big ifc.Iface.mtu)))
-
-and process router ~now m =
-  Rp_obs.Counter.inc m_packets;
-  (* Telemetry sampling decision, made once per packet on entry.
-     Self-generated packets (ICMP errors, echo replies) re-enter
-     [process] on fresh mbufs and get their own decision.  Nothing in
-     the telemetry path charges the cost model, so traced and
-     untraced runs report identical Table-3 cycles. *)
-  if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
-    m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
-  let tseq = m.Mbuf.tseq in
-  let t0 = if tseq <> 0 then Cost.get () else 0 in
-  if tseq <> 0 then
-    Rp_obs.Telemetry.record ~ts:t0 ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-      ~pkt:tseq ~arg:m.Mbuf.len;
-  slo_open m;
-  let verdict = process_inner router ~now m in
-  (match verdict with
-   | Enqueued _ -> Rp_obs.Counter.inc m_forwarded
-   | Delivered_local -> Rp_obs.Counter.inc m_delivered
-   | Absorbed -> Rp_obs.Counter.inc m_absorbed
-   | Dropped why ->
-     Rp_obs.Counter.inc m_dropped;
-     Rp_obs.Drop_reason.count_why why);
-  if tseq <> 0 then begin
-    let ts = Cost.get () in
-    (match verdict with
-     | Dropped _ ->
-       Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
-         ~pkt:tseq ~arg:0
-     | Enqueued _ | Delivered_local | Absorbed -> ());
-    Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
-      ~pkt:tseq ~arg:0;
-    Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - t0)
-  end;
-  slo_close ~shard:0 m verdict;
-  (* Always-on NetFlow accounting: attribute the packet to its flow
-     record (if classification gave it a flow index) at verdict time. *)
-  Rp_classifier.Flow_table.account
-    (Rp_classifier.Aiu.flow_table (Router.aiu router))
-    m
-    ~verdict:
-      (match verdict with
-       | Enqueued _ -> `Fwd
-       | Dropped _ -> `Drop
-       | Delivered_local | Absorbed -> `Absorb);
-  verdict
-
-and process_inner router ~now m =
-  Cost.charge Cost.base_forward;
-  Iface.count_rx (Router.iface router m.Mbuf.key.Flow_key.iface) m;
-  if m.Mbuf.ttl <= 1 then begin
-    icmp_error router ~now m Icmp.Time_exceeded;
-    Dropped "ttl expired"
-  end
-  else begin
-    m.Mbuf.ttl <- m.Mbuf.ttl - 1;
-    try
-      run_gates router ~now m inline_gates_pre;
-      (* Local punt: protocols handled by a daemon on this router
-         (e.g. SSP).  The handler decides whether the packet also
-         continues downstream. *)
-      let consumed =
-        match Hashtbl.find_opt router.Router.punts m.Mbuf.key.Flow_key.proto with
-        | Some handler -> handler ~now m = Router.Punt_consume
-        | None -> false
-      in
-      if consumed then Delivered_local
-      else if Router.is_local router m.Mbuf.key.Flow_key.dst then begin
-        answer_echo router ~now m;
-        Delivered_local
-      end
-      else begin
-        let out = route router ~now m in
-        run_gates router ~now m inline_gates_post;
-        enqueue router ~now m out
-      end
-    with
-    | Dropped_exn (why, icmp) ->
-      (match icmp with
-       | Some message -> icmp_error router ~now m message
-       | None -> ());
-      Dropped why
-    | Consumed_exn -> Absorbed
-  end
 
 (* Answer ICMP echo requests addressed to the router itself (so the
    router is pingable end to end). *)
 and answer_echo router ~now (m : Mbuf.t) =
-  let proto = m.Mbuf.key.Flow_key.proto in
-  let family =
-    match m.Mbuf.version with Mbuf.V4 -> `V4 | Mbuf.V6 -> `V6
-  in
-  if proto = Proto.icmp || proto = Proto.icmpv6 then
-    match m.Mbuf.raw with
-    | None -> ()
-    | Some raw ->
-      (match Icmp.parse ~family raw with
-       | Ok { Icmp.message = Icmp.Echo_request { ident; seq }; payload } ->
-         let body =
-           Icmp.serialize ~family
-             { Icmp.message = Icmp.Echo_reply { ident; seq }; payload }
-         in
-         let key =
-           Flow_key.make ~src:m.Mbuf.key.Flow_key.dst
-             ~dst:m.Mbuf.key.Flow_key.src ~proto ~sport:0 ~dport:0
-             ~iface:m.Mbuf.key.Flow_key.iface
-         in
-         let hdr = match family with `V4 -> Ipv4_header.size | `V6 -> Ipv6_header.size in
-         let reply = Mbuf.synth ~key ~len:(hdr + Bytes.length body) () in
-         reply.Mbuf.raw <- Some body;
-         ignore (process router ~now reply)
-       | Ok _ | Error _ -> ())
+  let key = m.Mbuf.key and family = family_of m in
+  let proto = key.Flow_key.proto in
+  match m.Mbuf.raw with
+  | Some raw when proto = Proto.icmp || proto = Proto.icmpv6 -> (
+      match Icmp.parse ~family raw with
+      | Ok { Icmp.message = Icmp.Echo_request { ident; seq }; payload } ->
+        send_icmp router ~now ~family ~src:key.Flow_key.dst ~to_:m
+          { Icmp.message = Icmp.Echo_reply { ident; seq }; payload }
+      | Ok _ | Error _ -> ())
+  | Some _ | None -> ()
 
-(* Generate an ICMP error about [orig] back toward its source, routed
-   through this router's own data path.  Per the RFC rules: never
-   about ICMP itself, and only when the router has an address of the
-   right family to source it from. *)
+(* Generate an ICMP error about [orig] back toward its source.  Per the
+   RFC rules: never about ICMP itself, and only when the router has an
+   address of the right family to source it from. *)
 and icmp_error router ~now (orig : Mbuf.t) message =
   let proto = orig.Mbuf.key.Flow_key.proto in
   if proto <> Proto.icmp && proto <> Proto.icmpv6 then
     match Router.local_addr_for router orig.Mbuf.key.Flow_key.src with
     | None -> ()
     | Some src ->
-      let family, icmp_proto, hdr =
-        match orig.Mbuf.version with
-        | Mbuf.V4 -> (`V4, Proto.icmp, Ipv4_header.size)
-        | Mbuf.V6 -> (`V6, Proto.icmpv6, Ipv6_header.size)
-      in
       let payload =
         match orig.Mbuf.raw with
         | Some raw -> Bytes.sub_string raw 0 (min 28 (Bytes.length raw))
         | None -> ""
       in
-      let body = Icmp.serialize ~family { Icmp.message; payload } in
-      let key =
-        Flow_key.make ~src ~dst:orig.Mbuf.key.Flow_key.src ~proto:icmp_proto
-          ~sport:0 ~dport:0 ~iface:orig.Mbuf.key.Flow_key.iface
-      in
-      let m = Mbuf.synth ~key ~len:(hdr + Bytes.length body) () in
-      m.Mbuf.raw <- Some body;
       router.Router.icmp_sent <- router.Router.icmp_sent + 1;
-      ignore (process router ~now m)
+      send_icmp router ~now ~src ~to_:orig ~family:(family_of orig)
+        { Icmp.message; payload }
 
-(* --- batched dispatch ------------------------------------------------ *)
+(* Route an ICMP message from [src] back to [to_]'s source through this
+   router's own data path. *)
+and send_icmp router ~now ~family ~src ~to_ icmp =
+  let body = Icmp.serialize ~family icmp in
+  let proto, hdr =
+    match family with
+    | `V4 -> (Proto.icmp, Ipv4_header.size)
+    | `V6 -> (Proto.icmpv6, Ipv6_header.size)
+  in
+  let key =
+    Flow_key.make ~src ~dst:to_.Mbuf.key.Flow_key.src ~proto ~sport:0 ~dport:0
+      ~iface:to_.Mbuf.key.Flow_key.iface
+  in
+  let m = Mbuf.synth ~key ~len:(hdr + Bytes.length body) () in
+  m.Mbuf.raw <- Some body;
+  ignore (process router ~now m)
 
-(* One gate over every still-live packet of a batch (gate-major order):
-   the gate-enabled test and the dispatch/cycle/drop counter updates
-   are paid once per batch instead of once per packet.  The per-packet
-   work — classification, the handler under containment, cost-model
-   charges, sampled telemetry, trace spans — is exactly
-   [invoke_gate]'s, so a batch of n packets charges and meters
-   identically to n sequential [process] calls. *)
-let run_gate_batch router ~now ~gate batch verdicts n =
-  let live = ref 0 and cycles_acc = ref 0 and drops = ref 0 in
-  for i = 0 to n - 1 do
-    match verdicts.(i) with
-    | Some _ -> ()
-    | None ->
-      incr live;
-      let m = batch.(i) in
-      let tseq = m.Mbuf.tseq in
-      if tseq <> 0 then
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
-          ~kind:Rp_obs.Telemetry.Gate_enter ~gate:(Gate.to_int gate) ~pkt:tseq
-          ~arg:0;
-      let (action, cycles), accesses =
-        Rp_lpm.Access.measure (fun () ->
-            Cost.measure (fun () ->
-                match classify_at router ~now ~gate m with
-                | None -> Plugin.Continue
-                | Some (inst, record) ->
-                  let binding = binding_of record ~gate in
-                  run_handler router ~now ~gate inst binding m))
-      in
-      cycles_acc := !cycles_acc + cycles;
-      slo_attrib m ~gate cycles;
-      if tseq <> 0 then begin
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
-          ~kind:Rp_obs.Telemetry.Gate_exit ~gate:(Gate.to_int gate) ~pkt:tseq
-          ~arg:accesses;
-        Rp_obs.Histogram.observe (Gate.span gate) cycles
-      end;
-      if !Rp_obs.Trace.enabled then
-        Rp_obs.Trace.record ~name:("gate." ^ Gate.name gate) ~cycles ~accesses;
-      (match action with
-       | Plugin.Continue -> ()
-       | Plugin.Consumed -> verdicts.(i) <- Some Absorbed
-       | Plugin.Drop why ->
-         incr drops;
-         verdicts.(i) <- Some (Dropped why))
-  done;
-  if !live > 0 then begin
-    Rp_obs.Counter.add (Gate.dispatch gate) !live;
-    Rp_obs.Counter.add (Gate.cycles gate) !cycles_acc
-  end;
-  if !drops > 0 then Rp_obs.Counter.add (Gate.drops gate) !drops
+(* One packet on the router's context, from stage [from]. *)
+and single router ~tally ~from ~now ~out ~binding m =
+  let ctx = router.Router.ctx in
+  let f = enter ctx in
+  f.D.pkts.(0) <- m;
+  f.D.state.(0) <- live;
+  f.D.now.(0) <- now;
+  f.D.out.(0) <- out;
+  f.D.sched.(0) <- binding;
+  run_in ctx f ~tally ~from ~now f.D.pkts 0 1;
+  leave ctx;
+  verdict_of f 0
 
-(* Batch analogue of [process]: packets advance stage by stage —
-   entry/TTL, pre-routing gates (gate-major), punt/local delivery,
-   routing, post-routing gates (gate-major), fragment + enqueue,
-   verdict accounting — with a settled verdict parking a packet for
-   the remaining stages.  Per-packet verdicts, cost-model charges and
-   metric totals are identical to calling [process] on each packet in
-   batch order (the qcheck equivalence test pins this); only the
-   interleaving of gate invocations across packets differs, so plugins
-   whose behavior depends on cross-packet invocation order may observe
-   the difference.  Self-generated traffic (ICMP errors, echo replies)
-   takes the per-packet path recursively, exactly as in [process]. *)
-let process_batch router ?emit ~now batch ~n =
-  if n < 0 || n > Array.length batch then
-    invalid_arg "Ip_core.process_batch: n out of range";
-  let verdicts = Array.make (max n 1) None in
-  let t0s = Array.make (max n 1) 0 in
-  let outs = Array.make (max n 1) (-1) in
-  if n > 0 then Rp_obs.Counter.add m_packets n;
-  (* Entry: sampling decision, arrival accounting, TTL. *)
-  for i = 0 to n - 1 do
-    let m = batch.(i) in
-    if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
-      m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
-    let tseq = m.Mbuf.tseq in
-    if tseq <> 0 then begin
-      let ts = Cost.get () in
-      t0s.(i) <- ts;
-      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-        ~pkt:tseq ~arg:m.Mbuf.len
-    end;
-    slo_open m;
-    Cost.charge Cost.base_forward;
-    Iface.count_rx (Router.iface router m.Mbuf.key.Flow_key.iface) m;
-    if m.Mbuf.ttl <= 1 then begin
-      icmp_error router ~now m Icmp.Time_exceeded;
-      verdicts.(i) <- Some (Dropped "ttl expired")
-    end
-    else m.Mbuf.ttl <- m.Mbuf.ttl - 1
-  done;
-  List.iter
-    (fun gate ->
-      if Router.gate_enabled router gate then
-        run_gate_batch router ~now ~gate batch verdicts n)
-    inline_gates_pre;
-  (* Local punt / local delivery. *)
-  for i = 0 to n - 1 do
-    match verdicts.(i) with
-    | Some _ -> ()
-    | None ->
-      let m = batch.(i) in
-      let consumed =
-        match
-          Hashtbl.find_opt router.Router.punts m.Mbuf.key.Flow_key.proto
-        with
-        | Some handler -> handler ~now m = Router.Punt_consume
-        | None -> false
-      in
-      if consumed then verdicts.(i) <- Some Delivered_local
-      else if Router.is_local router m.Mbuf.key.Flow_key.dst then begin
-        answer_echo router ~now m;
-        verdicts.(i) <- Some Delivered_local
-      end
-  done;
-  (* Routing decision (gate, else table). *)
-  for i = 0 to n - 1 do
-    match verdicts.(i) with
-    | Some _ -> ()
-    | None -> (
-        match route router ~now batch.(i) with
-        | out -> outs.(i) <- out
-        | exception Dropped_exn (why, icmp) ->
-          (match icmp with
-           | Some message -> icmp_error router ~now batch.(i) message
-           | None -> ());
-          verdicts.(i) <- Some (Dropped why)
-        | exception Consumed_exn -> verdicts.(i) <- Some Absorbed)
-  done;
-  List.iter
-    (fun gate ->
-      if Router.gate_enabled router gate then
-        run_gate_batch router ~now ~gate batch verdicts n)
-    inline_gates_post;
-  (* Scheduling classification, fragmentation, enqueue. *)
-  for i = 0 to n - 1 do
-    match verdicts.(i) with
-    | Some _ -> ()
-    | None ->
-      let m = batch.(i) in
-      let v =
-        match enqueue router ~now m outs.(i) with
-        | v -> v
-        | exception Dropped_exn (why, icmp) ->
-          (match icmp with
-           | Some message -> icmp_error router ~now m message
-           | None -> ());
-          Dropped why
-        | exception Consumed_exn -> Absorbed
-      in
-      verdicts.(i) <- Some v
-  done;
-  (* Verdict accounting, telemetry close, flow accounting. *)
-  let fwd = ref 0 and del = ref 0 and abso = ref 0 and drop = ref 0 in
-  let ft = Rp_classifier.Aiu.flow_table (Router.aiu router) in
-  for i = 0 to n - 1 do
-    let m = batch.(i) in
-    let verdict =
-      match verdicts.(i) with Some v -> v | None -> assert false
-    in
-    (match verdict with
-     | Enqueued _ -> incr fwd
-     | Delivered_local -> incr del
-     | Absorbed -> incr abso
-     | Dropped why ->
-       incr drop;
-       Rp_obs.Drop_reason.count_why why);
-    let tseq = m.Mbuf.tseq in
-    if tseq <> 0 then begin
-      let ts = Cost.get () in
-      (match verdict with
-       | Dropped _ ->
-         Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
-           ~pkt:tseq ~arg:0
-       | Enqueued _ | Delivered_local | Absorbed -> ());
-      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
-        ~pkt:tseq ~arg:0;
-      Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - t0s.(i))
-    end;
-    slo_close ~shard:0 m verdict;
-    Rp_classifier.Flow_table.account ft m
-      ~verdict:
-        (match verdict with
-         | Enqueued _ -> `Fwd
-         | Dropped _ -> `Drop
-         | Delivered_local | Absorbed -> `Absorb);
-    match emit with Some f -> f m verdict | None -> ()
-  done;
-  if !fwd > 0 then Rp_obs.Counter.add m_forwarded !fwd;
-  if !del > 0 then Rp_obs.Counter.add m_delivered !del;
-  if !abso > 0 then Rp_obs.Counter.add m_absorbed !abso;
-  if !drop > 0 then Rp_obs.Counter.add m_dropped !drop
+and process router ~now m =
+  single router ~tally:router.Router.ctx.D.tally ~from:from_entry ~now ~out:(-1)
+    ~binding:None m
+
+let resume router ~tally ~now m = function
+  | Local -> single router ~tally ~from:from_local ~now ~out:(-1) ~binding:None m
+  | Egress (out, binding) -> single router ~tally ~from:from_egress ~now ~out ~binding m
+  | Settled | Icmp_error _ -> invalid_arg "Ip_core.resume: no router-owned stage left"
+
+let run (ctx : ctx) ~now batch ~n ~emit =
+  if n < 0 || n > Array.length batch then invalid_arg "Ip_core.run: n out of range";
+  let off = ref 0 in
+  while !off < n do
+    let k = min D.batch (n - !off) in
+    let f = enter ctx in
+    run_in ctx f ~tally:ctx.D.tally ~from:from_entry ~now batch !off k;
+    for i = 0 to k - 1 do
+      emit batch.(!off + i) (verdict_of f i) (handoff_of f i)
+    done;
+    leave ctx;
+    off := !off + k
+  done
+
+let process_batch router ?(emit = fun _ _ -> ()) ~now batch ~n =
+  run router.Router.ctx ~now batch ~n ~emit:(fun m v _ -> emit m v)
+
+(* One gate for one packet, metered like any sweep. *)
+let invoke_gate router ~now ~gate m =
+  let ctx = router.Router.ctx in
+  let f = enter ctx in
+  f.D.pkts.(0) <- m;
+  f.D.state.(0) <- live;
+  f.D.now.(0) <- now;
+  sweep ctx f f.D.pkts 0 1 gate;
+  leave ctx;
+  let st = f.D.state.(0) in
+  if st = absorbed then Plugin.Consumed
+  else if st = dropped then Plugin.Drop f.D.why.(0)
+  else Plugin.Continue

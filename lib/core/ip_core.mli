@@ -3,16 +3,26 @@
     handling, demultiplexing packets to plugin instances through the
     gates, route lookup, and handoff to the output queue.
 
-    The per-packet path (paper, Figure 3): receive → IPv6 option gate →
+    The path (paper, Figure 3): receive → IPv6 option gate →
     security-in gate → firewall gate → local punt check → routing
     (gate, else table) → congestion gate → security-out gate → stats
-    gate → scheduling gate + enqueue.
+    gate → scheduling gate → fragment/DF decision → enqueue.
 
     Each gate is a classification point: the first gate of a packet
     pays the flow-table hash (or, for the first packet of a flow, the
     full filter-table lookups for {e all} gates); subsequent gates
     dereference the FIX cached in the mbuf.  Cycle costs are charged to
-    {!Cost} as described there. *)
+    {!Cost} as described there.
+
+    There is one implementation of the path: a gate-major batch
+    pipeline run on a per-domain context ({!Domain_ctx}).  On the
+    router's own context ([Router.ctx]) every stage runs at once; that
+    is the inline engine, and {!process} is a batch of one.  An engine
+    shard runs it on its private context and hands the stages that
+    touch the router's mutable state (punts, local delivery and echo,
+    ICMP origination, output queues, PCU fault accounting) back to the
+    control domain, which finishes them with {!resume} and
+    {!icmp_error}. *)
 
 open Rp_pkt
 
@@ -24,14 +34,25 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+(** The router-owned remainder of a packet's path (always [Settled] on
+    the router's own context). *)
+type handoff =
+  | Settled
+  | Icmp_error of Icmp.message  (** dropped; its ICMP error is owed *)
+  | Local  (** for a punt handler or a local address *)
+  | Egress of int * Plugin.t Rp_classifier.Flow_table.binding option
+      (** for this interface's queue, with the scheduling binding *)
+
+(** A data-path context; see {!Domain_ctx}. *)
+type ctx = Router.t Domain_ctx.t
+
 (** [process router ~now m] runs one packet through the router's data
     path, returning what happened to it.  [m.key.iface] must identify
     the receiving interface. *)
 val process : Router.t -> now:int64 -> Mbuf.t -> verdict
 
 (** [process_batch router ~now batch ~n] runs [batch.(0 .. n-1)]
-    through the data path in one gate-major sweep: each stage (entry,
-    pre-routing gates, punt, routing, post-routing gates, enqueue)
+    through the router's data path in one gate-major sweep: each stage
     walks the whole batch before the next begins, so the gate-enabled
     checks and counter updates are amortised across the batch.
     Per-packet verdicts, cost-model charges and metric totals are
@@ -49,36 +70,49 @@ val process_batch :
   n:int ->
   unit
 
+(** [run ctx ~now batch ~n ~emit] — {!process_batch} on any context;
+    [emit] also gets the {!handoff}, and a handed-back packet's verdict
+    is provisional.  A shard's context clocks packets by [birth_ns]. *)
+val run :
+  ctx ->
+  now:int64 ->
+  Mbuf.t array ->
+  n:int ->
+  emit:(Mbuf.t -> verdict -> handoff -> unit) ->
+  unit
+
+(** [resume router ~tally ~now m h] finishes a handed-back [Local] or
+    [Egress] packet on the router's context, counting its verdict in
+    [tally] (that of the context it entered). *)
+val resume :
+  Router.t -> tally:Domain_ctx.tally -> now:int64 -> Mbuf.t -> handoff -> verdict
+
+(** [icmp_error router ~now orig message] originates an ICMP error
+    about [orig] toward its source through the router's own path. *)
+val icmp_error : Router.t -> now:int64 -> Mbuf.t -> Icmp.message -> unit
+
+(** Apply one fault event to the router's PCU (auto-quarantine, the
+    [Unbind] policy); true when a quarantine changed the bindings. *)
+val apply_event : Router.t -> Fault.event -> bool
+
+(** [classify aiu ~now ~gate m] — the one classify-and-charge entry
+    point: {!Cost.flow_hash} on the packet's first AIU consult, the
+    measured memory accesses, {!Cost.gate_invoke}. *)
+val classify :
+  Plugin.t Rp_classifier.Aiu.t ->
+  now:int64 ->
+  gate:Gate.t ->
+  Mbuf.t ->
+  (Plugin.t * Plugin.t Rp_classifier.Flow_table.record) option
+
 (** [invoke_gate router ~now ~gate m] — classification + indirect call
     for one gate, exposed for tests and micro-benchmarks.  Returns the
     handler's action ([Continue] when no instance is bound). *)
 val invoke_gate : Router.t -> now:int64 -> gate:Gate.t -> Mbuf.t -> Plugin.action
 
-(** The inline gates run before (ip-options, security-in, firewall)
-    and after (congestion, security-out, stats) the routing decision —
-    the gate order of Figure 3, exposed so the sharded engine's worker
-    dispatch mirrors the same traversal. *)
+(** The handler gates before (ip-options, security-in, firewall) and
+    after (congestion, security-out, stats) the routing decision, in
+    the order of Figure 3. *)
 
 val inline_gates_pre : Gate.t list
 val inline_gates_post : Gate.t list
-
-(** {2 Latency SLO hooks}
-
-    Shared with the sharded engine's worker dispatch so both engines
-    stamp and close identically.  All three only {e read} the {!Cost}
-    clock, so Table-3 cycles are byte-identical with stamping on or
-    off. *)
-
-(** Stamp [m] with the calling domain's cycle clock (when
-    {!Rp_obs.Slo.on}); when exemplar capture is armed, ensure and zero
-    the mbuf's per-gate attribution array. *)
-val slo_open : Mbuf.t -> unit
-
-(** Accumulate [cycles] against [gate] in [m]'s attribution array
-    (no-op until {!slo_open} armed the packet). *)
-val slo_attrib : Mbuf.t -> gate:Gate.t -> int -> unit
-
-(** Observe the ingress→verdict latency into the [shard]'s histograms
-    (split by verdict class) and capture a breach exemplar when the
-    configured SLO (or the top latency bucket) is exceeded. *)
-val slo_close : shard:int -> Mbuf.t -> verdict -> unit

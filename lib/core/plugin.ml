@@ -47,9 +47,6 @@ module type PLUGIN = sig
   val message : string -> string -> (string, string) result
 end
 
-let pp ppf t =
-  Format.fprintf ppf "%s#%d@%s" t.plugin_name t.instance_id (Gate.name t.gate)
-
 let code ~gate ~impl = (Gate.to_int gate lsl 16) lor (impl land 0xFFFF)
 let gate_of_code c = Gate.of_int (c lsr 16)
 let impl_of_code c = c land 0xFFFF

@@ -82,8 +82,6 @@ module type PLUGIN = sig
   val message : string -> string -> (string, string) result
 end
 
-val pp : Format.formatter -> t -> unit
-
 (** [code ~gate ~impl] packs a plugin code. *)
 val code : gate:Gate.t -> impl:int -> int
 

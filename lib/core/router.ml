@@ -18,6 +18,7 @@ type t = {
   mutable icmp_sent : int;
   mutable fault_policy : Fault.policy;
   mutable cycle_budget : int option;
+  ctx : t Domain_ctx.t;
 }
 
 let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
@@ -29,19 +30,31 @@ let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
    | Some n -> Pcu.set_quarantine_threshold pcu n
    | None -> ());
   Flow_export.install (Pcu.aiu pcu);
-  {
-    name;
-    mode;
-    pcu;
-    routes = Route_table.create ?engine ();
-    ifaces = Array.of_list ifaces;
-    enabled_gates = gates;
-    punts = Hashtbl.create 8;
-    local_addrs = [];
-    icmp_sent = 0;
-    fault_policy;
-    cycle_budget;
-  }
+  let routes = Route_table.create ?engine () in
+  let ifaces = Array.of_list ifaces in
+  let ctx =
+    Domain_ctx.create ~shard:0 ~birth_clock:false ~meters:Gate.Meters.default
+      ~tally:Domain_ctx.core_tally ~aiu:(Pcu.aiu pcu) ~routes
+      ~mtus:(Array.map (fun i -> i.Iface.mtu) ifaces)
+  in
+  let t =
+    {
+      name;
+      mode;
+      pcu;
+      routes;
+      ifaces;
+      enabled_gates = gates;
+      punts = Hashtbl.create 8;
+      local_addrs = [];
+      icmp_sent = 0;
+      fault_policy;
+      cycle_budget;
+      ctx;
+    }
+  in
+  ctx.Domain_ctx.owner <- Some t;
+  t
 
 let iface t i =
   if i < 0 || i >= Array.length t.ifaces then

@@ -19,20 +19,17 @@ let mode_of_string s =
       | None -> Error ("bad shard count in " ^ s))
   | _ -> Error (Printf.sprintf "unknown engine mode %S (inline | sharded:N)" s)
 
-let batch_size = 32
-
 type t = {
   mode : mode;
   router : Router.t;
   snapshot : Snapshot.t Atomic.t;
   shard_tbl : Shard.t array;  (* [||] for Inline *)
   rx : Mbuf.t Spsc.t array;
-  tx : Shard.result Spsc.t array;
+  tx : Shard.result Spsc.t array;  (* one per shard; Inline: one *)
   busy : bool Atomic.t array;  (* worker mid-batch *)
   tx_ring_drops : Rp_obs.Counter.t array;
   stop_flag : bool Atomic.t;
   mutable domains : unit Domain.t array;
-  inline_q : Shard.result Queue.t;
   m_submitted : Rp_obs.Counter.t;
   m_bp_drops : Rp_obs.Counter.t;
   m_drained : Rp_obs.Counter.t;
@@ -64,12 +61,8 @@ let router t = t.router
 let generation t = (Atomic.get t.snapshot).Snapshot.gen
 let snapshot t = Atomic.get t.snapshot
 
-let shards t = match t.mode with Inline -> 1 | Sharded n -> n
-
-let shard_of_key t key =
-  match t.mode with
-  | Inline -> 0
-  | Sharded n -> t.rss key land max_int mod n
+let shards t = Array.length t.tx
+let shard_of_key t key = t.rss key land max_int mod shards t
 
 (* Only safe while no traffic is in flight: packets of one flow hashed
    by two different functions could land on two shards, splitting the
@@ -100,36 +93,34 @@ let deregister t =
 
 (* --- worker loop ---------------------------------------------------- *)
 
-let dummy_key =
-  Flow_key.make ~src:(Ipaddr.v4 0 0 0 0) ~dst:(Ipaddr.v4 0 0 0 0) ~proto:0
-    ~sport:0 ~dport:0 ~iface:0
-
-let dummy_mbuf () = Mbuf.synth ~key:dummy_key ~len:0 ()
+let dummy_mbuf = Domain_ctx.dummy_mbuf
 
 let worker_loop t i =
   let shard = t.shard_tbl.(i) in
   let rx = t.rx.(i) and tx = t.tx.(i) in
   let busy = t.busy.(i) in
   let tx_drops = t.tx_ring_drops.(i) in
-  let scratch = Array.make batch_size (dummy_mbuf ()) in
+  let scratch = Array.make Domain_ctx.batch dummy_mbuf in
   let running = ref true in
   while !running do
     (* Pick up a new snapshot generation even when idle, so control
        waits ([synced]) terminate without traffic. *)
     Shard.sync shard (Atomic.get t.snapshot);
-    let n = Spsc.pop_batch rx ~max:batch_size scratch in
-    if n = 0 then begin
-      if Atomic.get t.stop_flag && Spsc.is_empty rx then running := false
-      else Domain.cpu_relax ()
+    if Spsc.is_empty rx then begin
+      if Atomic.get t.stop_flag then running := false else Domain.cpu_relax ()
     end
     else begin
+      (* Busy before the pop empties the ring, so [idle] never sees an
+         empty ring while a popped batch is still in flight. *)
       Atomic.set busy true;
+      let n = Spsc.pop_batch rx ~max:Domain_ctx.batch scratch in
       Rp_obs.Histogram.observe t.batch_hist n;
       let (), cycles =
         Cost.measure (fun () ->
-            Shard.dispatch_batch shard scratch ~n ~emit:(fun result ->
-                if not (Spsc.push tx result) then
-                  Rp_obs.Counter.inc tx_drops))
+            Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
+              ~emit:(fun m verdict handoff ->
+                if not (Spsc.push tx (Shard.result (Shard.ctx shard) m verdict handoff))
+                then Rp_obs.Counter.inc tx_drops))
       in
       Shard.add_cycles shard cycles;
       Atomic.set busy false
@@ -145,7 +136,7 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
   let snap = Snapshot.capture ~gen:0 router in
   let n = match mode with Inline -> 0 | Sharded n -> n in
   let dummy_result =
-    { Shard.m = dummy_mbuf (); outcome = Shard.Dropped "dummy"; faults = [] }
+    Shard.result router.Router.ctx dummy_mbuf (Ip_core.Dropped "dummy") Ip_core.Settled
   in
   let t =
     {
@@ -154,10 +145,9 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
       snapshot = Atomic.make snap;
       shard_tbl = Array.init n (fun i -> Shard.create ~index:i snap);
       rx =
-        Array.init n (fun _ ->
-            Spsc.create ~capacity:rx_capacity ~dummy:(dummy_mbuf ()));
+        Array.init n (fun _ -> Spsc.create ~capacity:rx_capacity ~dummy:dummy_mbuf);
       tx =
-        Array.init n (fun _ ->
+        Array.init (max n 1) (fun _ ->
             Spsc.create ~capacity:tx_capacity ~dummy:dummy_result);
       busy = Array.init n (fun _ -> Atomic.make false);
       tx_ring_drops =
@@ -166,7 +156,6 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
               (Printf.sprintf "engine.shard%d.tx_ring_drops" i));
       stop_flag = Atomic.make false;
       domains = [||];
-      inline_q = Queue.create ();
       m_submitted = Rp_obs.Registry.counter "engine.submitted";
       m_bp_drops = Rp_obs.Registry.counter "engine.backpressure_drops";
       m_drained = Rp_obs.Registry.counter "engine.drained";
@@ -214,38 +203,20 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
       float_of_int (shards t));
   Rp_obs.Registry.gauge "engine.generation" (fun () ->
       float_of_int (generation t));
+  (* Per-shard ring depths, plus health probes: sampled by the
+     binaries' report loops, they keep a high-water mark, so a ring that
+     spiked between two metric dumps is still visible.  Registration
+     replaces by name — a re-created engine takes them over. *)
   Array.iteri
     (fun i rx ->
-      Rp_obs.Registry.gauge
-        (Printf.sprintf "engine.shard%d.rx_depth" i)
-        (fun () -> float_of_int (Spsc.length rx)))
+      let tx = t.tx.(i) and name = Printf.sprintf "engine.shard%d.%s" i in
+      let depth ring () = float_of_int (Spsc.length ring) in
+      let pct ring () = 100. *. depth ring () /. float_of_int (Spsc.capacity ring) in
+      Rp_obs.Registry.gauge (name "rx_depth") (depth rx);
+      Rp_obs.Registry.gauge (name "tx_depth") (depth tx);
+      Rp_obs.Health.register (name "rx_pct") (pct rx);
+      Rp_obs.Health.register (name "tx_pct") (pct tx))
     t.rx;
-  Array.iteri
-    (fun i tx ->
-      Rp_obs.Registry.gauge
-        (Printf.sprintf "engine.shard%d.tx_depth" i)
-        (fun () -> float_of_int (Spsc.length tx)))
-    t.tx;
-  (* Health probes: sampled by the binaries' report loops, they keep a
-     high-water mark, so a ring that spiked between two metric dumps
-     is still visible.  Registration replaces by name — a re-created
-     engine takes the probes over. *)
-  let occupancy ring () =
-    100. *. float_of_int (Spsc.length ring)
-    /. float_of_int (Spsc.capacity ring)
-  in
-  Array.iteri
-    (fun i rx ->
-      Rp_obs.Health.register
-        (Printf.sprintf "engine.shard%d.rx_pct" i)
-        (occupancy rx))
-    t.rx;
-  Array.iteri
-    (fun i tx ->
-      Rp_obs.Health.register
-        (Printf.sprintf "engine.shard%d.tx_pct" i)
-        (occupancy tx))
-    t.tx;
   Rp_obs.Health.register "engine.delta_backlog" (fun () ->
       float_of_int (List.length t.pending));
   Rp_obs.Health.register "engine.quarantined" (fun () ->
@@ -339,103 +310,74 @@ let set_deltas t on =
 
 let deltas_enabled t = t.deltas_on
 
+(* Trivially true inline: there are no shards, RX rings or workers. *)
 let synced t =
-  match t.mode with
-  | Inline -> true
-  | Sharded _ ->
-    let gen = generation t in
-    Array.for_all (fun s -> Shard.seen_gen s = gen) t.shard_tbl
+  let gen = generation t in
+  Array.for_all (fun s -> Shard.seen_gen s = gen) t.shard_tbl
 
 let idle t =
-  match t.mode with
-  | Inline -> true
-  | Sharded _ ->
-    Array.for_all Spsc.is_empty t.rx
-    && Array.for_all (fun b -> not (Atomic.get b)) t.busy
+  Array.for_all Spsc.is_empty t.rx
+  && Array.for_all (fun b -> not (Atomic.get b)) t.busy
 
 let shard_cycles t i =
   match t.mode with Inline -> Cost.get () | Sharded _ -> Shard.cycles t.shard_tbl.(i)
 
-let shard_flow_keys t i =
-  match t.mode with
-  | Inline ->
-    let keys = ref [] in
-    Rp_classifier.Flow_table.iter
-      (fun r -> keys := Rp_classifier.Flow_table.key r :: !keys)
-      (Rp_classifier.Aiu.flow_table (Router.aiu t.router));
-    !keys
-  | Sharded _ -> Shard.flow_keys t.shard_tbl.(i)
+let refuse t k =
+  if k > 0 then begin
+    Rp_obs.Counter.add t.m_bp_drops k;
+    Rp_obs.Drop_reason.add Rp_obs.Drop_reason.Backpressure k
+  end
 
-let verdict_to_outcome = function
-  | Ip_core.Enqueued i -> Shard.Forwarded i
-  | Ip_core.Delivered_local -> Shard.Absorbed
-  | Ip_core.Absorbed -> Shard.Absorbed
-  | Ip_core.Dropped why -> Shard.Dropped why
+(* The engine has no transmit loop: pull what the data path queued, so
+   the output queue never fills. *)
+let transmit t ~now = function
+  | Ip_core.Enqueued out ->
+    let ifc = Router.iface t.router out in
+    let more = ref true in
+    while !more do
+      match Iface.dequeue ifc ~now with Some _ -> () | None -> more := false
+    done
+  | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ()
 
-let submit t ~now m =
-  m.Mbuf.birth_ns <- now;
+let rec submit t ~now m =
   match t.mode with
-  | Inline ->
-    Rp_obs.Counter.inc t.m_submitted;
-    let verdict = Ip_core.process t.router ~now m in
-    (match verdict with
-     | Ip_core.Enqueued out ->
-       (* Keep the output queue from filling: the engine has no
-          transmit loop, so pull what the data path queued. *)
-       let ifc = Router.iface t.router out in
-       let rec drain_iface () =
-         match Iface.dequeue ifc ~now with
-         | Some _ -> drain_iface ()
-         | None -> ()
-       in
-       drain_iface ()
-     | _ -> ());
-    Queue.add
-      { Shard.m; outcome = verdict_to_outcome verdict; faults = [] }
-      t.inline_q;
-    true
-  | Sharded n ->
-    let s = t.rss m.Mbuf.key land max_int mod n in
-    if Spsc.push t.rx.(s) m then begin
+  | Inline -> submit_batch t ~now [| m |] ~n:1 = 1
+  | Sharded _ ->
+    m.Mbuf.birth_ns <- now;
+    if Spsc.push t.rx.(shard_of_key t m.Mbuf.key) m then begin
       Rp_obs.Counter.inc t.m_submitted;
       true
     end
     else begin
-      Rp_obs.Counter.inc t.m_bp_drops;
-      Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Backpressure;
+      refuse t 1;
       false
     end
 
-(* Batched submission.  Inline: one [Ip_core.process_batch] sweep over
-   the whole batch — the engine-level bookkeeping (submit counter,
-   output-queue drain, inline result queue) hangs off the batch path's
-   per-packet [emit].  Sharded: packets of one batch hash to different
-   shards, so distribution stays per-packet pushes; the batching win
-   there is on the worker side ([Shard.dispatch_batch]). *)
-let submit_batch t ~now batch ~n =
+(* Batched submission.  Inline: one gate-major [Ip_core.run] on the
+   router's context over as many packets as the result ring has room
+   for; the rest are refused exactly as a full shard RX ring refuses
+   them.  Sharded: packets of one batch hash to different shards, so
+   distribution stays per-packet pushes; the batching win there is on
+   the worker side. *)
+and submit_batch t ~now batch ~n =
   if n < 0 || n > Array.length batch then
     invalid_arg "Engine.submit_batch: n out of range";
   match t.mode with
   | Inline ->
-    for i = 0 to n - 1 do
+    let ring = t.tx.(0) in
+    let k = min n (Spsc.capacity ring - Spsc.length ring) in
+    for i = 0 to k - 1 do
       batch.(i).Mbuf.birth_ns <- now
     done;
-    if n > 0 then Rp_obs.Counter.add t.m_submitted n;
-    Ip_core.process_batch t.router ~now batch ~n ~emit:(fun m verdict ->
-        (match verdict with
-         | Ip_core.Enqueued out ->
-           let ifc = Router.iface t.router out in
-           let rec drain_iface () =
-             match Iface.dequeue ifc ~now with
-             | Some _ -> drain_iface ()
-             | None -> ()
-           in
-           drain_iface ()
-         | _ -> ());
-        Queue.add
-          { Shard.m; outcome = verdict_to_outcome verdict; faults = [] }
-          t.inline_q);
-    n
+    if k > 0 then begin
+      Rp_obs.Counter.add t.m_submitted k;
+      let ctx = t.router.Router.ctx in
+      Ip_core.run ctx ~now batch ~n:k ~emit:(fun m verdict handoff ->
+          transmit t ~now verdict;
+          ignore (Spsc.push ring (Shard.result ctx m verdict handoff)))
+    end;
+    refuse t (n - k);
+    k
   | Sharded _ ->
     let accepted = ref 0 in
     for i = 0 to n - 1 do
@@ -443,52 +385,43 @@ let submit_batch t ~now batch ~n =
     done;
     !accepted
 
-(* Apply one result's contained-fault events to the shared control
-   state.  Returns true when the bindings changed (a quarantine), so
-   the caller republishes once per drain. *)
-let apply_faults t (result : Shard.result) =
-  List.fold_left
-    (fun changed (id, reason) ->
-      let pcu = t.router.Router.pcu in
-      let changed =
-        match Pcu.record_fault pcu id ~reason with
-        | `Quarantine ->
-          (match Router.quarantine t.router id with Ok () | Error _ -> ());
-          true
-        | `Ok -> changed
-      in
-      match t.router.Router.fault_policy with
-      | Fault.Unbind when not (Pcu.is_quarantined pcu id) ->
-        (match Router.quarantine t.router id with Ok () | Error _ -> ());
-        true
-      | _ -> changed)
-    false result.Shard.faults
+(* Finish one result on the control domain: apply its fault events to
+   the PCU (noting in [republish] a quarantine that changed the
+   bindings), then run whatever router-owned stage the shard handed
+   back (an inline result is always settled). *)
+let finish t i republish (r : Shard.result) =
+  if r.Shard.faults <> [] then
+    List.iter
+      (fun ev -> if Ip_core.apply_event t.router ev then republish := true)
+      r.Shard.faults;
+  let m = r.Shard.m in
+  match r.Shard.handoff with
+  | Ip_core.Settled -> r
+  | Ip_core.Icmp_error message ->
+    Ip_core.icmp_error t.router ~now:m.Mbuf.birth_ns m message;
+    { r with handoff = Ip_core.Settled }
+  | h ->
+    let now = m.Mbuf.birth_ns in
+    let tally = (Shard.ctx t.shard_tbl.(i)).Domain_ctx.tally in
+    let verdict = Ip_core.resume t.router ~tally ~now m h in
+    transmit t ~now verdict;
+    { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
 
 let drain ?(max = max_int) t ~f =
   let drained = ref 0 in
   let republish = ref false in
-  let handle result =
-    incr drained;
-    Rp_obs.Counter.inc t.m_drained;
-    if result.Shard.faults <> [] then
-      if apply_faults t result then republish := true;
-    f result
-  in
-  (match t.mode with
-   | Inline ->
-     while !drained < max && not (Queue.is_empty t.inline_q) do
-       handle (Queue.pop t.inline_q)
-     done
-   | Sharded _ ->
-     Array.iter
-       (fun tx ->
-         let continue = ref true in
-         while !continue && !drained < max do
-           match Spsc.pop tx with
-           | Some result -> handle result
-           | None -> continue := false
-         done)
-       t.tx);
+  Array.iteri
+    (fun i tx ->
+      let continue = ref true in
+      while !continue && !drained < max do
+        match Spsc.pop tx with
+        | Some result ->
+          incr drained;
+          Rp_obs.Counter.inc t.m_drained;
+          f (finish t i republish result)
+        | None -> continue := false
+      done)
+    t.tx;
   if !republish then publish t;
   !drained
 
@@ -547,38 +480,39 @@ let stats_string t =
     t.shard_tbl;
   Buffer.contents b
 
-(* Flush every flow cache the engine owns, exporting records to the
-   Flowlog ring: the router's own table (inline mode, or the control
-   path's classifications) plus each shard's private table.  Shard
-   tables are domain-private, so this must only run while the workers
-   are idle (drained) or stopped — e.g. right before/after [stop], or
-   after a [flush] returned with no backlog. *)
-let flush_flows t =
-  Rp_classifier.Aiu.flush_flows (Router.aiu t.router);
-  Array.iter Shard.flush_flows t.shard_tbl
+(* Every flow cache the engine owns: the router's own (inline mode, or
+   the control domain's classifications) and each shard's private one.
+   Shard tables are domain-private, so the operations below must only
+   run while the workers are idle (drained) or stopped — e.g. right
+   before/after [stop], or after a [flush] returned with no backlog.
+   The fig-zipf soak expires during its idle pauses to keep
+   arrival/expiry churning at million-flow scale. *)
+let aius t =
+  Router.aiu t.router
+  :: List.map (fun s -> (Shard.ctx s).Domain_ctx.aiu) (Array.to_list t.shard_tbl)
 
-(* Same ownership contract as [flush_flows]: shard flow tables are
-   domain-private, so expiry may only run while the workers are
-   drained.  The fig-zipf soak calls this during its idle pauses to
-   keep arrival/expiry churning at million-flow scale. *)
+let flush_flows t = List.iter Rp_classifier.Aiu.flush_flows (aius t)
+
 let expire_flows t ~now ~idle_ns =
-  let n = ref (Rp_classifier.Aiu.expire_flows (Router.aiu t.router) ~now ~idle_ns) in
-  Array.iter (fun s -> n := !n + Shard.expire_flows s ~now ~idle_ns) t.shard_tbl;
-  !n
+  List.fold_left
+    (fun n aiu -> n + Rp_classifier.Aiu.expire_flows aiu ~now ~idle_ns)
+    0 (aius t)
 
-let shard_flow_count t i =
-  match t.mode with
-  | Inline ->
-    Rp_classifier.Flow_table.length
-      (Rp_classifier.Aiu.flow_table (Router.aiu t.router))
-  | Sharded _ -> Shard.flow_count t.shard_tbl.(i)
+let flow_table t i =
+  Rp_classifier.Aiu.flow_table
+    (match t.mode with
+     | Inline -> Router.aiu t.router
+     | Sharded _ -> (Shard.ctx t.shard_tbl.(i)).Domain_ctx.aiu)
 
-let shard_flow_stats t i =
-  match t.mode with
-  | Inline ->
-    Rp_classifier.Flow_table.stats
-      (Rp_classifier.Aiu.flow_table (Router.aiu t.router))
-  | Sharded _ -> Shard.flow_stats t.shard_tbl.(i)
+let shard_flow_keys t i =
+  let keys = ref [] in
+  Rp_classifier.Flow_table.iter
+    (fun r -> keys := Rp_classifier.Flow_table.key r :: !keys)
+    (flow_table t i);
+  !keys
+
+let shard_flow_count t i = Rp_classifier.Flow_table.length (flow_table t i)
+let shard_flow_stats t i = Rp_classifier.Flow_table.stats (flow_table t i)
 
 let stop t =
   if not t.stopped then begin

@@ -1,14 +1,17 @@
 (** The packet engine: single-domain inline execution or RSS-style
     sharding across OCaml 5 worker domains.
 
-    [Sharded n] spawns [n] worker domains.  The control (main) domain
-    distributes packets to per-shard SPSC RX rings by
-    [Flow_key.hash mod n], so every packet of a flow lands on the same
-    shard and per-flow soft state stays domain-private.  Workers run
-    batched gate dispatch (default batch 32) against a read-only
-    classifier {!Snapshot} published through one atomic pointer with a
-    generation counter; control-plane changes (bind/unbind, route
-    changes, quarantine) go through {!publish} / {!maybe_publish}.
+    Both modes run the one data path, {!Rp_core.Ip_core.run}, in
+    batches of up to 32.  [Inline] runs it on the router's own context,
+    synchronously in {!submit}.  [Sharded n] spawns [n] worker domains:
+    the control (main) domain distributes packets to per-shard SPSC RX
+    rings by [Flow_key.hash mod n], so every packet of a flow lands on
+    the same shard and per-flow soft state stays domain-private, and
+    each worker runs the path on its shard's context against a
+    read-only classifier {!Snapshot} published through one atomic
+    pointer with a generation counter; control-plane changes
+    (bind/unbind, route changes, quarantine) go through {!publish} /
+    {!maybe_publish}.
     The engine records every AIU mutation as a {!Snapshot.delta}, so a
     shard observing a new generation normally {e replays} just the
     outstanding deltas on its private classifier — evicting only the
@@ -17,14 +20,12 @@
     behind than the bounded delta log reaches ({!set_backlog}), or
     when delta recording is off ({!set_deltas}).  The hot path takes
     no locks.
-    Results (and contained-fault events) return on per-shard TX rings;
-    {!drain} applies fault attribution to the PCU on the control
-    domain and republishes when a quarantine changed the bindings.
-
-    [Inline] runs the full single-domain {!Rp_core.Ip_core} path
-    synchronously in [submit] — bit-for-bit the deterministic behavior
-    of the rest of the repository — so callers can treat both modes
-    uniformly.
+    Results return on bounded TX rings (one per shard; [Inline] has
+    one too), with the shard's fault events and whatever router-owned
+    stage it handed back; {!drain} finishes those on the control domain
+    — PCU fault attribution, punts and local delivery, ICMP errors, the
+    output queue — and republishes when a quarantine changed the
+    bindings.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)
@@ -43,8 +44,9 @@ type t
 
 (** [create mode router] — for [Sharded n] this captures the first
     snapshot, registers the engine's metrics and spawns the worker
-    domains.  [rx_capacity] / [tx_capacity] size the per-shard rings
-    (rounded up to powers of two; defaults 1024 / 2048).
+    domains.  [rx_capacity] / [tx_capacity] size the per-shard rings,
+    [tx_capacity] the inline result ring too (rounded up to powers of
+    two; defaults 1024 / 2048).
     @raise Invalid_argument on [Sharded n] with [n < 1]. *)
 val create : ?rx_capacity:int -> ?tx_capacity:int -> mode -> Router.t -> t
 
@@ -73,23 +75,24 @@ val shard_flow_keys : t -> int -> Flow_key.t list
 
 (** [submit t ~now m] hands one packet to the engine.  [Inline]: runs
     the packet synchronously and queues its result for {!drain}.
-    [Sharded]: pushes to the owning shard's RX ring; [false] means the
-    ring was full and the packet was dropped (counted). *)
+    [Sharded]: pushes to the owning shard's RX ring.  [false] means the
+    ring (the result ring, inline) was full and the packet was dropped
+    (counted as backpressure). *)
 val submit : t -> now:int64 -> Mbuf.t -> bool
 
 (** [submit_batch t ~now batch ~n] hands [batch.(0 .. n-1)] to the
     engine at once, returning how many were accepted.  [Inline]: one
-    {!Rp_core.Ip_core.process_batch} gate-major sweep (always accepts
-    all [n]).  [Sharded]: per-packet RX-ring pushes (packets of one
-    batch hash to different shards); rejected packets are counted as
-    backpressure drops, exactly as {!submit}. *)
+    gate-major sweep over the first packets that fit the result ring.
+    [Sharded]: per-packet RX-ring pushes (packets of one batch hash to
+    different shards).  Rejected packets are counted as backpressure
+    drops, exactly as {!submit}. *)
 val submit_batch : t -> now:int64 -> Mbuf.t array -> n:int -> int
 
-(** [drain t ~f] pulls completed results from every shard, applies
+(** [drain t ~f] pulls completed results from every ring, applies
     contained-fault events to the PCU/router (auto-quarantine and the
-    [Unbind] policy republish the snapshot), and calls [f] on each
-    result.  Returns the number of results drained.  Control domain
-    only. *)
+    [Unbind] policy republish the snapshot), finishes handed-back
+    stages, and calls [f] on each settled result.  Returns the number
+    of results drained.  Control domain only. *)
 val drain : ?max:int -> t -> f:(Shard.result -> unit) -> int
 
 (** Current snapshot generation. *)

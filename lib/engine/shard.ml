@@ -1,5 +1,6 @@
 open Rp_pkt
 open Rp_core
+module D = Domain_ctx
 
 type outcome =
   | Forwarded of int
@@ -9,57 +10,67 @@ type outcome =
 type result = {
   m : Mbuf.t;
   outcome : outcome;
-  faults : (int * string) list;
+  faults : Fault.event list;
+  handoff : Ip_core.handoff;
 }
 
 type t = {
-  index : int;
-  meters : Gate.Meters.t;
-  m_rx : Rp_obs.Counter.t;
-  m_forwarded : Rp_obs.Counter.t;
-  m_dropped : Rp_obs.Counter.t;
-  m_absorbed : Rp_obs.Counter.t;
+  ctx : Ip_core.ctx;
+      (* Domain-private; written only by [sync] on the shard's own
+         domain, after which only that domain reads it. *)
   m_flow_flushes : Rp_obs.Counter.t;
   m_delta_applies : Rp_obs.Counter.t;
   m_deltas_replayed : Rp_obs.Counter.t;
   seen_gen : int Atomic.t;
   cycles_acc : int Atomic.t;
-  (* Domain-private compiled state; written only by [sync] on the
-     shard's own domain, after which only that domain reads it. *)
-  mutable aiu : Plugin.t Rp_classifier.Aiu.t;
-  mutable routes : Route_table.t;
-  mutable gates : Gate.t list;
-  mutable policy : Fault.policy;
-  mutable budget : int option;
 }
 
-let index t = t.index
-let meters t = t.meters
+let ctx t = t.ctx
 let seen_gen t = Atomic.get t.seen_gen
 let cycles t = Atomic.get t.cycles_acc
 let add_cycles t n = ignore (Atomic.fetch_and_add t.cycles_acc n)
 
-let compile snap =
+let outcome_of = function
+  | Ip_core.Enqueued i -> Forwarded i
+  | Ip_core.Delivered_local | Ip_core.Absorbed -> Absorbed
+  | Ip_core.Dropped why -> Dropped why
+
+(* The fault events queued since the previous result ride this one. *)
+let result (ctx : Ip_core.ctx) m verdict handoff =
+  let faults = List.rev ctx.D.events in
+  if faults <> [] then ctx.D.events <- [];
+  { m; outcome = outcome_of verdict; faults; handoff }
+
+(* Refresh the cheap whole-value state a snapshot always carries in
+   full: routes (rebuilt — route churn is orders of magnitude rarer
+   than filter churn), the enabled-gate list, fault policy/budget, the
+   hand-back tables, and the classifier mode (so a `pmgr classifier`
+   toggle reaches shards on the delta path too, without invalidating
+   their flow caches). *)
+let refresh_control t (snap : Snapshot.t) =
+  let ctx = t.ctx in
+  let routes = Route_table.create () in
+  List.iter (fun r -> Route_table.add routes r) snap.Snapshot.routes;
+  ctx.D.routes <- routes;
+  ctx.D.gates <- snap.gates;
+  ctx.D.policy <- snap.policy;
+  ctx.D.budget <- snap.budget;
+  ctx.D.punts <- snap.punts;
+  ctx.D.locals <- snap.locals;
+  ctx.D.mtus <- snap.mtus;
+  Rp_classifier.Aiu.set_mode ctx.D.aiu snap.Snapshot.classifier
+
+let apply t (snap : Snapshot.t) =
   let aiu = Rp_classifier.Aiu.create ~gates:Gate.count () in
   Flow_export.install aiu;
   List.iter
     (fun (gate, filter, inst) -> Rp_classifier.Aiu.bind aiu ~gate filter inst)
     snap.Snapshot.bindings;
-  Rp_classifier.Aiu.set_mode aiu snap.Snapshot.classifier;
-  let routes = Route_table.create () in
-  List.iter (fun r -> Route_table.add routes r) snap.Snapshot.routes;
-  (aiu, routes)
-
-let apply t (snap : Snapshot.t) =
-  let aiu, routes = compile snap in
   (* Export the outgoing cache's flow records before dropping it, so a
      recompile never loses NetFlow accounting. *)
-  Rp_classifier.Aiu.flush_flows t.aiu;
-  t.aiu <- aiu;
-  t.routes <- routes;
-  t.gates <- snap.gates;
-  t.policy <- snap.policy;
-  t.budget <- snap.budget;
+  Rp_classifier.Aiu.flush_flows t.ctx.D.aiu;
+  t.ctx.D.aiu <- aiu;
+  refresh_control t snap;
   Atomic.set t.seen_gen snap.gen
 
 let create ~index snap =
@@ -67,45 +78,26 @@ let create ~index snap =
   let counter suffix = Rp_obs.Registry.counter (prefix ^ suffix) in
   let t =
     {
-      index;
-      meters = Gate.Meters.create ~prefix;
-      m_rx = counter "rx";
-      m_forwarded = counter "forwarded";
-      m_dropped = counter "dropped";
-      m_absorbed = counter "absorbed";
+      ctx =
+        D.create ~shard:index ~birth_clock:true
+          ~meters:(Gate.Meters.create ~prefix)
+          ~tally:(D.tally ~prefix ~packets:"rx" ~delivered:"absorbed")
+          ~aiu:(Rp_classifier.Aiu.create ~gates:Gate.count ())
+          ~routes:(Route_table.create ()) ~mtus:[||];
       m_flow_flushes = counter "flow_flushes";
       m_delta_applies = counter "delta_applies";
       m_deltas_replayed = counter "deltas_replayed";
       seen_gen = Atomic.make (-1);
       cycles_acc = Atomic.make 0;
-      aiu = Rp_classifier.Aiu.create ~gates:Gate.count ();
-      routes = Route_table.create ();
-      gates = [];
-      policy = Fault.Drop_packet;
-      budget = None;
     }
   in
   apply t snap;
   t
 
-(* Refresh the cheap whole-value state a snapshot always carries in
-   full: routes (rebuilt — route churn is orders of magnitude rarer
-   than filter churn), the enabled-gate list, fault policy/budget, and
-   the classifier mode (so a `pmgr classifier` toggle reaches shards
-   on the delta path too, without invalidating their flow caches). *)
-let refresh_control t (snap : Snapshot.t) =
-  let routes = Route_table.create () in
-  List.iter (fun r -> Route_table.add routes r) snap.Snapshot.routes;
-  t.routes <- routes;
-  t.gates <- snap.gates;
-  t.policy <- snap.policy;
-  t.budget <- snap.budget;
-  Rp_classifier.Aiu.set_mode t.aiu snap.Snapshot.classifier
-
 let replay_delta t = function
-  | Snapshot.Bind (gate, f, inst) -> Rp_classifier.Aiu.bind t.aiu ~gate f inst
-  | Snapshot.Unbind (gate, f) -> Rp_classifier.Aiu.unbind t.aiu ~gate f
-  | Snapshot.Flush -> Rp_classifier.Aiu.flush_flows t.aiu
+  | Snapshot.Bind (gate, f, inst) -> Rp_classifier.Aiu.bind t.ctx.D.aiu ~gate f inst
+  | Snapshot.Unbind (gate, f) -> Rp_classifier.Aiu.unbind t.ctx.D.aiu ~gate f
+  | Snapshot.Flush -> Rp_classifier.Aiu.flush_flows t.ctx.D.aiu
   | Snapshot.Refresh -> ()
 
 let sync t snap =
@@ -138,341 +130,3 @@ let sync t snap =
       Rp_obs.Counter.inc t.m_flow_flushes
     end
   end
-
-(* --- data path ------------------------------------------------------ *)
-
-exception Drop_exn of string
-exception Consumed_exn
-
-(* The exact framework charges of the inline path, by construction:
-   both engines call the shared {!Rp_core.Classify} entry point,
-   against the shard's private AIU here. *)
-let classify_at t ~now ~gate m = Classify.at t.aiu ~now ~gate m
-
-(* Worker-side fault containment: count (shard meters and the global
-   per-gate meters — counters are atomic) and record the event for the
-   control domain; the PCU is never touched from here. *)
-let contain t ~gate ~tseq inst (reason : Fault.reason) faults =
-  Rp_obs.Counter.inc (Gate.Meters.faults t.meters gate);
-  Rp_obs.Counter.inc (Gate.faults gate);
-  if Rp_obs.Telemetry.on () then
-    Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Fault
-      ~gate:(Gate.to_int gate) ~pkt:tseq ~arg:inst.Plugin.instance_id;
-  faults :=
-    (inst.Plugin.instance_id, Fault.reason_to_string reason) :: !faults;
-  match t.policy with
-  | Fault.Drop_packet -> Plugin.Drop "plugin fault"
-  | Fault.Continue_packet | Fault.Unbind -> Plugin.Continue
-
-let invoke_gate t ~now ~gate m faults =
-  Rp_obs.Counter.inc (Gate.Meters.dispatch t.meters gate);
-  let tseq = m.Mbuf.tseq in
-  if tseq <> 0 then
-    Rp_obs.Telemetry.record ~ts:(Cost.get ())
-      ~kind:Rp_obs.Telemetry.Gate_enter ~gate:(Gate.to_int gate) ~pkt:tseq
-      ~arg:0;
-  let action, gate_cycles =
-    Cost.measure (fun () ->
-        match classify_at t ~now ~gate m with
-        | None -> Plugin.Continue
-        | Some (inst, record) -> (
-            let binding =
-              Rp_classifier.Flow_table.binding record ~gate:(Gate.to_int gate)
-            in
-            let outcome, handler_cycles =
-              Cost.measure (fun () ->
-                  try
-                    Ok (inst.Plugin.handle { Plugin.now_ns = now; binding } m)
-                  with e -> Error (Fault.Exn (Printexc.to_string e)))
-            in
-            match outcome with
-            | Error reason -> contain t ~gate ~tseq inst reason faults
-            | Ok action -> (
-                match t.budget with
-                | Some budget when handler_cycles > budget ->
-                  contain t ~gate ~tseq inst (Fault.Budget handler_cycles)
-                    faults
-                | _ -> action)))
-  in
-  Rp_obs.Counter.add (Gate.Meters.cycles t.meters gate) gate_cycles;
-  Ip_core.slo_attrib m ~gate gate_cycles;
-  if tseq <> 0 then begin
-    Rp_obs.Telemetry.record ~ts:(Cost.get ())
-      ~kind:Rp_obs.Telemetry.Gate_exit ~gate:(Gate.to_int gate) ~pkt:tseq
-      ~arg:0;
-    Rp_obs.Histogram.observe (Gate.span gate) gate_cycles
-  end;
-  (match action with
-   | Plugin.Drop _ -> Rp_obs.Counter.inc (Gate.Meters.drops t.meters gate)
-   | Plugin.Continue | Plugin.Consumed -> ());
-  action
-
-let gate_enabled t g = List.exists (Gate.equal g) t.gates
-
-let run_gates t ~now m gates faults =
-  List.iter
-    (fun gate ->
-      if gate_enabled t gate then
-        match invoke_gate t ~now ~gate m faults with
-        | Plugin.Continue -> ()
-        | Plugin.Consumed -> raise Consumed_exn
-        | Plugin.Drop why -> raise (Drop_exn why))
-    gates
-
-let route t ~now m faults =
-  if gate_enabled t Gate.Routing then begin
-    match invoke_gate t ~now ~gate:Gate.Routing m faults with
-    | Plugin.Continue -> ()
-    | Plugin.Consumed -> raise Consumed_exn
-    | Plugin.Drop why -> raise (Drop_exn why)
-  end;
-  match m.Mbuf.out_iface with
-  | Some i -> i
-  | None -> (
-      match Route_table.lookup t.routes m.Mbuf.key.Flow_key.dst with
-      | Some r ->
-        m.Mbuf.out_iface <- Some r.Route_table.iface;
-        m.Mbuf.next_hop <-
-          (match r.Route_table.next_hop with
-           | Some _ as nh -> nh
-           | None -> Some m.Mbuf.key.Flow_key.dst);
-        r.Route_table.iface
-      | None -> raise (Drop_exn "no route to destination"))
-
-let dispatch t ~now m =
-  Rp_obs.Counter.inc t.m_rx;
-  (* Mirror of the inline path's telemetry in [Ip_core.process]: each
-     worker samples its own packets and writes its own event ring. *)
-  if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
-    m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
-  let tseq = m.Mbuf.tseq in
-  let t0 = if tseq <> 0 then Cost.get () else 0 in
-  if tseq <> 0 then
-    Rp_obs.Telemetry.record ~ts:t0 ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-      ~pkt:tseq ~arg:m.Mbuf.len;
-  Ip_core.slo_open m;
-  Cost.charge Cost.base_forward;
-  let faults = ref [] in
-  let outcome =
-    if m.Mbuf.ttl <= 1 then Dropped "ttl expired"
-    else begin
-      m.Mbuf.ttl <- m.Mbuf.ttl - 1;
-      try
-        run_gates t ~now m Ip_core.inline_gates_pre faults;
-        let out = route t ~now m faults in
-        run_gates t ~now m Ip_core.inline_gates_post faults;
-        Forwarded out
-      with
-      | Drop_exn why -> Dropped why
-      | Consumed_exn -> Absorbed
-    end
-  in
-  (match outcome with
-   | Forwarded _ -> Rp_obs.Counter.inc t.m_forwarded
-   | Absorbed -> Rp_obs.Counter.inc t.m_absorbed
-   | Dropped why ->
-     Rp_obs.Counter.inc t.m_dropped;
-     Rp_obs.Drop_reason.count_why why);
-  if tseq <> 0 then begin
-    let ts = Cost.get () in
-    (match outcome with
-     | Dropped _ ->
-       Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
-         ~pkt:tseq ~arg:0
-     | Forwarded _ | Absorbed -> ());
-    Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
-      ~pkt:tseq ~arg:0;
-    Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - t0)
-  end;
-  Ip_core.slo_close ~shard:t.index m
-    (match outcome with
-     | Forwarded i -> Ip_core.Enqueued i
-     | Absorbed -> Ip_core.Absorbed
-     | Dropped why -> Ip_core.Dropped why);
-  Rp_classifier.Flow_table.account
-    (Rp_classifier.Aiu.flow_table t.aiu)
-    m
-    ~verdict:
-      (match outcome with
-       | Forwarded _ -> `Fwd
-       | Dropped _ -> `Drop
-       | Absorbed -> `Absorb);
-  { m; outcome; faults = List.rev !faults }
-
-(* --- batched dispatch ----------------------------------------------- *)
-
-(* One gate over every still-live packet (gate-major): the per-gate
-   meter updates are accumulated locally and flushed once per batch —
-   on the worker domains those counters are atomics, so this also
-   turns per-packet atomic RMWs into one per gate per batch.  The
-   per-packet inner work is exactly [invoke_gate]'s. *)
-let run_gate_batch t ~gate batch outcomes pkt_faults n =
-  let live = ref 0 and cycles_acc = ref 0 and drops = ref 0 in
-  for i = 0 to n - 1 do
-    match outcomes.(i) with
-    | Some _ -> ()
-    | None ->
-      incr live;
-      let m = batch.(i) in
-      let now = m.Mbuf.birth_ns in
-      let tseq = m.Mbuf.tseq in
-      if tseq <> 0 then
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
-          ~kind:Rp_obs.Telemetry.Gate_enter ~gate:(Gate.to_int gate) ~pkt:tseq
-          ~arg:0;
-      let action, gate_cycles =
-        Cost.measure (fun () ->
-            match classify_at t ~now ~gate m with
-            | None -> Plugin.Continue
-            | Some (inst, record) -> (
-                let binding =
-                  Rp_classifier.Flow_table.binding record
-                    ~gate:(Gate.to_int gate)
-                in
-                let outcome, handler_cycles =
-                  Cost.measure (fun () ->
-                      try
-                        Ok
-                          (inst.Plugin.handle { Plugin.now_ns = now; binding }
-                             m)
-                      with e -> Error (Fault.Exn (Printexc.to_string e)))
-                in
-                match outcome with
-                | Error reason ->
-                  contain t ~gate ~tseq inst reason pkt_faults.(i)
-                | Ok action -> (
-                    match t.budget with
-                    | Some budget when handler_cycles > budget ->
-                      contain t ~gate ~tseq inst (Fault.Budget handler_cycles)
-                        pkt_faults.(i)
-                    | _ -> action)))
-      in
-      cycles_acc := !cycles_acc + gate_cycles;
-      Ip_core.slo_attrib m ~gate gate_cycles;
-      if tseq <> 0 then begin
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
-          ~kind:Rp_obs.Telemetry.Gate_exit ~gate:(Gate.to_int gate) ~pkt:tseq
-          ~arg:0;
-        Rp_obs.Histogram.observe (Gate.span gate) gate_cycles
-      end;
-      (match action with
-       | Plugin.Continue -> ()
-       | Plugin.Consumed -> outcomes.(i) <- Some Absorbed
-       | Plugin.Drop why ->
-         incr drops;
-         outcomes.(i) <- Some (Dropped why))
-  done;
-  if !live > 0 then begin
-    Rp_obs.Counter.add (Gate.Meters.dispatch t.meters gate) !live;
-    Rp_obs.Counter.add (Gate.Meters.cycles t.meters gate) !cycles_acc
-  end;
-  if !drops > 0 then Rp_obs.Counter.add (Gate.Meters.drops t.meters gate) !drops
-
-let dispatch_batch t batch ~n ~emit =
-  if n < 0 || n > Array.length batch then
-    invalid_arg "Shard.dispatch_batch: n out of range";
-  if n > 0 then Rp_obs.Counter.add t.m_rx n;
-  let outcomes = Array.make (max n 1) None in
-  let outs = Array.make (max n 1) (-1) in
-  let t0s = Array.make (max n 1) 0 in
-  let pkt_faults = Array.init (max n 1) (fun _ -> ref []) in
-  (* Entry: sampling decision, base-forward charge, TTL. *)
-  for i = 0 to n - 1 do
-    let m = batch.(i) in
-    if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
-      m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
-    let tseq = m.Mbuf.tseq in
-    if tseq <> 0 then begin
-      let ts = Cost.get () in
-      t0s.(i) <- ts;
-      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-        ~pkt:tseq ~arg:m.Mbuf.len
-    end;
-    Ip_core.slo_open m;
-    Cost.charge Cost.base_forward;
-    if m.Mbuf.ttl <= 1 then outcomes.(i) <- Some (Dropped "ttl expired")
-    else m.Mbuf.ttl <- m.Mbuf.ttl - 1
-  done;
-  List.iter
-    (fun gate ->
-      if gate_enabled t gate then
-        run_gate_batch t ~gate batch outcomes pkt_faults n)
-    Ip_core.inline_gates_pre;
-  (* Routing (gate, else private table) — per packet, as in the inline
-     batch path. *)
-  for i = 0 to n - 1 do
-    match outcomes.(i) with
-    | Some _ -> ()
-    | None -> (
-        let m = batch.(i) in
-        match route t ~now:m.Mbuf.birth_ns m pkt_faults.(i) with
-        | out -> outs.(i) <- out
-        | exception Drop_exn why -> outcomes.(i) <- Some (Dropped why)
-        | exception Consumed_exn -> outcomes.(i) <- Some Absorbed)
-  done;
-  List.iter
-    (fun gate ->
-      if gate_enabled t gate then
-        run_gate_batch t ~gate batch outcomes pkt_faults n)
-    Ip_core.inline_gates_post;
-  (* Outcome accounting, telemetry close, flow accounting — input
-     order, one emit per packet. *)
-  let fwd = ref 0 and abso = ref 0 and drop = ref 0 in
-  let ft = Rp_classifier.Aiu.flow_table t.aiu in
-  for i = 0 to n - 1 do
-    let m = batch.(i) in
-    let outcome =
-      match outcomes.(i) with Some o -> o | None -> Forwarded outs.(i)
-    in
-    (match outcome with
-     | Forwarded _ -> incr fwd
-     | Absorbed -> incr abso
-     | Dropped why ->
-       incr drop;
-       Rp_obs.Drop_reason.count_why why);
-    let tseq = m.Mbuf.tseq in
-    if tseq <> 0 then begin
-      let ts = Cost.get () in
-      (match outcome with
-       | Dropped _ ->
-         Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
-           ~pkt:tseq ~arg:0
-       | Forwarded _ | Absorbed -> ());
-      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
-        ~pkt:tseq ~arg:0;
-      Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - t0s.(i))
-    end;
-    Ip_core.slo_close ~shard:t.index m
-      (match outcome with
-       | Forwarded i -> Ip_core.Enqueued i
-       | Absorbed -> Ip_core.Absorbed
-       | Dropped why -> Ip_core.Dropped why);
-    Rp_classifier.Flow_table.account ft m
-      ~verdict:
-        (match outcome with
-         | Forwarded _ -> `Fwd
-         | Dropped _ -> `Drop
-         | Absorbed -> `Absorb);
-    emit { m; outcome; faults = List.rev !(pkt_faults.(i)) }
-  done;
-  if !fwd > 0 then Rp_obs.Counter.add t.m_forwarded !fwd;
-  if !abso > 0 then Rp_obs.Counter.add t.m_absorbed !abso;
-  if !drop > 0 then Rp_obs.Counter.add t.m_dropped !drop
-
-let flush_flows t = Rp_classifier.Aiu.flush_flows t.aiu
-
-let expire_flows t ~now ~idle_ns =
-  Rp_classifier.Aiu.expire_flows t.aiu ~now ~idle_ns
-
-let flow_count t =
-  Rp_classifier.Flow_table.length (Rp_classifier.Aiu.flow_table t.aiu)
-
-let flow_stats t =
-  Rp_classifier.Flow_table.stats (Rp_classifier.Aiu.flow_table t.aiu)
-
-let flow_keys t =
-  let keys = ref [] in
-  Rp_classifier.Flow_table.iter
-    (fun r -> keys := Rp_classifier.Flow_table.key r :: !keys)
-    (Rp_classifier.Aiu.flow_table t.aiu);
-  !keys

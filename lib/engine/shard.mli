@@ -1,48 +1,54 @@
-(** One worker shard: a domain-private slice of the data path.
+(** One worker shard: a domain-private data-path context.
 
-    A shard owns everything its packets touch — a private AIU
-    (compiled from the published {!Snapshot}), a private route table,
-    a private flow cache, and its own {!Rp_core.Gate.Meters} set under
-    the [engine.shard<i>.] registry prefix — so two shards never share
+    A shard owns everything its packets touch on its domain — a
+    private AIU (compiled from the published {!Snapshot}), a private
+    route table, a private flow cache, and its own
+    {!Rp_core.Gate.Meters} set and verdict counters under the
+    [engine.shard<i>.] registry prefix — so two shards never share
     mutable per-flow state.  RSS-style distribution by
     [Flow_key.hash mod shards] guarantees every packet of a flow lands
     on the same shard, keeping per-flow soft state coherent without
     locks.
 
-    [dispatch] mirrors the single-domain {!Rp_core.Ip_core} data path
-    (base-forward charge, TTL, pre gates, routing gate/table, post
-    gates, fault containment) with the control-plane pieces removed:
-    no fragmentation, no ICMP generation, no local punt/delivery —
-    those need shared router state and stay on the control domain.
-    Faults are contained locally (counted, policy applied) and
-    reported in the {!result}; the control domain attributes them to
-    the PCU when it drains, so workers never mutate shared state. *)
+    The shard has no data path of its own: its worker runs the
+    router's pipeline, {!Rp_core.Ip_core.run}, on the shard's context.
+    That context has no router, so the stages touching the router's
+    mutable state (punts, local delivery and echo, ICMP origination,
+    output queues, PCU fault accounting) come back on the result ring
+    as the packet's {!result.handoff}, for the engine's drain to finish
+    on the control domain. *)
 
 open Rp_pkt
 open Rp_core
 
-(** What the shard decided for the packet.  [Forwarded i] means the
-    packet routed to interface [i]; the engine does not run interface
-    queues (those live on the control domain). *)
+(** The packet's outcome at the engine boundary.  Local delivery is
+    [Absorbed]. *)
 type outcome =
-  | Forwarded of int
-  | Absorbed  (** a plugin consumed the packet *)
+  | Forwarded of int  (** queued on interface [i] *)
+  | Absorbed  (** a plugin or the router itself consumed the packet *)
   | Dropped of string
 
 type result = {
   m : Mbuf.t;
   outcome : outcome;
-  faults : (int * string) list;
-      (** (instance id, reason) per contained fault, dispatch order —
-          applied to the PCU by the control domain on drain *)
+      (** provisional until [handoff] is [Settled] *)
+  faults : Fault.event list;
+      (** the shard's fault events since its previous result, oldest
+          first, for the PCU; empty in the common case *)
+  handoff : Ip_core.handoff;
 }
 
 type t
 
 val create : index:int -> Snapshot.t -> t
 
-val index : t -> int
-val meters : t -> Gate.Meters.t
+(** The shard's data-path context (shard domain only). *)
+val ctx : t -> Ip_core.ctx
+
+val outcome_of : Ip_core.verdict -> outcome
+
+(** One packet of an {!Ip_core.run} on [ctx], for a result ring. *)
+val result : Ip_core.ctx -> Mbuf.t -> Ip_core.verdict -> Ip_core.handoff -> result
 
 (** Snapshot generation this shard last compiled. *)
 val seen_gen : t -> int
@@ -56,46 +62,9 @@ val seen_gen : t -> int
     cache.  Runs on the shard's own domain. *)
 val sync : t -> Snapshot.t -> unit
 
-(** [dispatch t ~now m] runs one packet; must only be called from the
-    shard's own domain. *)
-val dispatch : t -> now:int64 -> Mbuf.t -> result
-
-(** [dispatch_batch t batch ~n ~emit] runs [batch.(0 .. n-1)] through
-    the shard data path in one gate-major sweep, calling [emit] once
-    per packet in input order with its {!result}.  Per-packet outcomes
-    and cost-model charges are identical to [n] {!dispatch} calls
-    (each packet's [birth_ns] is its [now]); the per-gate meter
-    updates — atomic counters on worker domains — are batched to one
-    add per gate per batch.  Must only be called from the shard's own
-    domain. *)
-val dispatch_batch :
-  t -> Mbuf.t array -> n:int -> emit:(result -> unit) -> unit
-
-(** Model cycles charged by this shard's dispatches so far (readable
+(** Model cycles charged by this shard's batches so far (readable
     from any domain). *)
 val cycles : t -> int
 
 (** [add_cycles t n] accumulates into {!cycles} (worker side). *)
 val add_cycles : t -> int -> unit
-
-(** Flow keys currently cached in this shard's private flow table
-    (test introspection: cross-shard ownership checks). *)
-val flow_keys : t -> Flow_key.t list
-
-(** Flush the shard's private flow cache, exporting every record to
-    the {!Rp_obs.Flowlog} ring.  Only safe while the shard's worker is
-    idle or stopped (the flow table is domain-private). *)
-val flush_flows : t -> unit
-
-(** Expire idle records from the shard's private flow cache (exported
-    with reason ["expired"]), returning the count evicted.  Same
-    idle-only contract as {!flush_flows}. *)
-val expire_flows : t -> now:int64 -> idle_ns:int64 -> int
-
-(** Live records in the shard's private flow table (idle-only, like
-    {!flush_flows}). *)
-val flow_count : t -> int
-
-(** Stats snapshot of the shard's private flow table (idle-only, like
-    {!flush_flows}). *)
-val flow_stats : t -> Rp_classifier.Flow_table.stats

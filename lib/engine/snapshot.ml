@@ -13,6 +13,9 @@ type t = {
   routes : Route_table.route list;
   policy : Fault.policy;
   budget : int option;
+  punts : int list;
+  locals : Rp_pkt.Ipaddr.t list;
+  mtus : int array;
   classifier : Rp_classifier.Aiu.mode;
   deltas : (int * delta) list;
 }
@@ -35,6 +38,9 @@ let capture ~gen ?(deltas = []) router =
     routes = !routes;
     policy = router.Router.fault_policy;
     budget = router.Router.cycle_budget;
+    punts = Hashtbl.fold (fun proto _ acc -> proto :: acc) router.Router.punts [];
+    locals = router.Router.local_addrs;
+    mtus = router.Router.ctx.Domain_ctx.mtus;
     classifier = Rp_classifier.Aiu.mode aiu;
     deltas;
   }

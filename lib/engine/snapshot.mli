@@ -4,7 +4,8 @@
     DAG filter tables and BMP tries build lookup structures lazily, so
     sharing them across domains would race.  Instead the control plane
     captures the {e contents} (filter bindings per gate, routes, the
-    fault policy and budget, the enabled-gate set) into a plain
+    fault policy and budget, the enabled-gate set, and what a shard
+    needs to recognise packets it must hand back) into a plain
     immutable value, and each shard compiles its own private AIU and
     route table from it.
 
@@ -41,6 +42,9 @@ type t = {
   routes : Route_table.route list;
   policy : Fault.policy;
   budget : int option;
+  punts : int list;  (** protocols with a punt handler *)
+  locals : Rp_pkt.Ipaddr.t list;  (** the router's own addresses *)
+  mtus : int array;  (** per interface, for the fragment decision *)
   classifier : Rp_classifier.Aiu.mode;
       (** cold-start resolution strategy the control AIU runs; shards
           apply it on every sync (delta replay or recompile) *)

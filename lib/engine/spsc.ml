@@ -1,5 +1,5 @@
 type 'a t = {
-  buf : 'a array;
+  mutable buf : 'a array;  (* [||] until the first push *)
   mask : int;
   dummy : 'a;
   head : int Atomic.t;  (* consumer index: next slot to pop *)
@@ -12,7 +12,7 @@ let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Spsc.create: capacity < 1";
   let cap = pow2 capacity 2 in
   {
-    buf = Array.make cap dummy;
+    buf = [||];
     mask = cap - 1;
     dummy;
     head = Atomic.make 0;
@@ -34,6 +34,9 @@ let push t x =
   let tl = Atomic.get t.tail in
   if tl - Atomic.get t.head >= capacity t then false
   else begin
+    (* Slots are allocated on first use, so building an engine costs no
+       ring memory; the tail publication below publishes [buf] too. *)
+    if Array.length t.buf = 0 then t.buf <- Array.make (capacity t) t.dummy;
     t.buf.(tl land t.mask) <- x;
     (* The seq_cst set publishes the element write above. *)
     Atomic.set t.tail (tl + 1);

@@ -19,7 +19,8 @@
 type 'a t
 
 (** [create ~capacity ~dummy] — [capacity] is rounded up to a power of
-    two (minimum 2); [dummy] fills empty slots so popped elements don't
+    two (minimum 2), its slots allocated by the first {!push}; [dummy]
+    fills empty slots so popped elements don't
     pin old values against the GC.  @raise Invalid_argument if
     [capacity < 1]. *)
 val create : capacity:int -> dummy:'a -> 'a t

@@ -592,12 +592,11 @@ let test_compiled_mode_propagates () =
     (counter_get "aiu.compiled_walks" - walks1);
   Engine.stop e
 
-(* Charge parity through the one shared classify-and-charge entry point
-   ([Rp_core.Classify.at]): the router's control AIU and a shard-style
-   AIU rebuilt from a snapshot must charge byte-identical cycles for
-   the same traffic, cold and warm, in both classifier modes — the
-   regression this guards is the formerly duplicated logic in
-   [Ip_core.classify_at] and the shard data path drifting apart. *)
+(* Charge parity through the one classify-and-charge entry point
+   ([Rp_core.Ip_core.classify]): the router's control AIU and a
+   shard-style AIU rebuilt from a snapshot must charge byte-identical
+   cycles for the same traffic, cold and warm, in both classifier
+   modes, or the two engines' model figures drift apart. *)
 let test_classify_charge_parity () =
   let run classifier =
     let r = mk_router () in
@@ -613,7 +612,7 @@ let test_classify_charge_parity () =
     Rp_classifier.Aiu.set_mode aiu snap.Snapshot.classifier;
     let charge aiu m =
       let c0 = Cost.get () in
-      ignore (Classify.at aiu ~now:0L ~gate:Gate.Firewall m);
+      ignore (Ip_core.classify aiu ~now:0L ~gate:Gate.Firewall m);
       Cost.get () - c0
     in
     let m1 = mk_pkt ~sport:28_000 () and m2 = mk_pkt ~sport:28_000 () in
@@ -903,6 +902,293 @@ let test_submit_batch_sharded_recycles () =
   check int_t "no double frees" 0 s.Pool.double_frees;
   check int_t "no foreign frees" 0 s.Pool.foreign_frees
 
+(* --- intermittent faults ------------------------------------------------ *)
+
+(* A plugin faulting on every second packet never builds the
+   consecutive-fault run that quarantines it: each clean return resets
+   the run.  One flow, so one shard sees every packet and reports the
+   faults and the recoveries in order. *)
+let test_intermittent_fault_no_quarantine () =
+  List.iter
+    (fun mode ->
+      let r = mk_router () in
+      ok
+        (Pcu.modload r.Router.pcu
+           (Fault_plugin.make ~gate:Gate.Firewall ~name:"fault-firewall"));
+      let inst =
+        ok
+          (Pcu.create_instance r.Router.pcu ~plugin:"fault-firewall"
+             [ ("mode", "raise"); ("every", "2") ])
+      in
+      let id = inst.Plugin.instance_id in
+      ok
+        (Pcu.register_instance r.Router.pcu ~instance:id
+           (Rp_classifier.Filter.v4 ~proto:Proto.udp ()));
+      let e = Engine.create mode r in
+      let dropped = ref 0 in
+      let count (res : Shard.result) =
+        match res.Shard.outcome with
+        | Shard.Dropped _ -> incr dropped
+        | Shard.Forwarded _ | Shard.Absorbed -> ()
+      in
+      for _ = 1 to 40 do
+        assert (Engine.submit e ~now:0L (mk_pkt ~sport:4242 ()));
+        ignore (Engine.drain e ~f:count)
+      done;
+      ignore (Engine.flush e ~f:count);
+      Engine.stop e;
+      let label = Engine.mode_to_string mode in
+      check bool_t (label ^ ": never quarantined") false
+        (Pcu.is_quarantined r.Router.pcu id);
+      check int_t (label ^ ": every second packet faulted") 20 !dropped)
+    [ Engine.Inline; Engine.Sharded 2 ]
+
+(* --- a route to a missing interface ------------------------------------ *)
+
+(* An L4 route to an interface the router lacks is no route at all: the
+   packet drops as unroutable on both engines instead of raising (which
+   on a shard would take its worker domain down). *)
+let test_route_to_missing_iface () =
+  List.iter
+    (fun mode ->
+      let r = mk_router () in
+      ok (Pcu.modload r.Router.pcu (module Route_plugin));
+      let inst =
+        ok (Pcu.create_instance r.Router.pcu ~plugin:"l4-route" [ ("iface", "7") ])
+      in
+      ok
+        (Pcu.register_instance r.Router.pcu ~instance:inst.Plugin.instance_id
+           (Rp_classifier.Filter.v4 ~proto:Proto.udp ()));
+      let e = Engine.create mode r in
+      let outcomes = ref [] in
+      for f = 0 to 3 do
+        assert (Engine.submit e ~now:0L (mk_pkt ~sport:(12_000 + f) ()))
+      done;
+      ignore (Engine.flush e ~f:(fun res -> outcomes := res.Shard.outcome :: !outcomes));
+      Engine.stop e;
+      check bool_t
+        (Engine.mode_to_string mode ^ ": every packet dropped as unroutable")
+        true
+        (List.length !outcomes = 4
+        && List.for_all
+             (( = ) (Shard.Dropped "no route to destination"))
+             !outcomes))
+    [ Engine.Inline; Engine.Sharded 2 ]
+
+(* --- inline result ring ------------------------------------------------ *)
+
+(* The inline engine's results wait in the same bounded ring a shard
+   uses: past its capacity, submissions are refused and counted as
+   backpressure, and everything admitted comes back out. *)
+let test_inline_ring_bounded () =
+  let r = mk_router () in
+  let e = Engine.create ~tx_capacity:8 Engine.Inline r in
+  let bp0 = counter_get "engine.backpressure_drops" in
+  let dr0 = Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Backpressure in
+  let pkts = Array.init 12 (fun f -> mk_pkt ~sport:(11_000 + f) ()) in
+  let accepted = Array.map (fun m -> Engine.submit e ~now:0L m) pkts in
+  check int_t "admitted up to the ring's capacity" 8
+    (Array.fold_left (fun n a -> if a then n + 1 else n) 0 accepted);
+  check bool_t "then refused" false accepted.(8);
+  check int_t "a batch past capacity admits nothing" 0
+    (Engine.submit_batch e ~now:0L pkts ~n:4);
+  check int_t "refusals counted as backpressure" 8
+    (counter_get "engine.backpressure_drops" - bp0);
+  check int_t "under the backpressure drop reason" 8
+    (Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Backpressure - dr0);
+  let back = ref [] in
+  let n = Engine.drain e ~f:(fun res -> back := res.Shard.m :: !back) in
+  check int_t "every admitted packet drained" 8 n;
+  check bool_t "exactly the admitted ones, in order" true
+    (List.for_all2 ( == ) (List.rev !back) (Array.to_list (Array.sub pkts 0 8)));
+  check int_t "room again after draining" 4
+    (Engine.submit_batch e ~now:0L pkts ~n:4);
+  Engine.stop e
+
+(* --- every verdict class: inline = sharded:1 = sharded:4 --------------- *)
+
+(* One packet kind per verdict class, each its own fixed flow (so the
+   fault injector's packets stay on one shard, in order). *)
+let punt_consume = 250
+let punt_forward = 251
+let router_addr = Ipaddr.v4 192 168 7 7
+
+let n_kinds = 9
+let k_punt_forward = 5
+
+let class_router () =
+  let ifaces =
+    [
+      Iface.create ~id:0 ();
+      Iface.create ~id:1 ();
+      (* Roomy queues: how full a queue gets within a batch depends on
+         when the engine's stand-in transmit loop empties it, which is
+         scheduling, not the data path. *)
+      Iface.create ~id:2 ~mtu:296 ();
+    ]
+  in
+  let r = Router.create ~ifaces () in
+  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
+  Router.add_route r (Prefix.of_string "172.16.0.0/16") ~iface:2 ();
+  Router.add_route r (Prefix.of_string "10.0.0.0/8") ~iface:0 ();
+  Router.add_local_addr r router_addr;
+  let punts = ref 0 in
+  Router.set_punt r ~proto:punt_consume (fun ~now:_ _ ->
+      incr punts;
+      Router.Punt_consume);
+  Router.set_punt r ~proto:punt_forward (fun ~now:_ _ ->
+      incr punts;
+      Router.Punt_forward);
+  ok
+    (Pcu.modload r.Router.pcu
+       (Fault_plugin.make ~gate:Gate.Firewall ~name:"fault-firewall"));
+  let inst =
+    ok (Pcu.create_instance r.Router.pcu ~plugin:"fault-firewall" [ ("every", "2") ])
+  in
+  ok
+    (Pcu.register_instance r.Router.pcu ~instance:inst.Plugin.instance_id
+       (Rp_classifier.Filter.v4 ~proto:Proto.tcp
+          ~sport:(Rp_classifier.Filter.Port 7777) ()));
+  (r, punts)
+
+let class_pkt kind =
+  let src = Ipaddr.v4 10 0 0 (1 + kind) in
+  let synth ?ttl ?(proto = Proto.udp) ?(sport = 1000) ?(len = 200) dst =
+    Mbuf.synth ?ttl
+      ~key:(Flow_key.make ~src ~dst ~proto ~sport ~dport:9000 ~iface:0)
+      ~len ()
+  in
+  let fwd = Ipaddr.v4 192 168 1 1 and small_mtu = Ipaddr.v4 172 16 1 1 in
+  match kind with
+  | 0 -> synth fwd
+  | 1 -> synth ~ttl:1 fwd  (* time exceeded *)
+  | 2 -> synth (Ipaddr.v4 8 8 8 8)  (* net unreachable *)
+  | 3 ->
+    let body =
+      Icmp.serialize ~family:`V4
+        { Icmp.message = Icmp.Echo_request { ident = 7; seq = 1 }; payload = "ping" }
+    in
+    let m =
+      Mbuf.synth
+        ~key:
+          (Flow_key.make ~src ~dst:router_addr ~proto:Proto.icmp ~sport:0 ~dport:0
+             ~iface:0)
+        ~len:(Ipv4_header.size + Bytes.length body)
+        ()
+    in
+    m.Mbuf.raw <- Some body;
+    m
+  | 4 -> synth ~proto:punt_consume fwd
+  | 5 -> synth ~proto:punt_forward fwd
+  | 6 ->
+    let m = synth ~len:1000 small_mtu in
+    m.Mbuf.dont_fragment <- true;  (* too big *)
+    m
+  | 7 -> synth ~len:1000 small_mtu  (* 4 fragments *)
+  | _ -> synth ~proto:Proto.tcp ~sport:7777 fwd  (* faults every 2nd *)
+
+(* Far above any id the telemetry sampler hands out in this binary. *)
+let trace_base = 1_000_000_000
+
+let run_classes mode kinds =
+  let r, punts = class_router () in
+  let e = Engine.create mode r in
+  let n = List.length kinds in
+  let frag0 = counter_get "ip_core.fragment_drops" in
+  let reasons0 = Rp_obs.Drop_reason.table () in
+  Rp_obs.Telemetry.clear ();
+  let outcomes = Array.make n "" in
+  let record (res : Shard.result) =
+    outcomes.(res.Shard.m.Mbuf.seq) <-
+      (match res.Shard.outcome with
+       | Shard.Forwarded i -> Printf.sprintf "fwd %d" i
+       | Shard.Absorbed -> "absorbed"
+       | Shard.Dropped why -> "drop " ^ why)
+  in
+  let pkts =
+    Array.of_list
+      (List.mapi
+         (fun i kind ->
+           let m = class_pkt kind in
+           m.Mbuf.seq <- i;
+           (* A preset trace id: tracing stays off, so only these
+              packets record events, under ids the test can map back. *)
+           m.Mbuf.tseq <- trace_base + i;
+           m)
+         kinds)
+  in
+  (* Batches of 8, so inline the ICMP errors and echo replies the
+     router originates re-enter the pipeline mid-batch. *)
+  let sent = ref 0 in
+  while !sent < n do
+    let k = min 8 (n - !sent) in
+    let chunk = Array.sub pkts !sent k in
+    assert (Engine.submit_batch e ~now:(Int64.of_int !sent) chunk ~n:k = k);
+    sent := !sent + k;
+    ignore (Engine.drain e ~f:record)
+  done;
+  ignore (Engine.flush e ~f:record);
+  Engine.stop e;
+  let reasons =
+    List.map2
+      (fun (reason, a) (_, b) -> (Rp_obs.Drop_reason.name reason, b - a))
+      reasons0
+      (Rp_obs.Drop_reason.table ())
+  in
+  let faults =
+    List.map
+      (fun (f : Pcu.fault_info) ->
+        ( f.Pcu.instance.Plugin.plugin_name,
+          f.Pcu.total_faults,
+          f.Pcu.consecutive_faults,
+          f.Pcu.quarantined,
+          f.Pcu.last_fault ))
+      (Pcu.fault_report r.Router.pcu)
+  in
+  (* Per packet, its Gate_exit (gate, accesses) events in path order.
+     A punt-forwarded packet leaves a shard after the pre-routing
+     gates and re-classifies on the router's own table, so only those
+     gates compare. *)
+  let exits = Array.make n [] in
+  List.iter
+    (fun (ev : Rp_obs.Telemetry.event) ->
+      if ev.Rp_obs.Telemetry.kind = Rp_obs.Telemetry.Gate_exit
+         && ev.Rp_obs.Telemetry.pkt >= trace_base
+      then
+        let i = ev.Rp_obs.Telemetry.pkt - trace_base in
+        exits.(i) <- (ev.Rp_obs.Telemetry.gate, ev.Rp_obs.Telemetry.arg) :: exits.(i))
+    (Rp_obs.Telemetry.events ());
+  List.iteri
+    (fun i kind ->
+      let path = List.rev exits.(i) in
+      exits.(i) <-
+        (if kind = k_punt_forward then
+           List.filter (fun (g, _) -> g < Gate.to_int Gate.Routing) path
+         else path))
+    kinds;
+  ( Array.to_list outcomes,
+    r.Router.icmp_sent,
+    counter_get "ip_core.fragment_drops" - frag0,
+    reasons,
+    faults,
+    !punts,
+    Array.to_list exits )
+
+let prop_every_verdict_class =
+  qtest ~count:12 "inline = sharded:1 = sharded:4 on every verdict class"
+    QCheck2.Gen.(list_size (int_range 1 40) (int_bound (n_kinds - 1)))
+    (fun kinds ->
+      let cap = Rp_obs.Telemetry.ring_capacity () in
+      Rp_obs.Telemetry.set_capacity 65_536;
+      let inline = run_classes Engine.Inline kinds in
+      let s1 = run_classes (Engine.Sharded 1) kinds in
+      let s4 = run_classes (Engine.Sharded 4) kinds in
+      Rp_obs.Telemetry.set_capacity cap;
+      let _, _, _, _, _, _, exits = inline in
+      (* every packet but a TTL expiry crosses at least one gate *)
+      List.for_all2 (fun kind path -> kind = 1 || path <> []) kinds exits
+      && inline = s1 && inline = s4)
+
 let () =
   Alcotest.run "engine"
     [
@@ -954,6 +1240,16 @@ let () =
         [
           Alcotest.test_case "inline engine matches ip_core" `Quick
             test_inline_engine_matches_ip_core;
+          Alcotest.test_case "inline result ring is bounded" `Quick
+            test_inline_ring_bounded;
+        ] );
+      ( "data path",
+        [
+          Alcotest.test_case "intermittent fault never quarantines" `Quick
+            test_intermittent_fault_no_quarantine;
+          Alcotest.test_case "route to a missing interface drops" `Quick
+            test_route_to_missing_iface;
+          prop_every_verdict_class;
         ] );
       ( "batched",
         [
