@@ -206,7 +206,7 @@ let classify t mbuf ~gate ~now =
         | Some r -> r
         | None -> classify_miss t mbuf.Mbuf.key ~now
       in
-      mbuf.Mbuf.fix <- Some (Flow_table.fix_of_record r);
+      mbuf.Mbuf.fix <- Flow_table.some_fix r;
       r
   in
   revalidate t record ~gate;

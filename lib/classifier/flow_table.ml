@@ -14,7 +14,9 @@ type 'a binding = {
    touches only the front of the line (hash, packed tuple, generation,
    liveness) and leaves accounting in the back half.  Nothing in [hot]
    is an OCaml block, so steady-state lookup/insert/evict/account
-   traffic allocates no heap words and gives the GC nothing to scan. *)
+   traffic allocates no heap words and gives the GC nothing to scan.
+   Offset 7 stamps the route cached with the flow (see
+   [cached_route]). *)
 
 let stride = 16
 
@@ -26,6 +28,7 @@ let f_in_use = 3
 let f_last = 4 (* last_use_ns as a native int *)
 let f_created = 5
 let f_live_pos = 6 (* position in the dense live-slot array *)
+let f_route = 7 (* route-table stamp of the cached route; 0 = none *)
 
 (* accounting (offsets 8-12) *)
 let f_packets = 8
@@ -88,8 +91,18 @@ type 'a t = {
 
 (* A record is a stable handle onto a slot: one is preallocated per
    slot and reused for every flow that ever occupies it, so the data
-   path never constructs one. *)
-and 'a record = { r_tab : 'a t; r_slot : int }
+   path never constructs one.  It also holds the slot's heap-valued
+   per-flow state, built once per flow so hits allocate nothing: the
+   FIX option handed to packets (valid while its generation is the
+   slot's), and the options of the cached route (valid while [f_route]
+   matches). *)
+and 'a record = {
+  r_tab : 'a t;
+  r_slot : int;
+  mutable r_fix : Mbuf.fix option;
+  mutable r_out : int option;
+  mutable r_hop : Ipaddr.t option;
+}
 
 type stats = {
   lookups : int;
@@ -143,6 +156,9 @@ let[@inline] meta_of (k : Flow_key.t) =
   lor ((k.Flow_key.dport land 0xFFFF) lsl 24)
   lor (k.Flow_key.iface lsl 40)
 
+let handle t i =
+  { r_tab = t; r_slot = i; r_fix = None; r_out = None; r_hop = None }
+
 let create ?(buckets = default_buckets) ?(initial_records = default_initial)
     ?(max_records = max_int) ?(on_evict = fun ~gate:_ _ -> ()) ~gates () =
   if buckets <= 0 then invalid_arg "Flow_table.create: buckets";
@@ -185,7 +201,7 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
       s_maint_visited = 0;
     }
   in
-  t.handles <- Array.init n (fun i -> { r_tab = t; r_slot = i });
+  t.handles <- Array.init n (handle t);
   t.some_handles <- Array.init n (fun i -> Some t.handles.(i));
   (* Free stack popping 0, 1, 2, ... first, like the seed free list. *)
   for i = 0 to n - 1 do
@@ -314,14 +330,32 @@ let rec pfind_loop t key h meta i =
 
 let probe_find t key ~hash:h = pfind_loop t key h (meta_of key) (h land t.mask)
 
-let find_fix t (fix : Mbuf.fix) =
-  if fix.Mbuf.slot < 0 || fix.Mbuf.slot >= t.allocated then None
-  else if
-    get t fix.Mbuf.slot f_in_use = 1 && get t fix.Mbuf.slot f_gen = fix.Mbuf.gen
-  then Array.unsafe_get t.some_handles fix.Mbuf.slot
-  else None
+(* The slot [fix] names while its flow still occupies it, else -1. *)
+let fix_slot t (fix : Mbuf.fix) =
+  let slot = fix.Mbuf.slot in
+  if
+    slot >= 0
+    && slot < t.allocated
+    && get t slot f_in_use = 1
+    && get t slot f_gen = fix.Mbuf.gen
+  then slot
+  else -1
+
+let find_fix t fix =
+  let slot = fix_slot t fix in
+  if slot < 0 then None else Array.unsafe_get t.some_handles slot
 
 let fix_of_record (r : 'a record) = { Mbuf.slot = r.r_slot; gen = gen r }
+
+(* Built by the flow's first packet, which pays a miss anyway; insert
+   itself stays allocation-free. *)
+let some_fix (r : 'a record) =
+  match r.r_fix with
+  | Some fix as o when fix.Mbuf.gen = gen r -> o
+  | Some _ | None ->
+    let o = Some (fix_of_record r) in
+    r.r_fix <- o;
+    o
 
 (* --- recycling FIFO -------------------------------------------------- *)
 
@@ -447,7 +481,7 @@ let grow t =
     t.keys <- nk;
     let nh =
       Array.init target (fun i ->
-          if i < current then t.handles.(i) else { r_tab = t; r_slot = i })
+          if i < current then t.handles.(i) else handle t i)
     in
     let nsh =
       Array.init target (fun i ->
@@ -528,6 +562,7 @@ let insert t key ~now =
   set t slot f_hash h;
   set t slot f_meta (meta_of key);
   set t slot f_gen (get t slot f_gen + 1);
+  set t slot f_route 0;
   for g = 0 to t.gates - 1 do
     Bigarray.Array1.unsafe_set t.slot_gate_gens ((slot * t.gates) + g)
       t.gate_gens.(g)
@@ -611,13 +646,8 @@ let account t (m : Mbuf.t) ~verdict =
   match m.Mbuf.fix with
   | None -> ()
   | Some fix ->
-    if
-      fix.Mbuf.slot >= 0
-      && fix.Mbuf.slot < t.allocated
-      && get t fix.Mbuf.slot f_in_use = 1
-      && get t fix.Mbuf.slot f_gen = fix.Mbuf.gen
-    then begin
-      let slot = fix.Mbuf.slot in
+    let slot = fix_slot t fix in
+    if slot >= 0 then begin
       set t slot f_packets (get t slot f_packets + 1);
       set t slot f_bytes (get t slot f_bytes + m.Mbuf.len);
       (match verdict with
@@ -627,6 +657,44 @@ let account t (m : Mbuf.t) ~verdict =
       Rp_obs.Counter.inc m_acc_packets;
       Rp_obs.Counter.add m_acc_bytes m.Mbuf.len
     end
+
+(* --- per-flow route cache --------------------------------------------- *)
+
+(* The slot of [m]'s flow record when its FIX is still valid and [m]
+   still carries the destination the flow was keyed on, else -1. *)
+let route_slot t (m : Mbuf.t) =
+  match m.Mbuf.fix with
+  | None -> -1
+  | Some fix ->
+    let slot = fix_slot t fix in
+    if
+      slot >= 0
+      && Ipaddr.equal
+           (Array.unsafe_get t.keys slot).Flow_key.dst
+           m.Mbuf.key.Flow_key.dst
+    then slot
+    else -1
+
+let cached_route t (m : Mbuf.t) ~stamp =
+  let slot = route_slot t m in
+  if slot < 0 || get t slot f_route <> stamp then -1
+  else
+    let h = Array.unsafe_get t.handles slot in
+    match h.r_out with
+    | Some out ->
+      m.Mbuf.out_iface <- h.r_out;
+      m.Mbuf.next_hop <- h.r_hop;
+      out
+    | None -> -1
+
+let cache_route t (m : Mbuf.t) ~stamp =
+  let slot = route_slot t m in
+  if slot >= 0 then begin
+    let h = t.handles.(slot) in
+    h.r_out <- m.Mbuf.out_iface;
+    h.r_hop <- m.Mbuf.next_hop;
+    set t slot f_route stamp
+  end
 
 let set_binding t (r : 'a record) ~gate ?filter instance =
   if gate < 0 || gate >= t.gates then invalid_arg "Flow_table.set_binding: gate";

@@ -103,6 +103,11 @@ val find_fix : 'a t -> Mbuf.fix -> 'a record option
 
 val fix_of_record : 'a record -> Mbuf.fix
 
+(** [some_fix r] is [Some (fix_of_record r)], built once per flow (by
+    the first call after the record was inserted), so handing later
+    packets their FIX allocates nothing. *)
+val some_fix : 'a record -> Mbuf.fix option
+
 (** [insert t key ~now] allocates (or recycles) a record for [key].
     Any previous record for the same key is replaced. *)
 val insert : 'a t -> Flow_key.t -> now:int64 -> 'a record
@@ -133,6 +138,25 @@ val set_exporter : 'a t -> (reason:string -> 'a record -> unit) -> unit
     counters, against which exported flow records reconcile. *)
 val account :
   'a t -> Mbuf.t -> verdict:[ `Fwd | `Drop | `Absorb ] -> unit
+
+(** Per-flow route cache.  A record caches one route: a route-table
+    stamp in a spare word of its hot line, and the [out_iface] /
+    [next_hop] options it set, kept on the slot's handle.  Inserting a
+    flow clears it, so it leaves with the flow (evicted, recycled,
+    invalidated or flushed) and a fresh table never sees a
+    predecessor's.  Both functions only touch the record [m]'s FIX
+    names, when that FIX is still valid and [m] still carries the
+    destination the flow was keyed on.
+
+    [cached_route t m ~stamp] is the egress interface cached at
+    [stamp], with [m.out_iface] and [m.next_hop] set from the cache;
+    [-1] (and [m] untouched) when nothing is cached at [stamp].
+    Allocates nothing.
+
+    [cache_route t m ~stamp] caches [m]'s current [out_iface] and
+    [next_hop] as the flow's route at [stamp]. *)
+val cached_route : 'a t -> Mbuf.t -> stamp:int -> int
+val cache_route : 'a t -> Mbuf.t -> stamp:int -> unit
 
 val set_binding : 'a t -> 'a record -> gate:int -> ?filter:Filter.t -> 'a -> unit
 val binding : 'a record -> gate:int -> 'a binding option

@@ -441,7 +441,8 @@ and local ctx f batch off n =
   done
 
 (* A routing-gate plugin may have fixed the output interface (L4
-   switching), which must exist; otherwise consult the routing table. *)
+   switching), which must exist; otherwise consult the routing table,
+   through the route cached with the packet's flow record. *)
 and route ctx f batch off n =
   for i = 0 to n - 1 do
     if f.D.state.(i) = live then
@@ -449,16 +450,14 @@ and route ctx f batch off n =
       match m.Mbuf.out_iface with
       | Some o when o >= 0 && o < Array.length ctx.D.mtus -> f.D.out.(i) <- o
       | Some _ -> drop_icmp ctx f i m "no route to destination" unreachable
-      | None -> (
-          match Route_table.lookup ctx.D.routes m.Mbuf.key.Flow_key.dst with
-          | Some r ->
-            m.Mbuf.out_iface <- Some r.Route_table.iface;
-            m.Mbuf.next_hop <-
-              (match r.Route_table.next_hop with
-               | Some _ as nh -> nh
-               | None -> Some m.Mbuf.key.Flow_key.dst);
-            f.D.out.(i) <- r.Route_table.iface
-          | None -> drop_icmp ctx f i m "no route to destination" unreachable)
+      | None ->
+        let o =
+          Route_table.resolve ctx.D.routes
+            (Rp_classifier.Aiu.flow_table ctx.D.aiu)
+            m
+        in
+        if o >= 0 then f.D.out.(i) <- o
+        else drop_icmp ctx f i m "no route to destination" unreachable
   done
 
 (* After all gates, the fragment/DF decision: a datagram over the

@@ -27,20 +27,32 @@ let matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) () =
     length = (fun () -> E.length t);
   }
 
-type t = { m : matcher }
+type t = { m : matcher; mutable stamp : int }
+
+(* Stamps are unique across the process, so a flow record's cached
+   route matches only the very table state it was read from — never a
+   shard's rebuilt table, nor another router's.  0 is never a stamp: a
+   fresh record's cache reads as empty. *)
+let stamps = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add stamps 1 + 1
 
 let create ?(engine = Rp_lpm.Engines.patricia) () =
-  { m = matcher_of_engine engine () }
+  { m = matcher_of_engine engine (); stamp = fresh_stamp () }
 
 let add t route =
   match t.m.find route.prefix with
   | Some existing when existing.metric < route.metric -> ()
-  | Some _ | None -> t.m.insert route.prefix route
+  | Some _ | None ->
+    t.m.insert route.prefix route;
+    t.stamp <- fresh_stamp ()
 
-let remove t prefix = t.m.remove prefix
+let remove t prefix =
+  t.m.remove prefix;
+  t.stamp <- fresh_stamp ()
 
 let m_lookups = Rp_obs.Registry.counter "route_table.lookups"
 let m_misses = Rp_obs.Registry.counter "route_table.misses"
+let m_cache_hits = Rp_obs.Registry.counter "route_table.cache_hits"
 
 let lookup t dst =
   Rp_obs.Counter.inc m_lookups;
@@ -49,6 +61,33 @@ let lookup t dst =
   | None ->
     Rp_obs.Counter.inc m_misses;
     None
+
+module Ft = Rp_classifier.Flow_table
+
+(* [Some i] for the first 64 interfaces, shared by every packet and
+   every cached route. *)
+let some_iface = Array.init 64 Option.some
+let out_iface i =
+  if i >= 0 && i < Array.length some_iface then some_iface.(i) else Some i
+
+(* A hit reuses the options the flow's first walk stored, so it
+   allocates nothing. *)
+let resolve t flows (m : Mbuf.t) =
+  let out = Ft.cached_route flows m ~stamp:t.stamp in
+  if out >= 0 then begin
+    Rp_obs.Counter.inc m_cache_hits;
+    out
+  end
+  else
+    let dst = m.Mbuf.key.Flow_key.dst in
+    match lookup t dst with
+    | None -> -1
+    | Some r ->
+      m.Mbuf.out_iface <- out_iface r.iface;
+      m.Mbuf.next_hop <-
+        (match r.next_hop with Some _ as nh -> nh | None -> Some dst);
+      Ft.cache_route flows m ~stamp:t.stamp;
+      r.iface
 
 let length t = t.m.length ()
 let iter f t = t.m.iter (fun _ r -> f r)

@@ -22,8 +22,26 @@ val add : t -> route -> unit
 
 val remove : t -> Prefix.t -> unit
 
-(** [lookup t dst] is the best (longest-prefix) route for [dst]. *)
+(** [lookup t dst] is the best (longest-prefix) route for [dst]: one
+    walk of the BMP engine, counted in [route_table.lookups] (and
+    [route_table.misses] when nothing matches). *)
 val lookup : t -> Ipaddr.t -> route option
+
+(** [resolve t flows m] routes [m] on the data path: it sets
+    [m.out_iface] and [m.next_hop] (the route's gateway, or [m]'s own
+    destination when directly connected) and returns the egress
+    interface, or [-1] when no route matches.
+
+    Route once per flow: the route of a packet whose FIX names a valid
+    record of [flows] is cached with that record, and later packets of
+    the flow reuse it — without a walk or an allocation, counted in
+    [route_table.cache_hits] — while [t] is unchanged and the packet
+    still carries the destination the flow was keyed on (a NAT rewrite
+    walks).  The table's contents are identified by a stamp, unique
+    across the process: every {!add} and {!remove} takes a fresh one,
+    and so does every table {!create} builds.  A packet without a FIX
+    (best-effort mode) always walks. *)
+val resolve : t -> 'a Rp_classifier.Flow_table.t -> Mbuf.t -> int
 
 val length : t -> int
 val iter : (route -> unit) -> t -> unit

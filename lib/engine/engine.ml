@@ -115,12 +115,21 @@ let worker_loop t i =
       Atomic.set busy true;
       let n = Spsc.pop_batch rx ~max:Domain_ctx.batch scratch in
       Rp_obs.Histogram.observe t.batch_hist n;
+      (* A lost result whose packet still had a router-owned stage to
+         run ends here, so its drop is counted here; a settled or
+         ICMP-error result counted its drop when it settled. *)
       let (), cycles =
         Cost.measure (fun () ->
             Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
               ~emit:(fun m verdict handoff ->
                 if not (Spsc.push tx (Shard.result (Shard.ctx shard) m verdict handoff))
-                then Rp_obs.Counter.inc tx_drops))
+                then begin
+                  Rp_obs.Counter.inc tx_drops;
+                  match handoff with
+                  | Ip_core.Local | Ip_core.Egress _ ->
+                    Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
+                  | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
+                end))
       in
       Shard.add_cycles shard cycles;
       Atomic.set busy false

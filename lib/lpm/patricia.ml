@@ -97,41 +97,71 @@ let ensure_root t p =
 
 let insert t p v = insert_node t (ensure_root t p) p v
 
-let lookup t a =
-  let rec walk best = function
-    | None -> best
-    | Some n ->
-      Access.charge 1;
-      if not (Prefix.matches n.prefix a) then best
-      else
-        let best =
-          match n.value with
-          | Some v -> Some (n.prefix, v)
-          | None -> best
-        in
-        if n.prefix.Prefix.len >= Ipaddr.width a then best
-        else walk best (child_for n (Ipaddr.bit a n.prefix.Prefix.len))
-  in
-  walk None (root_for t a)
+(* --- lookup ------------------------------------------------------------
 
-(* Longest matching prefix of length at most [cap]; used by the BSPL
-   engine to precompute marker BMPs. *)
-let lookup_upto t a cap =
-  let rec walk best = function
-    | None -> best
-    | Some n ->
-      Access.charge 1;
-      if n.prefix.Prefix.len > cap || not (Prefix.matches n.prefix a) then best
+   The walk allocates nothing but its result.  The address is split
+   once into 32-bit words held as native ints (an IPv4 address is word
+   0), and each node's prefix is compared word by word under its mask
+   — reading an int32/int64 field into a native int boxes nothing,
+   where [Prefix.matches] builds a masked [Ipaddr.t] per node.  The
+   best match so far is the child option the walk arrived through,
+   already on the heap.  The walk is a top-level function taking its
+   state as arguments: a local closure would be allocated per call. *)
+
+let ones32 = 0xFFFF_FFFF
+
+(* Word [j] (0..3) of [a]. *)
+let word a j =
+  match a with
+  | Ipaddr.V4 x -> if j = 0 then Int32.to_int x land ones32 else 0
+  | Ipaddr.V6 (h, l) ->
+    let w = if j < 2 then h else l in
+    if j land 1 = 0 then Int64.to_int (Int64.shift_right_logical w 32)
+    else Int64.to_int w land ones32
+
+(* Do words [p] and [a] agree on their first [r] bits? *)
+let agree p a r =
+  r <= 0
+  ||
+  let mask = if r >= 32 then ones32 else (ones32 lsl (32 - r)) land ones32 in
+  (p lxor a) land mask = 0
+
+let matches (p : Prefix.t) a0 a1 a2 a3 =
+  let len = p.Prefix.len and pa = p.Prefix.addr in
+  agree (word pa 0) a0 len
+  && (len <= 32
+     || agree (word pa 1) a1 (len - 32)
+        && (len <= 64
+           || agree (word pa 2) a2 (len - 64)
+              && (len <= 96 || agree (word pa 3) a3 (len - 96))))
+
+let bit_at a0 a1 a2 a3 i =
+  let w = match i lsr 5 with 0 -> a0 | 1 -> a1 | 2 -> a2 | _ -> a3 in
+  (w lsr (31 - (i land 31))) land 1 = 1
+
+let rec walk cap width a0 a1 a2 a3 best = function
+  | None -> best
+  | Some n as here ->
+    Access.charge 1;
+    let len = n.prefix.Prefix.len in
+    if len > cap || not (matches n.prefix a0 a1 a2 a3) then best
+    else
+      let best = match n.value with Some _ -> here | None -> best in
+      if len >= width then best
       else
-        let best =
-          match n.value with
-          | Some v -> Some (n.prefix, v)
-          | None -> best
-        in
-        if n.prefix.Prefix.len >= Ipaddr.width a then best
-        else walk best (child_for n (Ipaddr.bit a n.prefix.Prefix.len))
-  in
-  walk None (root_for t a)
+        walk cap width a0 a1 a2 a3 best (child_for n (bit_at a0 a1 a2 a3 len))
+
+(* Longest matching prefix of length at most [cap]; the BSPL engine
+   precomputes marker BMPs with it. *)
+let lookup_upto t a cap =
+  match
+    walk cap (Ipaddr.width a) (word a 0) (word a 1) (word a 2) (word a 3) None
+      (root_for t a)
+  with
+  | Some { prefix; value = Some v; _ } -> Some (prefix, v)
+  | Some _ | None -> None
+
+let lookup t a = lookup_upto t a max_int
 
 (* Structural queries used by the set-pruning DAG (not part of the
    generic LPM signature). *)

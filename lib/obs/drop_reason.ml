@@ -18,10 +18,14 @@ type t =
   | Link_overflow  (** full inter-stage {!Link} ring *)
   | Pool_exhausted  (** packet {!Pool} had no free descriptor *)
   | Backpressure  (** full engine rx ring at submit time *)
+  | Tx_ring_overflow
+      (** a shard's result, parked for a router-owned stage, lost to a
+          full engine tx ring *)
 
 let all =
   [ Ttl_expired; No_route; Fault; Queue_overflow; Frag_loss; Needs_frag;
-    Conntrack; Policy; Link_overflow; Pool_exhausted; Backpressure ]
+    Conntrack; Policy; Link_overflow; Pool_exhausted; Backpressure;
+    Tx_ring_overflow ]
 
 let name = function
   | Ttl_expired -> "ttl_expired"
@@ -35,6 +39,7 @@ let name = function
   | Link_overflow -> "link_overflow"
   | Pool_exhausted -> "pool_exhausted"
   | Backpressure -> "backpressure"
+  | Tx_ring_overflow -> "tx_ring_overflow"
 
 (* The reasons that arrive as data-path *verdicts*: their counters sum
    to exactly the engines' dropped-verdict counters

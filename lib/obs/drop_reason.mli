@@ -21,6 +21,9 @@ type t =
   | Link_overflow  (** full inter-stage {!Link} ring *)
   | Pool_exhausted  (** packet {!Pool} had no free descriptor *)
   | Backpressure  (** full engine rx ring at submit time *)
+  | Tx_ring_overflow
+      (** a shard's result, parked for a router-owned stage, lost to a
+          full engine tx ring *)
 
 val all : t list
 val name : t -> string

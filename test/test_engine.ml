@@ -1189,6 +1189,286 @@ let prop_every_verdict_class =
       List.for_all2 (fun kind path -> kind = 1 || path <> []) kinds exits
       && inline = s1 && inline = s4)
 
+(* --- the route cache ------------------------------------------------------ *)
+
+let route_dsts =
+  [| Ipaddr.v4 192 168 1 1; Ipaddr.v4 192 168 1 2; Ipaddr.v4 192 168 2 1; Ipaddr.v4 192 9 9 9 |]
+
+(* Prefixes of every specificity over those destinations. *)
+let route_prefixes =
+  [| "0.0.0.0/0"; "192.0.0.0/8"; "192.168.0.0/16"; "192.168.1.0/24"; "192.168.1.2/31";
+     "192.168.1.1/32" |]
+
+type route_op =
+  | Route_add of int * int * int option  (* prefix, iface, gateway octet *)
+  | Route_del of int
+  | Traffic of int list  (* destinations, one packet each *)
+
+let gen_route_op =
+  let open QCheck2.Gen in
+  let prefix = int_bound (Array.length route_prefixes - 1) in
+  frequency
+    [
+      (3, map3 (fun p i g -> Route_add (p, i, g)) prefix (int_bound 2) (opt (int_range 1 254)));
+      (2, map (fun p -> Route_del p) prefix);
+      ( 5,
+        map
+          (fun ds -> Traffic ds)
+          (list_size (int_range 1 12) (int_bound (Array.length route_dsts - 1))) );
+    ]
+
+let route_cmd = function
+  | Route_add (p, i, g) ->
+    Printf.sprintf "route add %s %d%s" route_prefixes.(p) i
+      (match g with Some o -> Printf.sprintf " 10.9.9.%d" o | None -> "")
+  | Route_del p -> Printf.sprintf "route del %s" route_prefixes.(p)
+  | Traffic _ -> invalid_arg "route_cmd"
+
+(* Each destination is one flow, whose record — and cached route —
+   lives across the route changes, until the router's two-record flow
+   table recycles it for another destination.  Every packet must leave
+   where an uncached walk of the router's table says at that moment,
+   with the next hop the walk names; one with no route drops as
+   unroutable. *)
+let route_ops_coherent mode ops =
+  let r =
+    Router.create ~flow_max:2
+      ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 (); Iface.create ~id:2 () ]
+      ()
+  in
+  let e = Engine.create mode r in
+  let coherent =
+    List.for_all
+      (function
+        | Traffic ds ->
+          let pkts =
+            Array.of_list
+              (List.mapi
+                 (fun i d ->
+                   let m = mk_pkt ~sport:(2000 + d) ~dst:route_dsts.(d) () in
+                   m.Mbuf.seq <- i;
+                   m)
+                 ds)
+          in
+          let expect =
+            Array.map
+              (fun m ->
+                let dst = m.Mbuf.key.Flow_key.dst in
+                match Route_table.lookup r.Router.routes dst with
+                | Some rt ->
+                  ( Shard.Forwarded rt.Route_table.iface,
+                    Some (Option.value rt.Route_table.next_hop ~default:dst) )
+                | None -> (Shard.Dropped "no route to destination", None))
+              pkts
+          in
+          let n = Array.length pkts in
+          assert (Engine.submit_batch e ~now:0L pkts ~n = n);
+          let got = ref [] in
+          ignore (Engine.flush e ~f:(fun res -> got := res :: !got));
+          List.length !got = n
+          && List.for_all
+               (fun (res : Shard.result) ->
+                 let outcome, hop = expect.(res.Shard.m.Mbuf.seq) in
+                 res.Shard.outcome = outcome
+                 && (hop = None
+                    || Option.equal Ipaddr.equal res.Shard.m.Mbuf.next_hop hop))
+               !got
+        | op ->
+          ignore (ok (Rp_control.Pmgr.exec r (route_cmd op)));
+          wait "shards synced" (fun () -> Engine.synced e);
+          true)
+      ops
+  in
+  Engine.stop e;
+  coherent
+
+let prop_route_cache_coherent =
+  qtest ~count:40 "cached routes = uncached walk under route churn"
+    QCheck2.Gen.(list_size (int_range 1 24) gen_route_op)
+    (fun ops ->
+      route_ops_coherent Engine.Inline ops && route_ops_coherent (Engine.Sharded 2) ops)
+
+(* A more specific route installed after a flow cached its route takes
+   over that flow's very next packet, without touching its record. *)
+let test_route_cache_more_specific () =
+  List.iter
+    (fun mode ->
+      let label = Engine.mode_to_string mode ^ ": " in
+      let r = mk_router () in
+      let e = Engine.create mode r in
+      let send () =
+        assert (Engine.submit e ~now:0L (mk_pkt ~sport:3333 ()));
+        let got = ref [] in
+        ignore (Engine.flush e ~f:(fun res -> got := res :: !got));
+        match !got with
+        | [ res ] -> res
+        | _ -> Alcotest.fail "expected one result"
+      in
+      let outcome (res : Shard.result) = res.Shard.outcome in
+      check bool_t (label ^ "first packet on the /16") true
+        (outcome (send ()) = Shard.Forwarded 1);
+      let hits0 = counter_get "route_table.cache_hits"
+      and walks0 = counter_get "route_table.lookups" in
+      check bool_t (label ^ "second packet on the /16") true
+        (outcome (send ()) = Shard.Forwarded 1);
+      check int_t (label ^ "second packet hit the cache") 1
+        (counter_get "route_table.cache_hits" - hits0);
+      check int_t (label ^ "and did not walk") 0
+        (counter_get "route_table.lookups" - walks0);
+      let ev0 = counter_get "flow_table.evictions" in
+      ignore (ok (Rp_control.Pmgr.exec r "route add 192.168.1.0/24 0 10.0.0.254"));
+      wait "shards synced" (fun () -> Engine.synced e);
+      let res = send () in
+      check bool_t (label ^ "next packet takes the /24") true
+        (outcome res = Shard.Forwarded 0);
+      check bool_t (label ^ "through its gateway") true
+        (res.Shard.m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 254));
+      check int_t (label ^ "no flow record evicted") 0
+        (counter_get "flow_table.evictions" - ev0);
+      Engine.stop e)
+    [ Engine.Inline; Engine.Sharded 1 ]
+
+(* A plugin that rewrites the destination of every second packet before
+   routing, as DNAT does: the rewritten packets route by their new
+   destination, and never leave it cached for the flow's own. *)
+let test_route_cache_rewritten_dst () =
+  List.iter
+    (fun mode ->
+      let r = mk_router () in
+      Router.add_route r (Prefix.of_string "10.0.0.0/8") ~iface:0 ();
+      let seen = Atomic.make 0 in
+      let pm : (module Plugin.PLUGIN) =
+        (module struct
+          let name = "dst-rewrite"
+          let gate = Gate.Security_in
+          let description = "rewrites every second packet's destination"
+
+          let create_instance ~instance_id ~code ~config =
+            Ok
+              (Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
+                 (fun _ctx m ->
+                   if Atomic.fetch_and_add seen 1 land 1 = 0 then
+                     m.Mbuf.key <- { m.Mbuf.key with Flow_key.dst = Ipaddr.v4 10 1 1 1 };
+                   Plugin.Continue))
+
+          let message _ _ = Error "no messages"
+        end)
+      in
+      ok (Pcu.modload r.Router.pcu pm);
+      let inst = ok (Pcu.create_instance r.Router.pcu ~plugin:"dst-rewrite" []) in
+      ok
+        (Pcu.register_instance r.Router.pcu ~instance:inst.Plugin.instance_id
+           (Rp_classifier.Filter.v4 ~proto:Proto.udp ()));
+      let e = Engine.create mode r in
+      let outcomes = ref [] in
+      for _ = 1 to 6 do
+        assert (Engine.submit e ~now:0L (mk_pkt ~sport:4444 ()));
+        ignore
+          (Engine.flush e ~f:(fun res -> outcomes := res.Shard.outcome :: !outcomes))
+      done;
+      Engine.stop e;
+      check bool_t
+        (Engine.mode_to_string mode ^ ": each packet routed by its own destination")
+        true
+        (List.rev !outcomes
+        = List.init 6 (fun i -> Shard.Forwarded (if i land 1 = 0 then 0 else 1))))
+    [ Engine.Inline; Engine.Sharded 1 ]
+
+(* --- results lost to a full tx ring ------------------------------------- *)
+
+(* A shard whose tx ring is full loses the results it cannot push; a
+   parked packet then ends under its own drop reason. *)
+let test_tx_ring_overflow () =
+  let module Dr = Rp_obs.Drop_reason in
+  let sum () = List.fold_left (fun a (_, n) -> a + n) 0 (Dr.table ()) in
+  let r = mk_router () in
+  let e = Engine.create ~tx_capacity:2 (Engine.Sharded 1) r in
+  let total0 = Dr.total () and sum0 = sum () and over0 = Dr.get Dr.Tx_ring_overflow in
+  let lost0 = counter_get "engine.shard0.tx_ring_drops" in
+  let n = 200 in
+  for f = 0 to n - 1 do
+    assert (Engine.submit e ~now:0L (mk_pkt ~sport:(20_000 + (f mod 50)) ()))
+  done;
+  wait "worker idle" (fun () -> Engine.idle e);
+  let lost = counter_get "engine.shard0.tx_ring_drops" - lost0 in
+  check bool_t "results were lost" true (lost > 0);
+  check int_t "tx_ring_overflow = tx_ring_drops" lost (Dr.get Dr.Tx_ring_overflow - over0);
+  check int_t "sum by reason = total" (Dr.total () - total0) (sum () - sum0);
+  check int_t "every packet drained or counted lost" n (Engine.flush e ~f:ignore + lost);
+  Engine.stop e
+
+(* --- allocation ceiling ------------------------------------------------- *)
+
+(* The Table-3 router (empty plugins bound at three gates, 13 inert
+   filters beside them, 1,024 routes), warmed, then fed prebuilt
+   packets of cached flows: minor-heap words per packet for
+   submit_batch + drain.  A cached flow walks no LPM and is handed a
+   preallocated FIX, so bringing either allocation back fails here:
+   the path measures 49.7 words, where one LPM walk alone used to
+   allocate 100. *)
+let ceiling_words_per_pkt = 56.
+
+let test_alloc_ceiling () =
+  let pmgr r cmd = ok (Rp_control.Pmgr.exec r cmd) in
+  let r =
+    Router.create
+      ~gates:[ Gate.Ip_options; Gate.Security_in; Gate.Stats ]
+      ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 () ]
+      ()
+  in
+  List.iter
+    (fun p ->
+      ignore (pmgr r ("modload " ^ p));
+      let id = Scanf.sscanf (pmgr r ("create " ^ p)) "instance %d" Fun.id in
+      ignore (pmgr r (Printf.sprintf "bind %d <*, *, *, *, *, *>" id)))
+    [ "empty-options"; "empty-security"; "empty-stats" ];
+  for i = 1 to 13 do
+    Rp_classifier.Aiu.bind (Router.aiu r) ~gate:(Gate.to_int Gate.Ip_options)
+      (Rp_classifier.Filter.v4
+         ~src:(Prefix.make (Ipaddr.v4 172 16 i 0) 24)
+         ~proto:Proto.tcp ())
+      (Plugin.simple ~instance_id:(9000 + i) ~code:0 ~plugin_name:"inert"
+         ~gate:Gate.Ip_options (fun _ _ -> Plugin.Continue))
+  done;
+  for j = 0 to 1023 do
+    Router.add_route r (Prefix.make (Ipaddr.v4 20 (j lsr 8) (j land 255) 0) 24) ~iface:1 ()
+  done;
+  let e = Engine.create Engine.Inline r in
+  let batches =
+    Array.init 8 (fun b ->
+        Array.init 32 (fun i ->
+            let f = (b * 32) + i in
+            mk_pkt ~sport:(1000 + f) ~dst:(Ipaddr.v4 20 (f lsr 8) (f land 255) 1) ()))
+  in
+  let drained = ref 0 in
+  let count _ = incr drained in
+  let run rounds =
+    for k = 0 to rounds - 1 do
+      let batch = batches.(k land 7) in
+      Array.iter
+        (fun m ->
+          m.Mbuf.ttl <- 64;
+          m.Mbuf.fix <- None;
+          m.Mbuf.out_iface <- None;
+          m.Mbuf.next_hop <- None)
+        batch;
+      ignore (Engine.submit_batch e ~now:0L batch ~n:32);
+      ignore (Engine.drain e ~f:count)
+    done
+  in
+  run 64;
+  drained := 0;
+  let before = Gc.minor_words () in
+  run 1024;
+  let words = (Gc.minor_words () -. before) /. float_of_int !drained in
+  Engine.stop e;
+  check int_t "every packet forwarded" (1024 * 32) !drained;
+  check bool_t
+    (Printf.sprintf "%.1f minor words per packet (ceiling %.0f)" words
+       ceiling_words_per_pkt)
+    true
+    (words <= ceiling_words_per_pkt)
+
 let () =
   Alcotest.run "engine"
     [
@@ -1242,6 +1522,8 @@ let () =
             test_inline_engine_matches_ip_core;
           Alcotest.test_case "inline result ring is bounded" `Quick
             test_inline_ring_bounded;
+          Alcotest.test_case "allocation ceiling on cached flows" `Quick
+            test_alloc_ceiling;
         ] );
       ( "data path",
         [
@@ -1250,6 +1532,13 @@ let () =
           Alcotest.test_case "route to a missing interface drops" `Quick
             test_route_to_missing_iface;
           prop_every_verdict_class;
+          prop_route_cache_coherent;
+          Alcotest.test_case "more specific route applies at once" `Quick
+            test_route_cache_more_specific;
+          Alcotest.test_case "rewritten destination routes uncached" `Quick
+            test_route_cache_rewritten_dst;
+          Alcotest.test_case "tx ring overflow has a drop reason" `Quick
+            test_tx_ring_overflow;
         ] );
       ( "batched",
         [

@@ -241,6 +241,94 @@ let test_access_counting () =
   Rp_lpm.Access.set_enabled true;
   check int_t "disabled charges nothing" 0 cost0
 
+(* --- PATRICIA: the allocation-free walk -------------------------------- *)
+
+(* The walk compares 32-bit words under masks, so the lengths that end
+   at or straddle a word boundary are drawn often, in both families. *)
+let flip_bit a i =
+  match a with
+  | Ipaddr.V4 x -> Ipaddr.V4 (Int32.logxor x (Int32.shift_left 1l (31 - i)))
+  | Ipaddr.V6 (h, l) ->
+    if i < 64 then Ipaddr.V6 (Int64.logxor h (Int64.shift_left 1L (63 - i)), l)
+    else Ipaddr.V6 (h, Int64.logxor l (Int64.shift_left 1L (127 - i)))
+
+(* Addresses a few bit flips away from one of two bases per family, so
+   prefixes nest and diverge at every depth. *)
+let gen_near_addr =
+  let open QCheck2.Gen in
+  let bases =
+    List.map Ipaddr.of_string
+      [ "10.1.2.3"; "203.0.113.200"; "2001:db8:85a3::8a2e:370:7334"; "fe80::1:2:3:4" ]
+  in
+  let* base = oneofl bases in
+  let* flips = list_size (int_range 0 2) (int_bound (Ipaddr.width base - 1)) in
+  return (List.fold_left flip_bit base flips)
+
+let gen_edge_prefix =
+  let open QCheck2.Gen in
+  let* a = gen_near_addr in
+  let* len =
+    if Ipaddr.is_v4 a then oneof [ oneofl [ 0; 1; 31; 32 ]; int_bound 32 ]
+    else oneof [ oneofl [ 0; 1; 31; 32; 33; 63; 64; 65; 127; 128 ]; int_bound 128 ]
+  in
+  return (Prefix.make a len)
+
+let patricia_edge_equivalence =
+  qtest "patricia = linear at word-boundary lengths"
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 40) gen_edge_prefix)
+        (list_size (int_range 1 30) gen_near_addr))
+    (fun (prefixes, queries) ->
+      let reference = Rp_lpm.Linear.create () and t = Rp_lpm.Patricia.create () in
+      List.iteri
+        (fun i p ->
+          Rp_lpm.Linear.insert reference p i;
+          Rp_lpm.Patricia.insert t p i)
+        prefixes;
+      List.for_all
+        (fun q ->
+          match Rp_lpm.Linear.lookup reference q, Rp_lpm.Patricia.lookup t q with
+          | None, None -> true
+          | Some (p, v), Some (p', v') -> Prefix.equal p p' && v = v'
+          | None, Some _ | Some _, None -> false)
+        queries)
+
+(* A lookup allocates at most its result — [Some (prefix, v)], five
+   words — and a miss nothing; the slack covers [Gc.minor_words]. *)
+let test_patricia_alloc () =
+  let t = Rp_lpm.Patricia.create () in
+  List.iter (fun (p, v) -> Rp_lpm.Patricia.insert t (Prefix.of_string p) v) fixed_table;
+  List.iter
+    (fun (p, v) -> Rp_lpm.Patricia.insert t (Prefix.of_string p) v)
+    [ ("2001:db8::/32", 10); ("2001:db8:1::/48", 11); ("2001:db8:1:0:8000::/65", 12) ];
+  let queries =
+    Array.of_list
+      (List.map Ipaddr.of_string
+         [ "128.252.153.7"; "10.200.0.1"; "1.2.3.4"; "2001:db8:1::8000:0:0:1";
+           "2001:db8:1::1"; "fe80::1" ])
+  in
+  let rounds = 1000 in
+  let spin () =
+    let hits = ref 0 in
+    for _ = 1 to rounds do
+      for i = 0 to Array.length queries - 1 do
+        match Sys.opaque_identity (Rp_lpm.Patricia.lookup t queries.(i)) with
+        | Some _ -> incr hits
+        | None -> ()
+      done
+    done;
+    !hits
+  in
+  ignore (spin ());
+  let before = Gc.minor_words () in
+  let hits = spin () in
+  let words = Gc.minor_words () -. before in
+  check bool_t "some lookups miss" true (hits < rounds * Array.length queries);
+  check bool_t
+    (Printf.sprintf "%.0f minor words for %d hits (at most 5 each)" words hits)
+    true
+    (words <= float_of_int (5 * hits) +. 100.)
+
 let engine_suite name (module E : Rp_lpm.Lpm_intf.S) =
   ( name,
     [
@@ -257,7 +345,14 @@ let engine_suite name (module E : Rp_lpm.Lpm_intf.S) =
 let () =
   Alcotest.run "rp_lpm"
     [
-      engine_suite "patricia" (module Rp_lpm.Patricia);
+      (let name, tests = engine_suite "patricia" (module Rp_lpm.Patricia) in
+       ( name,
+         tests
+         @ [
+             patricia_edge_equivalence;
+             Alcotest.test_case "lookup allocates only its result" `Quick
+               test_patricia_alloc;
+           ] ));
       engine_suite "bspl" (module Rp_lpm.Bspl);
       engine_suite "cpe" (module Rp_lpm.Cpe);
       ( "bspl-specific",
