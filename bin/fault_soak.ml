@@ -42,24 +42,18 @@ let check label ok =
 
 (* Drop conservation under the unified taxonomy: every Dropped verdict
    lands under exactly one drops.by_reason.* counter, so the verdict
-   reasons must sum to the engines' dropped counters ([shards] = 0 for
-   the inline phases), the family total must equal the sum over all
-   reasons, and engine backpressure must be attributed to its reason.
-   (Registry.reset at phase start zeroes every counter, so these are
-   absolute comparisons within the phase.) *)
-let check_drop_conservation ~label ~shards () =
+   reasons must sum to the dropped-verdict counter every domain writes,
+   the family total must equal the sum over all reasons, and engine
+   backpressure must be attributed to its reason.  (Registry.reset at
+   phase start zeroes every counter, so these are absolute comparisons
+   within the phase.) *)
+let check_drop_conservation ~label =
   let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name) in
   let sum reasons =
     List.fold_left (fun acc r -> acc + Rp_obs.Drop_reason.get r) 0 reasons
   in
   let verdict_drops = sum Rp_obs.Drop_reason.verdict_reasons in
-  let engine_drops =
-    let n = ref (counter "ip_core.dropped") in
-    for i = 0 to shards - 1 do
-      n := !n + counter (Printf.sprintf "engine.shard%d.dropped" i)
-    done;
-    !n
-  in
+  let engine_drops = counter "ip_core.dropped" in
   check
     (Printf.sprintf
        "%s: verdict drop reasons (%d) reconcile with engine drops (%d)" label
@@ -117,7 +111,7 @@ let run_phase ~label ~fault_config ?cycle_budget () =
     (Printf.sprintf "%s: traffic degraded to the default path (%d delivered)"
        label delivered)
     (delivered > 0);
-  check_drop_conservation ~label ~shards:0 ();
+  check_drop_conservation ~label;
   (* The quarantine is visible and reversible from the control plane. *)
   (match Rp_control.Pmgr.exec router "faults show" with
    | Ok out ->
@@ -232,7 +226,11 @@ let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
     (Printf.sprintf "%s: submitted counter agrees (%d)" label
        (counter "engine.submitted"))
     (counter "engine.submitted" = !accepted);
-  check_drop_conservation ~label ~shards ();
+  check
+    (Printf.sprintf "%s: ip_core.packets (%d) = accepted submissions" label
+       (counter "ip_core.packets"))
+    (counter "ip_core.packets" = !accepted);
+  check_drop_conservation ~label;
   (* No cross-shard flow-state access: every cached flow key hashes to
      the shard caching it. *)
   let misplaced = ref 0 in
@@ -314,8 +312,6 @@ let run_intermittent_phase mode =
        (fun (f : Pcu.fault_info) -> f.Pcu.consecutive_faults <= 1)
        (Pcu.fault_report router.Router.pcu));
   check_drop_conservation ~label
-    ~shards:(match mode with Engine.Inline -> 0 | Engine.Sharded n -> n)
-    ()
 
 (* Churn regression: a quarantine's unbinds must travel the snapshot
    delta log — every shard replays them on its private classifier
@@ -503,12 +499,7 @@ let run_sharded_telemetry_phase ~shards () =
     (Printf.sprintf "%s: flow records exported (%d)" label
        (List.length records))
     (records <> []);
-  let dispatch = ref 0 in
-  for i = 0 to shards - 1 do
-    dispatch :=
-      !dispatch + counter (Printf.sprintf "engine.shard%d.gate.ip-options.dispatch" i)
-  done;
-  reconcile ~label ~dispatch:!dispatch records;
+  reconcile ~label ~dispatch:(counter "gate.ip-options.dispatch") records;
   check
     (Printf.sprintf "%s: events recorded across worker rings (%d)" label
        (Rp_obs.Telemetry.recorded ()))

@@ -266,9 +266,8 @@ let parse_coalesce s =
   | None -> conv (int_of_string_opt s) None
 
 let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
-    classifier_str coalesce_str metrics_out trace trace_out trace_sample
+    classifier_str coalesce_str metrics_out trace_out trace_sample
     flow_log stats_csv slo_str prom_out prom_sock =
-  Rp_obs.Trace.enabled := trace;
   (match slo_str with
    | None -> ()
    | Some "off" -> Rp_obs.Slo.set_stamping false
@@ -459,12 +458,6 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
   Array.iter
     (fun ifc -> Format.printf "%a@." Rp_core.Iface.pp ifc)
     router.Rp_core.Router.ifaces;
-  if trace then begin
-    Printf.printf "\n== last %d trace spans ==\n" (Rp_obs.Trace.recorded ());
-    List.iter
-      (fun s -> Format.printf "%a@." Rp_obs.Trace.pp_span s)
-      (Rp_obs.Trace.spans ())
-  end;
   (* Flush live flow-cache entries through the exporter before writing
      the flow log and metrics, so both cover in-flight flows. *)
   if flow_log <> None then
@@ -534,14 +527,8 @@ let coalesce_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the metric registry as JSON (schema rp-metrics/3) \
+           ~doc:"Write the metric registry as JSON (schema rp-metrics/4) \
                  to $(docv) on exit.")
-
-let trace_arg =
-  Arg.(value & flag
-       & info [ "trace" ]
-           ~doc:"Record per-gate trace spans and print the tail of the \
-                 ring buffer.")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -599,7 +586,7 @@ let cmd =
     (Cmd.info "rp_router" ~version:"1.0" ~doc)
     Term.(const main $ script_arg $ flow_arg $ seconds_arg $ ifaces_arg
           $ bw_arg $ mode_arg $ engine_arg $ classifier_arg $ coalesce_arg
-          $ metrics_arg $ trace_arg $ trace_out_arg $ trace_sample_arg
+          $ metrics_arg $ trace_out_arg $ trace_sample_arg
           $ flow_log_arg $ stats_csv_arg $ slo_arg $ prom_out_arg
           $ prom_sock_arg)
 

@@ -22,7 +22,7 @@
 
    and across modes: the sharded engine forwarded exactly the packets
    the inline engine forwarded.  Writes session-soak.json
-   (rp-metrics/1) for ci/check_session.sh. *)
+   (rp-metrics JSON) for ci/check_session.sh. *)
 
 open Rp_pkt
 open Rp_core

@@ -25,7 +25,7 @@
 #      machinery (pool alloc/free, link rings, gate-major dispatch)
 #      must not perturb the per-packet cost model at all.
 #
-# The metrics files are rp-metrics/1 JSON, written one metric per line
+# The metrics files are rp-metrics JSON, written one metric per line
 # precisely so this script needs no JSON parser.
 set -eu
 # shellcheck source=ci/lib.sh

@@ -6,7 +6,7 @@
 # the paper's Table-2 bounds (20 for IPv4, 24 for IPv6), or when the
 # Table-3 per-packet cycle figures drift from the calibrated model.
 #
-# The metrics file is rp-metrics/1 JSON, written one metric per line
+# The metrics file is rp-metrics JSON, written one metric per line
 # precisely so this script needs no JSON parser.
 set -eu
 # shellcheck source=ci/lib.sh

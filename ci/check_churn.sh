@@ -16,7 +16,7 @@
 #      (AIU mutation listeners, per-gate generation stamps, lazy flow
 #      revalidation) must not perturb the data-path cost model at all.
 #
-# The metrics files are rp-metrics/1 JSON, written one metric per line
+# The metrics files are rp-metrics JSON, written one metric per line
 # precisely so this script needs no JSON parser.
 set -eu
 # shellcheck source=ci/lib.sh

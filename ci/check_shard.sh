@@ -8,7 +8,7 @@
 # the cycle model (busiest shard's charged cycles), so the gate holds
 # regardless of how many hardware cores the CI runner exposes.
 #
-# The metrics file is rp-metrics/1 JSON, written one metric per line
+# The metrics file is rp-metrics JSON, written one metric per line
 # precisely so this script needs no JSON parser.
 set -eu
 # shellcheck source=ci/lib.sh

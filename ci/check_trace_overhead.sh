@@ -11,7 +11,7 @@
 # exists to catch a future change that accidentally puts event
 # recording inside the modeled path.
 #
-# The metrics files are rp-metrics/2 JSON, written one metric per line
+# The metrics files are rp-metrics JSON, written one metric per line
 # precisely so this script needs no JSON parser.
 set -eu
 # shellcheck source=ci/lib.sh

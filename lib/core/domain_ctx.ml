@@ -1,20 +1,12 @@
 (* A per-domain data-path context: the state one domain's packets read
-   while they cross {!Ip_core}, the meters and verdict counters they
-   write, and the scratch of its batches.  The router owns one, with
-   [owner] set, so router-owned stages run at once; each engine shard
-   builds its own from the published snapshot, with no owner, and hands
-   those stages back.  ['r] is the router type, which holds a context. *)
+   while they cross {!Ip_core}, and the scratch of its batches.  The
+   router owns one, with [owner] set, so router-owned stages run at
+   once; each engine shard builds its own from the published snapshot,
+   with no owner, and hands those stages back.  Every context writes the
+   same process-wide meters.  ['r] is the router type, which holds a
+   context. *)
 
 open Rp_pkt
-
-(* Verdict counters.  A shard's [delivered] is its [absorbed]. *)
-type tally = {
-  packets : Rp_obs.Counter.t;
-  forwarded : Rp_obs.Counter.t;
-  delivered : Rp_obs.Counter.t;
-  absorbed : Rp_obs.Counter.t;
-  dropped : Rp_obs.Counter.t;
-}
 
 (* Scratch for one batch, by position: {!Ip_core}'s packet states, and
    what the states that set them carry. *)
@@ -26,15 +18,12 @@ type frame = {
   icmp : Icmp.message array;  (* error the control domain originates *)
   sched : Plugin.t Rp_classifier.Flow_table.binding option array;
   now : int64 array;
-  t0 : int array;  (* telemetry start stamp *)
 }
 
 type 'r t = {
   mutable owner : 'r option;
   shard : int;  (* SLO histogram index *)
   birth_clock : bool;  (* a packet's [now] is its [birth_ns] *)
-  meters : Gate.Meters.t;
-  tally : tally;
   mutable aiu : Plugin.t Rp_classifier.Aiu.t;
   mutable routes : Route_table.t;
   mutable gates : Gate.t list;  (* enabled *)
@@ -67,30 +56,13 @@ let frame () =
     icmp = Array.make batch Icmp.Time_exceeded;
     sched = Array.make batch None;
     now = Array.make batch 0L;
-    t0 = Array.make batch 0;
   }
 
-let tally ~prefix ~packets ~delivered =
-  let c name = Rp_obs.Registry.counter (prefix ^ name) in
-  {
-    packets = c packets;
-    forwarded = c "forwarded";
-    delivered = c delivered;
-    absorbed = c "absorbed";
-    dropped = c "dropped";
-  }
-
-(* Registered at load, so a metrics dump always carries them. *)
-let core_tally =
-  tally ~prefix:"ip_core." ~packets:"packets" ~delivered:"delivered_local"
-
-let create ~shard ~birth_clock ~meters ~tally ~aiu ~routes ~mtus =
+let create ~shard ~birth_clock ~aiu ~routes ~mtus =
   {
     owner = None;
     shard;
     birth_clock;
-    meters;
-    tally;
     aiu;
     routes;
     gates = [];

@@ -53,58 +53,18 @@ let equal a b = to_int a = to_int b
 
 (* Per-gate data-path meters, indexed by [to_int]; created eagerly so
    a metrics dump always carries the full gate schema, zeros included.
-   [Meters.default] (prefix "gate.") is shared by every single-domain
-   IP-core call site; each engine shard creates its own set under an
-   "engine.shard<i>." prefix so per-shard traffic is attributable. *)
-module Meters = struct
-  type t = {
-    dispatch : Rp_obs.Counter.t array;
-    cycles : Rp_obs.Counter.t array;
-    drops : Rp_obs.Counter.t array;
-    faults : Rp_obs.Counter.t array;
-  }
-
-  let per_gate prefix suffix =
-    Array.of_list
-      (List.map
-         (fun g ->
-           Rp_obs.Registry.counter (prefix ^ "gate." ^ name g ^ "." ^ suffix))
-         all)
-
-  let create ~prefix =
-    {
-      dispatch = per_gate prefix "dispatch";
-      cycles = per_gate prefix "cycles";
-      drops = per_gate prefix "drops";
-      faults = per_gate prefix "faults";
-    }
-
-  let default = create ~prefix:""
-
-  let dispatch t g = t.dispatch.(to_int g)
-  let cycles t g = t.cycles.(to_int g)
-  let drops t g = t.drops.(to_int g)
-  let faults t g = t.faults.(to_int g)
-end
-
-let dispatch g = Meters.dispatch Meters.default g
-let cycles g = Meters.cycles Meters.default g
-let drops g = Meters.drops Meters.default g
-let faults g = Meters.faults Meters.default g
-
-(* Per-gate invocation-latency histograms (model cycles), fed by the
-   telemetry layer for sampled packets.  One process-wide set — the
-   histograms are multicore-safe, and per-shard quantiles would
-   multiply the dump eightfold for little insight; per-shard *counts*
-   remain available through each shard's Meters. *)
-let span_bounds = [| 50; 100; 150; 250; 500; 1_000; 2_500; 5_000; 10_000 |]
-
-let spans =
+   One process-wide set: every domain's context writes it, and counters
+   are striped by domain, so an aggregate is one read. *)
+let per_gate suffix =
   Array.of_list
-    (List.map
-       (fun g ->
-         Rp_obs.Registry.histogram ~bounds:span_bounds
-           ("telemetry.gate." ^ name g ^ ".cycles"))
-       all)
+    (List.map (fun g -> Rp_obs.Registry.counter ("gate." ^ name g ^ "." ^ suffix)) all)
 
-let span g = spans.(to_int g)
+let dispatch_c = per_gate "dispatch"
+let cycles_c = per_gate "cycles"
+let drops_c = per_gate "drops"
+let faults_c = per_gate "faults"
+
+let dispatch g = dispatch_c.(to_int g)
+let cycles g = cycles_c.(to_int g)
+let drops g = drops_c.(to_int g)
+let faults g = faults_c.(to_int g)

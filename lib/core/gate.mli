@@ -31,40 +31,12 @@ val of_name : string -> t option
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
-(** Per-gate observability counters.  A {!Meters.t} is one full set of
-    per-gate dispatch/cycles/drops/faults counters under a registry
-    prefix: {!Meters.default} (prefix [""], names
-    [gate.<name>.<suffix>]) is shared by the single-domain data path,
-    and each engine shard creates its own set (e.g. prefix
-    ["engine.shard0."]) so per-shard traffic is attributable. *)
-module Meters : sig
-  type gate := t
-  type t
-
-  (** [create ~prefix] registers (or reuses) the [prefix ^
-      "gate.<name>.<suffix>"] counters for every gate. *)
-  val create : prefix:string -> t
-
-  (** The unprefixed set used by the inline data path. *)
-  val default : t
-
-  val dispatch : t -> gate -> Rp_obs.Counter.t
-  val cycles : t -> gate -> Rp_obs.Counter.t
-  val drops : t -> gate -> Rp_obs.Counter.t
-  val faults : t -> gate -> Rp_obs.Counter.t
-end
-
-(** Shorthands for {!Meters.default} ([gate.<name>.dispatch] /
-    [.cycles] / [.drops] / [.faults]), shared by every single-domain
-    data-path call site that traverses the gate. *)
+(** Per-gate data-path counters ([gate.<name>.dispatch] / [.cycles] /
+    [.drops] / [.faults]).  One process-wide set, written by every
+    domain's data-path context — the router's and each engine shard's —
+    so on either engine a read is the total over all domains. *)
 
 val dispatch : t -> Rp_obs.Counter.t
 val cycles : t -> Rp_obs.Counter.t
 val drops : t -> Rp_obs.Counter.t
 val faults : t -> Rp_obs.Counter.t
-
-(** Per-gate invocation-latency histogram
-    ([telemetry.gate.<name>.cycles], model cycles), observed for
-    sampled packets when tracing is enabled; process-wide (shared by
-    the inline path and all shards). *)
-val span : t -> Rp_obs.Histogram.t

@@ -26,6 +26,13 @@ type ctx = Router.t D.t
    [Dropped], since an incomplete fragment set cannot reassemble. *)
 let m_frag_drops = Rp_obs.Registry.counter "ip_core.fragment_drops"
 
+(* Verdict counters, written by every domain's context. *)
+let m_packets = Rp_obs.Registry.counter "ip_core.packets"
+let m_forwarded = Rp_obs.Registry.counter "ip_core.forwarded"
+let m_delivered = Rp_obs.Registry.counter "ip_core.delivered_local"
+let m_absorbed = Rp_obs.Registry.counter "ip_core.absorbed"
+let m_dropped = Rp_obs.Registry.counter "ip_core.dropped"
+
 (* A packet's state in its frame: live, settled, or parked (its next,
    router-owned stage handed back by an owner-less context). *)
 let live = 0
@@ -124,9 +131,7 @@ let post (ctx : ctx) ev =
    does not trust): count the fault, report it, and convert it to the
    fault policy.  Nothing here charges the cost model. *)
 let contain (ctx : ctx) ~gate m inst (reason : Fault.reason) =
-  Rp_obs.Counter.inc (Gate.Meters.faults ctx.D.meters gate);
-  if ctx.D.meters != Gate.Meters.default then
-    Rp_obs.Counter.inc (Gate.faults gate);
+  Rp_obs.Counter.inc (Gate.faults gate);
   let id = inst.Plugin.instance_id in
   (* Faults are rare and diagnostic gold: when tracing is on they are
      recorded even for unsampled packets (pkt 0). *)
@@ -196,9 +201,10 @@ let settle_drop (f : D.frame) i why =
 (* One gate over every live packet of a frame (gate-major): classify,
    run the bound handler under containment — the scheduling gate only
    classifies, its binding riding to the output queue — and meter the
-   traversal.  The meters only observe the [Cost] / [Access] counters,
-   so Table-3 figures are untouched; the per-gate counters are added
-   once per frame. *)
+   traversal three ways: the per-gate counters, added once per frame;
+   the packet's SLO attribution; and, for a sampled packet, its
+   telemetry span.  All three only observe the [Cost] / [Access]
+   counters, so Table-3 figures are untouched. *)
 let sweep (ctx : ctx) (f : D.frame) batch off n gate =
   let g = Gate.to_int gate in
   let visits = ref 0 and cycles = ref 0 and drops = ref 0 in
@@ -224,16 +230,13 @@ let sweep (ctx : ctx) (f : D.frame) batch off n gate =
         | _, Some (inst, r) ->
           run_handler ctx ~now ~gate inst (Rp_classifier.Flow_table.binding r ~gate:g) m
       in
-      let c = Cost.get () - c0 and accesses = Rp_lpm.Access.get () - a0 in
+      let c = Cost.get () - c0 in
       cycles := !cycles + c;
       slo_attrib m ~gate c;
-      if tseq <> 0 then begin
+      if tseq <> 0 then
         Rp_obs.Telemetry.record ~ts:(Cost.get ())
-          ~kind:Rp_obs.Telemetry.Gate_exit ~gate:g ~pkt:tseq ~arg:accesses;
-        Rp_obs.Histogram.observe (Gate.span gate) c
-      end;
-      if !Rp_obs.Trace.enabled then
-        Rp_obs.Trace.record ~name:("gate." ^ Gate.name gate) ~cycles:c ~accesses;
+          ~kind:Rp_obs.Telemetry.Gate_exit ~gate:g ~pkt:tseq
+          ~arg:(Rp_lpm.Access.get () - a0);
       match action with
       | Plugin.Continue -> ()
       | Plugin.Consumed -> f.D.state.(i) <- absorbed
@@ -243,10 +246,10 @@ let sweep (ctx : ctx) (f : D.frame) batch off n gate =
     end
   done;
   if !visits > 0 then begin
-    Rp_obs.Counter.add (Gate.Meters.dispatch ctx.D.meters gate) !visits;
-    Rp_obs.Counter.add (Gate.Meters.cycles ctx.D.meters gate) !cycles
+    Rp_obs.Counter.add (Gate.dispatch gate) !visits;
+    Rp_obs.Counter.add (Gate.cycles gate) !cycles
   end;
-  if !drops > 0 then Rp_obs.Counter.add (Gate.Meters.drops ctx.D.meters gate) !drops
+  if !drops > 0 then Rp_obs.Counter.add (Gate.drops gate) !drops
 
 let rec run_gates ctx f batch off n = function
   | [] -> ()
@@ -290,14 +293,13 @@ let handoff_of (f : D.frame) i =
   else if st = parked_egress then Egress (f.D.out.(i), f.D.sched.(i))
   else Settled
 
-(* Verdict accounting: each settled packet counts once, in the
-   counters of the context it entered ([tally]); a parked one counts
-   when the control domain settles it.  Then the packet's traversal of
-   this domain closes — telemetry end, SLO latency, NetFlow accounting
-   against the record its FIX names, a parked packet under its
-   provisional verdict — unless it is a resumed one, whose domain
-   closed it when parking it ([span] false). *)
-let close (ctx : ctx) (f : D.frame) ~tally ~span batch off n =
+(* Verdict accounting: each settled packet counts once; a parked one
+   counts when the control domain settles it.  Then the packet's
+   traversal of this domain closes — telemetry end, SLO latency,
+   NetFlow accounting against the record its FIX names, a parked packet
+   under its provisional verdict — unless it is a resumed one, whose
+   domain closed it when parking it ([span] false). *)
+let close (ctx : ctx) (f : D.frame) ~span batch off n =
   let fwd = ref 0 and del = ref 0 and abso = ref 0 and drop = ref 0 in
   let ft = Rp_classifier.Aiu.flow_table ctx.D.aiu in
   for i = 0 to n - 1 do
@@ -319,8 +321,7 @@ let close (ctx : ctx) (f : D.frame) ~tally ~span batch off n =
         Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
           ~pkt:tseq ~arg:0;
       Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
-        ~pkt:tseq ~arg:0;
-      Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - f.D.t0.(i))
+        ~pkt:tseq ~arg:0
     end;
     if span then begin
       slo_close ~shard:ctx.D.shard m
@@ -335,10 +336,10 @@ let close (ctx : ctx) (f : D.frame) ~tally ~span batch off n =
       if st = parked_local then m.Mbuf.fix <- None
     end
   done;
-  if !fwd > 0 then Rp_obs.Counter.add tally.D.forwarded !fwd;
-  if !del > 0 then Rp_obs.Counter.add tally.D.delivered !del;
-  if !abso > 0 then Rp_obs.Counter.add tally.D.absorbed !abso;
-  if !drop > 0 then Rp_obs.Counter.add tally.D.dropped !drop
+  if !fwd > 0 then Rp_obs.Counter.add m_forwarded !fwd;
+  if !del > 0 then Rp_obs.Counter.add m_delivered !del;
+  if !abso > 0 then Rp_obs.Counter.add m_absorbed !abso;
+  if !drop > 0 then Rp_obs.Counter.add m_dropped !drop
 
 (* --- the pipeline ---------------------------------------------------- *)
 
@@ -352,9 +353,9 @@ let unreachable = Icmp.Dest_unreachable Icmp.Net_unreachable
    Each stage walks the whole frame before the next begins; a settled
    packet sits out the rest.  Router-owned stages run at once on the
    router's context and park the packet on a shard's. *)
-let rec run_frame (ctx : ctx) f ~tally ~from ~now batch off n =
+let rec run_frame (ctx : ctx) f ~from ~now batch off n =
   if from = from_entry then begin
-    entry ctx f ~tally ~now batch off n;
+    entry ctx f ~now batch off n;
     run_gates ctx f batch off n inline_gates_pre
   end;
   if from <= from_local then begin
@@ -365,10 +366,10 @@ let rec run_frame (ctx : ctx) f ~tally ~from ~now batch off n =
     run_gates ctx f batch off n [ Gate.Scheduling ]
   end;
   egress_stage ctx f batch off n;
-  close ctx f ~tally ~span:(from = from_entry) batch off n
+  close ctx f ~span:(from = from_entry) batch off n
 
-and run_in ctx f ~tally ~from ~now batch off n =
-  match run_frame ctx f ~tally ~from ~now batch off n with
+and run_in ctx f ~from ~now batch off n =
+  match run_frame ctx f ~from ~now batch off n with
   | () -> ()
   | exception e ->
     leave ctx;
@@ -376,8 +377,8 @@ and run_in ctx f ~tally ~from ~now batch off n =
 
 (* Sampling decision, arrival accounting, TTL.  Nothing in the
    telemetry path charges the cost model. *)
-and entry ctx f ~tally ~now batch off n =
-  Rp_obs.Counter.add tally.D.packets n;
+and entry ctx f ~now batch off n =
+  Rp_obs.Counter.add m_packets n;
   for i = 0 to n - 1 do
     let m = batch.(off + i) in
     f.D.state.(i) <- live;
@@ -385,12 +386,9 @@ and entry ctx f ~tally ~now batch off n =
     if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
       m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
     let tseq = m.Mbuf.tseq in
-    if tseq <> 0 then begin
-      let ts = Cost.get () in
-      f.D.t0.(i) <- ts;
-      Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-        ~pkt:tseq ~arg:m.Mbuf.len
-    end;
+    if tseq <> 0 then
+      Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Pkt_start
+        ~gate:(-1) ~pkt:tseq ~arg:m.Mbuf.len;
     slo_open m;
     Cost.charge Cost.base_forward;
     (match ctx.D.owner with
@@ -577,7 +575,7 @@ and send_icmp router ~now ~family ~src ~to_ icmp =
   ignore (process router ~now m)
 
 (* One packet on the router's context, from stage [from]. *)
-and single router ~tally ~from ~now ~out ~binding m =
+and single router ~from ~now ~out ~binding m =
   let ctx = router.Router.ctx in
   let f = enter ctx in
   f.D.pkts.(0) <- m;
@@ -585,17 +583,16 @@ and single router ~tally ~from ~now ~out ~binding m =
   f.D.now.(0) <- now;
   f.D.out.(0) <- out;
   f.D.sched.(0) <- binding;
-  run_in ctx f ~tally ~from ~now f.D.pkts 0 1;
+  run_in ctx f ~from ~now f.D.pkts 0 1;
   leave ctx;
   verdict_of f 0
 
 and process router ~now m =
-  single router ~tally:router.Router.ctx.D.tally ~from:from_entry ~now ~out:(-1)
-    ~binding:None m
+  single router ~from:from_entry ~now ~out:(-1) ~binding:None m
 
-let resume router ~tally ~now m = function
-  | Local -> single router ~tally ~from:from_local ~now ~out:(-1) ~binding:None m
-  | Egress (out, binding) -> single router ~tally ~from:from_egress ~now ~out ~binding m
+let resume router ~now m = function
+  | Local -> single router ~from:from_local ~now ~out:(-1) ~binding:None m
+  | Egress (out, binding) -> single router ~from:from_egress ~now ~out ~binding m
   | Settled | Icmp_error _ -> invalid_arg "Ip_core.resume: no router-owned stage left"
 
 let run (ctx : ctx) ~now batch ~n ~emit =
@@ -604,7 +601,7 @@ let run (ctx : ctx) ~now batch ~n ~emit =
   while !off < n do
     let k = min D.batch (n - !off) in
     let f = enter ctx in
-    run_in ctx f ~tally:ctx.D.tally ~from:from_entry ~now batch !off k;
+    run_in ctx f ~from:from_entry ~now batch !off k;
     for i = 0 to k - 1 do
       emit batch.(!off + i) (verdict_of f i) (handoff_of f i)
     done;

@@ -22,7 +22,15 @@
     touch the router's mutable state (punts, local delivery and echo,
     ICMP origination, output queues, PCU fault accounting) back to the
     control domain, which finishes them with {!resume} and
-    {!icmp_error}. *)
+    {!icmp_error}.
+
+    Every context writes the same process-wide meters: the
+    [gate.<name>.*] counters ({!Gate.dispatch} and its siblings) and
+    the verdict counters [ip_core.packets] / [.forwarded] /
+    [.delivered_local] / [.absorbed] / [.dropped].  A packet counts
+    once in [packets] where it enters and once under its verdict where
+    it settles, so inline and sharded runs give the same names and the
+    same totals. *)
 
 open Rp_pkt
 
@@ -81,11 +89,9 @@ val run :
   emit:(Mbuf.t -> verdict -> handoff -> unit) ->
   unit
 
-(** [resume router ~tally ~now m h] finishes a handed-back [Local] or
-    [Egress] packet on the router's context, counting its verdict in
-    [tally] (that of the context it entered). *)
-val resume :
-  Router.t -> tally:Domain_ctx.tally -> now:int64 -> Mbuf.t -> handoff -> verdict
+(** [resume router ~now m h] finishes a handed-back [Local] or
+    [Egress] packet on the router's context, counting its verdict. *)
+val resume : Router.t -> now:int64 -> Mbuf.t -> handoff -> verdict
 
 (** [icmp_error router ~now orig message] originates an ICMP error
     about [orig] toward its source through the router's own path. *)

@@ -33,8 +33,7 @@ let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
   let routes = Route_table.create ?engine () in
   let ifaces = Array.of_list ifaces in
   let ctx =
-    Domain_ctx.create ~shard:0 ~birth_clock:false ~meters:Gate.Meters.default
-      ~tally:Domain_ctx.core_tally ~aiu:(Pcu.aiu pcu) ~routes
+    Domain_ctx.create ~shard:0 ~birth_clock:false ~aiu:(Pcu.aiu pcu) ~routes
       ~mtus:(Array.map (fun i -> i.Iface.mtu) ifaces)
   in
   let t =

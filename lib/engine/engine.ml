@@ -27,6 +27,7 @@ type t = {
   rx : Mbuf.t Spsc.t array;
   tx : Shard.result Spsc.t array;  (* one per shard; Inline: one *)
   busy : bool Atomic.t array;  (* worker mid-batch *)
+  shard_rx : Rp_obs.Counter.t array;
   tx_ring_drops : Rp_obs.Counter.t array;
   stop_flag : bool Atomic.t;
   mutable domains : unit Domain.t array;
@@ -99,7 +100,7 @@ let worker_loop t i =
   let shard = t.shard_tbl.(i) in
   let rx = t.rx.(i) and tx = t.tx.(i) in
   let busy = t.busy.(i) in
-  let tx_drops = t.tx_ring_drops.(i) in
+  let rx_count = t.shard_rx.(i) and tx_drops = t.tx_ring_drops.(i) in
   let scratch = Array.make Domain_ctx.batch dummy_mbuf in
   let running = ref true in
   while !running do
@@ -114,6 +115,7 @@ let worker_loop t i =
          empty ring while a popped batch is still in flight. *)
       Atomic.set busy true;
       let n = Spsc.pop_batch rx ~max:Domain_ctx.batch scratch in
+      Rp_obs.Counter.add rx_count n;
       Rp_obs.Histogram.observe t.batch_hist n;
       (* A lost result whose packet still had a router-owned stage to
          run ends here, so its drop is counted here; a settled or
@@ -159,6 +161,9 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
         Array.init (max n 1) (fun _ ->
             Spsc.create ~capacity:tx_capacity ~dummy:dummy_result);
       busy = Array.init n (fun _ -> Atomic.make false);
+      shard_rx =
+        Array.init n (fun i ->
+            Rp_obs.Registry.counter (Printf.sprintf "engine.shard%d.rx" i));
       tx_ring_drops =
         Array.init n (fun i ->
             Rp_obs.Registry.counter
@@ -398,7 +403,7 @@ and submit_batch t ~now batch ~n =
    the PCU (noting in [republish] a quarantine that changed the
    bindings), then run whatever router-owned stage the shard handed
    back (an inline result is always settled). *)
-let finish t i republish (r : Shard.result) =
+let finish t republish (r : Shard.result) =
   if r.Shard.faults <> [] then
     List.iter
       (fun ev -> if Ip_core.apply_event t.router ev then republish := true)
@@ -411,23 +416,22 @@ let finish t i republish (r : Shard.result) =
     { r with handoff = Ip_core.Settled }
   | h ->
     let now = m.Mbuf.birth_ns in
-    let tally = (Shard.ctx t.shard_tbl.(i)).Domain_ctx.tally in
-    let verdict = Ip_core.resume t.router ~tally ~now m h in
+    let verdict = Ip_core.resume t.router ~now m h in
     transmit t ~now verdict;
     { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
 
 let drain ?(max = max_int) t ~f =
   let drained = ref 0 in
   let republish = ref false in
-  Array.iteri
-    (fun i tx ->
+  Array.iter
+    (fun tx ->
       let continue = ref true in
       while !continue && !drained < max do
         match Spsc.pop tx with
         | Some result ->
           incr drained;
           Rp_obs.Counter.inc t.m_drained;
-          f (finish t i republish result)
+          f (finish t republish result)
         | None -> continue := false
       done)
     t.tx;
@@ -478,10 +482,10 @@ let stats_string t =
       in
       Buffer.add_string b
         (Printf.sprintf
-           "  shard%d: rx=%d fwd=%d drop=%d absorbed=%d cycles=%d \
-            rx_depth=%d tx_depth=%d flow_flushes=%d delta_applies=%d \
-            tx_ring_drops=%d\n"
-           i (g "rx") (g "forwarded") (g "dropped") (g "absorbed")
+           "  shard%d: rx=%d cycles=%d rx_depth=%d tx_depth=%d \
+            flow_flushes=%d delta_applies=%d tx_ring_drops=%d\n"
+           i
+           (Rp_obs.Counter.get t.shard_rx.(i))
            (Shard.cycles shard)
            (Spsc.length t.rx.(i))
            (Spsc.length t.tx.(i))

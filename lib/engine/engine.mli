@@ -158,7 +158,10 @@ val flush : t -> f:(Shard.result -> unit) -> int
 (** Model cycles charged by shard [i] since creation. *)
 val shard_cycles : t -> int -> int
 
-(** Human-readable stats block (the [pmgr engine stats] payload). *)
+(** Human-readable stats block (the [pmgr engine stats] payload): one
+    row per shard with the packets its worker popped ([rx]), so shard
+    balance stays visible; verdict totals are the process-wide
+    [ip_core.*] counters. *)
 val stats_string : t -> string
 
 (** Flush every flow cache the engine owns (the router's table plus

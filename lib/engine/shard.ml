@@ -80,8 +80,6 @@ let create ~index snap =
     {
       ctx =
         D.create ~shard:index ~birth_clock:true
-          ~meters:(Gate.Meters.create ~prefix)
-          ~tally:(D.tally ~prefix ~packets:"rx" ~delivered:"absorbed")
           ~aiu:(Rp_classifier.Aiu.create ~gates:Gate.count ())
           ~routes:(Route_table.create ()) ~mtus:[||];
       m_flow_flushes = counter "flow_flushes";

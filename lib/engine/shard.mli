@@ -2,10 +2,11 @@
 
     A shard owns everything its packets touch on its domain — a
     private AIU (compiled from the published {!Snapshot}), a private
-    route table, a private flow cache, and its own
-    {!Rp_core.Gate.Meters} set and verdict counters under the
-    [engine.shard<i>.] registry prefix — so two shards never share
-    mutable per-flow state.  RSS-style distribution by
+    route table and a private flow cache — so two shards never share
+    mutable per-flow state.  Its packets count in the same
+    process-wide [gate.*] and [ip_core.*] meters as the router's own;
+    only its sync counters ([flow_flushes], [delta_applies],
+    [deltas_replayed]) carry the [engine.shard<i>.] prefix.  RSS-style distribution by
     [Flow_key.hash mod shards] guarantees every packet of a flow lands
     on the same shard, keeping per-flow soft state coherent without
     locks.

@@ -42,8 +42,8 @@ let name = function
   | Tx_ring_overflow -> "tx_ring_overflow"
 
 (* The reasons that arrive as data-path *verdicts*: their counters sum
-   to exactly the engines' dropped-verdict counters
-   (ip_core.dropped + Σ engine.shard<i>.dropped). *)
+   to exactly the dropped-verdict counter, ip_core.dropped, which
+   every domain writes. *)
 let verdict_reasons =
   [ Ttl_expired; No_route; Fault; Queue_overflow; Frag_loss; Needs_frag;
     Conntrack; Policy ]

@@ -141,8 +141,10 @@ let json_escape s =
    [schema_version] itself and histogram p50/p90/p99 quantiles; v3
    adds the p999 tail quantile to every histogram entry (for the
    latency SLO families) alongside the drops.* and health.* metric
-   families. *)
-let schema_version = 3
+   families; v4 removes the per-shard gate and verdict families and
+   the sampled per-gate and per-packet telemetry histograms — gate.*
+   and ip_core.* now count every domain. *)
+let schema_version = 4
 
 (* One metric per line, keys sorted: dumps diff cleanly and simple
    line-oriented tools (the CI bench gate) can extract values without

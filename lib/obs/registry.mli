@@ -46,7 +46,9 @@ val reset : unit -> unit
 
 (** The integer schema version emitted in {!dump_json} (and mirrored
     in the ["rp-metrics/<n>"] schema string).  Bump on any change a
-    line-oriented consumer could notice. *)
+    line-oriented consumer could notice, such as a metric name added
+    or removed.  Version 4 dropped the per-shard gate and verdict
+    counters: [gate.*] and [ip_core.*] are totals over all domains. *)
 val schema_version : int
 
 (** Text snapshot: one ["name value"] line per metric, sorted.
@@ -54,7 +56,7 @@ val schema_version : int
     gauge callbacks must not call back into the registry. *)
 val dump : ?pattern:string -> unit -> string
 
-(** JSON snapshot, schema [rp-metrics/3]: a ["schema_version"] field,
+(** JSON snapshot, schema [rp-metrics/4]: a ["schema_version"] field,
     then sorted keys one metric per line (greppable by the CI bench
     gate without a JSON parser); histograms include p50/p90/p99/p999
     from {!Histogram.quantile}.  Rendered under the registry lock. *)

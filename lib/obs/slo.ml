@@ -19,9 +19,8 @@ let cls_name = function Fwd -> "fwd" | Absorb -> "absorb" | Drop -> "drop"
 let cls_index = function Fwd -> 0 | Absorb -> 1 | Drop -> 2
 let classes = [| Fwd; Absorb; Drop |]
 
-(* Same bounds as telemetry.packet.cycles, so the two latency views
-   (sampled trace packets vs every stamped packet) are comparable
-   bucket for bucket. *)
+(* Ingress→verdict latency of every stamped packet; a sampled
+   packet's trace spans (Pkt_start to Pkt_end) read the same clock. *)
 let latency_bounds =
   [| 2_000; 4_000; 6_000; 8_000; 12_000; 16_000; 24_000; 48_000; 96_000 |]
 

@@ -19,9 +19,8 @@ type cls = Fwd | Absorb | Drop
 
 val cls_name : cls -> string
 
-(** Histogram bucket upper bounds, shared with
-    [telemetry.packet.cycles] so the two latency views compare bucket
-    for bucket. *)
+(** Histogram bucket upper bounds (model cycles), shared by every
+    latency histogram this module registers. *)
 val latency_bounds : int array
 
 (** Whether ingress stamping (and latency observation) is enabled.

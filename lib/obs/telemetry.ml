@@ -86,14 +86,6 @@ let sampling = Atomic.make 0
    domains never collide in the dump. *)
 let next_pkt = Atomic.make 1
 
-let events_hist_bounds =
-  [| 2_000; 4_000; 6_000; 8_000; 12_000; 16_000; 24_000; 48_000; 96_000 |]
-
-(* End-to-end packet latency in model cycles, observed at Pkt_end for
-   sampled packets.  Registered so it rides along in stats dumps. *)
-let packet_hist =
-  Registry.histogram ~bounds:events_hist_bounds "telemetry.packet.cycles"
-
 let m_sampled = Registry.counter "telemetry.sampled_packets"
 let m_events = Registry.counter "telemetry.events"
 

@@ -61,11 +61,6 @@ val sample : unit -> int
     {!sample} (or 0 for packet-independent events such as faults). *)
 val record : ts:int -> kind:kind -> gate:int -> pkt:int -> arg:int -> unit
 
-(** End-to-end packet latency histogram (model cycles), observed by
-    callers at [Pkt_end] for sampled packets; registered as
-    [telemetry.packet.cycles]. *)
-val packet_hist : Histogram.t
-
 type event = {
   ring : int;  (** ring (domain slot) index, the trace [tid] *)
   ts : int;

@@ -458,23 +458,25 @@ let test_sched_gate_metering_parity () =
   Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
   let dispatch0 = Rp_obs.Counter.get (Gate.dispatch Gate.Scheduling) in
   let drops0 = Rp_obs.Counter.get (Gate.drops Gate.Scheduling) in
-  Rp_obs.Trace.clear ();
-  Rp_obs.Trace.enabled := true;
+  Rp_obs.Telemetry.enable ~every:1;
   ignore (Ip_core.process r ~now:0L (mk_pkt ()));
   (* Second packet overflows the 1-slot FIFO: a drop at the
      scheduling gate, metered like any other gate drop. *)
   (match Ip_core.process r ~now:1L (mk_pkt ~sport:1001 ()) with
    | Ip_core.Dropped "output queue" -> ()
    | v -> Alcotest.failf "expected queue drop, got %a" Ip_core.pp_verdict v);
-  Rp_obs.Trace.enabled := false;
+  Rp_obs.Telemetry.disable ();
   check int_t "dispatch counted per packet" 2
     (Rp_obs.Counter.get (Gate.dispatch Gate.Scheduling) - dispatch0);
   check int_t "queue drop counted at the gate" 1
     (Rp_obs.Counter.get (Gate.drops Gate.Scheduling) - drops0);
-  check bool_t "trace span emitted for the scheduling gate" true
+  check bool_t "telemetry span emitted for the scheduling gate" true
     (List.exists
-       (fun (s : Rp_obs.Trace.span) -> s.Rp_obs.Trace.name = "gate.scheduling")
-       (Rp_obs.Trace.spans ()))
+       (fun (e : Rp_obs.Telemetry.event) ->
+         e.Rp_obs.Telemetry.kind = Rp_obs.Telemetry.Gate_exit
+         && e.Rp_obs.Telemetry.gate = Gate.to_int Gate.Scheduling)
+       (Rp_obs.Telemetry.events ()));
+  Rp_obs.Telemetry.clear ()
 
 (* --- misc edge cases --------------------------------------------------- *)
 

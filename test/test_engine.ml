@@ -763,8 +763,14 @@ let test_inline_engine_matches_ip_core () =
 
 let test_counter_consistency () =
   let r = mk_router () in
+  (* The [packets=N] field of the first line of [pmgr top]. *)
+  let top_packets () =
+    let out = ok (Rp_control.Pmgr.exec r "top") in
+    Scanf.sscanf out "packets=%d" Fun.id
+  in
   let submitted0 = counter_get "engine.submitted" in
   let drained0 = counter_get "engine.drained" in
+  let packets0 = counter_get "ip_core.packets" and top0 = top_packets () in
   let rx0 = counter_get "engine.shard0.rx" + counter_get "engine.shard1.rx" in
   let e = Engine.create (Sharded 2) r in
   let accepted = ref 0 in
@@ -778,6 +784,10 @@ let test_counter_consistency () =
     (counter_get "engine.submitted" - submitted0);
   check int_t "drained = dispatched (tx rings kept up)" !accepted
     (counter_get "engine.drained" - drained0);
+  check int_t "ip_core.packets counts every domain" !accepted
+    (counter_get "ip_core.packets" - packets0);
+  check int_t "pmgr top packets= counts every domain" !accepted
+    (top_packets () - top0);
   Engine.stop e
 
 (* --- telemetry on worker domains -------------------------------------- *)
@@ -1095,6 +1105,15 @@ let run_classes mode kinds =
   let e = Engine.create mode r in
   let n = List.length kinds in
   let frag0 = counter_get "ip_core.fragment_drops" in
+  (* One metric family for every domain: the same names must carry the
+     same totals on both engines. *)
+  let meters =
+    List.concat_map (fun g -> [ Gate.dispatch g; Gate.drops g; Gate.faults g ]) Gate.all
+    @ List.map
+        (fun v -> Rp_obs.Registry.counter ("ip_core." ^ v))
+        [ "packets"; "forwarded"; "delivered_local"; "absorbed"; "dropped" ]
+  in
+  let meters0 = List.map Rp_obs.Counter.get meters in
   let reasons0 = Rp_obs.Drop_reason.table () in
   Rp_obs.Telemetry.clear ();
   let outcomes = Array.make n "" in
@@ -1172,7 +1191,10 @@ let run_classes mode kinds =
     reasons,
     faults,
     !punts,
-    Array.to_list exits )
+    Array.to_list exits,
+    List.map2
+      (fun c v0 -> (Rp_obs.Counter.name c, Rp_obs.Counter.get c - v0))
+      meters meters0 )
 
 let prop_every_verdict_class =
   qtest ~count:12 "inline = sharded:1 = sharded:4 on every verdict class"
@@ -1184,7 +1206,7 @@ let prop_every_verdict_class =
       let s1 = run_classes (Engine.Sharded 1) kinds in
       let s4 = run_classes (Engine.Sharded 4) kinds in
       Rp_obs.Telemetry.set_capacity cap;
-      let _, _, _, _, _, _, exits = inline in
+      let _, _, _, _, _, _, exits, _ = inline in
       (* every packet but a TTL expiry crosses at least one gate *)
       List.for_all2 (fun kind path -> kind = 1 || path <> []) kinds exits
       && inline = s1 && inline = s4)

@@ -342,28 +342,6 @@ let test_registry_json_valid () =
   (* Sanity: the checker itself rejects garbage. *)
   check bool_t "checker rejects garbage" false (json_valid "{\"a\": }")
 
-(* --- Trace ----------------------------------------------------------- *)
-
-let test_trace_ring () =
-  Trace.clear ();
-  Trace.record ~name:"off" ~cycles:1 ~accesses:1;
-  check int_t "disabled records nothing" 0 (Trace.recorded ());
-  Trace.enabled := true;
-  Trace.set_capacity 4;
-  for i = 1 to 6 do
-    Trace.record ~name:("s" ^ string_of_int i) ~cycles:i ~accesses:0
-  done;
-  Trace.enabled := false;
-  let spans = Trace.spans () in
-  check int_t "capacity bounds the buffer" 4 (List.length spans);
-  check bool_t "oldest first, newest kept" true
-    (List.map (fun s -> s.Trace.name) spans = [ "s3"; "s4"; "s5"; "s6" ]);
-  check bool_t "seq increases" true
-    (let seqs = List.map (fun s -> s.Trace.seq) spans in
-     seqs = List.sort compare seqs);
-  Trace.clear ();
-  check int_t "clear" 0 (Trace.recorded ())
-
 (* --- Telemetry (event rings) ----------------------------------------- *)
 
 let contains ~needle hay =
@@ -474,14 +452,14 @@ let test_flowlog_json () =
 (* --- Registry schema -------------------------------------------------- *)
 
 let test_schema_version () =
-  check int_t "schema_version is 3" 3 Registry.schema_version;
+  check int_t "schema_version is 4" 4 Registry.schema_version;
   let j = Registry.dump_json () in
   check bool_t "schema string in step" true
-    (contains ~needle:"\"schema\": \"rp-metrics/3\"" j);
+    (contains ~needle:"\"schema\": \"rp-metrics/4\"" j);
   check bool_t "schema_version field present" true
-    (contains ~needle:"\"schema_version\": 3" j);
+    (contains ~needle:"\"schema_version\": 4" j);
   (* v2 added quantiles to histogram objects; v3 adds the p999 tail
-     (the telemetry packet-latency histogram is always registered). *)
+     (the SLO latency histograms are always registered). *)
   check bool_t "histograms carry p50/p90/p99" true
     (contains ~needle:"\"p99\":" j);
   check bool_t "histograms carry p999" true (contains ~needle:"\"p999\":" j)
@@ -623,7 +601,6 @@ let () =
           Alcotest.test_case "json validity" `Quick test_registry_json_valid;
           Alcotest.test_case "schema version" `Quick test_schema_version;
         ] );
-      ( "trace", [ Alcotest.test_case "ring buffer" `Quick test_trace_ring ] );
       ( "telemetry",
         [
           Alcotest.test_case "sampling gate" `Quick test_telemetry_sampling;

@@ -245,9 +245,7 @@ let drop_conservation_sharded =
       and t0 = Dr.total ()
       and bp0 = Dr.get Dr.Backpressure
       and ebp0 = counter "engine.backpressure_drops"
-      and core0 = counter "ip_core.dropped"
-      and s0 = counter "engine.shard0.dropped"
-      and s1 = counter "engine.shard1.dropped" in
+      and core0 = counter "ip_core.dropped" in
       let rejected = ref 0 and dropped = ref 0 in
       let record (res : Shard.result) =
         match res.Shard.outcome with
@@ -262,11 +260,7 @@ let drop_conservation_sharded =
       ignore (Engine.flush e ~f:record);
       Engine.stop e;
       let verdicts = sum_reasons Dr.verdict_reasons - v0 in
-      let engine_drops =
-        counter "ip_core.dropped" - core0
-        + (counter "engine.shard0.dropped" - s0)
-        + (counter "engine.shard1.dropped" - s1)
-      in
+      let engine_drops = counter "ip_core.dropped" - core0 in
       verdicts = engine_drops
       && engine_drops >= !dropped
       && Dr.get Dr.Backpressure - bp0 = !rejected
