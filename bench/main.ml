@@ -1125,10 +1125,12 @@ let fig_trace () =
    delta replay with selective invalidation vs recompiling the
    513-filter classifier and flushing the flow cache — rather than
    cross-domain scheduling noise, which on a single-core CI box drowns
-   the signal.  Three configurations: the inline engine (direct
-   mutation, the latency floor), four shards replaying deltas, and
-   four shards with delta recording off (every publication recompiles
-   from scratch — the previous behavior).  The CI gate
+   the signal.  Three configurations: the inline router (direct
+   mutation, the latency floor), four shards replaying the deltas of
+   the snapshots an inline engine hands out, and four shards synced to
+   bare snapshots that carry no delta log (every sync recompiles from
+   scratch — the fallback a shard takes when the delta chain is
+   broken).  The CI gate
    ci/check_churn.sh requires the delta path to sustain >= 10x the
    full-recompile update rate. *)
 let fig_churn () =
@@ -1148,6 +1150,7 @@ let fig_churn () =
     !t
   in
   let run ~slug ~sync_shards ~deltas =
+    let open Rp_engine in
     let s = Rp_sim.Scenario.single_router ~in_ifaces:1 () in
     let r = s.Rp_sim.Scenario.router in
     let name = "churn-fw" in
@@ -1171,14 +1174,17 @@ let fig_churn () =
            ~gate:Gate.Firewall
            (fun _ _ -> Plugin.Continue))
     done;
-    (* The inline engine is the snapshot publisher: its AIU listener
-       records the mutation deltas exactly as in sharded mode. *)
-    let e = Rp_engine.Engine.create Rp_engine.Engine.Inline r in
-    Rp_engine.Engine.set_deltas e deltas;
-    Rp_engine.Engine.publish e;
+    (* With deltas, an inline engine is the snapshot publisher: its
+       AIU listener records the mutation deltas exactly as in sharded
+       mode.  Without, each snapshot is captured bare. *)
+    let e = if deltas then Some (Engine.create Engine.Inline r) else None in
+    let snapshot gen =
+      match e with
+      | Some e -> Engine.snapshot e
+      | None -> Snapshot.capture ~gen r
+    in
     let shards =
-      List.init sync_shards (fun i ->
-          Rp_engine.Shard.create ~index:i (Rp_engine.Engine.snapshot e))
+      List.init sync_shards (fun i -> Shard.create ~index:i (snapshot 0))
     in
     let flushes0 = shard_flushes sync_shards in
     (* Warm every shard's private flow cache (and the router's own, for
@@ -1190,7 +1196,7 @@ let fig_churn () =
       else
         List.iter
           (fun sh ->
-            Ip_core.run (Rp_engine.Shard.ctx sh) ~now:0L
+            Ip_core.run (Shard.ctx sh) ~now:0L
               [| Mbuf.synth ~key ~len:1000 () |]
               ~n:1
               ~emit:(fun _ _ _ -> ()))
@@ -1209,15 +1215,16 @@ let fig_churn () =
       (if u land 1 = 0 then
          ok (Pcu.register_instance r.Router.pcu ~instance:id f)
        else ok (Pcu.deregister_instance r.Router.pcu ~instance:id f));
-      Rp_engine.Engine.publish e;
-      let snap = Rp_engine.Engine.snapshot e in
-      List.iter (fun sh -> Rp_engine.Shard.sync sh snap) shards;
+      if shards <> [] then begin
+        let snap = snapshot (u + 1) in
+        List.iter (fun sh -> Shard.sync sh snap) shards
+      end;
       let dt = Unix.gettimeofday () -. t0 in
       lat.(u) <- dt;
       churn_s := !churn_s +. dt
     done;
     let flushes = shard_flushes sync_shards - flushes0 in
-    Rp_engine.Engine.stop e;
+    Option.iter Engine.stop e;
     Array.sort compare lat;
     let us p = lat.(min (updates - 1) (p * updates / 100)) *. 1e6 in
     let ups = float_of_int updates /. !churn_s in
@@ -1236,7 +1243,7 @@ let fig_churn () =
     Printf.printf "  %-22s %12.0f %12.1f %12.1f %14d\n" label ups p50 p99
       flushes
   in
-  let inline = run ~slug:"inline" ~sync_shards:0 ~deltas:true in
+  let inline = run ~slug:"inline" ~sync_shards:0 ~deltas:false in
   report "inline (direct)" inline;
   let delta = run ~slug:"sharded4.delta" ~sync_shards:4 ~deltas:true in
   report "sharded:4 delta" delta;

@@ -72,9 +72,7 @@ let run_phase ~label ~fault_config ?cycle_budget () =
   Rp_obs.Registry.reset ();
   let s = Rp_sim.Scenario.single_router () in
   let router = s.Rp_sim.Scenario.router in
-  (match cycle_budget with
-   | Some b -> router.Router.cycle_budget <- Some b
-   | None -> ());
+  Option.iter (fun b -> Router.set_cycle_budget router (Some b)) cycle_budget;
   let script =
     String.concat "\n"
       [ "modload fault-firewall";
@@ -142,9 +140,7 @@ let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
   Rp_obs.Registry.reset ();
   let s = Rp_sim.Scenario.single_router () in
   let router = s.Rp_sim.Scenario.router in
-  (match cycle_budget with
-   | Some b -> router.Router.cycle_budget <- Some b
-   | None -> ());
+  Option.iter (fun b -> Router.set_cycle_budget router (Some b)) cycle_budget;
   let script =
     String.concat "\n"
       [ "modload fault-firewall";

@@ -111,13 +111,10 @@ let slo_hist () =
   Rp_obs.Registry.histogram ~bounds:Rp_obs.Slo.latency_bounds
     "slo.latency.cycles"
 
-let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
-    stats_csv prom_out =
+let run_sharded router n specs seconds metrics_out trace_out flow_log stats_csv
+    prom_out =
   let open Rp_engine in
   let e = Engine.create (Engine.Sharded n) router in
-  (match coalesce with
-   | Some (count, window_s) -> Engine.set_coalesce e ~count ?window_s ()
-   | None -> ());
   let forwarded = ref 0 and dropped = ref 0 and absorbed = ref 0 in
   let hz = Rp_core.Cost.cpu_mhz *. 1e6 in
   let busiest_cycles () =
@@ -249,24 +246,8 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
     Printf.printf "\nmetrics written to %s\n" path
   | None -> ()
 
-(* "N" or "N:MS" — publication coalescing batch size and optional
-   wall-clock window in milliseconds. *)
-let parse_coalesce s =
-  let conv count ms =
-    match (count, ms) with
-    | Some c, Some w when c >= 1 && w >= 0.0 -> Some (c, Some (w /. 1e3))
-    | Some c, None when c >= 1 -> Some (c, None)
-    | _ -> None
-  in
-  match String.index_opt s ':' with
-  | Some i ->
-    conv
-      (int_of_string_opt (String.sub s 0 i))
-      (float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)))
-  | None -> conv (int_of_string_opt s) None
-
 let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
-    classifier_str coalesce_str metrics_out trace_out trace_sample
+    classifier_str metrics_out trace_out trace_sample
     flow_log stats_csv slo_str prom_out prom_sock =
   (match slo_str with
    | None -> ()
@@ -302,16 +283,6 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
       Printf.eprintf "--classifier: %s\n%!" e;
       exit 2
   in
-  let coalesce =
-    match coalesce_str with
-    | None -> None
-    | Some s ->
-      (match parse_coalesce s with
-       | Some _ as c -> c
-       | None ->
-         Printf.eprintf "--coalesce: expected N or N:MS (N >= 1)\n%!";
-         exit 2)
-  in
   let s =
     Rp_sim.Scenario.single_router ~mode ~in_ifaces
       ~out_bandwidth_bps:(Int64.of_float (bandwidth_mbps *. 1e6))
@@ -337,8 +308,8 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
   let specs = if specs = [] then [ { id = 1; rate = 100.0; len = 1000; pattern = `Cbr } ] else specs in
   (match engine_mode with
    | Rp_engine.Engine.Sharded n ->
-     run_sharded router n specs seconds coalesce metrics_out trace_out
-       flow_log stats_csv prom_out;
+     run_sharded router n specs seconds metrics_out trace_out flow_log
+       stats_csv prom_out;
      exit 0
    | Rp_engine.Engine.Inline ->
      (* The default: the deterministic single-domain simulator path
@@ -515,15 +486,6 @@ let classifier_arg =
                  $(b,compiled) (one cross-gate FDD traversal resolves \
                  every gate).")
 
-let coalesce_arg =
-  Arg.(value & opt (some string) None
-       & info [ "coalesce" ] ~docv:"N[:MS]"
-           ~doc:"With $(b,--engine sharded:K): coalesce control-plane \
-                 publications — defer until $(docv) mutations are \
-                 pending, or the optional wall-clock window of MS \
-                 milliseconds has elapsed since the first deferred one \
-                 (same knob as $(b,pmgr engine coalesce)).")
-
 let metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics-out" ] ~docv:"FILE"
@@ -585,7 +547,7 @@ let cmd =
   Cmd.v
     (Cmd.info "rp_router" ~version:"1.0" ~doc)
     Term.(const main $ script_arg $ flow_arg $ seconds_arg $ ifaces_arg
-          $ bw_arg $ mode_arg $ engine_arg $ classifier_arg $ coalesce_arg
+          $ bw_arg $ mode_arg $ engine_arg $ classifier_arg
           $ metrics_arg $ trace_out_arg $ trace_sample_arg
           $ flow_log_arg $ stats_csv_arg $ slo_arg $ prom_out_arg
           $ prom_sock_arg)

@@ -115,8 +115,8 @@ let show_faults router =
   let pcu = router.Router.pcu in
   let header =
     Printf.sprintf "policy=%s budget=%s threshold=%d"
-      (Fault.policy_name router.Router.fault_policy)
-      (match router.Router.cycle_budget with
+      (Fault.policy_name (Router.fault_policy router))
+      (match Router.cycle_budget router with
        | Some b -> string_of_int b
        | None -> "unlimited")
       (Pcu.quarantine_threshold pcu)
@@ -235,21 +235,6 @@ let top router =
   Buffer.add_string b (Rp_obs.Health.to_string ());
   Ok (Buffer.contents b)
 
-(* Commands that change what the sharded engine's workers classify or
-   route against: after one succeeds, an attached engine must
-   republish its snapshot so the shards replay the deltas (or
-   recompile).  [stats reset] and pure introspection are not here;
-   neither are attach/detach (the qdisc runs on the control domain,
-   outside the snapshot). *)
-let mutates_classifier tokens =
-  match tokens with
-  | ("bind" | "unbind" | "free" | "reserve" | "modunload") :: _ -> true
-  | "route" :: ("add" | "del") :: _ -> true
-  | "plugin" :: ("quarantine" | "restore") :: _ -> true
-  | "fault" :: ("policy" | "budget" | "threshold") :: _ -> true
-  | "classifier" :: "compiled" :: _ -> true
-  | _ -> false
-
 let exec_tokens router tokens =
   match tokens with
   | [] -> Ok ""
@@ -347,17 +332,17 @@ let exec_tokens router tokens =
   | [ "fault"; "policy"; p ] ->
     (match Fault.policy_of_name p with
      | Some policy ->
-       router.Router.fault_policy <- policy;
+       Router.set_fault_policy router policy;
        Ok (Printf.sprintf "fault policy = %s" p)
      | None -> Error "fault policy: expected drop|continue|unbind")
   | [ "fault"; "budget"; "off" ] ->
-    router.Router.cycle_budget <- None;
+    Router.set_cycle_budget router None;
     Ok "fault budget = unlimited"
   | [ "fault"; "budget"; n ] ->
     let* n = int_arg "budget" n in
     if n < 1 then Error "fault budget: expected a positive cycle count or off"
     else begin
-      router.Router.cycle_budget <- Some n;
+      Router.set_cycle_budget router (Some n);
       Ok (Printf.sprintf "fault budget = %d cycles" n)
     end
   | [ "fault"; "threshold"; n ] ->
@@ -383,67 +368,7 @@ let exec_tokens router tokens =
     (match Rp_engine.Engine.find router with
      | Some e -> Ok (Rp_engine.Engine.stats_string e)
      | None -> Ok "engine: none attached (inline data path)")
-  (* Delta-publication knobs.  [coalesce N [MS]] batches mutations:
-     classifier-changing commands publish only once N are pending (or
-     MS milliseconds passed since the first); [coalesce off] restores
-     publish-per-mutation.  [backlog N] bounds the delta log shards
-     can replay from; [delta on|off] toggles delta recording entirely
-     (off = every publication recompiles, the pre-delta behavior);
-     [publish] forces out anything pending right now. *)
-  | [ "engine"; "coalesce"; "off" ] ->
-    (match Rp_engine.Engine.find router with
-     | Some e ->
-       Rp_engine.Engine.set_coalesce e ~count:1 ();
-       Ok "coalescing off (publish per mutation)"
-     | None -> Error "engine coalesce: no engine attached")
-  | "engine" :: "coalesce" :: n :: rest ->
-    let* n = int_arg "mutation count" n in
-    let* window_s =
-      match rest with
-      | [] -> Ok None
-      | [ ms ] ->
-        let* ms = int_arg "window (ms)" ms in
-        if ms < 1 then Error "engine coalesce: window must be positive"
-        else Ok (Some (float_of_int ms /. 1000.))
-      | _ -> Error "usage: engine coalesce N [MS] | engine coalesce off"
-    in
-    if n < 1 then Error "engine coalesce: count must be positive"
-    else
-      (match Rp_engine.Engine.find router with
-       | Some e ->
-         Rp_engine.Engine.set_coalesce e ~count:n ?window_s ();
-         Ok
-           (Printf.sprintf "coalescing %d mutation(s)%s" n
-              (match window_s with
-               | Some w -> Printf.sprintf " or %.0f ms" (w *. 1000.)
-               | None -> ""))
-       | None -> Error "engine coalesce: no engine attached")
-  | [ "engine"; "backlog"; n ] ->
-    let* n = int_arg "backlog" n in
-    if n < 1 then Error "engine backlog: expected a positive limit"
-    else
-      (match Rp_engine.Engine.find router with
-       | Some e ->
-         Rp_engine.Engine.set_backlog e n;
-         Ok (Printf.sprintf "delta backlog = %d entries" n)
-       | None -> Error "engine backlog: no engine attached")
-  | [ "engine"; "delta"; ("on" | "off") as v ] ->
-    (match Rp_engine.Engine.find router with
-     | Some e ->
-       Rp_engine.Engine.set_deltas e (v = "on");
-       Ok (Printf.sprintf "delta publication %s" v)
-     | None -> Error "engine delta: no engine attached")
-  | [ "engine"; "publish" ] ->
-    (match Rp_engine.Engine.find router with
-     | Some e ->
-       Rp_engine.Engine.publish e;
-       Ok (Printf.sprintf "published generation %d"
-             (Rp_engine.Engine.generation e))
-     | None -> Error "engine publish: no engine attached")
-  | "engine" :: _ ->
-    Error
-      "usage: engine stats | engine coalesce N [MS]|off | engine backlog N | \
-       engine delta on|off | engine publish"
+  | "engine" :: _ -> Error "usage: engine stats"
   (* Hot-path event tracing (per-domain event rings). *)
   | [ "trace"; "on" ] ->
     Rp_obs.Telemetry.enable ~every:1;
@@ -609,9 +534,8 @@ let exec_tokens router tokens =
        | nat del N [TABLE] | nat show [TABLE]"
   (* Cold-start classification strategy: per-gate DAG walks (the
      paper's n lookups, the default) or the compiled cross-gate
-     structure (one traversal for all gates).  Counted as a
-     classifier-mutating command so an attached engine republishes and
-     the shards pick the mode up from the snapshot. *)
+     structure (one traversal for all gates).  An attached engine
+     publishes the mode to its shards before its next packet. *)
   | [ "classifier"; "compiled"; ("on" | "off") as v ] ->
     let mode = if v = "on" then `Compiled else `Per_gate in
     Aiu.set_mode (Router.aiu router) mode;
@@ -685,16 +609,7 @@ let exec_tokens router tokens =
 
 let exec router line =
   let* tokens = tokenize line in
-  let* out = exec_tokens router tokens in
-  (* Control-plane changes reach running worker domains only through a
-     snapshot publication — same path as the programmatic API.  Goes
-     through the coalescing gate, so setup bursts can be batched into
-     one publication (see [engine coalesce]). *)
-  if mutates_classifier tokens then
-    (match Rp_engine.Engine.find router with
-     | Some e -> Rp_engine.Engine.maybe_publish e
-     | None -> ());
-  Ok out
+  exec_tokens router tokens
 
 let exec_script router text =
   let lines = String.split_on_char '\n' text in

@@ -36,9 +36,9 @@
     flows top [N]                         top flows by bytes (live + exported records)
     v}
 
-    When a {!Rp_engine.Engine.t} is attached to the router, every
-    command that mutates classification or routing state republishes
-    the engine's snapshot so worker shards pick the change up.
+    [pmgr] only calls the router's API: an attached
+    {!Rp_engine.Engine.t} publishes every change to its worker shards
+    before its next packet, whoever made it.
 
     Filters use the paper's six-tuple syntax, e.g.
     [<129.0.0.0/8, 192.94.233.10, TCP, *, *, *>]. *)

@@ -188,7 +188,7 @@ let relay_resv t ~now flow rate phop =
 
 let attach rtr =
   let my_addr =
-    match rtr.Router.local_addrs with
+    match Router.local_addrs rtr with
     | a :: _ -> a
     | [] -> invalid_arg "Rsvp.attach: router needs a local address"
   in

@@ -8,6 +8,19 @@
 
 open Rp_pkt
 
+(* The router's control state the data path reads.  Immutable: the
+   router's setters install a fresh record, so a record is its own
+   stamp — a snapshot holding the router's current record (physically)
+   is up to date, and a shard adopts the record it was published. *)
+type control = {
+  gates : Gate.t list;  (* enabled; empty in best-effort mode *)
+  policy : Fault.policy;
+  budget : int option;
+  punts : int list;  (* protocols with a punt handler *)
+  locals : Ipaddr.t list;
+  mtus : int array;  (* by interface; never written *)
+}
+
 (* Scratch for one batch, by position: {!Ip_core}'s packet states, and
    what the states that set them carry. *)
 type frame = {
@@ -26,12 +39,7 @@ type 'r t = {
   birth_clock : bool;  (* a packet's [now] is its [birth_ns] *)
   mutable aiu : Plugin.t Rp_classifier.Aiu.t;
   mutable routes : Route_table.t;
-  mutable gates : Gate.t list;  (* enabled *)
-  mutable policy : Fault.policy;
-  mutable budget : int option;
-  mutable punts : int list;  (* protocols with a punt handler *)
-  mutable locals : Ipaddr.t list;
-  mutable mtus : int array;  (* by interface *)
+  mutable control : control;
   mutable events : Fault.event list;  (* newest first; owner-less only *)
   mutable outstanding : int list;  (* instances whose last call here faulted *)
   mutable frames : frame array;  (* by nesting depth *)
@@ -58,19 +66,14 @@ let frame () =
     now = Array.make batch 0L;
   }
 
-let create ~shard ~birth_clock ~aiu ~routes ~mtus =
+let create ~shard ~birth_clock ~aiu ~routes ~control =
   {
     owner = None;
     shard;
     birth_clock;
     aiu;
     routes;
-    gates = [];
-    policy = Fault.Drop_packet;
-    budget = None;
-    punts = [];
-    locals = [];
-    mtus;
+    control;
     events = [];
     outstanding = [];
     frames = [| frame () |];

@@ -105,26 +105,23 @@ let slo_close ~shard m cls =
 
 (* Attribute a fault event to the instance in the PCU — which
    auto-quarantines past the consecutive-fault threshold — and apply
-   the [Unbind] policy.  True when a quarantine changed the bindings. *)
+   the [Unbind] policy. *)
 let apply_event router = function
-  | Fault.Recovered id ->
-    Pcu.record_success router.Router.pcu id;
-    false
+  | Fault.Recovered id -> Pcu.record_success router.Router.pcu id
   | Fault.Faulted (id, reason) ->
     Logs.warn (fun m -> m "ip_core: contained fault of instance %d: %s" id reason);
     let pcu = router.Router.pcu in
     let threshold = Pcu.record_fault pcu id ~reason = `Quarantine in
     let unbind =
-      router.Router.fault_policy = Fault.Unbind && not (Pcu.is_quarantined pcu id)
+      Router.fault_policy router = Fault.Unbind && not (Pcu.is_quarantined pcu id)
     in
-    if threshold || unbind then ignore (Router.quarantine router id);
-    threshold || unbind
+    if threshold || unbind then ignore (Router.quarantine router id)
 
 (* PCU fault accounting is router-owned: the router's context applies
    an event at once, a shard's queues it for the control domain. *)
 let post (ctx : ctx) ev =
   match ctx.D.owner with
-  | Some router -> ignore (apply_event router ev)
+  | Some router -> apply_event router ev
   | None -> ctx.D.events <- ev :: ctx.D.events
 
 (* Fault containment (the plugin may be third-party code the router
@@ -141,7 +138,7 @@ let contain (ctx : ctx) ~gate m inst (reason : Fault.reason) =
   if not (List.mem id ctx.D.outstanding) then
     ctx.D.outstanding <- id :: ctx.D.outstanding;
   post ctx (Fault.Faulted (id, Fault.reason_to_string reason));
-  match ctx.D.policy with
+  match ctx.D.control.D.policy with
   | Fault.Drop_packet -> Plugin.Drop "plugin fault"
   | Fault.Continue_packet | Fault.Unbind -> Plugin.Continue
 
@@ -162,7 +159,7 @@ let run_handler (ctx : ctx) ~now ~gate inst binding m =
   | exception e -> contain ctx ~gate m inst (Fault.Exn (Printexc.to_string e))
   | action -> (
       let used = Cost.get () - c0 in
-      match ctx.D.budget with
+      match ctx.D.control.D.budget with
       | Some budget when used > budget -> contain ctx ~gate m inst (Fault.Budget used)
       | _ ->
         if ctx.D.outstanding <> [] then recovered ctx inst.Plugin.instance_id;
@@ -192,7 +189,7 @@ let rec mem_gate g = function
   | [] -> false
   | x :: rest -> Gate.equal g x || mem_gate g rest
 
-let gate_enabled (ctx : ctx) g = mem_gate g ctx.D.gates
+let gate_enabled (ctx : ctx) g = mem_gate g ctx.D.control.D.gates
 
 let settle_drop (f : D.frame) i why =
   f.D.state.(i) <- dropped;
@@ -260,17 +257,8 @@ let rec run_gates ctx f batch off n = function
 (* --- frames ---------------------------------------------------------- *)
 
 (* Frames stack by nesting depth, so a packet the router originates
-   mid-batch (an ICMP error, an echo reply) runs in its own frame.  The
-   router's context copies in the router's live gate set and fault
-   settings whenever it opens one. *)
+   mid-batch (an ICMP error, an echo reply) runs in its own frame. *)
 let enter (ctx : ctx) =
-  (match ctx.D.owner with
-   | Some r ->
-     ctx.D.gates <-
-       (if r.Router.mode = Router.Best_effort then [] else r.Router.enabled_gates);
-     ctx.D.policy <- r.Router.fault_policy;
-     ctx.D.budget <- r.Router.cycle_budget
-   | None -> ());
   let d = ctx.D.depth in
   if d = Array.length ctx.D.frames then
     ctx.D.frames <- Array.append ctx.D.frames [| D.frame () |];
@@ -430,11 +418,11 @@ and local ctx f batch off n =
              end
         then f.D.state.(i) <- delivered
       | None ->
-        let key = m.Mbuf.key in
+        let key = m.Mbuf.key and c = ctx.D.control in
         if
-          List.mem key.Flow_key.proto ctx.D.punts
-          || (ctx.D.locals <> []
-             && List.exists (Ipaddr.equal key.Flow_key.dst) ctx.D.locals)
+          List.mem key.Flow_key.proto c.D.punts
+          || (c.D.locals <> []
+             && List.exists (Ipaddr.equal key.Flow_key.dst) c.D.locals)
         then f.D.state.(i) <- parked_local
   done
 
@@ -446,7 +434,7 @@ and route ctx f batch off n =
     if f.D.state.(i) = live then
       let m = batch.(off + i) in
       match m.Mbuf.out_iface with
-      | Some o when o >= 0 && o < Array.length ctx.D.mtus -> f.D.out.(i) <- o
+      | Some o when o >= 0 && o < Array.length ctx.D.control.D.mtus -> f.D.out.(i) <- o
       | Some _ -> drop_icmp ctx f i m "no route to destination" unreachable
       | None ->
         let o =
@@ -467,7 +455,7 @@ and egress_stage ctx f batch off n =
   for i = 0 to n - 1 do
     if f.D.state.(i) = live then
       let m = batch.(off + i) in
-      let mtu = ctx.D.mtus.(f.D.out.(i)) in
+      let mtu = ctx.D.control.D.mtus.(f.D.out.(i)) in
       let big = Frag.needs_fragmentation m ~mtu in
       if big && (m.Mbuf.version = Mbuf.V6 || m.Mbuf.dont_fragment) then
         drop_icmp ctx f i m "needs fragmentation" (Icmp.Packet_too_big mtu)

@@ -98,8 +98,10 @@ val resume : Router.t -> now:int64 -> Mbuf.t -> handoff -> verdict
 val icmp_error : Router.t -> now:int64 -> Mbuf.t -> Icmp.message -> unit
 
 (** Apply one fault event to the router's PCU (auto-quarantine, the
-    [Unbind] policy); true when a quarantine changed the bindings. *)
-val apply_event : Router.t -> Fault.event -> bool
+    [Unbind] policy).  A quarantine's unbinds are ordinary AIU
+    mutations, published to an engine's shards before its next
+    packet. *)
+val apply_event : Router.t -> Fault.event -> unit
 
 (** [classify aiu ~now ~gate m] — the one classify-and-charge entry
     point: {!Cost.flow_hash} on the packet's first AIU consult, the

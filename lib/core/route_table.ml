@@ -89,6 +89,7 @@ let resolve t flows (m : Mbuf.t) =
       Ft.cache_route flows m ~stamp:t.stamp;
       r.iface
 
+let stamp t = t.stamp
 let length t = t.m.length ()
 let iter f t = t.m.iter (fun _ r -> f r)
 

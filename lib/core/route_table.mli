@@ -43,6 +43,10 @@ val lookup : t -> Ipaddr.t -> route option
     (best-effort mode) always walks. *)
 val resolve : t -> 'a Rp_classifier.Flow_table.t -> Mbuf.t -> int
 
+(** The stamp of [t]'s current contents (see {!resolve}): equal stamps
+    mean equal routes. *)
+val stamp : t -> int
+
 val length : t -> int
 val iter : (route -> unit) -> t -> unit
 val pp_route : Format.formatter -> route -> unit

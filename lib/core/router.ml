@@ -12,12 +12,8 @@ type t = {
   pcu : Pcu.t;
   routes : Route_table.t;
   ifaces : Iface.t array;
-  mutable enabled_gates : Gate.t list;
   punts : (int, now:int64 -> Mbuf.t -> punt_action) Hashtbl.t;
-  mutable local_addrs : Ipaddr.t list;
   mutable icmp_sent : int;
-  mutable fault_policy : Fault.policy;
-  mutable cycle_budget : int option;
   ctx : t Domain_ctx.t;
 }
 
@@ -34,24 +30,17 @@ let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
   let ifaces = Array.of_list ifaces in
   let ctx =
     Domain_ctx.create ~shard:0 ~birth_clock:false ~aiu:(Pcu.aiu pcu) ~routes
-      ~mtus:(Array.map (fun i -> i.Iface.mtu) ifaces)
+      ~control:
+        {
+          Domain_ctx.gates = (if mode = Best_effort then [] else gates);
+          policy = fault_policy;
+          budget = cycle_budget;
+          punts = [];
+          locals = [];
+          mtus = Array.map (fun i -> i.Iface.mtu) ifaces;
+        }
   in
-  let t =
-    {
-      name;
-      mode;
-      pcu;
-      routes;
-      ifaces;
-      enabled_gates = gates;
-      punts = Hashtbl.create 8;
-      local_addrs = [];
-      icmp_sent = 0;
-      fault_policy;
-      cycle_budget;
-      ctx;
-    }
-  in
+  let t = { name; mode; pcu; routes; ifaces; punts = Hashtbl.create 8; icmp_sent = 0; ctx } in
   ctx.Domain_ctx.owner <- Some t;
   t
 
@@ -61,30 +50,48 @@ let iface t i =
   t.ifaces.(i)
 
 let aiu t = Pcu.aiu t.pcu
+let control t = t.ctx.Domain_ctx.control
 
-let gate_enabled t g =
-  match t.mode with
-  | Best_effort -> false
-  | Plugins -> List.exists (Gate.equal g) t.enabled_gates
+(* Every change installs a fresh record: the stamp an engine compares
+   against its published snapshot. *)
+let set_control t c = t.ctx.Domain_ctx.control <- c
 
-let enable_gates t gs = t.enabled_gates <- gs
+let gate_enabled t g = List.exists (Gate.equal g) (control t).gates
+
+let enable_gates t gs =
+  if t.mode = Plugins then set_control t { (control t) with gates = gs }
+
+let fault_policy t = (control t).policy
+let set_fault_policy t policy = set_control t { (control t) with policy }
+let cycle_budget t = (control t).budget
+let set_cycle_budget t budget = set_control t { (control t) with budget }
 
 let add_route t prefix ?next_hop ?(metric = 0) ~iface () =
   if iface < 0 || iface >= Array.length t.ifaces then
     invalid_arg (Printf.sprintf "Router.add_route: no interface %d" iface);
   Route_table.add t.routes { Route_table.prefix; next_hop; iface; metric }
 
-let add_local_addr t a =
-  if not (List.exists (Ipaddr.equal a) t.local_addrs) then
-    t.local_addrs <- a :: t.local_addrs
+let local_addrs t = (control t).locals
+let is_local t a = List.exists (Ipaddr.equal a) (local_addrs t)
 
-let is_local t a = List.exists (Ipaddr.equal a) t.local_addrs
+let add_local_addr t a =
+  if not (is_local t a) then
+    set_control t { (control t) with locals = a :: local_addrs t }
 
 let local_addr_for t a =
-  List.find_opt (fun l -> Ipaddr.width l = Ipaddr.width a) t.local_addrs
+  List.find_opt (fun l -> Ipaddr.width l = Ipaddr.width a) (local_addrs t)
 
-let set_punt t ~proto handler = Hashtbl.replace t.punts proto handler
-let clear_punt t ~proto = Hashtbl.remove t.punts proto
+let note_punt_protos t =
+  set_control t
+    { (control t) with punts = Hashtbl.fold (fun proto _ acc -> proto :: acc) t.punts [] }
+
+let set_punt t ~proto handler =
+  Hashtbl.replace t.punts proto handler;
+  note_punt_protos t
+
+let clear_punt t ~proto =
+  Hashtbl.remove t.punts proto;
+  note_punt_protos t
 
 let expire_flows t ~now ~idle_ns =
   Rp_classifier.Aiu.expire_flows (aiu t) ~now ~idle_ns

@@ -37,20 +37,14 @@ type t = {
   batch_hist : Rp_obs.Histogram.t;
   mutable stopped : bool;
   (* Delta-publication state; control domain only. *)
-  mutable deltas_on : bool;
-  mutable backlog_limit : int;
   mutable pending : Snapshot.delta list;  (* newest first *)
-  mutable pending_overflow : bool;
-      (* pending grew past the backlog (or delta recording was
-         toggled): the chain to older generations is unrecoverable,
-         so the next publication must force a recompile *)
+  mutable overflow : bool;
+      (* more mutations than the log holds since the last publication:
+         the chain to older generations is gone, so the next
+         publication must force a recompile *)
   mutable delta_log : (int * Snapshot.delta) list;  (* oldest first *)
-  mutable coalesce_count : int;  (* publish after N pending mutations *)
-  mutable coalesce_window_s : float option;  (* ... or this much wall time *)
-  mutable window_start : float;  (* wall time of first deferred mutation *)
   m_publishes : Rp_obs.Counter.t;
   m_delta_publishes : Rp_obs.Counter.t;
-  m_coalesced : Rp_obs.Counter.t;
   mutable rss : Flow_key.t -> int;
       (* shard-selection hash; default [Flow_key.hash].  The session
          layer swaps in the canonical-key hash so both directions of a
@@ -60,7 +54,9 @@ type t = {
 let mode t = t.mode
 let router t = t.router
 let generation t = (Atomic.get t.snapshot).Snapshot.gen
-let snapshot t = Atomic.get t.snapshot
+
+(* The delta log's bound: a shard more generations behind recompiles. *)
+let backlog = 64
 
 let shards t = Array.length t.tx
 let shard_of_key t key = t.rss key land max_int mod shards t
@@ -104,10 +100,10 @@ let worker_loop t i =
   let scratch = Array.make Domain_ctx.batch dummy_mbuf in
   let running = ref true in
   while !running do
-    (* Pick up a new snapshot generation even when idle, so control
-       waits ([synced]) terminate without traffic. *)
-    Shard.sync shard (Atomic.get t.snapshot);
     if Spsc.is_empty rx then begin
+      (* Pick up a new snapshot generation even when idle, so control
+         waits ([synced]) terminate without traffic. *)
+      Shard.sync shard (Atomic.get t.snapshot);
       if Atomic.get t.stop_flag then running := false else Domain.cpu_relax ()
     end
     else begin
@@ -115,6 +111,9 @@ let worker_loop t i =
          empty ring while a popped batch is still in flight. *)
       Atomic.set busy true;
       let n = Spsc.pop_batch rx ~max:Domain_ctx.batch scratch in
+      (* Sync after the pop: [submit] published before pushing these
+         packets, so they run with every change made before them. *)
+      Shard.sync shard (Atomic.get t.snapshot);
       Rp_obs.Counter.add rx_count n;
       Rp_obs.Histogram.observe t.batch_hist n;
       (* A lost result whose packet still had a router-owned stage to
@@ -177,17 +176,11 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
         Rp_obs.Registry.histogram ~bounds:[| 1; 2; 4; 8; 16; 32 |]
           "engine.batch_size";
       stopped = false;
-      deltas_on = true;
-      backlog_limit = 64;
       pending = [];
-      pending_overflow = false;
+      overflow = false;
       delta_log = [];
-      coalesce_count = 1;
-      coalesce_window_s = None;
-      window_start = 0.;
       m_publishes = Rp_obs.Registry.counter "engine.publishes";
       m_delta_publishes = Rp_obs.Registry.counter "engine.delta_publishes";
-      m_coalesced = Rp_obs.Registry.counter "engine.coalesced";
       rss = Flow_key.hash;
     }
   in
@@ -196,22 +189,18 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
      snapshot above already reflects the AIU, so recording starts
      only now. *)
   Rp_classifier.Aiu.set_listener (Router.aiu router) (fun ev ->
-      if t.deltas_on then begin
-        if t.pending = [] then t.window_start <- Unix.gettimeofday ();
-        t.pending <-
-          (match ev with
-           | Rp_classifier.Aiu.Bound (gate, f, inst) ->
-             Snapshot.Bind (gate, f, inst)
-           | Rp_classifier.Aiu.Unbound (gate, f) -> Snapshot.Unbind (gate, f)
-           | Rp_classifier.Aiu.Flushed -> Snapshot.Flush)
-          :: t.pending;
-        if List.length t.pending > t.backlog_limit then begin
-          (* More outstanding mutations than any shard could replay
-             from the bounded log: give up on the chain now and let
-             the next publication recompile. *)
-          t.pending <- [];
-          t.pending_overflow <- true
-        end
+      t.pending <-
+        (match ev with
+         | Rp_classifier.Aiu.Bound (gate, f, inst) -> Snapshot.Bind (gate, f, inst)
+         | Rp_classifier.Aiu.Unbound (gate, f) -> Snapshot.Unbind (gate, f)
+         | Rp_classifier.Aiu.Flushed -> Snapshot.Flush)
+        :: t.pending;
+      if List.length t.pending > backlog then begin
+        (* More outstanding mutations than any shard could replay from
+           the bounded log: give up on the chain now and let the next
+           publication recompile. *)
+        t.pending <- [];
+        t.overflow <- true
       end);
   Rp_obs.Registry.gauge "engine.shards" (fun () ->
       float_of_int (shards t));
@@ -249,22 +238,21 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
 let rec list_drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: tl -> list_drop (n - 1) tl
 
-(* Force a publication now.  With delta recording on and an intact
-   chain, the pending mutations are stamped with consecutive
-   generations, appended to the log (trimmed to the newest
-   [backlog_limit] entries) and shipped with the snapshot, so shards
-   at most [backlog_limit] generations behind replay instead of
-   recompiling.  A publication with nothing pending ships a single
-   [Refresh] delta — shards pick up routes/gates/policy/budget without
-   touching their classifier or flow cache. *)
+(* Publish the router's control state as a new generation.  With an
+   intact chain, the pending mutations are stamped with consecutive
+   generations, appended to the log (trimmed to the newest [backlog]
+   entries) and shipped with the snapshot, so shards at most [backlog]
+   generations behind replay instead of recompiling.  A publication
+   with nothing pending ships a single [Refresh] delta — shards pick up
+   routes, the control record and the classifier mode without touching
+   their classifier or flow cache. *)
 let publish t =
   Rp_obs.Counter.inc t.m_publishes;
   let base = generation t in
-  if (not t.deltas_on) || t.pending_overflow then begin
-    (* Chain intentionally (or irrecoverably) broken: publish a bare
-       snapshot with an empty log, forcing every shard to recompile. *)
+  if t.overflow then begin
+    (* A bare snapshot with an empty log: every shard recompiles. *)
     t.pending <- [];
-    t.pending_overflow <- false;
+    t.overflow <- false;
     t.delta_log <- [];
     Atomic.set t.snapshot (Snapshot.capture ~gen:(base + 1) t.router)
   end
@@ -276,56 +264,26 @@ let publish t =
     let stamped = List.mapi (fun i d -> (base + 1 + i, d)) ds in
     let gen = base + List.length ds in
     let log = t.delta_log @ stamped in
-    let log = list_drop (List.length log - t.backlog_limit) log in
+    let log = list_drop (List.length log - backlog) log in
     t.delta_log <- log;
     Atomic.set t.snapshot (Snapshot.capture ~gen ~deltas:log t.router);
     Rp_obs.Counter.inc t.m_delta_publishes
   end
 
-(* Coalescing-aware publication, used after ordinary control-plane
-   mutations ([pmgr]).  Defers while fewer than [coalesce_count]
-   mutations are pending and the optional wall-clock window has not
-   elapsed; anything that must reach the shards now (quarantine on the
-   drain path, [pmgr engine publish]) calls {!publish} directly. *)
-let maybe_publish t =
-  let n = List.length t.pending in
-  let window_hit =
-    match t.coalesce_window_s with
-    | Some w -> n > 0 && Unix.gettimeofday () -. t.window_start >= w
-    | None -> false
-  in
-  if n = 0 || t.pending_overflow || t.coalesce_count <= 1
-     || n >= t.coalesce_count || window_hit
+(* Publish whatever changed since the last publication — pending AIU
+   mutations, the route table, the router's control record, the
+   classifier mode — so what runs next sees it.  A no-op otherwise. *)
+let publish_changes t =
+  if t.pending <> [] || t.overflow || not (Snapshot.current (Atomic.get t.snapshot) t.router)
   then publish t
-  else Rp_obs.Counter.inc t.m_coalesced
 
-let set_coalesce t ~count ?window_s () =
-  if count < 1 then invalid_arg "Engine.set_coalesce: count";
-  t.coalesce_count <- count;
-  t.coalesce_window_s <- window_s
-
-let coalesce t = (t.coalesce_count, t.coalesce_window_s)
-let pending_deltas t = List.length t.pending
-
-let set_backlog t limit =
-  if limit < 1 then invalid_arg "Engine.set_backlog: limit";
-  t.backlog_limit <- limit
-
-let backlog t = t.backlog_limit
-
-let set_deltas t on =
-  if t.deltas_on <> on then begin
-    t.deltas_on <- on;
-    (* Mutations made while recording was off are absent from the log;
-       poison the chain so the next publication recompiles. *)
-    t.pending <- [];
-    t.pending_overflow <- true
-  end
-
-let deltas_enabled t = t.deltas_on
+let snapshot t =
+  publish_changes t;
+  Atomic.get t.snapshot
 
 (* Trivially true inline: there are no shards, RX rings or workers. *)
 let synced t =
+  publish_changes t;
   let gen = generation t in
   Array.for_all (fun s -> Shard.seen_gen s = gen) t.shard_tbl
 
@@ -353,27 +311,31 @@ let transmit t ~now = function
     done
   | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ()
 
-let rec submit t ~now m =
-  match t.mode with
-  | Inline -> submit_batch t ~now [| m |] ~n:1 = 1
-  | Sharded _ ->
+(* One packet to its shard's RX ring.  The packet is counted as
+   received by its interface before the push hands it to the worker;
+   the room check first makes the push certain, since only this domain
+   pushes. *)
+let push t ~now m =
+  let ring = t.rx.(shard_of_key t m.Mbuf.key) in
+  if Spsc.length ring >= Spsc.capacity ring then begin
+    refuse t 1;
+    false
+  end
+  else begin
     m.Mbuf.birth_ns <- now;
-    if Spsc.push t.rx.(shard_of_key t m.Mbuf.key) m then begin
-      Rp_obs.Counter.inc t.m_submitted;
-      true
-    end
-    else begin
-      refuse t 1;
-      false
-    end
+    Iface.count_rx (Router.iface t.router m.Mbuf.key.Flow_key.iface) m;
+    ignore (Spsc.push ring m);
+    Rp_obs.Counter.inc t.m_submitted;
+    true
+  end
 
 (* Batched submission.  Inline: one gate-major [Ip_core.run] on the
    router's context over as many packets as the result ring has room
    for; the rest are refused exactly as a full shard RX ring refuses
-   them.  Sharded: packets of one batch hash to different shards, so
-   distribution stays per-packet pushes; the batching win there is on
+   them.  Sharded: publish first, then per-packet pushes — packets of
+   one batch hash to different shards; the batching win there is on
    the worker side. *)
-and submit_batch t ~now batch ~n =
+let submit_batch t ~now batch ~n =
   if n < 0 || n > Array.length batch then
     invalid_arg "Engine.submit_batch: n out of range";
   match t.mode with
@@ -393,21 +355,25 @@ and submit_batch t ~now batch ~n =
     refuse t (n - k);
     k
   | Sharded _ ->
+    publish_changes t;
     let accepted = ref 0 in
     for i = 0 to n - 1 do
-      if submit t ~now batch.(i) then incr accepted
+      if push t ~now batch.(i) then incr accepted
     done;
     !accepted
 
+let submit t ~now m =
+  match t.mode with
+  | Inline -> submit_batch t ~now [| m |] ~n:1 = 1
+  | Sharded _ ->
+    publish_changes t;
+    push t ~now m
+
 (* Finish one result on the control domain: apply its fault events to
-   the PCU (noting in [republish] a quarantine that changed the
-   bindings), then run whatever router-owned stage the shard handed
-   back (an inline result is always settled). *)
-let finish t republish (r : Shard.result) =
-  if r.Shard.faults <> [] then
-    List.iter
-      (fun ev -> if Ip_core.apply_event t.router ev then republish := true)
-      r.Shard.faults;
+   the PCU, then run whatever router-owned stage the shard handed back
+   (an inline result is always settled). *)
+let finish t (r : Shard.result) =
+  if r.Shard.faults <> [] then List.iter (Ip_core.apply_event t.router) r.Shard.faults;
   let m = r.Shard.m in
   match r.Shard.handoff with
   | Ip_core.Settled -> r
@@ -422,7 +388,6 @@ let finish t republish (r : Shard.result) =
 
 let drain ?(max = max_int) t ~f =
   let drained = ref 0 in
-  let republish = ref false in
   Array.iter
     (fun tx ->
       let continue = ref true in
@@ -431,11 +396,10 @@ let drain ?(max = max_int) t ~f =
         | Some result ->
           incr drained;
           Rp_obs.Counter.inc t.m_drained;
-          f (finish t republish result)
+          f (finish t result)
         | None -> continue := false
       done)
     t.tx;
-  if !republish then publish t;
   !drained
 
 let flush t ~f =
@@ -462,18 +426,10 @@ let stats_string t =
        (Rp_obs.Counter.get t.m_drained)
        (Rp_obs.Counter.get t.m_bp_drops));
   Buffer.add_string b
-    (Printf.sprintf
-       "  deltas=%s backlog=%d coalesce=%d%s pending=%d publishes=%d \
-        delta_publishes=%d coalesced=%d\n"
-       (if t.deltas_on then "on" else "off")
-       t.backlog_limit t.coalesce_count
-       (match t.coalesce_window_s with
-        | Some w -> Printf.sprintf " window=%.0fms" (w *. 1000.)
-        | None -> "")
+    (Printf.sprintf "  pending=%d publishes=%d delta_publishes=%d\n"
        (List.length t.pending)
        (Rp_obs.Counter.get t.m_publishes)
-       (Rp_obs.Counter.get t.m_delta_publishes)
-       (Rp_obs.Counter.get t.m_coalesced));
+       (Rp_obs.Counter.get t.m_delta_publishes));
   Array.iteri
     (fun i shard ->
       let g suffix =

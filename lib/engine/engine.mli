@@ -9,23 +9,29 @@
     the same shard and per-flow soft state stays domain-private, and
     each worker runs the path on its shard's context against a
     read-only classifier {!Snapshot} published through one atomic
-    pointer with a generation counter; control-plane changes
-    (bind/unbind, route changes, quarantine) go through {!publish} /
-    {!maybe_publish}.
-    The engine records every AIU mutation as a {!Snapshot.delta}, so a
-    shard observing a new generation normally {e replays} just the
-    outstanding deltas on its private classifier — evicting only the
-    flows the changed filters could match — and recompiles from
-    scratch (flushing its flow cache) only when it has fallen further
-    behind than the bounded delta log reaches ({!set_backlog}), or
-    when delta recording is off ({!set_deltas}).  The hot path takes
-    no locks.
+    pointer with a generation counter.
+
+    Publication is automatic: a sharded engine's {!submit} and
+    {!submit_batch}, and {!synced} and {!snapshot} on either engine,
+    first publish whatever the router changed since the last
+    publication — AIU mutations (bind/unbind, quarantine/restore), the
+    route table, the router's control record (gates, fault policy and
+    budget, punts, local addresses), the classifier mode — and a worker
+    syncs after it pops a batch, so a packet submitted after a control
+    call returned always runs with that change.  The engine records
+    every AIU mutation as a {!Snapshot.delta}, so a shard observing a
+    new generation normally {e replays} just the outstanding deltas on
+    its private classifier — evicting only the flows the changed
+    filters could match — and recompiles from scratch (flushing its
+    flow cache) only when more than 64 mutations piled up between two
+    publications, or it fell further behind than the 64-entry delta
+    log reaches.  The hot path takes no locks.
+
     Results return on bounded TX rings (one per shard; [Inline] has
     one too), with the shard's fault events and whatever router-owned
     stage it handed back; {!drain} finishes those on the control domain
     — PCU fault attribution, punts and local delivery, ICMP errors, the
-    output queue — and republishes when a quarantine changed the
-    bindings.
+    output queue.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)
@@ -75,7 +81,9 @@ val shard_flow_keys : t -> int -> Flow_key.t list
 
 (** [submit t ~now m] hands one packet to the engine.  [Inline]: runs
     the packet synchronously and queues its result for {!drain}.
-    [Sharded]: pushes to the owning shard's RX ring.  [false] means the
+    [Sharded]: publishes any control change, counts the packet on its
+    receiving interface and pushes it to the owning shard's RX ring.
+    [false] means the
     ring (the result ring, inline) was full and the packet was dropped
     (counted as backpressure). *)
 val submit : t -> now:int64 -> Mbuf.t -> bool
@@ -89,62 +97,23 @@ val submit : t -> now:int64 -> Mbuf.t -> bool
 val submit_batch : t -> now:int64 -> Mbuf.t array -> n:int -> int
 
 (** [drain t ~f] pulls completed results from every ring, applies
-    contained-fault events to the PCU/router (auto-quarantine and the
-    [Unbind] policy republish the snapshot), finishes handed-back
-    stages, and calls [f] on each settled result.  Returns the number
-    of results drained.  Control domain only. *)
+    contained-fault events to the PCU/router (auto-quarantine, the
+    [Unbind] policy — published before the next packet like any other
+    change), finishes handed-back stages, and calls [f] on each settled
+    result.  Returns the number of results drained.  Control domain
+    only. *)
 val drain : ?max:int -> t -> f:(Shard.result -> unit) -> int
 
 (** Current snapshot generation. *)
 val generation : t -> int
 
-(** The currently published snapshot (bench/test introspection — e.g.
-    driving {!Shard.sync} synchronously without worker domains). *)
+(** The current snapshot, publishing any pending change first
+    (bench/test introspection — e.g. driving {!Shard.sync}
+    synchronously without worker domains). *)
 val snapshot : t -> Snapshot.t
 
-(** Capture the router's control state and publish it as a new
-    generation {e now}, shipping any pending mutation deltas with the
-    snapshot (or an empty log forcing recompiles, when delta recording
-    is off or the pending set overflowed the backlog).  Used for
-    changes that must reach the shards immediately — quarantine on the
-    drain path, [pmgr engine publish]. *)
-val publish : t -> unit
-
-(** Coalescing-aware publication for ordinary control-plane mutations:
-    publishes unless fewer than the configured batch of mutations is
-    pending and the optional wall-clock window has not elapsed (see
-    {!set_coalesce}), in which case the mutations stay buffered for a
-    later publication. *)
-val maybe_publish : t -> unit
-
-(** [set_coalesce t ~count ?window_s ()] — {!maybe_publish} defers
-    until [count] mutations are pending, or [window_s] seconds have
-    passed since the first deferred one.  [count = 1] (the default)
-    publishes every mutation immediately. *)
-val set_coalesce : t -> count:int -> ?window_s:float -> unit -> unit
-
-(** Current (count, window) coalescing configuration. *)
-val coalesce : t -> int * float option
-
-(** Mutations recorded but not yet published. *)
-val pending_deltas : t -> int
-
-(** [set_backlog t n] bounds the published delta log to the newest [n]
-    entries (default 64); a shard more than [n] generations behind
-    recompiles instead of replaying. *)
-val set_backlog : t -> int -> unit
-
-val backlog : t -> int
-
-(** [set_deltas t on] toggles delta recording.  Turning it off makes
-    every publication a full-recompile one (the PR-3 behavior — used
-    as the bench baseline); toggling in either direction poisons the
-    current chain so the next publication recompiles. *)
-val set_deltas : t -> bool -> unit
-
-val deltas_enabled : t -> bool
-
-(** Have all shards compiled the current generation? *)
+(** Have all shards compiled the current generation?  Publishes any
+    pending change first. *)
 val synced : t -> bool
 
 (** True when no packets are in flight (all RX rings empty and every
@@ -195,6 +164,6 @@ val stop : t -> unit
 (** {2 Engine registry}
 
     The control plane ([pmgr]) finds the engine attached to the router
-    it operates on, so mutating commands can republish. *)
+    it operates on, for [engine stats] and [top]. *)
 
 val find : Router.t -> t option

@@ -23,6 +23,7 @@ type t = {
   m_deltas_replayed : Rp_obs.Counter.t;
   seen_gen : int Atomic.t;
   cycles_acc : int Atomic.t;
+  mutable route_stamp : int;  (* of the router table [ctx.routes] was built from *)
 }
 
 let ctx t = t.ctx
@@ -41,23 +42,21 @@ let result (ctx : Ip_core.ctx) m verdict handoff =
   if faults <> [] then ctx.D.events <- [];
   { m; outcome = outcome_of verdict; faults; handoff }
 
-(* Refresh the cheap whole-value state a snapshot always carries in
-   full: routes (rebuilt — route churn is orders of magnitude rarer
-   than filter churn), the enabled-gate list, fault policy/budget, the
-   hand-back tables, and the classifier mode (so a `pmgr classifier`
-   toggle reaches shards on the delta path too, without invalidating
-   their flow caches). *)
+(* Adopt the whole-value state a snapshot always carries in full: the
+   control record, the classifier mode (so a classifier toggle reaches
+   shards on the delta path too, without invalidating their flow
+   caches), and the routes — rebuilt only when the router's table
+   changed, since a rebuilt table takes a fresh stamp and so retires
+   every route cached in the shard's flow records. *)
 let refresh_control t (snap : Snapshot.t) =
   let ctx = t.ctx in
-  let routes = Route_table.create () in
-  List.iter (fun r -> Route_table.add routes r) snap.Snapshot.routes;
-  ctx.D.routes <- routes;
-  ctx.D.gates <- snap.gates;
-  ctx.D.policy <- snap.policy;
-  ctx.D.budget <- snap.budget;
-  ctx.D.punts <- snap.punts;
-  ctx.D.locals <- snap.locals;
-  ctx.D.mtus <- snap.mtus;
+  if snap.Snapshot.route_stamp <> t.route_stamp then begin
+    let routes = Route_table.create () in
+    List.iter (fun r -> Route_table.add routes r) snap.Snapshot.routes;
+    ctx.D.routes <- routes;
+    t.route_stamp <- snap.Snapshot.route_stamp
+  end;
+  ctx.D.control <- snap.Snapshot.control;
   Rp_classifier.Aiu.set_mode ctx.D.aiu snap.Snapshot.classifier
 
 let apply t (snap : Snapshot.t) =
@@ -81,12 +80,13 @@ let create ~index snap =
       ctx =
         D.create ~shard:index ~birth_clock:true
           ~aiu:(Rp_classifier.Aiu.create ~gates:Gate.count ())
-          ~routes:(Route_table.create ()) ~mtus:[||];
+          ~routes:(Route_table.create ()) ~control:snap.Snapshot.control;
       m_flow_flushes = counter "flow_flushes";
       m_delta_applies = counter "delta_applies";
       m_deltas_replayed = counter "deltas_replayed";
       seen_gen = Atomic.make (-1);
       cycles_acc = Atomic.make 0;
+      route_stamp = 0;
     }
   in
   apply t snap;
@@ -104,8 +104,8 @@ let sync t snap =
     (* Deltas newer than our compiled state.  Generations in the log
        are consecutive, so the chain reaches back to [seen] exactly
        when one entry exists per missed generation; otherwise the log
-       was trimmed (backlog overflow) or a publication intentionally
-       broke the chain, and only a recompile is sound. *)
+       was trimmed or the snapshot carries none, and only a recompile
+       is sound. *)
     let pending =
       List.filter (fun (g, _) -> g > seen) snap.Snapshot.deltas
     in

@@ -58,9 +58,11 @@ val seen_gen : t -> int
     generation.  When the snapshot's delta log covers every generation
     the shard missed, the mutations are replayed incrementally on the
     private AIU (selective flow invalidation only — unrelated flows
-    keep their cache entries); otherwise the AIU and route table are
-    recompiled from scratch, which also flushes the shard's flow
-    cache.  Runs on the shard's own domain. *)
+    keep their cache entries); otherwise the AIU is recompiled from
+    scratch, which also flushes the shard's flow cache.  Either way
+    the private route table is rebuilt only when the snapshot's
+    [route_stamp] differs from the one it was built from.  Runs on the
+    shard's own domain. *)
 val sync : t -> Snapshot.t -> unit
 
 (** Model cycles charged by this shard's batches so far (readable

@@ -8,14 +8,10 @@ type delta =
 
 type t = {
   gen : int;
-  gates : Gate.t list;
   bindings : (int * Rp_classifier.Filter.t * Plugin.t) list;
   routes : Route_table.route list;
-  policy : Fault.policy;
-  budget : int option;
-  punts : int list;
-  locals : Rp_pkt.Ipaddr.t list;
-  mtus : int array;
+  route_stamp : int;
+  control : Domain_ctx.control;
   classifier : Rp_classifier.Aiu.mode;
   deltas : (int * delta) list;
 }
@@ -32,23 +28,23 @@ let capture ~gen ?(deltas = []) router =
   Route_table.iter (fun r -> routes := r :: !routes) router.Router.routes;
   {
     gen;
-    (* via [gate_enabled] so Best_effort mode snapshots no gates *)
-    gates = List.filter (Router.gate_enabled router) Gate.all;
     bindings = !bindings;
     routes = !routes;
-    policy = router.Router.fault_policy;
-    budget = router.Router.cycle_budget;
-    punts = Hashtbl.fold (fun proto _ acc -> proto :: acc) router.Router.punts [];
-    locals = router.Router.local_addrs;
-    mtus = router.Router.ctx.Domain_ctx.mtus;
+    route_stamp = Route_table.stamp router.Router.routes;
+    control = router.Router.ctx.Domain_ctx.control;
     classifier = Rp_classifier.Aiu.mode aiu;
     deltas;
   }
 
+let current t router =
+  t.control == router.Router.ctx.Domain_ctx.control
+  && t.route_stamp = Route_table.stamp router.Router.routes
+  && t.classifier = Rp_classifier.Aiu.mode (Router.aiu router)
+
 let pp ppf t =
   Format.fprintf ppf "snapshot gen=%d gates=%d bindings=%d routes=%d deltas=%d"
     t.gen
-    (List.length t.gates)
+    (List.length t.control.Domain_ctx.gates)
     (List.length t.bindings)
     (List.length t.routes)
     (List.length t.deltas)

@@ -347,7 +347,7 @@ let test_fault_contained_and_quarantined () =
 
 let test_fault_continue_policy () =
   let r = mk_router () in
-  r.Router.fault_policy <- Fault.Continue_packet;
+  Router.set_fault_policy r Fault.Continue_packet;
   ignore (bind_fault_plugin r);
   (* Fail-open: the faulting gate is skipped, the packet forwards. *)
   for i = 1 to 5 do
@@ -358,7 +358,7 @@ let test_fault_continue_policy () =
 
 let test_fault_unbind_policy () =
   let r = mk_router () in
-  r.Router.fault_policy <- Fault.Unbind;
+  Router.set_fault_policy r Fault.Unbind;
   let inst = bind_fault_plugin r in
   (* One fault is enough: the instance is quarantined immediately and
      this very packet continues on the default path. *)
@@ -370,7 +370,7 @@ let test_fault_unbind_policy () =
 
 let test_fault_cycle_budget () =
   let r = mk_router () in
-  r.Router.cycle_budget <- Some 10_000;
+  Router.set_cycle_budget r (Some 10_000);
   let inst =
     bind_fault_plugin r ~config:[ ("mode", "burn"); ("burn", "50000") ]
   in
@@ -492,7 +492,7 @@ let test_router_edge_cases () =
      with Invalid_argument _ -> true);
   Router.add_local_addr r (Ipaddr.v4 1 2 3 4);
   Router.add_local_addr r (Ipaddr.v4 1 2 3 4);
-  check int_t "local addrs deduplicated" 1 (List.length r.Router.local_addrs);
+  check int_t "local addrs deduplicated" 1 (List.length (Router.local_addrs r));
   check bool_t "local_addr_for family" true
     (Router.local_addr_for r (Ipaddr.of_string "::1") = None)
 
