@@ -70,11 +70,6 @@ let setup_session_plugins r ~table =
   in
   (inst "nat", inst "conntrack", inst "nat-out")
 
-let await_sync e =
-  while not (Rp_engine.Engine.synced e) do
-    Domain.cpu_relax ()
-  done
-
 (* The churn schedule: a fixed LCG so every run (and both engine
    modes) sees the identical op sequence.  ~400 bursts of 1..16
    packets across 6 flows, interleaved with conntrack bind churn and
@@ -174,20 +169,14 @@ let run_mode ~label mode =
       | Burst (fwd, flow, count) -> burst ~fwd ~flow ~count
       | Unbind_ct ->
         exec (Printf.sprintf "unbind %d %s" ct_id ct_filter);
-        await_sync e;
         ct_bound := false
       | Rebind_ct ->
         if not !ct_bound then begin
           exec (Printf.sprintf "bind %d %s" ct_id ct_filter);
-          await_sync e;
           ct_bound := true
         end
-      | Quar_nat ->
-        exec (Printf.sprintf "plugin quarantine %d" nat_id);
-        await_sync e
-      | Restore_nat ->
-        exec (Printf.sprintf "plugin restore %d" nat_id);
-        await_sync e)
+      | Quar_nat -> exec (Printf.sprintf "plugin quarantine %d" nat_id)
+      | Restore_nat -> exec (Printf.sprintf "plugin restore %d" nat_id))
     schedule;
   (* quiesce, then reconcile the session table against the tally *)
   ignore (Rp_engine.Engine.flush e ~f:collect);

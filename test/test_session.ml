@@ -585,14 +585,8 @@ let scenario_pkt ~fwd ~flow ~fsel =
 (* Run one op sequence against one engine mode.  Each burst is a
    single flow and direction, flushed before the next op, so packet
    order — and therefore conntrack evolution — is deterministic in
-   both modes.  Control-plane mutations publish asynchronously to the
-   worker domains, so wait for every shard to compile the current
-   generation before offering more traffic. *)
-let await_sync e =
-  while not (Rp_engine.Engine.synced e) do
-    Domain.cpu_relax ()
-  done
-
+   both modes.  A control change reaches the shards before the next
+   burst with no wait: the engine publishes it on submission. *)
 let run_scenario mode table ops =
   let r = mk_router () in
   let t = Session.Table.get table in
@@ -608,17 +602,13 @@ let run_scenario mode table ops =
     (fun op ->
       match op with
       | Unbind_ct ->
-        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "unbind %d %s" ct_id ct_filter));
-        await_sync e
+        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "unbind %d %s" ct_id ct_filter))
       | Rebind_ct ->
-        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "bind %d %s" ct_id ct_filter));
-        await_sync e
+        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "bind %d %s" ct_id ct_filter))
       | Quarantine_nat ->
-        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "plugin quarantine %d" nat_id));
-        await_sync e
+        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "plugin quarantine %d" nat_id))
       | Restore_nat ->
-        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "plugin restore %d" nat_id));
-        await_sync e
+        ignore (Rp_control.Pmgr.exec r (Printf.sprintf "plugin restore %d" nat_id))
       | Burst (fwd, flow, count, fsel) ->
         for _ = 1 to count do
           now := Int64.add !now 1_000_000L;
