@@ -20,7 +20,18 @@ type 'a t = {
   flows : 'a Flow_table.t;
   mutable mode : mode;
   mutable listener : ('a event -> unit) option;
+  mutable held : bool;  (* see [hold] *)
+  c_fix_hits : Rp_obs.Counter.pending;
 }
+
+let m_full_walks = Rp_obs.Registry.counter "aiu.full_walks"
+let m_miss_accesses = Rp_obs.Registry.counter "aiu.miss_accesses"
+let m_compiled_walks = Rp_obs.Registry.counter "aiu.compiled_walks"
+let m_fix_hits = Rp_obs.Registry.counter "aiu.fix_hits"
+let m_fix_stale = Rp_obs.Registry.counter "aiu.fix_stale"
+let m_invalidated = Rp_obs.Registry.counter "aiu.invalidated"
+let m_gate_bumps = Rp_obs.Registry.counter "aiu.gate_bumps"
+let m_revalidations = Rp_obs.Registry.counter "aiu.revalidations"
 
 let create ?engine ?buckets ?initial_records ?max_records ?on_evict ~gates () =
   if gates <= 0 then invalid_arg "Aiu.create: gates";
@@ -33,6 +44,8 @@ let create ?engine ?buckets ?initial_records ?max_records ?on_evict ~gates () =
         ~gates ();
     mode = `Per_gate;
     listener = None;
+    held = false;
+    c_fix_hits = Rp_obs.Counter.pending m_fix_hits;
   }
 
 let gates t = t.n_gates
@@ -58,15 +71,6 @@ let compiled t = t.compiled
 let set_listener t fn = t.listener <- Some fn
 let clear_listener t = t.listener <- None
 let notify t ev = match t.listener with Some fn -> fn ev | None -> ()
-
-let m_full_walks = Rp_obs.Registry.counter "aiu.full_walks"
-let m_miss_accesses = Rp_obs.Registry.counter "aiu.miss_accesses"
-let m_compiled_walks = Rp_obs.Registry.counter "aiu.compiled_walks"
-let m_fix_hits = Rp_obs.Registry.counter "aiu.fix_hits"
-let m_fix_stale = Rp_obs.Registry.counter "aiu.fix_stale"
-let m_invalidated = Rp_obs.Registry.counter "aiu.invalidated"
-let m_gate_bumps = Rp_obs.Registry.counter "aiu.gate_bumps"
-let m_revalidations = Rp_obs.Registry.counter "aiu.revalidations"
 
 let check_gate t gate =
   if gate < 0 || gate >= t.n_gates then invalid_arg "Aiu: gate out of range"
@@ -117,6 +121,17 @@ let filter_table t ~gate =
 
 let flow_table t = t.flows
 
+(* A data-path frame holds the AIU and with it its flow table, so the
+   per-packet counters settle once per frame. *)
+let hold t =
+  t.held <- true;
+  Flow_table.hold t.flows
+
+let release t =
+  t.held <- false;
+  Rp_obs.Counter.settle t.c_fix_hits;
+  Flow_table.release t.flows
+
 (* Uncached path: resolve every gate's binding once and cache the
    results in a fresh flow record.  Per-gate mode consults each gate's
    filter table (the paper's n lookups for n gates); compiled mode
@@ -127,35 +142,29 @@ let flow_table t = t.flows
 let classify_miss t key ~now =
   Rp_obs.Counter.inc m_full_walks;
   let record = Flow_table.insert t.flows key ~now in
-  let (), accesses =
-    Rp_lpm.Access.measure (fun () ->
-        match t.mode with
-        | `Compiled -> (
-          Rp_obs.Counter.inc m_compiled_walks;
-          match Compiled.lookup t.compiled key with
-          | Some winners ->
-            for g = 0 to t.n_gates - 1 do
-              match winners.(g) with
-              | Some (filter, v) ->
-                Flow_table.set_binding t.flows record ~gate:g ~filter v
-              | None -> ()
-            done
-          | None -> ())
-        | `Per_gate ->
-          for g = 0 to t.n_gates - 1 do
-            match Dag.lookup t.tables.(g) key with
-            | Some (filter, v) ->
-              Flow_table.set_binding t.flows record ~gate:g ~filter v
-            | None -> ()
-          done)
-  in
-  Rp_obs.Counter.add m_miss_accesses accesses;
+  let accesses = Rp_lpm.Access.meter () in
+  let a0 = !accesses in
+  (match t.mode with
+   | `Compiled -> (
+     Rp_obs.Counter.inc m_compiled_walks;
+     match Compiled.lookup t.compiled key with
+     | Some winners ->
+       for g = 0 to t.n_gates - 1 do
+         match winners.(g) with
+         | Some (filter, v) ->
+           Flow_table.set_binding t.flows record ~gate:g ~filter v
+         | None -> ()
+       done
+     | None -> ())
+   | `Per_gate ->
+     for g = 0 to t.n_gates - 1 do
+       match Dag.lookup t.tables.(g) key with
+       | Some (filter, v) ->
+         Flow_table.set_binding t.flows record ~gate:g ~filter v
+       | None -> ()
+     done);
+  Rp_obs.Counter.add m_miss_accesses (!accesses - a0);
   record
-
-let instance_of record ~gate =
-  match Flow_table.binding record ~gate with
-  | Some b -> Some (b.Flow_table.instance, record)
-  | None -> None
 
 (* Lazy revalidation after a gate-generation bump: re-resolve this
    record's binding at [gate] with one DAG lookup, then re-stamp it.
@@ -179,7 +188,9 @@ let classify_key t key ~gate ~now =
     | None -> classify_miss t key ~now
   in
   revalidate t record ~gate;
-  instance_of record ~gate
+  match Flow_table.binding record ~gate with
+  | Some b -> Some (b.Flow_table.instance, record)
+  | None -> None
 
 let classify t mbuf ~gate ~now =
   check_gate t gate;
@@ -188,7 +199,8 @@ let classify t mbuf ~gate ~now =
     | Some fix ->
       (match Flow_table.find_fix t.flows fix with
        | Some r ->
-         Rp_obs.Counter.inc m_fix_hits;
+         Rp_obs.Counter.note t.c_fix_hits 1;
+         if not t.held then Rp_obs.Counter.settle t.c_fix_hits;
          Some r
        | None ->
          (* Stale FIX (row recycled): drop it and reclassify. *)
@@ -210,7 +222,7 @@ let classify t mbuf ~gate ~now =
       r
   in
   revalidate t record ~gate;
-  instance_of record ~gate
+  record
 
 let flush_flows t =
   Flow_table.flush t.flows;

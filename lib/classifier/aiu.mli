@@ -71,23 +71,35 @@ val unbind : 'a t -> gate:int -> Filter.t -> unit
 val filter_table : 'a t -> gate:int -> 'a Dag.t
 val flow_table : 'a t -> 'a Flow_table.t
 
+(** [hold t] batches the per-packet registry counters of {!classify}
+    ([aiu.fix_hits]) and of the flow table (see {!Flow_table.hold})
+    until [release t], which settles them with one add each.  A data
+    path frame holds its context's AIU; a call on an AIU nobody holds
+    moves its counters before it returns.  Owning domain only. *)
+val hold : 'a t -> unit
+
+val release : 'a t -> unit
+
 (** [set_listener t fn] registers [fn] to observe every bind/unbind
     and flow-cache flush on this AIU (at most one listener). *)
 val set_listener : 'a t -> ('a event -> unit) -> unit
 
 val clear_listener : 'a t -> unit
 
-(** Data path.  [classify t mbuf ~gate ~now] returns the record and the
-    instance bound at [gate] for this packet's flow ([None] if no
-    filter at that gate matches the flow).  Side effects: on a flow
-    miss the flow record is created and populated for {e all} gates;
-    the packet's FIX is set. *)
+(** Data path.  [classify t mbuf ~gate ~now] returns the flow record of
+    this packet's flow, found through the packet's FIX, by a flow-table
+    lookup, or inserted by a miss; the instance bound at [gate] is
+    [Flow_table.binding record ~gate] ([None] if no filter at that gate
+    matches the flow), a stored option, so a classification allocates
+    nothing on a hit.  Side effects: on a flow miss the flow record is
+    created and populated for {e all} gates; the packet's FIX is set.
+    Counts [aiu.fix_hits] (see {!hold} for when). *)
 val classify :
-  'a t -> Mbuf.t -> gate:int -> now:int64 ->
-  ('a * 'a Flow_table.record) option
+  'a t -> Mbuf.t -> gate:int -> now:int64 -> 'a Flow_table.record
 
-(** [classify_key] is [classify] for callers that have no mbuf (control
-    plane, tests); no FIX caching happens. *)
+(** [classify_key] classifies a bare key, for callers that have no mbuf
+    (control plane, tests), and returns the instance bound at [gate]
+    with the record; no FIX caching happens. *)
 val classify_key :
   'a t -> Flow_key.t -> gate:int -> now:int64 ->
   ('a * 'a Flow_table.record) option

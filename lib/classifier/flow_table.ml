@@ -87,6 +87,14 @@ type 'a t = {
   mutable s_recycled : int;
   mutable s_chain_max : int;
   mutable s_maint_visited : int;
+  (* The data path's registry counters, settled at once unless [held]
+     (see [hold]). *)
+  mutable held : bool;
+  c_lookups : Rp_obs.Counter.pending;
+  c_hits : Rp_obs.Counter.pending;
+  c_misses : Rp_obs.Counter.pending;
+  c_acc_packets : Rp_obs.Counter.pending;
+  c_acc_bytes : Rp_obs.Counter.pending;
 }
 
 (* A record is a stable handle onto a slot: one is preallocated per
@@ -128,6 +136,8 @@ let m_inserts = Rp_obs.Registry.counter "flow_table.inserts"
 let m_evictions = Rp_obs.Registry.counter "flow_table.evictions"
 let m_recycled = Rp_obs.Registry.counter "flow_table.recycled"
 let m_expired = Rp_obs.Registry.counter "flow_table.expired"
+let m_acc_packets = Rp_obs.Registry.counter "flow_table.accounted_packets"
+let m_acc_bytes = Rp_obs.Registry.counter "flow_table.accounted_bytes"
 
 let default_buckets = 32768
 let default_initial = 1024
@@ -199,6 +209,12 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
       s_recycled = 0;
       s_chain_max = 0;
       s_maint_visited = 0;
+      held = false;
+      c_lookups = Rp_obs.Counter.pending m_lookups;
+      c_hits = Rp_obs.Counter.pending m_hits;
+      c_misses = Rp_obs.Counter.pending m_misses;
+      c_acc_packets = Rp_obs.Counter.pending m_acc_packets;
+      c_acc_bytes = Rp_obs.Counter.pending m_acc_bytes;
     }
   in
   t.handles <- Array.init n (handle t);
@@ -285,7 +301,7 @@ let rec lookup_probe t key h meta now i inspected =
   let e = Bigarray.Array1.unsafe_get t.index i in
   if e = 0 then begin
     t.s_misses <- t.s_misses + 1;
-    Rp_obs.Counter.inc m_misses;
+    Rp_obs.Counter.note t.c_misses 1;
     if inspected > t.s_chain_max then t.s_chain_max <- inspected;
     None
   end
@@ -299,7 +315,7 @@ let rec lookup_probe t key h meta now i inspected =
       && Flow_key.equal (Array.unsafe_get t.keys slot) key
     then begin
       t.s_hits <- t.s_hits + 1;
-      Rp_obs.Counter.inc m_hits;
+      Rp_obs.Counter.note t.c_hits 1;
       if inspected > t.s_chain_max then t.s_chain_max <- inspected;
       set t slot f_last (Int64.to_int now);
       Array.unsafe_get t.some_handles slot
@@ -309,10 +325,30 @@ let rec lookup_probe t key h meta now i inspected =
 
 let lookup t key ~now =
   t.s_lookups <- t.s_lookups + 1;
-  Rp_obs.Counter.inc m_lookups;
+  Rp_obs.Counter.note t.c_lookups 1;
   Rp_lpm.Access.charge 1;
   let h = Flow_key.hash key in
-  lookup_probe t key h (meta_of key) now (h land t.mask) 0
+  let r = lookup_probe t key h (meta_of key) now (h land t.mask) 0 in
+  if not t.held then begin
+    Rp_obs.Counter.settle t.c_lookups;
+    Rp_obs.Counter.settle t.c_hits;
+    Rp_obs.Counter.settle t.c_misses
+  end;
+  r
+
+(* A data-path frame holds its table: lookups and accounting then
+   [note] their registry counters, and [release] settles them, one add
+   per counter per frame.  A call on a table nobody holds settles its
+   own counters before it returns. *)
+let hold t = t.held <- true
+
+let release t =
+  t.held <- false;
+  Rp_obs.Counter.settle t.c_lookups;
+  Rp_obs.Counter.settle t.c_hits;
+  Rp_obs.Counter.settle t.c_misses;
+  Rp_obs.Counter.settle t.c_acc_packets;
+  Rp_obs.Counter.settle t.c_acc_bytes
 
 (* Uninstrumented probe for internal use (insert's duplicate scan):
    no stats, no access charges; returns the slot or -1. *)
@@ -639,9 +675,6 @@ let set_exporter t f = t.exporter <- Some f
    Done once per packet at verdict time; a packet whose record was
    recycled mid-flight (only possible with a bounded table under
    pressure) is simply not attributed. *)
-let m_acc_packets = Rp_obs.Registry.counter "flow_table.accounted_packets"
-let m_acc_bytes = Rp_obs.Registry.counter "flow_table.accounted_bytes"
-
 let account t (m : Mbuf.t) ~verdict =
   match m.Mbuf.fix with
   | None -> ()
@@ -654,8 +687,12 @@ let account t (m : Mbuf.t) ~verdict =
        | `Fwd -> set t slot f_fwd (get t slot f_fwd + 1)
        | `Drop -> set t slot f_dropped (get t slot f_dropped + 1)
        | `Absorb -> set t slot f_absorbed (get t slot f_absorbed + 1));
-      Rp_obs.Counter.inc m_acc_packets;
-      Rp_obs.Counter.add m_acc_bytes m.Mbuf.len
+      Rp_obs.Counter.note t.c_acc_packets 1;
+      Rp_obs.Counter.note t.c_acc_bytes m.Mbuf.len;
+      if not t.held then begin
+        Rp_obs.Counter.settle t.c_acc_packets;
+        Rp_obs.Counter.settle t.c_acc_bytes
+      end
     end
 
 (* --- per-flow route cache --------------------------------------------- *)

@@ -93,8 +93,22 @@ val create :
     probe run plays the role of the old bucket chain; the empty slot
     that terminates a miss is covered by the upfront charge).  A
     collision-free hit therefore costs 2 accesses and a miss on an
-    empty home bucket costs 1 — identical to the chained table. *)
+    empty home bucket costs 1 — identical to the chained table.
+    Counts [flow_table.lookups] and [.hits] or [.misses]; see {!hold}
+    for when. *)
 val lookup : 'a t -> Flow_key.t -> now:int64 -> 'a record option
+
+(** [hold t] batches the registry counters {!lookup} and {!account}
+    write ([flow_table.lookups], [.hits], [.misses],
+    [.accounted_packets], [.accounted_bytes]): until [release t] they
+    accumulate in the table, and [release] adds each with one striped
+    add.  A table nobody holds moves them before each call returns.
+    [Ip_core] holds its context's table for the length of a frame, so
+    the counters are exact whenever no frame is in flight.  Only the
+    table's owning domain may hold or release it. *)
+val hold : 'a t -> unit
+
+val release : 'a t -> unit
 
 (** [find_fix t fix] dereferences a flow index, validating the
     generation; [None] if the slot was recycled since.  Does not
@@ -135,7 +149,8 @@ val set_exporter : 'a t -> (reason:string -> 'a record -> unit) -> unit
     count; a packet without a (still-valid) flow index is not
     attributed.  Also bumps the process-wide
     [flow_table.accounted_packets] / [flow_table.accounted_bytes]
-    counters, against which exported flow records reconcile. *)
+    counters (batched while the table is held, see {!hold}), against
+    which exported flow records reconcile. *)
 val account :
   'a t -> Mbuf.t -> verdict:[ `Fwd | `Drop | `Absorb ] -> unit
 

@@ -16,15 +16,15 @@ let hfsc_dequeue = 1100
    the plain-ref cost (DLS lookup + ref bump, no atomics). *)
 let counter = Domain.DLS.new_key (fun () -> ref 0)
 
-let[@inline] cur () = Domain.DLS.get counter
+let[@inline] meter () = Domain.DLS.get counter
 
-let charge n = let c = cur () in c := !c + n
-let charge_mem n = let c = cur () in c := !c + (n * mem_access)
-let reset () = cur () := 0
-let get () = !(cur ())
+let charge n = let c = meter () in c := !c + n
+let charge_mem n = let c = meter () in c := !c + (n * mem_access)
+let reset () = meter () := 0
+let get () = !(meter ())
 
 let measure f =
-  let c = cur () in
+  let c = meter () in
   let before = !c in
   let result = f () in
   (result, !c - before)

@@ -57,6 +57,16 @@ val hfsc_dequeue : int
 
 val charge : int -> unit
 
+(** [meter ()] is the calling domain's counter cell itself: [!(meter ())]
+    is {!get}, and adding to it is {!charge}.  Looking the cell up is
+    the one domain-local-storage read that every other function here
+    repeats, so a hot loop that stays on one domain looks it up once
+    and works on the cell: a data-path frame of [Ip_core] does so once
+    per frame, and a plugin's own {!charge} during that frame still
+    lands in the same cell, because a frame runs on one domain.  The
+    cell must not be handed to another domain. *)
+val meter : unit -> int ref
+
 (** [charge_mem n] charges [n] memory accesses ([n * mem_access]
     cycles). *)
 val charge_mem : int -> unit

@@ -22,8 +22,11 @@ type control = {
 }
 
 (* Scratch for one batch, by position: {!Ip_core}'s packet states, and
-   what the states that set them carry. *)
+   what the states that set them carry; and the running domain's
+   {!Cost} and access meters, looked up once as the frame opens. *)
 type frame = {
+  mutable cycles : int ref;
+  mutable accesses : int ref;
   pkts : Mbuf.t array;  (* a batch of one lives here *)
   state : int array;
   out : int array;  (* egress interface *)
@@ -57,6 +60,8 @@ let dummy_mbuf =
 
 let frame () =
   {
+    cycles = ref 0;
+    accesses = ref 0;
     pkts = Array.make batch dummy_mbuf;
     state = Array.make batch 0;
     out = Array.make batch (-1);

@@ -103,11 +103,17 @@ let count_tx t m =
   Rp_obs.Counter.inc m_tx_packets;
   Rp_obs.Counter.add m_tx_bytes m.Mbuf.len
 
-let count_rx t m =
+let note_rx t m =
   t.counters.rx_packets <- t.counters.rx_packets + 1;
-  t.counters.rx_bytes <- t.counters.rx_bytes + m.Mbuf.len;
-  Rp_obs.Counter.inc m_rx_packets;
-  Rp_obs.Counter.add m_rx_bytes m.Mbuf.len
+  t.counters.rx_bytes <- t.counters.rx_bytes + m.Mbuf.len
+
+let add_rx ~packets ~bytes =
+  Rp_obs.Counter.add m_rx_packets packets;
+  Rp_obs.Counter.add m_rx_bytes bytes
+
+let count_rx t m =
+  note_rx t m;
+  add_rx ~packets:1 ~bytes:m.Mbuf.len
 
 let pp ppf t =
   Format.fprintf ppf "%s: rx %d/%dB tx %d/%dB drops %d backlog %d%s" t.name

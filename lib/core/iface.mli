@@ -56,5 +56,16 @@ val backlog : t -> int
     model). *)
 val count_tx : t -> Mbuf.t -> unit
 
+(** Record one received packet: the interface's own [counters] and the
+    process-wide [iface.rx_packets] / [iface.rx_bytes]. *)
 val count_rx : t -> Mbuf.t -> unit
+
+(** [count_rx] in two halves, for a caller that receives a batch:
+    [note_rx] counts one packet in the interface's own [counters]
+    only, and [add_rx] adds a batch's totals to the process-wide
+    counters, one add each.  [Ip_core] and [Engine] count each batch
+    this way. *)
+val note_rx : t -> Mbuf.t -> unit
+
+val add_rx : packets:int -> bytes:int -> unit
 val pp : Format.formatter -> t -> unit

@@ -56,15 +56,15 @@ let inline_gates_post = [ Gate.Congestion; Gate.Security_out; Gate.Stats ]
 
 (* --- latency SLOs ---------------------------------------------------- *)
 
-(* The SLO layer only *reads* the cost-model clock — [Cost.get] is
-   free — so Table-3 cycles are byte-identical with stamping on or
-   off.  [slo_open]/[slo_close] bracket one packet's traversal of a
-   domain; [slo_attrib] accumulates per-gate cycles into the mbuf when
-   exemplar capture is armed. *)
+(* The SLO layer only *reads* the cost-model clock (the frame's
+   [cycles] meter) — reading is free — so Table-3 cycles are
+   byte-identical with stamping on or off.  [slo_open]/[slo_close]
+   bracket one packet's traversal of a domain; [slo_attrib] accumulates
+   per-gate cycles into the mbuf when exemplar capture is armed. *)
 
-let slo_open m =
+let slo_open cost m =
   if Rp_obs.Slo.on () then begin
-    m.Mbuf.ingress_cycles <- Cost.get ();
+    m.Mbuf.ingress_cycles <- !cost;
     if Rp_obs.Slo.armed () then begin
       (* The attribution array is cached on the descriptor (pooled
          descriptors allocate it once), so the armed steady state stays
@@ -82,9 +82,9 @@ let slo_attrib m ~gate cycles =
     a.(g) <- a.(g) + cycles
   end
 
-let slo_close ~shard m cls =
+let slo_close ~shard cost m cls =
   if Rp_obs.Slo.on () then begin
-    let cycles = Cost.get () - m.Mbuf.ingress_cycles in
+    let cycles = !cost - m.Mbuf.ingress_cycles in
     Rp_obs.Slo.observe ~shard cls cycles;
     if Rp_obs.Slo.armed () && Rp_obs.Slo.is_breach cycles then begin
       let a = m.Mbuf.gate_cycles in
@@ -152,13 +152,14 @@ let recovered (ctx : ctx) id =
 
 (* Run one instance's handler under containment: an escaping exception
    or a per-invocation cycle-budget overrun becomes a fault instead of
-   unwinding the pipeline. *)
-let run_handler (ctx : ctx) ~now ~gate inst binding m =
-  let c0 = Cost.get () in
+   unwinding the pipeline.  The handler's own [Cost.charge]s land in
+   [cost], the frame's meter: a frame runs on one domain. *)
+let run_handler (ctx : ctx) cost ~now ~gate inst binding m =
+  let c0 = !cost in
   match inst.Plugin.handle { Plugin.now_ns = now; binding } m with
   | exception e -> contain ctx ~gate m inst (Fault.Exn (Printexc.to_string e))
   | action -> (
-      let used = Cost.get () - c0 in
+      let used = !cost - c0 in
       match ctx.D.control.D.budget with
       | Some budget when used > budget -> contain ctx ~gate m inst (Fault.Budget used)
       | _ ->
@@ -167,23 +168,26 @@ let run_handler (ctx : ctx) ~now ~gate inst binding m =
 
 (* --- the gate stage -------------------------------------------------- *)
 
-(* Classify at [gate], charging the framework costs: the flow hash the
-   first time this packet consults the AIU, the measured memory
-   accesses of whatever lookups the AIU performed (a cached flow costs
-   ~2; the first packet of a flow pays the full cold-start
-   resolution), one gate's invocation overhead. *)
-let classify aiu ~now ~gate m =
+(* Classify at [gate], charging the framework costs to the given
+   meters (a frame's): the flow hash the first time this packet
+   consults the AIU, the measured memory accesses of whatever lookups
+   the AIU performed (a cached flow costs ~2; the first packet of a
+   flow pays the full cold-start resolution), one gate's invocation
+   overhead.  Returns the flow's record. *)
+let charge_classify cost acc aiu ~now ~gate m =
   let had_fix = m.Mbuf.fix <> None in
-  let a0 = Rp_lpm.Access.get () in
-  let result = Rp_classifier.Aiu.classify aiu m ~gate:(Gate.to_int gate) ~now in
-  let accesses = Rp_lpm.Access.get () - a0 in
-  if not had_fix then Cost.charge Cost.flow_hash;
-  Cost.charge_mem accesses;
-  Cost.charge Cost.gate_invoke;
+  let a0 = !acc in
+  let record = Rp_classifier.Aiu.classify aiu m ~gate:(Gate.to_int gate) ~now in
+  let accesses = !acc - a0 in
+  if not had_fix then cost := !cost + Cost.flow_hash;
+  cost := !cost + (accesses * Cost.mem_access) + Cost.gate_invoke;
   if m.Mbuf.tseq <> 0 then
-    Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Classify
+    Rp_obs.Telemetry.record ~ts:!cost ~kind:Rp_obs.Telemetry.Classify
       ~gate:(Gate.to_int gate) ~pkt:m.Mbuf.tseq ~arg:accesses;
-  result
+  record
+
+let classify aiu ~now ~gate m =
+  charge_classify (Cost.meter ()) (Rp_lpm.Access.meter ()) aiu ~now ~gate m
 
 let rec mem_gate g = function
   | [] -> false
@@ -200,10 +204,11 @@ let settle_drop (f : D.frame) i why =
    classifies, its binding riding to the output queue — and meter the
    traversal three ways: the per-gate counters, added once per frame;
    the packet's SLO attribution; and, for a sampled packet, its
-   telemetry span.  All three only observe the [Cost] / [Access]
-   counters, so Table-3 figures are untouched. *)
+   telemetry span.  All three only read the frame's meters, so
+   Table-3 figures are untouched. *)
 let sweep (ctx : ctx) (f : D.frame) batch off n gate =
   let g = Gate.to_int gate in
+  let cost = f.D.cycles and acc = f.D.accesses in
   let visits = ref 0 and cycles = ref 0 and drops = ref 0 in
   for i = 0 to n - 1 do
     if f.D.state.(i) = live then begin
@@ -212,28 +217,27 @@ let sweep (ctx : ctx) (f : D.frame) batch off n gate =
       let now = f.D.now.(i) in
       let tseq = m.Mbuf.tseq in
       if tseq <> 0 then
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
+        Rp_obs.Telemetry.record ~ts:!cost
           ~kind:Rp_obs.Telemetry.Gate_enter ~gate:g ~pkt:tseq ~arg:0;
-      let c0 = Cost.get () and a0 = Rp_lpm.Access.get () in
+      let c0 = !cost and a0 = !acc in
+      let record = charge_classify cost acc ctx.D.aiu ~now ~gate m in
+      let binding = Rp_classifier.Flow_table.binding record ~gate:g in
       let action =
-        match (gate, classify ctx.D.aiu ~now ~gate m) with
-        | Gate.Scheduling, found ->
-          f.D.sched.(i) <-
-            (match found with
-             | Some (_, r) -> Rp_classifier.Flow_table.binding r ~gate:g
-             | None -> None);
+        match (gate, binding) with
+        | Gate.Scheduling, _ ->
+          f.D.sched.(i) <- binding;
           Plugin.Continue
         | _, None -> Plugin.Continue
-        | _, Some (inst, r) ->
-          run_handler ctx ~now ~gate inst (Rp_classifier.Flow_table.binding r ~gate:g) m
+        | _, Some b ->
+          run_handler ctx cost ~now ~gate b.Rp_classifier.Flow_table.instance binding m
       in
-      let c = Cost.get () - c0 in
+      let c = !cost - c0 in
       cycles := !cycles + c;
       slo_attrib m ~gate c;
       if tseq <> 0 then
-        Rp_obs.Telemetry.record ~ts:(Cost.get ())
+        Rp_obs.Telemetry.record ~ts:!cost
           ~kind:Rp_obs.Telemetry.Gate_exit ~gate:g ~pkt:tseq
-          ~arg:(Rp_lpm.Access.get () - a0);
+          ~arg:(!acc - a0);
       match action with
       | Plugin.Continue -> ()
       | Plugin.Consumed -> f.D.state.(i) <- absorbed
@@ -257,15 +261,31 @@ let rec run_gates ctx f batch off n = function
 (* --- frames ---------------------------------------------------------- *)
 
 (* Frames stack by nesting depth, so a packet the router originates
-   mid-batch (an ICMP error, an echo reply) runs in its own frame. *)
+   mid-batch (an ICMP error, an echo reply) runs in its own frame.  A
+   frame looks up the running domain's meters once.  The outermost
+   frame holds the context's AIU and route table, whose per-packet
+   registry counters then settle once, as it leaves. *)
 let enter (ctx : ctx) =
   let d = ctx.D.depth in
   if d = Array.length ctx.D.frames then
     ctx.D.frames <- Array.append ctx.D.frames [| D.frame () |];
+  if d = 0 then begin
+    Rp_classifier.Aiu.hold ctx.D.aiu;
+    Route_table.hold ctx.D.routes
+  end;
   ctx.D.depth <- d + 1;
-  ctx.D.frames.(d)
+  let f = ctx.D.frames.(d) in
+  f.D.cycles <- Cost.meter ();
+  f.D.accesses <- Rp_lpm.Access.meter ();
+  f
 
-let leave (ctx : ctx) = ctx.D.depth <- ctx.D.depth - 1
+let leave (ctx : ctx) =
+  let d = ctx.D.depth - 1 in
+  ctx.D.depth <- d;
+  if d = 0 then begin
+    Rp_classifier.Aiu.release ctx.D.aiu;
+    Route_table.release ctx.D.routes
+  end
 
 let verdict_of (f : D.frame) i =
   let st = f.D.state.(i) in
@@ -304,7 +324,7 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
     end;
     let tseq = m.Mbuf.tseq in
     if span && tseq <> 0 then begin
-      let ts = Cost.get () in
+      let ts = !(f.D.cycles) in
       if is_drop then
         Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Drop ~gate:(-1)
           ~pkt:tseq ~arg:0;
@@ -312,7 +332,7 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
         ~pkt:tseq ~arg:0
     end;
     if span then begin
-      slo_close ~shard:ctx.D.shard m
+      slo_close ~shard:ctx.D.shard f.D.cycles m
         Rp_obs.Slo.(if is_drop then Drop else if is_fwd then Fwd else Absorb);
       Rp_classifier.Flow_table.account ft m
         ~verdict:(if is_drop then `Drop else if is_fwd then `Fwd else `Absorb)
@@ -364,9 +384,13 @@ and run_in ctx f ~from ~now batch off n =
     raise e
 
 (* Sampling decision, arrival accounting, TTL.  Nothing in the
-   telemetry path charges the cost model. *)
+   telemetry path charges the cost model.  On the router's context the
+   receiving interfaces count the frame's packets, with one add to the
+   process-wide totals. *)
 and entry ctx f ~now batch off n =
   Rp_obs.Counter.add m_packets n;
+  let cost = f.D.cycles in
+  let rx_bytes = ref 0 in
   for i = 0 to n - 1 do
     let m = batch.(off + i) in
     f.D.state.(i) <- live;
@@ -375,16 +399,19 @@ and entry ctx f ~now batch off n =
       m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
     let tseq = m.Mbuf.tseq in
     if tseq <> 0 then
-      Rp_obs.Telemetry.record ~ts:(Cost.get ()) ~kind:Rp_obs.Telemetry.Pkt_start
+      Rp_obs.Telemetry.record ~ts:!cost ~kind:Rp_obs.Telemetry.Pkt_start
         ~gate:(-1) ~pkt:tseq ~arg:m.Mbuf.len;
-    slo_open m;
-    Cost.charge Cost.base_forward;
+    slo_open cost m;
+    cost := !cost + Cost.base_forward;
     (match ctx.D.owner with
-     | Some router -> Iface.count_rx (Router.iface router m.Mbuf.key.Flow_key.iface) m
+     | Some router ->
+       Iface.note_rx (Router.iface router m.Mbuf.key.Flow_key.iface) m;
+       rx_bytes := !rx_bytes + m.Mbuf.len
      | None -> ());
     if m.Mbuf.ttl <= 1 then drop_icmp ctx f i m "ttl expired" Icmp.Time_exceeded
     else m.Mbuf.ttl <- m.Mbuf.ttl - 1
-  done
+  done;
+  if ctx.D.owner <> None then Iface.add_rx ~packets:n ~bytes:!rx_bytes
 
 (* A drop with an ICMP error to the source. *)
 and drop_icmp ctx f i m why message =

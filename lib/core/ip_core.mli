@@ -30,7 +30,16 @@
     [.delivered_local] / [.absorbed] / [.dropped].  A packet counts
     once in [packets] where it enters and once under its verdict where
     it settles, so inline and sharded runs give the same names and the
-    same totals. *)
+    same totals.
+
+    Metering is per frame (up to {!Domain_ctx.batch} packets on one
+    domain).  A frame looks up its domain's {!Cost.meter} and
+    [Rp_lpm.Access.meter] cells once and charges and reads them
+    directly.  The counters above, and the per-packet counters of the
+    context's AIU, flow table and route table and of the receiving
+    interfaces, are added once per frame (see [Aiu.hold] and
+    {!Route_table.hold}), so each is exact whenever no frame is in
+    flight. *)
 
 open Rp_pkt
 
@@ -103,15 +112,18 @@ val icmp_error : Router.t -> now:int64 -> Mbuf.t -> Icmp.message -> unit
     packet. *)
 val apply_event : Router.t -> Fault.event -> unit
 
-(** [classify aiu ~now ~gate m] — the one classify-and-charge entry
-    point: {!Cost.flow_hash} on the packet's first AIU consult, the
-    measured memory accesses, {!Cost.gate_invoke}. *)
+(** [classify aiu ~now ~gate m] — the one classify-and-charge path,
+    here on the calling domain's meters (a frame charges its own, looked
+    up once): {!Cost.flow_hash} on the packet's first AIU consult, the
+    measured memory accesses, {!Cost.gate_invoke}.  Returns the flow's
+    record; the instance bound at [gate] is its
+    [Flow_table.binding]. *)
 val classify :
   Plugin.t Rp_classifier.Aiu.t ->
   now:int64 ->
   gate:Gate.t ->
   Mbuf.t ->
-  (Plugin.t * Plugin.t Rp_classifier.Flow_table.record) option
+  Plugin.t Rp_classifier.Flow_table.record
 
 (** [invoke_gate router ~now ~gate m] — classification + indirect call
     for one gate, exposed for tests and micro-benchmarks.  Returns the

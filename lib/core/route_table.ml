@@ -27,7 +27,12 @@ let matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) () =
     length = (fun () -> E.length t);
   }
 
-type t = { m : matcher; mutable stamp : int }
+type t = {
+  m : matcher;
+  mutable stamp : int;
+  mutable held : bool;  (* see [hold] *)
+  c_cache_hits : Rp_obs.Counter.pending;
+}
 
 (* Stamps are unique across the process, so a flow record's cached
    route matches only the very table state it was read from — never a
@@ -36,8 +41,23 @@ type t = { m : matcher; mutable stamp : int }
 let stamps = Atomic.make 0
 let fresh_stamp () = Atomic.fetch_and_add stamps 1 + 1
 
+let m_lookups = Rp_obs.Registry.counter "route_table.lookups"
+let m_misses = Rp_obs.Registry.counter "route_table.misses"
+let m_cache_hits = Rp_obs.Registry.counter "route_table.cache_hits"
+
 let create ?(engine = Rp_lpm.Engines.patricia) () =
-  { m = matcher_of_engine engine (); stamp = fresh_stamp () }
+  {
+    m = matcher_of_engine engine ();
+    stamp = fresh_stamp ();
+    held = false;
+    c_cache_hits = Rp_obs.Counter.pending m_cache_hits;
+  }
+
+let hold t = t.held <- true
+
+let release t =
+  t.held <- false;
+  Rp_obs.Counter.settle t.c_cache_hits
 
 let add t route =
   match t.m.find route.prefix with
@@ -49,10 +69,6 @@ let add t route =
 let remove t prefix =
   t.m.remove prefix;
   t.stamp <- fresh_stamp ()
-
-let m_lookups = Rp_obs.Registry.counter "route_table.lookups"
-let m_misses = Rp_obs.Registry.counter "route_table.misses"
-let m_cache_hits = Rp_obs.Registry.counter "route_table.cache_hits"
 
 let lookup t dst =
   Rp_obs.Counter.inc m_lookups;
@@ -75,7 +91,8 @@ let out_iface i =
 let resolve t flows (m : Mbuf.t) =
   let out = Ft.cached_route flows m ~stamp:t.stamp in
   if out >= 0 then begin
-    Rp_obs.Counter.inc m_cache_hits;
+    Rp_obs.Counter.note t.c_cache_hits 1;
+    if not t.held then Rp_obs.Counter.settle t.c_cache_hits;
     out
   end
   else

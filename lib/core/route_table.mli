@@ -43,6 +43,16 @@ val lookup : t -> Ipaddr.t -> route option
     (best-effort mode) always walks. *)
 val resolve : t -> 'a Rp_classifier.Flow_table.t -> Mbuf.t -> int
 
+(** [hold t] batches [route_table.cache_hits], the one counter
+    {!resolve} bumps per packet: until [release t] hits accumulate in
+    the table, and [release] adds them with one striped add.  A table
+    nobody holds moves the counter before [resolve] returns.  [Ip_core]
+    holds its context's table for the length of a frame, so the counter
+    is exact whenever no frame is in flight.  Owning domain only. *)
+val hold : t -> unit
+
+val release : t -> unit
+
 (** The stamp of [t]'s current contents (see {!resolve}): equal stamps
     mean equal routes. *)
 val stamp : t -> int

@@ -98,6 +98,7 @@ let worker_loop t i =
   let busy = t.busy.(i) in
   let rx_count = t.shard_rx.(i) and tx_drops = t.tx_ring_drops.(i) in
   let scratch = Array.make Domain_ctx.batch dummy_mbuf in
+  let cycles = Cost.meter () in
   let running = ref true in
   while !running do
     if Spsc.is_empty rx then begin
@@ -119,20 +120,18 @@ let worker_loop t i =
       (* A lost result whose packet still had a router-owned stage to
          run ends here, so its drop is counted here; a settled or
          ICMP-error result counted its drop when it settled. *)
-      let (), cycles =
-        Cost.measure (fun () ->
-            Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
-              ~emit:(fun m verdict handoff ->
-                if not (Spsc.push tx (Shard.result (Shard.ctx shard) m verdict handoff))
-                then begin
-                  Rp_obs.Counter.inc tx_drops;
-                  match handoff with
-                  | Ip_core.Local | Ip_core.Egress _ ->
-                    Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
-                  | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
-                end))
-      in
-      Shard.add_cycles shard cycles;
+      let c0 = !cycles in
+      Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
+        ~emit:(fun m verdict handoff ->
+          if not (Spsc.push tx (Shard.result (Shard.ctx shard) m verdict handoff))
+          then begin
+            Rp_obs.Counter.inc tx_drops;
+            match handoff with
+            | Ip_core.Local | Ip_core.Egress _ ->
+              Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
+            | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
+          end);
+      Shard.add_cycles shard (!cycles - c0);
       Atomic.set busy false
     end
   done
@@ -314,7 +313,8 @@ let transmit t ~now = function
 (* One packet to its shard's RX ring.  The packet is counted as
    received by its interface before the push hands it to the worker;
    the room check first makes the push certain, since only this domain
-   pushes. *)
+   pushes.  The caller adds the accepted packets to the process-wide
+   totals ([accept]). *)
 let push t ~now m =
   let ring = t.rx.(shard_of_key t m.Mbuf.key) in
   if Spsc.length ring >= Spsc.capacity ring then begin
@@ -323,10 +323,15 @@ let push t ~now m =
   end
   else begin
     m.Mbuf.birth_ns <- now;
-    Iface.count_rx (Router.iface t.router m.Mbuf.key.Flow_key.iface) m;
+    Iface.note_rx (Router.iface t.router m.Mbuf.key.Flow_key.iface) m;
     ignore (Spsc.push ring m);
-    Rp_obs.Counter.inc t.m_submitted;
     true
+  end
+
+let accept t ~packets ~bytes =
+  if packets > 0 then begin
+    Rp_obs.Counter.add t.m_submitted packets;
+    Iface.add_rx ~packets ~bytes
   end
 
 (* Batched submission.  Inline: one gate-major [Ip_core.run] on the
@@ -356,10 +361,15 @@ let submit_batch t ~now batch ~n =
     k
   | Sharded _ ->
     publish_changes t;
-    let accepted = ref 0 in
+    let accepted = ref 0 and bytes = ref 0 in
     for i = 0 to n - 1 do
-      if push t ~now batch.(i) then incr accepted
+      let m = batch.(i) in
+      if push t ~now m then begin
+        incr accepted;
+        bytes := !bytes + m.Mbuf.len
+      end
     done;
+    accept t ~packets:!accepted ~bytes:!bytes;
     !accepted
 
 let submit t ~now m =
@@ -367,7 +377,9 @@ let submit t ~now m =
   | Inline -> submit_batch t ~now [| m |] ~n:1 = 1
   | Sharded _ ->
     publish_changes t;
-    push t ~now m
+    let ok = push t ~now m in
+    if ok then accept t ~packets:1 ~bytes:m.Mbuf.len;
+    ok
 
 (* Finish one result on the control domain: apply its fault events to
    the PCU, then run whatever router-owned stage the shard handed back
@@ -386,20 +398,26 @@ let finish t (r : Shard.result) =
     transmit t ~now verdict;
     { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
 
+(* [engine.drained] takes one add per call, also when [f] raises. *)
 let drain ?(max = max_int) t ~f =
   let drained = ref 0 in
-  Array.iter
-    (fun tx ->
-      let continue = ref true in
-      while !continue && !drained < max do
-        match Spsc.pop tx with
-        | Some result ->
-          incr drained;
-          Rp_obs.Counter.inc t.m_drained;
-          f (finish t result)
-        | None -> continue := false
-      done)
-    t.tx;
+  (match
+     Array.iter
+       (fun tx ->
+         let continue = ref true in
+         while !continue && !drained < max do
+           match Spsc.pop tx with
+           | Some result ->
+             incr drained;
+             f (finish t result)
+           | None -> continue := false
+         done)
+       t.tx
+   with
+   | () -> Rp_obs.Counter.add t.m_drained !drained
+   | exception e ->
+     Rp_obs.Counter.add t.m_drained !drained;
+     raise e);
   !drained
 
 let flush t ~f =

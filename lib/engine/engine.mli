@@ -92,16 +92,18 @@ val submit : t -> now:int64 -> Mbuf.t -> bool
     engine at once, returning how many were accepted.  [Inline]: one
     gate-major sweep over the first packets that fit the result ring.
     [Sharded]: per-packet RX-ring pushes (packets of one batch hash to
-    different shards).  Rejected packets are counted as backpressure
-    drops, exactly as {!submit}. *)
+    different shards), with [engine.submitted] and the receiving
+    interfaces' [iface.rx_*] totals added once per call.  Rejected
+    packets are counted as backpressure drops, exactly as {!submit}. *)
 val submit_batch : t -> now:int64 -> Mbuf.t array -> n:int -> int
 
 (** [drain t ~f] pulls completed results from every ring, applies
     contained-fault events to the PCU/router (auto-quarantine, the
     [Unbind] policy — published before the next packet like any other
     change), finishes handed-back stages, and calls [f] on each settled
-    result.  Returns the number of results drained.  Control domain
-    only. *)
+    result.  Returns the number of results drained, which is added to
+    [engine.drained] once per call (also when [f] raises).  Control
+    domain only. *)
 val drain : ?max:int -> t -> f:(Shard.result -> unit) -> int
 
 (** Current snapshot generation. *)

@@ -1,22 +1,28 @@
 (* Domain-local meter: each engine shard accounts its own lookup
-   accesses; the single-domain case keeps the plain-ref cost. *)
-let counter = Domain.DLS.new_key (fun () -> ref 0)
-let enabled = Domain.DLS.new_key (fun () -> ref true)
+   accesses; the single-domain case keeps the plain-ref cost.  The
+   count and the enabled flag share one record, so a charge is one
+   domain-local-storage read. *)
+type state = { count : int ref; mutable enabled : bool }
 
-let[@inline] cur () = Domain.DLS.get counter
+let state = Domain.DLS.new_key (fun () -> { count = ref 0; enabled = true })
 
-let charge n = if !(Domain.DLS.get enabled) then (let c = cur () in c := !c + n)
-let reset () = cur () := 0
-let get () = !(cur ())
+let[@inline] meter () = (Domain.DLS.get state).count
+
+let charge n =
+  let s = Domain.DLS.get state in
+  if s.enabled then s.count := !(s.count) + n
+
+let reset () = meter () := 0
+let get () = !(meter ())
 
 let measure f =
-  let c = cur () in
+  let c = meter () in
   let before = !c in
   let result = f () in
   (result, !c - before)
 
-let set_enabled b = Domain.DLS.get enabled := b
-let is_enabled () = !(Domain.DLS.get enabled)
+let set_enabled b = (Domain.DLS.get state).enabled <- b
+let is_enabled () = (Domain.DLS.get state).enabled
 
 (* Dump-time view of the meter itself: zero hot-path cost, the gauge
    callback reads the dumping domain's counter only when a snapshot is

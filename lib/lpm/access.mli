@@ -16,6 +16,17 @@ val charge : int -> unit
 val reset : unit -> unit
 val get : unit -> int
 
+(** [meter ()] is the calling domain's count cell itself:
+    [!(meter ())] is {!get}.  Looking it up costs the domain-local
+    read that {!get} and {!charge} each repeat, so a hot loop on one
+    domain reads the cell instead: a data-path frame of [Ip_core] looks
+    it up once per frame and reads it before and after each
+    classification, and a cold classification reads it around its
+    filter walks.  Writing to the cell bypasses [enabled]; charge
+    through {!charge}.  The cell must not be handed to another
+    domain. *)
+val meter : unit -> int ref
+
 (** [measure f] runs [f ()] and returns its result together with the
     number of accesses charged during the call. *)
 val measure : (unit -> 'a) -> 'a * int

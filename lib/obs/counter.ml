@@ -26,3 +26,18 @@ let swap t =
   Array.fold_left (fun acc c -> acc + Atomic.exchange c 0) 0 t.cells
 
 let reset t = ignore (swap t)
+
+(* A plain tally in front of a counter, owned by one domain: events
+   [note] into it at the cost of a field bump, and [settle] moves the
+   tally into the counter with one striped add. *)
+type pending = { target : t; mutable n : int }
+
+let pending target = { target; n = 0 }
+let[@inline] note p k = p.n <- p.n + k
+
+let settle p =
+  let k = p.n in
+  if k <> 0 then begin
+    p.n <- 0;
+    add p.target k
+  end

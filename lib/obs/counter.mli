@@ -32,3 +32,25 @@ val swap : t -> int
 
 (** [reset t] is [ignore (swap t)]. *)
 val reset : t -> unit
+
+(** {1 Batched increments}
+
+    A [pending] tally sits in front of one counter and belongs to one
+    domain (it is a plain mutable int, not atomic).  A hot loop [note]s
+    its events into the tally and [settle]s it once per batch, so the
+    counter takes one striped add per batch instead of one per event.
+    Between [note] and [settle] the counter lags by the tally; the
+    owner settles before anyone reads the counter for an exact value
+    (see the data-path frames of [Ip_core]). *)
+
+type pending
+
+(** [pending c] is an empty tally in front of [c]. *)
+val pending : t -> pending
+
+(** [note p k] adds [k] to the tally; the counter does not move. *)
+val note : pending -> int -> unit
+
+(** [settle p] adds the tally to its counter (one {!add}, skipped when
+    the tally is zero) and empties it. *)
+val settle : pending -> unit

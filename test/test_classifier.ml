@@ -979,6 +979,14 @@ let prop_flow_table_equiv =
 
 (* --- AIU ------------------------------------------------------------- *)
 
+(* [Aiu.classify] returns the flow record; these tests read the
+   instance bound at [gate] beside it. *)
+let aiu_classify aiu m ~gate ~now =
+  let record = Aiu.classify aiu m ~gate ~now in
+  match Flow_table.binding record ~gate with
+  | Some b -> Some (b.Flow_table.instance, record)
+  | None -> None
+
 let test_aiu_classify_caches () =
   let aiu = Aiu.create ~gates:3 () in
   let f = Filter.v4 ~src:(Prefix.of_string "10.0.0.0/8") () in
@@ -986,7 +994,7 @@ let test_aiu_classify_caches () =
   Aiu.bind aiu ~gate:2 f "sched";
   let m = Mbuf.synth ~key:(key ()) ~len:100 () in
   (* First gate on an uncached flow: classification populates all gates. *)
-  (match Aiu.classify aiu m ~gate:0 ~now:0L with
+  (match aiu_classify aiu m ~gate:0 ~now:0L with
    | Some (v, record) ->
      check string_t "gate0 instance" "opt" v;
      check bool_t "gate2 prefetched" true
@@ -998,7 +1006,7 @@ let test_aiu_classify_caches () =
   check bool_t "fix set" true (m.Mbuf.fix <> None);
   (* Subsequent gate uses the FIX: no flow-table lookup. *)
   let stats_before = Flow_table.stats (Aiu.flow_table aiu) in
-  (match Aiu.classify aiu m ~gate:2 ~now:1L with
+  (match aiu_classify aiu m ~gate:2 ~now:1L with
    | Some (v, _) -> check string_t "gate2 via fix" "sched" v
    | None -> Alcotest.fail "expected gate2 match");
   let stats_after = Flow_table.stats (Aiu.flow_table aiu) in
@@ -1006,7 +1014,7 @@ let test_aiu_classify_caches () =
     stats_after.Flow_table.lookups;
   (* Second packet of the flow: flow-table hit, no filter lookup. *)
   let m2 = Mbuf.synth ~key:(key ()) ~len:100 () in
-  (match Aiu.classify aiu m2 ~gate:0 ~now:2L with
+  (match aiu_classify aiu m2 ~gate:0 ~now:2L with
    | Some (v, _) -> check string_t "cached flow" "opt" v
    | None -> Alcotest.fail "expected cached match");
   check int_t "hit recorded" 1 (Flow_table.stats (Aiu.flow_table aiu)).Flow_table.hits
@@ -1016,18 +1024,18 @@ let test_aiu_rebind_flushes () =
   let f = Filter.v4 ~src:(Prefix.of_string "10.0.0.0/8") () in
   Aiu.bind aiu ~gate:0 f "v1";
   let m = Mbuf.synth ~key:(key ()) ~len:100 () in
-  (match Aiu.classify aiu m ~gate:0 ~now:0L with
+  (match aiu_classify aiu m ~gate:0 ~now:0L with
    | Some (v, _) -> check string_t "before" "v1" v
    | None -> Alcotest.fail "expected match");
   Aiu.bind aiu ~gate:0 f "v2";
   (* The cached flow entry and the packet's FIX are now stale; a new
      packet must see the new binding. *)
   let m2 = Mbuf.synth ~key:(key ()) ~len:100 () in
-  (match Aiu.classify aiu m2 ~gate:0 ~now:1L with
+  (match aiu_classify aiu m2 ~gate:0 ~now:1L with
    | Some (v, _) -> check string_t "after rebind" "v2" v
    | None -> Alcotest.fail "expected match after rebind");
   (* The old packet's FIX is stale but must degrade gracefully. *)
-  match Aiu.classify aiu m ~gate:0 ~now:2L with
+  match aiu_classify aiu m ~gate:0 ~now:2L with
   | Some (v, _) -> check string_t "stale fix reclassified" "v2" v
   | None -> Alcotest.fail "expected reclassification"
 
@@ -1096,7 +1104,7 @@ let test_aiu_no_match () =
   let aiu = Aiu.create ~gates:2 () in
   Aiu.bind aiu ~gate:0 (Filter.v4 ~proto:Proto.tcp ()) "tcp-only";
   let m = Mbuf.synth ~key:(key ~proto:Proto.udp ()) ~len:64 () in
-  check bool_t "no binding for udp" true (Aiu.classify aiu m ~gate:0 ~now:0L = None);
+  check bool_t "no binding for udp" true (aiu_classify aiu m ~gate:0 ~now:0L = None);
   (* The flow record exists nonetheless (negative caching). *)
   check int_t "record cached" 1 (Flow_table.length (Aiu.flow_table aiu))
 

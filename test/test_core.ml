@@ -368,15 +368,17 @@ let test_fault_unbind_policy () =
   check bool_t "quarantined on first fault" true
     (Pcu.is_quarantined r.Router.pcu inst.Plugin.instance_id)
 
-let test_fault_cycle_budget () =
+(* A router whose firewall instance burns 50,000 cycles per packet
+   under a 10,000-cycle budget. *)
+let burning_router () =
   let r = mk_router () in
   Router.set_cycle_budget r (Some 10_000);
   let inst =
     bind_fault_plugin r ~config:[ ("mode", "burn"); ("burn", "50000") ]
   in
-  (match Ip_core.process r ~now:1L (mk_pkt ()) with
-   | Ip_core.Dropped "plugin fault" -> ()
-   | v -> Alcotest.failf "expected budget drop, got %a" Ip_core.pp_verdict v);
+  (r, inst)
+
+let check_one_budget_fault label r inst =
   match
     List.find_opt
       (fun (i : Pcu.fault_info) ->
@@ -384,11 +386,40 @@ let test_fault_cycle_budget () =
       (Pcu.fault_report r.Router.pcu)
   with
   | Some i ->
-    check int_t "one fault" 1 i.Pcu.total_faults;
-    check bool_t "reason mentions the budget" true
+    check int_t (label ^ ": one fault") 1 i.Pcu.total_faults;
+    check bool_t (label ^ ": reason mentions the budget") true
       (String.length i.Pcu.last_fault >= 12
        && String.sub i.Pcu.last_fault 0 12 = "cycle budget")
-  | None -> Alcotest.fail "instance missing from fault report"
+  | None -> Alcotest.failf "%s: instance missing from fault report" label
+
+let test_fault_cycle_budget () =
+  let r, inst = burning_router () in
+  (match Ip_core.process r ~now:1L (mk_pkt ()) with
+   | Ip_core.Dropped "plugin fault" -> ()
+   | v -> Alcotest.failf "expected budget drop, got %a" Ip_core.pp_verdict v);
+  check_one_budget_fault "router context" r inst
+
+(* The same containment through both engines.  On a worker domain the
+   plugin's own [Cost.charge] and the cycle meter the frame looked up
+   once must be the same cell, or the budget check sees no overrun. *)
+let test_fault_cycle_budget_engines () =
+  List.iter
+    (fun mode ->
+      let label = Rp_engine.Engine.mode_to_string mode in
+      let r, inst = burning_router () in
+      let e = Rp_engine.Engine.create mode r in
+      check bool_t (label ^ ": accepted") true
+        (Rp_engine.Engine.submit e ~now:1L (mk_pkt ()));
+      let outcomes = ref [] in
+      ignore
+        (Rp_engine.Engine.flush e ~f:(fun res ->
+             outcomes := res.Rp_engine.Shard.outcome :: !outcomes));
+      Rp_engine.Engine.stop e;
+      (match !outcomes with
+       | [ Rp_engine.Shard.Dropped "plugin fault" ] -> ()
+       | _ -> Alcotest.failf "%s: expected one budget drop" label);
+      check_one_budget_fault label r inst)
+    [ Rp_engine.Engine.Inline; Rp_engine.Engine.Sharded 2 ]
 
 let test_fault_consecutive_resets_on_success () =
   let r = mk_router () in
@@ -658,6 +689,8 @@ let () =
           Alcotest.test_case "continue policy" `Quick test_fault_continue_policy;
           Alcotest.test_case "unbind policy" `Quick test_fault_unbind_policy;
           Alcotest.test_case "cycle budget" `Quick test_fault_cycle_budget;
+          Alcotest.test_case "cycle budget on both engines" `Quick
+            test_fault_cycle_budget_engines;
           Alcotest.test_case "success resets consecutive" `Quick
             test_fault_consecutive_resets_on_success;
           Alcotest.test_case "raising qdisc contained" `Quick

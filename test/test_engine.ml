@@ -713,6 +713,96 @@ let test_counter_consistency () =
     (top_packets () - top0);
   Engine.stop e
 
+(* The per-packet registry counters the data path adds once per frame
+   (flow table, AIU, route cache, receive) or once per drain call
+   ([engine.drained]) must be exact once the engine is flushed: each
+   delta equals what the traffic implies.  [flows] flows, each sent
+   [per_flow] times with a distinct length, every packet forwarded
+   through all eight gates: a flow's first packet misses the flow table
+   and walks the routes, later ones hit both caches, and every gate
+   after the first reads the packet's FIX.  Then a direct library call,
+   outside any frame, moves its counter at once. *)
+let test_batched_counters_exact () =
+  let names =
+    [ "flow_table.lookups"; "flow_table.hits"; "flow_table.misses";
+      "flow_table.accounted_packets"; "flow_table.accounted_bytes";
+      "aiu.fix_hits"; "route_table.cache_hits"; "route_table.lookups";
+      "iface.rx_packets"; "iface.rx_bytes"; "engine.drained" ]
+  in
+  let snapshot () = List.map (fun n -> (n, counter_get n)) names in
+  let delta before name = counter_get name - List.assoc name before in
+  let flows = 10 and per_flow = 7 in
+  let n = flows * per_flow in
+  let len i = 100 + i in
+  let bytes = List.fold_left ( + ) 0 (List.init n len) in
+  List.iter
+    (fun mode ->
+      let label = Engine.mode_to_string mode in
+      let r = mk_router () in
+      let _inst, _hits = bind_counting r ~gate:Gate.Firewall ~name:"exact" in
+      let e = Engine.create mode r in
+      let before = snapshot () in
+      let pkts =
+        Array.init n (fun i ->
+            let key =
+              Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 1)
+                ~proto:Proto.udp ~sport:(11_000 + (i mod flows)) ~dport:9000 ~iface:0
+            in
+            Mbuf.synth ~key ~len:(len i) ())
+      in
+      let forwarded = ref 0 in
+      let count (res : Shard.result) =
+        match res.Shard.outcome with Shard.Forwarded _ -> incr forwarded | _ -> ()
+      in
+      let off = ref 0 in
+      while !off < n do
+        let k = min 16 (n - !off) in
+        check int_t (label ^ ": batch accepted") k
+          (Engine.submit_batch e ~now:0L (Array.sub pkts !off k) ~n:k);
+        ignore (Engine.drain e ~f:count);
+        off := !off + k
+      done;
+      ignore (Engine.flush e ~f:count);
+      Engine.stop e;
+      let d = delta before and is name v = check int_t (label ^ ": " ^ name) v in
+      is "every packet forwarded" n !forwarded;
+      is "flow_table.lookups" n (d "flow_table.lookups");
+      is "flow_table.misses" flows (d "flow_table.misses");
+      is "flow_table.hits" (n - flows) (d "flow_table.hits");
+      is "flow_table.accounted_packets" !forwarded (d "flow_table.accounted_packets");
+      is "flow_table.accounted_bytes" bytes (d "flow_table.accounted_bytes");
+      is "aiu.fix_hits" ((Gate.count - 1) * n) (d "aiu.fix_hits");
+      is "route_table.lookups" flows (d "route_table.lookups");
+      is "route_table.cache_hits" (n - flows) (d "route_table.cache_hits");
+      is "iface.rx_packets" n (d "iface.rx_packets");
+      is "iface.rx_bytes" bytes (d "iface.rx_bytes");
+      is "engine.drained" n (d "engine.drained");
+      (* Direct calls on the router's own tables, outside any frame.  On
+         the inline engine the last packet's FIX and cached route are
+         the router's. *)
+      if mode = Engine.Inline then begin
+        let m = pkts.(n - 1) in
+        let aiu = Router.aiu r in
+        let ft = Rp_classifier.Aiu.flow_table aiu in
+        let once name f =
+          let b = snapshot () in
+          f ();
+          is ("direct " ^ name) 1 (delta b name)
+        in
+        once "flow_table.lookups" (fun () ->
+            ignore (Rp_classifier.Flow_table.lookup ft m.Mbuf.key ~now:1L));
+        once "flow_table.hits" (fun () ->
+            ignore (Rp_classifier.Flow_table.lookup ft m.Mbuf.key ~now:1L));
+        once "route_table.cache_hits" (fun () ->
+            is "cached route" 1 (Route_table.resolve r.Router.routes ft m));
+        once "aiu.fix_hits" (fun () ->
+            ignore (Rp_classifier.Aiu.classify aiu m ~gate:1 ~now:1L));
+        once "flow_table.accounted_packets" (fun () ->
+            Rp_classifier.Flow_table.account ft m ~verdict:`Fwd);
+        once "iface.rx_packets" (fun () -> Iface.count_rx (Router.iface r 0) m)
+      end)
+    [ Engine.Inline; Engine.Sharded 1; Engine.Sharded 2 ]
+
 (* --- telemetry on worker domains -------------------------------------- *)
 
 (* Workers write their own event rings and account flows in their
@@ -1508,10 +1598,12 @@ let test_tx_ring_overflow () =
    filters beside them, 1,024 routes), warmed, then fed prebuilt
    packets of cached flows: minor-heap words per packet for
    submit_batch + drain.  A cached flow walks no LPM and is handed a
-   preallocated FIX, so bringing either allocation back fails here:
-   the path measures 49.7 words, where one LPM walk alone used to
-   allocate 100. *)
-let ceiling_words_per_pkt = 56.
+   preallocated FIX, and a gate hands its handler the binding option
+   stored in the flow record, so bringing any of these allocations
+   back fails here: the path measures 34.5 words, where one LPM walk
+   alone used to allocate 100 and the AIU's (instance, record) pair
+   5 per gate. *)
+let ceiling_words_per_pkt = 41.
 
 let test_alloc_ceiling () =
   let pmgr r cmd = ok (Rp_control.Pmgr.exec r cmd) in
@@ -1593,6 +1685,8 @@ let () =
             test_flows_stay_on_owning_shard;
           Alcotest.test_case "counter consistency" `Quick
             test_counter_consistency;
+          Alcotest.test_case "batched counters are exact" `Quick
+            test_batched_counters_exact;
           Alcotest.test_case "worker telemetry and flow export" `Quick
             test_sharded_telemetry;
         ] );
