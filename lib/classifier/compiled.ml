@@ -4,7 +4,9 @@ open Rp_pkt
    hash-consing identity: subtree construction is memoized on the
    (level, residual uid set) pair, so equal residual sets — which is
    where cross-gate sharing happens, wildcard-heavy filters surviving
-   down many paths — build one shared node. *)
+   down many paths — build one shared node.  Uids are never reused and
+   entries never change, so a key names the same subtree in every
+   build: the memo carries over from one build to the next. *)
 type 'a entry = {
   uid : int;
   gate : int;
@@ -18,25 +20,29 @@ type 'a winners = (Filter.t * 'a) option array
    module's type parameter is fixed at wrapper creation, letting a
    runtime-selected engine hold nodes of this structure.  Lookups feed
    the same per-engine meters as the DAG's, so Table-2 style engine
-   accounting aggregates both classifiers. *)
+   accounting aggregates both classifiers.  Applied to an engine, it
+   resolves those meters once and returns the per-node factory. *)
 type 'a addr_matcher = {
   am_insert : Prefix.t -> 'a -> unit;
   am_lookup : Ipaddr.t -> (Prefix.t * 'a) option;
 }
 
-let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) () =
-  let t = E.create () in
+let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) =
   let m_lookups = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".lookups") in
   let m_accesses = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".accesses") in
-  {
-    am_insert = (fun p v -> E.insert t p v);
-    am_lookup =
-      (fun a ->
-        Rp_obs.Counter.inc m_lookups;
-        let r, accesses = Rp_lpm.Access.measure (fun () -> E.lookup t a) in
-        Rp_obs.Counter.add m_accesses accesses;
-        r);
-  }
+  fun () ->
+    let t = E.create () in
+    {
+      am_insert = (fun p v -> E.insert t p v);
+      am_lookup =
+        (fun a ->
+          Rp_obs.Counter.inc m_lookups;
+          let accesses = Rp_lpm.Access.meter () in
+          let a0 = !accesses in
+          let r = E.lookup t a in
+          Rp_obs.Counter.add m_accesses (!accesses - a0);
+          r);
+    }
 
 (* Decision nodes, one constructor per DAG level kind.  Levels where
    every residual filter is wildcarded are elided entirely (the FDD
@@ -57,16 +63,26 @@ type 'a node =
       xwild : 'a node option;
     }
 
+(* The installed bindings, indexed by (gate, filter): a gate holds at
+   most one structurally equal filter, so bind and unbind are one
+   table operation each. *)
+module Binding_tbl = Hashtbl.Make (struct
+  type t = int * Filter.t
+
+  let equal (g, f) (h, f') = g = h && Filter.equal f f'
+  let hash (g, f) = Filter.hash f + (g * 0x9E3779B1)
+end)
+
 type 'a t = {
-  engine : Rp_lpm.Engines.t;
+  new_matcher : unit -> 'a node addr_matcher;
   n_gates : int;
-  mutable entries : 'a entry list;  (* newest first *)
+  entries : 'a entry Binding_tbl.t;
   mutable next_uid : int;
   mutable root : 'a node;
   mutable dirty : bool;
-  mutable nodes : int;  (* distinct nodes in the current build *)
-  mutable shared : int;  (* memo hits in the last build *)
-  mutable n_builds : int;
+  mutable memo : (string, 'a node) Hashtbl.t;
+      (* the last build's nodes, by (level, residual uid set) key *)
+  mutable nodes : int;  (* nodes the last build constructed *)
 }
 
 let n_levels = 6
@@ -78,17 +94,16 @@ let m_rebuilds = Rp_obs.Registry.counter "compiled.rebuilds"
 let create ?(engine = Rp_lpm.Engines.patricia) ~gates () =
   if gates <= 0 then invalid_arg "Compiled.create: gates";
   {
-    engine;
+    new_matcher = addr_matcher_of_engine engine;
     n_gates = gates;
-    entries = [];
+    entries = Binding_tbl.create 64;
     next_uid = 0;
     (* Placeholder; [dirty] forces the canonical (empty) build on
        first use, so an empty structure uniformly misses every key. *)
     root = Leaf (Array.make gates None);
     dirty = true;
+    memo = Hashtbl.create 1;
     nodes = 0;
-    shared = 0;
-    n_builds = 0;
   }
 
 let gates t = t.n_gates
@@ -128,43 +143,45 @@ let check_gate t gate =
 
 let bind t ~gate f v =
   check_gate t gate;
-  t.entries <-
-    { uid = t.next_uid; gate; filter = f; inst = v }
-    :: List.filter
-         (fun e -> not (e.gate = gate && Filter.equal e.filter f))
-         t.entries;
+  Binding_tbl.replace t.entries (gate, f)
+    { uid = t.next_uid; gate; filter = f; inst = v };
   t.next_uid <- t.next_uid + 1;
   t.dirty <- true
 
 let unbind t ~gate f =
   check_gate t gate;
-  t.entries <-
-    List.filter
-      (fun e -> not (e.gate = gate && Filter.equal e.filter f))
-      t.entries;
+  Binding_tbl.remove t.entries (gate, f);
   t.dirty <- true
 
 let clear t =
-  t.entries <- [];
+  Binding_tbl.reset t.entries;
+  t.memo <- Hashtbl.create 1;
   t.dirty <- true
 
-let length t = List.length t.entries
+let length t = Binding_tbl.length t.entries
 let node_count t = t.nodes
-let shared_count t = t.shared
-let builds t = t.n_builds
 
 (* --- compilation ------------------------------------------------------ *)
 
+let by_uid a b = Int.compare a.uid b.uid
+
 (* Top-down set-pruning build over the residual entry set.  Every
-   subset is taken with [List.filter] from the canonically (uid-)
-   sorted parent list, so equal subsets produce equal memo keys. *)
+   subset is kept uid-sorted, so equal subsets produce equal memo
+   keys.  A key is looked up in this build's memo, then in the last
+   build's, and only then is its node made: a bind re-makes the paths
+   its filter reaches and reuses every other subtree by key.  The new
+   memo keeps only the keys this build requested, so it never holds
+   more than one build's nodes. *)
 let rebuild_inner t =
-  t.n_builds <- t.n_builds + 1;
   Rp_obs.Counter.inc m_rebuilds;
   t.nodes <- 0;
-  t.shared <- 0;
-  let memo : (string, 'a node) Hashtbl.t = Hashtbl.create 256 in
-  let all = List.sort (fun a b -> Int.compare a.uid b.uid) t.entries in
+  let prev = t.memo in
+  let memo : (string, 'a node) Hashtbl.t =
+    Hashtbl.create (max 256 (Hashtbl.length prev))
+  in
+  let all =
+    List.sort by_uid (Binding_tbl.fold (fun _ e acc -> e :: acc) t.entries [])
+  in
   let key_of level es =
     let b = Buffer.create 64 in
     Buffer.add_string b (string_of_int level);
@@ -182,13 +199,16 @@ let rebuild_inner t =
     else begin
       let k = key_of level es in
       match Hashtbl.find_opt memo k with
-      | Some n ->
-        t.shared <- t.shared + 1;
-        n
+      | Some n -> n
       | None ->
-        let n = make level es in
+        let n =
+          match Hashtbl.find_opt prev k with
+          | Some n -> n
+          | None ->
+            t.nodes <- t.nodes + 1;
+            make level es
+        in
         Hashtbl.add memo k n;
-        t.nodes <- t.nodes + 1;
         n
     end
   and make level es =
@@ -212,21 +232,38 @@ let rebuild_inner t =
         (* Edges are the distinct labels; edge [p] carries every entry
            whose label subsumes [p] (labels matching one address form
            a chain, so following the longest matching edge keeps all
-           shorter matching labels reachable — set pruning). *)
-        let labels =
-          List.sort_uniq Prefix.compare
-            (List.map (fun e -> addr_label e.filter level) es)
+           shorter matching labels reachable — set pruning).  In
+           [Prefix.compare] order every label follows its ancestors
+           and precedes the rest of its subtree, so one pass with a
+           stack of the current label's ancestors finds each one's
+           nearest labelled ancestor: its subset is that ancestor's
+           subset merged with its own entries.  The stable sort keeps
+           each label's own entries in uid order. *)
+        let label e = addr_label e.filter level in
+        let sorted =
+          List.stable_sort (fun a b -> Prefix.compare (label a) (label b)) es
         in
-        let am = addr_matcher_of_engine t.engine () in
-        List.iter
-          (fun p ->
-            let subset =
-              List.filter
-                (fun e -> Prefix.subsumes (addr_label e.filter level) p)
-                es
-            in
-            am.am_insert p (build (level + 1) subset))
-          labels;
+        let am = t.new_matcher () in
+        let rec own p acc = function
+          | e :: rest when Prefix.equal (label e) p -> own p (e :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let rec parent p = function
+          | (q, sub) :: _ as stack when Prefix.subsumes q p -> (sub, stack)
+          | _ :: up -> parent p up
+          | [] -> ([], [])
+        in
+        let rec walk stack = function
+          | [] -> ()
+          | e :: _ as rest ->
+            let p = label e in
+            let mine, rest = own p [] rest in
+            let above, stack = parent p stack in
+            let subset = List.merge by_uid above mine in
+            am.am_insert p (build (level + 1) subset);
+            walk ((p, subset) :: stack) rest
+        in
+        walk [] sorted;
         Addr { a_level = level; a_matcher = am }
       | 2 | 5 ->
         let wilds = List.filter (wild_at level) es in
@@ -301,7 +338,8 @@ let rebuild_inner t =
         Ports { p_level = level; intervals; pwild }
       | _ -> assert false
   in
-  t.root <- build 0 all
+  t.root <- build 0 all;
+  t.memo <- memo
 
 (* Compile-time accesses (engine inserts) must not leak into the data
    path's meter — cancel whatever the build charged. *)

@@ -12,10 +12,14 @@
     lookup then resolves every gate in one traversal, so its memory
     accesses are independent of the gate count.
 
-    The structure is rebuilt lazily: {!bind}/{!unbind} only update the
-    union list and mark it dirty, and the next {!lookup} (or
-    {!prepare}) recompiles — so a burst of control-plane deltas is
-    coalesced into one compile.  Compile-time memory accesses are
+    The structure is recompiled lazily: {!bind}/{!unbind} only update
+    an index of the bindings and mark it dirty, and the next {!lookup}
+    (or {!prepare}) recompiles — so a burst of control-plane deltas is
+    coalesced into one compile.  A compile costs what changed, not
+    what is installed: a subtree is keyed by its level and the uids of
+    the bindings that reach it, and keys the last compile built are
+    reused rather than rebuilt, so a bind re-makes only the paths its
+    filter reaches.  Compile-time memory accesses are
     never charged to the {!Rp_lpm.Access} meter; lookups charge
     exactly like one {!Dag.lookup} (2 for the function pointers, 1 per
     edge, 1 per port-level probe, plus the BMP engine's own charges),
@@ -36,15 +40,16 @@ val create : ?engine:Rp_lpm.Engines.t -> gates:int -> unit -> 'a t
 val gates : 'a t -> int
 
 (** [bind t ~gate f v] adds [f -> v] to gate [gate]'s slice of the
-    union, replacing a structurally equal filter at that gate.
-    O(installed filters); the compiled structure is only marked
+    union, replacing a structurally equal filter at that gate.  O(1):
+    one hash-table update, and the compiled structure is marked
     dirty. *)
 val bind : 'a t -> gate:int -> Filter.t -> 'a -> unit
 
 (** [unbind t ~gate f] removes the filter structurally equal to [f]
-    from gate [gate]'s slice. *)
+    from gate [gate]'s slice.  O(1), like {!bind}. *)
 val unbind : 'a t -> gate:int -> Filter.t -> unit
 
+(** [clear t] removes every binding and drops the reusable nodes. *)
 val clear : 'a t -> unit
 
 (** [lookup t k] resolves every gate's most specific match for [k] in
@@ -60,12 +65,7 @@ val prepare : 'a t -> unit
 (** Number of installed (gate, filter) bindings. *)
 val length : 'a t -> int
 
-(** Distinct nodes in the current compiled structure (after sharing). *)
+(** Nodes the last compile constructed; nodes it reused from the
+    compile before are not counted.  A first compile counts every
+    distinct node. *)
 val node_count : 'a t -> int
-
-(** Subtree constructions avoided by hash-consing in the last
-    compile. *)
-val shared_count : 'a t -> int
-
-(** Compiles performed since [create]. *)
-val builds : 'a t -> int

@@ -25,25 +25,29 @@ module Filter_tbl = Hashtbl.Make (struct
   let hash = Filter.hash
 end)
 
-let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) () =
-  let t = E.create () in
-  (* Per-engine meters: every address lookup through this wrapper
-     counts once, and its [Access]-metered memory accesses are
-     attributed to the engine by name. *)
+(* Per-engine meters: every address lookup through a wrapper counts
+   once, and its [Access]-metered memory accesses are attributed to
+   the engine by name.  Applied to an engine, this resolves the two
+   meters once and returns the per-node factory. *)
+let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) =
   let m_lookups = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".lookups") in
   let m_accesses = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".accesses") in
-  {
-    am_name = E.name;
-    am_insert = (fun p v -> E.insert t p v);
-    am_find = (fun p -> E.find_exact t p);
-    am_lookup =
-      (fun a ->
-        Rp_obs.Counter.inc m_lookups;
-        let r, accesses = Rp_lpm.Access.measure (fun () -> E.lookup t a) in
-        Rp_obs.Counter.add m_accesses accesses;
-        r);
-    am_iter = (fun f -> E.iter f t);
-  }
+  fun () ->
+    let t = E.create () in
+    {
+      am_name = E.name;
+      am_insert = (fun p v -> E.insert t p v);
+      am_find = (fun p -> E.find_exact t p);
+      am_lookup =
+        (fun a ->
+          Rp_obs.Counter.inc m_lookups;
+          let accesses = Rp_lpm.Access.meter () in
+          let a0 = !accesses in
+          let r = E.lookup t a in
+          Rp_obs.Counter.add m_accesses (!accesses - a0);
+          r);
+      am_iter = (fun f -> E.iter f t);
+    }
 
 type 'a node = {
   level : int;
@@ -95,6 +99,7 @@ and 'a exact = {
 
 type 'a t = {
   engine : Rp_lpm.Engines.t;
+  new_matcher : unit -> 'a node addr_matcher;
   nodes : int ref;
   mutable root : 'a node;
   mutable installed : (Filter.t * 'a) list;
@@ -118,7 +123,7 @@ let m_matches = Rp_obs.Registry.counter "dag.matches"
 let m_edges = Rp_obs.Registry.counter "dag.edge_accesses"
 let m_skips = Rp_obs.Registry.counter "dag.skip_jumps"
 
-let mk_node engine nodes level =
+let mk_node new_matcher nodes level =
   incr nodes;
   let kids =
     if level >= n_levels then Leaf { best = None }
@@ -127,7 +132,7 @@ let mk_node engine nodes level =
       | 0 | 1 ->
         Addr
           {
-            matcher = addr_matcher_of_engine engine ();
+            matcher = new_matcher ();
             structure = Rp_lpm.Patricia.create ();
             label_filters = Prefix_tbl.create 8;
           }
@@ -137,14 +142,16 @@ let mk_node engine nodes level =
   in
   { level; filters = []; kids; skip = None }
 
-let new_node t level = mk_node t.engine t.nodes level
+let new_node t level = mk_node t.new_matcher t.nodes level
 
 let create ?(engine = Rp_lpm.Engines.patricia) () =
   let nodes = ref 0 in
+  let new_matcher = addr_matcher_of_engine engine in
   {
     engine;
+    new_matcher;
     nodes;
-    root = mk_node engine nodes 0;
+    root = mk_node new_matcher nodes 0;
     installed = [];
     installed_tbl = Filter_tbl.create 64;
   }

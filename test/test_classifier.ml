@@ -1266,6 +1266,184 @@ let prop_compiled_mode_equals_pergate =
         churn;
       before && agree 1L)
 
+(* v6 counterparts of the small generators above, under 2001:db8::/32,
+   so that mixed-family tables put both families at every address
+   level. *)
+let gen_small_addr6 =
+  QCheck2.Gen.map
+    (fun (x, y) -> Ipaddr.v6 0x20010db8l (Int32.of_int x) 0l (Int32.of_int y))
+    (QCheck2.Gen.pair (QCheck2.Gen.int_bound 3) (QCheck2.Gen.int_bound 3))
+
+let gen_small_prefix6 =
+  QCheck2.Gen.map
+    (fun (a, len) -> Prefix.make a len)
+    (QCheck2.Gen.pair gen_small_addr6
+       (QCheck2.Gen.oneofl [ 0; 32; 64; 96; 127; 128 ]))
+
+let gen_filter6 =
+  QCheck2.Gen.map
+    (fun ((src, dst, proto), (sport, dport, iface)) ->
+      Filter.v6 ~src ~dst ?proto ~sport ~dport ?iface ())
+    (QCheck2.Gen.pair
+       (QCheck2.Gen.triple gen_small_prefix6 gen_small_prefix6 gen_proto)
+       (QCheck2.Gen.triple gen_port_match gen_port_match gen_iface))
+
+let gen_key6 =
+  QCheck2.Gen.map
+    (fun ((src, dst), (sport, dport)) ->
+      Flow_key.make ~src ~dst ~proto:Proto.udp ~sport ~dport ~iface:0)
+    (QCheck2.Gen.pair
+       (QCheck2.Gen.pair gen_small_addr6 gen_small_addr6)
+       (QCheck2.Gen.pair (QCheck2.Gen.int_bound 9) (QCheck2.Gen.int_bound 9)))
+
+let compiled_winner c k g =
+  match Compiled.lookup c k with None -> None | Some w -> w.(g)
+
+let same_winner a b =
+  match a, b with
+  | None, None -> true
+  | Some (f1, v1), Some (f2, v2) -> Filter.equal f1 f2 && v1 = v2
+  | _ -> false
+
+(* A compile reuses the previous compile's subtrees by key.  After any
+   bind/unbind/clear history, compiled after most steps (a skipped
+   [prepare] coalesces steps into one compile), the result must
+   resolve every key exactly like a fresh structure compiled once
+   from the same final bindings. *)
+let prop_compiled_carried_memo_equals_fresh =
+  qtest ~count:500 "carried memo = fresh build (bind/unbind/clear)"
+    QCheck2.Gen.(
+      triple
+        (array_size (return 8) (frequency [ (2, gen_filter); (1, gen_filter6) ]))
+        (list_size (int_range 1 30)
+           (quad (int_bound 19) (int_bound 2) (int_bound 7) (int_bound 3)))
+        (list_size (int_range 1 12) (frequency [ (2, gen_key); (1, gen_key6) ])))
+    (fun (pool, ops, keys) ->
+      let c = Compiled.create ~gates:3 () in
+      (* The final bindings: (gate, filter, value), one per
+         structurally distinct filter at a gate. *)
+      let live = ref [] in
+      let drop g f =
+        List.filter (fun (h, f', _) -> not (h = g && Filter.equal f f')) !live
+      in
+      List.iteri
+        (fun i (op, g, j, compile) ->
+          let f = pool.(j) in
+          if op < 11 then begin
+            Compiled.bind c ~gate:g f i;
+            live := (g, f, i) :: drop g f
+          end
+          else if op < 17 then begin
+            Compiled.unbind c ~gate:g f;
+            live := drop g f
+          end
+          else begin
+            Compiled.clear c;
+            live := []
+          end;
+          if compile > 0 then Compiled.prepare c)
+        ops;
+      let fresh = Compiled.create ~gates:3 () in
+      List.iter (fun (g, f, v) -> Compiled.bind fresh ~gate:g f v) !live;
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun g ->
+              same_winner (compiled_winner c k g) (compiled_winner fresh k g))
+            [ 0; 1; 2 ])
+        keys)
+
+(* Random v4 filters in the shape of a bulk-loaded table: prefixes of
+   /16 to /31 anywhere in unicast space, a protocol, and a port on
+   three filters in ten. *)
+let bulk_filters ~salt n =
+  let rng = Random.State.make [| salt |] in
+  let int = Random.State.int rng in
+  List.init n (fun _ ->
+      let proto = if Random.State.bool rng then Proto.tcp else Proto.udp in
+      let a () = Ipaddr.v4 (1 + int 222) (int 256) (int 256) (int 256) in
+      Filter.v4
+        ~src:(Prefix.make (a ()) (16 + int 16))
+        ~dst:(Prefix.make (a ()) (16 + int 16))
+        ~proto
+        ~dport:(if int 10 < 3 then Filter.Port (int 10) else Filter.Any_port)
+        ())
+
+(* A bind re-makes only the paths its filter reaches: after a compile
+   of 3,000 bindings, binding one /24 constructs a handful of nodes,
+   not the thousands of the first compile. *)
+let test_compiled_rebuild_reuses () =
+  let c = Compiled.create ~gates:3 () in
+  List.iteri
+    (fun g salt ->
+      List.iteri (fun i f -> Compiled.bind c ~gate:g f i) (bulk_filters ~salt 1000))
+    [ 4; 5; 6 ];
+  Compiled.prepare c;
+  let first = Compiled.node_count c in
+  check bool_t (Printf.sprintf "first compile builds thousands (%d)" first) true
+    (first >= 1000);
+  let f24 = Filter.v4 ~src:(Prefix.of_string "10.0.3.0/24") () in
+  Compiled.bind c ~gate:1 f24 (-1);
+  Compiled.prepare c;
+  let again = Compiled.node_count c in
+  check bool_t (Printf.sprintf "a /24 bind constructs <= 64 nodes (%d)" again)
+    true (again <= 64);
+  check bool_t "the new binding resolves" true
+    (match compiled_winner c (key ~src:"10.0.3.7" ()) 1 with
+     | Some (f, v) -> Filter.equal f f24 && v = -1
+     | None -> false);
+  Compiled.unbind c ~gate:1 f24;
+  check bool_t "and is gone after unbind" true
+    (compiled_winner c (key ~src:"10.0.3.7" ()) 1 = None)
+
+(* The sorted pass over an address level: a nested chain
+   /0 ⊂ /8 ⊂ /16 ⊂ /24, a sibling /24 and a v6 prefix, at the source
+   and then at the destination level.  Every key must resolve each
+   gate exactly like that gate's DAG. *)
+let test_compiled_address_partition () =
+  List.iter
+    (fun level ->
+      let at p =
+        let p = Prefix.of_string p in
+        let mk = if Ipaddr.width p.Prefix.addr = 128 then Filter.v6 else Filter.v4 in
+        if level = 0 then mk ~src:p () else mk ~dst:p ()
+      in
+      let gate0 =
+        [ Filter.v4 (); at "10.0.0.0/8"; at "10.1.0.0/16"; at "10.1.2.0/24";
+          at "10.1.3.0/24"; at "2001:db8::/32" ]
+      and gate1 = [ at "10.0.0.0/8"; at "10.1.3.0/24"; Filter.v6 () ] in
+      let c = Compiled.create ~gates:2 () in
+      let dags = [| Dag.create (); Dag.create () |] in
+      List.iteri
+        (fun g fs ->
+          List.iteri
+            (fun i f ->
+              Compiled.bind c ~gate:g f i;
+              Dag.insert dags.(g) f i)
+            fs)
+        [ gate0; gate1 ];
+      List.iter
+        (fun a ->
+          let a = Ipaddr.of_string a in
+          let other =
+            Ipaddr.of_string
+              (if Ipaddr.width a = 128 then "2001:db8::99" else "192.0.2.1")
+          in
+          let src, dst = if level = 0 then (a, other) else (other, a) in
+          let k =
+            Flow_key.make ~src ~dst ~proto:Proto.udp ~sport:1 ~dport:2 ~iface:0
+          in
+          for g = 0 to 1 do
+            check bool_t
+              (Printf.sprintf "level %d, %s, gate %d" level
+                 (Ipaddr.to_string a) g)
+              true
+              (same_winner (compiled_winner c k g) (Dag.lookup dags.(g) k))
+          done)
+        [ "10.1.2.5"; "10.1.3.5"; "10.1.9.9"; "10.9.9.9"; "11.0.0.1";
+          "2001:db8::1"; "2001:db9::1" ])
+    [ 0; 1 ]
+
 let test_compiled_mode_strings () =
   check bool_t "pergate roundtrip" true
     (Aiu.mode_of_string (Aiu.mode_to_string `Per_gate) = Ok `Per_gate);
@@ -1348,5 +1526,10 @@ let () =
           Alcotest.test_case "mode strings" `Quick test_compiled_mode_strings;
           prop_compiled_matches_dags;
           prop_compiled_mode_equals_pergate;
+          prop_compiled_carried_memo_equals_fresh;
+          Alcotest.test_case "a rebuild reuses unchanged subtrees" `Quick
+            test_compiled_rebuild_reuses;
+          Alcotest.test_case "address partition = DAG" `Quick
+            test_compiled_address_partition;
         ] );
     ]
