@@ -198,10 +198,10 @@ let classify t mbuf ~gate ~now =
     match mbuf.Mbuf.fix with
     | Some fix ->
       (match Flow_table.find_fix t.flows fix with
-       | Some r ->
+       | Some _ as found ->
          Rp_obs.Counter.note t.c_fix_hits 1;
          if not t.held then Rp_obs.Counter.settle t.c_fix_hits;
-         Some r
+         found
        | None ->
          (* Stale FIX (row recycled): drop it and reclassify. *)
          Rp_obs.Counter.inc m_fix_stale;

@@ -39,6 +39,7 @@ type frame = {
 type 'r t = {
   mutable owner : 'r option;
   shard : int;  (* SLO histogram index *)
+  slo : Rp_obs.Slo.pending;  (* this domain's latencies, settled per frame *)
   birth_clock : bool;  (* a packet's [now] is its [birth_ns] *)
   mutable aiu : Plugin.t Rp_classifier.Aiu.t;
   mutable routes : Route_table.t;
@@ -75,6 +76,7 @@ let create ~shard ~birth_clock ~aiu ~routes ~control =
   {
     owner = None;
     shard;
+    slo = Rp_obs.Slo.pending ~shard;
     birth_clock;
     aiu;
     routes;

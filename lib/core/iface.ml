@@ -84,10 +84,16 @@ let dequeue t ~now =
     (match inst.Plugin.scheduler with
      | Some s -> s.Plugin.dequeue ~now
      | None -> assert false)
-  | None -> (
-      match Queue.pop t.fifo with
-      | m -> Some m
-      | exception Queue.Empty -> None)
+  | None -> Queue.take_opt t.fifo
+
+let drop_queued t ~now =
+  match t.qdisc with
+  | None -> Queue.clear t.fifo
+  | Some _ ->
+    let more = ref true in
+    while !more do
+      match dequeue t ~now with Some _ -> () | None -> more := false
+    done
 
 let backlog t =
   match t.qdisc with

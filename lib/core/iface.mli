@@ -49,6 +49,11 @@ val enqueue :
 (** [dequeue t ~now] takes the next packet to put on the wire. *)
 val dequeue : t -> now:int64 -> Mbuf.t option
 
+(** [drop_queued t ~now] takes every packet the output queue gives up
+    at [now] and discards it, as repeated {!dequeue}s until [None]
+    would; the default FIFO is emptied at once. *)
+val drop_queued : t -> now:int64 -> unit
+
 (** Packets waiting for transmission. *)
 val backlog : t -> int
 

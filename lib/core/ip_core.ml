@@ -59,8 +59,10 @@ let inline_gates_post = [ Gate.Congestion; Gate.Security_out; Gate.Stats ]
 (* The SLO layer only *reads* the cost-model clock (the frame's
    [cycles] meter) — reading is free — so Table-3 cycles are
    byte-identical with stamping on or off.  [slo_open]/[slo_close]
-   bracket one packet's traversal of a domain; [slo_attrib] accumulates
-   per-gate cycles into the mbuf when exemplar capture is armed. *)
+   bracket one packet's traversal of a domain, [slo_close] noting its
+   latency into the context's tallies, which [close] settles once per
+   frame; [slo_attrib] accumulates per-gate cycles into the mbuf when
+   exemplar capture is armed. *)
 
 let slo_open cost m =
   if Rp_obs.Slo.on () then begin
@@ -82,10 +84,10 @@ let slo_attrib m ~gate cycles =
     a.(g) <- a.(g) + cycles
   end
 
-let slo_close ~shard cost m cls =
+let slo_close (ctx : ctx) cost m cls =
   if Rp_obs.Slo.on () then begin
     let cycles = !cost - m.Mbuf.ingress_cycles in
-    Rp_obs.Slo.observe ~shard cls cycles;
+    Rp_obs.Slo.note ctx.D.slo cls cycles;
     if Rp_obs.Slo.armed () && Rp_obs.Slo.is_breach cycles then begin
       let a = m.Mbuf.gate_cycles in
       let gates =
@@ -95,7 +97,7 @@ let slo_close ~shard cost m cls =
             if c > 0 then Some (Gate.name g, c) else None)
           Gate.all
       in
-      Rp_obs.Slo.capture ~shard ~cls ~cycles
+      Rp_obs.Slo.capture ~shard:ctx.D.shard ~cls ~cycles
         ~key:(Flow_key.to_string m.Mbuf.key)
         ~gates ~trace_pkt:m.Mbuf.tseq
     end
@@ -193,6 +195,10 @@ let rec mem_gate g = function
   | [] -> false
   | x :: rest -> Gate.equal g x || mem_gate g rest
 
+let rec mem_proto p = function
+  | [] -> false
+  | x :: rest -> x = p || mem_proto p rest
+
 let gate_enabled (ctx : ctx) g = mem_gate g ctx.D.control.D.gates
 
 let settle_drop (f : D.frame) i why =
@@ -287,9 +293,16 @@ let leave (ctx : ctx) =
     Route_table.release ctx.D.routes
   end
 
+(* [Enqueued o] for the first 256 interfaces, built once, so a verdict
+   allocates nothing; a higher index builds its own. *)
+let enqueued_on = Array.init 256 (fun o -> Enqueued o)
+
+let enqueued o =
+  if o >= 0 && o < Array.length enqueued_on then enqueued_on.(o) else Enqueued o
+
 let verdict_of (f : D.frame) i =
   let st = f.D.state.(i) in
-  if st = forwarded || st = parked_egress then Enqueued f.D.out.(i)
+  if st = forwarded || st = parked_egress then enqueued f.D.out.(i)
   else if st = delivered || st = parked_local then Delivered_local
   else if st = absorbed then Absorbed
   else Dropped f.D.why.(i)
@@ -332,7 +345,7 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
         ~pkt:tseq ~arg:0
     end;
     if span then begin
-      slo_close ~shard:ctx.D.shard f.D.cycles m
+      slo_close ctx f.D.cycles m
         Rp_obs.Slo.(if is_drop then Drop else if is_fwd then Fwd else Absorb);
       Rp_classifier.Flow_table.account ft m
         ~verdict:(if is_drop then `Drop else if is_fwd then `Fwd else `Absorb)
@@ -344,6 +357,7 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
       if st = parked_local then m.Mbuf.fix <- None
     end
   done;
+  if span then Rp_obs.Slo.settle ctx.D.slo;
   if !fwd > 0 then Rp_obs.Counter.add m_forwarded !fwd;
   if !del > 0 then Rp_obs.Counter.add m_delivered !del;
   if !abso > 0 then Rp_obs.Counter.add m_absorbed !abso;
@@ -426,7 +440,9 @@ and drop_icmp ctx f i m why message =
 
 (* Local punt (protocols handled by a daemon on this router, e.g. SSP)
    and local delivery.  A shard recognises these packets by the punt
-   protocols and local addresses of its snapshot and hands them back. *)
+   protocols and local addresses of its snapshot and hands them back;
+   the router's context consults the same protocol list before it
+   hashes into its handler table. *)
 and local ctx f batch off n =
   for i = 0 to n - 1 do
     if f.D.state.(i) = live then
@@ -434,10 +450,12 @@ and local ctx f batch off n =
       match ctx.D.owner with
       | Some router ->
         let now = f.D.now.(i) and key = m.Mbuf.key in
+        let proto = key.Flow_key.proto in
         if
-          (match Hashtbl.find_opt router.Router.punts key.Flow_key.proto with
-           | Some handler -> handler ~now m = Router.Punt_consume
-           | None -> false)
+          (mem_proto proto ctx.D.control.D.punts
+          && match Hashtbl.find_opt router.Router.punts proto with
+             | Some handler -> handler ~now m = Router.Punt_consume
+             | None -> false)
           || Router.is_local router key.Flow_key.dst
              && begin
                answer_echo router ~now m;
@@ -447,7 +465,7 @@ and local ctx f batch off n =
       | None ->
         let key = m.Mbuf.key and c = ctx.D.control in
         if
-          List.mem key.Flow_key.proto c.D.punts
+          mem_proto key.Flow_key.proto c.D.punts
           || (c.D.locals <> []
              && List.exists (Ipaddr.equal key.Flow_key.dst) c.D.locals)
         then f.D.state.(i) <- parked_local

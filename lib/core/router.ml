@@ -72,7 +72,13 @@ let add_route t prefix ?next_hop ?(metric = 0) ~iface () =
   Route_table.add t.routes { Route_table.prefix; next_hop; iface; metric }
 
 let local_addrs t = (control t).locals
-let is_local t a = List.exists (Ipaddr.equal a) (local_addrs t)
+(* A plain walk: [List.exists (Ipaddr.equal a)] would build a closure
+   for every packet the data path checks. *)
+let rec mem_addr a = function
+  | [] -> false
+  | l :: rest -> Ipaddr.equal a l || mem_addr a rest
+
+let is_local t a = mem_addr a (local_addrs t)
 
 let add_local_addr t a =
   if not (is_local t a) then

@@ -123,14 +123,16 @@ let worker_loop t i =
       let c0 = !cycles in
       Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
         ~emit:(fun m verdict handoff ->
-          if not (Spsc.push tx (Shard.result (Shard.ctx shard) m verdict handoff))
-          then begin
+          let r = Shard.result (Shard.ctx shard) m verdict handoff in
+          if not (Spsc.stage tx r) then begin
             Rp_obs.Counter.inc tx_drops;
             match handoff with
             | Ip_core.Local | Ip_core.Egress _ ->
               Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
             | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
           end);
+      (* The batch is one frame: its results publish with one store. *)
+      Spsc.publish tx;
       Shard.add_cycles shard (!cycles - c0);
       Atomic.set busy false
     end
@@ -302,12 +304,7 @@ let refuse t k =
 (* The engine has no transmit loop: pull what the data path queued, so
    the output queue never fills. *)
 let transmit t ~now = function
-  | Ip_core.Enqueued out ->
-    let ifc = Router.iface t.router out in
-    let more = ref true in
-    while !more do
-      match Iface.dequeue ifc ~now with Some _ -> () | None -> more := false
-    done
+  | Ip_core.Enqueued out -> Iface.drop_queued (Router.iface t.router out) ~now
   | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ()
 
 (* One packet to its shard's RX ring.  The packet is counted as
@@ -336,7 +333,8 @@ let accept t ~packets ~bytes =
 
 (* Batched submission.  Inline: one gate-major [Ip_core.run] on the
    router's context over as many packets as the result ring has room
-   for; the rest are refused exactly as a full shard RX ring refuses
+   for, their results staged into the ring and published with one
+   store; the rest are refused exactly as a full shard RX ring refuses
    them.  Sharded: publish first, then per-packet pushes — packets of
    one batch hash to different shards; the batching win there is on
    the worker side. *)
@@ -353,9 +351,15 @@ let submit_batch t ~now batch ~n =
     if k > 0 then begin
       Rp_obs.Counter.add t.m_submitted k;
       let ctx = t.router.Router.ctx in
-      Ip_core.run ctx ~now batch ~n:k ~emit:(fun m verdict handoff ->
-          transmit t ~now verdict;
-          ignore (Spsc.push ring (Shard.result ctx m verdict handoff)))
+      match
+        Ip_core.run ctx ~now batch ~n:k ~emit:(fun m verdict handoff ->
+            transmit t ~now verdict;
+            ignore (Spsc.stage ring (Shard.result ctx m verdict handoff)))
+      with
+      | () -> Spsc.publish ring
+      | exception e ->
+        Spsc.publish ring;
+        raise e
     end;
     refuse t (n - k);
     k
@@ -398,21 +402,20 @@ let finish t (r : Shard.result) =
     transmit t ~now verdict;
     { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
 
-(* [engine.drained] takes one add per call, also when [f] raises. *)
+(* Each ring's head moves once per call, past the results handed to
+   [f] (see [Spsc.consume]); [engine.drained] takes one add per call,
+   also when [f] raises. *)
 let drain ?(max = max_int) t ~f =
   let drained = ref 0 in
+  let deliver result =
+    incr drained;
+    f (finish t result)
+  in
   (match
-     Array.iter
-       (fun tx ->
-         let continue = ref true in
-         while !continue && !drained < max do
-           match Spsc.pop tx with
-           | Some result ->
-             incr drained;
-             f (finish t result)
-           | None -> continue := false
-         done)
-       t.tx
+     for i = 0 to Array.length t.tx - 1 do
+       if !drained < max then
+         ignore (Spsc.consume t.tx.(i) ~max:(max - !drained) deliver)
+     done
    with
    | () -> Rp_obs.Counter.add t.m_drained !drained
    | exception e ->

@@ -31,7 +31,8 @@
     one too), with the shard's fault events and whatever router-owned
     stage it handed back; {!drain} finishes those on the control domain
     — PCU fault attribution, punts and local delivery, ICMP errors, the
-    output queue.
+    output queue.  A frame's results are published on its ring with one
+    store, and a {!drain} call takes each ring's results with one.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)
@@ -101,8 +102,12 @@ val submit_batch : t -> now:int64 -> Mbuf.t array -> n:int -> int
     contained-fault events to the PCU/router (auto-quarantine, the
     [Unbind] policy — published before the next packet like any other
     change), finishes handed-back stages, and calls [f] on each settled
-    result.  Returns the number of results drained, which is added to
-    [engine.drained] once per call (also when [f] raises).  Control
+    result, at most [max] of them, each ring's in the order its packets
+    were submitted.  Each ring's head advances once per call.  If [f]
+    raises, the results it was already handed (the raising one
+    included) are consumed and the rest stay queued, in order, for the
+    next call.  Returns the number of results drained, which is added
+    to [engine.drained] once per call (also when [f] raises).  Control
     domain only. *)
 val drain : ?max:int -> t -> f:(Shard.result -> unit) -> int
 

@@ -31,8 +31,13 @@ let seen_gen t = Atomic.get t.seen_gen
 let cycles t = Atomic.get t.cycles_acc
 let add_cycles t n = ignore (Atomic.fetch_and_add t.cycles_acc n)
 
+(* Like [Ip_core]'s verdicts, one [Forwarded i] per interface. *)
+let forwarded_on = Array.init 256 (fun i -> Forwarded i)
+
 let outcome_of = function
-  | Ip_core.Enqueued i -> Forwarded i
+  | Ip_core.Enqueued i ->
+    if i >= 0 && i < Array.length forwarded_on then forwarded_on.(i)
+    else Forwarded i
   | Ip_core.Delivered_local | Ip_core.Absorbed -> Absorbed
   | Ip_core.Dropped why -> Dropped why
 

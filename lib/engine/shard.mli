@@ -46,6 +46,8 @@ val create : index:int -> Snapshot.t -> t
 (** The shard's data-path context (shard domain only). *)
 val ctx : t -> Ip_core.ctx
 
+(** Allocates nothing for a verdict on one of the first 256
+    interfaces: their [Forwarded i] values are built once. *)
 val outcome_of : Ip_core.verdict -> outcome
 
 (** One packet of an {!Ip_core.run} on [ctx], for a result ring. *)

@@ -4,6 +4,7 @@ type 'a t = {
   dummy : 'a;
   head : int Atomic.t;  (* consumer index: next slot to pop *)
   tail : int Atomic.t;  (* producer index: next slot to fill *)
+  mutable staged : int;  (* producer only: filled past [tail], unpublished *)
 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
@@ -17,6 +18,7 @@ let create ~capacity ~dummy =
     dummy;
     head = Atomic.make 0;
     tail = Atomic.make 0;
+    staged = 0;
   }
 
 let capacity t = t.mask + 1
@@ -30,16 +32,29 @@ let length t =
 
 let is_empty t = length t = 0
 
-let push t x =
-  let tl = Atomic.get t.tail in
-  if tl - Atomic.get t.head >= capacity t then false
+let stage t x =
+  let at = Atomic.get t.tail + t.staged in
+  if at - Atomic.get t.head >= capacity t then false
   else begin
     (* Slots are allocated on first use, so building an engine costs no
-       ring memory; the tail publication below publishes [buf] too. *)
+       ring memory; the tail publication publishes [buf] too. *)
     if Array.length t.buf = 0 then t.buf <- Array.make (capacity t) t.dummy;
-    t.buf.(tl land t.mask) <- x;
-    (* The seq_cst set publishes the element write above. *)
-    Atomic.set t.tail (tl + 1);
+    t.buf.(at land t.mask) <- x;
+    t.staged <- t.staged + 1;
+    true
+  end
+
+let publish t =
+  if t.staged > 0 then begin
+    (* The seq_cst set publishes the element writes before it. *)
+    Atomic.set t.tail (Atomic.get t.tail + t.staged);
+    t.staged <- 0
+  end
+
+let push t x =
+  stage t x
+  && begin
+    publish t;
     true
   end
 
@@ -68,3 +83,25 @@ let pop_batch t ~max dst =
     Atomic.set t.head (h + n);
     n
   end
+
+let consume t ~max f =
+  let h = Atomic.get t.head in
+  let avail = Atomic.get t.tail - h in
+  let n = if avail < max then avail else max in
+  let i = ref 0 in
+  match
+    while !i < n do
+      let slot = (h + !i) land t.mask in
+      let x = t.buf.(slot) in
+      t.buf.(slot) <- t.dummy;
+      incr i;
+      f x
+    done
+  with
+  | () ->
+    if n > 0 then Atomic.set t.head (h + n);
+    n
+  | exception e ->
+    (* Past the elements handed over, the raising one included. *)
+    Atomic.set t.head (h + !i);
+    raise e

@@ -12,6 +12,12 @@
     read in [pop] that observes the advanced tail — elements are
     published safely across domains.
 
+    Either side can batch its index store.  A producer {!stage}s a
+    frame's elements and {!publish}es them with one tail store; a
+    consumer {!consume}s what is queued with one head store per call
+    (so does {!pop_batch}).  The engine's result rings run this way:
+    one atomic store per frame on each side, not one per packet.
+
     A full ring makes [push] return [false]; the producer counts the
     packet as a backpressure drop rather than blocking the data path
     (drop-tail, like a NIC RX ring). *)
@@ -33,11 +39,30 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** Producer side.  [push t x] is [false] when the ring is full. *)
+(** Producer side.  [push t x] is [false] when the ring is full;
+    otherwise [x] (and anything staged before it) is published. *)
 val push : 'a t -> 'a -> bool
+
+(** [stage t x] writes [x] into the next free slot without publishing
+    it: the consumer sees nothing until {!publish}.  [false] when the
+    ring, staged elements included, is full.  Producer side. *)
+val stage : 'a t -> 'a -> bool
+
+(** [publish t] makes every staged element visible to the consumer
+    with one tail store (nothing when none is staged).  Producer
+    side. *)
+val publish : 'a t -> unit
 
 (** Consumer side. *)
 val pop : 'a t -> 'a option
+
+(** [consume t ~max f] hands up to [max] queued elements to [f], oldest
+    first, and advances the consumer index once, past them, returning
+    the count.  If [f] raises, the index moves past the elements
+    already handed to [f] — the raising one included — and the
+    exception propagates; the rest stay queued for the next call.
+    Consumer side. *)
+val consume : 'a t -> max:int -> ('a -> unit) -> int
 
 (** [pop_batch t ~max dst] pops up to [max] elements into [dst.(0..)]
     and returns the count, advancing the consumer index once —

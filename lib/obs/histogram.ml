@@ -45,6 +45,42 @@ let observe t v =
   Atomic.incr t.total;
   ignore (Atomic.fetch_and_add t.sum v)
 
+(* Plain per-bucket tallies in front of a histogram, owned by one
+   domain: [note] is the binary search and two field bumps, and
+   [settle] moves the tallies in with one atomic add per nonzero
+   bucket, plus total and sum. *)
+type pending = {
+  target : t;
+  tally : int array;  (* by bucket, like [counts] *)
+  mutable n : int;
+  mutable s : int;
+}
+
+let pending target =
+  { target; tally = Array.make (Array.length target.counts) 0; n = 0; s = 0 }
+
+let note p v =
+  let i = bucket_index p.target v in
+  p.tally.(i) <- p.tally.(i) + 1;
+  p.n <- p.n + 1;
+  p.s <- p.s + v
+
+let settle p =
+  if p.n <> 0 then begin
+    let t = p.target in
+    for i = 0 to Array.length p.tally - 1 do
+      let k = p.tally.(i) in
+      if k <> 0 then begin
+        p.tally.(i) <- 0;
+        ignore (Atomic.fetch_and_add t.counts.(i) k)
+      end
+    done;
+    ignore (Atomic.fetch_and_add t.total p.n);
+    ignore (Atomic.fetch_and_add t.sum p.s);
+    p.n <- 0;
+    p.s <- 0
+  end
+
 let total t = Atomic.get t.total
 let sum t = Atomic.get t.sum
 

@@ -1,7 +1,7 @@
 (* End-to-end latency SLOs on the deterministic cost-model clock.
 
    The data path stamps each packet at ingress with its domain's Cost
-   clock and calls [observe] at verdict time with the cycle delta, so
+   clock and notes the cycle delta at verdict time, so
    latency is *model* latency: reproducible across runs, and — because
    the clock is only read, never charged — invisible to Table-3.
 
@@ -76,6 +76,25 @@ let family shard =
 let observe ~shard cls cycles =
   Histogram.observe aggregate cycles;
   Histogram.observe (family shard).(cls_index cls) cycles
+
+(* One domain's tallies in front of the aggregate and its shard's
+   class histograms: the data path notes each packet and settles once
+   per frame. *)
+type pending = { agg : Histogram.pending; by_cls : Histogram.pending array }
+
+let pending ~shard =
+  {
+    agg = Histogram.pending aggregate;
+    by_cls = Array.map Histogram.pending (family shard);
+  }
+
+let note p cls cycles =
+  Histogram.note p.agg cycles;
+  Histogram.note p.by_cls.(cls_index cls) cycles
+
+let settle p =
+  Histogram.settle p.agg;
+  Array.iter Histogram.settle p.by_cls
 
 (* Created families with observations, for pmgr's tables: newest
    verdict classes of each shard in [classes] order. *)

@@ -1,7 +1,8 @@
 (** End-to-end latency SLOs on the deterministic cost-model clock.
 
     The data path stamps each packet at ingress with its domain's
-    [Cost] clock and reports the ingress→verdict cycle delta here, so
+    [Cost] clock and reports the ingress→verdict cycle delta here
+    (settled once per frame, see {!pending}), so
     latency is {e model} latency — reproducible run to run, and
     invisible to Table-3 because the clock is only read, never
     charged.  Observations land in per-shard histograms split by
@@ -42,8 +43,30 @@ val armed : unit -> bool
     meets a configured threshold. *)
 val is_breach : int -> bool
 
-(** Record one ingress→verdict latency. *)
+(** Record one ingress→verdict latency, at once. *)
 val observe : shard:int -> cls -> int -> unit
+
+(** {2 Per-frame settlement}
+
+    The data path does not {!observe} per packet.  Each domain context
+    holds one [pending]: plain tallies in front of the aggregate
+    histogram and its shard's three class histograms
+    ({!Histogram.pending}).  A frame [note]s every packet's latency
+    and [settle]s once as it closes, so the histograms take a few
+    atomic adds per frame instead of six per packet, and are exact
+    between frames.  Exemplar capture is not deferred. *)
+
+type pending
+
+(** [pending ~shard] — empty tallies for [shard]'s histograms (the
+    shard index is clamped as in {!observe}). *)
+val pending : shard:int -> pending
+
+(** [note p cls cycles] tallies one latency; no histogram moves. *)
+val note : pending -> cls -> int -> unit
+
+(** [settle p] moves every tally into its histogram. *)
+val settle : pending -> unit
 
 (** Shards with observations, as [(shard, class, histogram)] rows. *)
 val shard_table : unit -> (int * cls * Histogram.t) list

@@ -34,33 +34,37 @@ let set_u16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
 
-let parse buf off =
-  if Bytes.length buf - off < size then Error Truncated
+let validate buf off =
+  if Bytes.length buf - off < size then Some Truncated
   else
     let vihl = u8 buf off in
     let version = vihl lsr 4 in
     let ihl = vihl land 0xF in
-    if version <> 4 then Error (Bad_version version)
-    else if ihl <> 5 then Error (Bad_ihl ihl)
-    else if not (Checksum.valid buf off size) then Error Bad_checksum
+    if version <> 4 then Some (Bad_version version)
+    else if ihl <> 5 then Some (Bad_ihl ihl)
+    else if not (Checksum.valid buf off size) then Some Bad_checksum
     else
       let total_length = u16 buf (off + 2) in
-      if total_length < size then Error (Bad_length total_length)
-      else
-        let flags_frag = u16 buf (off + 6) in
-        Ok
-          {
-            tos = u8 buf (off + 1);
-            total_length;
-            ident = u16 buf (off + 4);
-            dont_fragment = flags_frag land 0x4000 <> 0;
-            more_fragments = flags_frag land 0x2000 <> 0;
-            fragment_offset = flags_frag land 0x1FFF;
-            ttl = u8 buf (off + 8);
-            proto = u8 buf (off + 9);
-            src = Ipaddr.read_v4 buf (off + 12);
-            dst = Ipaddr.read_v4 buf (off + 16);
-          }
+      if total_length < size then Some (Bad_length total_length) else None
+
+let parse buf off =
+  match validate buf off with
+  | Some e -> Error e
+  | None ->
+    let flags_frag = u16 buf (off + 6) in
+    Ok
+      {
+        tos = u8 buf (off + 1);
+        total_length = u16 buf (off + 2);
+        ident = u16 buf (off + 4);
+        dont_fragment = flags_frag land 0x4000 <> 0;
+        more_fragments = flags_frag land 0x2000 <> 0;
+        fragment_offset = flags_frag land 0x1FFF;
+        ttl = u8 buf (off + 8);
+        proto = u8 buf (off + 9);
+        src = Ipaddr.read_v4 buf (off + 12);
+        dst = Ipaddr.read_v4 buf (off + 16);
+      }
 
 let serialize t buf off =
   Bytes.set buf off (Char.chr 0x45);

@@ -25,8 +25,14 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [parse buf off] reads and validates a header (including its
-    checksum) at [off]. *)
+(** [validate buf off] validates the header at [off] — length, version,
+    IHL, checksum, total length ≥ {!size} — without allocating on the
+    valid path: [None] when the header is valid.  The datagram parser
+    ({!Mbuf.of_bytes}) runs this and then reads the fields itself. *)
+val validate : Bytes.t -> int -> error option
+
+(** [parse buf off] is {!validate} followed by reading the header into a
+    record. *)
 val parse : Bytes.t -> int -> (t, error) result
 
 (** [serialize t buf off] writes the header, computing the checksum.

@@ -27,24 +27,27 @@ let set_u16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
 
-let parse buf off =
-  if Bytes.length buf - off < size then Error Truncated
+let validate buf off =
+  if Bytes.length buf - off < size then Some Truncated
   else
-    let b0 = u8 buf off in
-    let version = b0 lsr 4 in
-    if version <> 6 then Error (Bad_version version)
-    else
-      let b1 = u8 buf (off + 1) in
-      Ok
-        {
-          traffic_class = ((b0 land 0xF) lsl 4) lor (b1 lsr 4);
-          flow_label = ((b1 land 0xF) lsl 16) lor u16 buf (off + 2);
-          payload_length = u16 buf (off + 4);
-          next_header = u8 buf (off + 6);
-          hop_limit = u8 buf (off + 7);
-          src = Ipaddr.read_v6 buf (off + 8);
-          dst = Ipaddr.read_v6 buf (off + 24);
-        }
+    let version = u8 buf off lsr 4 in
+    if version <> 6 then Some (Bad_version version) else None
+
+let parse buf off =
+  match validate buf off with
+  | Some e -> Error e
+  | None ->
+    let b0 = u8 buf off and b1 = u8 buf (off + 1) in
+    Ok
+      {
+        traffic_class = ((b0 land 0xF) lsl 4) lor (b1 lsr 4);
+        flow_label = ((b1 land 0xF) lsl 16) lor u16 buf (off + 2);
+        payload_length = u16 buf (off + 4);
+        next_header = u8 buf (off + 6);
+        hop_limit = u8 buf (off + 7);
+        src = Ipaddr.read_v6 buf (off + 8);
+        dst = Ipaddr.read_v6 buf (off + 24);
+      }
 
 let serialize t buf off =
   Bytes.set buf off (Char.chr (0x60 lor ((t.traffic_class lsr 4) land 0xF)));

@@ -25,7 +25,15 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+(** [validate buf off] validates the fixed header at [off] (length,
+    version) without allocating on the valid path: [None] when it is
+    valid. *)
+val validate : Bytes.t -> int -> error option
+
+(** [parse buf off] is {!validate} followed by reading the header into a
+    record. *)
 val parse : Bytes.t -> int -> (t, error) result
+
 val serialize : t -> Bytes.t -> int -> unit
 
 val default :

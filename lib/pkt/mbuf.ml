@@ -36,26 +36,28 @@ type t = {
   mutable gate_cycles : int array;
 }
 
-let synth ?(ttl = 64) ?(tos = 0) ?(flow_label = 0) ?(tcp_flags = 0) ~key ~len
-    () =
+(* Every constructor of a descriptor goes through here; the fields
+   not named are a fresh packet's. *)
+let descriptor ~key ~version ~len ~ttl ~tos ~flow_label ~options ~raw ~ident
+    ~dont_fragment ~frag ~tcp_flags =
   {
     key;
-    version = (if Ipaddr.is_v4 key.Flow_key.src then V4 else V6);
+    version;
     len;
     ttl;
     tos;
     flow_label;
-    options = [];
-    raw = None;
+    options;
+    raw;
     fix = None;
     out_iface = None;
     next_hop = None;
     birth_ns = 0L;
     seq = 0;
     tags = [];
-    ident = 0;
-    dont_fragment = false;
-    frag = None;
+    ident;
+    dont_fragment;
+    frag;
     tseq = 0;
     pool_id = 0;
     pool_slot = -1;
@@ -63,6 +65,13 @@ let synth ?(ttl = 64) ?(tos = 0) ?(flow_label = 0) ?(tcp_flags = 0) ~key ~len
     ingress_cycles = 0;
     gate_cycles = [||];
   }
+
+let synth ?(ttl = 64) ?(tos = 0) ?(flow_label = 0) ?(tcp_flags = 0) ~key ~len
+    () =
+  descriptor ~key
+    ~version:(if Ipaddr.is_v4 key.Flow_key.src then V4 else V6)
+    ~len ~ttl ~tos ~flow_label ~options:[] ~raw:None ~ident:0
+    ~dont_fragment:false ~frag:None ~tcp_flags
 
 type error =
   | V4_error of Ipv4_header.error
@@ -78,123 +87,118 @@ let pp_error ppf = function
   | Tcp_error e -> Tcp_header.pp_error ppf e
   | Empty -> Format.pp_print_string ppf "empty packet"
 
-let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
+(* The datagram parser reads every field at its fixed offset straight
+   into the descriptor; the header modules' validators are the only
+   checks, in wire order, so the valid path builds no header record,
+   [Result] chain or port tuple. *)
 
-let ports_of ~proto buf off =
+let rd8 = Bytes.get_uint8
+let rd16 = Bytes.get_uint16_be
+
+(* The transport header at [off] is checked only for the protocols
+   whose ports enter the key. *)
+let transport_error ~proto buf off =
   if proto = Proto.udp then
-    let* u = Result.map_error (fun e -> Udp_error e) (Udp_header.parse buf off) in
-    Ok (u.Udp_header.sport, u.Udp_header.dport, 0)
+    match Udp_header.validate buf off with
+    | None -> None
+    | Some e -> Some (Udp_error e)
   else if proto = Proto.tcp then
-    let* t = Result.map_error (fun e -> Tcp_error e) (Tcp_header.parse buf off) in
+    match Tcp_header.validate buf off with
+    | None -> None
+    | Some e -> Some (Tcp_error e)
+  else None
+
+(* The six-tuple: the caller reads the addresses, the ports come from
+   the validated transport header at [l4]. *)
+let key_of ~iface ~proto buf ~l4 src dst =
+  let ports = proto = Proto.udp || proto = Proto.tcp in
+  Flow_key.make ~src ~dst ~proto
+    ~sport:(if ports then rd16 buf l4 else 0)
+    ~dport:(if ports then rd16 buf (l4 + 2) else 0)
+    ~iface
+
+let tcp_flags_of ~proto buf ~l4 =
+  if proto = Proto.tcp then rd8 buf (l4 + 13) land 0x3F else 0
+
+let v4 ~iface buf =
+  match Ipv4_header.validate buf 0 with
+  | Some e -> Error (V4_error e)
+  | None -> (
+    let len = rd16 buf 2 in
+    (* the header parser accepts a header alone (an ICMP error quotes
+       one); a datagram must be all there *)
+    if len > Bytes.length buf then Error (V4_error (Ipv4_header.Bad_length len))
+    else
+      let proto = rd8 buf 9 and l4 = Ipv4_header.size in
+      match transport_error ~proto buf l4 with
+      | Some e -> Error e
+      | None ->
+        let flags_frag = rd16 buf 6 in
+        let offset = flags_frag land 0x1FFF
+        and more = flags_frag land 0x2000 <> 0 in
+        Ok
+          (descriptor
+             ~key:
+               (key_of ~iface ~proto buf ~l4 (Ipaddr.read_v4 buf 12)
+                  (Ipaddr.read_v4 buf 16))
+             ~version:V4 ~len ~ttl:(rd8 buf 8) ~tos:(rd8 buf 1) ~flow_label:0
+             ~options:[] ~raw:(Some buf) ~ident:(rd16 buf 4)
+             ~dont_fragment:(flags_frag land 0x4000 <> 0)
+             ~frag:
+               (if offset = 0 && not more then None
+                else Some { offset = offset * 8; more })
+             ~tcp_flags:(tcp_flags_of ~proto buf ~l4)))
+
+(* Padding options carry no meaning past the parser. *)
+let semantic =
+  List.filter (function
+    | Ipv6_header.Option_tlv.Pad1 | Ipv6_header.Option_tlv.Padn _ -> false
+    | Ipv6_header.Option_tlv.Router_alert _
+    | Ipv6_header.Option_tlv.Jumbo_payload _
+    | Ipv6_header.Option_tlv.Unknown _ -> true)
+
+let v6_upper ~iface buf ~len ~options ~proto ~l4 =
+  match transport_error ~proto buf l4 with
+  | Some e -> Error e
+  | None ->
+    let b0 = rd8 buf 0 and b1 = rd8 buf 1 in
     Ok
-      ( t.Tcp_header.sport,
-        t.Tcp_header.dport,
-        Tcp_header.byte_of_flags t.Tcp_header.flags )
-  else Ok (0, 0, 0)
+      (descriptor
+         ~key:
+           (key_of ~iface ~proto buf ~l4 (Ipaddr.read_v6 buf 8)
+              (Ipaddr.read_v6 buf 24))
+         ~version:V6 ~len ~ttl:(rd8 buf 7)
+         ~tos:(((b0 land 0xF) lsl 4) lor (b1 lsr 4))
+         ~flow_label:(((b1 land 0xF) lsl 16) lor rd16 buf 2)
+         ~options ~raw:(Some buf) ~ident:0
+         ~dont_fragment:true (* routers never fragment IPv6 *)
+         ~frag:None ~tcp_flags:(tcp_flags_of ~proto buf ~l4))
+
+let v6 ~iface buf =
+  match Ipv6_header.validate buf 0 with
+  | Some e -> Error (V6_error e)
+  | None ->
+    let len = Ipv6_header.size + rd16 buf 4 in
+    if len > Bytes.length buf then Error (V6_error Ipv6_header.Truncated)
+    else
+      let next = rd8 buf 6 in
+      if next <> Proto.ipv6_hop_by_hop then
+        v6_upper ~iface buf ~len ~options:[] ~proto:next ~l4:Ipv6_header.size
+      else
+        match Ipv6_header.Hop_by_hop.parse buf Ipv6_header.size with
+        | Error e -> Error (V6_error e)
+        | Ok (hbh, hbh_len) ->
+          v6_upper ~iface buf ~len
+            ~options:(semantic hbh.Ipv6_header.Hop_by_hop.options)
+            ~proto:hbh.Ipv6_header.Hop_by_hop.next_header
+            ~l4:(Ipv6_header.size + hbh_len)
 
 let of_bytes ~iface buf =
   if Bytes.length buf = 0 then Error Empty
   else
-    let version = Char.code (Bytes.get buf 0) lsr 4 in
-    if version = 4 then
-      let* h = Result.map_error (fun e -> V4_error e) (Ipv4_header.parse buf 0) in
-      let* sport, dport, tcp_flags =
-        ports_of ~proto:h.Ipv4_header.proto buf Ipv4_header.size
-      in
-      let key =
-        Flow_key.make ~src:h.Ipv4_header.src ~dst:h.Ipv4_header.dst
-          ~proto:h.Ipv4_header.proto ~sport ~dport ~iface
-      in
-      Ok
-        {
-          key;
-          version = V4;
-          len = h.Ipv4_header.total_length;
-          ttl = h.Ipv4_header.ttl;
-          tos = h.Ipv4_header.tos;
-          flow_label = 0;
-          options = [];
-          raw = Some buf;
-          fix = None;
-          out_iface = None;
-          next_hop = None;
-          birth_ns = 0L;
-          seq = 0;
-          tags = [];
-          ident = h.Ipv4_header.ident;
-          dont_fragment = h.Ipv4_header.dont_fragment;
-          frag =
-            (if h.Ipv4_header.fragment_offset = 0 && not h.Ipv4_header.more_fragments
-             then None
-             else
-               Some
-                 {
-                   offset = h.Ipv4_header.fragment_offset * 8;
-                   more = h.Ipv4_header.more_fragments;
-                 });
-          tseq = 0;
-          pool_id = 0;
-          pool_slot = -1;
-          tcp_flags;
-          ingress_cycles = 0;
-          gate_cycles = [||];
-        }
-    else if version = 6 then
-      let* h = Result.map_error (fun e -> V6_error e) (Ipv6_header.parse buf 0) in
-      let* options, upper_proto, upper_off =
-        if h.Ipv6_header.next_header = Proto.ipv6_hop_by_hop then
-          let* hbh, hbh_len =
-            Result.map_error (fun e -> V6_error e)
-              (Ipv6_header.Hop_by_hop.parse buf Ipv6_header.size)
-          in
-          (* Padding options carry no meaning past the parser. *)
-          let semantic =
-            List.filter
-              (function
-                | Ipv6_header.Option_tlv.Pad1 | Ipv6_header.Option_tlv.Padn _ ->
-                  false
-                | Ipv6_header.Option_tlv.Router_alert _
-                | Ipv6_header.Option_tlv.Jumbo_payload _
-                | Ipv6_header.Option_tlv.Unknown _ -> true)
-              hbh.Ipv6_header.Hop_by_hop.options
-          in
-          Ok
-            ( semantic,
-              hbh.Ipv6_header.Hop_by_hop.next_header,
-              Ipv6_header.size + hbh_len )
-        else Ok ([], h.Ipv6_header.next_header, Ipv6_header.size)
-      in
-      let* sport, dport, tcp_flags = ports_of ~proto:upper_proto buf upper_off in
-      let key =
-        Flow_key.make ~src:h.Ipv6_header.src ~dst:h.Ipv6_header.dst
-          ~proto:upper_proto ~sport ~dport ~iface
-      in
-      Ok
-        {
-          key;
-          version = V6;
-          len = Ipv6_header.size + h.Ipv6_header.payload_length;
-          ttl = h.Ipv6_header.hop_limit;
-          tos = h.Ipv6_header.traffic_class;
-          flow_label = h.Ipv6_header.flow_label;
-          options;
-          raw = Some buf;
-          fix = None;
-          out_iface = None;
-          next_hop = None;
-          birth_ns = 0L;
-          seq = 0;
-          tags = [];
-          ident = 0;
-          dont_fragment = true;  (* routers never fragment IPv6 *)
-          frag = None;
-          tseq = 0;
-          pool_id = 0;
-          pool_slot = -1;
-          tcp_flags;
-          ingress_cycles = 0;
-          gate_cycles = [||];
-        }
+    let version = rd8 buf 0 lsr 4 in
+    if version = 4 then v4 ~iface buf
+    else if version = 6 then v6 ~iface buf
     else Error (V4_error (Ipv4_header.Bad_version version))
 
 let udp_v4 ?(ttl = 64) ?(tos = 0) ~src ~dst ~sport ~dport ~iface ~payload () =

@@ -90,7 +90,19 @@ val pp_error : Format.formatter -> error -> unit
 (** [of_bytes ~iface buf] parses a wire datagram: the IP header
     (v4 or v6 by version nibble), an optional IPv6 hop-by-hop header,
     and UDP/TCP ports when applicable (ports are 0 for other
-    protocols). *)
+    protocols).
+
+    It is the one wire parser, and a direct one: it runs the header
+    modules' allocation-free validators ({!Ipv4_header.validate},
+    {!Ipv6_header.validate}, {!Udp_header.validate},
+    {!Tcp_header.validate}) and reads every field at its fixed offset
+    straight into the descriptor, so a valid IPv4/UDP datagram costs
+    the descriptor, its key and addresses, [Some buf] and the [Ok] —
+    no header records.  Errors are the header parsers' own, plus one
+    datagram-level check the header parsers do not make: a datagram
+    claiming more bytes than [buf] holds (IPv4 [total_length], IPv6
+    40 + [payload_length]) is [V4_error (Bad_length n)] or
+    [V6_error Truncated].  Never raises. *)
 val of_bytes : iface:int -> Bytes.t -> (t, error) result
 
 (** [udp_v4 ...] and [udp_v6 ...] build a complete wire datagram plus

@@ -54,23 +54,27 @@ let byte_of_flags f =
   lor (if f.ack then 0x10 else 0)
   lor if f.urg then 0x20 else 0
 
-let parse buf off =
-  if Bytes.length buf - off < size then Error Truncated
+let validate buf off =
+  if Bytes.length buf - off < size then Some Truncated
   else
     let offset = Char.code (Bytes.get buf (off + 12)) lsr 4 in
-    if offset <> 5 then Error (Bad_offset offset)
-    else
-      Ok
-        {
-          sport = u16 buf off;
-          dport = u16 buf (off + 2);
-          seq = Bytes.get_int32_be buf (off + 4);
-          ack_seq = Bytes.get_int32_be buf (off + 8);
-          flags = flags_of_byte (Char.code (Bytes.get buf (off + 13)));
-          window = u16 buf (off + 14);
-          checksum = u16 buf (off + 16);
-          urgent = u16 buf (off + 18);
-        }
+    if offset <> 5 then Some (Bad_offset offset) else None
+
+let parse buf off =
+  match validate buf off with
+  | Some e -> Error e
+  | None ->
+    Ok
+      {
+        sport = u16 buf off;
+        dport = u16 buf (off + 2);
+        seq = Bytes.get_int32_be buf (off + 4);
+        ack_seq = Bytes.get_int32_be buf (off + 8);
+        flags = flags_of_byte (Char.code (Bytes.get buf (off + 13)));
+        window = u16 buf (off + 14);
+        checksum = u16 buf (off + 16);
+        urgent = u16 buf (off + 18);
+      }
 
 let serialize t buf off =
   set_u16 buf off t.sport;

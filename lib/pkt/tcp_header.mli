@@ -33,6 +33,15 @@ val size : int
 type error = Truncated | Bad_offset of int
 
 val pp_error : Format.formatter -> error -> unit
+
+(** [validate buf off] validates the header at [off] (length, data
+    offset = 5) without allocating on the valid path: [None] when it
+    is valid. *)
+val validate : Bytes.t -> int -> error option
+
+(** [parse buf off] is {!validate} followed by reading the header into a
+    record. *)
 val parse : Bytes.t -> int -> (t, error) result
+
 val serialize : t -> Bytes.t -> int -> unit
 val pp : Format.formatter -> t -> unit

@@ -20,19 +20,23 @@ let set_u16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
 
-let parse buf off =
-  if Bytes.length buf - off < size then Error Truncated
+let validate buf off =
+  if Bytes.length buf - off < size then Some Truncated
   else
     let length = u16 buf (off + 4) in
-    if length < size then Error (Bad_length length)
-    else
-      Ok
-        {
-          sport = u16 buf off;
-          dport = u16 buf (off + 2);
-          length;
-          checksum = u16 buf (off + 6);
-        }
+    if length < size then Some (Bad_length length) else None
+
+let parse buf off =
+  match validate buf off with
+  | Some e -> Error e
+  | None ->
+    Ok
+      {
+        sport = u16 buf off;
+        dport = u16 buf (off + 2);
+        length = u16 buf (off + 4);
+        checksum = u16 buf (off + 6);
+      }
 
 let serialize t buf off =
   set_u16 buf off t.sport;

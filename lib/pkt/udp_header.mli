@@ -14,6 +14,13 @@ type error = Truncated | Bad_length of int
 
 val pp_error : Format.formatter -> error -> unit
 
+(** [validate buf off] validates the header at [off] (length, UDP length
+    ≥ {!size}) without allocating on the valid path: [None] when it is
+    valid. *)
+val validate : Bytes.t -> int -> error option
+
+(** [parse buf off] is {!validate} followed by reading the header into a
+    record. *)
 val parse : Bytes.t -> int -> (t, error) result
 
 (** [serialize t buf off] writes the header with [t.checksum] as-is.

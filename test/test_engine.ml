@@ -1028,6 +1028,64 @@ let test_inline_ring_bounded () =
     (Engine.submit_batch e ~now:0L pkts ~n:4);
   Engine.stop e
 
+(* --- drain: order and the exception contract ------------------------- *)
+
+exception Stop_here
+
+(* [n] packets of distinct flows are left waiting in the result rings
+   (a sharded engine is waited idle without draining).  A [drain] whose
+   [f] raises on its [k]-th result delivers exactly [k]; the rest come
+   back from the following drains, [~max] at a time, so every packet is
+   delivered exactly once, each ring's results in submission order. *)
+let drain_contract mode =
+  qtest ~count:(match mode with Engine.Inline -> 100 | Engine.Sharded _ -> 8)
+    (Printf.sprintf "drain: order, ~max and a raising f (%s)" (Engine.mode_to_string mode))
+    QCheck2.Gen.(triple (int_range 1 80) (int_range 1 80) (int_range 1 12))
+    (fun (n, k, max) ->
+      let k = 1 + (k mod n) in
+      let r = mk_router () in
+      let e = Engine.create mode r in
+      let pkts =
+        Array.init n (fun i ->
+            let m = mk_pkt ~sport:(20_000 + i) () in
+            m.Mbuf.seq <- i;
+            m)
+      in
+      let accepted = Engine.submit_batch e ~now:0L pkts ~n in
+      wait "workers idle" (fun () -> Engine.idle e);
+      let seen = ref [] in
+      let first =
+        match
+          Engine.drain e ~f:(fun res ->
+              seen := res.Shard.m.Mbuf.seq :: !seen;
+              if List.length !seen = k then raise Stop_here)
+        with
+        | _ -> false
+        | exception Stop_here -> true
+      in
+      let raised_at_k = first && List.length !seen = k in
+      let capped = ref true in
+      let rec rest () =
+        let before = List.length !seen in
+        let d =
+          Engine.drain ~max e ~f:(fun res -> seen := res.Shard.m.Mbuf.seq :: !seen)
+        in
+        if d > max || List.length !seen - before <> d then capped := false;
+        if d > 0 then rest ()
+      in
+      rest ();
+      Engine.stop e;
+      let got = List.rev !seen in
+      let in_order ring =
+        let mine = List.filter (fun i -> ring pkts.(i)) got in
+        mine = List.sort compare mine
+      in
+      accepted = n && raised_at_k && !capped
+      && List.sort compare got = List.init n Fun.id
+      && List.for_all
+           (fun s -> in_order (fun m -> Engine.shard_of_key e m.Mbuf.key = s))
+           (List.init (Engine.shards e) Fun.id))
+
 (* --- every verdict class: inline = sharded:1 = sharded:4 --------------- *)
 
 (* One packet kind per verdict class, each its own fixed flow (so the
@@ -1598,12 +1656,16 @@ let test_tx_ring_overflow () =
    filters beside them, 1,024 routes), warmed, then fed prebuilt
    packets of cached flows: minor-heap words per packet for
    submit_batch + drain.  A cached flow walks no LPM and is handed a
-   preallocated FIX, and a gate hands its handler the binding option
-   stored in the flow record, so bringing any of these allocations
-   back fails here: the path measures 34.5 words, where one LPM walk
-   alone used to allocate 100 and the AIU's (instance, record) pair
-   5 per gate. *)
-let ceiling_words_per_pkt = 41.
+   preallocated FIX, a gate hands its handler the binding option
+   stored in the flow record, verdicts and outcomes are preallocated
+   per interface, the result ring hands results over without an
+   option, and the FIFO empties without one, so bringing any of these
+   allocations back fails here: the path measures 17.5 words (the
+   result record, the FIFO's queue cell, and a handler context per
+   gate), where one LPM walk alone used to allocate 100, the AIU's
+   (instance, record) pair 5 per gate, and the verdict, outcome,
+   ring option and local-address closure 11 together. *)
+let ceiling_words_per_pkt = 24.
 
 let test_alloc_ceiling () =
   let pmgr r cmd = ok (Rp_control.Pmgr.exec r cmd) in
@@ -1722,6 +1784,8 @@ let () =
             test_inline_ring_bounded;
           Alcotest.test_case "allocation ceiling on cached flows" `Quick
             test_alloc_ceiling;
+          drain_contract Engine.Inline;
+          drain_contract (Engine.Sharded 2);
         ] );
       ( "data path",
         [

@@ -85,6 +85,23 @@ let test_counter_swap_conserves =
 
 (* --- Histogram ------------------------------------------------------- *)
 
+(* A pending tally moves nothing until it settles, and then leaves the
+   histogram exactly as observing each value would; settling empties
+   it, so a second settle adds nothing. *)
+let test_histogram_pending () =
+  let values = [ 5; 10; 11; 20; 30; 31; 1000; -3 ] in
+  let direct = Histogram.make "t.direct" ~bounds:[| 10; 20; 30 |] in
+  List.iter (Histogram.observe direct) values;
+  let h = Histogram.make "t.pending" ~bounds:[| 10; 20; 30 |] in
+  let p = Histogram.pending h in
+  List.iter (Histogram.note p) values;
+  check int_t "nothing lands before settle" 0 (Histogram.total h);
+  Histogram.settle p;
+  Histogram.settle p;
+  check int_t "total" (Histogram.total direct) (Histogram.total h);
+  check int_t "sum" (Histogram.sum direct) (Histogram.sum h);
+  check bool_t "buckets" true (Histogram.counts direct = Histogram.counts h)
+
 let test_histogram_bucketing () =
   let h = Histogram.make "t.hist" ~bounds:[| 10; 20; 30 |] in
   (* One value per region: <=10, <=20, <=30, and overflow. *)
@@ -590,6 +607,8 @@ let () =
           Alcotest.test_case "quantile: degenerate shapes" `Quick
             test_histogram_quantile_degenerate;
           Alcotest.test_case "bad bounds" `Quick test_histogram_bad_bounds;
+          Alcotest.test_case "pending settles = observe" `Quick
+            test_histogram_pending;
         ] );
       ( "registry",
         [

@@ -521,6 +521,268 @@ let prop_mbuf_v4_roundtrip =
          | Ok m' -> Flow_key.equal m.Mbuf.key m'.Mbuf.key && m.Mbuf.len = m'.Mbuf.len
          | Error _ -> false))
 
+(* --- Mbuf.of_bytes against the header parsers ----------------------- *)
+
+(* The reference datagram parser: the header parsers composed, each
+   record copied into the descriptor, with [of_bytes]'s datagram-length
+   check after the IP header.  [of_bytes] must agree with it on every
+   field, and on every error. *)
+let reference_of_bytes ~iface buf =
+  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
+  let ports ~proto off =
+    if proto = Proto.udp then
+      let* u = Result.map_error (fun e -> Mbuf.Udp_error e) (Udp_header.parse buf off) in
+      Ok (u.Udp_header.sport, u.Udp_header.dport, 0)
+    else if proto = Proto.tcp then
+      let* t = Result.map_error (fun e -> Mbuf.Tcp_error e) (Tcp_header.parse buf off) in
+      Ok (t.Tcp_header.sport, t.Tcp_header.dport, Tcp_header.byte_of_flags t.Tcp_header.flags)
+    else Ok (0, 0, 0)
+  in
+  let fresh ~key ~version ~len ~ttl ~tos =
+    let m = Mbuf.synth ~ttl ~tos ~key ~len () in
+    m.Mbuf.version <- version;
+    m.Mbuf.raw <- Some buf;
+    m
+  in
+  if Bytes.length buf = 0 then Error Mbuf.Empty
+  else
+    let version = Char.code (Bytes.get buf 0) lsr 4 in
+    if version = 4 then
+      let* h = Result.map_error (fun e -> Mbuf.V4_error e) (Ipv4_header.parse buf 0) in
+      let len = h.Ipv4_header.total_length in
+      if len > Bytes.length buf then Error (Mbuf.V4_error (Ipv4_header.Bad_length len))
+      else
+        let proto = h.Ipv4_header.proto in
+        let* sport, dport, tcp_flags = ports ~proto Ipv4_header.size in
+        let key =
+          Flow_key.make ~src:h.Ipv4_header.src ~dst:h.Ipv4_header.dst ~proto ~sport
+            ~dport ~iface
+        in
+        let m = fresh ~key ~version:Mbuf.V4 ~len ~ttl:h.Ipv4_header.ttl ~tos:h.Ipv4_header.tos in
+        m.Mbuf.ident <- h.Ipv4_header.ident;
+        m.Mbuf.dont_fragment <- h.Ipv4_header.dont_fragment;
+        m.Mbuf.tcp_flags <- tcp_flags;
+        if h.Ipv4_header.fragment_offset <> 0 || h.Ipv4_header.more_fragments then
+          m.Mbuf.frag <-
+            Some
+              {
+                Mbuf.offset = h.Ipv4_header.fragment_offset * 8;
+                more = h.Ipv4_header.more_fragments;
+              };
+        Ok m
+    else if version = 6 then
+      let* h = Result.map_error (fun e -> Mbuf.V6_error e) (Ipv6_header.parse buf 0) in
+      let len = Ipv6_header.size + h.Ipv6_header.payload_length in
+      if len > Bytes.length buf then Error (Mbuf.V6_error Ipv6_header.Truncated)
+      else
+        let* options, proto, off =
+          if h.Ipv6_header.next_header = Proto.ipv6_hop_by_hop then
+            let* hbh, hbh_len =
+              Result.map_error (fun e -> Mbuf.V6_error e)
+                (Ipv6_header.Hop_by_hop.parse buf Ipv6_header.size)
+            in
+            Ok
+              ( List.filter
+                  (function
+                    | Ipv6_header.Option_tlv.Pad1 | Ipv6_header.Option_tlv.Padn _ -> false
+                    | _ -> true)
+                  hbh.Ipv6_header.Hop_by_hop.options,
+                hbh.Ipv6_header.Hop_by_hop.next_header,
+                Ipv6_header.size + hbh_len )
+          else Ok ([], h.Ipv6_header.next_header, Ipv6_header.size)
+        in
+        let* sport, dport, tcp_flags = ports ~proto off in
+        let key =
+          Flow_key.make ~src:h.Ipv6_header.src ~dst:h.Ipv6_header.dst ~proto ~sport
+            ~dport ~iface
+        in
+        let m =
+          fresh ~key ~version:Mbuf.V6 ~len ~ttl:h.Ipv6_header.hop_limit
+            ~tos:h.Ipv6_header.traffic_class
+        in
+        m.Mbuf.flow_label <- h.Ipv6_header.flow_label;
+        m.Mbuf.options <- options;
+        m.Mbuf.dont_fragment <- true;
+        m.Mbuf.tcp_flags <- tcp_flags;
+        Ok m
+    else Error (Mbuf.V4_error (Ipv4_header.Bad_version version))
+
+(* Valid datagrams of every shape [of_bytes] knows: v4 (fragments
+   included) and v6 (with or without a hop-by-hop header), carrying
+   UDP, TCP or another protocol, in a buffer that may be longer than
+   the datagram. *)
+let gen_option =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun v -> Ipv6_header.Option_tlv.Router_alert v) (int_bound 0xFFFF);
+        map (fun v -> Ipv6_header.Option_tlv.Jumbo_payload v) (int_bound 0xFFFFFF);
+        map (fun n -> Ipv6_header.Option_tlv.Padn n) (int_range 2 6);
+        return Ipv6_header.Option_tlv.Pad1;
+        map2
+          (fun ty body -> Ipv6_header.Option_tlv.Unknown (ty, body))
+          (int_range 6 0xBF) (string_size (int_bound 6));
+      ])
+
+let gen_datagram =
+  QCheck2.Gen.(
+    let* v6 = bool in
+    let* proto = oneofl [ Proto.udp; Proto.tcp; Proto.icmp; 47 ] in
+    let* sport = int_bound 0xFFFF and* dport = int_bound 0xFFFF in
+    let* flags = int_bound 0x3F and* payload = string_size (int_bound 40) in
+    let* tos = int_bound 255 and* ttl = int_bound 255 and* ident = int_bound 0xFFFF in
+    let* df = bool and* mf = bool and* frag_off = oneof [ return 0; int_bound 0x1FFF ] in
+    let* flow_label = int_bound 0xFFFFF and* options = list_size (int_bound 3) gen_option in
+    let* slack = int_bound 8 in
+    let* src4 = gen_v4_full and* dst4 = gen_v4_full in
+    let* src6 = gen_v6 and* dst6 = gen_v6 in
+    let l4 =
+      if proto = Proto.tcp then Tcp_header.size
+      else if proto = Proto.udp then Udp_header.size
+      else 0
+    in
+    let hbh =
+      if v6 && options <> [] then
+        Some { Ipv6_header.Hop_by_hop.next_header = proto; options }
+      else None
+    in
+    let hbh_len = Option.fold ~none:0 ~some:Ipv6_header.Hop_by_hop.wire_length hbh in
+    let l3 = if v6 then Ipv6_header.size + hbh_len else Ipv4_header.size in
+    let len = l3 + l4 + String.length payload in
+    let buf = Bytes.make (len + slack) '\000' in
+    if v6 then begin
+      Ipv6_header.serialize
+        (Ipv6_header.default ~traffic_class:tos ~flow_label ~hop_limit:ttl
+           ~payload_length:(len - Ipv6_header.size)
+           ~next_header:(if hbh = None then proto else Proto.ipv6_hop_by_hop)
+           ~src:src6 ~dst:dst6 ())
+        buf 0;
+      Option.iter
+        (fun h -> ignore (Ipv6_header.Hop_by_hop.serialize h buf Ipv6_header.size))
+        hbh
+    end
+    else
+      Ipv4_header.serialize
+        {
+          (Ipv4_header.default ~tos ~ident ~ttl ~total_length:len ~proto ~src:src4
+             ~dst:dst4 ())
+          with
+          Ipv4_header.dont_fragment = df;
+          more_fragments = mf;
+          fragment_offset = frag_off;
+        }
+        buf 0;
+    if proto = Proto.udp then
+      Udp_header.serialize
+        { Udp_header.sport; dport; length = l4 + String.length payload; checksum = 0 }
+        buf l3
+    else if proto = Proto.tcp then
+      Tcp_header.serialize
+        {
+          Tcp_header.sport;
+          dport;
+          seq = 1l;
+          ack_seq = 2l;
+          flags = Tcp_header.flags_of_byte flags;
+          window = 512;
+          checksum = 0;
+          urgent = 0;
+        }
+        buf l3;
+    Bytes.blit_string payload 0 buf (l3 + l4) (String.length payload);
+    return buf)
+
+(* A valid datagram with up to four bytes overwritten, then possibly
+   cut short. *)
+let gen_mangled =
+  QCheck2.Gen.(
+    let* buf = gen_datagram in
+    let* pokes = list_size (int_bound 4) (pair (int_bound 1000) (int_bound 255)) in
+    let* cut = opt (int_bound 1000) in
+    let buf = Bytes.copy buf in
+    List.iter
+      (fun (i, b) -> Bytes.set buf (i mod Bytes.length buf) (Char.chr b))
+      pokes;
+    return
+      (match cut with
+       | Some k -> Bytes.sub buf 0 (k mod (Bytes.length buf + 1))
+       | None -> buf))
+
+let print_bytes b =
+  String.concat " "
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* Same descriptor (every field, the key compared as a key too) or the
+   same error, and never an exception. *)
+let agrees buf =
+  match (Mbuf.of_bytes ~iface:3 buf, reference_of_bytes ~iface:3 buf) with
+  | Ok m, Ok r -> Flow_key.equal m.Mbuf.key r.Mbuf.key && m = r
+  | Error e, Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | exception _ -> false
+
+let prop_of_bytes_valid =
+  QCheck2.Test.make ~count:1000 ~name:"mbuf: of_bytes = header parsers on valid datagrams"
+    ~print:print_bytes gen_datagram (fun buf ->
+      agrees buf && Result.is_ok (Mbuf.of_bytes ~iface:3 buf))
+  |> QCheck_alcotest.to_alcotest
+
+let prop_of_bytes_mangled =
+  QCheck2.Test.make ~count:3000 ~name:"mbuf: of_bytes = header parsers on mangled bytes"
+    ~print:print_bytes gen_mangled agrees
+  |> QCheck_alcotest.to_alcotest
+
+(* A datagram claiming more bytes than arrived is refused, by its IP
+   header's own length field; a header-only IPv4 buffer still parses at
+   the header level (an ICMP error quotes one). *)
+let test_of_bytes_overlong () =
+  let m =
+    Mbuf.udp_v4 ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 10 0 0 2) ~sport:1
+      ~dport:2 ~iface:0 ~payload:"0123456789" ()
+  in
+  let raw = Option.get m.Mbuf.raw in
+  let short = Bytes.sub raw 0 (Bytes.length raw - 1) in
+  (match Mbuf.of_bytes ~iface:0 short with
+   | Error (Mbuf.V4_error (Ipv4_header.Bad_length n)) ->
+     check int_t "claimed length" (Bytes.length raw) n
+   | _ -> Alcotest.fail "v4: overlong datagram accepted");
+  check bool_t "header parser takes the header alone" true
+    (Result.is_ok (Ipv4_header.parse (Bytes.sub raw 0 Ipv4_header.size) 0));
+  let m6 =
+    Mbuf.udp_v6 ~src:(Ipaddr.of_string "2001:db8::1") ~dst:(Ipaddr.of_string "2001:db8::2")
+      ~sport:1 ~dport:2 ~iface:0 ~payload:"0123456789" ()
+  in
+  let raw6 = Option.get m6.Mbuf.raw in
+  match Mbuf.of_bytes ~iface:0 (Bytes.sub raw6 0 (Bytes.length raw6 - 1)) with
+  | Error (Mbuf.V6_error Ipv6_header.Truncated) -> ()
+  | _ -> Alcotest.fail "v6: overlong datagram accepted"
+
+(* The direct parser's whole bill for a valid IPv4/UDP datagram: the
+   [Ok] (2 words), the 23-field descriptor (24), [Some buf] (2), the key
+   (7) and its two boxed addresses (5 each).  A header record, a
+   [Result] chain or a port tuple coming back shows up here. *)
+let of_bytes_words_v4_udp = 45.
+
+let test_of_bytes_alloc () =
+  let m =
+    Mbuf.udp_v4 ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 10 0 0 2) ~sport:1
+      ~dport:2 ~iface:0 ~payload:(String.make 22 'x') ()
+  in
+  let raw = Option.get m.Mbuf.raw in
+  let n = 10_000 in
+  let last = ref (Mbuf.of_bytes ~iface:0 raw) in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    last := Mbuf.of_bytes ~iface:0 raw
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check bool_t "parsed" true (Result.is_ok !last);
+  check bool_t
+    (Printf.sprintf "%.2f minor words per datagram (ceiling %.0f)" words
+       of_bytes_words_v4_udp)
+    true
+    (words <= of_bytes_words_v4_udp)
+
 (* --- pool ----------------------------------------------------------- *)
 
 let pool_key id =
@@ -764,6 +1026,10 @@ let () =
           Alcotest.test_case "udp v6 roundtrip" `Quick test_mbuf_udp_v6_roundtrip;
           Alcotest.test_case "udp checksum" `Quick test_mbuf_udp_checksum_valid;
           prop_mbuf_v4_roundtrip;
+          Alcotest.test_case "overlong datagram refused" `Quick test_of_bytes_overlong;
+          Alcotest.test_case "allocation ceiling, v4/udp" `Quick test_of_bytes_alloc;
+          prop_of_bytes_valid;
+          prop_of_bytes_mangled;
         ] );
       ( "pool",
         [

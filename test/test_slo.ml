@@ -205,6 +205,100 @@ let test_exemplars_resolve () =
   Slo.clear_exemplars ();
   check int_t "cleared" 0 (List.length (Slo.exemplars ()))
 
+(* --- latency histograms settle per frame ----------------------------- *)
+
+(* A domain's latencies reach the histograms once per frame, so after
+   [submit_batch] + [drain] (inline) or [flush] (sharded) the aggregate
+   holds one observation per packet and each verdict class family
+   matches its verdict counter — local delivery is the [absorb] class.
+   Checked on deltas, since histograms and counters are process-wide. *)
+let slo_totals () =
+  let family cls =
+    List.fold_left
+      (fun a (_, c, h) -> if c = cls then a + Rp_obs.Histogram.total h else a)
+      0 (Slo.shard_table ())
+  in
+  [
+    ("slo.latency.cycles",
+     Rp_obs.Histogram.total
+       (Rp_obs.Registry.histogram ~bounds:Slo.latency_bounds "slo.latency.cycles"));
+    ("fwd family", family Slo.Fwd);
+    ("drop family", family Slo.Drop);
+    ("absorb family", family Slo.Absorb);
+    ("ip_core.packets", counter "ip_core.packets");
+    ("ip_core.forwarded", counter "ip_core.forwarded");
+    ("ip_core.dropped", counter "ip_core.dropped");
+    ("absorbed + delivered_local",
+     counter "ip_core.absorbed" + counter "ip_core.delivered_local");
+  ]
+
+let check_slo_exact label before =
+  let d = List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (slo_totals ()) in
+  let get k = List.assoc k d in
+  check bool_t (label ^ ": packets seen") true (get "ip_core.packets" > 0);
+  check int_t (label ^ ": one latency per packet") (get "ip_core.packets")
+    (get "slo.latency.cycles");
+  check int_t (label ^ ": fwd = forwarded") (get "ip_core.forwarded") (get "fwd family");
+  check int_t (label ^ ": drop = dropped") (get "ip_core.dropped") (get "drop family");
+  check bool_t (label ^ ": local deliveries seen") true
+    (get "absorbed + delivered_local" > 0);
+  check int_t (label ^ ": absorb = absorbed + local") (get "absorbed + delivered_local")
+    (get "absorb family")
+
+(* Every verdict class, a packet for the router itself included. *)
+let slo_local = Ipaddr.v4 192 168 9 9
+
+let slo_batch base =
+  Array.of_list
+    (List.concat
+       (List.init 8 (fun j ->
+            let f = base + (10 * j) in
+            let local = mk_pkt Good (f + 9) in
+            local.Mbuf.key <- { local.Mbuf.key with Flow_key.dst = slo_local };
+            local
+            :: List.mapi
+                 (fun i k -> mk_pkt k (f + i))
+                 [ Good; Good; Ttl_one; Unrouted; Faulting; Big; Df ])))
+
+let slo_router () =
+  let r = mk_router () in
+  Router.add_local_addr r slo_local;
+  r
+
+let test_slo_exact_between_frames () =
+  Slo.set_stamping true;
+  Slo.set_threshold 0;
+  let r = slo_router () in
+  let e = Engine.create Engine.Inline r in
+  for round = 0 to 2 do
+    let before = slo_totals () in
+    let b = slo_batch (100 * round) in
+    let n = Array.length b in
+    check int_t "inline: all admitted" n (Engine.submit_batch e ~now:0L b ~n);
+    check int_t "inline: all drained" n (Engine.drain e ~f:ignore);
+    check_slo_exact (Printf.sprintf "inline round %d" round) before
+  done;
+  Engine.stop e;
+  let r = slo_router () in
+  let e = Engine.create (Engine.Sharded 2) r in
+  for round = 0 to 2 do
+    let before = slo_totals () in
+    let b = slo_batch (100 * round) in
+    let n = Array.length b in
+    check int_t "sharded: all admitted" n (Engine.submit_batch e ~now:0L b ~n);
+    check int_t "sharded: all flushed" n (Engine.flush e ~f:ignore);
+    check_slo_exact (Printf.sprintf "sharded:2 round %d" round) before
+  done;
+  Engine.stop e;
+  (* A direct observation is not deferred. *)
+  let before = slo_totals () in
+  Slo.observe ~shard:0 Slo.Fwd 1_000;
+  let after = slo_totals () in
+  check int_t "observe lands in the aggregate at once" 1
+    (List.assoc "slo.latency.cycles" after - List.assoc "slo.latency.cycles" before);
+  check int_t "and in its class family" 1
+    (List.assoc "fwd family" after - List.assoc "fwd family" before)
+
 (* --- drop conservation (qcheck, both engines) ------------------------ *)
 
 (* Registry counters persist across the whole test binary, so every
@@ -374,6 +468,8 @@ let () =
           Alcotest.test_case "shard histograms by class" `Quick
             test_slo_observe_shard_table;
           Alcotest.test_case "exemplars resolve" `Quick test_exemplars_resolve;
+          Alcotest.test_case "histograms exact between frames" `Quick
+            test_slo_exact_between_frames;
         ] );
       ( "conservation",
         [ drop_conservation_inline; drop_conservation_sharded ] );
