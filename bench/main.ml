@@ -24,7 +24,9 @@
      micro           Bechamel wall-clock micro-benchmarks
 
    Run all sections: [dune exec bench/main.exe]; or name the sections
-   to run, e.g. [dune exec bench/main.exe -- table3 fig-drr]. *)
+   to run, e.g. [dune exec bench/main.exe -- table3 fig-drr].  The run
+   ends by checking the gates of the sections it ran (bench/gates.ml)
+   and exits 1 if one fails, 2 on a bad argument. *)
 
 open Rp_pkt
 open Rp_core
@@ -85,7 +87,7 @@ let table2 () =
       name
       (float_of_int !worst *. 60.0 /. 1000.0)
       (float_of_int paper_total *. 60.0 /. 1000.0);
-    (* CI regression gate reads these from the --metrics-out JSON. *)
+    (* Gated against the paper's 20/24 in bench/gates.ml. *)
     let slug = String.lowercase_ascii name in
     Rp_obs.Registry.set
       (Printf.sprintf "bench.table2.%s.worst_accesses" slug)
@@ -1044,8 +1046,8 @@ let fig_shard () =
 (* ---------------------------------------------------------------------- *)
 
 (* The telemetry design claim: tracing never charges the cycle cost
-   model (model results are identical traced or untraced — the CI gate
-   ci/check_trace_overhead.sh pins that on the Table-3 kernels), and
+   model (model results are identical traced or untraced — a traced
+   table3 run checks the Table-3 pins in bench/gates.ml), and
    the *real* recording cost is a few stores per sampled event, so
    wall-clock overhead falls away with the sampling period. *)
 let fig_trace () =
@@ -1109,8 +1111,8 @@ let fig_trace () =
         ((ns -. base_ns) /. base_ns *. 100.0))
     rows;
   Printf.printf
-    "\n  ci/check_trace_overhead.sh gates the same property on the Table-3\n\
-    \  kernels: traced model cycles within 5%% of untraced.\n"
+    "\n  A traced table3 run checks the same property against the exact\n\
+    \  Table-3 pins in bench/gates.ml.\n"
 
 (* ---------------------------------------------------------------------- *)
 (* Control-plane churn: delta publication vs full recompilation.           *)
@@ -1130,9 +1132,8 @@ let fig_trace () =
    the snapshots an inline engine hands out, and four shards synced to
    bare snapshots that carry no delta log (every sync recompiles from
    scratch — the fallback a shard takes when the delta chain is
-   broken).  The CI gate
-   ci/check_churn.sh requires the delta path to sustain >= 10x the
-   full-recompile update rate. *)
+   broken).  bench/gates.ml requires the delta path to sustain >= 10x
+   the full-recompile update rate. *)
 let fig_churn () =
   section "fig-churn: control-plane churn — delta publication vs recompile";
   let updates = 200 and background = 512 and flows = 32 in
@@ -1254,15 +1255,14 @@ let fig_churn () =
   Rp_obs.Registry.set "bench.churn.delta_speedup_4" speedup;
   Printf.printf
     "\n  delta-over-recompile update-rate speedup at 4 shards: %.1fx\n\
-    \  (ci/check_churn.sh gates >= 10x and byte-identical Table-3 cycles)\n"
+    \  (bench/gates.ml gates >= 10x)\n"
     speedup
 
 (* ---------------------------------------------------------------------- *)
 (* Batched zero-copy data path: pool + links + synth generator.            *)
 (* ---------------------------------------------------------------------- *)
 
-(* [--csv-out FILE] destination for the fig-batch time series (the CI
-   artifact check_batch.sh inspects alongside the JSON metrics). *)
+(* [--csv-out FILE] destination for the fig-batch time series. *)
 let csv_out : string option ref = ref None
 
 (* The snabb-style pump: a Synth generator allocates from a packet
@@ -1451,7 +1451,7 @@ let fig_batch () =
   (match csv with Some c -> Rp_obs.Csv_stats.close c | None -> ());
   Printf.printf
     "  steady-state model mpps/domain: inline %.4f, sharded:4 %.4f\n\
-    \  (ci/check_batch.sh gates the floor and Table-3 byte-identity)\n"
+    \  (bench/gates.ml gates the sharded floor; inline is Table 3's figure)\n"
     inline sharded
 
 (* ---------------------------------------------------------------------- *)
@@ -1651,7 +1651,7 @@ let fig_coldstart () =
   micro "pergate" `Per_gate;
   micro "compiled" `Compiled;
   Printf.printf
-    "  (ci/check_coldstart.sh gates compiled < per-gate on the macro\n\
+    "  (bench/gates.ml gates compiled < per-gate on the macro\n\
     \   runs and compiled g2 == g8 — accesses independent of gates)\n"
 
 (* ---------------------------------------------------------------------- *)
@@ -1674,7 +1674,7 @@ let fig_coldstart () =
    'accesses/pkt' is the charged memory-access meter (Rp_lpm.Access)
    over the steady phase; cycles come from the deterministic cost
    model, so both figures are byte-stable across runs and machines.
-   ci/check_session.sh gates cached <= fix + 1 (the one charged
+   bench/gates.ml gates cached <= fix + 1 (the one charged
    session access), zero steady-state table lookups, and cached
    strictly below nocache. *)
 let fig_session () =
@@ -1790,9 +1790,8 @@ let fig_session () =
   run ~slug:"cached" ~session:(Some true);
   run ~slug:"nocache" ~session:(Some false);
   Printf.printf
-    "\n  (ci/check_session.sh gates cached <= fix + 1 access/pkt, zero\n\
-    \   steady-state table lookups, and Table-3 byte-identity with the\n\
-    \   session subsystem compiled in but unbound)\n"
+    "\n  (bench/gates.ml gates cached <= fix + 1 access/pkt, zero\n\
+    \   steady-state table lookups, and cached below nocache)\n"
 
 (* ---------------------------------------------------------------------- *)
 (* fig-latency: end-to-end latency SLOs on the model clock.               *)
@@ -1806,7 +1805,7 @@ let fig_session () =
    fixed workload charged with stamping on vs off must agree to the
    cycle (the SLO layer only reads the clock).  All latency figures
    are model cycles: byte-stable across runs and machines.
-   ci/check_latency.sh gates the p99s, the identity, and at least one
+   bench/gates.ml gates the p99s, the identity, and at least one
    resolvable exemplar. *)
 let fig_latency () =
   section "fig-latency: end-to-end latency SLOs (model cycles)";
@@ -1972,7 +1971,7 @@ let fig_latency () =
    ranks, Pareto heavy-tailed per-flow packet budgets so flows retire
    and fresh ones arrive continuously, and periodic idle-window expiry
    passes — recycling, expiry and the probe index all run hot for
-   minutes of simulated time.  ci/check_zipf.sh gates the metrics. *)
+   minutes of simulated time.  bench/gates.ml gates the metrics. *)
 let fig_zipf () =
   section "fig-zipf: million-flow Zipf long-haul soak (sharded:4)";
   let flows = 1_000_000 in
@@ -2254,34 +2253,49 @@ let sections =
     ("micro", micro);
   ]
 
+(* Print a usage error and exit 2.  Every argument is checked before
+   any section runs, so a typo can never skip a section's gates. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
 let () =
-  (* [--metrics-out FILE] and [--trace-sample N] may appear anywhere
-     among the section names: the former dumps the metric registry
-     (bench gauges included) as JSON at the end of the run; the latter
-     runs the sections with hot-path tracing on, sampling 1-in-N — the
-     trace-overhead CI gate compares a traced table3 run against an
-     untraced one with it. *)
+  (* [--metrics-out FILE], [--csv-out FILE] and [--trace-sample N] may
+     appear anywhere among the section names: the first dumps the
+     metric registry (bench gauges included) as JSON at the end of the
+     run; the last runs the sections with hot-path tracing on,
+     sampling 1-in-N. *)
+  let is_flag = String.starts_with ~prefix:"--" in
   let rec split_args acc metrics trace = function
     | [] -> (List.rev acc, metrics, trace)
+    | flag :: rest when is_flag flag && (rest = [] || is_flag (List.hd rest)) ->
+      usage_error "%s expects a value" flag
     | "--metrics-out" :: path :: rest -> split_args acc (Some path) trace rest
     | "--csv-out" :: path :: rest ->
       csv_out := Some path;
       split_args acc metrics trace rest
-    | "--trace-sample" :: n :: rest ->
-      split_args acc metrics (int_of_string_opt n) rest
-    | x :: rest -> split_args (x :: acc) metrics trace rest
+    | "--trace-sample" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some n when n >= 1 -> split_args acc metrics (Some n) rest
+      | _ ->
+        usage_error "--trace-sample %S: expected a positive sampling period" n)
+    | name :: rest when List.mem_assoc name sections ->
+      split_args (name :: acc) metrics trace rest
+    | name :: _ ->
+      usage_error "unknown section or flag %S; sections: %s" name
+        (String.concat ", " (List.map fst sections))
   in
   let names, metrics_out, trace_sample =
     split_args [] None None (List.tl (Array.to_list Sys.argv))
   in
-  (match trace_sample with
-   | Some n when n >= 1 ->
-     Rp_obs.Telemetry.enable ~every:n;
-     Printf.printf "(tracing on, sampling 1-in-%d)\n" n
-   | Some _ ->
-     prerr_endline "--trace-sample: expected a positive sampling period";
-     exit 2
-   | None -> ());
+  Option.iter
+    (fun n ->
+      Rp_obs.Telemetry.enable ~every:n;
+      Printf.printf "(tracing on, sampling 1-in-%d)\n" n)
+    trace_sample;
   let requested =
     match names with [] -> List.map fst sections | names -> names
   in
@@ -2293,16 +2307,17 @@ let () =
     Cost.base_forward Cost.mem_access Cost.cpu_mhz;
   List.iter
     (fun name ->
-      match List.assoc_opt name sections with
-      | Some f ->
-        f ();
-        Gc.full_major ()
-      | None ->
-        Printf.printf "unknown section %S; available: %s\n" name
-          (String.concat ", " (List.map fst sections)))
+      (List.assoc name sections) ();
+      Gc.full_major ())
     requested;
-  match metrics_out with
-  | Some path ->
-    Rp_obs.Registry.write_json path;
-    Printf.printf "\nmetrics written to %s\n" path
-  | None -> ()
+  section "Gates (bench/gates.ml)";
+  let failed = Gates.run ~sections:requested in
+  (match metrics_out with
+   | Some path ->
+     Rp_obs.Registry.write_json path;
+     Printf.printf "\nmetrics written to %s\n" path
+   | None -> ());
+  if failed <> [] then begin
+    List.iter (Printf.eprintf "bench: FAIL %s\n") failed;
+    exit 1
+  end

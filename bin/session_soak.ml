@@ -17,12 +17,13 @@
    - the flow-export records emitted when the table is torn down
      reconcile with the same tally (with the translated tuple on
      every NAT'd record);
-   - every offered packet came back forwarded (UDP sessions never
-     close, and both directions stay routable through the NAT);
+   - at least 2000 packets offered, and every one came back
+     forwarded (UDP sessions never close, and both directions stay
+     routable through the NAT);
 
    and across modes: the sharded engine forwarded exactly the packets
-   the inline engine forwarded.  Writes session-soak.json
-   (rp-metrics JSON) for ci/check_session.sh. *)
+   the inline engine forwarded.  Exits 1 on any failed check and
+   writes session-soak.json (rp-metrics JSON) as a record of the run. *)
 
 open Rp_pkt
 open Rp_core
@@ -207,6 +208,9 @@ let run_mode ~label mode =
     (Printf.sprintf "%s: exact packet/byte reconciliation both directions"
        label)
     (recon_error = 0);
+  check
+    (Printf.sprintf "%s: offered at least 2000 packets (%d)" label !offered)
+    (!offered >= 2000);
   check
     (Printf.sprintf "%s: every offered packet forwarded (%d/%d)" label
        !forwarded !offered)

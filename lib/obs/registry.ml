@@ -146,9 +146,8 @@ let json_escape s =
    and ip_core.* now count every domain. *)
 let schema_version = 4
 
-(* One metric per line, keys sorted: dumps diff cleanly and simple
-   line-oriented tools (the CI bench gate) can extract values without
-   a JSON parser.  Rendered under the registry lock — see [dump]. *)
+(* One metric per line, keys sorted: dumps diff cleanly and grep
+   finds a metric.  Rendered under the registry lock — see [dump]. *)
 let dump_json ?pattern () =
   locked (fun () ->
       let b = Buffer.create 4096 in

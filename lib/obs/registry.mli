@@ -46,8 +46,7 @@ val reset : unit -> unit
 
 (** The integer schema version emitted in {!dump_json} (and mirrored
     in the ["rp-metrics/<n>"] schema string).  Bump on any change a
-    line-oriented consumer could notice, such as a metric name added
-    or removed.  Version 4 dropped the per-shard gate and verdict
+    consumer could notice, such as a metric name added or removed.  Version 4 dropped the per-shard gate and verdict
     counters: [gate.*] and [ip_core.*] are totals over all domains. *)
 val schema_version : int
 
@@ -57,8 +56,8 @@ val schema_version : int
 val dump : ?pattern:string -> unit -> string
 
 (** JSON snapshot, schema [rp-metrics/4]: a ["schema_version"] field,
-    then sorted keys one metric per line (greppable by the CI bench
-    gate without a JSON parser); histograms include p50/p90/p99/p999
+    then sorted keys one metric per line (so dumps diff cleanly and
+    grep finds a metric); histograms include p50/p90/p99/p999
     from {!Histogram.quantile}.  Rendered under the registry lock. *)
 val dump_json : ?pattern:string -> unit -> string
 
