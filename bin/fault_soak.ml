@@ -426,7 +426,7 @@ let run_telemetry_phase () =
   let label = "telemetry reconcile" in
   Printf.printf "== %s ==\n" label;
   Rp_obs.Registry.reset ();
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   Rp_obs.Telemetry.enable ~every:4;
   let s = Rp_sim.Scenario.single_router () in
   let router = s.Rp_sim.Scenario.router in
@@ -441,7 +441,7 @@ let run_telemetry_phase () =
   Rp_obs.Telemetry.disable ();
   (* Export the still-live flow-cache entries so the log is complete. *)
   Rp_classifier.Aiu.flush_flows (Router.aiu router);
-  let records = Rp_obs.Flowlog.drain () in
+  let records = Rp_core.Flow_export.drain () in
   check
     (Printf.sprintf "%s: flow records exported (%d)" label
        (List.length records))
@@ -460,7 +460,7 @@ let run_sharded_telemetry_phase ~shards () =
   let label = "telemetry reconcile" in
   Printf.printf "== %s (sharded %d) ==\n" label shards;
   Rp_obs.Registry.reset ();
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   Rp_obs.Telemetry.enable ~every:4;
   let s = Rp_sim.Scenario.single_router () in
   let router = s.Rp_sim.Scenario.router in
@@ -490,7 +490,7 @@ let run_sharded_telemetry_phase ~shards () =
   (* Workers joined: flushing the domain-private shard flow caches is
      now safe, and exports every still-live record. *)
   Engine.flush_flows e;
-  let records = Rp_obs.Flowlog.drain () in
+  let records = Rp_core.Flow_export.drain () in
   check
     (Printf.sprintf "%s: flow records exported (%d)" label
        (List.length records))

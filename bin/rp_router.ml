@@ -58,7 +58,7 @@ let write_trace_out path =
     (Rp_obs.Telemetry.overwritten ())
 
 let write_flow_log path =
-  let records = Rp_obs.Flowlog.drain () in
+  let records = Rp_core.Flow_export.drain () in
   let oc = open_out path in
   List.iter
     (fun r ->

@@ -219,9 +219,9 @@ let run_mode ~label mode =
     (!sessions = 6);
   (* tear down: the flow-export records must carry the same totals,
      with the translated tuple on every NAT'd session *)
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   let flushed = Rp_session.Session.Table.flush t in
-  let records = Rp_obs.Flowlog.drain () in
+  let records = Rp_core.Flow_export.drain () in
   let x_pkts = ref 0 and x_bytes = ref 0 and translated = ref 0 in
   List.iter
     (fun (rec_ : Rp_obs.Flowlog.record) ->

@@ -530,70 +530,67 @@ let optimize t =
   in
   visit t.root
 
+(* The walk allocates nothing beyond what the level indexes return.
+   Every function takes its state as arguments: a nested [let rec]
+   over [key] would be a closure allocated per lookup, and so would
+   [Access.measure]'s thunk and result pair, so an address level reads
+   the domain's access cell directly.  An exact level finds its child
+   with [Hashtbl.find] rather than [find_opt], whose [Some] would be
+   one more block per level. *)
+let rec walk key node =
+  match node.skip with
+  | Some target ->
+    Rp_lpm.Access.charge 1;
+    Rp_obs.Counter.inc m_skips;
+    Rp_obs.Counter.inc m_edges;
+    walk_kids key target
+  | None -> walk_kids key node
+
+(* Follow one edge to [child]. *)
+and edge key child =
+  Rp_lpm.Access.charge 1;
+  Rp_obs.Counter.inc m_edges;
+  walk key child
+
+and walk_kids key node =
+  match node.kids with
+  | Leaf l ->
+    (match l.best with
+     | Some _ as best ->
+       Rp_obs.Counter.inc m_matches;
+       best
+     | None -> None)
+  | Addr a ->
+    let accesses = Rp_lpm.Access.meter () in
+    let before = !accesses in
+    let result = a.matcher.am_lookup (addr_value key node.level) in
+    Rp_obs.Counter.add m_level_accesses.(node.level) (!accesses - before);
+    (match result with Some (_, child) -> edge key child | None -> None)
+  | Ports p ->
+    Rp_lpm.Access.charge 1;
+    Rp_obs.Counter.inc m_level_accesses.(node.level);
+    walk_ports key (port_value key node.level) p.wild p.intervals
+  | Exact e ->
+    (match Hashtbl.find e.table (exact_value key node.level) with
+     | child -> edge key child
+     | exception Not_found -> walk_wild key e.ewild)
+
+(* Follow the interval holding [v], else the wildcard edge. *)
+and walk_ports key v wild = function
+  | [] -> walk_wild key wild
+  | (a, b, c) :: rest ->
+    if v < a then walk_wild key wild
+    else if v <= b then edge key c
+    else walk_ports key v wild rest
+
+and walk_wild key = function Some child -> edge key child | None -> None
+
 let lookup t key =
   Rp_obs.Counter.inc m_lookups;
   (* Function-pointer fetches for the BMP and index-hash functions
      (Table 2, rows 1-2). *)
   Rp_lpm.Access.charge 2;
-  let rec walk node =
-    match node.skip with
-    | Some target ->
-      Rp_lpm.Access.charge 1;
-      Rp_obs.Counter.inc m_skips;
-      Rp_obs.Counter.inc m_edges;
-      walk_kids target
-    | None -> walk_kids node
-
-  and walk_kids node =
-    match node.kids with
-    | Leaf l ->
-      (match l.best with
-       | Some _ as best ->
-         Rp_obs.Counter.inc m_matches;
-         best
-       | None -> None)
-    | Addr a ->
-      let result, accesses =
-        Rp_lpm.Access.measure (fun () ->
-            a.matcher.am_lookup (addr_value key node.level))
-      in
-      Rp_obs.Counter.add m_level_accesses.(node.level) accesses;
-      (match result with
-       | Some (_, child) ->
-         Rp_lpm.Access.charge 1;
-         Rp_obs.Counter.inc m_edges;
-         walk child
-       | None -> None)
-    | Ports p ->
-      Rp_lpm.Access.charge 1;
-      Rp_obs.Counter.inc m_level_accesses.(node.level);
-      let v = port_value key node.level in
-      let rec find = function
-        | [] -> p.wild
-        | (a, b, c) :: rest ->
-          if v < a then p.wild else if v <= b then Some c else find rest
-      in
-      (match find p.intervals with
-       | Some child ->
-         Rp_lpm.Access.charge 1;
-         Rp_obs.Counter.inc m_edges;
-         walk child
-       | None -> None)
-    | Exact e ->
-      let v = exact_value key node.level in
-      let child =
-        match Hashtbl.find_opt e.table v with
-        | Some _ as c -> c
-        | None -> e.ewild
-      in
-      (match child with
-       | Some child ->
-         Rp_lpm.Access.charge 1;
-         Rp_obs.Counter.inc m_edges;
-         walk child
-       | None -> None)
-  in
-  walk t.root
+  walk key t.root
 
 let find t f = Filter_tbl.find_opt t.installed_tbl f
 

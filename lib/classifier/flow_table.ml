@@ -235,11 +235,12 @@ let bytes (r : 'a record) = get r.r_tab r.r_slot f_bytes
 let fwd (r : 'a record) = get r.r_tab r.r_slot f_fwd
 let dropped (r : 'a record) = get r.r_tab r.r_slot f_dropped
 let absorbed (r : 'a record) = get r.r_tab r.r_slot f_absorbed
-let created_ns (r : 'a record) = Int64.of_int (get r.r_tab r.r_slot f_created)
-let last_use_ns (r : 'a record) = Int64.of_int (get r.r_tab r.r_slot f_last)
+let created_ns (r : 'a record) = get r.r_tab r.r_slot f_created
+let last_use_ns (r : 'a record) = get r.r_tab r.r_slot f_last
 
 let binding (r : 'a record) ~gate =
-  r.r_tab.bindings.((r.r_slot * r.r_tab.gates) + gate)
+  if gate >= r.r_tab.gates then None
+  else r.r_tab.bindings.((r.r_slot * r.r_tab.gates) + gate)
 
 let iter_bindings (r : 'a record) f =
   let base = r.r_slot * r.r_tab.gates in

@@ -43,9 +43,7 @@ type 'a binding = {
     slot) and reused across the flows that occupy the slot, so holding
     one across an eviction is only meaningful together with its
     generation (see {!fix_of_record} / {!find_fix}).  Field access
-    goes through the accessors below; none of them allocate except
-    {!key} (returns the boxed key), {!created_ns} and {!last_use_ns}
-    (box an int64). *)
+    goes through the accessors below, and none of them allocate. *)
 type 'a record
 
 type 'a t
@@ -174,6 +172,9 @@ val cached_route : 'a t -> Mbuf.t -> stamp:int -> int
 val cache_route : 'a t -> Mbuf.t -> stamp:int -> unit
 
 val set_binding : 'a t -> 'a record -> gate:int -> ?filter:Filter.t -> 'a -> unit
+
+(** [binding r ~gate] is [r]'s binding at [gate]; [None] also for a
+    gate beyond the table's [gates]. *)
 val binding : 'a record -> gate:int -> 'a binding option
 
 (** [iter_bindings r f] calls [f ~gate b] for each populated gate
@@ -212,8 +213,8 @@ val bytes : 'a record -> int
 val fwd : 'a record -> int
 val dropped : 'a record -> int
 val absorbed : 'a record -> int
-val created_ns : 'a record -> int64
-val last_use_ns : 'a record -> int64
+val created_ns : 'a record -> int
+val last_use_ns : 'a record -> int
 
 val length : 'a t -> int
 val capacity : 'a t -> int

@@ -155,7 +155,7 @@ let flows_top router n =
       if Flow_table.packets r > 0 then
         live := Flow_export.record_of ~reason:"live" r :: !live)
     (Aiu.flow_table (Router.aiu router));
-  let all = List.rev_append !live (Rp_obs.Flowlog.peek ()) in
+  let all = List.rev_append !live (Flow_export.peek ()) in
   let all =
     List.sort
       (fun (a : Rp_obs.Flowlog.record) b ->

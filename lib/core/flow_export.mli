@@ -1,27 +1,80 @@
-(** NetFlow-style flow-record emission.
+(** NetFlow-style flow-record export.
 
-    Installs {!Rp_obs.Flowlog} export on an AIU's flow table: every
-    in-use record leaving the table (recycled / expired / replaced /
-    removed / flushed) that carried at least one accounted packet is
-    rendered — 5-tuple, packet/byte and per-verdict totals, lifetime,
-    bound plugin instances per gate, eviction reason — and pushed onto
-    the export ring.  {!Router.create} installs it on the inline
-    path's AIU; each engine shard installs it on its domain-private
-    AIU. *)
+    {!install} hooks an AIU's flow table: every in-use record leaving
+    the table (recycled / expired / replaced / removed / flushed /
+    invalidated) that carried at least one accounted packet is copied
+    into the export ring — 5-tuple, packet/byte and per-verdict
+    totals, lifetime, bound plugin instance per gate, eviction reason,
+    translated tuple.  A row is ints only, so exporting allocates
+    nothing; records are rendered ({!Rp_obs.Flowlog.record}) when the
+    ring is drained or peeked.  {!Router.create} installs the exporter
+    on the inline path's AIU; each engine shard installs it on its
+    domain-private AIU.  The session layer exports reaped sessions
+    through {!emit_session}.
 
-(** Install the exporter (replaces any previous one on this table). *)
+    The ring keeps the newest {!capacity} rows, overwriting the oldest
+    (counted in [telemetry.flow.ring_overwrites]; every row written
+    counts in [telemetry.flow.records]).  Its rows are allocated by
+    the first export.  Any domain may export, drain or peek. *)
+
+(** A NAT'd flow's post-rewrite tuple. *)
+type xlate = {
+  xsrc : Rp_pkt.Ipaddr.t;
+  xdst : Rp_pkt.Ipaddr.t;
+  xsport : int;
+  xdport : int;
+}
+
+(** Install the exporter (replaces any previous one on this table).
+    Raises [Invalid_argument] if the AIU has more gates than
+    {!Gate.count}. *)
 val install : Plugin.t Rp_classifier.Aiu.t -> unit
 
-(** The rendering itself, exposed for tests and custom sinks. *)
+(** [emit_session ~reason ~id ...] exports one reaped session: its
+    bindings render as [("session", id)], its absorbed count is 0, and
+    [Some] tuple marks it NAT'd.  Timestamps are in ns.  Allocates
+    nothing. *)
+val emit_session :
+  reason:string ->
+  id:int ->
+  src:Rp_pkt.Ipaddr.t ->
+  dst:Rp_pkt.Ipaddr.t ->
+  proto:int ->
+  sport:int ->
+  dport:int ->
+  iface:int ->
+  packets:int ->
+  bytes:int ->
+  forwarded:int ->
+  dropped:int ->
+  created_ns:int ->
+  last_ns:int ->
+  xlate option ->
+  unit
+
+(** The record a flow would export now with [reason] (pmgr's live
+    rows); it goes through the same row and rendering as an export. *)
 val record_of :
   reason:string ->
   Plugin.t Rp_classifier.Flow_table.record ->
   Rp_obs.Flowlog.record
 
-(** Register the translated-tuple extractor: called once per exported
-    record; [Some] marks the flow as NAT'd and adds the post-rewrite
-    tuple to its export record.  Installed by the session layer
-    (which owns the NAT state); defaults to [fun _ -> None]. *)
+(** Register the translated-tuple extractor, called once per exported
+    flow; [Some] marks the flow as NAT'd.  It must return a tuple it
+    already holds, so export stays allocation-free.  Installed by the
+    session layer (which owns the NAT state); defaults to
+    [fun _ -> None]. *)
 val set_translated_of :
-  (Plugin.t Rp_classifier.Flow_table.record -> Rp_obs.Flowlog.xlate option) ->
-  unit
+  (Plugin.t Rp_classifier.Flow_table.record -> xlate option) -> unit
+
+(** Rows the ring holds: 4096. *)
+val capacity : int
+
+(** Retained records oldest-first, leaving them buffered. *)
+val peek : unit -> Rp_obs.Flowlog.record list
+
+(** Retained records oldest-first, emptying the ring. *)
+val drain : unit -> Rp_obs.Flowlog.record list
+
+(** Empty the ring without rendering it. *)
+val clear : unit -> unit

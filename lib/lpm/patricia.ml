@@ -109,15 +109,7 @@ let insert t p v = insert_node t (ensure_root t p) p v
    state as arguments: a local closure would be allocated per call. *)
 
 let ones32 = 0xFFFF_FFFF
-
-(* Word [j] (0..3) of [a]. *)
-let word a j =
-  match a with
-  | Ipaddr.V4 x -> if j = 0 then Int32.to_int x land ones32 else 0
-  | Ipaddr.V6 (h, l) ->
-    let w = if j < 2 then h else l in
-    if j land 1 = 0 then Int64.to_int (Int64.shift_right_logical w 32)
-    else Int64.to_int w land ones32
+let word = Ipaddr.word
 
 (* Do words [p] and [a] agree on their first [r] bits? *)
 let agree p a r =

@@ -1,15 +1,10 @@
-(* NetFlow-style flow-record export ring.
+(* NetFlow-style flow records and their JSON-lines rendering.
 
-   Flow records are emitted by the classifier when the flow table
-   evicts an entry (recycled, expired, replaced, removed, flushed) and
-   buffered here until a consumer drains them to a flow log or a
-   [pmgr flows top] view.  Emission happens on the data path (an
-   insert can recycle), but eviction is rare relative to packets, so a
-   mutex-guarded ring is cheap enough and keeps multi-domain emitters
-   (sharded engine workers own private flow tables) trivially safe.
-
-   Addresses are pre-rendered strings: obs cannot depend on lib/pkt,
-   and records are export-bound anyway. *)
+   The export ring itself lives in [Rp_core.Flow_export], which stores
+   an evicted flow as a row of ints and builds one of these records
+   only when the row is drained or peeked.  Addresses are rendered
+   strings here: obs cannot depend on lib/pkt, and records are
+   export-bound anyway. *)
 
 (* Post-rewrite tuple of a NAT'd session; absent for flows the session
    layer never translated, so the export schema is unchanged for
@@ -39,57 +34,6 @@ type record = {
   reason : string;
   translated : xlate option;
 }
-
-let lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let default_capacity = 4096
-let buf : record option array ref = ref (Array.make default_capacity None)
-let head = ref 0 (* total records ever emitted *)
-
-let m_records = Registry.counter "telemetry.flow.records"
-let m_overwritten = Registry.counter "telemetry.flow.ring_overwrites"
-
-let emit r =
-  locked (fun () ->
-      let cap = Array.length !buf in
-      if !head >= cap && !buf.(!head mod cap) <> None then
-        Counter.inc m_overwritten;
-      !buf.(!head mod cap) <- Some r;
-      incr head;
-      Counter.inc m_records)
-
-let retained_unlocked () =
-  let cap = Array.length !buf in
-  let n = min !head cap in
-  let first = !head - n in
-  List.filter_map
-    (fun k -> !buf.((first + k) mod cap))
-    (List.init n (fun k -> k))
-
-let peek () = locked retained_unlocked
-
-let drain () =
-  locked (fun () ->
-      let out = retained_unlocked () in
-      Array.fill !buf 0 (Array.length !buf) None;
-      head := 0;
-      out)
-
-let clear () = ignore (drain ())
-
-let set_capacity cap =
-  if cap <= 0 then invalid_arg "Flowlog.set_capacity";
-  locked (fun () ->
-      buf := Array.make cap None;
-      head := 0)
-
-let capacity () = locked (fun () -> Array.length !buf)
-let emitted () = Counter.get m_records
-let overwritten () = Counter.get m_overwritten
 
 let duration_ns r = Int64.max 0L (Int64.sub r.last_ns r.created_ns)
 

@@ -1,17 +1,15 @@
-(** NetFlow-style flow-record export ring.
+(** NetFlow-style flow records.
 
-    The classifier emits a {!record} when the flow table evicts an
-    entry (recycled / expired / replaced / removed / flushed); records
-    buffer here — a mutex-guarded overwrite-oldest ring, safe for
-    multi-domain emitters — until a consumer drains them to a flow log
-    ([rp_router --flow-log]) or renders a [pmgr flows top] view.
-    Addresses arrive pre-rendered as strings so obs stays free of
-    lib/pkt dependencies. *)
+    [Rp_core.Flow_export] keeps the export ring: a flow leaving a
+    table is stored there as a row of ints, and becomes a {!record}
+    only when a consumer drains or peeks the ring, to write a flow log
+    ([rp_router --flow-log]) or render a [pmgr flows top] view.
+    Addresses are rendered strings so obs stays free of lib/pkt
+    dependencies. *)
 
-(** Post-rewrite (NAT'd) tuple of a translated session.  [None] —
-    the default for every existing emitter — leaves the export schema
-    exactly as before; [Some] adds one ["translated"] object to the
-    JSON line. *)
+(** Post-rewrite (NAT'd) tuple of a translated session.  [None]
+    leaves the export schema as it is for untranslated flows; [Some]
+    adds one ["translated"] object to the JSON line. *)
 type xlate = {
   xsrc : string;
   xdst : string;
@@ -37,29 +35,6 @@ type record = {
   reason : string;  (** why the entry left the table *)
   translated : xlate option;  (** post-NAT tuple, when one exists *)
 }
-
-(** Append a record, overwriting the oldest when full (counted in
-    [telemetry.flow.ring_overwrites]). *)
-val emit : record -> unit
-
-(** Retained records oldest-first, leaving them buffered. *)
-val peek : unit -> record list
-
-(** Retained records oldest-first, emptying the ring. *)
-val drain : unit -> record list
-
-val clear : unit -> unit
-
-(** Replace the ring (control path only); raises on [cap <= 0]. *)
-val set_capacity : int -> unit
-
-val capacity : unit -> int
-
-(** Total records ever emitted ([telemetry.flow.records]). *)
-val emitted : unit -> int
-
-(** Records lost to ring overwrite. *)
-val overwritten : unit -> int
 
 val duration_ns : record -> int64
 

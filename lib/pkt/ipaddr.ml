@@ -108,6 +108,25 @@ let v6 w0 w1 w2 w3 =
 
 let v4_of_int32 x = V4 x
 
+(* The 32-bit words are native ints: reading an int32/int64 field
+   into one boxes nothing, so a caller can split an address without
+   allocating. *)
+let word a j =
+  match a with
+  | V4 x -> if j = 0 then Int32.to_int x land 0xFFFF_FFFF else 0
+  | V6 (h, l) ->
+    let w = if j < 2 then h else l in
+    if j land 1 = 0 then Int64.to_int (Int64.shift_right_logical w 32)
+    else Int64.to_int w land 0xFFFF_FFFF
+
+let of_words ~v6 w0 w1 w2 w3 =
+  if not v6 then V4 (Int32.of_int w0)
+  else
+    let half hi lo =
+      Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+    in
+    V6 (half w0 w1, half w2 w3)
+
 let is_v4 = function V4 _ -> true | V6 _ -> false
 let is_v6 = function V6 _ -> true | V4 _ -> false
 

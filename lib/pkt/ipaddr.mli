@@ -35,6 +35,17 @@ val v4 : int -> int -> int -> int -> t
 val v6 : int32 -> int32 -> int32 -> int32 -> t
 
 val v4_of_int32 : int32 -> t
+
+(** [word a j] is the [j]th 32-bit word of [a] (0..3, most significant
+    first) as a native int in [0, 2{^32}); an IPv4 address is word 0
+    and its other words are 0.  Allocates nothing. *)
+val word : t -> int -> int
+
+(** [of_words ~v6 w0 w1 w2 w3] rebuilds the address {!word} split:
+    [of_words ~v6:(is_v6 a) (word a 0) (word a 1) (word a 2) (word a 3)]
+    equals [a]. *)
+val of_words : v6:bool -> int -> int -> int -> int -> t
+
 val is_v4 : t -> bool
 val is_v6 : t -> bool
 

@@ -35,6 +35,7 @@ type t = {
   xlat_dst : Ipaddr.t;
   xlat_dport : int;
   nat : bool;
+  exported_xlate : Rp_core.Flow_export.xlate option;
   qos : int option;
   fwd_lookup : Flow_key.t;
   fwd_dir : Flow_key.direction;
@@ -279,47 +280,33 @@ type Rp_classifier.Flow_table.soft += Cached of t * Flow_key.direction
 
 let shard_key = Flow_key.canonical_hash
 
-let xlate_of s =
-  {
-    Rp_obs.Flowlog.xsrc = Ipaddr.to_string s.xlat_src;
-    xdst = Ipaddr.to_string s.xlat_dst;
-    xsport = s.xlat_sport;
-    xdport = s.xlat_dport;
-  }
+(* The NAT'd session cached in any of [r]'s gate bindings.  A
+   top-level loop over the gates, not [iter_bindings] with a closure:
+   this runs on every flow export, which must not allocate. *)
+let rec xlate_at (r : Rp_core.Plugin.t Rp_classifier.Flow_table.record) g =
+  if g >= Rp_core.Gate.count then None
+  else
+    match Rp_classifier.Flow_table.binding r ~gate:g with
+    | Some { Rp_classifier.Flow_table.soft = Some (Cached (s, _)); _ }
+      when s.nat ->
+      s.exported_xlate
+    | Some _ | None -> xlate_at r (g + 1)
 
-let xlate_of_record (r : Rp_core.Plugin.t Rp_classifier.Flow_table.record) =
-  let found = ref None in
-  Rp_classifier.Flow_table.iter_bindings r
-    (fun ~gate:_ (b : Rp_core.Plugin.t Rp_classifier.Flow_table.binding) ->
-      match b.Rp_classifier.Flow_table.soft with
-      | Some (Cached (s, _)) when s.nat && Option.is_none !found ->
-        found := Some (xlate_of s)
-      | _ -> ());
-  !found
+let xlate_of_record r = xlate_at r 0
 
 let () = Rp_core.Flow_export.set_translated_of xlate_of_record
 
-let export_record ~reason s =
+let export ~reason s =
   let fp = Atomic.get s.fwd_pkts and rp = Atomic.get s.rev_pkts in
   let drops = Atomic.get s.drops in
-  {
-    Rp_obs.Flowlog.src = Ipaddr.to_string s.orig_src;
-    dst = Ipaddr.to_string s.orig_dst;
-    proto = s.proto;
-    sport = s.orig_sport;
-    dport = s.orig_dport;
-    iface = s.iface;
-    packets = fp + rp;
-    bytes = Atomic.get s.fwd_bytes + Atomic.get s.rev_bytes;
-    forwarded = fp + rp - drops;
-    dropped = drops;
-    absorbed = 0;
-    created_ns = s.created_ns;
-    last_ns = Atomic.get s.last_ns;
-    bindings = [ ("session", s.id) ];
-    reason;
-    translated = (if s.nat then Some (xlate_of s) else None);
-  }
+  Rp_core.Flow_export.emit_session ~reason ~id:s.id ~src:s.orig_src
+    ~dst:s.orig_dst ~proto:s.proto ~sport:s.orig_sport ~dport:s.orig_dport
+    ~iface:s.iface ~packets:(fp + rp)
+    ~bytes:(Atomic.get s.fwd_bytes + Atomic.get s.rev_bytes)
+    ~forwarded:(fp + rp - drops) ~dropped:drops
+    ~created_ns:(Int64.to_int s.created_ns)
+    ~last_ns:(Int64.to_int (Atomic.get s.last_ns))
+    s.exported_xlate
 
 (* ---- The table ---------------------------------------------------- *)
 
@@ -544,6 +531,16 @@ module Table = struct
       xlat_dst;
       xlat_dport;
       nat;
+      exported_xlate =
+        (if nat then
+           Some
+             {
+               Rp_core.Flow_export.xsrc = xlat_src;
+               xdst = xlat_dst;
+               xsport = xlat_sport;
+               xdport = xlat_dport;
+             }
+         else None);
       qos;
       fwd_lookup;
       fwd_dir;
@@ -647,7 +644,7 @@ module Table = struct
         if not (Flow_key.equal s.rev_lookup s.fwd_lookup) then
           remove_key t s.rev_lookup s;
         Atomic.incr t.expired_c;
-        Rp_obs.Flowlog.emit (export_record ~reason s))
+        export ~reason s)
       !victims;
     List.length !victims
 

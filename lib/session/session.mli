@@ -39,6 +39,9 @@ type t = private {
   xlat_dst : Ipaddr.t;
   xlat_dport : int;
   nat : bool;
+  exported_xlate : Rp_core.Flow_export.xlate option;
+      (** the post-rewrite tuple a flow export carries: [Some] exactly
+          when [nat], built with the session *)
   qos : int option;  (** TOS/class stamped on every packet *)
   fwd_lookup : Flow_key.t;  (** canonical of the forward ingress tuple *)
   fwd_dir : Flow_key.direction;
@@ -107,15 +110,10 @@ val shard_key : Flow_key.t -> int
 (** Post-rewrite tuple of the NAT'd session (if any) referenced by a
     flow record's soft slots — the [Flow_export] translated-tuple
     extractor.  Installed into [Flow_export.set_translated_of] when
-    this library is linked. *)
+    this library is linked.  Allocates nothing. *)
 val xlate_of_record :
   Rp_core.Plugin.t Rp_classifier.Flow_table.record ->
-  Rp_obs.Flowlog.xlate option
-
-(** Session export record (reason ["session-expired"] /
-    ["session-flushed"]), carrying both directions' totals and the
-    translated tuple when NAT'd. *)
-val export_record : reason:string -> t -> Rp_obs.Flowlog.record
+  Rp_core.Flow_export.xlate option
 
 module Table : sig
   type session = t

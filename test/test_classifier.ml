@@ -273,6 +273,52 @@ let test_dag_v6 () =
   (* A v4 key must not match the v6 wildcard filter. *)
   check bool_t "family isolation" true (Dag.lookup dag (key ()) = None)
 
+(* A walk allocates only what its two address levels' BMP engines
+   return ([Some (prefix, child)], five words each): the walk itself,
+   the port and exact levels and the access metering allocate nothing.
+   Keys cover hits and misses at every level kind, v4 and v6; the
+   slack covers the [Gc.minor_words] boxing itself. *)
+let test_dag_lookup_alloc () =
+  let f1, f2, f3, f4 = table1 () in
+  let dag = Dag.create () in
+  List.iter
+    (fun (f, v) -> Dag.insert dag f v)
+    [
+      (f1, 1); (f2, 2); (f3, 3); (f4, 4);
+      (Filter.v4 ~dport:(Filter.Port_range (100, 200)) ~iface:1 (), 5);
+      (Filter.v4 ~proto:Proto.udp ~sport:(Filter.Port 53) (), 6);
+      (Filter.v6 ~src:(Prefix.of_string "2001:db8::/32") ~proto:Proto.tcp (), 7);
+    ];
+  let keys =
+    [|
+      key ~src:"128.252.153.1" ~dst:"128.252.153.7" ();
+      key ~src:"129.1.2.3" ~dst:"192.94.233.10" ~proto:Proto.tcp ();
+      key ~src:"128.252.153.9" ~dst:"9.9.9.9" ~sport:53 ();
+      key ~dport:150 ~iface:1 ~proto:Proto.tcp ();
+      key ~dport:150 ~iface:2 ~proto:Proto.tcp ();
+      key ~src:"2001:db8::1" ~dst:"2001:db8::2" ~proto:Proto.tcp ();
+      key ~src:"fe80::1" ~dst:"2001:db8::2" ();
+    |]
+  in
+  let spin n =
+    for i = 0 to n - 1 do
+      ignore (Dag.lookup dag (Array.unsafe_get keys (i mod Array.length keys)))
+    done
+  in
+  List.iter
+    (fun optimized ->
+      if optimized then Dag.optimize dag;
+      spin 1000;
+      let n = 7000 in
+      let before = Gc.minor_words () in
+      spin n;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      check bool_t
+        (Printf.sprintf "<= 11 words per lookup (%.2f, optimized=%b)" words
+           optimized)
+        true (words <= 11.))
+    [ false; true ]
+
 (* --- DAG: the central equivalence property -------------------------- *)
 
 let dag_matches_reference engine =
@@ -764,6 +810,64 @@ let test_flow_table_gc_silent () =
   check bool_t
     (Printf.sprintf "steady state GC-silent (%.0f minor words)" delta)
     true (delta < 100.)
+
+(* Export copies ints: with the exporter (and the session layer's
+   translated-tuple hook) installed, a recycling insert and an expiry
+   pass export flows that carry packets and gate bindings without
+   allocating.  Bindings and packets are set up outside the measured
+   windows; the slack is the GC-silence test's. *)
+let test_flow_export_gc_silent () =
+  let module Fx = Rp_core.Flow_export in
+  let module Gate = Rp_core.Gate in
+  Fx.set_translated_of Rp_session.Session.xlate_of_record;
+  let aiu = Aiu.create ~max_records:256 ~gates:Gate.count () in
+  Fx.install aiu;
+  let t = Aiu.flow_table aiu in
+  let inst =
+    Rp_core.Plugin.simple ~instance_id:7 ~code:0 ~plugin_name:"gc"
+      ~gate:Gate.Firewall (fun _ _ -> Rp_core.Plugin.Continue)
+  in
+  let keys = Array.init 512 mk_key in
+  let mbufs = Array.map (fun key -> Mbuf.synth ~key ~len:100 ()) keys in
+  let carry lo =
+    for i = lo to lo + 255 do
+      match Flow_table.lookup t keys.(i) ~now:1L with
+      | Some r ->
+        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Firewall) inst;
+        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Scheduling) inst;
+        mbufs.(i).Mbuf.fix <- Flow_table.some_fix r;
+        Flow_table.account t mbufs.(i) ~verdict:`Fwd
+      | None -> Alcotest.fail "flow missing"
+    done
+  in
+  let measure what f =
+    let exported0 = List.length (Fx.peek ()) in
+    let before = Gc.minor_words () in
+    f ();
+    let delta = Gc.minor_words () -. before in
+    check bool_t
+      (Printf.sprintf "%s allocates nothing (%.0f minor words)" what delta)
+      true (delta < 100.);
+    check bool_t (what ^ " exported every flow") true
+      (List.length (Fx.peek ()) = min Fx.capacity (exported0 + 256))
+  in
+  for i = 0 to 255 do
+    ignore (Flow_table.insert t keys.(i) ~now:0L)
+  done;
+  for _ = 1 to 2 do
+    carry 0;
+    measure "recycling insert" (fun () ->
+        for i = 256 to 511 do
+          ignore (Flow_table.insert t keys.(i) ~now:2L)
+        done);
+    carry 256;
+    measure "expiry pass" (fun () ->
+        ignore (Flow_table.expire t ~now:3L ~idle_ns:0L));
+    for i = 0 to 255 do
+      ignore (Flow_table.insert t keys.(i) ~now:0L)
+    done
+  done;
+  Fx.clear ()
 
 (* Regression for the O(allocated) maintenance sweeps: expire and
    invalidate walk the dense live set, so after growing to thousands
@@ -1470,6 +1574,8 @@ let () =
           Alcotest.test_case "port ranges" `Quick test_dag_port_ranges;
           Alcotest.test_case "iface level" `Quick test_dag_iface_level;
           Alcotest.test_case "ipv6 filters" `Quick test_dag_v6;
+          Alcotest.test_case "lookup allocation ceiling" `Quick
+            test_dag_lookup_alloc;
           dag_matches_reference Rp_lpm.Engines.patricia;
           dag_matches_reference Rp_lpm.Engines.bspl;
           dag_matches_reference Rp_lpm.Engines.cpe;
@@ -1503,6 +1609,8 @@ let () =
           prop_flow_table_model;
           Alcotest.test_case "steady state GC-silent" `Quick
             test_flow_table_gc_silent;
+          Alcotest.test_case "export allocates nothing" `Quick
+            test_flow_export_gc_silent;
           Alcotest.test_case "O(live) maintenance sweeps" `Quick
             test_flow_table_olive_maintenance;
           Alcotest.test_case "probe charges and chain_max" `Quick

@@ -811,7 +811,7 @@ let test_batched_counters_exact () =
    loadable JSON with per-gate spans. *)
 let test_sharded_telemetry () =
   let r = mk_router () in
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   Rp_obs.Telemetry.enable ~every:1;
   let acc0 = counter_get "flow_table.accounted_packets" in
   let e = Engine.create (Sharded 2) r in
@@ -827,7 +827,7 @@ let test_sharded_telemetry () =
   Rp_obs.Telemetry.disable ();
   Engine.stop e;
   Engine.flush_flows e;
-  let records = Rp_obs.Flowlog.drain () in
+  let records = Rp_core.Flow_export.drain () in
   let pkts =
     List.fold_left (fun a fr -> a + fr.Rp_obs.Flowlog.packets) 0 records
   in

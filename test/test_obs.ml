@@ -443,17 +443,301 @@ let mk_flow_rec ?(packets = 5) ?(bytes = 500) i =
     translated = None;
   }
 
-let test_flowlog_ring () =
-  Flowlog.set_capacity 2;
-  List.iter Flowlog.emit [ mk_flow_rec 1; mk_flow_rec 2; mk_flow_rec 3 ];
-  let got = Flowlog.peek () in
-  check int_t "capacity bounds the ring" 2 (List.length got);
-  check bool_t "overwrite-oldest keeps the newest, in order" true
-    (List.map (fun r -> r.Flowlog.sport) got = [ 1002; 1003 ]);
-  check int_t "peek leaves records buffered" 2 (List.length (Flowlog.peek ()));
-  check int_t "drain empties the ring" 2 (List.length (Flowlog.drain ()));
-  check int_t "empty after drain" 0 (List.length (Flowlog.peek ()));
-  Flowlog.set_capacity 4096
+(* --- Flow export ring --------------------------------------------------
+
+   Every reason a flow leaves a table, and both session reaps, on
+   random v4/v6 tuples with bindings at random gates and NAT'd or
+   plain sessions: each drained record equals [record_of] taken just
+   before the eviction, and equals the record built from the
+   generated flow itself.  A padding run of recycled flows first puts
+   up to 4,200 rows ahead of them, so the ring overwrites its oldest
+   rows: the drained ring must be the newest 4,096 rows in emit order,
+   with one [ring_overwrites] per row lost. *)
+
+module Fx = Rp_core.Flow_export
+module Ft = Rp_classifier.Flow_table
+module Gate = Rp_core.Gate
+module Session = Rp_session.Session
+
+let flow_reasons =
+  [| "recycled"; "replaced"; "removed"; "expired"; "flushed"; "invalidated" |]
+
+type export_case = {
+  fam6 : bool;
+  words : int array; (* 8 random 32-bit words: src then dst *)
+  proto : int;
+  sport : int;
+  dport : int;
+  iface : int;
+  gates : int list; (* (gate, instance id) pairs, gate = index *)
+  ids : int list;
+  nat : bool;
+  verdicts : int * int * int; (* forwarded, dropped, absorbed *)
+  len : int;
+  created : int;
+  idle : int;
+  kind : int; (* 0-5: a flow_reasons entry; 6-7: a session reap *)
+}
+
+let gen_export_case =
+  let open QCheck2.Gen in
+  let* fam6 = bool in
+  let* words = array_size (return 8) (int_range 0 0xFFFF_FFFF) in
+  let* proto = oneofl [ 6; 17; 1 ] in
+  let* sport = int_range 0 65535 in
+  let* dport = int_range 0 65535 in
+  let* iface = int_bound 7 in
+  let* gates = list_size (int_bound 4) (int_bound (Gate.count - 1)) in
+  let* ids = list_repeat (List.length gates) (int_range 1 100_000) in
+  let* nat = bool in
+  let* verdicts = triple (int_range 1 5) (int_bound 3) (int_bound 3) in
+  let* len = int_range 40 1500 in
+  let* created = int_range 0 1_000_000_000 in
+  let* idle = int_bound 1_000_000_000 in
+  let+ kind = int_bound 7 in
+  { fam6; words; proto; sport; dport; iface; gates; ids; nat; verdicts; len;
+    created; idle; kind }
+
+let case_key c =
+  let addr o =
+    if c.fam6 then
+      Ipaddr.v6
+        (Int32.of_int c.words.(o))
+        (Int32.of_int c.words.(o + 1))
+        (Int32.of_int c.words.(o + 2))
+        (Int32.of_int c.words.(o + 3))
+    else Ipaddr.v4_of_int32 (Int32.of_int c.words.(o))
+  in
+  Flow_key.make ~src:(addr 0) ~dst:(addr 4) ~proto:c.proto ~sport:c.sport
+    ~dport:c.dport ~iface:c.iface
+
+let instance id =
+  Rp_core.Plugin.simple ~instance_id:id ~code:0 ~plugin_name:"export-test"
+    ~gate:Gate.Firewall (fun _ _ -> Rp_core.Plugin.Continue)
+
+(* Session tables: NAT'd (v4 and v6 SNAT rules) and plain, for the
+   flows' soft state and for the reaped sessions. *)
+let nat_table name =
+  let t = Session.Table.create name in
+  List.iter
+    (fun (filter, addr) ->
+      Session.Table.add_rule t
+        { Session.Table.kind = `Snat; filter; addr; port = Some 40000;
+          tos = None })
+    [
+      (Rp_classifier.Filter.v4 (), Ipaddr.v4 198 51 100 7);
+      (Rp_classifier.Filter.v6 (), Ipaddr.of_string "2001:db8:ffff::7");
+    ];
+  t
+
+let soft_nat = lazy (nat_table "export-soft-nat")
+let soft_plain = lazy (Session.Table.create "export-soft-plain")
+let reap_nat = lazy (nat_table "export-reap-nat")
+let reap_plain = lazy (Session.Table.create "export-reap-plain")
+
+let session_of c ~soft =
+  let t =
+    Lazy.force
+      (match soft, c.nat with
+       | true, true -> soft_nat
+       | true, false -> soft_plain
+       | false, true -> reap_nat
+       | false, false -> reap_plain)
+  in
+  let s, dir =
+    Option.get
+      (Session.Table.resolve t (case_key c) ~now:(Int64.of_int c.created)
+         ~tcp_flags:0)
+  in
+  (t, s, dir)
+
+let xlate_string (s : Session.t) =
+  if s.Session.nat then
+    Some
+      {
+        Flowlog.xsrc = Ipaddr.to_string s.Session.xlat_src;
+        xdst = Ipaddr.to_string s.Session.xlat_dst;
+        xsport = s.Session.xlat_sport;
+        xdport = s.Session.xlat_dport;
+      }
+  else None
+
+(* The record the generated case describes, built without the ring. *)
+let expected_record c ~reason ~bindings ~translated =
+  let k = case_key c in
+  let fwd, drop, absorb = c.verdicts in
+  let packets = fwd + drop + absorb in
+  {
+    Flowlog.src = Ipaddr.to_string k.Flow_key.src;
+    dst = Ipaddr.to_string k.Flow_key.dst;
+    proto = c.proto;
+    sport = c.sport;
+    dport = c.dport;
+    iface = c.iface;
+    packets;
+    bytes = packets * c.len;
+    forwarded = fwd;
+    dropped = drop;
+    absorbed = absorb;
+    created_ns = Int64.of_int c.created;
+    last_ns = Int64.of_int (c.created + c.idle);
+    bindings;
+    reason;
+    translated;
+  }
+
+(* Bindings by gate; a later pair at the same gate replaces the
+   earlier, as [set_binding] does. *)
+let case_bindings c =
+  let tbl = Array.make Gate.count None in
+  List.iter2 (fun g id -> tbl.(g) <- Some id) c.gates c.ids;
+  if c.nat && tbl.(Gate.to_int Gate.Security_in) = None then
+    tbl.(Gate.to_int Gate.Security_in) <- Some 1;
+  List.concat
+    (List.init Gate.count (fun g ->
+         match tbl.(g) with
+         | Some id -> [ (g, id) ]
+         | None -> []))
+
+(* Put the case's flow into [ft] (capacity one), evict it for its
+   reason, and return what the ring must hold for it. *)
+let export_flow_case ft c =
+  let reason = flow_reasons.(c.kind) in
+  let k = case_key c in
+  let r = Ft.insert ft k ~now:(Int64.of_int c.created) in
+  let bindings = case_bindings c in
+  List.iter (fun (g, id) -> Ft.set_binding ft r ~gate:g (instance id)) bindings;
+  let translated =
+    if c.nat then begin
+      let _, s, dir = session_of c ~soft:true in
+      (Option.get (Ft.binding r ~gate:(Gate.to_int Gate.Security_in)))
+        .Ft.soft <- Some (Session.Cached (s, dir));
+      xlate_string s
+    end
+    else None
+  in
+  let m = Mbuf.synth ~key:k ~len:c.len () in
+  m.Mbuf.fix <- Ft.some_fix r;
+  let fwd, drop, absorb = c.verdicts in
+  List.iter
+    (fun (n, verdict) ->
+      for _ = 1 to n do
+        Ft.account ft m ~verdict
+      done)
+    [ (fwd, `Fwd); (drop, `Drop); (absorb, `Absorb) ];
+  let last = Int64.of_int (c.created + c.idle) in
+  ignore (Ft.lookup ft k ~now:last);
+  let before = Fx.record_of ~reason r in
+  (match reason with
+   | "recycled" ->
+     (* No case has protocol 255, so this is another flow. *)
+     ignore (Ft.insert ft { k with Flow_key.proto = 255 } ~now:last)
+   | "replaced" -> ignore (Ft.insert ft k ~now:last)
+   | "removed" -> Ft.remove ft r
+   | "expired" ->
+     ignore (Ft.expire ft ~now:(Int64.add last 1L) ~idle_ns:0L)
+   | "flushed" -> Ft.flush ft
+   | _ -> ignore (Ft.invalidate ft ~matches:(fun _ -> true)));
+  let bindings =
+    List.map
+      (fun (g, id) -> (Gate.name (Option.get (Gate.of_int g)), id))
+      bindings
+  in
+  (before, expected_record c ~reason ~bindings ~translated)
+
+(* Open a session for the case, carry its packets and reap it. *)
+let export_session_case c =
+  let t, s, dir = session_of c ~soft:false in
+  let fwd, drop, absorb = c.verdicts in
+  for _ = 1 to fwd + drop + absorb do
+    Session.touch s ~now:(Int64.of_int (c.created + c.idle)) ~dir ~len:c.len
+  done;
+  let reason, n =
+    if c.kind = 6 then
+      ("session-expired", Session.Table.expire t ~now:Int64.max_int)
+    else ("session-flushed", Session.Table.flush t)
+  in
+  assert (n = 1);
+  let packets = fwd + drop + absorb in
+  let expected =
+    {
+      (expected_record c ~reason ~bindings:[ ("session", s.Session.id) ]
+         ~translated:(xlate_string s))
+      with
+      forwarded = packets;
+      dropped = 0;
+      absorbed = 0;
+    }
+  in
+  (expected, expected)
+
+let prop_export_ring =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"export ring"
+       QCheck2.Gen.(
+         pair
+           (oneof [ int_bound 40; int_range 4_050 4_200 ])
+           (list_size (int_range 1 12) gen_export_case))
+       (fun (pad, cases) ->
+         let new_aiu () =
+           let aiu =
+             Rp_classifier.Aiu.create ~max_records:1 ~gates:Gate.count ()
+           in
+           Fx.install aiu;
+           Rp_classifier.Aiu.flow_table aiu
+         in
+         let records0 = Counter.get (Registry.counter "telemetry.flow.records") in
+         let over0 =
+           Counter.get (Registry.counter "telemetry.flow.ring_overwrites")
+         in
+         Fx.clear ();
+         (* Padding: each insert recycles the previous flow, so the rows
+            are written in sport order. *)
+         let pad_ft = new_aiu () in
+         for i = 0 to pad - 1 do
+           let k =
+             Flow_key.make ~src:(Ipaddr.v4 10 9 0 1) ~dst:(Ipaddr.v4 10 9 0 2)
+               ~proto:17 ~sport:i ~dport:9 ~iface:0
+           in
+           let r = Ft.insert pad_ft k ~now:0L in
+           let m = Mbuf.synth ~key:k ~len:64 () in
+           m.Mbuf.fix <- Ft.some_fix r;
+           Ft.account pad_ft m ~verdict:`Fwd
+         done;
+         Ft.flush pad_ft;
+         let ft = new_aiu () in
+         let wanted =
+           List.map
+             (fun c ->
+               if c.kind < Array.length flow_reasons then export_flow_case ft c
+               else export_session_case c)
+             cases
+         in
+         let got = Fx.drain () in
+         let total = pad + List.length cases in
+         let kept = min total Fx.capacity in
+         let pads, tail =
+           List.partition (fun (r : Flowlog.record) -> r.dst = "10.9.0.2") got
+         in
+         let ok_tail =
+           List.length tail = List.length cases
+           && List.for_all2
+                (fun r (before, expected) -> r = before && r = expected)
+                tail wanted
+         in
+         let ok_pads =
+           List.map (fun (r : Flowlog.record) -> r.sport) pads
+           = List.init (kept - List.length cases) (fun i ->
+                 pad - (kept - List.length cases) + i)
+         in
+         List.length got = kept
+         && ok_tail && ok_pads
+         && Counter.get (Registry.counter "telemetry.flow.records") - records0
+            = total
+         && Counter.get (Registry.counter "telemetry.flow.ring_overwrites")
+            - over0
+            = total - kept
+         && Fx.peek () = []))
 
 let test_flowlog_json () =
   let r = mk_flow_rec 1 in
@@ -485,7 +769,7 @@ let test_schema_version () =
 
 let test_flow_records_reconcile () =
   let open Rp_core in
-  Flowlog.clear ();
+  Flow_export.clear ();
   let ifaces = [ Iface.create ~id:0 (); Iface.create ~id:1 () ] in
   let r = Router.create ~mode:Router.Plugins ~ifaces () in
   Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
@@ -508,7 +792,7 @@ let test_flow_records_reconcile () =
   done;
   (* Evict everything through the exporter. *)
   Rp_classifier.Aiu.flush_flows (Router.aiu r);
-  let records = Flowlog.drain () in
+  let records = Flow_export.drain () in
   check int_t "one record per flow" 3 (List.length records);
   let pkts =
     List.fold_left (fun a fr -> a + fr.Flowlog.packets) 0 records
@@ -630,7 +914,7 @@ let () =
         ] );
       ( "flowlog",
         [
-          Alcotest.test_case "export ring" `Quick test_flowlog_ring;
+          prop_export_ring;
           Alcotest.test_case "json lines" `Quick test_flowlog_json;
         ] );
       ( "integration",

@@ -237,11 +237,11 @@ let test_udp_timeout_expiry () =
   check int_t "inside the udp timeout: kept" 0
     (Session.Table.expire t ~now:(s_ns 60));
   check int_t "still live" 1 (Session.Table.length t);
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   check int_t "past the udp timeout: expired" 1
     (Session.Table.expire t ~now:(s_ns 66));
   check int_t "gone" 0 (Session.Table.length t);
-  (match Rp_obs.Flowlog.drain () with
+  (match Rp_core.Flow_export.drain () with
   | [ r ] ->
     check string_t "export reason" "session-expired" r.Rp_obs.Flowlog.reason;
     check int_t "accounted packets" 1 r.Rp_obs.Flowlog.packets;
@@ -418,9 +418,9 @@ let test_end_to_end_inline () =
    check bool_t "reverse route cached" true
      (Session.route s Flow_key.Rev = Some (0, Some (Ipaddr.v4 10 0 0 1))));
   (* flow-export records for NAT'd flows carry the translated tuple *)
-  Rp_obs.Flowlog.clear ();
+  Rp_core.Flow_export.clear ();
   Rp_engine.Engine.flush_flows e;
-  let exported = Rp_obs.Flowlog.drain () in
+  let exported = Rp_core.Flow_export.drain () in
   check bool_t "flow export carries the translated tuple" true
     (List.exists
        (fun (rec_ : Rp_obs.Flowlog.record) ->
