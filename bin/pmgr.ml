@@ -80,6 +80,14 @@ let cmd =
       `P "fault threshold N;";
       `P "slo show|set N|clear|on|off; slo exemplars [N]; slo reset;";
       `P "drops show; health show|sample|reset-hwm; top";
+      `P
+        "sessions show [TABLE] (live sessions of their capacity, the \
+         table's counters, one line per session); sessions top [N] \
+         [TABLE]; sessions timeout CLASS SECS [TABLE]; sessions expire \
+         NOW_S [TABLE]; sessions flush [TABLE];";
+      `P
+        "nat add snat|dnat <FILTER> ADDR [port=N] [tos=N] [table=NAME]; \
+         nat del N [TABLE]; nat show [TABLE].";
     ]
   in
   Cmd.v

@@ -187,10 +187,11 @@ let run_mode ~label mode =
   Rp_session.Session.Table.iter
     (fun s ->
       incr sessions;
-      m_fwd_pkts := !m_fwd_pkts + Atomic.get s.Rp_session.Session.fwd_pkts;
-      m_fwd_bytes := !m_fwd_bytes + Atomic.get s.Rp_session.Session.fwd_bytes;
-      m_rev_pkts := !m_rev_pkts + Atomic.get s.Rp_session.Session.rev_pkts;
-      m_rev_bytes := !m_rev_bytes + Atomic.get s.Rp_session.Session.rev_bytes)
+      let open Rp_session.Session in
+      m_fwd_pkts := !m_fwd_pkts + packets s Fwd;
+      m_fwd_bytes := !m_fwd_bytes + bytes s Fwd;
+      m_rev_pkts := !m_rev_pkts + packets s Rev;
+      m_rev_bytes := !m_rev_bytes + bytes s Rev)
     t;
   let recon_error =
     abs (!m_fwd_pkts - expected.fwd_pkts)

@@ -183,21 +183,20 @@ let session_table_arg rest =
 let session_line (s : Rp_session.Session.t) =
   let open Rp_session.Session in
   let xlat =
-    if s.nat then
+    if nat s then
       Printf.sprintf " => %s:%d -> %s:%d"
-        (Ipaddr.to_string s.xlat_src) s.xlat_sport
-        (Ipaddr.to_string s.xlat_dst) s.xlat_dport
+        (Ipaddr.to_string (xlat_src s)) (xlat_sport s)
+        (Ipaddr.to_string (xlat_dst s)) (xlat_dport s)
     else ""
   in
   Printf.sprintf "%d: %s %s:%d -> %s:%d if%d%s state=%s fwd=%d/%dB rev=%d/%dB drops=%d%s"
-    s.id (Proto.name s.proto)
-    (Ipaddr.to_string s.orig_src) s.orig_sport
-    (Ipaddr.to_string s.orig_dst) s.orig_dport
-    s.iface xlat (state_name s)
-    (Atomic.get s.fwd_pkts) (Atomic.get s.fwd_bytes)
-    (Atomic.get s.rev_pkts) (Atomic.get s.rev_bytes)
-    (Atomic.get s.drops)
-    (match s.qos with Some q -> Printf.sprintf " tos=%d" q | None -> "")
+    (id s) (Proto.name (proto s))
+    (Ipaddr.to_string (orig_src s)) (orig_sport s)
+    (Ipaddr.to_string (orig_dst s)) (orig_dport s)
+    (iface s) xlat (state_name s)
+    (packets s Fwd) (bytes s Fwd) (packets s Rev) (bytes s Rev)
+    (drops s Fwd + drops s Rev)
+    (match qos s with Some q -> Printf.sprintf " tos=%d" q | None -> "")
 
 (* One screen of router health: packet totals, per-shard latency
    quantiles (model cycles), nonzero drop reasons, and the health
@@ -410,12 +409,13 @@ let exec_tokens router tokens =
     Ok
       (String.concat "\n"
          (Printf.sprintf
-            "table=%s live=%d created=%d expired=%d lookups=%d hits=%d \
-             misses=%d cached=%d rewrites=%d ct-drops=%d conflicts=%d"
+            "table=%s live=%d capacity=%d created=%d expired=%d lookups=%d \
+             hits=%d misses=%d cached=%d rewrites=%d ct-drops=%d \
+             conflicts=%d refused=%d"
             (Rp_session.Session.Table.name t)
-            st.Rp_session.Session.Table.live st.created st.expired st.lookups
-            st.hits st.misses st.cached_hits st.rewrites st.ct_drops
-            st.key_conflicts
+            st.Rp_session.Session.Table.live st.capacity st.created st.expired
+            st.lookups st.hits st.misses st.cached_hits st.rewrites st.ct_drops
+            st.key_conflicts st.refused
          :: List.sort String.compare !lines))
   | "sessions" :: "top" :: rest ->
     let* n, rest =
@@ -430,14 +430,10 @@ let exec_tokens router tokens =
       let* t = session_table_arg rest in
       let all = ref [] in
       Rp_session.Session.Table.iter (fun s -> all := s :: !all) t;
-      let bytes (s : Rp_session.Session.t) =
-        Atomic.get s.Rp_session.Session.fwd_bytes
-        + Atomic.get s.Rp_session.Session.rev_bytes
+      let bytes s =
+        Rp_session.Session.(bytes s Fwd + bytes s Rev, id s)
       in
-      let sorted =
-        List.sort (fun a b -> compare (bytes b, b.Rp_session.Session.id)
-                     (bytes a, a.Rp_session.Session.id)) !all
-      in
+      let sorted = List.sort (fun a b -> compare (bytes b) (bytes a)) !all in
       Ok
         (String.concat "\n"
            (List.map session_line (List.filteri (fun i _ -> i < n) sorted)))

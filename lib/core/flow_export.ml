@@ -90,13 +90,25 @@ let rec find_reason rs reason i =
   else if String.equal (Array.unsafe_get rs i) reason then i
   else find_reason rs reason (i + 1)
 
+(* A pass exports many rows with one reason string: the last one's
+   code is kept, found by physical equality. *)
+let last_reason = ref "" and last_code = ref 0
+
 let reason_code reason =
-  let rs = !reasons in
-  let i = find_reason rs reason 0 in
-  if i >= 0 then i
+  if reason == !last_reason then !last_code
   else begin
-    reasons := Array.append rs [| reason |];
-    Array.length rs
+    let rs = !reasons in
+    let i = find_reason rs reason 0 in
+    let i =
+      if i >= 0 then i
+      else begin
+        reasons := Array.append rs [| reason |];
+        Array.length rs
+      end
+    in
+    last_reason := reason;
+    last_code := i;
+    i
   end
 
 let put_addr a o x =
@@ -106,6 +118,24 @@ let put_addr a o x =
   a.(o + 3) <- Ipaddr.word x 3
 
 let v6_flag x flag = if Ipaddr.is_v6 x then flag else 0
+
+(* Everything but the addresses, the flags and the per-gate instance
+   ids. *)
+let put_scalars a o ~reason ~proto ~sport ~dport ~iface ~packets ~bytes
+    ~forwarded ~dropped ~absorbed ~created ~last ~session =
+  a.(o + c_proto) <- proto;
+  a.(o + c_sport) <- sport;
+  a.(o + c_dport) <- dport;
+  a.(o + c_iface) <- iface;
+  a.(o + c_packets) <- packets;
+  a.(o + c_bytes) <- bytes;
+  a.(o + c_fwd) <- forwarded;
+  a.(o + c_dropped) <- dropped;
+  a.(o + c_absorbed) <- absorbed;
+  a.(o + c_created) <- created;
+  a.(o + c_last) <- last;
+  a.(o + c_reason) <- reason_code reason;
+  a.(o + c_session) <- session
 
 (* Everything but the per-gate instance ids. *)
 let put_row a o ~reason ~src ~dst ~proto ~sport ~dport ~iface ~packets ~bytes
@@ -123,19 +153,8 @@ let put_row a o ~reason ~src ~dst ~proto ~sport ~dport ~iface ~packets ~bytes
        a.(o + c_xdport) <- x.xdport;
        flags lor f_xlate lor v6_flag x.xsrc f_xsrc_v6
        lor v6_flag x.xdst f_xdst_v6);
-  a.(o + c_proto) <- proto;
-  a.(o + c_sport) <- sport;
-  a.(o + c_dport) <- dport;
-  a.(o + c_iface) <- iface;
-  a.(o + c_packets) <- packets;
-  a.(o + c_bytes) <- bytes;
-  a.(o + c_fwd) <- forwarded;
-  a.(o + c_dropped) <- dropped;
-  a.(o + c_absorbed) <- absorbed;
-  a.(o + c_created) <- created;
-  a.(o + c_last) <- last;
-  a.(o + c_reason) <- reason_code reason;
-  a.(o + c_session) <- session
+  put_scalars a o ~reason ~proto ~sport ~dport ~iface ~packets ~bytes
+    ~forwarded ~dropped ~absorbed ~created ~last ~session
 
 let rec put_bindings a o r g =
   if g < Gate.count then begin
@@ -241,14 +260,32 @@ let install (aiu : Plugin.t Rp_classifier.Aiu.t) =
     invalid_arg "Flow_export.install: more gates than Gate.count";
   Ft.set_exporter (Rp_classifier.Aiu.flow_table aiu) export_flow
 
-let emit_session ~reason ~id ~src ~dst ~proto ~sport ~dport ~iface ~packets
-    ~bytes ~forwarded ~dropped ~created_ns ~last_ns xlate =
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let v6_bit v6 b flag = if v6 land b <> 0 then flag else 0
+
+(* The row's four address columns are one run of 16 words in the
+   order the session layer keeps them, so a session's addresses copy
+   straight across: no boxed address is read. *)
+let emit_session ~reason ~id ~words ~off ~v6 ~xlate ~proto ~sport ~dport
+    ~xsport ~xdport ~iface ~packets ~bytes ~forwarded ~dropped ~created_ns
+    ~last_ns =
   Mutex.lock lock;
   let o = claim () in
   let a = !ring in
-  put_row a o ~reason ~src ~dst ~proto ~sport ~dport ~iface ~packets ~bytes
+  for j = 0 to 15 do
+    a.(o + c_src + j) <- Bigarray.Array1.get words (off + j)
+  done;
+  a.(o + c_flags) <-
+    v6_bit v6 1 f_src_v6 lor v6_bit v6 2 f_dst_v6
+    lor
+    if xlate then f_xlate lor v6_bit v6 4 f_xsrc_v6 lor v6_bit v6 8 f_xdst_v6
+    else 0;
+  a.(o + c_xsport) <- xsport;
+  a.(o + c_xdport) <- xdport;
+  put_scalars a o ~reason ~proto ~sport ~dport ~iface ~packets ~bytes
     ~forwarded ~dropped ~absorbed:0 ~created:created_ns ~last:last_ns
-    ~session:id xlate;
+    ~session:id;
   Array.fill a (o + c_inst) Gate.count none;
   Mutex.unlock lock
 

@@ -30,18 +30,29 @@ type xlate = {
     {!Gate.count}. *)
 val install : Plugin.t Rp_classifier.Aiu.t -> unit
 
-(** [emit_session ~reason ~id ...] exports one reaped session: its
-    bindings render as [("session", id)], its absorbed count is 0, and
-    [Some] tuple marks it NAT'd.  Timestamps are in ns.  Allocates
+(** Flat int storage a session's addresses are read from. *)
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [emit_session ~reason ~id ~words ~off ...] exports one reaped
+    session: its bindings render as [("session", id)] and its absorbed
+    count is 0.  Its four addresses are the 16 words of [words] from
+    [off] on — source, destination, translated source, translated
+    destination, each as the four {!Rp_pkt.Ipaddr.word}s — with bit
+    0-3 of [v6] set for each IPv6 one; [xlate] marks it NAT'd (the
+    translated tuple is exported).  Timestamps are in ns.  Allocates
     nothing. *)
 val emit_session :
   reason:string ->
   id:int ->
-  src:Rp_pkt.Ipaddr.t ->
-  dst:Rp_pkt.Ipaddr.t ->
+  words:words ->
+  off:int ->
+  v6:int ->
+  xlate:bool ->
   proto:int ->
   sport:int ->
   dport:int ->
+  xsport:int ->
+  xdport:int ->
   iface:int ->
   packets:int ->
   bytes:int ->
@@ -49,7 +60,6 @@ val emit_session :
   dropped:int ->
   created_ns:int ->
   last_ns:int ->
-  xlate option ->
   unit
 
 (** The record a flow would export now with [reason] (pmgr's live

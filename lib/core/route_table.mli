@@ -27,6 +27,10 @@ val remove : t -> Prefix.t -> unit
     [route_table.misses] when nothing matches). *)
 val lookup : t -> Ipaddr.t -> route option
 
+(** [out_iface i] is [Some i], shared for the first 64 interfaces so
+    a cached route can set [Mbuf.out_iface] without allocating. *)
+val out_iface : int -> int option
+
 (** [resolve t flows m] routes [m] on the data path: it sets
     [m.out_iface] and [m.next_hop] (the route's gateway, or [m]'s own
     destination when directly connected) and returns the egress

@@ -14,6 +14,9 @@ type t =
   | Frag_loss  (** partial fragment loss at egress *)
   | Needs_frag  (** fragmentation needed but forbidden (DF / IPv6) *)
   | Conntrack  (** out-of-state drop by connection tracking *)
+  | Session_table_full
+      (** a session plugin could not open a session: the table is at
+          capacity *)
   | Policy  (** a plugin's deliberate deny (firewall, ipsec, ...) *)
   | Link_overflow  (** full inter-stage {!Link} ring *)
   | Pool_exhausted  (** packet {!Pool} had no free descriptor *)
@@ -24,8 +27,8 @@ type t =
 
 let all =
   [ Ttl_expired; No_route; Fault; Queue_overflow; Frag_loss; Needs_frag;
-    Conntrack; Policy; Link_overflow; Pool_exhausted; Backpressure;
-    Tx_ring_overflow ]
+    Conntrack; Session_table_full; Policy; Link_overflow; Pool_exhausted;
+    Backpressure; Tx_ring_overflow ]
 
 let name = function
   | Ttl_expired -> "ttl_expired"
@@ -35,6 +38,7 @@ let name = function
   | Frag_loss -> "frag_loss"
   | Needs_frag -> "needs_frag"
   | Conntrack -> "conntrack"
+  | Session_table_full -> "session_table_full"
   | Policy -> "policy"
   | Link_overflow -> "link_overflow"
   | Pool_exhausted -> "pool_exhausted"
@@ -46,7 +50,7 @@ let name = function
    every domain writes. *)
 let verdict_reasons =
   [ Ttl_expired; No_route; Fault; Queue_overflow; Frag_loss; Needs_frag;
-    Conntrack; Policy ]
+    Conntrack; Session_table_full; Policy ]
 
 (* Eager creation: a dump always shows the whole taxonomy, zeros
    included (registry convention). *)
@@ -85,6 +89,7 @@ let of_why why =
   | "plugin fault" -> Fault
   | "output queue" -> Queue_overflow
   | "needs fragmentation" -> Needs_frag
+  | "session table full" -> Session_table_full
   | _ when starts_with ~prefix:"partial fragment loss" why -> Frag_loss
   | _ when starts_with ~prefix:"conntrack" why -> Conntrack
   | _ -> Policy

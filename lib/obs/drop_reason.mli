@@ -17,6 +17,9 @@ type t =
   | Frag_loss  (** partial fragment loss at egress *)
   | Needs_frag  (** fragmentation needed but forbidden (DF / IPv6) *)
   | Conntrack  (** out-of-state drop by connection tracking *)
+  | Session_table_full
+      (** a session plugin could not open a session: the table is at
+          capacity *)
   | Policy  (** a plugin's deliberate deny (firewall, ipsec, ...) *)
   | Link_overflow  (** full inter-stage {!Link} ring *)
   | Pool_exhausted  (** packet {!Pool} had no free descriptor *)

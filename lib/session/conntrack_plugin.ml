@@ -20,6 +20,20 @@ let name = "conntrack"
 let gate = Gate.Firewall
 let description = "stateful connection tracking on the session table"
 
+(* A packet refused a session is dropped: it would pass untracked. *)
+let handle table ~cache (ctx : Plugin.ctx) m =
+  let hit = Session.cached_resolve table ~cache ~charge:false ctx m in
+  if hit == Session.Hit.none then Plugin.Continue
+  else if hit == Session.Hit.full then Plugin.Drop Session.full_why
+  else begin
+    Session.Hit.touch hit ~now:(Int64.to_int ctx.Plugin.now_ns) ~len:m.Mbuf.len;
+    if Session.Hit.step hit ~tcp_flags:m.Mbuf.tcp_flags then Plugin.Continue
+    else begin
+      Session.Table.note_ct_drop table;
+      Plugin.Drop "conntrack: closed session"
+    end
+  end
+
 let create_instance ~instance_id ~code ~config =
   let table = Nat_plugin.table_of config in
   let cache = Nat_plugin.cache_of config in
@@ -30,18 +44,7 @@ let create_instance ~instance_id ~code ~config =
          Printf.sprintf "conntrack table=%s live=%d drops=%d"
            (Session.Table.name table) st.Session.Table.live
            st.Session.Table.ct_drops)
-       (fun ctx m ->
-         match Session.cached_resolve table ~cache ~charge:false ctx m with
-         | None -> Plugin.Continue
-         | Some (s, dir) ->
-           Session.touch s ~now:ctx.Plugin.now_ns ~dir ~len:m.Mbuf.len;
-           (match
-              Session.conntrack_step s ~dir ~tcp_flags:m.Mbuf.tcp_flags
-            with
-           | `Pass -> Plugin.Continue
-           | `Drop why ->
-             Session.Table.note_ct_drop table;
-             Plugin.Drop why)))
+       (handle table ~cache))
 
 let message key _ =
   match key with

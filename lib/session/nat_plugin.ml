@@ -31,6 +31,24 @@ module In = struct
   let description =
     "session NAT: rewrite + QoS class + cached next-hop, one session hit"
 
+  (* A packet refused a session is dropped rather than passed
+     untranslated. *)
+  let handle table ~cache ctx m =
+    let hit = Session.cached_resolve table ~cache ~charge:true ctx m in
+    if hit == Session.Hit.none then Plugin.Continue
+    else if hit == Session.Hit.full then Plugin.Drop Session.full_why
+    else begin
+      if Session.Hit.rewrite hit m then begin
+        Session.Table.note_rewrite table;
+        if Rp_obs.Telemetry.on () && m.Mbuf.tseq <> 0 then
+          Rp_obs.Telemetry.record ~ts:(Cost.get ())
+            ~kind:Rp_obs.Telemetry.Rewrite ~gate:(Gate.to_int gate)
+            ~pkt:m.Mbuf.tseq ~arg:(Session.Hit.id hit)
+      end;
+      Session.Hit.stamp hit m;
+      Plugin.Continue
+    end
+
   let create_instance ~instance_id ~code ~config =
     let table = table_of config in
     let cache = cache_of config in
@@ -41,26 +59,7 @@ module In = struct
              (Session.Table.name table)
              (if cache then "on" else "off")
              (List.length (Session.Table.rules table)))
-         (fun ctx m ->
-           match Session.cached_resolve table ~cache ~charge:true ctx m with
-           | None -> Plugin.Continue
-           | Some (s, dir) ->
-             if Session.apply_rewrite s dir m then begin
-               Session.Table.note_rewrite table;
-               if Rp_obs.Telemetry.on () && m.Mbuf.tseq <> 0 then
-                 Rp_obs.Telemetry.record ~ts:(Cost.get ())
-                   ~kind:Rp_obs.Telemetry.Rewrite ~gate:(Gate.to_int gate)
-                   ~pkt:m.Mbuf.tseq ~arg:s.Session.id
-             end;
-             (match s.Session.qos with
-             | Some tos -> m.Mbuf.tos <- tos
-             | None -> ());
-             (match Session.route s dir with
-             | Some (ifc, nh) when m.Mbuf.out_iface = None ->
-               m.Mbuf.out_iface <- Some ifc;
-               m.Mbuf.next_hop <- nh
-             | _ -> ());
-             Plugin.Continue))
+         (handle table ~cache))
 
   let message key _ =
     match key with
@@ -73,6 +72,18 @@ module Out = struct
   let gate = Gate.Security_out
   let description = "session route learning: cache the routing decision"
 
+  let handle table ~cache ctx m =
+    (if cache then
+       let hit =
+         Session.cached_resolve table ~create:false ~cache ~charge:false ctx m
+       in
+       if not (Session.Hit.route_known hit) then
+         match m.Mbuf.out_iface with
+         | Some ifc when Session.Hit.route_learnable hit m.Mbuf.key ->
+           Session.Hit.learn hit ifc m.Mbuf.next_hop
+         | Some _ | None -> ());
+    Plugin.Continue
+
   let create_instance ~instance_id ~code ~config =
     let table = table_of config in
     let cache = cache_of config in
@@ -80,19 +91,7 @@ module Out = struct
       (Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
          ~describe:(fun () ->
            Printf.sprintf "nat-out table=%s" (Session.Table.name table))
-         (fun ctx m ->
-           (if cache then
-              match
-                Session.cached_resolve table ~create:false ~cache
-                  ~charge:false ctx m
-              with
-              | Some (s, dir) when Option.is_none (Session.route s dir) -> (
-                match m.Mbuf.out_iface with
-                | Some ifc when Session.route_learnable s dir m.Mbuf.key ->
-                  Session.learn_route s dir (ifc, m.Mbuf.next_hop)
-                | Some _ | None -> ())
-              | _ -> ());
-           Plugin.Continue))
+         (handle table ~cache))
 
   let message key _ =
     match key with

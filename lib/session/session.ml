@@ -1,68 +1,45 @@
 (* Bidirectional session table: NAT + conntrack + QoS + cached
    next-hop behind one lookup.
 
-   Index structure: a striped hashtable keyed by canonical
-   (direction-normalized) flow keys.  A session is inserted under the
-   canonical of its forward ingress tuple AND the canonical of its
-   reply ingress tuple; the two coincide exactly when the session is
-   not NAT'd (canonical collapses direction).  Because the NAT rewrite
-   happens mid-pipeline (Security_in), packets reach later gates with
-   the translated tuple — which canonicalizes to the session's *other*
-   index key with the direction bit flipped, so [dir_of] recovers the
-   true direction from (key, bit) regardless of whether the caller
-   sits before or after the rewrite.
+   Storage: every session is one row of [stride] immediates in flat
+   int memory (Bigarray chunks, see the f_* offsets), plus one small
+   block per direction, its view ([Sess]), holding what a packet needs
+   boxed: the addresses for the key copy, the export tuple, the
+   learned next hop.  Rows live in fixed-size chunks that never move:
+   the table grows by adding chunks, so a worker domain writing a row
+   through a cached handle can never lose its write to a concurrent
+   copy.
 
-   Concurrency: stripe mutexes guard only the index (control-plane
-   insert/remove + cold-path lookup); all per-packet state on the
-   session record itself is atomics, because under NAT the two
-   directions of one session can RSS to different shard domains. *)
+   Index: one open-addressed int array (linear probing, backward-shift
+   deletion, load at most 1/2) of [hash lsl ref_bits lor (ref + 1)]
+   entries, where a ref is [slot lsl 1 lor which]: [which] = 0 is the
+   session's forward tuple, 1 its translated tuple.  The hash is
+   symmetric in the two endpoints, so a tuple and its reverse land on
+   one entry; probing compares the row's words in both orientations,
+   and the orientation that matches is the packet's direction — before
+   the NAT rewrite (ingress tuples) and after it (translated tuples)
+   alike.  An un-NAT'd session has one entry.
+
+   Expiry: a hashed timer wheel of per-bucket int vectors.  A session
+   is scheduled at its deadline when created, when a state change
+   shortens its timeout, and whenever a pass finds it touched since; a
+   pass visits only the buckets whose ticks elapsed and re-checks each
+   slot there against its current state's timeout.
+
+   Concurrency: one plain mutex guards the index, the free lists, the
+   wheel and growth.  Per-session counters and last-touch times are
+   per direction and single-writer (one domain processes a direction's
+   ingress tuple), so they are plain ints; a conntrack transition
+   takes the mutex only when it changes the state. *)
 
 open Rp_pkt
 
 type tcp_state = Tcp_syn | Tcp_est | Tcp_fin | Tcp_closed
 type state = Tcp of tcp_state | Udp | Other
 
-type t = {
-  id : int;
-  proto : int;
-  iface : int;
-  orig_src : Ipaddr.t;
-  orig_sport : int;
-  orig_dst : Ipaddr.t;
-  orig_dport : int;
-  xlat_src : Ipaddr.t;
-  xlat_sport : int;
-  xlat_dst : Ipaddr.t;
-  xlat_dport : int;
-  nat : bool;
-  exported_xlate : Rp_core.Flow_export.xlate option;
-  qos : int option;
-  fwd_lookup : Flow_key.t;
-  fwd_dir : Flow_key.direction;
-  rev_lookup : Flow_key.t;
-  rev_dir : Flow_key.direction;
-  created_ns : int64;
-  state_a : int Atomic.t;
-  fwd_pkts : int Atomic.t;
-  fwd_bytes : int Atomic.t;
-  rev_pkts : int Atomic.t;
-  rev_bytes : int Atomic.t;
-  drops : int Atomic.t;
-  last_ns : int64 Atomic.t;
-  fwd_route : (int * Ipaddr.t option) option Atomic.t;
-  rev_route : (int * Ipaddr.t option) option Atomic.t;
-  alive_a : bool Atomic.t;
-}
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let alive s = Atomic.get s.alive_a
-
-(* State encoding, one atomic int: 0 = Udp, 1 = Other; TCP sets 0x10
-   with the phase in bits 0-1 and the per-direction FIN-seen flags in
-   bits 2 (fwd) / 3 (rev). *)
+(* State encoding, one int: 0 = Udp, 1 = Other; TCP sets 0x10 with the
+   phase in bits 0-1 and the per-direction FIN-seen flags in bits 2
+   (fwd) / 3 (rev). *)
 let st_tcp = 0x10
 let fin_fwd = 0x4
 let fin_rev = 0x8
@@ -82,7 +59,223 @@ let decode v =
       | 2 -> Tcp_fin
       | _ -> Tcp_closed)
 
-let state s = decode (Atomic.get s.state_a)
+(* TCP flag bits ([Tcp_header.byte_of_flags]). *)
+let tf_fin = 0x01
+let tf_syn = 0x02
+let tf_rst = 0x04
+let tf_ack = 0x10
+
+(* One packet's transition from state [v] in direction [dir] (0 = fwd,
+   1 = rev): the new state, or -1 when the packet must not pass and
+   the state is unchanged (data on a closed session). *)
+let transition v dir tcp_flags =
+  if v < st_tcp then v
+  else
+    let code = v land 0x3 in
+    let fins = v land (fin_fwd lor fin_rev) in
+    let syn = tcp_flags land tf_syn <> 0 and rst = tcp_flags land tf_rst <> 0 in
+    let fin = tcp_flags land tf_fin <> 0 in
+    if code = code_closed && not (syn || rst) then -1
+    else if rst then st_tcp lor code_closed lor fins
+    else if syn && code = code_closed then
+      (* reopen: fresh handshake on the same tuple *)
+      st_tcp lor code_syn
+    else
+      let fins =
+        if fin then fins lor if dir = 0 then fin_fwd else fin_rev else fins
+      in
+      let code =
+        if fins = fin_fwd lor fin_rev then code_closed
+        else if fin then code_fin
+        else if code = code_syn && dir = 1 then
+          (* responder answered the handshake *)
+          code_est
+        else code
+      in
+      st_tcp lor code lor fins
+
+(* ---- Rows ---------------------------------------------------------
+
+   A row is [stride] ints at [(slot land cmask) * stride] in chunk
+   [slot lsr cbits].  The first sixteen words are what a packet
+   touches (generation, state, flags, QoS, and per direction the
+   last-touch time, learned route and counters); the tuples follow,
+   each address as the four 32-bit words [Ipaddr.word] splits it into
+   (the layout of [Flow_export]'s rows), then the control-path words.
+   Per-direction fields sit at [field + dir] ([+ 3 * dir] for the
+   counter triple). *)
+
+let stride = 40
+let f_gen = 0 (* odd while the slot holds a live session *)
+let f_state = 1
+let f_flags = 2 (* proto, NAT/QoS/two-key bits, address families *)
+let f_qos = 3
+let f_last = 4 (* + dir: last touch, ns *)
+let f_out = 6 (* + dir: learned out_iface, -1 = none *)
+let f_pkts = 8 (* + 3 * dir *)
+let f_bytes = 9
+let f_drops = 10
+let f_iface = 14
+let f_wseq = 15 (* sequence of the slot's current wheel entry *)
+let f_osrc = 16 (* forward (pre-rewrite) tuple *)
+let f_odst = 20
+let f_xsrc = 24 (* translated tuple; equal to the forward one un-NAT'd *)
+let f_xdst = 28
+let f_osport = 32
+let f_odport = 33
+let f_xsport = 34
+let f_xdport = 35
+let f_created = 36
+let f_id = 37
+let f_hash = 38 (* + which: the home hash of each index entry *)
+
+(* [f_flags] bits above the protocol byte. *)
+let b_nat = 0x100
+let b_qos = 0x200
+let b_two_keys = 0x400 (* the translated tuple has its own index entry *)
+
+(* IPv6 flag of the address whose words start at [f]: bits 11-14, in
+   the order of the four addresses. *)
+let v6_shift = 11
+let[@inline] b_v6 f = 1 lsl (v6_shift + ((f - f_osrc) lsr 2))
+
+type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type nat_rule = {
+  kind : [ `Snat | `Dnat ];
+  filter : Rp_classifier.Filter.t;
+  addr : Ipaddr.t;
+  port : int option;
+  tos : int option;
+}
+
+type table = {
+  tname : string;
+  lock : Mutex.t;
+  cap : int;
+  cbits : int; (* log2 of the rows per chunk *)
+  cmask : int;
+  rows : flat array; (* chunk directory; unallocated: [empty_chunk] *)
+  views : Rp_classifier.Flow_table.soft option array array;
+      (* two per slot, see [Sess] *)
+  mutable allocated : int;
+  mutable fresh : int; (* rows [fresh, allocated) were never used *)
+  mutable free : int array; (* slots ready for reuse *)
+  mutable nfree : int;
+  mutable parked : int array; (* freed by the last pass; see [unpark] *)
+  mutable nparked : int;
+  mutable index : flat;
+  mutable imask : int;
+  mutable nlive : int;
+  mutable wheel : int array array; (* bucket vectors; [||] until used *)
+  mutable wlen : int array; (* entries per bucket *)
+  mutable due : int array; (* a pass's entries *)
+  mutable tick_bits : int;
+  mutable last_tick : int;
+  mutable rules_l : nat_rule list;
+  mutable tcp_syn_ns : int;
+  mutable tcp_est_ns : int;
+  mutable tcp_fin_ns : int;
+  mutable udp_ns : int;
+  mutable other_ns : int;
+  mutable nvisited : int;
+  created_c : int Atomic.t;
+  expired_c : int Atomic.t;
+  lookups_c : int Atomic.t;
+  hits_c : int Atomic.t;
+  misses_c : int Atomic.t;
+  cached_c : int Atomic.t;
+  rewrites_c : int Atomic.t;
+  ct_drops_c : int Atomic.t;
+  conflicts_c : int Atomic.t;
+  refused_c : int Atomic.t;
+}
+
+(* One direction of a session, as flow bindings' soft slots cache it:
+   the handle (generation, slot, direction), the direction's
+   post-rewrite addresses boxed for the packet key, the tuple a flow
+   export carries, and the next hop the direction learned (written by
+   its own domain before [f_out]).  Built with the session, two per
+   session, and shared by every binding that caches it, so filling a
+   slot allocates nothing and the plugins on one packet read one
+   block. *)
+type Rp_classifier.Flow_table.soft +=
+  | Sess of {
+      tab : table;
+      h : int;
+      nsrc : Ipaddr.t;
+      ndst : Ipaddr.t;
+      xlate : Rp_core.Flow_export.xlate option;
+      mutable hop : Ipaddr.t option;
+    }
+  | No_session
+  | Table_full
+
+let empty_chunk : flat = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout 0
+
+let[@inline] chunk t slot = Array.unsafe_get t.rows (slot lsr t.cbits)
+let[@inline] base t slot = (slot land t.cmask) * stride
+
+let[@inline] get t slot f =
+  Bigarray.Array1.unsafe_get (chunk t slot) (base t slot + f)
+
+let[@inline] set t slot f v =
+  Bigarray.Array1.unsafe_set (chunk t slot) (base t slot + f) v
+
+let[@inline] view t slot d =
+  Array.unsafe_get
+    (Array.unsafe_get t.views (slot lsr t.cbits))
+    ((2 * (slot land t.cmask)) + d)
+
+(* ---- Handles ------------------------------------------------------
+
+   A ref is [slot lsl 1 lor dir] (dir 0 = fwd, 1 = rev); a handle adds
+   the slot's generation above [ref_bits], so a handle cached past its
+   session's expiry never matches the slot again. *)
+
+let ref_bits = 26
+let ref_mask = (1 lsl ref_bits) - 1
+let max_capacity = 1 lsl (ref_bits - 2)
+let[@inline] slot_of r = (r land ref_mask) lsr 1
+let[@inline] handle t r = (get t (slot_of r) f_gen lsl ref_bits) lor r
+let[@inline] valid t h = get t (slot_of h) f_gen = h lsr ref_bits
+
+type t = { tab : table; h : int (* direction bit clear *) }
+
+let dir_code (d : Flow_key.direction) = match d with Fwd -> 0 | Rev -> 1
+let direction r : Flow_key.direction = if r land 1 = 0 then Fwd else Rev
+let ref_of s dir = (s.h land ref_mask) lor dir_code dir
+let equal a b = a.tab == b.tab && a.h = b.h
+let alive s = valid s.tab s.h
+let slot s = slot_of s.h
+
+(* ---- Accessors ---------------------------------------------------- *)
+
+let id s = get s.tab (slot s) f_id
+let proto s = get s.tab (slot s) f_flags land 0xFF
+let iface s = get s.tab (slot s) f_iface
+let nat s = get s.tab (slot s) f_flags land b_nat <> 0
+let nsrc_of = function Some (Sess v) -> v.nsrc | _ -> Ipaddr.zero_v4
+let ndst_of = function Some (Sess v) -> v.ndst | _ -> Ipaddr.zero_v4
+
+(* The reply's post-rewrite tuple is the forward tuple reversed. *)
+let orig_src s = ndst_of (view s.tab (slot s) 1)
+let orig_dst s = nsrc_of (view s.tab (slot s) 1)
+let xlat_src s = nsrc_of (view s.tab (slot s) 0)
+let xlat_dst s = ndst_of (view s.tab (slot s) 0)
+let orig_sport s = get s.tab (slot s) f_osport
+let orig_dport s = get s.tab (slot s) f_odport
+let xlat_sport s = get s.tab (slot s) f_xsport
+let xlat_dport s = get s.tab (slot s) f_xdport
+
+let index_keys s =
+  if get s.tab (slot s) f_flags land b_two_keys <> 0 then 2 else 1
+
+let qos s =
+  let t = s.tab and i = slot s in
+  if get t i f_flags land b_qos <> 0 then Some (get t i f_qos) else None
+
+let state s = decode (get s.tab (slot s) f_state)
 
 let state_name s =
   match state s with
@@ -93,220 +286,351 @@ let state_name s =
   | Udp -> "udp"
   | Other -> "other"
 
-let route s (dir : Flow_key.direction) =
-  Atomic.get (match dir with Fwd -> s.fwd_route | Rev -> s.rev_route)
+let packets s dir = get s.tab (slot s) (f_pkts + (3 * dir_code dir))
+let bytes s dir = get s.tab (slot s) (f_bytes + (3 * dir_code dir))
+let drops s dir = get s.tab (slot s) (f_drops + (3 * dir_code dir))
+let created_ns s = Int64.of_int (get s.tab (slot s) f_created)
 
-let learn_route s (dir : Flow_key.direction) r =
-  let cell = match dir with Fwd -> s.fwd_route | Rev -> s.rev_route in
-  ignore (Atomic.compare_and_set cell None (Some r))
+let last_touch t i = max (get t i f_last) (get t i (f_last + 1))
+let last_ns s = Int64.of_int (last_touch s.tab (slot s))
 
-let fetch_add c n =
-  ignore (Atomic.fetch_and_add c n)
-
-let touch s ~now ~dir ~len =
-  (match (dir : Flow_key.direction) with
-  | Fwd ->
-    fetch_add s.fwd_pkts 1;
-    fetch_add s.fwd_bytes len
-  | Rev ->
-    fetch_add s.rev_pkts 1;
-    fetch_add s.rev_bytes len);
-  Atomic.set s.last_ns now
-
-(* One packet's transition.  [`Reject] = the packet must not pass and
-   the state is unchanged (data on a closed session). *)
-let transition v (dir : Flow_key.direction) tcp_flags =
-  if v < st_tcp then `Set v
+let route s dir =
+  let t = s.tab and i = slot s in
+  let out = get t i (f_out + dir_code dir) in
+  if out < 0 then None
   else
-    let fl = Tcp_header.flags_of_byte tcp_flags in
-    let code = v land 0x3 in
-    let fins = v land (fin_fwd lor fin_rev) in
-    if code = code_closed && not (fl.Tcp_header.syn || fl.Tcp_header.rst) then
-      `Reject
-    else if fl.Tcp_header.rst then `Set (st_tcp lor code_closed lor fins)
-    else if fl.Tcp_header.syn && code = code_closed then
-      (* reopen: fresh handshake on the same tuple *)
-      `Set (st_tcp lor code_syn)
-    else
-      let fins =
-        fins
-        lor
-        if fl.Tcp_header.fin then
-          match dir with Fwd -> fin_fwd | Rev -> fin_rev
-        else 0
-      in
-      let code =
-        if fins = fin_fwd lor fin_rev then code_closed
-        else if fl.Tcp_header.fin then code_fin
-        else if code = code_syn && dir = Rev then
-          (* responder answered the handshake *)
-          code_est
-        else code
-      in
-      `Set (st_tcp lor code lor fins)
+    match view t i (dir_code dir) with
+    | Some (Sess v) -> Some (out, v.hop)
+    | _ -> Some (out, None)
 
-let rec conntrack_step s ~dir ~tcp_flags =
-  let v = Atomic.get s.state_a in
-  match transition v dir tcp_flags with
-  | `Reject ->
-    fetch_add s.drops 1;
-    `Drop "conntrack: closed session"
-  | `Set v' ->
-    if v' = v || Atomic.compare_and_set s.state_a v v' then `Pass
-    else conntrack_step s ~dir ~tcp_flags
+(* ---- Timeouts and the wheel --------------------------------------- *)
 
-(* ---- In-place header rewrite -------------------------------------- *)
+let wheel_bits = 12
+let wheel_size = 1 lsl wheel_bits
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-(* 16-bit words of an address, most significant first — the units both
-   the IPv4 header checksum and the L4 pseudo-header checksum sum. *)
-let words_of_addr = function
-  | Ipaddr.V4 a ->
-    let a = Int32.to_int a land 0xFFFFFFFF in
-    [ (a lsr 16) land 0xFFFF; a land 0xFFFF ]
-  | Ipaddr.V6 (hi, lo) ->
-    let quads x =
-      [
-        Int64.(to_int (shift_right_logical x 48)) land 0xFFFF;
-        Int64.(to_int (shift_right_logical x 32)) land 0xFFFF;
-        Int64.(to_int (shift_right_logical x 16)) land 0xFFFF;
-        Int64.to_int x land 0xFFFF;
-      ]
-    in
-    quads hi @ quads lo
+let timeout_of_code t v =
+  if v = 0 then t.udp_ns
+  else if v = 1 then t.other_ns
+  else
+    match v land 0x3 with
+    | 0 -> t.tcp_syn_ns
+    | 1 -> t.tcp_est_ns
+    | _ -> t.tcp_fin_ns
 
-let adjust_diffs csum diffs =
-  List.fold_left
-    (fun c (old_word, new_word) -> Checksum.adjust c ~old_word ~new_word)
-    csum diffs
-
-let adjust_at buf off diffs =
-  if diffs <> [] && off >= 0 && off + 2 <= Bytes.length buf then
-    Bytes.set_uint16_be buf off
-      (adjust_diffs (Bytes.get_uint16_be buf off) diffs)
-
-(* Pair up old/new 16-bit words for one changed field. *)
-let addr_diff oldv newv =
-  if Ipaddr.equal oldv newv then []
-  else List.combine (words_of_addr oldv) (words_of_addr newv)
-
-let port_diff oldp newp = if oldp = newp then [] else [ (oldp, newp) ]
-
-let l4_csum_off proto l4 =
-  (* offset of the transport checksum relative to the datagram start,
-     or -1 when the protocol has none we maintain *)
-  if proto = 6 then l4 + 16 else if proto = 17 then l4 + 6 else -1
-
-let rewrite_raw buf (k : Flow_key.t) ~version ~options ~nsrc ~nsport ~ndst
-    ~ndport =
-  let addr_diffs = addr_diff k.src nsrc @ addr_diff k.dst ndst in
-  let port_diffs = port_diff k.sport nsport @ port_diff k.dport ndport in
-  match (version : Mbuf.version) with
-  | V4 when Bytes.length buf >= 20 ->
-    let ihl = (Bytes.get_uint8 buf 0 land 0xF) * 4 in
-    if not (Ipaddr.equal k.src nsrc) then Ipaddr.write nsrc buf 12;
-    if not (Ipaddr.equal k.dst ndst) then Ipaddr.write ndst buf 16;
-    (* IP header checksum covers only the addresses *)
-    adjust_at buf 10 addr_diffs;
-    if k.proto = 6 || k.proto = 17 then begin
-      if ihl + 4 <= Bytes.length buf then begin
-        if k.sport <> nsport then Bytes.set_uint16_be buf ihl nsport;
-        if k.dport <> ndport then Bytes.set_uint16_be buf (ihl + 2) ndport
-      end;
-      let coff = l4_csum_off k.proto ihl in
-      if coff >= 0 && coff + 2 <= Bytes.length buf then
-        let cur = Bytes.get_uint16_be buf coff in
-        (* a UDP checksum of zero means "not computed" — leave it *)
-        if not (k.proto = 17 && cur = 0) then
-          (* pseudo-header includes the addresses *)
-          adjust_at buf coff (addr_diffs @ port_diffs)
-    end
-  | V6 when Bytes.length buf >= 40 ->
-    if not (Ipaddr.equal k.src nsrc) then Ipaddr.write nsrc buf 8;
-    if not (Ipaddr.equal k.dst ndst) then Ipaddr.write ndst buf 24;
-    (* the transport header sits at 40 only without extension
-       headers; with options present we leave ports/checksum to the
-       parsed-key rewrite (the model path) *)
-    if options = [] && (k.proto = 6 || k.proto = 17) then begin
-      let l4 = 40 in
-      if l4 + 4 <= Bytes.length buf then begin
-        if k.sport <> nsport then Bytes.set_uint16_be buf l4 nsport;
-        if k.dport <> ndport then Bytes.set_uint16_be buf (l4 + 2) ndport
-      end;
-      let coff = l4_csum_off k.proto l4 in
-      if coff >= 0 && coff + 2 <= Bytes.length buf then
-        let cur = Bytes.get_uint16_be buf coff in
-        if not (k.proto = 17 && cur = 0) then
-          adjust_at buf coff (addr_diffs @ port_diffs)
-    end
-  | _ -> ()
-
-let apply_rewrite s (dir : Flow_key.direction) (m : Mbuf.t) =
-  let nsrc, nsport, ndst, ndport =
-    match dir with
-    | Fwd -> (s.xlat_src, s.xlat_sport, s.xlat_dst, s.xlat_dport)
-    | Rev -> (s.orig_dst, s.orig_dport, s.orig_src, s.orig_sport)
+(* A tick of about a sixteenth of the shortest timeout: a pass's
+   partly elapsed tick then holds few sessions not yet due, and the
+   wheel spans 256 shortest timeouts. *)
+let tick_bits_of t =
+  let m =
+    min t.tcp_syn_ns (min t.tcp_est_ns (min t.tcp_fin_ns (min t.udp_ns t.other_ns)))
   in
+  log2 (max 1 (m / 16))
+
+(* The first instant the session is idle past its state's timeout. *)
+let deadline t i = last_touch t i + timeout_of_code t (get t i f_state) + 1
+
+(* A wheel entry is [seq lsl slot_bits lor slot]; it is current while
+   the slot's [f_wseq] is [seq], so scheduling a slot again makes its
+   older entries stale without finding them. *)
+let slot_bits = ref_bits - 2
+let slot_mask = (1 lsl slot_bits) - 1
+
+(* [a] with room for [n] ints, and [a] with [v] stored at [n]. *)
+let reserve a n = if n <= Array.length a then a else Array.append a (Array.make (max 16 n) 0)
+
+let push a n v =
+  let a = reserve a (n + 1) in
+  a.(n) <- v;
+  a
+
+(* Enter slot [i] in its deadline's bucket (never one the last pass
+   has already passed). *)
+let schedule t i =
+  let seq = get t i f_wseq + 1 in
+  set t i f_wseq seq;
+  let tk = max (deadline t i asr t.tick_bits) t.last_tick in
+  let b = tk land (wheel_size - 1) in
+  let n = t.wlen.(b) in
+  t.wheel.(b) <- push t.wheel.(b) n ((seq lsl slot_bits) lor i);
+  t.wlen.(b) <- n + 1
+
+(* ---- Per-packet operations on a ref ------------------------------- *)
+
+let touch_ref t r ~now ~len =
+  let i = slot_of r and d = r land 1 in
+  set t i (f_last + d) now;
+  set t i (f_pkts + (3 * d)) (get t i (f_pkts + (3 * d)) + 1);
+  set t i (f_bytes + (3 * d)) (get t i (f_bytes + (3 * d)) + len)
+
+(* Advance the state; false = reject (counted on the direction).  The
+   lock is taken only for a change, and the state re-read under it,
+   so two domains stepping the two directions never lose one.  A state
+   with a shorter timeout moves the session to its earlier deadline:
+   the wheel may hold a session late, never early. *)
+let step_ref t r ~tcp_flags =
+  let i = slot_of r and d = r land 1 in
+  let v = get t i f_state in
+  let v' = transition v d tcp_flags in
+  let v' =
+    if v' = v || v' < 0 then v'
+    else begin
+      Mutex.lock t.lock;
+      let v0 = get t i f_state in
+      let v' = transition v0 d tcp_flags in
+      if v' >= 0 && v' <> v0 then begin
+        set t i f_state v';
+        if get t i f_gen land 1 = 1 && timeout_of_code t v' < timeout_of_code t v0
+        then schedule t i
+      end;
+      Mutex.unlock t.lock;
+      v'
+    end
+  in
+  if v' < 0 then begin
+    set t i (f_drops + (3 * d)) (get t i (f_drops + (3 * d)) + 1);
+    false
+  end
+  else true
+
+(* Does address [a] equal the row's address at [f]? *)
+let addr_is t i flags f (a : Ipaddr.t) =
+  match a with
+  | V4 x ->
+    flags land b_v6 f = 0 && get t i f = Int32.to_int x land 0xFFFF_FFFF
+  | V6 _ ->
+    flags land b_v6 f <> 0
+    && get t i f = Ipaddr.word a 0
+    && get t i (f + 1) = Ipaddr.word a 1
+    && get t i (f + 2) = Ipaddr.word a 2
+    && get t i (f + 3) = Ipaddr.word a 3
+
+(* The tuple direction [d]'s packets carry after the rewrite: forward
+   packets leave with the translated tuple, replies with the reverse
+   of the forward one. *)
+let[@inline] new_src d = if d = 0 then f_xsrc else f_odst
+let[@inline] new_dst d = if d = 0 then f_xdst else f_osrc
+let[@inline] new_sport d = if d = 0 then f_xsport else f_odport
+let[@inline] new_dport d = if d = 0 then f_xdport else f_osport
+
+let translated t i d (k : Flow_key.t) =
+  let flags = get t i f_flags in
+  k.sport = get t i (new_sport d)
+  && k.dport = get t i (new_dport d)
+  && addr_is t i flags (new_src d) k.src
+  && addr_is t i flags (new_dst d) k.dst
+
+(* ---- In-place header rewrite --------------------------------------
+
+   RFC 1624 incremental checksum update with every changed 16-bit word
+   folded into one sum, [~m + m'] per word, finished once per checksum
+   field: no lists, no intermediate checksums. *)
+
+let[@inline] delta16 acc o n = acc + (lnot o land 0xFFFF) + (n land 0xFFFF)
+
+let[@inline] delta32 acc o n =
+  if o = n then acc
+  else delta16 (delta16 acc (o lsr 16) (n lsr 16)) (o land 0xFFFF) (n land 0xFFFF)
+
+(* A 32-bit word into [buf] as two 16-bit stores (no boxed int32). *)
+let put32 buf off w =
+  Bytes.set_uint16_be buf off (w lsr 16);
+  Bytes.set_uint16_be buf (off + 2) (w land 0xFFFF)
+
+(* Sum of the deltas from the packet's address [a] to the row's
+   address at [f], written into [buf] at [off] as it goes. *)
+let addr_delta t i f (a : Ipaddr.t) buf off acc =
+  match a with
+  | V4 x ->
+    let o = Int32.to_int x land 0xFFFF_FFFF and n = get t i f in
+    if o <> n then put32 buf off n;
+    delta32 acc o n
+  | V6 _ ->
+    let acc = ref acc in
+    for j = 0 to 3 do
+      let o = Ipaddr.word a j and n = get t i (f + j) in
+      if o <> n then begin
+        put32 buf (off + (4 * j)) n;
+        acc := delta32 !acc o n
+      end
+    done;
+    !acc
+
+let fixup buf off acc ~udp =
+  if acc <> 0 && off + 2 <= Bytes.length buf then begin
+    let cur = Bytes.get_uint16_be buf off in
+    (* a UDP checksum of zero means "not computed": leave it *)
+    if not (udp && cur = 0) then begin
+      let c = Checksum.finish ((lnot cur land 0xFFFF) + acc) in
+      Bytes.set_uint16_be buf off (if udp && c = 0 then 0xFFFF else c)
+    end
+  end
+
+(* The transport header's offset, read from the wire: IHL for IPv4,
+   past a hop-by-hop header for IPv6 (the parser accepts no other
+   extension header).  -1 when it is absent (a non-initial IPv4
+   fragment) or out of the buffer. *)
+let l4_offset buf ~v6 =
+  let n = Bytes.length buf in
+  if not v6 then
+    if n < 20 || Bytes.get_uint16_be buf 6 land 0x1FFF <> 0 then -1
+    else (Bytes.get_uint8 buf 0 land 0xF) * 4
+  else if n < 40 then -1
+  else if Bytes.get_uint8 buf 6 = 0 then
+    if n < 42 then -1 else 40 + ((Bytes.get_uint8 buf 41 + 1) * 8)
+  else 40
+
+let rewrite_raw t i d buf (k : Flow_key.t) =
+  let v6 = Ipaddr.is_v6 k.src in
+  let sa, da = if v6 then (8, 24) else (12, 16) in
+  if Bytes.length buf >= (if v6 then 40 else 20) then begin
+    let acc = addr_delta t i (new_src d) k.src buf sa 0 in
+    let acc = addr_delta t i (new_dst d) k.dst buf da acc in
+    (* the IPv4 header checksum covers only the addresses *)
+    if not v6 then fixup buf 10 acc ~udp:false;
+    let l4 = if k.proto = 6 || k.proto = 17 then l4_offset buf ~v6 else -1 in
+    if l4 >= 0 && l4 + 4 <= Bytes.length buf then begin
+      let nsp = get t i (new_sport d) and ndp = get t i (new_dport d) in
+      if k.sport <> nsp then Bytes.set_uint16_be buf l4 nsp;
+      if k.dport <> ndp then Bytes.set_uint16_be buf (l4 + 2) ndp;
+      (* the pseudo-header includes the addresses *)
+      let acc = if k.sport <> nsp then delta16 acc k.sport nsp else acc in
+      let acc = if k.dport <> ndp then delta16 acc k.dport ndp else acc in
+      if k.proto = 6 then fixup buf (l4 + 16) acc ~udp:false
+      else fixup buf (l4 + 6) acc ~udp:true
+    end
+  end
+
+(* The rewrite proper, on the row of slot [i], direction [d]; [nsrc]
+   and [ndst] are the new addresses boxed. *)
+let rewrite_in t i d nsrc ndst (m : Mbuf.t) =
   let k = m.Mbuf.key in
-  if
-    Ipaddr.equal k.src nsrc && Ipaddr.equal k.dst ndst && k.sport = nsport
-    && k.dport = ndport
-  then false
+  if translated t i d k then false
   else begin
-    (match m.Mbuf.raw with
-    | Some buf ->
-      rewrite_raw buf k ~version:m.Mbuf.version ~options:m.Mbuf.options ~nsrc
-        ~nsport ~ndst ~ndport
-    | None -> ());
+    (match m.Mbuf.raw with Some buf -> rewrite_raw t i d buf k | None -> ());
     m.Mbuf.key <-
-      { k with src = nsrc; dst = ndst; sport = nsport; dport = ndport };
+      { k with src = nsrc; dst = ndst; sport = get t i (new_sport d);
+        dport = get t i (new_dport d) };
     true
   end
 
-(* A routing decision is only safe to cache when it was made for the
-   direction's post-rewrite tuple.  If the NAT plugin was bypassed
-   (quarantined, unbound) the packet routed under its untranslated
-   addresses, and learning that decision would poison the session's
-   cached next-hop for when the rewrite comes back. *)
-let route_learnable s (dir : Flow_key.direction) (k : Flow_key.t) =
-  let nsrc, nsport, ndst, ndport =
-    match dir with
-    | Fwd -> (s.xlat_src, s.xlat_sport, s.xlat_dst, s.xlat_dport)
-    | Rev -> (s.orig_dst, s.orig_dport, s.orig_src, s.orig_sport)
-  in
-  Ipaddr.equal k.src nsrc && Ipaddr.equal k.dst ndst && k.sport = nsport
-  && k.dport = ndport
+(* ---- The plugins' per-packet operations --------------------------- *)
 
-type Rp_classifier.Flow_table.soft += Cached of t * Flow_key.direction
+module Hit = struct
+  type t = Rp_classifier.Flow_table.soft
+
+  let none = No_session
+  let full = Table_full
+
+  let rewrite v m =
+    match v with
+    | Sess v -> rewrite_in v.tab (slot_of v.h) (v.h land 1) v.nsrc v.ndst m
+    | _ -> false
+
+  (* The QoS class, and the learned route when the packet has none
+     yet; the options come preallocated. *)
+  let stamp v (m : Mbuf.t) =
+    match v with
+    | Sess v ->
+      let t = v.tab and i = slot_of v.h in
+      if get t i f_flags land b_qos <> 0 then m.Mbuf.tos <- get t i f_qos;
+      let out = get t i (f_out + (v.h land 1)) in
+      if out >= 0 && m.Mbuf.out_iface = None then begin
+        m.Mbuf.out_iface <- Rp_core.Route_table.out_iface out;
+        m.Mbuf.next_hop <- v.hop
+      end
+    | _ -> ()
+
+  let touch v ~now ~len =
+    match v with Sess v -> touch_ref v.tab v.h ~now ~len | _ -> ()
+
+  let step v ~tcp_flags =
+    match v with Sess v -> step_ref v.tab v.h ~tcp_flags | _ -> true
+
+  let route_known v =
+    match v with
+    | Sess v -> get v.tab (slot_of v.h) (f_out + (v.h land 1)) >= 0
+    | _ -> true
+
+  let route_learnable v k =
+    match v with
+    | Sess v -> translated v.tab (slot_of v.h) (v.h land 1) k
+    | _ -> false
+
+  (* Set-once by the direction's own domain: the hop first, so a reader
+     that sees [f_out] sees it too. *)
+  let learn v ifc hop =
+    match v with
+    | Sess v ->
+      let i = slot_of v.h and d = v.h land 1 in
+      if get v.tab i (f_out + d) < 0 then begin
+        v.hop <- hop;
+        set v.tab i (f_out + d) ifc
+      end
+    | _ -> ()
+
+  let id v = match v with Sess v -> get v.tab (slot_of v.h) f_id | _ -> 0
+end
+
+(* ---- Handle-level operations (control path, tests) ---------------- *)
+
+(* Times are native ints; an int64 past their range saturates. *)
+let ns_of_int64 x =
+  if Int64.compare x (Int64.of_int max_int) > 0 then max_int
+  else if Int64.compare x (Int64.of_int min_int) < 0 then min_int
+  else Int64.to_int x
+
+let touch s ~now ~dir ~len =
+  touch_ref s.tab (ref_of s dir) ~now:(ns_of_int64 now) ~len
+
+let conntrack_step s ~dir ~tcp_flags =
+  if step_ref s.tab (ref_of s dir) ~tcp_flags then `Pass
+  else `Drop "conntrack: closed session"
+
+let cached s dir =
+  match view s.tab (slot s) (dir_code dir) with Some v -> v | None -> No_session
+
+let apply_rewrite s dir m = Hit.rewrite (cached s dir) m
+let route_learnable s dir k = Hit.route_learnable (cached s dir) k
+let learn_route s dir (ifc, hop) = Hit.learn (cached s dir) ifc hop
+
+(* ---- Soft-slot cache and export ----------------------------------- *)
 
 let shard_key = Flow_key.canonical_hash
 
-(* The NAT'd session cached in any of [r]'s gate bindings.  A
-   top-level loop over the gates, not [iter_bindings] with a closure:
-   this runs on every flow export, which must not allocate. *)
+(* The NAT'd session cached in any of [r]'s gate bindings (its export
+   tuple outlives the session, as the soft slot does).  A top-level
+   loop, not [iter_bindings] with a closure: this runs on every flow
+   export, which must not allocate. *)
 let rec xlate_at (r : Rp_core.Plugin.t Rp_classifier.Flow_table.record) g =
   if g >= Rp_core.Gate.count then None
   else
     match Rp_classifier.Flow_table.binding r ~gate:g with
-    | Some { Rp_classifier.Flow_table.soft = Some (Cached (s, _)); _ }
-      when s.nat ->
-      s.exported_xlate
+    | Some { Rp_classifier.Flow_table.soft = Some (Sess { xlate = Some _ as x; _ }); _ }
+      ->
+      x
     | Some _ | None -> xlate_at r (g + 1)
 
 let xlate_of_record r = xlate_at r 0
 
 let () = Rp_core.Flow_export.set_translated_of xlate_of_record
 
-let export ~reason s =
-  let fp = Atomic.get s.fwd_pkts and rp = Atomic.get s.rev_pkts in
-  let drops = Atomic.get s.drops in
-  Rp_core.Flow_export.emit_session ~reason ~id:s.id ~src:s.orig_src
-    ~dst:s.orig_dst ~proto:s.proto ~sport:s.orig_sport ~dport:s.orig_dport
-    ~iface:s.iface ~packets:(fp + rp)
-    ~bytes:(Atomic.get s.fwd_bytes + Atomic.get s.rev_bytes)
-    ~forwarded:(fp + rp - drops) ~dropped:drops
-    ~created_ns:(Int64.to_int s.created_ns)
-    ~last_ns:(Int64.to_int (Atomic.get s.last_ns))
-    s.exported_xlate
+(* Straight from the row: the four addresses are [Flow_export]'s run of
+   16 words. *)
+let export t i ~reason =
+  let flags = get t i f_flags in
+  let packets = get t i f_pkts + get t i (f_pkts + 3) in
+  let dropped = get t i f_drops + get t i (f_drops + 3) in
+  Rp_core.Flow_export.emit_session ~reason ~id:(get t i f_id) ~words:(chunk t i)
+    ~off:(base t i + f_osrc)
+    ~v6:((flags lsr v6_shift) land 0xF)
+    ~xlate:(flags land b_nat <> 0) ~proto:(flags land 0xFF)
+    ~sport:(get t i f_osport) ~dport:(get t i f_odport)
+    ~xsport:(get t i f_xsport) ~xdport:(get t i f_xdport)
+    ~iface:(get t i f_iface) ~packets
+    ~bytes:(get t i f_bytes + get t i (f_bytes + 3))
+    ~forwarded:(packets - dropped) ~dropped ~created_ns:(get t i f_created)
+    ~last_ns:(last_touch t i)
 
 (* ---- The table ---------------------------------------------------- *)
 
@@ -314,10 +638,11 @@ let next_id = Atomic.make 1
 
 module Table = struct
   type session = t
+  type t = table
 
   type timeout_class = [ `Tcp_syn | `Tcp_est | `Tcp_fin | `Udp | `Other ]
 
-  type nat_rule = {
+  type nonrec nat_rule = nat_rule = {
     kind : [ `Snat | `Dnat ];
     filter : Rp_classifier.Filter.t;
     addr : Ipaddr.t;
@@ -327,6 +652,7 @@ module Table = struct
 
   type stats = {
     live : int;
+    capacity : int;
     created : int;
     expired : int;
     lookups : int;
@@ -336,47 +662,55 @@ module Table = struct
     rewrites : int;
     ct_drops : int;
     key_conflicts : int;
+    refused : int;
+    visited : int;
   }
 
-  type stripe = { lock : Mutex.t; tbl : (Flow_key.t, session) Hashtbl.t }
+  let default_capacity = 1 lsl 18
 
-  type t = {
-    tname : string;
-    str : stripe array;
-    rules_lock : Mutex.t;
-    mutable rules_l : nat_rule list;
-    mutable tcp_syn_ns : int64;
-    mutable tcp_est_ns : int64;
-    mutable tcp_fin_ns : int64;
-    mutable udp_ns : int64;
-    mutable other_ns : int64;
-    created_c : int Atomic.t;
-    expired_c : int Atomic.t;
-    lookups_c : int Atomic.t;
-    hits_c : int Atomic.t;
-    misses_c : int Atomic.t;
-    cached_c : int Atomic.t;
-    rewrites_c : int Atomic.t;
-    ct_drops_c : int Atomic.t;
-    conflicts_c : int Atomic.t;
-  }
+  (* The flow table's initial size: the first chunk, and the unit the
+     table grows by doubling. *)
+  let initial_rows = 1024
+  let secs n = n * 1_000_000_000
 
-  let secs n = Int64.mul (Int64.of_int n) 1_000_000_000L
+  (* Timeouts are capped so deadlines never overflow. *)
+  let max_timeout = 1 lsl 60
 
-  let create ?(stripes = 16) tname =
-    let t =
+  let next_pow2 n = 1 lsl log2 ((2 * n) - 1)
+
+  let create ?(capacity = default_capacity) tname =
+    let capacity = next_pow2 (max 1 (min capacity max_capacity)) in
+    let chunk = min initial_rows capacity in
+    let cbits = log2 chunk in
     {
       tname;
-      str =
-        Array.init (max 1 stripes) (fun _ ->
-            { lock = Mutex.create (); tbl = Hashtbl.create 64 });
-      rules_lock = Mutex.create ();
+      lock = Mutex.create ();
+      cap = capacity;
+      cbits;
+      cmask = chunk - 1;
+      rows = Array.make (capacity lsr cbits) empty_chunk;
+      views = Array.make (capacity lsr cbits) [||];
+      allocated = 0;
+      fresh = 0;
+      free = [||];
+      nfree = 0;
+      parked = [||];
+      nparked = 0;
+      index = empty_chunk;
+      imask = 0;
+      nlive = 0;
+      wheel = [||];
+      wlen = [||];
+      due = [||];
+      tick_bits = 0;
+      last_tick = 0;
       rules_l = [];
       tcp_syn_ns = secs 30;
       tcp_est_ns = secs 300;
       tcp_fin_ns = secs 10;
       udp_ns = secs 60;
       other_ns = secs 60;
+      nvisited = 0;
       created_c = Atomic.make 0;
       expired_c = Atomic.make 0;
       lookups_c = Atomic.make 0;
@@ -386,72 +720,327 @@ module Table = struct
       rewrites_c = Atomic.make 0;
       ct_drops_c = Atomic.make 0;
       conflicts_c = Atomic.make 0;
+      refused_c = Atomic.make 0;
     }
-    in
-    (* Live-session health probe: an unlocked sum over the stripes is a
-       momentary snapshot, which is all a sampler needs. *)
-    Rp_obs.Health.register
-      ("session." ^ tname ^ ".live")
-      (fun () ->
-        float_of_int
-          (Array.fold_left (fun acc s -> acc + Hashtbl.length s.tbl) 0 t.str));
-    t
 
   let name t = t.tname
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 4
-  let registry_lock = Mutex.create ()
+  (* ---- Hashing and the index ---- *)
 
-  let get name =
-    with_lock registry_lock (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some t -> t
-        | None ->
-          let t = create name in
-          Hashtbl.add registry name t;
-          t)
+  let[@inline] mix x =
+    let x = x * 0x2545F4914F6CDD1D in
+    x lxor (x lsr 31)
 
-  let names () =
-    with_lock registry_lock (fun () ->
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
+  let[@inline] ep w0 w1 w2 w3 v6 port =
+    mix
+      ((w0 * 0x9E3779B1) + (w1 * 0x85EBCA77) + (w2 * 0xC2B2AE3D)
+      + (w3 * 0x27D4EB2F) + (port lsl 1) + v6)
 
-  let stripe_idx t ck = Flow_key.hash ck land max_int mod Array.length t.str
+  let ep_addr (a : Ipaddr.t) port =
+    match a with
+    | V4 x -> ep (Int32.to_int x land 0xFFFF_FFFF) 0 0 0 0 port
+    | V6 _ ->
+      ep (Ipaddr.word a 0) (Ipaddr.word a 1) (Ipaddr.word a 2) (Ipaddr.word a 3)
+        1 port
 
-  let set_timeout t (c : timeout_class) ns =
-    match c with
-    | `Tcp_syn -> t.tcp_syn_ns <- ns
-    | `Tcp_est -> t.tcp_est_ns <- ns
-    | `Tcp_fin -> t.tcp_fin_ns <- ns
-    | `Udp -> t.udp_ns <- ns
-    | `Other -> t.other_ns <- ns
+  let hash_bits = 62 - ref_bits
+  let hash_mask = (1 lsl hash_bits) - 1
 
-  let timeout t (c : timeout_class) =
-    match c with
-    | `Tcp_syn -> t.tcp_syn_ns
-    | `Tcp_est -> t.tcp_est_ns
-    | `Tcp_fin -> t.tcp_fin_ns
-    | `Udp -> t.udp_ns
-    | `Other -> t.other_ns
+  (* Symmetric in the endpoints: a tuple and its reverse hash alike. *)
+  let[@inline] combine ea eb proto = mix (ea + eb + proto) land hash_mask
 
-  let timeout_of_state t = function
-    | Tcp Tcp_syn -> t.tcp_syn_ns
-    | Tcp Tcp_est -> t.tcp_est_ns
-    | Tcp (Tcp_fin | Tcp_closed) -> t.tcp_fin_ns
-    | Udp -> t.udp_ns
-    | Other -> t.other_ns
+  let key_hash (k : Flow_key.t) =
+    combine (ep_addr k.src k.sport) (ep_addr k.dst k.dport) k.proto
 
-  let add_rule t r = with_lock t.rules_lock (fun () -> t.rules_l <- t.rules_l @ [ r ])
+  (* 1 when [k] is entry [which]'s tuple as stored, 2 when reversed,
+     0 when neither. *)
+  let orient t i which (k : Flow_key.t) =
+    let flags = get t i f_flags in
+    if flags land 0xFF <> k.proto then 0
+    else
+      let s, d, sp, dp =
+        if which = 0 then (f_osrc, f_odst, f_osport, f_odport)
+        else (f_xsrc, f_xdst, f_xsport, f_xdport)
+      in
+      if
+        get t i sp = k.sport && get t i dp = k.dport
+        && addr_is t i flags s k.src && addr_is t i flags d k.dst
+      then 1
+      else if
+        get t i dp = k.sport && get t i sp = k.dport
+        && addr_is t i flags d k.src && addr_is t i flags s k.dst
+      then 2
+      else 0
 
-  let del_rule t i =
-    with_lock t.rules_lock (fun () ->
-        if i < 0 || i >= List.length t.rules_l then
-          Error (Printf.sprintf "no NAT rule %d" i)
+  (* The ref (slot and direction) [k] resolves to, or -1. *)
+  let rec probe t (k : Flow_key.t) h i =
+    let e = Bigarray.Array1.unsafe_get t.index i in
+    if e = 0 then -1
+    else
+      let r = (e land ref_mask) - 1 in
+      let o = if e lsr ref_bits = h then orient t (r lsr 1) (r land 1) k else 0 in
+      if o = 0 then probe t k h ((i + 1) land t.imask)
+      else (r land lnot 1) lor (o - 1)
+
+  let find t k h = if t.nlive = 0 then -1 else probe t k h (h land t.imask)
+
+  let rec insert_entry index mask e i =
+    if Bigarray.Array1.unsafe_get index i = 0 then Bigarray.Array1.unsafe_set index i e
+    else insert_entry index mask e ((i + 1) land mask)
+
+  let add_entry t h r =
+    insert_entry t.index t.imask ((h lsl ref_bits) lor (r + 1)) (h land t.imask)
+
+  (* Backward-shift deletion: pull each later entry of the run into the
+     hole when its home does not lie between the hole and it. *)
+  let rec shift_back t hole j =
+    let e = Bigarray.Array1.unsafe_get t.index j in
+    if e = 0 then Bigarray.Array1.unsafe_set t.index hole 0
+    else
+      let home = (e lsr ref_bits) land t.imask in
+      if (j - home) land t.imask >= (j - hole) land t.imask then begin
+        Bigarray.Array1.unsafe_set t.index hole e;
+        shift_back t j ((j + 1) land t.imask)
+      end
+      else shift_back t hole ((j + 1) land t.imask)
+
+  let rec find_entry t want j =
+    let e = Bigarray.Array1.unsafe_get t.index j in
+    if e = 0 then ()
+    else if e land ref_mask = want then shift_back t j ((j + 1) land t.imask)
+    else find_entry t want ((j + 1) land t.imask)
+
+  let remove_entry t i which =
+    find_entry t (((i lsl 1) lor which) + 1) (get t i (f_hash + which) land t.imask)
+
+  let flat_make n =
+    let a = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout n in
+    Bigarray.Array1.fill a 0;
+    a
+
+  (* ---- Slots ---- *)
+
+  let rehash t size =
+    let old = t.index and index = flat_make size in
+    let mask = size - 1 in
+    for j = 0 to Bigarray.Array1.dim old - 1 do
+      let e = Bigarray.Array1.unsafe_get old j in
+      if e <> 0 then insert_entry index mask e ((e lsr ref_bits) land mask)
+    done;
+    t.index <- index;
+    t.imask <- mask
+
+  (* Double the rows (the first call allocates one chunk), adding
+     chunks so that no row moves; the index keeps four entries per
+     row. *)
+  let grow t ~now =
+    let chunk = t.cmask + 1 in
+    let target = if t.allocated = 0 then chunk else min t.cap (2 * t.allocated) in
+    for c = t.allocated lsr t.cbits to (target lsr t.cbits) - 1 do
+      t.rows.(c) <- flat_make (chunk * stride);
+      t.views.(c) <- Array.make (2 * chunk) None
+    done;
+    t.allocated <- target;
+    rehash t (4 * target);
+    if t.wheel = [||] then begin
+      t.wheel <- Array.make wheel_size [||];
+      t.wlen <- Array.make wheel_size 0;
+      t.tick_bits <- tick_bits_of t;
+      t.last_tick <- now asr t.tick_bits
+    end
+
+  (* A slot for a new session, or -1 at capacity. *)
+  let alloc_slot t ~now =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      if t.fresh = t.allocated && t.allocated < t.cap then grow t ~now;
+      if t.fresh < t.allocated then begin
+        let i = t.fresh in
+        t.fresh <- i + 1;
+        i
+      end
+      else -1
+    end
+
+  (* Slots freed by the previous pass rejoin the free list: every
+     packet that validated a handle to them before they were freed has
+     left the workers since (callers run passes between frames; perf
+     and the soak flush the engine first), so no stale handle can
+     write into a reused row. *)
+  let unpark t =
+    for j = 0 to t.nparked - 1 do
+      t.free <- push t.free t.nfree t.parked.(j);
+      t.nfree <- t.nfree + 1
+    done;
+    t.nparked <- 0
+
+  let release t i ~reason =
+    export t i ~reason;
+    remove_entry t i 0;
+    if get t i f_flags land b_two_keys <> 0 then remove_entry t i 1;
+    set t i f_gen (get t i f_gen + 1);
+    set t i f_wseq (get t i f_wseq + 1);
+    t.nlive <- t.nlive - 1;
+    t.parked <- push t.parked t.nparked i;
+    t.nparked <- t.nparked + 1;
+    Atomic.incr t.expired_c
+
+  (* ---- Creation ---- *)
+
+  let put_addr t i f (a : Ipaddr.t) =
+    for j = 0 to 3 do
+      set t i (f + j) (Ipaddr.word a j)
+    done;
+    if Ipaddr.is_v6 a then b_v6 f else 0
+
+  let first_rule t kind key =
+    List.find_opt
+      (fun r -> r.kind = kind && Rp_classifier.Filter.matches r.filter key)
+      t.rules_l
+
+  (* Fill slot [i] with a new session for [key] and index it.  Under
+     the lock. *)
+  let fill t i (key : Flow_key.t) ~h ~now ~tcp_flags =
+    let snat = first_rule t `Snat key and dnat = first_rule t `Dnat key in
+    let xsrc, xsport =
+      match snat with
+      | Some r -> (r.addr, Option.value r.port ~default:key.sport)
+      | None -> (key.src, key.sport)
+    in
+    let xdst, xdport =
+      match dnat with
+      | Some r -> (r.addr, Option.value r.port ~default:key.dport)
+      | None -> (key.dst, key.dport)
+    in
+    let qos =
+      match (snat, dnat) with
+      | Some { tos = Some q; _ }, _ | _, Some { tos = Some q; _ } -> q
+      | _ -> -1
+    in
+    let nat =
+      not
+        (Ipaddr.equal xsrc key.src && Ipaddr.equal xdst key.dst
+        && xsport = key.sport && xdport = key.dport)
+    in
+    (* The translated tuple needs an entry of its own unless it is the
+       forward tuple, either way round. *)
+    let two_keys =
+      nat
+      && not
+           (Ipaddr.equal xsrc key.dst && Ipaddr.equal xdst key.src
+           && xsport = key.dport && xdport = key.sport)
+    in
+    let state0 =
+      if key.proto = 6 then
+        if tcp_flags land tf_syn <> 0 && tcp_flags land tf_ack = 0 then
+          st_tcp lor code_syn
+        else st_tcp lor code_est (* mid-stream pickup *)
+      else if key.proto = 17 then 0
+      else 1
+    in
+    let fam =
+      put_addr t i f_osrc key.src lor put_addr t i f_odst key.dst
+      lor put_addr t i f_xsrc xsrc lor put_addr t i f_xdst xdst
+    in
+    set t i f_osport key.sport;
+    set t i f_odport key.dport;
+    set t i f_xsport xsport;
+    set t i f_xdport xdport;
+    set t i f_state state0;
+    set t i f_qos (max qos 0);
+    set t i f_iface key.iface;
+    set t i f_id (Atomic.fetch_and_add next_id 1);
+    set t i f_created now;
+    for d = 0 to 1 do
+      set t i (f_last + d) now;
+      set t i (f_out + d) (-1);
+      set t i (f_pkts + (3 * d)) 0;
+      set t i (f_bytes + (3 * d)) 0;
+      set t i (f_drops + (3 * d)) 0
+    done;
+    (* the views carry the generation the slot is about to take *)
+    let vh = ((get t i f_gen + 1) lsl ref_bits) lor (i lsl 1) in
+    let xlate =
+      if nat then Some { Rp_core.Flow_export.xsrc; xdst; xsport; xdport } else None
+    in
+    let vs = t.views.(i lsr t.cbits) and j = 2 * (i land t.cmask) in
+    vs.(j) <- Some (Sess { tab = t; h = vh; nsrc = xsrc; ndst = xdst; xlate; hop = None });
+    vs.(j + 1) <-
+      Some
+        (Sess { tab = t; h = vh lor 1; nsrc = key.dst; ndst = key.src; xlate; hop = None });
+    let flags =
+      key.proto land 0xFF lor fam
+      lor (if nat then b_nat else 0)
+      lor if qos >= 0 then b_qos else 0
+    in
+    set t i f_flags flags;
+    set t i f_hash h;
+    add_entry t h (i lsl 1);
+    (if two_keys then
+       let x =
+         { key with src = xsrc; dst = xdst; sport = xsport; dport = xdport }
+       in
+       let hx = key_hash x in
+       (* reply tuple already owned by another session: keep the
+          forward entry only *)
+       if find t x hx >= 0 then Atomic.incr t.conflicts_c
+       else begin
+         set t i (f_hash + 1) hx;
+         add_entry t hx ((i lsl 1) lor 1);
+         set t i f_flags (flags lor b_two_keys)
+       end);
+    set t i f_gen (get t i f_gen + 1);
+    t.nlive <- t.nlive + 1;
+    schedule t i;
+    Atomic.incr t.created_c
+
+  (* The session-table hit: a handle (generation, slot, direction) for
+     the session [key] resolves to, creating it when [create]; -1 when
+     there is none, -2 when the table is full.  The lookup and insert
+     run under one lock, which nothing between can raise out of. *)
+  let resolve_h t ~create (key : Flow_key.t) ~now ~tcp_flags =
+    Atomic.incr t.lookups_c;
+    (* the one session-table hit: bucket probe + record read *)
+    Rp_lpm.Access.charge 2;
+    Rp_core.Cost.charge_mem 2;
+    Rp_core.Cost.charge Rp_core.Cost.flow_hash;
+    let h = key_hash key in
+    Mutex.lock t.lock;
+    let r = find t key h in
+    let res =
+      if r >= 0 then begin
+        Atomic.incr t.hits_c;
+        handle t r
+      end
+      else begin
+        Atomic.incr t.misses_c;
+        if not create then -1
         else begin
-          t.rules_l <- List.filteri (fun j _ -> j <> i) t.rules_l;
-          Ok ()
-        end)
+          (* index insert: two writes *)
+          Rp_lpm.Access.charge 2;
+          Rp_core.Cost.charge_mem 2;
+          let i = alloc_slot t ~now in
+          if i < 0 then begin
+            Atomic.incr t.refused_c;
+            -2
+          end
+          else begin
+            fill t i key ~h ~now ~tcp_flags;
+            handle t (i lsl 1)
+          end
+        end
+      end
+    in
+    Mutex.unlock t.lock;
+    res
 
-  let rules t = t.rules_l
+  let resolve t ?(create = true) key ~now ~tcp_flags =
+    let h = resolve_h t ~create key ~now:(ns_of_int64 now) ~tcp_flags in
+    if h < 0 then None
+    else Some ({ tab = t; h = h land lnot 1 }, direction h)
 
   let cached_hit t ~charge =
     Atomic.incr t.cached_c;
@@ -463,212 +1052,152 @@ module Table = struct
   let note_rewrite t = Atomic.incr t.rewrites_c
   let note_ct_drop t = Atomic.incr t.ct_drops_c
 
-  (* Recover the packet's true direction from which index key it
-     canonicalized to and the direction bit canonicalization reported.
-     Works both before the NAT rewrite (the key is an ingress tuple,
-     matching (fwd_lookup, fwd_dir) or (rev_lookup, rev_dir)) and
-     after it (the translated tuple canonicalizes to the *other* index
-     key with the bit flipped). *)
-  let dir_of s ck d : Flow_key.direction =
-    if Flow_key.equal ck s.fwd_lookup then
-      if d = s.fwd_dir then Fwd else Rev
-    else if d = s.rev_dir then Rev
-    else Fwd
+  let add_rule t r =
+    Mutex.lock t.lock;
+    t.rules_l <- t.rules_l @ [ r ];
+    Mutex.unlock t.lock
 
-  let first_rule t kind key =
-    List.find_opt
-      (fun r -> r.kind = kind && Rp_classifier.Filter.matches r.filter key)
-      t.rules_l
-
-  let make_session t (key : Flow_key.t) ~now ~tcp_flags =
-    let snat = first_rule t `Snat key and dnat = first_rule t `Dnat key in
-    let xlat_src, xlat_sport =
-      match snat with
-      | Some r -> (r.addr, Option.value r.port ~default:key.sport)
-      | None -> (key.src, key.sport)
-    in
-    let xlat_dst, xlat_dport =
-      match dnat with
-      | Some r -> (r.addr, Option.value r.port ~default:key.dport)
-      | None -> (key.dst, key.dport)
-    in
-    let qos =
-      match (snat, dnat) with
-      | Some { tos = Some q; _ }, _ | _, Some { tos = Some q; _ } -> Some q
-      | _ -> None
-    in
-    let nat =
-      not
-        (Ipaddr.equal xlat_src key.src
-        && Ipaddr.equal xlat_dst key.dst
-        && xlat_sport = key.sport && xlat_dport = key.dport)
-    in
-    let fwd_lookup, fwd_dir = Flow_key.canonical key in
-    let rev_lookup, rev_dir =
-      Flow_key.canonical
-        (Flow_key.reverse ~iface:0
-           { key with src = xlat_src; dst = xlat_dst; sport = xlat_sport;
-             dport = xlat_dport })
-    in
-    let state0 =
-      if key.proto = 6 then
-        let fl = Tcp_header.flags_of_byte tcp_flags in
-        if fl.Tcp_header.syn && not fl.Tcp_header.ack then st_tcp lor code_syn
-        else st_tcp lor code_est (* mid-stream pickup *)
-      else if key.proto = 17 then 0
-      else 1
-    in
-    {
-      id = Atomic.fetch_and_add next_id 1;
-      proto = key.proto;
-      iface = key.iface;
-      orig_src = key.src;
-      orig_sport = key.sport;
-      orig_dst = key.dst;
-      orig_dport = key.dport;
-      xlat_src;
-      xlat_sport;
-      xlat_dst;
-      xlat_dport;
-      nat;
-      exported_xlate =
-        (if nat then
-           Some
-             {
-               Rp_core.Flow_export.xsrc = xlat_src;
-               xdst = xlat_dst;
-               xsport = xlat_sport;
-               xdport = xlat_dport;
-             }
-         else None);
-      qos;
-      fwd_lookup;
-      fwd_dir;
-      rev_lookup;
-      rev_dir;
-      created_ns = now;
-      state_a = Atomic.make state0;
-      fwd_pkts = Atomic.make 0;
-      fwd_bytes = Atomic.make 0;
-      rev_pkts = Atomic.make 0;
-      rev_bytes = Atomic.make 0;
-      drops = Atomic.make 0;
-      last_ns = Atomic.make now;
-      fwd_route = Atomic.make None;
-      rev_route = Atomic.make None;
-      alive_a = Atomic.make true;
-    }
-
-  (* Lock stripes [i] and [j] in index order (deadlock-free for the
-     two-key insert). *)
-  let lock2 t i j f =
-    if i = j then with_lock t.str.(i).lock f
-    else
-      let a = min i j and b = max i j in
-      with_lock t.str.(a).lock (fun () -> with_lock t.str.(b).lock f)
-
-  let resolve t ?(create = true) key ~now ~tcp_flags =
-    let ck, d = Flow_key.canonical key in
-    Atomic.incr t.lookups_c;
-    (* the one session-table hit: bucket probe + record read *)
-    Rp_lpm.Access.charge 2;
-    Rp_core.Cost.charge_mem 2;
-    Rp_core.Cost.charge Rp_core.Cost.flow_hash;
-    let i = stripe_idx t ck in
-    let found =
-      with_lock t.str.(i).lock (fun () -> Hashtbl.find_opt t.str.(i).tbl ck)
-    in
-    match found with
-    | Some s when alive s ->
-      Atomic.incr t.hits_c;
-      Some (s, dir_of s ck d)
-    | _ ->
-      Atomic.incr t.misses_c;
-      if not create then None
+  let del_rule t i =
+    Mutex.lock t.lock;
+    let res =
+      if i < 0 || i >= List.length t.rules_l then
+        Error (Printf.sprintf "no NAT rule %d" i)
       else begin
-        let s = make_session t key ~now ~tcp_flags in
-        let j = stripe_idx t s.fwd_lookup and k2 = stripe_idx t s.rev_lookup in
-        (* index insert: two writes *)
-        Rp_lpm.Access.charge 2;
-        Rp_core.Cost.charge_mem 2;
-        let s =
-          lock2 t j k2 (fun () ->
-              match Hashtbl.find_opt t.str.(j).tbl s.fwd_lookup with
-              | Some s' when alive s' -> s' (* lost a create race *)
-              | _ ->
-                Hashtbl.replace t.str.(j).tbl s.fwd_lookup s;
-                if not (Flow_key.equal s.rev_lookup s.fwd_lookup) then begin
-                  match Hashtbl.find_opt t.str.(k2).tbl s.rev_lookup with
-                  | Some s' when alive s' ->
-                    (* reply tuple already owned by another session:
-                       keep the forward index only *)
-                    ignore s';
-                    Atomic.incr t.conflicts_c
-                  | _ -> Hashtbl.replace t.str.(k2).tbl s.rev_lookup s
-                end;
-                Atomic.incr t.created_c;
-                s)
-        in
-        Some (s, dir_of s ck d)
+        t.rules_l <- List.filteri (fun j _ -> j <> i) t.rules_l;
+        Ok ()
       end
+    in
+    Mutex.unlock t.lock;
+    res
 
-  let remove_key t k s =
-    let i = stripe_idx t k in
-    with_lock t.str.(i).lock (fun () ->
-        match Hashtbl.find_opt t.str.(i).tbl k with
-        | Some s' when s' == s -> Hashtbl.remove t.str.(i).tbl k
-        | _ -> ())
+  let rules t = t.rules_l
 
-  let reap t ~now ~force ~reason =
-    let victims = ref [] in
-    Array.iter
-      (fun st ->
-        with_lock st.lock (fun () ->
-            Hashtbl.iter
-              (fun _ s ->
-                let dead =
-                  force
-                  || (not (alive s))
-                  || Int64.sub now (Atomic.get s.last_ns)
-                     > timeout_of_state t (state s)
-                in
-                (* the CAS makes one reaper the owner even if expiry
-                   runs concurrently from two domains *)
-                if dead && Atomic.compare_and_set s.alive_a true false then
-                  victims := s :: !victims)
-              st.tbl))
-      t.str;
-    List.iter
-      (fun s ->
-        remove_key t s.fwd_lookup s;
-        if not (Flow_key.equal s.rev_lookup s.fwd_lookup) then
-          remove_key t s.rev_lookup s;
-        Atomic.incr t.expired_c;
-        export ~reason s)
-      !victims;
-    List.length !victims
+  let timeout t (c : timeout_class) =
+    Int64.of_int
+      (match c with
+      | `Tcp_syn -> t.tcp_syn_ns
+      | `Tcp_est -> t.tcp_est_ns
+      | `Tcp_fin -> t.tcp_fin_ns
+      | `Udp -> t.udp_ns
+      | `Other -> t.other_ns)
 
-  let expire t ~now = reap t ~now ~force:false ~reason:"session-expired"
-  let flush t = reap t ~now:0L ~force:true ~reason:"session-flushed"
+  let live_slots t f =
+    for i = 0 to t.fresh - 1 do
+      if get t i f_gen land 1 = 1 then f i
+    done
+
+  (* A shorter timeout can bring deadlines forward past where the
+     wheel holds them, and a new tick size moves every bucket: either
+     reschedules every live session, once (control path). *)
+  let set_timeout t (c : timeout_class) ns =
+    let ns = Int64.to_int (max 0L (min ns (Int64.of_int max_timeout))) in
+    Mutex.lock t.lock;
+    let before = Int64.to_int (timeout t c) in
+    (match c with
+    | `Tcp_syn -> t.tcp_syn_ns <- ns
+    | `Tcp_est -> t.tcp_est_ns <- ns
+    | `Tcp_fin -> t.tcp_fin_ns <- ns
+    | `Udp -> t.udp_ns <- ns
+    | `Other -> t.other_ns <- ns);
+    let bits = tick_bits_of t in
+    if t.wheel <> [||] && (ns < before || bits <> t.tick_bits) then begin
+      t.last_tick <- (t.last_tick lsl t.tick_bits) asr bits;
+      t.tick_bits <- bits;
+      Array.fill t.wlen 0 wheel_size 0;
+      live_slots t (schedule t)
+    end
+    else t.tick_bits <- bits;
+    Mutex.unlock t.lock
+
+  (* A pass's rows are cold (their sessions have idled a timeout), and
+     so are the index lines their removal probes.  Reading a batch of
+     rows, then the batch's index homes, before processing it lets
+     those misses overlap instead of stalling the pass one by one; the
+     sum only keeps the reads. *)
+  let ahead = 16
+  let ahead_sink = ref 0
+
+  let read_ahead t lo hi =
+    let sum = ref 0 in
+    for y = lo to hi - 1 do
+      let s = t.due.(y) land slot_mask in
+      (* one word in each 64-byte line of the row *)
+      sum :=
+        !sum + get t s f_state + get t s f_pkts + get t s f_wseq + get t s f_xsrc
+        + get t s f_osport + get t s f_hash
+    done;
+    for y = lo to hi - 1 do
+      let s = t.due.(y) land slot_mask in
+      sum := !sum + Bigarray.Array1.unsafe_get t.index (get t s f_hash land t.imask)
+    done;
+    ahead_sink := !sum
+
+  (* Visit the buckets of the ticks elapsed since the last pass (all
+     of them at most once), re-checking each slot whose entry there is
+     current: expired ones are exported and freed, the rest rescheduled
+     at their current deadline.  The entries are moved out first, so a
+     rescheduled slot is not seen twice. *)
+  let reap t ~now =
+    let tk = now asr t.tick_bits in
+    let from = max t.last_tick (tk - wheel_size + 1) in
+    let n = ref 0 and nd = ref 0 in
+    for x = from to tk do
+      let b = x land (wheel_size - 1) in
+      let len = t.wlen.(b) in
+      t.due <- reserve t.due (!nd + len);
+      Array.blit t.wheel.(b) 0 t.due !nd len;
+      nd := !nd + len;
+      t.wlen.(b) <- 0
+    done;
+    t.last_tick <- max t.last_tick tk;
+    t.nvisited <- t.nvisited + !nd;
+    let x = ref 0 in
+    while !x < !nd do
+      let hi = min !nd (!x + ahead) in
+      read_ahead t !x hi;
+      for y = !x to hi - 1 do
+        let e = t.due.(y) in
+        let s = e land slot_mask in
+        if get t s f_wseq = e lsr slot_bits then
+          if now - last_touch t s > timeout_of_code t (get t s f_state) then begin
+            release t s ~reason:"session-expired";
+            incr n
+          end
+          else schedule t s
+      done;
+      x := hi
+    done;
+    !n
+
+  let expire t ~now =
+    Mutex.lock t.lock;
+    unpark t;
+    let n = if t.wheel = [||] then 0 else reap t ~now:(ns_of_int64 now) in
+    Mutex.unlock t.lock;
+    n
+
+  let flush t =
+    Mutex.lock t.lock;
+    unpark t;
+    let n = t.nlive in
+    live_slots t (release t ~reason:"session-flushed");
+    if t.wheel <> [||] then Array.fill t.wlen 0 wheel_size 0;
+    Mutex.unlock t.lock;
+    n
 
   let iter f t =
-    Array.iter
-      (fun st ->
-        with_lock st.lock (fun () ->
-            Hashtbl.iter
-              (fun k s ->
-                if alive s && Flow_key.equal k s.fwd_lookup then f s)
-              st.tbl))
-      t.str
+    Mutex.lock t.lock;
+    let l = ref [] in
+    live_slots t (fun i -> l := { tab = t; h = handle t (i lsl 1) } :: !l);
+    Mutex.unlock t.lock;
+    List.iter f (List.rev !l)
 
-  let length t =
-    let n = ref 0 in
-    iter (fun _ -> incr n) t;
-    !n
+  let length t = t.nlive
 
   let stats t =
     {
-      live = length t;
+      live = t.nlive;
+      capacity = t.cap;
       created = Atomic.get t.created_c;
       expired = Atomic.get t.expired_c;
       lookups = Atomic.get t.lookups_c;
@@ -678,31 +1207,66 @@ module Table = struct
       rewrites = Atomic.get t.rewrites_c;
       ct_drops = Atomic.get t.ct_drops_c;
       key_conflicts = Atomic.get t.conflicts_c;
+      refused = Atomic.get t.refused_c;
+      visited = t.nvisited;
     }
+
+  (* The registry, last: its [get] shadows the row accessor. *)
+  let registry : (string, t) Hashtbl.t = Hashtbl.create 4
+  let registry_lock = Mutex.create ()
+
+  let get name =
+    Mutex.lock registry_lock;
+    let t =
+      match Hashtbl.find_opt registry name with
+      | Some t -> t
+      | None ->
+        let t = create name in
+        Hashtbl.add registry name t;
+        (* Live-session health probe (registered tables only: the
+           probe keeps its table alive). *)
+        Rp_obs.Health.register
+          ("session." ^ name ^ ".live")
+          (fun () -> float_of_int t.nlive);
+        t
+    in
+    Mutex.unlock registry_lock;
+    t
+
+  let names () =
+    Mutex.lock registry_lock;
+    let l = Hashtbl.fold (fun k _ acc -> k :: acc) registry [] in
+    Mutex.unlock registry_lock;
+    List.sort compare l
 end
 
-(* The per-packet entry point shared by the session plugins: steady
-   state dereferences the session pointer cached in the gate binding's
-   soft slot (one memory access, charged by exactly one of the plugins
-   on the packet's path — the record is cache-hot for the rest); a
-   cold or invalidated slot falls back to the striped table and
-   repopulates the cache. *)
+(* ---- The plugins' entry point -------------------------------------- *)
+
+(* Steady state reads the session cached in the gate binding's soft
+   slot (one memory access, charged by exactly one of the plugins on
+   the packet's path — the row is cache-hot for the rest); a cold or
+   stale slot falls back to the table and points the slot at the
+   session's view for the packet's direction.  Allocates nothing. *)
 let cached_resolve table ?(create = true) ~cache ~charge
     (ctx : Rp_core.Plugin.ctx) (m : Mbuf.t) =
-  let now = ctx.Rp_core.Plugin.now_ns in
-  let table_resolve () =
-    Table.resolve table ~create m.Mbuf.key ~now ~tcp_flags:m.Mbuf.tcp_flags
-  in
   match ctx.Rp_core.Plugin.binding with
-  | Some b when cache -> (
-    match b.Rp_classifier.Flow_table.soft with
-    | Some (Cached (s, dir)) when alive s ->
-      Table.cached_hit table ~charge;
-      Some (s, dir)
-    | _ -> (
-      match table_resolve () with
-      | Some (s, dir) as r ->
-        b.Rp_classifier.Flow_table.soft <- Some (Cached (s, dir));
-        r
-      | None -> None))
-  | _ -> table_resolve ()
+  | Some { Rp_classifier.Flow_table.soft = Some (Sess v as hit); _ }
+    when cache && v.tab == table && valid table v.h ->
+    Table.cached_hit table ~charge;
+    hit
+  | binding ->
+    let h =
+      Table.resolve_h table ~create m.Mbuf.key
+        ~now:(Int64.to_int ctx.Rp_core.Plugin.now_ns)
+        ~tcp_flags:m.Mbuf.tcp_flags
+    in
+    if h = -1 then No_session
+    else if h = -2 then Table_full
+    else
+      let o = view table (slot_of h) (h land 1) in
+      (match binding with
+      | Some b when cache -> b.Rp_classifier.Flow_table.soft <- o
+      | Some _ | None -> ());
+      match o with Some hit -> hit | None -> No_session
+
+let full_why = "session table full"

@@ -2,69 +2,89 @@
     / QoS / next-hop state layered on the flow table.
 
     A session pairs the forward and reverse five-tuples of one
-    conversation.  Both directions are indexed by their
-    direction-normalized ({!Rp_pkt.Flow_key.canonical}) ingress tuples
-    — for a NAT'd session the reply tuple differs from the forward
-    one, so the session carries two index keys.  The record holds
-    everything the per-packet path needs: the SNAT/DNAT rewrite, the
-    conntrack state machine, the QoS class and the cached per-direction
-    next-hop, so the steady-state data path does one session hit (via a
-    pointer cached in the flow record's soft slot) and zero further
-    lookups.
+    conversation.  It is one row of immediates in flat int storage —
+    the forward and translated tuples, protocol, interface, QoS class,
+    conntrack state, per-direction packet/byte/drop counters and
+    last-touch times, created time and per-direction learned route —
+    so the steady-state data path does one session hit (through a
+    handle cached in the flow record's soft slot) and zero further
+    lookups, and allocates nothing doing it.
 
-    Sharding: the two directions of a NAT'd session canonicalize to
-    {e different} keys and can therefore RSS to different shards, so
-    tables are shared across domains — stripe mutexes guard the index
-    structure, per-session mutable state is atomics.  Canonical-key RSS
-    ({!shard_key}, installed via [Engine.set_rss]) additionally pins
-    both directions of every un-NAT'd conversation to one shard. *)
+    Both directions are found through one open-addressed index: the
+    forward tuple and, for a NAT'd session, the translated tuple each
+    have an entry pointing at the session's slot, and a tuple resolves
+    whichever way round it is seen.  The table is bounded: it grows by
+    doubling from 1024 rows up to its capacity and then refuses new
+    sessions (counted; the plugins drop the packet as
+    ["session table full"]).  Expiry runs on a timer wheel and visits
+    only the sessions whose deadline passed.
+
+    Sharding: the two directions of a NAT'd session can RSS to
+    different shards, so tables are shared across domains.  One mutex
+    guards the index; each direction's counters have a single writer
+    (the domain that processes that direction's ingress tuple).
+    Canonical-key RSS ({!shard_key}, installed via [Engine.set_rss])
+    additionally pins both directions of every un-NAT'd conversation
+    to one shard. *)
 
 open Rp_pkt
 
 type tcp_state = Tcp_syn | Tcp_est | Tcp_fin | Tcp_closed
 type state = Tcp of tcp_state | Udp | Other
 
-type t = private {
-  id : int;  (** unique, process-wide *)
-  proto : int;
-  iface : int;  (** forward-direction ingress interface *)
-  (* Pre-rewrite forward tuple. *)
-  orig_src : Ipaddr.t;
-  orig_sport : int;
-  orig_dst : Ipaddr.t;
-  orig_dport : int;
-  (* Post-rewrite forward tuple (equal to orig when not NAT'd). *)
-  xlat_src : Ipaddr.t;
-  xlat_sport : int;
-  xlat_dst : Ipaddr.t;
-  xlat_dport : int;
-  nat : bool;
-  exported_xlate : Rp_core.Flow_export.xlate option;
-      (** the post-rewrite tuple a flow export carries: [Some] exactly
-          when [nat], built with the session *)
-  qos : int option;  (** TOS/class stamped on every packet *)
-  fwd_lookup : Flow_key.t;  (** canonical of the forward ingress tuple *)
-  fwd_dir : Flow_key.direction;
-  rev_lookup : Flow_key.t;  (** canonical of the reply ingress tuple *)
-  rev_dir : Flow_key.direction;
-  created_ns : int64;
-  (* Per-session atomics: the two directions may be updated from two
-     different shard domains concurrently. *)
-  state_a : int Atomic.t;
-  fwd_pkts : int Atomic.t;
-  fwd_bytes : int Atomic.t;
-  rev_pkts : int Atomic.t;
-  rev_bytes : int Atomic.t;
-  drops : int Atomic.t;
-  last_ns : int64 Atomic.t;
-  fwd_route : (int * Ipaddr.t option) option Atomic.t;
-  rev_route : (int * Ipaddr.t option) option Atomic.t;
-  alive_a : bool Atomic.t;
-}
+(** A handle on one session: its table slot and the slot's generation
+    when it was resolved.  The accessors read the live row. *)
+type t
 
+val equal : t -> t -> bool
+
+(** The session is still in the table (not expired or flushed). *)
 val alive : t -> bool
+
+(** Unique, process-wide. *)
+val id : t -> int
+
+val proto : t -> int
+
+(** The forward direction's ingress interface. *)
+val iface : t -> int
+
+(** Pre-rewrite forward tuple. *)
+
+val orig_src : t -> Ipaddr.t
+val orig_sport : t -> int
+val orig_dst : t -> Ipaddr.t
+val orig_dport : t -> int
+
+(** Post-rewrite forward tuple (equal to the original when not
+    NAT'd). *)
+
+val xlat_src : t -> Ipaddr.t
+val xlat_sport : t -> int
+val xlat_dst : t -> Ipaddr.t
+val xlat_dport : t -> int
+val nat : t -> bool
+
+(** Index entries pointing at the session: 2 when its translated
+    tuple has one of its own, else 1 (un-NAT'd, or the reply tuple was
+    already another session's: a key conflict). *)
+val index_keys : t -> int
+
+(** TOS/class stamped on every packet. *)
+val qos : t -> int option
+
 val state : t -> state
 val state_name : t -> string
+
+(** Per-direction accounting. *)
+
+val packets : t -> Flow_key.direction -> int
+val bytes : t -> Flow_key.direction -> int
+val drops : t -> Flow_key.direction -> int
+val created_ns : t -> int64
+
+(** The later of the two directions' last-touch times. *)
+val last_ns : t -> int64
 
 (** Cached next-hop for one direction: [(out_iface, next_hop)]. *)
 val route : t -> Flow_key.direction -> (int * Ipaddr.t option) option
@@ -72,7 +92,7 @@ val route : t -> Flow_key.direction -> (int * Ipaddr.t option) option
 (** Record the routing decision for one direction (first writer wins). *)
 val learn_route : t -> Flow_key.direction -> int * Ipaddr.t option -> unit
 
-(** Account one packet on one direction and refresh the idle clock. *)
+(** Account one packet on one direction and refresh its idle clock. *)
 val touch : t -> now:int64 -> dir:Flow_key.direction -> len:int -> unit
 
 (** Advance the conntrack state machine for one packet.  TCP: SYN/EST/
@@ -82,12 +102,13 @@ val touch : t -> now:int64 -> dir:Flow_key.direction -> len:int -> unit
 val conntrack_step :
   t -> dir:Flow_key.direction -> tcp_flags:int -> [ `Pass | `Drop of string ]
 
-(** Apply the session's rewrite to [m] for the given direction,
-    in place: the parsed key, and — when wire bytes are present — the
-    IPv4 addresses/ports with RFC 1624 incremental fixup of the IP and
-    TCP/UDP checksums ({!Rp_pkt.Checksum.adjust}); IPv6 rewrites the
-    addresses and adjusts the L4 checksum.  Returns [true] when the
-    packet was actually translated ([false] for un-NAT'd sessions). *)
+(** Apply the session's rewrite to [m] for the given direction, in
+    place: the parsed key, and — when wire bytes are present — the
+    addresses and TCP/UDP ports, with one RFC 1624 incremental fixup
+    of the IPv4 header checksum and of the L4 checksum.  The L4 header
+    is found from the wire (IHL, or past an IPv6 hop-by-hop header).
+    Returns [true] when the packet was actually translated ([false]
+    for un-NAT'd sessions). *)
 val apply_rewrite : t -> Flow_key.direction -> Mbuf.t -> bool
 
 (** [route_learnable s dir k] — whether a routing decision made for
@@ -98,9 +119,9 @@ val apply_rewrite : t -> Flow_key.direction -> Mbuf.t -> bool
     rewrite comes back. *)
 val route_learnable : t -> Flow_key.direction -> Flow_key.t -> bool
 
-(** The session pointer plugins cache in their flow-record soft slot:
-    steady state dereferences this instead of touching the table. *)
-type Rp_classifier.Flow_table.soft += Cached of t * Flow_key.direction
+(** The view of [s] in direction [dir] that {!cached_resolve} stores
+    in flow bindings' soft slots. *)
+val cached : t -> Flow_key.direction -> Rp_classifier.Flow_table.soft
 
 (** Canonical-key RSS ({!Rp_pkt.Flow_key.canonical_hash}) — install
     with [Engine.set_rss] to pin both directions of un-NAT'd
@@ -131,6 +152,7 @@ module Table : sig
 
   type stats = {
     live : int;
+    capacity : int;
     created : int;
     expired : int;
     lookups : int;
@@ -140,32 +162,36 @@ module Table : sig
     rewrites : int;
     ct_drops : int;
     key_conflicts : int;
+    refused : int;  (** creations refused at capacity *)
+    visited : int;  (** sessions expiry passes have looked at *)
   }
 
   (** [get name] — the process-wide table registry (create on first
       use).  Plugin instances and [pmgr] address tables by name;
-      the default is ["default"]. *)
+      the default is ["default"].  Storage is allocated by the first
+      session. *)
   val get : string -> t
 
   val names : unit -> string list
   val name : t -> string
 
-  (** A fresh unregistered table (tests). *)
-  val create : ?stripes:int -> string -> t
+  (** A fresh unregistered table (tests), holding at most [capacity]
+      sessions (rounded up to a power of two; default 2{^18}). *)
+  val create : ?capacity:int -> string -> t
 
   (** [resolve t key ~now ~tcp_flags] — the session-table hit: find
       the session either ingress tuple (pre- or post-rewrite)
-      canonicalizes to, together with the packet's direction, creating
-      it (NAT rules and QoS applied) when [create] (default [true]) and
-      no session exists.  Charges the memory-access meter for the
-      lookup (and insert). *)
+      resolves to, together with the packet's direction, creating it
+      (NAT rules and QoS applied) when [create] (default [true]) and
+      no session exists.  [None] also when the table is full.  Charges
+      the memory-access meter for the lookup (and insert). *)
   val resolve :
     t -> ?create:bool -> Flow_key.t -> now:int64 -> tcp_flags:int ->
     (session * Flow_key.direction) option
 
-  (** Count one steady-state soft-pointer hit; [charge] additionally
+  (** Count one steady-state soft-slot hit; [charge] additionally
       charges its single memory access (exactly one plugin on the
-      packet's path charges — the record is cache-hot for the rest). *)
+      packet's path charges — the row is cache-hot for the rest). *)
   val cached_hit : t -> charge:bool -> unit
 
   val note_rewrite : t -> unit
@@ -180,12 +206,18 @@ module Table : sig
 
   val rules : t -> nat_rule list
 
+  (** A shorter timeout reschedules every live session once. *)
   val set_timeout : t -> timeout_class -> int64 -> unit
+
   val timeout : t -> timeout_class -> int64
 
   (** Evict every session idle past its state's timeout, emitting one
       export record each ({!Rp_obs.Flowlog}).  Returns the count.
-      Control path (any domain; stripe locks taken). *)
+      Visits only the sessions whose wheel deadline passed (counted in
+      [visited]); each is re-checked against its current state and
+      last touch, and exported or rescheduled.  Control path (any
+      domain), run between frames: the slots a pass frees are reused
+      only after the next pass. *)
   val expire : t -> now:int64 -> int
 
   (** Evict everything (reason ["session-flushed"]). *)
@@ -198,14 +230,58 @@ module Table : sig
   val stats : t -> stats
 end
 
+(** {2 Data path}
+
+    The plugins' per-packet operations, on the session view a flow
+    binding's soft slot caches: one per session and direction, built
+    with the session and shared by every binding that caches it.  None
+    allocates (the rewrite's copy of the packet key aside). *)
+module Hit : sig
+  type t = Rp_classifier.Flow_table.soft
+
+  (** No session for the packet (and none created). *)
+  val none : t
+
+  (** The table is full: the packet's session could not be created. *)
+  val full : t
+
+  (** {!apply_rewrite} in the view's direction. *)
+  val rewrite : t -> Mbuf.t -> bool
+
+  (** Stamp the QoS class and, when the packet has no route yet,
+      install the direction's learned route. *)
+  val stamp : t -> Mbuf.t -> unit
+
+  (** {!touch}; [now] in ns. *)
+  val touch : t -> now:int -> len:int -> unit
+
+  (** {!conntrack_step}: [false] = drop. *)
+  val step : t -> tcp_flags:int -> bool
+
+  (** Whether the direction has learned its route. *)
+  val route_known : t -> bool
+
+  val route_learnable : t -> Flow_key.t -> bool
+
+  (** {!learn_route}. *)
+  val learn : t -> int -> Ipaddr.t option -> unit
+
+  val id : t -> int
+end
+
 (** [cached_resolve table ~cache ~charge ctx m] — the per-packet entry
     point shared by the session plugins.  With [cache] on and a flow
-    binding present, steady state dereferences the {!Cached} pointer
-    in the binding's soft slot ([charge] selects whether its single
-    memory access is charged); otherwise (or on a cold/invalidated
-    slot) it falls back to {!Table.resolve} and repopulates the
-    cache.  [cache:false] is the naive per-feature-lookup mode the
-    benchmarks contrast against. *)
+    binding present, steady state reads the view in the binding's soft
+    slot ([charge] selects whether its single memory access is
+    charged); otherwise (or on a cold or stale slot) it falls back to
+    {!Table.resolve} and points the slot at the view.  Returns
+    {!Hit.none} or {!Hit.full} when there is no session.
+    [cache:false] is the naive per-feature-lookup mode the benchmarks
+    contrast against. *)
 val cached_resolve :
   Table.t -> ?create:bool -> cache:bool -> charge:bool ->
-  Rp_core.Plugin.ctx -> Mbuf.t -> (t * Flow_key.direction) option
+  Rp_core.Plugin.ctx -> Mbuf.t -> Hit.t
+
+(** The drop reason of a packet refused a session
+    (["session table full"]). *)
+val full_why : string

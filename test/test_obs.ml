@@ -552,13 +552,13 @@ let session_of c ~soft =
   (t, s, dir)
 
 let xlate_string (s : Session.t) =
-  if s.Session.nat then
+  if Session.nat s then
     Some
       {
-        Flowlog.xsrc = Ipaddr.to_string s.Session.xlat_src;
-        xdst = Ipaddr.to_string s.Session.xlat_dst;
-        xsport = s.Session.xlat_sport;
-        xdport = s.Session.xlat_dport;
+        Flowlog.xsrc = Ipaddr.to_string (Session.xlat_src s);
+        xdst = Ipaddr.to_string (Session.xlat_dst s);
+        xsport = Session.xlat_sport s;
+        xdport = Session.xlat_dport s;
       }
   else None
 
@@ -611,7 +611,7 @@ let export_flow_case ft c =
     if c.nat then begin
       let _, s, dir = session_of c ~soft:true in
       (Option.get (Ft.binding r ~gate:(Gate.to_int Gate.Security_in)))
-        .Ft.soft <- Some (Session.Cached (s, dir));
+        .Ft.soft <- Some (Session.cached s dir);
       xlate_string s
     end
     else None
@@ -661,7 +661,7 @@ let export_session_case c =
   let packets = fwd + drop + absorb in
   let expected =
     {
-      (expected_record c ~reason ~bindings:[ ("session", s.Session.id) ]
+      (expected_record c ~reason ~bindings:[ ("session", Session.id s) ]
          ~translated:(xlate_string s))
       with
       forwarded = packets;

@@ -17,8 +17,13 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" e
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let ok_parse buf =
+  match Mbuf.of_bytes ~iface:0 buf with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "parse: %a" Mbuf.pp_error e
+
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let fresh_table =
   let n = ref 0 in
@@ -66,13 +71,13 @@ let test_nat_mapping_and_reply () =
       (Session.Table.resolve t k ~now:0L ~tcp_flags:(flags ~syn:true ()))
   in
   check bool_t "creator is the forward direction" true (dir = Flow_key.Fwd);
-  check bool_t "session is NAT'd" true s.Session.nat;
+  check bool_t "session is NAT'd" true (Session.nat s);
   check string_t "snat source" "198.51.100.7"
-    (Ipaddr.to_string s.Session.xlat_src);
+    (Ipaddr.to_string (Session.xlat_src s));
   check string_t "dnat destination" "172.16.5.5"
-    (Ipaddr.to_string s.Session.xlat_dst);
-  check int_t "dnat port" 8080 s.Session.xlat_dport;
-  check bool_t "qos from the rule" true (s.Session.qos = Some 0x28);
+    (Ipaddr.to_string (Session.xlat_dst s));
+  check int_t "dnat port" 8080 (Session.xlat_dport s);
+  check bool_t "qos from the rule" true (Session.qos s = Some 0x28);
   (* the reply's ingress tuple — the reverse of the translated tuple —
      resolves to the same session, reverse direction *)
   let reply =
@@ -82,7 +87,7 @@ let test_nat_mapping_and_reply () =
   let s2, dir2 =
     Option.get (Session.Table.resolve t reply ~now:0L ~tcp_flags:0)
   in
-  check bool_t "reply hits the same session" true (s2 == s);
+  check bool_t "reply hits the same session" true (Session.equal s2 s);
   check bool_t "reply is the reverse direction" true (dir2 = Flow_key.Rev);
   (* post-rewrite tuples (what gates after the NAT plugin see) resolve
      with the true direction preserved *)
@@ -93,7 +98,7 @@ let test_nat_mapping_and_reply () =
   let s3, dir3 =
     Option.get (Session.Table.resolve t post_fwd ~now:0L ~tcp_flags:0)
   in
-  check bool_t "post-rewrite forward: same session" true (s3 == s);
+  check bool_t "post-rewrite forward: same session" true (Session.equal s3 s);
   check bool_t "post-rewrite forward: direction kept" true
     (dir3 = Flow_key.Fwd);
   let post_rev =
@@ -107,15 +112,14 @@ let test_nat_mapping_and_reply () =
 let test_un_natted_session_single_key () =
   let t = fresh_table () in
   let s, _ = Option.get (Session.Table.resolve t (key ()) ~now:0L ~tcp_flags:0) in
-  check bool_t "not NAT'd" false s.Session.nat;
-  check bool_t "one index key" true
-    (Flow_key.equal s.Session.fwd_lookup s.Session.rev_lookup);
+  check bool_t "not NAT'd" false (Session.nat s);
+  check int_t "one index key" 1 (Session.index_keys s);
   let s2, dir2 =
     Option.get
       (Session.Table.resolve t (Flow_key.reverse ~iface:1 (key ())) ~now:0L
          ~tcp_flags:0)
   in
-  check bool_t "reverse resolves to it" true (s2 == s);
+  check bool_t "reverse resolves to it" true (Session.equal s2 s);
   check bool_t "as the reverse direction" true (dir2 = Flow_key.Rev);
   check int_t "one session" 1 (Session.Table.length t)
 
@@ -162,7 +166,7 @@ let test_rewrite_raw_checksums () =
   let s2, dir2 =
     Option.get (Session.Table.resolve t reply.Mbuf.key ~now:0L ~tcp_flags:0)
   in
-  check bool_t "reply direction" true (s2 == s && dir2 = Flow_key.Rev);
+  check bool_t "reply direction" true (Session.equal s2 s && dir2 = Flow_key.Rev);
   check bool_t "reply rewritten" true (Session.apply_rewrite s2 dir2 reply);
   check string_t "reply goes to the original source" "10.0.0.1"
     (Ipaddr.to_string reply.Mbuf.key.Flow_key.dst);
@@ -171,6 +175,219 @@ let test_rewrite_raw_checksums () =
     check string_t "reply wire destination" "10.0.0.1"
       (Ipaddr.to_string h.Ipv4_header.dst)
   | Error _ -> Alcotest.fail "reply IPv4 checksum invalid after rewrite"
+
+(* --- wire rewrite: every family, protocol and header shape ----------- *)
+
+let nat6 = Ipaddr.of_string "2001:db8:ff::7"
+
+(* One datagram with valid checksums: [opt_words] 32-bit words of IPv4
+   options (NOPs), or IPv6 hop-by-hop [hbh] options, then a TCP (no
+   options) or UDP header and [payload]. *)
+let build ~src ~dst ~proto ~sport ~dport ?(opt_words = 0) ?(hbh = []) payload =
+  let v6 = Ipaddr.is_v6 src in
+  let hdr = if proto = Proto.tcp then 20 else 8 in
+  let l4len = hdr + String.length payload in
+  let hbh_h = { Ipv6_header.Hop_by_hop.next_header = proto; options = hbh } in
+  let hbh_len = if hbh = [] then 0 else Ipv6_header.Hop_by_hop.wire_length hbh_h in
+  let l4 = if v6 then 40 + hbh_len else 20 + (4 * opt_words) in
+  let buf = Bytes.make (l4 + l4len) '\000' in
+  if v6 then begin
+    Ipv6_header.serialize
+      {
+        Ipv6_header.traffic_class = 0;
+        flow_label = 0;
+        payload_length = hbh_len + l4len;
+        next_header = (if hbh = [] then proto else Proto.ipv6_hop_by_hop);
+        hop_limit = 64;
+        src;
+        dst;
+      }
+      buf 0;
+    if hbh <> [] then ignore (Ipv6_header.Hop_by_hop.serialize hbh_h buf 40)
+  end
+  else begin
+    Bytes.set_uint8 buf 0 (0x40 lor (l4 / 4));
+    Bytes.set_uint16_be buf 2 (l4 + l4len);
+    Bytes.set_uint8 buf 8 64;
+    Bytes.set_uint8 buf 9 proto;
+    Ipaddr.write src buf 12;
+    Ipaddr.write dst buf 16;
+    Bytes.fill buf 20 (4 * opt_words) '\001';
+    Bytes.set_uint16_be buf 10 (Checksum.compute buf 0 l4)
+  end;
+  Bytes.set_uint16_be buf l4 sport;
+  Bytes.set_uint16_be buf (l4 + 2) dport;
+  if proto = Proto.tcp then begin
+    Bytes.set_uint8 buf (l4 + 12) 0x50;
+    Bytes.set_uint8 buf (l4 + 13) 0x18;
+    Bytes.set_uint16_be buf (l4 + 14) 0xFFFF
+  end
+  else Bytes.set_uint16_be buf (l4 + 4) l4len;
+  Bytes.blit_string payload 0 buf (l4 + hdr) (String.length payload);
+  let coff = if proto = Proto.tcp then l4 + 16 else l4 + 6 in
+  let c = Udp_header.compute_checksum ~src ~dst buf l4 l4len in
+  (* [compute_checksum] sums the pseudo-header with UDP's protocol
+     number; TCP's differs by 6 - 17 *)
+  let c =
+    if proto = Proto.udp then c
+    else Checksum.adjust c ~old_word:Proto.udp ~new_word:Proto.tcp
+  in
+  Bytes.set_uint16_be buf coff c;
+  (buf, l4, l4len)
+
+(* The L4 checksum a full recompute gives for the datagram now in
+   [buf], in the same zero class as the stored one. *)
+let full_l4 buf ~src ~dst ~proto ~l4 ~len =
+  let coff = if proto = Proto.tcp then l4 + 16 else l4 + 6 in
+  let stored = Bytes.get_uint16_be buf coff in
+  let c = Udp_header.compute_checksum ~src ~dst buf l4 len in
+  if proto = Proto.udp then (stored, c)
+  else
+    (* TCP: sum the field too; zero means it is consistent *)
+    let s =
+      Checksum.add
+        (Checksum.sum (Ipaddr.to_bytes src) 0 (Ipaddr.width src / 8))
+        (Checksum.add
+           (Checksum.sum (Ipaddr.to_bytes dst) 0 (Ipaddr.width dst / 8))
+           (Proto.tcp + len + Checksum.sum buf l4 len))
+    in
+    (Checksum.finish s, 0)
+
+let l4_consistent buf ~src ~dst ~proto ~l4 ~len =
+  let a, b = full_l4 buf ~src ~dst ~proto ~l4 ~len in
+  a mod 0xFFFF = b mod 0xFFFF && not (proto = Proto.udp && a = 0)
+
+let nat_table () =
+  let t = fresh_table () in
+  Session.Table.add_rule t (snat_rule ~port:40000 (Ipaddr.v4 198 51 100 7));
+  Session.Table.add_rule t
+    {
+      Session.Table.kind = `Snat;
+      filter = Rp_classifier.Filter.v6 ~src:(Prefix.of_string "fd00::/8") ();
+      addr = nat6;
+      port = Some 40000;
+      tos = None;
+    };
+  t
+
+(* A descriptor over [buf] with its key read from the wire (IPv4
+   options are beyond [Mbuf.of_bytes]). *)
+let descriptor buf ~l4 =
+  let m = Mbuf.synth ~key:(key ()) ~len:(Bytes.length buf) () in
+  let v6 = Bytes.get_uint8 buf 0 lsr 4 = 6 in
+  let rd a = if v6 then Ipaddr.read_v6 buf a else Ipaddr.read_v4 buf a in
+  m.Mbuf.key <-
+    Flow_key.make ~src:(rd (if v6 then 8 else 12)) ~dst:(rd (if v6 then 24 else 16))
+      ~proto:
+        (if not v6 then Bytes.get_uint8 buf 9
+         else if Bytes.get_uint8 buf 6 = Proto.ipv6_hop_by_hop then Bytes.get_uint8 buf 40
+         else Bytes.get_uint8 buf 6)
+      ~sport:(Bytes.get_uint16_be buf l4) ~dport:(Bytes.get_uint16_be buf (l4 + 2))
+      ~iface:0;
+  m.Mbuf.raw <- Some buf;
+  m
+
+(* Regression: an IPv6 hop-by-hop header (padding only, or carrying a
+   router alert) moves the transport header; the rewrite must find it
+   from the wire, so the datagram reparses to the translated key with
+   a valid checksum. *)
+let test_v6_hop_by_hop_nat () =
+  let src = Ipaddr.of_string "fd00::1" and dst = Ipaddr.of_string "2001:db8::9" in
+  List.iter
+    (fun (label, hbh) ->
+      List.iter
+        (fun proto ->
+          let t = nat_table () in
+          let buf, _, l4len =
+            build ~src ~dst ~proto ~sport:1234 ~dport:80 ~hbh "hop by hop"
+          in
+          let m = ok_parse buf in
+          let s, dir =
+            Option.get (Session.Table.resolve t m.Mbuf.key ~now:0L ~tcp_flags:0)
+          in
+          let name = Printf.sprintf "%s %s" label (Proto.name proto) in
+          check bool_t (name ^ ": translated") true (Session.apply_rewrite s dir m);
+          let m' = ok_parse buf in
+          check string_t (name ^ ": reparses to the translated key")
+            (Flow_key.to_string m.Mbuf.key) (Flow_key.to_string m'.Mbuf.key);
+          check int_t (name ^ ": wire source port") 40000 m'.Mbuf.key.Flow_key.sport;
+          let l4 = Bytes.length buf - l4len in
+          check bool_t (name ^ ": L4 checksum valid") true
+            (l4_consistent buf ~src:nat6 ~dst ~proto ~l4 ~len:l4len))
+        [ Proto.udp; Proto.tcp ])
+    [
+      ("no hop-by-hop", []);
+      ("padding only", [ Ipv6_header.Option_tlv.Padn 6 ]);
+      ("router alert", [ Ipv6_header.Option_tlv.Router_alert 0 ]);
+    ]
+
+type wire_case = {
+  v6 : bool;
+  tcp : bool;
+  reply : bool;  (* rewrite the reply direction *)
+  opts : int;  (* IPv4 option words, or a hop-by-hop variant for IPv6 *)
+  sport : int;
+  host : int;
+  payload : string;
+}
+
+let gen_wire_case =
+  let open QCheck2.Gen in
+  let* v6 = bool and* tcp = bool and* reply = bool in
+  let* opts = int_bound 3 and* sport = int_range 1 65535 in
+  let* host = int_range 1 254 and* payload = string_size (int_bound 40) in
+  return { v6; tcp; reply; opts; sport; host; payload }
+
+let prop_rewrite_checksums =
+  qtest ~count:300 "incremental fixup = full checksum (v4/v6, TCP/UDP, both ways)"
+    ~print:(fun c ->
+      Printf.sprintf "v6=%b tcp=%b reply=%b opts=%d sport=%d host=%d payload=%S"
+        c.v6 c.tcp c.reply c.opts c.sport c.host c.payload)
+    gen_wire_case (fun c ->
+      let t = nat_table () in
+      let proto = if c.tcp then Proto.tcp else Proto.udp in
+      let inside, outside, nat_addr =
+        if c.v6 then
+          ( Ipaddr.of_string (Printf.sprintf "fd00::%x" c.host),
+            Ipaddr.of_string "2001:db8::9",
+            nat6 )
+        else (Ipaddr.v4 10 0 0 c.host, Ipaddr.v4 192 168 1 9, Ipaddr.v4 198 51 100 7)
+      in
+      let hbh =
+        if not c.v6 then []
+        else
+          match c.opts with
+          | 1 -> [ Ipv6_header.Option_tlv.Padn 6 ]
+          | 2 -> [ Ipv6_header.Option_tlv.Router_alert 0 ]
+          | 3 -> [ Ipv6_header.Option_tlv.Pad1; Ipv6_header.Option_tlv.Router_alert 2 ]
+          | _ -> []
+      in
+      let opt_words = if c.v6 then 0 else c.opts in
+      (* the session, opened by the forward packet *)
+      let fbuf, fl4, _ =
+        build ~src:inside ~dst:outside ~proto ~sport:c.sport ~dport:443 ~opt_words
+          ~hbh c.payload
+      in
+      let fm = descriptor fbuf ~l4:fl4 in
+      let s, _ = Option.get (Session.Table.resolve t fm.Mbuf.key ~now:0L ~tcp_flags:0) in
+      let src, dst, sport, dport, want_src, want_dst, want_sport, want_dport =
+        if c.reply then (outside, nat_addr, 443, 40000, outside, inside, 443, c.sport)
+        else (inside, outside, c.sport, 443, nat_addr, outside, 40000, 443)
+      in
+      let buf, l4, len =
+        build ~src ~dst ~proto ~sport ~dport ~opt_words ~hbh c.payload
+      in
+      let m = descriptor buf ~l4 in
+      let dir = if c.reply then Flow_key.Rev else Flow_key.Fwd in
+      let rewrote = Session.apply_rewrite s dir m in
+      let rd a = if c.v6 then Ipaddr.read_v6 buf a else Ipaddr.read_v4 buf a in
+      let ip_ok = c.v6 || Checksum.valid buf 0 l4 in
+      rewrote && ip_ok
+      && Ipaddr.equal (rd (if c.v6 then 8 else 12)) want_src
+      && Ipaddr.equal (rd (if c.v6 then 24 else 16)) want_dst
+      && Bytes.get_uint16_be buf l4 = want_sport
+      && Bytes.get_uint16_be buf (l4 + 2) = want_dport
+      && l4_consistent buf ~src:want_src ~dst:want_dst ~proto ~l4 ~len)
 
 (* --- conntrack state machine ---------------------------------------- *)
 
@@ -210,7 +427,7 @@ let test_conntrack_lifecycle () =
   check bool_t "rst closes from any state" true
     (step Flow_key.Rev (flags ~rst:true ()) = `Pass);
   check string_t "rst closed" "tcp-closed" (Session.state_name s);
-  check int_t "exactly one drop counted" 1 (Atomic.get s.Session.drops)
+  check int_t "exactly one drop counted" 1 (Session.drops s Flow_key.Fwd + Session.drops s Flow_key.Rev)
 
 let test_midstream_pickup () =
   let t = fresh_table () in
@@ -301,6 +518,442 @@ let prop_conntrack_never_leaks =
       ignore (Session.Table.expire t ~now:(Int64.add !now (s_ns 301)));
       tight && Session.Table.length t = 0)
 
+(* --- bound and expiry cost ------------------------------------------- *)
+
+let plugin_binding () =
+  {
+    Rp_classifier.Flow_table.instance =
+      Plugin.simple ~instance_id:1 ~code:0 ~plugin_name:"test" ~gate:Gate.Firewall
+        (fun _ _ -> Plugin.Continue);
+    filter = None;
+    soft = None;
+  }
+
+let ctx_of ?(now = s_ns 1) () = { Plugin.now_ns = now; binding = Some (plugin_binding ()) }
+
+let test_capacity_bound () =
+  let t = Session.Table.create ~capacity:8 "bounded" in
+  check int_t "capacity" 8 (Session.Table.stats t).Session.Table.capacity;
+  let open_ sport =
+    Session.Table.resolve t (key ~sport ()) ~now:(s_ns 1) ~tcp_flags:0
+  in
+  for i = 0 to 7 do
+    check bool_t (Printf.sprintf "session %d opens" (i + 1)) true (open_ (4000 + i) <> None)
+  done;
+  check bool_t "the 9th is refused" true (open_ 5000 = None);
+  check bool_t "existing sessions still resolve" true (open_ 4003 <> None);
+  let st = Session.Table.stats t in
+  check int_t "live at capacity" 8 st.Session.Table.live;
+  check int_t "one refusal counted" 1 st.Session.Table.refused;
+  (* both creating plugins drop a refused packet as session_table_full *)
+  List.iter
+    (fun (name, handle) ->
+      let m = Mbuf.synth ~key:(key ~sport:5001 ()) ~len:64 () in
+      let full0 = Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Session_table_full in
+      match handle (ctx_of ()) m with
+      | Plugin.Drop why ->
+        check bool_t (name ^ ": drop reason") true
+          (Rp_obs.Drop_reason.of_why why = Rp_obs.Drop_reason.Session_table_full);
+        Rp_obs.Drop_reason.count_why why;
+        check int_t (name ^ ": counted") (full0 + 1)
+          (Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Session_table_full)
+      | Plugin.Continue | Plugin.Consumed ->
+        Alcotest.failf "%s passed a packet the full table refused" name)
+    [
+      ("nat", Nat_plugin.In.handle t ~cache:true);
+      ("conntrack", Conntrack_plugin.handle t ~cache:true);
+    ];
+  (* a pass frees the idle sessions; their slots are reused after the
+     next pass *)
+  check int_t "all expire" 8 (Session.Table.expire t ~now:(s_ns 100));
+  check bool_t "freed slots wait one pass" true (open_ 5002 = None);
+  ignore (Session.Table.expire t ~now:(s_ns 100));
+  check bool_t "then a new session opens" true (open_ 5003 <> None)
+
+(* A pass with k sessions due visits about k sessions, not [live]. *)
+let test_expiry_visits_due () =
+  let t = fresh_table () in
+  Session.Table.set_timeout t `Other (s_ns 5);
+  for i = 0 to 999 do
+    ignore (Session.Table.resolve t (key ~sport:(1000 + i) ()) ~now:0L ~tcp_flags:0)
+  done;
+  for i = 0 to 9 do
+    ignore
+      (Session.Table.resolve t (key ~proto:Proto.icmp ~sport:i ~dport:0 ())
+         ~now:0L ~tcp_flags:0)
+  done;
+  let v0 = (Session.Table.stats t).Session.Table.visited in
+  check int_t "the 10 short-lived sessions expire" 10
+    (Session.Table.expire t ~now:(s_ns 6));
+  let visited = (Session.Table.stats t).Session.Table.visited - v0 in
+  check bool_t
+    (Printf.sprintf "visited %d of %d live (at most 2 per due session)" visited
+       (Session.Table.length t + 10))
+    true (visited <= 20);
+  check int_t "the rest stay" 1000 (Session.Table.length t);
+  check int_t "and expire on their own timeout" 1000
+    (Session.Table.expire t ~now:(s_ns 61))
+
+(* --- model-based: the flat table against a Hashtbl reference --------- *)
+
+(* The reference is the table the flat one replaced: a Hashtbl from
+   canonical (direction-normalized) keys to sessions, each indexed
+   under its forward tuple and, unless that entry is already taken,
+   its reply tuple; a key's direction comes from which entry it hit and
+   the canonical direction bit. *)
+type m_phase = P_syn | P_est | P_fin | P_closed
+type m_state = M_udp | M_other | M_tcp of m_phase * bool * bool
+
+type m_session = {
+  mutable mid : int;
+  k : Flow_key.t;
+  x : Flow_key.t option;  (* translated tuple, when NAT'd *)
+  fwd_lookup : Flow_key.t;
+  fwd_dir : Flow_key.direction;
+  rev_lookup : Flow_key.t;
+  rev_dir : Flow_key.direction;
+  created : int64;
+  mutable st : m_state;
+  last : int64 array;
+  pkts : int array;
+  bytes : int array;
+  drops : int array;
+}
+
+type model = {
+  idx : (Flow_key.t, m_session) Hashtbl.t;
+  mutable live : m_session list;
+  mutable conflicts : int;
+  tmo : int64 array;  (* tcp-syn, tcp-est, tcp-fin, udp, other *)
+}
+
+let m_nat_addr = Ipaddr.v4 198 51 100 7
+let m_inside = Prefix.of_string "10.0.0.0/8"
+
+let m_step st (dir : Flow_key.direction) flags =
+  let has b = flags land b <> 0 in
+  let syn = has 0x02 and rst = has 0x04 and fin = has 0x01 in
+  match st with
+  | M_udp | M_other -> Some st
+  | M_tcp (phase, ff, fr) ->
+    if phase = P_closed && not (syn || rst) then None
+    else if rst then Some (M_tcp (P_closed, ff, fr))
+    else if syn && phase = P_closed then Some (M_tcp (P_syn, false, false))
+    else
+      let ff = ff || (fin && dir = Fwd) and fr = fr || (fin && dir = Rev) in
+      let phase =
+        if ff && fr then P_closed
+        else if fin then P_fin
+        else if phase = P_syn && dir = Rev then P_est
+        else phase
+      in
+      Some (M_tcp (phase, ff, fr))
+
+let m_timeout m = function
+  | M_tcp (P_syn, _, _) -> m.tmo.(0)
+  | M_tcp (P_est, _, _) -> m.tmo.(1)
+  | M_tcp ((P_fin | P_closed), _, _) -> m.tmo.(2)
+  | M_udp -> m.tmo.(3)
+  | M_other -> m.tmo.(4)
+
+let m_resolve m (key : Flow_key.t) ~create ~now ~flags =
+  let ck, d = Flow_key.canonical key in
+  match Hashtbl.find_opt m.idx ck with
+  | Some ms ->
+    let dir : Flow_key.direction =
+      if Flow_key.equal ck ms.fwd_lookup then if d = ms.fwd_dir then Fwd else Rev
+      else if d = ms.rev_dir then Rev
+      else Fwd
+    in
+    `Hit (ms, dir)
+  | None when not create -> `None
+  | None ->
+    let x =
+      if Ipaddr.is_v4 key.src && Prefix.matches m_inside key.src then
+        Some { key with src = m_nat_addr }
+      else None
+    in
+    let xk = Option.value x ~default:key in
+    let fwd_lookup, fwd_dir = Flow_key.canonical key in
+    let rev_lookup, rev_dir = Flow_key.canonical (Flow_key.reverse ~iface:0 xk) in
+    let st =
+      if key.proto = Proto.tcp then
+        if flags land 0x02 <> 0 && flags land 0x10 = 0 then M_tcp (P_syn, false, false)
+        else M_tcp (P_est, false, false)
+      else if key.proto = Proto.udp then M_udp
+      else M_other
+    in
+    let ms =
+      { mid = -1; k = key; x; fwd_lookup; fwd_dir; rev_lookup; rev_dir;
+        created = now; st; last = [| now; now |]; pkts = [| 0; 0 |];
+        bytes = [| 0; 0 |]; drops = [| 0; 0 |] }
+    in
+    Hashtbl.replace m.idx fwd_lookup ms;
+    if not (Flow_key.equal rev_lookup fwd_lookup) then
+      if Hashtbl.mem m.idx rev_lookup then m.conflicts <- m.conflicts + 1
+      else Hashtbl.replace m.idx rev_lookup ms;
+    m.live <- ms :: m.live;
+    `Created ms
+
+let m_record ms ~reason =
+  let packets = ms.pkts.(0) + ms.pkts.(1) and dropped = ms.drops.(0) + ms.drops.(1) in
+  {
+    Rp_obs.Flowlog.src = Ipaddr.to_string ms.k.src;
+    dst = Ipaddr.to_string ms.k.dst;
+    proto = ms.k.proto;
+    sport = ms.k.sport;
+    dport = ms.k.dport;
+    iface = ms.k.iface;
+    packets;
+    bytes = ms.bytes.(0) + ms.bytes.(1);
+    forwarded = packets - dropped;
+    dropped;
+    absorbed = 0;
+    created_ns = ms.created;
+    last_ns = max ms.last.(0) ms.last.(1);
+    bindings = [ ("session", ms.mid) ];
+    reason;
+    translated =
+      Option.map
+        (fun (x : Flow_key.t) ->
+          { Rp_obs.Flowlog.xsrc = Ipaddr.to_string x.src;
+            xdst = Ipaddr.to_string x.dst; xsport = x.sport; xdport = x.dport })
+        ms.x;
+  }
+
+(* Remove the sessions [dead] selects; their export records. *)
+let m_evict m ~reason dead =
+  let gone, kept = List.partition dead m.live in
+  m.live <- kept;
+  List.iter
+    (fun ms ->
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt m.idx k with
+          | Some ms' when ms' == ms -> Hashtbl.remove m.idx k
+          | Some _ | None -> ())
+        [ ms.fwd_lookup; ms.rev_lookup ])
+    gone;
+  List.map (m_record ~reason) gone
+
+type m_op =
+  | M_resolve of int * int * bool * int  (* flow, variant, create, flags *)
+  | M_touch of int * int * int  (* flow, variant, length *)
+  | M_step of int * int * int  (* flow, variant, flags *)
+  | M_set_timeout of int * int  (* class, seconds *)
+  | M_advance of int  (* seconds *)
+  | M_expire
+  | M_flush
+
+(* Flows 0-7 are inside the SNAT prefix — hosts 1 and 2 with the same
+   ports translate to the same tuple, so the second one's reply tuple
+   conflicts — and 8-9 are not NAT'd.  Variant 0 is the forward
+   ingress tuple, 1 the reply's, 2 the forward tuple after the
+   rewrite, 3 the reply after it. *)
+let m_key flow variant =
+  let proto = if flow land 4 = 0 then Proto.udp else Proto.tcp in
+  let src =
+    if flow >= 8 then Ipaddr.v4 172 16 0 1 else Ipaddr.v4 10 0 0 (1 + (flow land 1))
+  in
+  let proto = if flow >= 8 then Proto.udp else proto in
+  let sport = 4000 + ((flow lsr 1) land 1) and dst = Ipaddr.v4 192 168 1 9 in
+  let xsrc = if flow >= 8 then src else m_nat_addr in
+  match variant with
+  | 0 -> Flow_key.make ~src ~dst ~proto ~sport ~dport:80 ~iface:0
+  | 1 -> Flow_key.make ~src:dst ~dst:xsrc ~proto ~sport:80 ~dport:sport ~iface:1
+  | 2 -> Flow_key.make ~src:xsrc ~dst ~proto ~sport ~dport:80 ~iface:0
+  | _ -> Flow_key.make ~src:dst ~dst:src ~proto ~sport:80 ~dport:sport ~iface:1
+
+let gen_m_ops =
+  let open QCheck2.Gen in
+  let fl = int_bound 9 and var = int_bound 3 and flags = oneofl [ 0x02; 0x12; 0x10; 0x11; 0x04 ] in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (6, map (fun (((f, v), c), g) -> M_resolve (f, v, c, g))
+               (pair (pair (pair fl var) (frequencyl [ (3, true); (1, false) ])) flags));
+         (3, map (fun ((f, v), l) -> M_touch (f, v, l)) (pair (pair fl var) (int_range 40 1500)));
+         (3, map (fun ((f, v), g) -> M_step (f, v, g)) (pair (pair fl var) flags));
+         (1, map (fun (c, s) -> M_set_timeout (c, s)) (pair (int_bound 4) (oneofl [ 1; 2; 5; 10; 30; 60 ])));
+         (3, map (fun s -> M_advance s) (int_bound 20));
+         (2, return M_expire);
+         (1, return M_flush);
+       ])
+
+let print_m_op = function
+  | M_resolve (f, v, c, g) -> Printf.sprintf "resolve(%d,%d,%b,%x)" f v c g
+  | M_touch (f, v, l) -> Printf.sprintf "touch(%d,%d,%d)" f v l
+  | M_step (f, v, g) -> Printf.sprintf "step(%d,%d,%x)" f v g
+  | M_set_timeout (c, s) -> Printf.sprintf "timeout(%d,%ds)" c s
+  | M_advance s -> Printf.sprintf "advance(%ds)" s
+  | M_expire -> "expire"
+  | M_flush -> "flush"
+
+let classes = [| `Tcp_syn; `Tcp_est; `Tcp_fin; `Udp; `Other |]
+
+let sorted_records l = List.sort compare l
+
+let session_exports () =
+  List.filter
+    (fun (r : Rp_obs.Flowlog.record) -> r.Rp_obs.Flowlog.bindings <> []
+      && fst (List.hd r.Rp_obs.Flowlog.bindings) = "session")
+    (Rp_core.Flow_export.drain ())
+
+let prop_model =
+  qtest ~count:200 "flat table = Hashtbl reference (resolve, touch, state, expiry)"
+    ~print:(fun ops -> String.concat "; " (List.map print_m_op ops))
+    gen_m_ops (fun ops ->
+      let t = fresh_table () in
+      Session.Table.add_rule t
+        { Session.Table.kind = `Snat;
+          filter = Rp_classifier.Filter.v4 ~src:m_inside ();
+          addr = m_nat_addr; port = None; tos = None };
+      let m =
+        { idx = Hashtbl.create 16; live = []; conflicts = 0;
+          tmo = Array.map (Session.Table.timeout t) classes }
+      in
+      Rp_core.Flow_export.clear ();
+      let now = ref (s_ns 1) in
+      let agree = ref true in
+      let expect b = if not b then agree := false in
+      let same_session s ms = Session.id s = ms.mid in
+      let both key =
+        ( Session.Table.resolve t ~create:false key ~now:!now ~tcp_flags:0,
+          m_resolve m key ~create:false ~now:!now ~flags:0 )
+      in
+      let step op =
+        (match op with
+        | M_resolve (f, v, create, flags) -> (
+          let key = m_key f v in
+          match
+            ( Session.Table.resolve t ~create key ~now:!now ~tcp_flags:flags,
+              m_resolve m key ~create ~now:!now ~flags )
+          with
+          | None, `None -> ()
+          | Some (s, dir), `Created ms ->
+            ms.mid <- Session.id s;
+            expect (dir = Flow_key.Fwd)
+          | Some (s, dir), `Hit (ms, mdir) -> expect (same_session s ms && dir = mdir)
+          | _ -> expect false)
+        | M_touch (f, v, len) -> (
+          match both (m_key f v) with
+          | None, `None -> ()
+          | Some (s, dir), `Hit (ms, mdir) when same_session s ms && dir = mdir ->
+            Session.touch s ~now:!now ~dir ~len;
+            let d = if dir = Flow_key.Fwd then 0 else 1 in
+            ms.last.(d) <- !now;
+            ms.pkts.(d) <- ms.pkts.(d) + 1;
+            ms.bytes.(d) <- ms.bytes.(d) + len
+          | _ -> expect false)
+        | M_step (f, v, flags) -> (
+          match both (m_key f v) with
+          | None, `None -> ()
+          | Some (s, dir), `Hit (ms, mdir) when same_session s ms && dir = mdir -> (
+            let d = if dir = Flow_key.Fwd then 0 else 1 in
+            match (Session.conntrack_step s ~dir ~tcp_flags:flags, m_step ms.st dir flags) with
+            | `Pass, Some st -> ms.st <- st
+            | `Drop _, None -> ms.drops.(d) <- ms.drops.(d) + 1
+            | _ -> expect false)
+          | _ -> expect false)
+        | M_set_timeout (c, secs) ->
+          Session.Table.set_timeout t classes.(c) (s_ns secs);
+          m.tmo.(c) <- s_ns secs
+        | M_advance secs -> now := Int64.add !now (s_ns secs)
+        | M_expire ->
+          let n = Session.Table.expire t ~now:!now in
+          let want =
+            m_evict m ~reason:"session-expired" (fun ms ->
+                Int64.sub !now (max ms.last.(0) ms.last.(1)) > m_timeout m ms.st)
+          in
+          expect (n = List.length want);
+          expect (sorted_records (session_exports ()) = sorted_records want)
+        | M_flush ->
+          let n = Session.Table.flush t in
+          let want = m_evict m ~reason:"session-flushed" (fun _ -> true) in
+          expect (n = List.length want);
+          expect (sorted_records (session_exports ()) = sorted_records want));
+        (* the same live sessions, each exactly once *)
+        let ids = ref [] in
+        Session.Table.iter (fun s -> ids := Session.id s :: !ids) t;
+        expect (List.sort compare !ids = List.sort compare (List.map (fun ms -> ms.mid) m.live));
+        expect (Session.Table.length t = List.length m.live)
+      in
+      List.iter (fun op -> if !agree then step op) ops;
+      !agree
+      && (Session.Table.stats t).Session.Table.key_conflicts = m.conflicts)
+
+(* --- allocation pins ------------------------------------------------- *)
+
+(* Minor words per call of [f], after one warm-up call. *)
+let words_per n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* nat, conntrack and nat-out on one table, each with its own binding,
+   as the gates run them. *)
+let session_path t =
+  let nat = Nat_plugin.In.handle t ~cache:true
+  and ct = Conntrack_plugin.handle t ~cache:true
+  and out = Nat_plugin.Out.handle t ~cache:true in
+  let c1 = ctx_of () and c2 = ctx_of () and c3 = ctx_of () in
+  fun m ->
+    ignore (nat c1 m);
+    ignore (ct c2 m);
+    ignore (out c3 m)
+
+let test_hit_path_allocates_nothing () =
+  let t = fresh_table () in
+  let path = session_path t in
+  let m = Mbuf.synth ~key:(key ()) ~len:100 () in
+  let hits0 = (Session.Table.stats t).Session.Table.cached_hits in
+  let words =
+    words_per 1000 (fun () ->
+        (* route decided at the first packet, installed on every later one *)
+        m.Mbuf.out_iface <- (if m.Mbuf.seq = 0 then Some 1 else None);
+        m.Mbuf.seq <- 1;
+        path m)
+  in
+  check bool_t "route installed from the session" true (m.Mbuf.out_iface = Some 1);
+  check int_t "soft-slot hits" (3 * 1000)
+    ((Session.Table.stats t).Session.Table.cached_hits - hits0);
+  check bool_t
+    (Printf.sprintf "%.3f minor words per packet (ceiling 0.1)" words)
+    true (words <= 0.1)
+
+let test_rewrite_allocation () =
+  let t = nat_table () in
+  let m =
+    Mbuf.udp_v4 ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 9) ~sport:4000
+      ~dport:80 ~iface:0 ~payload:"pinned" ()
+  in
+  let buf = Option.get m.Mbuf.raw in
+  let wire = Bytes.copy buf and k0 = m.Mbuf.key in
+  let s, dir = Option.get (Session.Table.resolve t k0 ~now:0L ~tcp_flags:0) in
+  let words =
+    words_per 1000 (fun () ->
+        Bytes.blit wire 0 buf 0 (Bytes.length wire);
+        m.Mbuf.key <- k0;
+        ignore (Session.apply_rewrite s dir m))
+  in
+  check bool_t
+    (Printf.sprintf "%.2f minor words per rewrite (ceiling 8: the key copy)" words)
+    true (words <= 8.0);
+  (* and the whole NAT'd hit path costs only that copy *)
+  let path = session_path t in
+  let words =
+    words_per 1000 (fun () ->
+        Bytes.blit wire 0 buf 0 (Bytes.length wire);
+        m.Mbuf.key <- k0;
+        path m)
+  in
+  check bool_t
+    (Printf.sprintf "%.2f minor words per NAT'd packet (ceiling 8)" words)
+    true (words <= 8.0)
+
 (* --- router / engine helpers ----------------------------------------- *)
 
 let mk_router () =
@@ -389,13 +1042,13 @@ let test_end_to_end_inline () =
        Option.get
          (Session.Table.resolve t ~create:false (key ()) ~now:0L ~tcp_flags:0)
      in
-     Atomic.get s.Session.fwd_pkts);
+     Session.packets s Flow_key.Fwd);
   check int_t "per-direction accounting: reverse" 3
     (let s, _ =
        Option.get
          (Session.Table.resolve t ~create:false (key ()) ~now:0L ~tcp_flags:0)
      in
-     Atomic.get s.Session.rev_pkts);
+     Session.packets s Flow_key.Rev);
   (* steady state: no further table lookups, only cached soft-pointer
      hits — one more packet adds 3 cached hits (nat, conntrack,
      nat-out) and zero lookups *)
@@ -659,7 +1312,26 @@ let () =
           prop_conntrack_never_leaks;
         ] );
       ( "expiry",
-        [ Alcotest.test_case "UDP timeout and export" `Quick test_udp_timeout_expiry ] );
+        [
+          Alcotest.test_case "UDP timeout and export" `Quick test_udp_timeout_expiry;
+          Alcotest.test_case "a pass visits the due sessions" `Quick
+            test_expiry_visits_due;
+        ] );
+      ("model", [ prop_model ]);
+      ( "bound",
+        [ Alcotest.test_case "capacity refuses and counts" `Quick test_capacity_bound ] );
+      ( "rewrite",
+        [
+          Alcotest.test_case "IPv6 hop-by-hop NAT" `Quick test_v6_hop_by_hop_nat;
+          prop_rewrite_checksums;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "soft-slot hit path allocates nothing" `Quick
+            test_hit_path_allocates_nothing;
+          Alcotest.test_case "rewrite allocates only the key" `Quick
+            test_rewrite_allocation;
+        ] );
       ( "data-path",
         [
           Alcotest.test_case "end to end inline" `Quick test_end_to_end_inline;
