@@ -134,11 +134,9 @@ let table3_run ~label ~slug ~configure () =
   in
   Rp_sim.Scenario.table3_workload s ~flows:3 ~per_flow:2000 ~pkt_len:8192 ();
   Rp_sim.Scenario.run s ~seconds:1.0;
-  let node = s.Rp_sim.Scenario.node in
-  let cycles = Rp_sim.Net.cycles_per_packet node in
+  let cycles = Rp_sim.Net.cycles_per_packet s.Rp_sim.Scenario.node in
   Rp_obs.Registry.set (Printf.sprintf "bench.table3.%s.cycles" slug) cycles;
-  let st = Rp_sim.Net.stats node in
-  (label, cycles, st.Rp_sim.Net.received, st.Rp_sim.Net.forwarded)
+  (label, cycles)
 
 let table3 () =
   section "Table 3: overall packet processing time (4 kernels)";
@@ -200,27 +198,26 @@ let table3 () =
   in
   let paper = [ (6460, 27.73); (6970, 29.91); (8160, 35.0); (8110, 34.8) ] in
   let base_cycles =
-    match rows with (_, c, _, _) :: _ -> c | [] -> 1.0
+    match rows with (_, c) :: _ -> c | [] -> 1.0
   in
   Printf.printf "  %-45s %9s %8s %9s %11s %14s\n" "kernel" "cycles" "us" "overhead"
     "pkts/s" "paper(cyc/us)";
   List.iter2
-    (fun (label, cycles, received, _forwarded) (p_cyc, p_us) ->
+    (fun (label, cycles) (p_cyc, p_us) ->
       let us = Cost.us_of_cycles (int_of_float cycles) in
       let overhead = (cycles -. base_cycles) /. base_cycles *. 100.0 in
       Printf.printf "  %-45s %9.0f %8.2f %+8.1f%% %11.0f   %6d/%.2f\n" label
-        cycles us overhead (1e6 /. us) p_cyc p_us;
-      ignore received)
+        cycles us overhead (1e6 /. us) p_cyc p_us)
     rows paper;
   Printf.printf
     "\n  shape check: plugin overhead %.1f%% (paper: 8%%); DRR-over-best-effort\n\
     \  %.1f%% (paper: ~26%%); plugin DRR vs monolithic DRR: %+.1f%% (paper: -0.6%%)\n"
-    (let (_, c, _, _) = List.nth rows 1 in
+    (let _, c = List.nth rows 1 in
      (c -. base_cycles) /. base_cycles *. 100.0)
-    (let (_, c, _, _) = List.nth rows 2 in
+    (let _, c = List.nth rows 2 in
      (c -. base_cycles) /. base_cycles *. 100.0)
-    (let (_, c3, _, _) = List.nth rows 3 in
-     let (_, c2, _, _) = List.nth rows 2 in
+    (let _, c3 = List.nth rows 3 in
+     let _, c2 = List.nth rows 2 in
      (c3 -. c2) /. c2 *. 100.0)
 
 (* ---------------------------------------------------------------------- *)

@@ -1,25 +1,28 @@
 (* fault_soak — the fault-isolation soak scenario run by CI.
 
-   Drives a single-router scenario with the deterministic
-   fault-injection plugin bound to all IPv4 traffic, in two phases:
+   Drives a single-router scenario through the simulator with the
+   deterministic fault-injection plugin bound to all IPv4 traffic, in
+   phases:
 
    1. a plugin that raises on every packet: the router must survive
       the whole run, auto-quarantine the instance after the
       consecutive-fault threshold, and keep forwarding the remaining
       traffic on the gate's default path;
    2. a plugin that burns cycles past the router's per-invocation
-      budget: same containment, same quarantine.
+      budget: same containment, same quarantine;
+   3. a plugin that raises on every second packet of one flow: each
+      clean return resets the consecutive-fault run, so the instance
+      must never be quarantined, and every drop must reconcile with its
+      reason;
+   4. clean traffic with sampled tracing on: the NetFlow-style flow
+      records must reconcile exactly with the gate dispatch and
+      flow-accounting counters; the trace and flow log are written out
+      for CI to archive.
 
-   A third phase binds a plugin that raises on every second packet of
-   one flow, through the engine: each clean return resets the
-   consecutive-fault run, so the instance must never be quarantined,
-   and every drop must reconcile with its reason.
-
-   A telemetry phase runs clean traffic with sampled tracing on and
-   asserts the NetFlow-style flow records reconcile exactly with the
-   gate dispatch and flow-accounting counters, writing the trace and
-   flow log out for CI to archive.  With [--engine sharded N] all
-   phases also run through the multicore engine.
+   Every phase runs on the inline engine.  With [--engine sharded N]
+   every phase runs again on a sharded engine of N worker domains — the
+   same scenario, clock and link — together with a sharded-only phase
+   checking that a quarantine's unbinds travel the snapshot delta log.
 
    Exits 0 only if every assertion holds — "zero crashes and a clean
    quarantine". *)
@@ -67,118 +70,70 @@ let check_drop_conservation ~label =
     (Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Backpressure
      = counter "engine.backpressure_drops")
 
-let run_phase ~label ~fault_config ?cycle_budget () =
-  Printf.printf "== %s ==\n" label;
-  Rp_obs.Registry.reset ();
-  let s = Rp_sim.Scenario.single_router () in
-  let router = s.Rp_sim.Scenario.router in
-  Option.iter (fun b -> Router.set_cycle_budget router (Some b)) cycle_budget;
+let setup_fault_plugin router fault_config =
   let script =
     String.concat "\n"
       [ "modload fault-firewall";
         "create fault-firewall " ^ fault_config;
         "bind 1 <*, *, UDP, *, *, *>" ]
   in
-  (match Rp_control.Pmgr.exec_script router script with
-   | Ok _ -> ()
-   | Error e ->
-     Printf.printf "FAIL setup: %s\n" e;
-     incr failures);
-  Rp_sim.Scenario.table3_workload s ();
-  (* The soak itself: any exception escaping [process] ends the run. *)
-  (match Rp_sim.Scenario.run s ~seconds:2.0 with
-   | () -> check (label ^ ": simulation completed without a crash") true
-   | exception e ->
-     check
-       (Printf.sprintf "%s: simulation crashed: %s" label
-          (Printexc.to_string e))
-       false);
-  let faults = Rp_obs.Counter.get (Gate.faults Gate.Firewall) in
-  let threshold = Pcu.quarantine_threshold router.Router.pcu in
-  check
-    (Printf.sprintf "%s: faults contained and counted (%d)" label faults)
-    (faults >= threshold);
-  check
-    (Printf.sprintf "%s: faults stopped at the quarantine threshold (%d)"
-       label threshold)
-    (faults = threshold);
-  check (label ^ ": instance auto-quarantined")
-    (Pcu.is_quarantined router.Router.pcu 1);
-  let delivered = Rp_sim.Sink.total_packets s.Rp_sim.Scenario.sink in
-  check
-    (Printf.sprintf "%s: traffic degraded to the default path (%d delivered)"
-       label delivered)
-    (delivered > 0);
-  check_drop_conservation ~label;
-  (* The quarantine is visible and reversible from the control plane. *)
-  (match Rp_control.Pmgr.exec router "faults show" with
-   | Ok out ->
-     check (label ^ ": faults show reports the quarantine")
-       (contains ~needle:"QUARANTINED" out)
-   | Error e ->
-     Printf.printf "FAIL %s: faults show: %s\n" label e;
-     incr failures);
-  match Rp_control.Pmgr.exec router "plugin restore 1" with
-  | Ok _ ->
-    check (label ^ ": restore succeeds")
-      (not (Pcu.is_quarantined router.Router.pcu 1))
+  match Rp_control.Pmgr.exec_script router script with
+  | Ok _ -> ()
   | Error e ->
-    Printf.printf "FAIL %s: restore: %s\n" label e;
+    Printf.printf "FAIL setup: %s\n" e;
     incr failures
 
-(* Sharded soak: same fault plugin, but the traffic runs through the
-   multicore engine.  Faults are contained on worker domains and
-   attributed on drain; under concurrency more than [threshold] faults
-   may land before every shard observes the quarantine snapshot, so
-   the count is checked as a lower bound (the inline phases above keep
-   the exact-equality check).  Also asserts the engine's counters are
-   internally consistent and that no flow is cached off its owning
-   shard. *)
-let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
+(* [flows] CBR flows of [per_flow] 1000-byte UDP packets each, 500 pps
+   per flow (32 flows fill 128 of the egress link's 155 Mb/s), starting
+   1 ms from now; the simulation runs until every packet has left. *)
+let pump (s : Rp_sim.Scenario.t) ~base ~flows ~per_flow =
+  let start = Int64.add (Rp_sim.Sim.now s.sim) 1_000_000L in
+  let stop = Int64.add start (Int64.of_int (per_flow * 2_000_000)) in
+  for f = 0 to flows - 1 do
+    ignore
+      (Rp_sim.Scenario.add_flow s
+         {
+           Rp_sim.Traffic.key = Rp_sim.Scenario.sink_key ~id:(base + f) ();
+           pkt_len = 1000;
+           pattern = Rp_sim.Traffic.Cbr 500.0;
+           start_ns = start;
+           stop_ns = stop;
+           seed = f;
+         })
+  done;
+  ignore (Rp_sim.Sim.run ~until:(Int64.add stop 100_000_000L) s.sim)
+
+let wait_synced e =
+  let spins = ref 0 in
+  while (not (Rp_engine.Engine.synced e)) && !spins < 100_000_000 do
+    incr spins;
+    Domain.cpu_relax ()
+  done
+
+(* One fault phase on either engine, through the simulator.  Faults
+   are contained where the packet runs (on a worker domain, sharded)
+   and attributed to the PCU as the engine drains.  Inline the count
+   stops exactly at the quarantine threshold; sharded, more may land
+   before every shard observes the quarantine, so there it is a lower
+   bound.  After the quarantine, traffic must forward on the gate's
+   default path; the engine's counters must be internally consistent,
+   and no flow may be cached off its owning shard. *)
+let run_phase mode ~label ~fault_config ?cycle_budget () =
   let open Rp_engine in
-  Printf.printf "== %s (sharded %d) ==\n" label shards;
+  Printf.printf "== %s (%s) ==\n" label (Engine.mode_to_string mode);
   Rp_obs.Registry.reset ();
-  let s = Rp_sim.Scenario.single_router () in
+  let s = Rp_sim.Scenario.single_router ~engine:mode () in
   let router = s.Rp_sim.Scenario.router in
+  let e = Rp_sim.Net.engine s.Rp_sim.Scenario.node in
   Option.iter (fun b -> Router.set_cycle_budget router (Some b)) cycle_budget;
-  let script =
-    String.concat "\n"
-      [ "modload fault-firewall";
-        "create fault-firewall " ^ fault_config;
-        "bind 1 <*, *, UDP, *, *, *>" ]
-  in
-  (match Rp_control.Pmgr.exec_script router script with
-   | Ok _ -> ()
-   | Error e ->
-     Printf.printf "FAIL setup: %s\n" e;
-     incr failures);
-  let e = Engine.create (Engine.Sharded shards) router in
-  let forwarded = ref 0 and dropped = ref 0 in
-  let record (res : Rp_engine.Shard.result) =
-    match res.Shard.outcome with
-    | Shard.Forwarded _ -> incr forwarded
-    | Shard.Dropped _ -> incr dropped
-    | Shard.Absorbed -> ()
-  in
-  let accepted = ref 0 in
-  let pump flows per_flow =
-    for f = 0 to flows - 1 do
-      for _ = 1 to per_flow do
-        let key = Rp_sim.Scenario.sink_key ~id:(1000 + f) () in
-        let m = Rp_pkt.Mbuf.synth ~key ~len:1000 () in
-        while not (Engine.submit e ~now:0L m) do
-          ignore (Engine.drain e ~f:record)
-        done;
-        incr accepted
-      done
-    done;
-    ignore (Engine.flush e ~f:record)
-  in
-  (match pump 32 50 with
-   | () -> check (label ^ ": sharded soak completed without a crash") true
+  setup_fault_plugin router fault_config;
+  (* The soak itself: any exception escaping the data path ends the
+     run. *)
+  (match pump s ~base:1000 ~flows:32 ~per_flow:50 with
+   | () -> check (label ^ ": simulation completed without a crash") true
    | exception ex ->
      check
-       (Printf.sprintf "%s: sharded soak crashed: %s" label
+       (Printf.sprintf "%s: simulation crashed: %s" label
           (Printexc.to_string ex))
        false);
   let faults = Rp_obs.Counter.get (Gate.faults Gate.Firewall) in
@@ -187,48 +142,57 @@ let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
     (Printf.sprintf "%s: faults contained and counted (%d >= %d)" label faults
        threshold)
     (faults >= threshold);
-  check (label ^ ": instance auto-quarantined from the drain path")
+  if mode = Engine.Inline then
+    check
+      (Printf.sprintf "%s: faults stopped at the quarantine threshold (%d)"
+         label threshold)
+      (faults = threshold);
+  check (label ^ ": instance auto-quarantined")
     (Pcu.is_quarantined router.Router.pcu 1);
-  (* After every shard has synced past the quarantine, traffic must
-     forward on the default path. *)
-  let spins = ref 0 in
-  while (not (Engine.synced e)) && !spins < 100_000_000 do
-    incr spins;
-    Domain.cpu_relax ()
-  done;
+  wait_synced e;
   check (label ^ ": shards synced to the quarantine snapshot")
     (Engine.synced e);
-  let fwd_before = !forwarded in
-  pump 32 10;
+  let delivered = Rp_sim.Sink.total_packets s.Rp_sim.Scenario.sink in
+  pump s ~base:1000 ~flows:32 ~per_flow:10;
+  let after = Rp_sim.Sink.total_packets s.Rp_sim.Scenario.sink - delivered in
   check
-    (Printf.sprintf "%s: traffic degraded to the default path (%d forwarded)"
-       label (!forwarded - fwd_before))
-    (!forwarded - fwd_before = 320);
+    (Printf.sprintf "%s: traffic degraded to the default path (%d delivered)"
+       label after)
+    (after = 320);
   (* Counter consistency: nothing lost, nothing double-counted. *)
   let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name) in
-  let rx_sum = ref 0 in
-  for i = 0 to shards - 1 do
-    rx_sum := !rx_sum + counter (Printf.sprintf "engine.shard%d.rx" i)
-  done;
-  check
-    (Printf.sprintf "%s: sum of shard rx (%d) = accepted submissions (%d)"
-       label !rx_sum !accepted)
-    (!rx_sum = !accepted);
+  let accepted = Rp_sim.Net.received s.Rp_sim.Scenario.node in
+  (match mode with
+   | Engine.Sharded n ->
+     let rx_sum = ref 0 in
+     for i = 0 to n - 1 do
+       rx_sum := !rx_sum + counter (Printf.sprintf "engine.shard%d.rx" i)
+     done;
+     check
+       (Printf.sprintf "%s: sum of shard rx (%d) = accepted submissions (%d)"
+          label !rx_sum accepted)
+       (!rx_sum = accepted)
+   | Engine.Inline -> ());
   check
     (Printf.sprintf "%s: drained results (%d) = dispatched packets" label
-       (!forwarded + !dropped))
-    (!forwarded + !dropped = !accepted);
+       (counter "engine.drained"))
+    (counter "engine.drained" = accepted);
+  check
+    (Printf.sprintf "%s: verdicts (%d forwarded + %d dropped) = dispatched packets"
+       label (counter "ip_core.forwarded") (counter "ip_core.dropped"))
+    (counter "ip_core.forwarded" + counter "ip_core.dropped" = accepted);
   check
     (Printf.sprintf "%s: submitted counter agrees (%d)" label
        (counter "engine.submitted"))
-    (counter "engine.submitted" = !accepted);
+    (counter "engine.submitted" = accepted);
   check
     (Printf.sprintf "%s: ip_core.packets (%d) = accepted submissions" label
        (counter "ip_core.packets"))
-    (counter "ip_core.packets" = !accepted);
+    (counter "ip_core.packets" = accepted);
   check_drop_conservation ~label;
   (* No cross-shard flow-state access: every cached flow key hashes to
      the shard caching it. *)
+  let shards = Engine.shards e in
   let misplaced = ref 0 in
   for i = 0 to shards - 1 do
     List.iter
@@ -238,12 +202,21 @@ let run_sharded_phase ~label ~shards ~fault_config ?cycle_budget () =
       (Engine.shard_flow_keys e i)
   done;
   check (label ^ ": no flow cached off its owning shard") (!misplaced = 0);
+  (* The engine and the quarantine are visible from the control plane,
+     and the quarantine is reversible. *)
   (match Rp_control.Pmgr.exec router "engine stats" with
    | Ok out ->
      check (label ^ ": pmgr engine stats reports the engine")
-       (contains ~needle:"mode=sharded" out)
+       (contains ~needle:("mode=" ^ Engine.mode_to_string mode) out)
    | Error e ->
      Printf.printf "FAIL %s: engine stats: %s\n" label e;
+     incr failures);
+  (match Rp_control.Pmgr.exec router "faults show" with
+   | Ok out ->
+     check (label ^ ": faults show reports the quarantine")
+       (contains ~needle:"QUARANTINED" out)
+   | Error e ->
+     Printf.printf "FAIL %s: faults show: %s\n" label e;
      incr failures);
   (match Rp_control.Pmgr.exec router "plugin restore 1" with
    | Ok _ ->
@@ -262,44 +235,21 @@ let run_intermittent_phase mode =
   let label = "intermittent faults (every=2)" in
   Printf.printf "== %s (%s) ==\n" label (Engine.mode_to_string mode);
   Rp_obs.Registry.reset ();
-  let s = Rp_sim.Scenario.single_router () in
+  let s = Rp_sim.Scenario.single_router ~engine:mode () in
   let router = s.Rp_sim.Scenario.router in
-  let script =
-    String.concat "\n"
-      [ "modload fault-firewall";
-        "create fault-firewall mode=raise every=2";
-        "bind 1 <*, *, UDP, *, *, *>" ]
-  in
-  (match Rp_control.Pmgr.exec_script router script with
-   | Ok _ -> ()
-   | Error e ->
-     Printf.printf "FAIL setup: %s\n" e;
-     incr failures);
-  let e = Engine.create mode router in
+  setup_fault_plugin router "mode=raise every=2";
   let total = 400 in
-  let results = ref 0 and dropped = ref 0 in
-  let record (res : Shard.result) =
-    incr results;
-    match res.Shard.outcome with
-    | Shard.Dropped _ -> incr dropped
-    | Shard.Forwarded _ | Shard.Absorbed -> ()
-  in
-  for _ = 1 to total do
-    let key = Rp_sim.Scenario.sink_key ~id:4000 () in
-    let m = Rp_pkt.Mbuf.synth ~key ~len:1000 () in
-    while not (Engine.submit e ~now:0L m) do
-      ignore (Engine.drain e ~f:record)
-    done
-  done;
-  ignore (Engine.flush e ~f:record);
-  Engine.stop e;
+  pump s ~base:4000 ~flows:1 ~per_flow:total;
+  Engine.stop (Rp_sim.Net.engine s.Rp_sim.Scenario.node);
+  let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name) in
   check
-    (Printf.sprintf "%s: every packet came back (%d)" label !results)
-    (!results = total);
+    (Printf.sprintf "%s: every packet came back (%d)" label
+       (counter "engine.drained"))
+    (counter "engine.drained" = total);
   check
     (Printf.sprintf "%s: every second packet faulted and dropped (%d)" label
-       !dropped)
-    (!dropped = total / 2
+       (counter "ip_core.dropped"))
+    (counter "ip_core.dropped" = total / 2
     && Rp_obs.Counter.get (Gate.faults Gate.Firewall) = total / 2);
   check (label ^ ": instance never quarantined")
     (not (Pcu.is_quarantined router.Router.pcu 1));
@@ -319,41 +269,14 @@ let run_sharded_churn_phase ~shards () =
   let label = "post-quarantine silence" in
   Printf.printf "== %s (sharded %d) ==\n" label shards;
   Rp_obs.Registry.reset ();
-  let s = Rp_sim.Scenario.single_router () in
+  let s = Rp_sim.Scenario.single_router ~engine:(Engine.Sharded shards) () in
   let router = s.Rp_sim.Scenario.router in
-  let script =
-    String.concat "\n"
-      [ "modload fault-firewall";
-        "create fault-firewall mode=raise every=1";
-        "bind 1 <*, *, UDP, *, *, *>" ]
-  in
-  (match Rp_control.Pmgr.exec_script router script with
-   | Ok _ -> ()
-   | Error e ->
-     Printf.printf "FAIL setup: %s\n" e;
-     incr failures);
-  let e = Engine.create (Engine.Sharded shards) router in
-  let record (_ : Shard.result) = () in
-  let pump flows per_flow base =
-    for f = 0 to flows - 1 do
-      for _ = 1 to per_flow do
-        let key = Rp_sim.Scenario.sink_key ~id:(base + f) () in
-        let m = Rp_pkt.Mbuf.synth ~key ~len:1000 () in
-        while not (Engine.submit e ~now:0L m) do
-          ignore (Engine.drain e ~f:record)
-        done
-      done
-    done;
-    ignore (Engine.flush e ~f:record)
-  in
-  pump 32 50 3000;
+  let e = Rp_sim.Net.engine s.Rp_sim.Scenario.node in
+  setup_fault_plugin router "mode=raise every=1";
+  pump s ~base:3000 ~flows:32 ~per_flow:50;
   check (label ^ ": instance auto-quarantined")
     (Pcu.is_quarantined router.Router.pcu 1);
-  let spins = ref 0 in
-  while (not (Engine.synced e)) && !spins < 100_000_000 do
-    incr spins;
-    Domain.cpu_relax ()
-  done;
+  wait_synced e;
   check (label ^ ": shards synced to the quarantine snapshot")
     (Engine.synced e);
   let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name) in
@@ -369,7 +292,7 @@ let run_sharded_churn_phase ~shards () =
     (!deltas >= shards);
   check (label ^ ": no shard recompiled (flow caches kept)") (!flushes = 0);
   let faults_at_q = Rp_obs.Counter.get (Gate.faults Gate.Firewall) in
-  pump 32 10 5000;
+  pump s ~base:5000 ~flows:32 ~per_flow:10;
   let faults_after = Rp_obs.Counter.get (Gate.faults Gate.Firewall) in
   check
     (Printf.sprintf "%s: zero post-quarantine dispatches (%d = %d)" label
@@ -396,7 +319,7 @@ let write_flow_log records =
   let oc = open_out flow_log_file in
   List.iter
     (fun r ->
-      output_string oc (Rp_obs.Flowlog.to_json_line r);
+      output_string oc (Rp_core.Flow_export.to_json_line r);
       output_char oc '\n')
     records;
   close_out oc
@@ -405,8 +328,8 @@ let gate_name g =
   match Gate.of_int g with Some g -> Gate.name g | None -> string_of_int g
 
 let reconcile ~label ~dispatch records =
-  let pkts = List.fold_left (fun a (r : Rp_obs.Flowlog.record) -> a + r.packets) 0 records in
-  let bytes = List.fold_left (fun a (r : Rp_obs.Flowlog.record) -> a + r.bytes) 0 records in
+  let pkts = List.fold_left (fun a (r : Rp_core.Flow_export.record) -> a + r.packets) 0 records in
+  let bytes = List.fold_left (fun a (r : Rp_core.Flow_export.record) -> a + r.bytes) 0 records in
   let acc_pkts = counter "flow_table.accounted_packets" in
   let acc_bytes = counter "flow_table.accounted_bytes" in
   check
@@ -422,67 +345,20 @@ let reconcile ~label ~dispatch records =
        label pkts dispatch)
     (pkts = dispatch)
 
-let run_telemetry_phase () =
-  let label = "telemetry reconcile" in
-  Printf.printf "== %s ==\n" label;
-  Rp_obs.Registry.reset ();
-  Rp_core.Flow_export.clear ();
-  Rp_obs.Telemetry.enable ~every:4;
-  let s = Rp_sim.Scenario.single_router () in
-  let router = s.Rp_sim.Scenario.router in
-  Rp_sim.Scenario.table3_workload s ();
-  (match Rp_sim.Scenario.run s ~seconds:2.0 with
-   | () -> check (label ^ ": simulation completed without a crash") true
-   | exception e ->
-     check
-       (Printf.sprintf "%s: simulation crashed: %s" label
-          (Printexc.to_string e))
-       false);
-  Rp_obs.Telemetry.disable ();
-  (* Export the still-live flow-cache entries so the log is complete. *)
-  Rp_classifier.Aiu.flush_flows (Router.aiu router);
-  let records = Rp_core.Flow_export.drain () in
-  check
-    (Printf.sprintf "%s: flow records exported (%d)" label
-       (List.length records))
-    (records <> []);
-  reconcile ~label ~dispatch:(counter "gate.ip-options.dispatch") records;
-  check
-    (Printf.sprintf "%s: events recorded (%d)" label
-       (Rp_obs.Telemetry.recorded ()))
-    (Rp_obs.Telemetry.recorded () > 0);
-  Rp_obs.Telemetry.write_chrome_json ~gate_name ~mhz:Cost.cpu_mhz trace_file;
-  write_flow_log records;
-  Printf.printf "     (wrote %s, %s)\n" trace_file flow_log_file
-
-let run_sharded_telemetry_phase ~shards () =
+let run_telemetry_phase mode =
   let open Rp_engine in
   let label = "telemetry reconcile" in
-  Printf.printf "== %s (sharded %d) ==\n" label shards;
+  Printf.printf "== %s (%s) ==\n" label (Engine.mode_to_string mode);
   Rp_obs.Registry.reset ();
   Rp_core.Flow_export.clear ();
   Rp_obs.Telemetry.enable ~every:4;
-  let s = Rp_sim.Scenario.single_router () in
-  let router = s.Rp_sim.Scenario.router in
-  let e = Engine.create (Engine.Sharded shards) router in
-  let drained = ref 0 in
-  let record (_ : Shard.result) = incr drained in
-  (match
-     for f = 0 to 31 do
-       for _ = 1 to 50 do
-         let key = Rp_sim.Scenario.sink_key ~id:(2000 + f) () in
-         let m = Rp_pkt.Mbuf.synth ~key ~len:1000 () in
-         while not (Engine.submit e ~now:0L m) do
-           ignore (Engine.drain e ~f:record)
-         done
-       done
-     done;
-     ignore (Engine.flush e ~f:record)
-   with
-   | () -> check (label ^ ": sharded soak completed without a crash") true
+  let s = Rp_sim.Scenario.single_router ~engine:mode () in
+  let e = Rp_sim.Net.engine s.Rp_sim.Scenario.node in
+  (match pump s ~base:2000 ~flows:32 ~per_flow:50 with
+   | () -> check (label ^ ": simulation completed without a crash") true
    | exception ex ->
      check
-       (Printf.sprintf "%s: sharded soak crashed: %s" label
+       (Printf.sprintf "%s: simulation crashed: %s" label
           (Printexc.to_string ex))
        false);
   Rp_obs.Telemetry.disable ();
@@ -497,7 +373,7 @@ let run_sharded_telemetry_phase ~shards () =
     (records <> []);
   reconcile ~label ~dispatch:(counter "gate.ip-options.dispatch") records;
   check
-    (Printf.sprintf "%s: events recorded across worker rings (%d)" label
+    (Printf.sprintf "%s: events recorded (%d)" label
        (Rp_obs.Telemetry.recorded ()))
     (Rp_obs.Telemetry.recorded () > 0);
   Rp_obs.Telemetry.write_chrome_json ~gate_name ~mhz:Cost.cpu_mhz trace_file;
@@ -520,22 +396,24 @@ let sharded_domains () =
   find argv
 
 let () =
-  run_phase ~label:"raise on every packet" ~fault_config:"mode=raise every=1"
-    ();
-  run_phase ~label:"cycle-budget burn" ~fault_config:"mode=burn every=1"
-    ~cycle_budget:50_000 ();
-  run_intermittent_phase Rp_engine.Engine.Inline;
-  run_telemetry_phase ();
-  (match sharded_domains () with
-   | Some n ->
-     run_intermittent_phase (Rp_engine.Engine.Sharded n);
-     run_sharded_phase ~label:"raise on every packet" ~shards:n
-       ~fault_config:"mode=raise every=1" ();
-     run_sharded_phase ~label:"cycle-budget burn" ~shards:n
-       ~fault_config:"mode=burn every=1" ~cycle_budget:50_000 ();
-     run_sharded_churn_phase ~shards:n ();
-     run_sharded_telemetry_phase ~shards:n ()
-   | None -> ());
+  let modes =
+    Rp_engine.Engine.Inline
+    :: (match sharded_domains () with
+        | Some n -> [ Rp_engine.Engine.Sharded n ]
+        | None -> [])
+  in
+  List.iter
+    (fun mode ->
+      run_phase mode ~label:"raise on every packet"
+        ~fault_config:"mode=raise every=1" ();
+      run_phase mode ~label:"cycle-budget burn"
+        ~fault_config:"mode=burn every=1" ~cycle_budget:50_000 ();
+      run_intermittent_phase mode;
+      (match mode with
+       | Rp_engine.Engine.Sharded shards -> run_sharded_churn_phase ~shards ()
+       | Rp_engine.Engine.Inline -> ());
+      run_telemetry_phase mode)
+    modes;
   if !failures = 0 then print_endline "fault soak: all checks passed"
   else begin
     Printf.printf "fault soak: %d check(s) failed\n" !failures;

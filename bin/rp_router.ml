@@ -62,7 +62,7 @@ let write_flow_log path =
   let oc = open_out path in
   List.iter
     (fun r ->
-      output_string oc (Rp_obs.Flowlog.to_json_line r);
+      output_string oc (Rp_core.Flow_export.to_json_line r);
       output_char oc '\n')
     records;
   close_out oc;
@@ -93,11 +93,6 @@ let start_prom_sock path =
          done));
   Printf.printf "prometheus exposition on %s\n%!" path
 
-(* Sharded-engine run: instead of the event-driven simulator, the
-   flows' packets are pregenerated and pumped through the multicore
-   engine; throughput is reported from the cycle model (aggregate =
-   packets / slowest shard's charged cycles) with wall-clock mpps as
-   an informational figure (wall clock depends on host core count). *)
 let stats_columns =
   [
     "t_s"; "packets"; "cum_packets"; "model_mpps"; "wall_mpps";
@@ -111,140 +106,12 @@ let slo_hist () =
   Rp_obs.Registry.histogram ~bounds:Rp_obs.Slo.latency_bounds
     "slo.latency.cycles"
 
-let run_sharded router n specs seconds metrics_out trace_out flow_log stats_csv
-    prom_out =
-  let open Rp_engine in
-  let e = Engine.create (Engine.Sharded n) router in
-  let forwarded = ref 0 and dropped = ref 0 and absorbed = ref 0 in
-  let hz = Rp_core.Cost.cpu_mhz *. 1e6 in
-  let busiest_cycles () =
-    let mx = ref 0 in
-    for i = 0 to n - 1 do
-      let c = Engine.shard_cycles e i in
-      if c > !mx then mx := c
-    done;
-    !mx
-  in
-  (* Periodic reporter: one CSV row per [interval] completed packets
-     (a tenth of the offered load), same model-throughput math as the
-     final summary. *)
-  let csv =
-    Option.map (fun path -> Rp_obs.Csv_stats.to_file ~path ~columns:stats_columns)
-      stats_csv
-  in
-  let total_offered =
-    List.fold_left
-      (fun acc spec -> acc + int_of_float (spec.rate *. seconds))
-      0 specs
-  in
-  let interval = max 1 (total_offered / 10) in
-  let completed = ref 0 in
-  let last_done = ref 0 and last_cycles = ref 0 and next_report = ref interval in
-  let wall0 = Unix.gettimeofday () in
-  let last_wall = ref wall0 in
-  let report () =
-    Rp_obs.Health.sample ();
-    Option.iter (fun p -> Rp_obs.Prom.write p) prom_out;
-    match csv with
-    | None -> ()
-    | Some c ->
-      let cycles = busiest_cycles () in
-      let wall = Unix.gettimeofday () in
-      let pkts = !completed - !last_done in
-      let dcyc = cycles - !last_cycles in
-      let mpps =
-        if dcyc > 0 then float_of_int pkts /. (float_of_int dcyc /. hz) /. 1e6
-        else 0.0
-      in
-      let wall_mpps =
-        let dt = wall -. !last_wall in
-        if dt > 0.0 then float_of_int pkts /. dt /. 1e6 else 0.0
-      in
-      let h = slo_hist () in
-      Rp_obs.Csv_stats.row c
-        [
-          Rp_obs.Csv_stats.f3 (wall -. wall0);
-          Rp_obs.Csv_stats.i pkts;
-          Rp_obs.Csv_stats.i !completed;
-          Rp_obs.Csv_stats.f6 mpps;
-          Rp_obs.Csv_stats.f6 wall_mpps;
-          Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.5);
-          Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.99);
-        ];
-      last_done := !completed;
-      last_cycles := cycles;
-      last_wall := wall
-  in
-  let record (res : Shard.result) =
-    (match res.Shard.outcome with
-     | Shard.Forwarded _ -> incr forwarded
-     | Shard.Dropped _ -> incr dropped
-     | Shard.Absorbed -> incr absorbed);
-    incr completed;
-    if !completed >= !next_report then begin
-      report ();
-      next_report := !next_report + interval
-    end
-  in
-  let submitted = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun spec ->
-      let pkts = int_of_float (spec.rate *. seconds) in
-      let key = Rp_sim.Scenario.sink_key ~id:spec.id () in
-      for _ = 1 to pkts do
-        let m = Rp_pkt.Mbuf.synth ~key ~len:spec.len () in
-        incr submitted;
-        (* Full ring: drain results until the worker frees a slot. *)
-        while not (Engine.submit e ~now:0L m) do
-          ignore (Engine.drain e ~f:record)
-        done
-      done)
-    specs;
-  ignore (Engine.flush e ~f:record);
-  if !completed > !last_done then report ()
-  else begin
-    Rp_obs.Health.sample ();
-    Option.iter (fun p -> Rp_obs.Prom.write p) prom_out
-  end;
-  (match csv with
-   | Some c ->
-     Rp_obs.Csv_stats.close c;
-     Printf.printf "stats time series written (%d rows)\n"
-       (Rp_obs.Csv_stats.rows c)
-   | None -> ());
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let max_cycles = busiest_cycles () in
-  let model_s = float_of_int max_cycles /. hz in
-  let total = !forwarded + !dropped + !absorbed in
-  let mpps_model = if model_s > 0.0 then float_of_int total /. model_s /. 1e6 else 0.0 in
-  let mpps_wall = if wall_s > 0.0 then float_of_int total /. wall_s /. 1e6 else 0.0 in
-  Printf.printf "\n== sharded engine (%d domains) ==\n" n;
-  Printf.printf "packets: submitted %d, forwarded %d, dropped %d, absorbed %d\n"
-    !submitted !forwarded !dropped !absorbed;
-  Printf.printf "aggregate throughput (P6/233 model): %.3f mpps\n" mpps_model;
-  Printf.printf "wall-clock throughput (informational): %.3f mpps\n" mpps_wall;
-  (match Rp_control.Pmgr.exec router "engine stats" with
-   | Ok out -> print_string out
-   | Error _ -> ());
-  Rp_obs.Registry.set "engine.mpps_model" mpps_model;
-  Rp_obs.Registry.set "engine.mpps_wall" mpps_wall;
-  Engine.stop e;
-  (* Workers have joined: the shards' domain-private flow caches are
-     safe to flush, so the flow log covers still-live flows too. *)
-  if flow_log <> None then Engine.flush_flows e;
-  Option.iter write_trace_out trace_out;
-  Option.iter write_flow_log flow_log;
-  Option.iter
-    (fun p ->
-      Rp_obs.Prom.write p;
-      Printf.printf "prometheus exposition written to %s\n" p)
-    prom_out;
-  match metrics_out with
-  | Some path ->
-    Rp_obs.Registry.write_json path;
-    Printf.printf "\nmetrics written to %s\n" path
-  | None -> ()
+(* The model clock of the engine's busiest domain: the router's own
+   inline, the busiest shard sharded.  Model throughput is packets over
+   this clock. *)
+let busiest_cycles e =
+  List.fold_left max 0
+    (List.init (Rp_engine.Engine.shards e) (Rp_engine.Engine.shard_cycles e))
 
 let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
     classifier_str metrics_out trace_out trace_sample
@@ -284,13 +151,14 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
       exit 2
   in
   let s =
-    Rp_sim.Scenario.single_router ~mode ~in_ifaces
+    Rp_sim.Scenario.single_router ~mode ~engine:engine_mode ~in_ifaces
       ~out_bandwidth_bps:(Int64.of_float (bandwidth_mbps *. 1e6))
       ()
   in
-  let router = s.Rp_sim.Scenario.router in
-  (* Before any engine snapshot or script runs, so shards compile with
-     the requested mode and a script's `classifier` command can still
+  let router = s.Rp_sim.Scenario.router and node = s.Rp_sim.Scenario.node in
+  let e = Rp_sim.Net.engine node in
+  (* Before any packet or script runs, so shards compile with the
+     requested mode and a script's `classifier` command can still
      override it. *)
   Rp_classifier.Aiu.set_mode (Rp_core.Router.aiu router) classifier_mode;
   (match script with
@@ -306,15 +174,6 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
    | None -> ());
   let specs = List.map parse_flow flows in
   let specs = if specs = [] then [ { id = 1; rate = 100.0; len = 1000; pattern = `Cbr } ] else specs in
-  (match engine_mode with
-   | Rp_engine.Engine.Sharded n ->
-     run_sharded router n specs seconds metrics_out trace_out flow_log
-       stats_csv prom_out;
-     exit 0
-   | Rp_engine.Engine.Inline ->
-     (* The default: the deterministic single-domain simulator path
-        below, bit-for-bit identical to previous releases. *)
-     ());
   List.iter
     (fun spec ->
       let pattern =
@@ -338,7 +197,7 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
     specs;
   (* Periodic stats reporter on the simulator clock: a row per tenth
      of the traffic duration, throughput from the cycle model (the
-     sim's time axis), wall clock informational. *)
+     busiest domain's clock), wall clock informational. *)
   let stats =
     Option.map
       (fun path -> Rp_obs.Csv_stats.to_file ~path ~columns:stats_columns)
@@ -349,7 +208,7 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
     let stop_ns = Rp_sim.Sim.ns_of_sec seconds in
     let hz = Rp_core.Cost.cpu_mhz *. 1e6 in
     let last_pkts = ref 0 in
-    let last_cycles = ref (Rp_core.Cost.get ()) in
+    let last_cycles = ref (busiest_cycles e) in
     let last_wall = ref (Unix.gettimeofday ()) in
     let rec plan t =
       Rp_sim.Sim.at s.Rp_sim.Scenario.sim t (fun () ->
@@ -358,10 +217,10 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
           (match stats with
            | None -> ()
            | Some c ->
-             let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
-             let cycles = Rp_core.Cost.get () in
+             let received = Rp_sim.Net.received node in
+             let cycles = busiest_cycles e in
              let wall = Unix.gettimeofday () in
-             let pkts = st.Rp_sim.Net.received - !last_pkts in
+             let pkts = received - !last_pkts in
              let dcyc = cycles - !last_cycles in
              let mpps =
                if dcyc > 0 then
@@ -377,13 +236,13 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
                [
                  Rp_obs.Csv_stats.f3 (Int64.to_float t /. 1e9);
                  Rp_obs.Csv_stats.i pkts;
-                 Rp_obs.Csv_stats.i st.Rp_sim.Net.received;
+                 Rp_obs.Csv_stats.i received;
                  Rp_obs.Csv_stats.f6 mpps;
                  Rp_obs.Csv_stats.f6 wall_mpps;
                  Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.5);
                  Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.99);
                ];
-             last_pkts := st.Rp_sim.Net.received;
+             last_pkts := received;
              last_cycles := cycles;
              last_wall := wall);
           if t < stop_ns then plan (Int64.add t interval_ns))
@@ -411,28 +270,45 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
           (mean *. 1e3) (mx *. 1e3)
       | None -> Printf.printf "%-6d (nothing delivered)\n" spec.id)
     specs;
-  let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
-  Printf.printf "\n== router ==\n";
+  let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name) in
+  let received = Rp_sim.Net.received node in
+  Printf.printf "\n== router (%s engine) ==\n" (Rp_engine.Engine.mode_to_string engine_mode);
   Printf.printf "received %d, forwarded %d, dropped %d, delivered-local %d\n"
-    st.Rp_sim.Net.received st.Rp_sim.Net.forwarded st.Rp_sim.Net.dropped
-    st.Rp_sim.Net.delivered;
+    received
+    (Array.fold_left
+       (fun n ifc -> n + ifc.Rp_core.Iface.counters.Rp_core.Iface.tx_packets)
+       0 router.Rp_core.Router.ifaces)
+    (counter "ip_core.dropped") (counter "ip_core.delivered_local");
   List.iter
-    (fun (reason, n) -> Printf.printf "  drop[%s] = %d\n" reason n)
-    st.Rp_sim.Net.drop_reasons;
-  Printf.printf "cycles/packet (P6/233 model): %.0f (= %.2f us)\n"
-    (Rp_sim.Net.cycles_per_packet s.Rp_sim.Scenario.node)
-    (Rp_core.Cost.us_of_cycles
-       (int_of_float (Rp_sim.Net.cycles_per_packet s.Rp_sim.Scenario.node)));
+    (fun (reason, n) ->
+      if n > 0 then Printf.printf "  drop[%s] = %d\n" (Rp_obs.Drop_reason.name reason) n)
+    (Rp_obs.Drop_reason.table ());
+  let cpp = Rp_sim.Net.cycles_per_packet node in
+  Printf.printf "cycles/packet (P6/233 model): %.0f (= %.2f us)\n" cpp
+    (Rp_core.Cost.us_of_cycles (int_of_float cpp));
+  (match engine_mode with
+   | Rp_engine.Engine.Inline -> ()
+   | Rp_engine.Engine.Sharded _ ->
+     let model_s = float_of_int (busiest_cycles e) /. (Rp_core.Cost.cpu_mhz *. 1e6) in
+     let mpps_model =
+       if model_s > 0.0 then float_of_int received /. model_s /. 1e6 else 0.0
+     in
+     Printf.printf "aggregate throughput (P6/233 model, busiest shard): %.3f mpps\n"
+       mpps_model;
+     Rp_obs.Registry.set "engine.mpps_model" mpps_model;
+     (match Rp_control.Pmgr.exec router "engine stats" with
+      | Ok out -> print_string out
+      | Error _ -> ()));
   (match Rp_control.Pmgr.exec router "show flows" with
    | Ok out -> Printf.printf "flow cache: %s\n" out
    | Error _ -> ());
   Array.iter
     (fun ifc -> Format.printf "%a@." Rp_core.Iface.pp ifc)
     router.Rp_core.Router.ifaces;
-  (* Flush live flow-cache entries through the exporter before writing
-     the flow log and metrics, so both cover in-flight flows. *)
-  if flow_log <> None then
-    Rp_classifier.Aiu.flush_flows (Rp_core.Router.aiu router);
+  (* Workers joined, so the shards' flow caches are safe to flush: the
+     flow log and the metrics then cover still-live flows too. *)
+  Rp_engine.Engine.stop e;
+  if flow_log <> None then Rp_engine.Engine.flush_flows e;
   Option.iter write_trace_out trace_out;
   Option.iter write_flow_log flow_log;
   Rp_obs.Health.sample ();
@@ -474,9 +350,12 @@ let mode_arg =
 let engine_arg =
   Arg.(value & opt string "inline"
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Packet engine: $(b,inline) (default; deterministic \
-                 single-domain simulator) or $(b,sharded:N) (pump the \
-                 flows through N worker domains and report throughput).")
+           ~doc:"Packet engine the simulated router runs on: \
+                 $(b,inline) (default; the control domain runs every \
+                 packet) or $(b,sharded:N) (N worker domains, flows \
+                 spread by RSS).  Both run the same scenario, clock \
+                 and link; sharded also reports the busiest shard's \
+                 model throughput.")
 
 let classifier_arg =
   Arg.(value & opt string "pergate"
@@ -510,9 +389,9 @@ let stats_csv_arg =
        & info [ "stats-csv" ] ~docv:"FILE"
            ~doc:"Write a periodic throughput time series (CSV: one row \
                  per tenth of the traffic duration — packets, model \
-                 mpps, wall mpps) to $(docv).  Works with both \
-                 $(b,--engine inline) (simulator clock) and \
-                 $(b,sharded:N) (completed-packet count).")
+                 mpps on the busiest domain's model clock, wall mpps) \
+                 to $(docv), on the simulator clock, on either \
+                 engine.")
 
 let flow_log_arg =
   Arg.(value & opt (some string) None

@@ -225,11 +225,11 @@ let run_mode ~label mode =
   let records = Rp_core.Flow_export.drain () in
   let x_pkts = ref 0 and x_bytes = ref 0 and translated = ref 0 in
   List.iter
-    (fun (rec_ : Rp_obs.Flowlog.record) ->
-      if rec_.Rp_obs.Flowlog.reason = "session-flushed" then begin
-        x_pkts := !x_pkts + rec_.Rp_obs.Flowlog.packets;
-        x_bytes := !x_bytes + rec_.Rp_obs.Flowlog.bytes;
-        if rec_.Rp_obs.Flowlog.translated <> None then incr translated
+    (fun (rec_ : Rp_core.Flow_export.record) ->
+      if rec_.Rp_core.Flow_export.reason = "session-flushed" then begin
+        x_pkts := !x_pkts + rec_.Rp_core.Flow_export.packets;
+        x_bytes := !x_bytes + rec_.Rp_core.Flow_export.bytes;
+        if rec_.Rp_core.Flow_export.translated <> None then incr translated
       end)
     records;
   check

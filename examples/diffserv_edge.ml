@@ -67,10 +67,12 @@ let () =
   print_endline "results after 2 s at 4 Mb/s offered each:";
   report "customer A" 1 1;
   report "customer B" 2 2;
-  let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
   List.iter
-    (fun (reason, n) -> Printf.printf "  edge dropped %d packets (%s)\n" n reason)
-    st.Rp_sim.Net.drop_reasons;
+    (fun (reason, n) ->
+      if n > 0 then
+        Printf.printf "  edge dropped %d packets (%s)\n" n
+          (Rp_obs.Drop_reason.name reason))
+    (Rp_obs.Drop_reason.table ());
   Printf.printf
     "\nCustomer A's excess died at the edge (hard policing); customer\n\
      B's excess crossed the link re-marked to the scavenger class\n\

@@ -67,9 +67,9 @@ let () =
   print_endline "\n-- instance self-descriptions --";
   print_endline (pmgr r "show instances");
 
-  let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
+  let out = Rp_core.Router.iface r s.Rp_sim.Scenario.out_iface in
   Printf.printf
     "\nrouter forwarded %d packets; stats gathering ran entirely in\n\
      plugins — departmental totals changed per-flow, mid-traffic, with\n\
      zero forwarding-code changes.\n"
-    st.Rp_sim.Net.forwarded
+    out.Rp_core.Iface.counters.Rp_core.Iface.tx_packets

@@ -98,7 +98,6 @@ and 'a exact = {
 }
 
 type 'a t = {
-  engine : Rp_lpm.Engines.t;
   new_matcher : unit -> 'a node addr_matcher;
   nodes : int ref;
   mutable root : 'a node;
@@ -148,17 +147,12 @@ let create ?(engine = Rp_lpm.Engines.patricia) () =
   let nodes = ref 0 in
   let new_matcher = addr_matcher_of_engine engine in
   {
-    engine;
     new_matcher;
     nodes;
     root = mk_node new_matcher nodes 0;
     installed = [];
     installed_tbl = Filter_tbl.create 64;
   }
-
-let engine_name t =
-  let module E = (val t.engine : Rp_lpm.Lpm_intf.S) in
-  E.name
 
 (* --- field projections --------------------------------------------- *)
 

@@ -32,8 +32,6 @@ type 'a t
     plugin. *)
 val create : ?engine:Rp_lpm.Engines.t -> unit -> 'a t
 
-val engine_name : 'a t -> string
-
 (** [insert t f v] installs filter [f] bound to [v], replacing the
     binding of a structurally equal filter if present. *)
 val insert : 'a t -> Filter.t -> 'a -> unit

@@ -158,7 +158,7 @@ let flows_top router n =
   let all = List.rev_append !live (Flow_export.peek ()) in
   let all =
     List.sort
-      (fun (a : Rp_obs.Flowlog.record) b ->
+      (fun (a : Flow_export.record) b ->
         compare (b.bytes, b.packets) (a.bytes, a.packets))
       all
   in
@@ -167,9 +167,9 @@ let flows_top router n =
     Printf.sprintf "%-44s %8s %10s %6s %6s %6s  %s" "flow" "pkts" "bytes"
       "fwd" "drop" "abs" "state"
   in
-  let row (r : Rp_obs.Flowlog.record) =
+  let row (r : Flow_export.record) =
     Printf.sprintf "%-44s %8d %10d %6d %6d %6d  %s"
-      (Rp_obs.Flowlog.key_string r)
+      (Flow_export.key_string r)
       r.packets r.bytes r.forwarded r.dropped r.absorbed r.reason
   in
   Ok (String.concat "\n" (header :: List.map row top))

@@ -4,7 +4,6 @@ let mem_access = 14
 let flow_hash = 17
 let base_forward = 6460
 let gate_invoke = 150
-let flow_detect = 45
 let monolithic_classifier = 250
 let drr_enqueue = 750
 let drr_dequeue = 700

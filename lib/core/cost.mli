@@ -30,10 +30,6 @@ val gate_invoke : int
 (** 150 — one gate: the macro, the AIU/FIX dereference, and the
     indirect call into the plugin instance. *)
 
-val flow_detect : int
-(** 45 — first-gate flow detection on the cached path: the 17-cycle
-    hash plus two dependent memory accesses (bucket, record). *)
-
 val monolithic_classifier : int
 (** 250 — the ALTQ-style built-in classifier of the monolithic
     comparison kernel (slower hash; Table 3 discussion). *)

@@ -25,6 +25,3 @@ let policy_of_name = function
 let reason_to_string = function
   | Exn e -> Printf.sprintf "exception: %s" e
   | Budget c -> Printf.sprintf "cycle budget exceeded (%d cycles)" c
-
-let pp_policy ppf p = Format.pp_print_string ppf (policy_name p)
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)

@@ -31,5 +31,3 @@ type event =
 val policy_name : policy -> string
 val policy_of_name : string -> policy option
 val reason_to_string : reason -> string
-val pp_policy : Format.formatter -> policy -> unit
-val pp_reason : Format.formatter -> reason -> unit

@@ -14,12 +14,81 @@
    [Ipaddr.word] splits them into, the 5-tuple, counters, timestamps,
    one plugin instance id per gate, an interned reason), and writing a
    row allocates nothing.  The strings, the bindings list and the
-   [Flowlog.record] are built only when a consumer peeks or drains. *)
+   [record] are built only when a consumer peeks or drains. *)
 
 open Rp_pkt
 module Ft = Rp_classifier.Flow_table
 
 type xlate = { xsrc : Ipaddr.t; xdst : Ipaddr.t; xsport : int; xdport : int }
+
+type record = {
+  src : string;
+  dst : string;
+  proto : int;
+  sport : int;
+  dport : int;
+  iface : int;
+  packets : int;
+  bytes : int;
+  forwarded : int;
+  dropped : int;
+  absorbed : int;
+  created_ns : int64;
+  last_ns : int64;
+  bindings : (string * int) list;
+  reason : string;
+  translated : xlate option;
+}
+
+let duration_ns r = Int64.max 0L (Int64.sub r.last_ns r.created_ns)
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* One JSON object per line (JSON-lines), so flow logs append and
+   stream without a closing bracket.  The translated tuple, when a
+   flow has one, is one extra object; untranslated flows keep the
+   schema as it was. *)
+let to_json_line r =
+  let bindings =
+    String.concat ","
+      (List.map
+         (fun (gate, inst) ->
+           Printf.sprintf "{\"gate\":\"%s\",\"instance\":%d}"
+             (json_escape gate) inst)
+         r.bindings)
+  in
+  let translated =
+    match r.translated with
+    | None -> ""
+    | Some x ->
+      Printf.sprintf
+        ",\"translated\":{\"src\":\"%s\",\"dst\":\"%s\",\"sport\":%d,\
+         \"dport\":%d}"
+        (Ipaddr.to_string x.xsrc) (Ipaddr.to_string x.xdst) x.xsport x.xdport
+  in
+  Printf.sprintf
+    "{\"src\":\"%s\",\"dst\":\"%s\",\"proto\":%d,\"sport\":%d,\"dport\":%d,\
+     \"iface\":%d,\"packets\":%d,\"bytes\":%d,\"forwarded\":%d,\"dropped\":%d,\
+     \"absorbed\":%d,\"duration_ns\":%Ld,\"bindings\":[%s],\"reason\":\"%s\"%s}"
+    (json_escape r.src) (json_escape r.dst) r.proto r.sport r.dport r.iface
+    r.packets r.bytes r.forwarded r.dropped r.absorbed (duration_ns r)
+    bindings (json_escape r.reason) translated
+
+let key_string r =
+  Printf.sprintf "%s:%d -> %s:%d proto=%d if=%d" r.src r.sport r.dst r.dport
+    r.proto r.iface
 
 (* The session layer (lib/session) knows whether a flow record's soft
    state points at a NAT'd session; this module cannot depend on it,
@@ -175,13 +244,12 @@ let put_flow a o ~reason r xlate =
     ~last:(Ft.last_use_ns r) ~session:none xlate;
   put_bindings a o r 0
 
-(* The one place a row becomes a [Flowlog.record]. *)
+(* The one place a row becomes a [record]. *)
 let decode reasons a o =
   let flags = a.(o + c_flags) in
   let addr c flag =
-    Ipaddr.to_string
-      (Ipaddr.of_words ~v6:(flags land flag <> 0) a.(o + c) a.(o + c + 1)
-         a.(o + c + 2) a.(o + c + 3))
+    Ipaddr.of_words ~v6:(flags land flag <> 0) a.(o + c) a.(o + c + 1)
+      a.(o + c + 2) a.(o + c + 3)
   in
   let bindings =
     if a.(o + c_session) <> none then [ ("session", a.(o + c_session)) ]
@@ -195,8 +263,8 @@ let decode reasons a o =
         (List.init Gate.count Fun.id)
   in
   {
-    Rp_obs.Flowlog.src = addr c_src f_src_v6;
-    dst = addr c_dst f_dst_v6;
+    src = Ipaddr.to_string (addr c_src f_src_v6);
+    dst = Ipaddr.to_string (addr c_dst f_dst_v6);
     proto = a.(o + c_proto);
     sport = a.(o + c_sport);
     dport = a.(o + c_dport);
@@ -215,7 +283,7 @@ let decode reasons a o =
        else
          Some
            {
-             Rp_obs.Flowlog.xsrc = addr c_xsrc f_xsrc_v6;
+             xsrc = addr c_xsrc f_xsrc_v6;
              xdst = addr c_xdst f_xdst_v6;
              xsport = a.(o + c_xsport);
              xdport = a.(o + c_xdport);

@@ -6,8 +6,9 @@
     into the export ring — 5-tuple, packet/byte and per-verdict
     totals, lifetime, bound plugin instance per gate, eviction reason,
     translated tuple.  A row is ints only, so exporting allocates
-    nothing; records are rendered ({!Rp_obs.Flowlog.record}) when the
-    ring is drained or peeked.  {!Router.create} installs the exporter
+    nothing; a row becomes a {!record} only when the ring is drained or
+    peeked, to write a flow log ([rp_router --flow-log]) or render a
+    [pmgr flows top] view.  {!Router.create} installs the exporter
     on the inline path's AIU; each engine shard installs it on its
     domain-private AIU.  The session layer exports reaped sessions
     through {!emit_session}.
@@ -24,6 +25,37 @@ type xlate = {
   xsport : int;
   xdport : int;
 }
+
+(** One NetFlow-style flow record.  Addresses are rendered strings. *)
+type record = {
+  src : string;
+  dst : string;
+  proto : int;
+  sport : int;
+  dport : int;
+  iface : int;
+  packets : int;
+  bytes : int;
+  forwarded : int;  (** packets that left on an egress interface *)
+  dropped : int;
+  absorbed : int;  (** delivered locally or absorbed by a plugin *)
+  created_ns : int64;
+  last_ns : int64;
+  bindings : (string * int) list;  (** (gate name, plugin instance id) *)
+  reason : string;  (** why the entry left the table *)
+  translated : xlate option;
+      (** the post-NAT tuple; [None] leaves the JSON schema as it is
+          for untranslated flows, [Some] adds one ["translated"]
+          object *)
+}
+
+val duration_ns : record -> int64
+
+(** One JSON object (single line, JSON-lines framing) per record. *)
+val to_json_line : record -> string
+
+(** ["src:sport -> dst:dport proto=p if=i"] display key. *)
+val key_string : record -> string
 
 (** Install the exporter (replaces any previous one on this table).
     Raises [Invalid_argument] if the AIU has more gates than
@@ -67,7 +99,7 @@ val emit_session :
 val record_of :
   reason:string ->
   Plugin.t Rp_classifier.Flow_table.record ->
-  Rp_obs.Flowlog.record
+  record
 
 (** Register the translated-tuple extractor, called once per exported
     flow; [Some] marks the flow as NAT'd.  It must return a tuple it
@@ -81,10 +113,10 @@ val set_translated_of :
 val capacity : int
 
 (** Retained records oldest-first, leaving them buffered. *)
-val peek : unit -> Rp_obs.Flowlog.record list
+val peek : unit -> record list
 
 (** Retained records oldest-first, emptying the ring. *)
-val drain : unit -> Rp_obs.Flowlog.record list
+val drain : unit -> record list
 
 (** Empty the ring without rendering it. *)
 val clear : unit -> unit

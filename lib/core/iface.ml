@@ -29,6 +29,7 @@ type t = {
   mutable qdisc : Plugin.t option;
   counters : counters;
   mutable up : bool;
+  mutable queued : bool;
 }
 
 let create ?name ?(mtu = 9180) ?(bandwidth_bps = 155_000_000L)
@@ -44,6 +45,7 @@ let create ?name ?(mtu = 9180) ?(bandwidth_bps = 155_000_000L)
     counters =
       { rx_packets = 0; rx_bytes = 0; tx_packets = 0; tx_bytes = 0; drops = 0 };
     up = true;
+    queued = false;
   }
 
 let attach_scheduler t inst =
@@ -59,7 +61,9 @@ let enqueue t ~now ~binding m =
     (match inst.Plugin.scheduler with
      | Some s ->
        (match s.Plugin.enqueue ~now m binding with
-        | Plugin.Enqueued -> true
+        | Plugin.Enqueued ->
+          t.queued <- true;
+          true
         | Plugin.Rejected _ ->
           t.counters.drops <- t.counters.drops + 1;
           Rp_obs.Counter.inc m_sched_drops;
@@ -75,6 +79,7 @@ let enqueue t ~now ~binding m =
     end
     else begin
       Queue.push m t.fifo;
+      t.queued <- true;
       true
     end
 
@@ -94,6 +99,11 @@ let drop_queued t ~now =
     while !more do
       match dequeue t ~now with Some _ -> () | None -> more := false
     done
+
+let take_queued t =
+  let q = t.queued in
+  t.queued <- false;
+  q
 
 let backlog t =
   match t.qdisc with

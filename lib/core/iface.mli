@@ -25,6 +25,8 @@ type t = {
       (** attached scheduling instance; [None] = plain FIFO *)
   counters : counters;
   mutable up : bool;
+  mutable queued : bool;
+      (** a packet was queued since the last {!take_queued} *)
 }
 
 val create :
@@ -41,7 +43,8 @@ val detach_scheduler : t -> unit
 (** [enqueue t ~now ~binding m] queues [m] for output: through the
     attached scheduler when present (passing the flow [binding] whose
     soft slot carries per-flow queue state), else the FIFO with
-    tail-drop at [fifo_limit].  Returns [false] when dropped. *)
+    tail-drop at [fifo_limit].  Returns [false] when dropped; a queued
+    packet marks [t] as {!queued}. *)
 val enqueue :
   t -> now:int64 -> binding:Plugin.t Rp_classifier.Flow_table.binding option ->
   Mbuf.t -> bool
@@ -53,6 +56,11 @@ val dequeue : t -> now:int64 -> Mbuf.t option
     at [now] and discards it, as repeated {!dequeue}s until [None]
     would; the default FIFO is emptied at once. *)
 val drop_queued : t -> now:int64 -> unit
+
+(** [take_queued t] — was a packet queued on [t] since the last call?
+    Clears the mark.  An engine serves exactly the interfaces this
+    names after each packet. *)
+val take_queued : t -> bool
 
 (** Packets waiting for transmission. *)
 val backlog : t -> int

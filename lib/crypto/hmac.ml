@@ -20,8 +20,6 @@ let md5_bytes ~key buf off len =
 
 let md5 ~key data = md5_bytes ~key (Bytes.unsafe_of_string data) 0 (String.length data)
 
-let md5_96 ~key data = String.sub (md5 ~key data) 0 12
-
 let verify ~expected mac =
   String.length expected = String.length mac
   &&

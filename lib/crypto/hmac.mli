@@ -6,9 +6,5 @@ val md5 : key:string -> string -> string
 (** [md5_bytes ~key buf off len] — over a byte range. *)
 val md5_bytes : key:string -> Bytes.t -> int -> int -> string
 
-(** [md5_96 ~key data] — the 12-byte truncation used as the IPsec
-    authenticator (HMAC-MD5-96). *)
-val md5_96 : key:string -> string -> string
-
 (** Constant-time comparison of two MACs. *)
 val verify : expected:string -> string -> bool

@@ -49,6 +49,7 @@ type t = {
       (* shard-selection hash; default [Flow_key.hash].  The session
          layer swaps in the canonical-key hash so both directions of a
          conversation land on one shard. *)
+  transmitters : (now:int64 -> unit) array;  (* by interface *)
 }
 
 let mode t = t.mode
@@ -183,6 +184,8 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
       m_publishes = Rp_obs.Registry.counter "engine.publishes";
       m_delta_publishes = Rp_obs.Registry.counter "engine.delta_publishes";
       rss = Flow_key.hash;
+      transmitters =
+        Array.map (fun ifc ~now -> Iface.drop_queued ifc ~now) router.Router.ifaces;
     }
   in
   (* Observe every control-path AIU mutation so publications can carry
@@ -301,11 +304,16 @@ let refuse t k =
     Rp_obs.Drop_reason.add Rp_obs.Drop_reason.Backpressure k
   end
 
-(* The engine has no transmit loop: pull what the data path queued, so
-   the output queue never fills. *)
-let transmit t ~now = function
-  | Ip_core.Enqueued out -> Iface.drop_queued (Router.iface t.router out) ~now
-  | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ()
+let set_transmitter t ~iface f = t.transmitters.(iface) <- f
+
+(* Serve the interfaces the data path queued onto since the last call
+   (a packet's own egress, and any ICMP error or echo reply the router
+   originated on the way), each through its transmitter. *)
+let transmit t ~now =
+  let ifaces = t.router.Router.ifaces in
+  for i = 0 to Array.length ifaces - 1 do
+    if Iface.take_queued ifaces.(i) then t.transmitters.(i) ~now
+  done
 
 (* One packet to its shard's RX ring.  The packet is counted as
    received by its interface before the push hands it to the worker;
@@ -353,7 +361,7 @@ let submit_batch t ~now batch ~n =
       let ctx = t.router.Router.ctx in
       match
         Ip_core.run ctx ~now batch ~n:k ~emit:(fun m verdict handoff ->
-            transmit t ~now verdict;
+            transmit t ~now;
             ignore (Spsc.stage ring (Shard.result ctx m verdict handoff)))
       with
       | () -> Spsc.publish ring
@@ -394,12 +402,14 @@ let finish t (r : Shard.result) =
   match r.Shard.handoff with
   | Ip_core.Settled -> r
   | Ip_core.Icmp_error message ->
-    Ip_core.icmp_error t.router ~now:m.Mbuf.birth_ns m message;
+    let now = m.Mbuf.birth_ns in
+    Ip_core.icmp_error t.router ~now m message;
+    transmit t ~now;
     { r with handoff = Ip_core.Settled }
   | h ->
     let now = m.Mbuf.birth_ns in
     let verdict = Ip_core.resume t.router ~now m h in
-    transmit t ~now verdict;
+    transmit t ~now;
     { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
 
 (* Each ring's head moves once per call, past the results handed to

@@ -31,8 +31,12 @@
     one too), with the shard's fault events and whatever router-owned
     stage it handed back; {!drain} finishes those on the control domain
     — PCU fault attribution, punts and local delivery, ICMP errors, the
-    output queue.  A frame's results are published on its ring with one
-    store, and a {!drain} call takes each ring's results with one.
+    output queue.  After each packet the engine serves every interface
+    the data path queued onto (its egress, and any ICMP error or echo
+    reply the router originated) through that interface's transmitter
+    ({!set_transmitter}).  A frame's results are published on its ring
+    with one store, and a {!drain} call takes each ring's results with
+    one.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)
@@ -76,6 +80,14 @@ val set_rss : t -> (Flow_key.t -> int) -> unit
 
 (** The current shard-selection hash applied to [key]. *)
 val rss : t -> Flow_key.t -> int
+
+(** [set_transmitter t ~iface f] — [f ~now] serves interface [iface]
+    after a packet queued onto it: it takes what the output queue gives
+    up ({!Rp_core.Iface.dequeue}) and puts it on a link.  The default,
+    for an interface without a link, discards what was queued
+    ({!Rp_core.Iface.drop_queued}).  The simulator installs its link
+    model here ([Rp_sim.Net.connect]). *)
+val set_transmitter : t -> iface:int -> (now:int64 -> unit) -> unit
 
 (** Flow keys cached by shard [i] (test introspection). *)
 val shard_flow_keys : t -> int -> Flow_key.t list
@@ -142,7 +154,7 @@ val stats_string : t -> string
 
 (** Flush every flow cache the engine owns (the router's table plus
     each shard's private one), exporting the records to the
-    {!Rp_obs.Flowlog} ring.  Shard flow tables are domain-private:
+    {!Rp_core.Flow_export} ring.  Shard flow tables are domain-private:
     only call this while the workers are idle ({!flush} returned with
     no backlog) or after {!stop}. *)
 val flush_flows : t -> unit

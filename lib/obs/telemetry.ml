@@ -50,16 +50,6 @@ let kind_of_int = function
   | 7 -> Rewrite
   | _ -> Fault
 
-let kind_name = function
-  | Pkt_start -> "pkt_start"
-  | Pkt_end -> "pkt_end"
-  | Classify -> "classify"
-  | Gate_enter -> "gate_enter"
-  | Gate_exit -> "gate_exit"
-  | Drop -> "drop"
-  | Fault -> "fault"
-  | Rewrite -> "rewrite"
-
 let stride = 5
 
 (* Power of two so the domain-id fold is a mask (mirrors Counter). *)

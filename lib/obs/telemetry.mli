@@ -27,8 +27,6 @@ type kind =
   | Fault  (** plugin fault contained; arg = instance id *)
   | Rewrite  (** session NAT header rewrite applied; arg = session id *)
 
-val kind_name : kind -> string
-
 (** [enable ~every] clears the rings and turns tracing on, sampling
     one packet in [every] per domain.  Raises [Invalid_argument] if
     [every <= 0]. *)

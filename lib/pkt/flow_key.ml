@@ -48,9 +48,6 @@ let hash k =
 
 type direction = Fwd | Rev
 
-let flip = function Fwd -> Rev | Rev -> Fwd
-let direction_name = function Fwd -> "fwd" | Rev -> "rev"
-
 let reverse ?iface k =
   let iface = match iface with Some i -> i | None -> k.iface in
   { src = k.dst; dst = k.src; proto = k.proto; sport = k.dport;

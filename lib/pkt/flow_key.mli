@@ -31,9 +31,6 @@ val hash : t -> int
     its canonical form (see {!canonical}). *)
 type direction = Fwd | Rev
 
-val flip : direction -> direction
-val direction_name : direction -> string
-
 (** [reverse k] swaps source and destination (addresses and ports).
     The interface is kept unless [iface] overrides it — a reply
     arrives on a different interface than the request left from, and

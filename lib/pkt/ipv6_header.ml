@@ -84,13 +84,6 @@ module Option_tlv = struct
   let type_router_alert = 5
   let type_jumbo = 0xC2
 
-  let option_type = function
-    | Pad1 -> type_pad1
-    | Padn _ -> type_padn
-    | Router_alert _ -> type_router_alert
-    | Jumbo_payload _ -> type_jumbo
-    | Unknown (ty, _) -> ty
-
   let serialized_length = function
     | Pad1 -> 1
     | Padn n -> n

@@ -52,8 +52,6 @@ module Option_tlv : sig
     | Jumbo_payload of int
     | Unknown of int * string  (** type, body *)
 
-  val option_type : t -> int
-
   (** [parse_all buf off len] decodes the option area of a hop-by-hop
       header (after its 2-byte preamble). *)
   val parse_all : Bytes.t -> int -> int -> (t list, error) result

@@ -150,10 +150,3 @@ let watch t name =
   Rp_obs.Health.register
     (name ^ ".free_pct")
     (fun () -> 100. *. float_of_int t.top /. float_of_int (capacity t))
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "pool{cap=%d free=%d allocs=%d frees=%d exhausted=%d double_free=%d \
-     foreign_free=%d}"
-    s.capacity s.free s.allocs s.frees s.exhausted s.double_frees
-    s.foreign_frees

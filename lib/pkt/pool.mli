@@ -48,7 +48,6 @@ val alloc : t -> key:Flow_key.t -> len:int -> Mbuf.t
 val free : t -> Mbuf.t -> unit
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [watch t name] registers a [<name>.free_pct] health probe (free
     descriptors as a percentage of capacity) with

@@ -20,8 +20,6 @@ type flow_q = {
   mutable weight : int;
   mutable on_ring : bool;
   mutable evicted : bool;
-  mutable sent_pkts : int;
-  mutable sent_bytes : int;
 }
 
 type Flow_table.soft += Drr_flow of flow_q
@@ -67,8 +65,6 @@ let new_flow st k =
       weight = weight_for st k;
       on_ring = false;
       evicted = false;
-      sent_pkts = 0;
-      sent_bytes = 0;
     }
   in
   FK.replace st.flows k fq;
@@ -125,8 +121,6 @@ let dequeue st ~now:_ =
         if fq.deficit >= head_len then begin
           let m = Queue.pop fq.q in
           fq.deficit <- fq.deficit - head_len;
-          fq.sent_pkts <- fq.sent_pkts + 1;
-          fq.sent_bytes <- fq.sent_bytes + m.Mbuf.len;
           st.backlog <- st.backlog - 1;
           if Queue.is_empty fq.q then begin
             ignore (Queue.pop st.ring);
@@ -236,14 +230,6 @@ let weight_of ~instance_id ~key =
     (match FK.find_opt st.flows key with
      | Some fq -> Some fq.weight
      | None -> Some (weight_for st key))
-
-let flow_counters ~instance_id ~key =
-  match state_of instance_id with
-  | Error _ -> None
-  | Ok st ->
-    (match FK.find_opt st.flows key with
-     | Some fq -> Some (fq.sent_pkts, fq.sent_bytes)
-     | None -> None)
 
 let drop_count ~instance_id =
   match state_of instance_id with Ok st -> st.dropped | Error _ -> 0

@@ -42,9 +42,6 @@ val unreserve : instance_id:int -> key:Flow_key.t -> (unit, string) result
 (** [weight_of ~instance_id ~key] — current weight (1 = best effort). *)
 val weight_of : instance_id:int -> key:Flow_key.t -> int option
 
-(** Per-flow (packets, bytes) sent so far. *)
-val flow_counters : instance_id:int -> key:Flow_key.t -> (int * int) option
-
 (** Packets dropped because a per-flow queue overflowed, plus packets
     lost to flow-record eviction. *)
 val drop_count : instance_id:int -> int

@@ -373,14 +373,6 @@ let assign ~instance_id ~key ~cname =
        FK.replace st.assignments key c;
        Ok ())
 
-let class_counters ~instance_id ~cname =
-  match state_of instance_id with
-  | Error _ -> None
-  | Ok st ->
-    (match List.assoc_opt cname st.classes with
-     | Some c -> Some (c.sent_pkts, c.sent_bytes)
-     | None -> None)
-
 let drop_count ~instance_id =
   match state_of instance_id with Ok st -> st.dropped | Error _ -> 0
 

@@ -63,7 +63,4 @@ val add_class :
 val assign :
   instance_id:int -> key:Flow_key.t -> cname:string -> (unit, string) result
 
-(** Per-class (packets, bytes) served. *)
-val class_counters : instance_id:int -> cname:string -> (int * int) option
-
 val drop_count : instance_id:int -> int

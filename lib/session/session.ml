@@ -592,7 +592,6 @@ let cached s dir =
 
 let apply_rewrite s dir m = Hit.rewrite (cached s dir) m
 let route_learnable s dir k = Hit.route_learnable (cached s dir) k
-let learn_route s dir (ifc, hop) = Hit.learn (cached s dir) ifc hop
 
 (* ---- Soft-slot cache and export ----------------------------------- *)
 

@@ -89,9 +89,6 @@ val last_ns : t -> int64
 (** Cached next-hop for one direction: [(out_iface, next_hop)]. *)
 val route : t -> Flow_key.direction -> (int * Ipaddr.t option) option
 
-(** Record the routing decision for one direction (first writer wins). *)
-val learn_route : t -> Flow_key.direction -> int * Ipaddr.t option -> unit
-
 (** Account one packet on one direction and refresh its idle clock. *)
 val touch : t -> now:int64 -> dir:Flow_key.direction -> len:int -> unit
 
@@ -212,7 +209,7 @@ module Table : sig
   val timeout : t -> timeout_class -> int64
 
   (** Evict every session idle past its state's timeout, emitting one
-      export record each ({!Rp_obs.Flowlog}).  Returns the count.
+      export record each ({!Rp_core.Flow_export}).  Returns the count.
       Visits only the sessions whose wheel deadline passed (counted in
       [visited]); each is re-checked against its current state and
       last touch, and exported or rescheduled.  Control path (any
@@ -263,7 +260,8 @@ module Hit : sig
 
   val route_learnable : t -> Flow_key.t -> bool
 
-  (** {!learn_route}. *)
+  (** Record the routing decision for this direction (first writer
+      wins). *)
   val learn : t -> int -> Ipaddr.t option -> unit
 
   val id : t -> int

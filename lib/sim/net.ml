@@ -1,21 +1,16 @@
 open Rp_pkt
 open Rp_core
-
-type node_stats = {
-  mutable received : int;
-  mutable forwarded : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable drop_reasons : (string * int) list;
-  mutable cycles : int;
-}
+module Engine = Rp_engine.Engine
 
 type node = {
   sim : Sim.t;
   rtr : Router.t;
+  engine : Engine.t;
   links : link option array;  (** by out iface *)
   busy : bool array;
-  n_stats : node_stats;
+  mutable received : int;
+  mutable cycles : int;
+  mutable in_flight : int;  (** submitted since the last [settle] *)
 }
 
 and link = {
@@ -27,69 +22,54 @@ and endpoint =
   | To_node of node * int
   | To_sink of Sink.t
 
-let add_router sim rtr =
+let add_router ?(engine = Engine.Inline) sim rtr =
   let n = Array.length rtr.Router.ifaces in
   {
     sim;
     rtr;
+    engine = Engine.create engine rtr;
     links = Array.make n None;
     busy = Array.make n false;
-    n_stats =
-      {
-        received = 0;
-        forwarded = 0;
-        delivered = 0;
-        dropped = 0;
-        drop_reasons = [];
-        cycles = 0;
-      };
+    received = 0;
+    cycles = 0;
+    in_flight = 0;
   }
 
 let router node = node.rtr
-let stats node = node.n_stats
-
-let connect node ~iface endpoint ~prop_ns =
-  if iface < 0 || iface >= Array.length node.links then
-    invalid_arg "Net.connect: no such interface";
-  node.links.(iface) <- Some { dest = endpoint; prop_ns }
-
-(* Modelled per-packet cost distribution; the buckets straddle the
-   Table-3 range (plain forwarding 6460 cycles, full gate chain
-   ~8160). *)
-let h_pkt_cycles =
-  Rp_obs.Registry.histogram "sim.pkt_cycles"
-    ~bounds:[| 6_500; 7_000; 7_500; 8_000; 8_500; 10_000; 15_000; 25_000 |]
-
-let count_drop st reason =
-  st.dropped <- st.dropped + 1;
-  let count = try List.assoc reason st.drop_reasons with Not_found -> 0 in
-  st.drop_reasons <- (reason, count + 1) :: List.remove_assoc reason st.drop_reasons
+let engine node = node.engine
+let received node = node.received
 
 let tx_time_ns ifc len =
   let bits = Int64.of_int (len * 8) in
   Int64.div (Int64.mul bits 1_000_000_000L) ifc.Iface.bandwidth_bps
 
-(* Serve the link on [out] while there is backlog. *)
+(* A sharded engine's results are settled once per simulated instant,
+   or after this many submissions, whichever comes first: a bound
+   well inside the RX rings, so no arrival is refused. *)
+let settle_bound = 256
+
+(* Serve the link on [out] while there is backlog.  The dequeue's
+   cycles are charged to the node by whoever called: [receive] and
+   [settle] meter their whole call, a finished transmission meters its
+   own kick. *)
 let rec kick node out =
   if not node.busy.(out) then begin
     let ifc = Router.iface node.rtr out in
-    let now = Sim.now node.sim in
-    let m, cycles = Cost.measure (fun () -> Iface.dequeue ifc ~now) in
-    node.n_stats.cycles <- node.n_stats.cycles + cycles;
-    match m with
+    match Iface.dequeue ifc ~now:(Sim.now node.sim) with
     | None -> ()
     | Some m ->
       node.busy.(out) <- true;
       let ser = tx_time_ns ifc m.Mbuf.len in
       Sim.after node.sim ser (fun () ->
           Iface.count_tx ifc m;
-          node.n_stats.forwarded <- node.n_stats.forwarded + 1;
           node.busy.(out) <- false;
           (match node.links.(out) with
            | Some link ->
              Sim.after node.sim link.prop_ns (fun () -> deliver node link.dest m)
            | None -> ());
-          kick node out)
+          let c0 = Cost.get () in
+          kick node out;
+          node.cycles <- node.cycles + Cost.get () - c0)
   end
 
 and deliver node dest m =
@@ -102,27 +82,54 @@ and deliver node dest m =
     m.Mbuf.key <- { m.Mbuf.key with Flow_key.iface = in_iface };
     receive peer m
 
+(* Inline, the packet has run by the time [submit] returns, so it
+   settles at once.  Sharded, it settles with the instant's other
+   arrivals, in an event after them. *)
 and receive node m =
   let now = Sim.now node.sim in
-  node.n_stats.received <- node.n_stats.received + 1;
-  let verdict, cycles = Cost.measure (fun () -> Ip_core.process node.rtr ~now m) in
-  node.n_stats.cycles <- node.n_stats.cycles + cycles;
-  Rp_obs.Histogram.observe h_pkt_cycles cycles;
-  (match verdict with
-   | Ip_core.Enqueued _ | Ip_core.Absorbed -> ()
-   | Ip_core.Delivered_local -> node.n_stats.delivered <- node.n_stats.delivered + 1
-   | Ip_core.Dropped reason -> count_drop node.n_stats reason);
-  (* Serve every interface: the data path may have queued packets
-     beyond the verdict's own egress (self-generated ICMP errors). *)
-  for out = 0 to Array.length node.links - 1 do
-    kick node out
-  done
+  node.received <- node.received + 1;
+  let c0 = Cost.get () in
+  ignore (Engine.submit node.engine ~now m);
+  node.cycles <- node.cycles + Cost.get () - c0;
+  node.in_flight <- node.in_flight + 1;
+  match Engine.mode node.engine with
+  | Engine.Inline -> settle node
+  | Engine.Sharded _ ->
+    if node.in_flight >= settle_bound then settle node
+    else if node.in_flight = 1 then Sim.at node.sim now (fun () -> settle node)
 
-let inject node m ~at =
-  Sim.at node.sim at (fun () ->
-      m.Mbuf.birth_ns <- at;
-      receive node m)
+(* Wait until no packet is in flight, then take every result: the
+   rings drain in shard order, each in submission order, so a run is
+   deterministic.  Finishing a result runs its router-owned stages,
+   and the engine serves the interfaces they queued onto.  Then every
+   linked interface is served, as after any packet. *)
+and settle node =
+  let c0 = Cost.get () in
+  while not (Engine.idle node.engine) do
+    Domain.cpu_relax ()
+  done;
+  ignore (Engine.drain node.engine ~f:ignore);
+  node.in_flight <- 0;
+  Array.iteri (fun out link -> if Option.is_some link then kick node out) node.links;
+  node.cycles <- node.cycles + Cost.get () - c0
 
+let connect node ~iface endpoint ~prop_ns =
+  if iface < 0 || iface >= Array.length node.links then
+    invalid_arg "Net.connect: no such interface";
+  node.links.(iface) <- Some { dest = endpoint; prop_ns };
+  Engine.set_transmitter node.engine ~iface (fun ~now:_ -> kick node iface)
+
+let inject node m ~at = Sim.at node.sim at (fun () -> receive node m)
+
+(* A sharded engine's workers charge their own meters; the node's
+   share is what its engine's shards charged in all. *)
 let cycles_per_packet node =
-  if node.n_stats.received = 0 then 0.0
-  else float_of_int node.n_stats.cycles /. float_of_int node.n_stats.received
+  if node.received = 0 then 0.0
+  else
+    let shards =
+      match Engine.mode node.engine with
+      | Engine.Inline -> 0
+      | Engine.Sharded n ->
+        List.fold_left ( + ) 0 (List.init n (Engine.shard_cycles node.engine))
+    in
+    float_of_int (node.cycles + shards) /. float_of_int node.received

@@ -25,11 +25,11 @@ let single_router ?(mode = Router.Plugins) ?(gates = Gate.all) ?engine
         if id < in_ifaces then Iface.create ~id ()
         else Iface.create ~id ~bandwidth_bps:out_bandwidth_bps ())
   in
-  let router = Router.create ~mode ~gates ?engine ?flow_max ~ifaces () in
+  let router = Router.create ~mode ~gates ?flow_max ~ifaces () in
   let out_iface = in_ifaces in
   Router.add_route router (Prefix.of_string "192.168.0.0/16") ~iface:out_iface ();
   Router.add_route router (Prefix.of_string "2001:db8::/32") ~iface:out_iface ();
-  let node = Net.add_router sim router in
+  let node = Net.add_router ?engine sim router in
   let sink = Sink.create () in
   Net.connect node ~iface:out_iface (Net.To_sink sink) ~prop_ns:10_000L;
   { sim; node; router; sink; out_iface }

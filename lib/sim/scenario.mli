@@ -7,7 +7,8 @@ open Rp_core
 (** One router, [in_ifaces] ingress interfaces (ids [0 ..
     in_ifaces-1]), one egress interface (id [in_ifaces]) leading to a
     sink.  Destinations in 192.168.0.0/16 and 2001:db8::/32 are routed
-    to the egress. *)
+    to the egress.  The router runs behind an engine of mode [engine]
+    (default [Inline]; see {!Net.add_router}). *)
 type t = {
   sim : Sim.t;
   node : Net.node;
@@ -17,7 +18,7 @@ type t = {
 }
 
 val single_router :
-  ?mode:Router.mode -> ?gates:Gate.t list -> ?engine:Rp_lpm.Engines.t ->
+  ?mode:Router.mode -> ?gates:Gate.t list -> ?engine:Rp_engine.Engine.mode ->
   ?in_ifaces:int -> ?out_bandwidth_bps:int64 -> ?flow_max:int -> unit -> t
 
 (** [add_flow t flow] installs a generator (see {!Traffic.install});

@@ -102,6 +102,5 @@ let run ?until t =
 
 let pending t = t.size
 
-let ns_of_ms ms = Int64.of_float (ms *. 1e6)
 let ns_of_sec s = Int64.of_float (s *. 1e9)
 let sec_of_ns ns = Int64.to_float ns /. 1e9

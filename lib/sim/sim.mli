@@ -27,6 +27,5 @@ val pending : t -> int
 
 (** Nanosecond helpers. *)
 
-val ns_of_ms : float -> int64
 val ns_of_sec : float -> int64
 val sec_of_ns : int64 -> float

@@ -20,11 +20,10 @@ type t = {
   sink_name : string;
   table : flow_stats FK.t;
   mutable packets : int;
-  mutable bytes : int;
 }
 
 let create ?(name = "sink") () =
-  { sink_name = name; table = FK.create 64; packets = 0; bytes = 0 }
+  { sink_name = name; table = FK.create 64; packets = 0 }
 
 let name t = t.sink_name
 
@@ -34,7 +33,6 @@ let normalize key = { key with Flow_key.iface = 0 }
 
 let receive t ~now m =
   t.packets <- t.packets + 1;
-  t.bytes <- t.bytes + m.Mbuf.len;
   let key = normalize m.Mbuf.key in
   let fs =
     match FK.find_opt t.table key with
@@ -61,7 +59,6 @@ let receive t ~now m =
   if lat > fs.latency_max_ns then fs.latency_max_ns <- lat
 
 let total_packets t = t.packets
-let total_bytes t = t.bytes
 
 let flow t key = FK.find_opt t.table (normalize key)
 

@@ -1,6 +1,7 @@
 (** Traffic sinks: terminal endpoints that collect per-flow delivery
     statistics (throughput, loss inferred by the caller, and one-way
-    latency from the mbuf's birth timestamp). *)
+    latency from the mbuf's birth timestamp, which each router's engine
+    sets on arrival). *)
 
 open Rp_pkt
 
@@ -22,7 +23,6 @@ val name : t -> string
 val receive : t -> now:int64 -> Mbuf.t -> unit
 
 val total_packets : t -> int
-val total_bytes : t -> int
 
 val flow : t -> Flow_key.t -> flow_stats option
 

@@ -274,4 +274,3 @@ let starved t = t.starved
 let blocked t = t.blocked
 let capped t = t.capped
 let arrivals t = t.arrivals
-let sweeping t = t.sweep_next < t.flows

@@ -90,6 +90,3 @@ val capped : t -> int
     [flow_packets] is [Pareto]); total distinct flow ids emitted is
     [flows + arrivals]. *)
 val arrivals : t -> int
-
-(** Whether the initial one-packet-per-rank sweep is still running. *)
-val sweeping : t -> bool

@@ -829,7 +829,7 @@ let test_sharded_telemetry () =
   Engine.flush_flows e;
   let records = Rp_core.Flow_export.drain () in
   let pkts =
-    List.fold_left (fun a fr -> a + fr.Rp_obs.Flowlog.packets) 0 records
+    List.fold_left (fun a fr -> a + fr.Rp_core.Flow_export.packets) 0 records
   in
   check int_t "flow records cover every dispatched packet"
     (flows * per_flow) pkts;
@@ -1631,6 +1631,40 @@ let test_route_cache_rewritten_dst () =
 
 (* A shard whose tx ring is full loses the results it cannot push; a
    parked packet then ends under its own drop reason. *)
+(* Router-originated ICMP errors leave on either engine: after a
+   packet the engine serves every interface the data path queued onto
+   (here the error's, back toward the source), not just the one in the
+   packet's own verdict.  1,500 errors are far more than the FIFO's
+   512, so one left behind would end as a tail drop. *)
+let test_icmp_errors_leave mode () =
+  let ifaces = [ Iface.create ~id:0 (); Iface.create ~id:1 () ] in
+  let r = Router.create ~mode:Router.Best_effort ~ifaces () in
+  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
+  Router.add_route r (Prefix.of_string "10.0.0.0/8") ~iface:0 ();
+  Router.add_local_addr r (Ipaddr.v4 192 168 7 7);
+  let e = Engine.create mode r in
+  let n = 1500 in
+  for _ = 1 to n do
+    let key =
+      Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 1)
+        ~proto:Proto.udp ~sport:1000 ~dport:9000 ~iface:0
+    in
+    let m = Mbuf.synth ~ttl:1 ~key ~len:200 () in
+    while not (Engine.submit e ~now:0L m) do
+      ignore (Engine.drain e ~f:ignore)
+    done;
+    ignore (Engine.drain e ~f:ignore)
+  done;
+  ignore (Engine.flush e ~f:ignore);
+  Engine.stop e;
+  check int_t "an ICMP error per packet" n r.Router.icmp_sent;
+  Array.iter
+    (fun ifc ->
+      check int_t (ifc.Iface.name ^ " holds no packet") 0 (Iface.backlog ifc);
+      check int_t (ifc.Iface.name ^ " dropped nothing") 0
+        ifc.Iface.counters.Iface.drops)
+    r.Router.ifaces
+
 let test_tx_ring_overflow () =
   let module Dr = Rp_obs.Drop_reason in
   let sum () = List.fold_left (fun a (_, n) -> a + n) 0 (Dr.table ()) in
@@ -1804,6 +1838,10 @@ let () =
             test_route_cache_rewritten_dst;
           Alcotest.test_case "tx ring overflow has a drop reason" `Quick
             test_tx_ring_overflow;
+          Alcotest.test_case "icmp errors leave (inline)" `Quick
+            (test_icmp_errors_leave Engine.Inline);
+          Alcotest.test_case "icmp errors leave (sharded:2)" `Quick
+            (test_icmp_errors_leave (Engine.Sharded 2));
         ] );
       ( "batched",
         [

@@ -148,7 +148,7 @@ let test_vpn_with_fragmentation () =
   done;
   ignore (Rp_sim.Sim.run sim);
   (* r2 received 2 fragments per datagram, reassembled and decrypted. *)
-  check int_t "fragments on the wire" 10 (Rp_sim.Net.stats n2).Rp_sim.Net.received;
+  check int_t "fragments on the wire" 10 (Rp_sim.Net.received n2);
   check bool_t "reassembled at security-in" true
     (Rp_crypto.Ipsec_plugin.in_reassembled ~instance_id:1 = Some 5);
   check int_t "five datagrams delivered" 5 (Rp_sim.Sink.total_packets sink);
@@ -209,6 +209,57 @@ let test_ssp_reservation_bandwidth () =
     true
     (ratio > 2.5 && ratio < 3.5)
 
+(* --- DRR schedules on either engine -------------------------------- *)
+
+(* Two flows, each offering the whole 8 Mb/s link (2x overload), into a
+   DRR queue that weights them 3:1.  Only what left the link while both
+   flows were backlogged counts, so the shares are the scheduler's.
+   The same tolerance as the unit test: 3:1 of 40 is 30 +/- 3. *)
+let test_drr_shares_on engine () =
+  let s =
+    Rp_sim.Scenario.single_router ~engine ~in_ifaces:1
+      ~out_bandwidth_bps:8_000_000L ()
+  in
+  let r = s.Rp_sim.Scenario.router in
+  ignore (pmgr r "modload drr");
+  ignore (pmgr r "create drr");
+  ignore (pmgr r (Printf.sprintf "attach 1 %d" s.Rp_sim.Scenario.out_iface));
+  ignore (pmgr r "bind 1 <*, *, UDP, *, *, *>");
+  let flow1 = Rp_sim.Scenario.sink_key ~id:1 () in
+  let flow2 = Rp_sim.Scenario.sink_key ~id:2 () in
+  ok (Rp_sched.Drr_plugin.reserve ~instance_id:1 ~key:flow1 ~rate_bps:6_000_000);
+  ok (Rp_sched.Drr_plugin.reserve ~instance_id:1 ~key:flow2 ~rate_bps:2_000_000);
+  List.iter
+    (fun key ->
+      ignore
+        (Rp_sim.Scenario.add_flow s
+           {
+             Rp_sim.Traffic.key;
+             pkt_len = 1000;
+             pattern = Rp_sim.Traffic.Cbr 1000.0;
+             start_ns = 0L;
+             stop_ns = Rp_sim.Sim.ns_of_sec 0.2;
+             seed = 0;
+           }))
+    [ flow1; flow2 ];
+  Rp_sim.Scenario.run s ~seconds:0.2;
+  Rp_engine.Engine.stop (Rp_sim.Net.engine s.Rp_sim.Scenario.node);
+  let sent key =
+    match Rp_sim.Sink.flow s.Rp_sim.Scenario.sink key with
+    | Some fs -> fs.Rp_sim.Sink.packets
+    | None -> 0
+  in
+  let c1 = sent flow1 and c2 = sent flow2 in
+  let share = float_of_int c1 /. float_of_int (c1 + c2) in
+  check bool_t
+    (Printf.sprintf "link saturated (%d packets)" (c1 + c2))
+    true
+    (c1 + c2 >= 190);
+  check bool_t
+    (Printf.sprintf "3:1 shares (got %d:%d)" c1 c2)
+    true
+    (share >= 27. /. 40. && share <= 33. /. 40.)
+
 (* --- hot rebinding under traffic --------------------------------------- *)
 
 let test_rebind_under_traffic () =
@@ -218,6 +269,8 @@ let test_rebind_under_traffic () =
   ignore (pmgr r "create firewall policy=accept");
   ignore (pmgr r "bind 1 <*, *, UDP, *, *, *>");
   let key = Rp_sim.Scenario.sink_key ~id:1 () in
+  let policy_drops () = Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Policy in
+  let drops0 = policy_drops () in
   ignore
     (Rp_sim.Scenario.add_flow s
        {
@@ -235,13 +288,13 @@ let test_rebind_under_traffic () =
       ignore (pmgr r "unbind 1 <*, *, UDP, *, *, *>"));
   Rp_sim.Scenario.run s ~seconds:1.5;
   let delivered = Rp_sim.Sink.total_packets s.Rp_sim.Scenario.sink in
-  let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
+  let dropped = policy_drops () - drops0 in
   (* ~500 packets pass, ~500 are denied. *)
   check bool_t (Printf.sprintf "half passed (%d)" delivered) true
     (delivered > 450 && delivered < 550);
-  check bool_t (Printf.sprintf "half denied (%d)" st.Rp_sim.Net.dropped) true
-    (st.Rp_sim.Net.dropped > 450 && st.Rp_sim.Net.dropped < 550);
-  check int_t "conservation" 1000 (delivered + st.Rp_sim.Net.dropped)
+  check bool_t (Printf.sprintf "half denied (%d)" dropped) true
+    (dropped > 450 && dropped < 550);
+  check int_t "conservation" 1000 (delivered + dropped)
 
 (* --- flow-cache churn with recycling ------------------------------------ *)
 
@@ -313,6 +366,10 @@ let () =
             test_vpn_with_fragmentation;
           Alcotest.test_case "ssp reservation shapes bandwidth" `Quick
             test_ssp_reservation_bandwidth;
+          Alcotest.test_case "drr shares inline" `Quick
+            (test_drr_shares_on Rp_engine.Engine.Inline);
+          Alcotest.test_case "drr shares sharded:2" `Quick
+            (test_drr_shares_on (Rp_engine.Engine.Sharded 2));
           Alcotest.test_case "rebind under traffic" `Quick test_rebind_under_traffic;
           Alcotest.test_case "flow-cache churn" `Quick test_flow_cache_churn;
           Alcotest.test_case "flow expiry" `Quick test_flow_expiry_under_traffic;

@@ -421,11 +421,11 @@ let test_telemetry_chrome_json () =
        json);
   Telemetry.clear ()
 
-(* --- Flowlog (NetFlow-style export ring) ------------------------------ *)
+(* --- Flow_export (NetFlow-style export ring) --------------------------- *)
 
 let mk_flow_rec ?(packets = 5) ?(bytes = 500) i =
   {
-    Flowlog.src = Printf.sprintf "10.0.0.%d" i;
+    Rp_core.Flow_export.src = Printf.sprintf "10.0.0.%d" i;
     dst = "192.168.1.1";
     proto = 17;
     sport = 1000 + i;
@@ -551,12 +551,12 @@ let session_of c ~soft =
   in
   (t, s, dir)
 
-let xlate_string (s : Session.t) =
+let xlate_of (s : Session.t) =
   if Session.nat s then
     Some
       {
-        Flowlog.xsrc = Ipaddr.to_string (Session.xlat_src s);
-        xdst = Ipaddr.to_string (Session.xlat_dst s);
+        Rp_core.Flow_export.xsrc = Session.xlat_src s;
+        xdst = Session.xlat_dst s;
         xsport = Session.xlat_sport s;
         xdport = Session.xlat_dport s;
       }
@@ -568,7 +568,7 @@ let expected_record c ~reason ~bindings ~translated =
   let fwd, drop, absorb = c.verdicts in
   let packets = fwd + drop + absorb in
   {
-    Flowlog.src = Ipaddr.to_string k.Flow_key.src;
+    Rp_core.Flow_export.src = Ipaddr.to_string k.Flow_key.src;
     dst = Ipaddr.to_string k.Flow_key.dst;
     proto = c.proto;
     sport = c.sport;
@@ -612,7 +612,7 @@ let export_flow_case ft c =
       let _, s, dir = session_of c ~soft:true in
       (Option.get (Ft.binding r ~gate:(Gate.to_int Gate.Security_in)))
         .Ft.soft <- Some (Session.cached s dir);
-      xlate_string s
+      xlate_of s
     end
     else None
   in
@@ -662,7 +662,7 @@ let export_session_case c =
   let expected =
     {
       (expected_record c ~reason ~bindings:[ ("session", Session.id s) ]
-         ~translated:(xlate_string s))
+         ~translated:(xlate_of s))
       with
       forwarded = packets;
       dropped = 0;
@@ -717,7 +717,7 @@ let prop_export_ring =
          let total = pad + List.length cases in
          let kept = min total Fx.capacity in
          let pads, tail =
-           List.partition (fun (r : Flowlog.record) -> r.dst = "10.9.0.2") got
+           List.partition (fun (r : Rp_core.Flow_export.record) -> r.dst = "10.9.0.2") got
          in
          let ok_tail =
            List.length tail = List.length cases
@@ -726,7 +726,7 @@ let prop_export_ring =
                 tail wanted
          in
          let ok_pads =
-           List.map (fun (r : Flowlog.record) -> r.sport) pads
+           List.map (fun (r : Rp_core.Flow_export.record) -> r.sport) pads
            = List.init (kept - List.length cases) (fun i ->
                  pad - (kept - List.length cases) + i)
          in
@@ -741,14 +741,14 @@ let prop_export_ring =
 
 let test_flowlog_json () =
   let r = mk_flow_rec 1 in
-  check bool_t "JSON line is valid" true (json_valid (Flowlog.to_json_line r));
+  check bool_t "JSON line is valid" true (json_valid (Rp_core.Flow_export.to_json_line r));
   check bool_t "JSON line carries the 5-tuple and bindings" true
-    (contains ~needle:"\"src\":\"10.0.0.1\"" (Flowlog.to_json_line r)
+    (contains ~needle:"\"src\":\"10.0.0.1\"" (Rp_core.Flow_export.to_json_line r)
     && contains ~needle:"{\"gate\":\"firewall\",\"instance\":1}"
-         (Flowlog.to_json_line r));
+         (Rp_core.Flow_export.to_json_line r));
   check string_t "display key" "10.0.0.1:1001 -> 192.168.1.1:53 proto=17 if=0"
-    (Flowlog.key_string r);
-  check bool_t "duration" true (Flowlog.duration_ns r = 1_000_000L)
+    (Rp_core.Flow_export.key_string r);
+  check bool_t "duration" true (Rp_core.Flow_export.duration_ns r = 1_000_000L)
 
 (* --- Registry schema -------------------------------------------------- *)
 
@@ -795,9 +795,9 @@ let test_flow_records_reconcile () =
   let records = Flow_export.drain () in
   check int_t "one record per flow" 3 (List.length records);
   let pkts =
-    List.fold_left (fun a fr -> a + fr.Flowlog.packets) 0 records
+    List.fold_left (fun a fr -> a + fr.Rp_core.Flow_export.packets) 0 records
   in
-  let bytes = List.fold_left (fun a fr -> a + fr.Flowlog.bytes) 0 records in
+  let bytes = List.fold_left (fun a fr -> a + fr.Rp_core.Flow_export.bytes) 0 records in
   check int_t "record packets = packets processed" 60 pkts;
   check int_t "record bytes = bytes processed" (60 * 200) bytes;
   check int_t "record packets = accounting counter" pkts
@@ -807,7 +807,7 @@ let test_flow_records_reconcile () =
   check int_t "record packets = ip-options dispatches" pkts
     (Counter.get (Gate.dispatch Gate.Ip_options) - d0);
   check bool_t "records carry the flush reason" true
-    (List.for_all (fun fr -> fr.Flowlog.reason = "flushed") records)
+    (List.for_all (fun fr -> fr.Rp_core.Flow_export.reason = "flushed") records)
 
 (* --- Integration: flow-table counters vs oracle stats ---------------- *)
 

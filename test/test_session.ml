@@ -460,12 +460,12 @@ let test_udp_timeout_expiry () =
   check int_t "gone" 0 (Session.Table.length t);
   (match Rp_core.Flow_export.drain () with
   | [ r ] ->
-    check string_t "export reason" "session-expired" r.Rp_obs.Flowlog.reason;
-    check int_t "accounted packets" 1 r.Rp_obs.Flowlog.packets;
-    (match r.Rp_obs.Flowlog.translated with
+    check string_t "export reason" "session-expired" r.Rp_core.Flow_export.reason;
+    check int_t "accounted packets" 1 r.Rp_core.Flow_export.packets;
+    (match r.Rp_core.Flow_export.translated with
     | Some x ->
       check string_t "translated tuple exported" "198.51.100.7"
-        x.Rp_obs.Flowlog.xsrc
+        (Ipaddr.to_string x.Rp_core.Flow_export.xsrc)
     | None -> Alcotest.fail "expected a translated tuple on the export")
   | rs -> Alcotest.failf "expected one export record, got %d" (List.length rs));
   (* the timeout knob applies *)
@@ -698,7 +698,7 @@ let m_resolve m (key : Flow_key.t) ~create ~now ~flags =
 let m_record ms ~reason =
   let packets = ms.pkts.(0) + ms.pkts.(1) and dropped = ms.drops.(0) + ms.drops.(1) in
   {
-    Rp_obs.Flowlog.src = Ipaddr.to_string ms.k.src;
+    Rp_core.Flow_export.src = Ipaddr.to_string ms.k.src;
     dst = Ipaddr.to_string ms.k.dst;
     proto = ms.k.proto;
     sport = ms.k.sport;
@@ -716,8 +716,8 @@ let m_record ms ~reason =
     translated =
       Option.map
         (fun (x : Flow_key.t) ->
-          { Rp_obs.Flowlog.xsrc = Ipaddr.to_string x.src;
-            xdst = Ipaddr.to_string x.dst; xsport = x.sport; xdport = x.dport })
+          { Rp_core.Flow_export.xsrc = x.src; xdst = x.dst; xsport = x.sport;
+            xdport = x.dport })
         ms.x;
   }
 
@@ -795,8 +795,8 @@ let sorted_records l = List.sort compare l
 
 let session_exports () =
   List.filter
-    (fun (r : Rp_obs.Flowlog.record) -> r.Rp_obs.Flowlog.bindings <> []
-      && fst (List.hd r.Rp_obs.Flowlog.bindings) = "session")
+    (fun (r : Rp_core.Flow_export.record) -> r.Rp_core.Flow_export.bindings <> []
+      && fst (List.hd r.Rp_core.Flow_export.bindings) = "session")
     (Rp_core.Flow_export.drain ())
 
 let prop_model =
@@ -1076,9 +1076,9 @@ let test_end_to_end_inline () =
   let exported = Rp_core.Flow_export.drain () in
   check bool_t "flow export carries the translated tuple" true
     (List.exists
-       (fun (rec_ : Rp_obs.Flowlog.record) ->
-         match rec_.Rp_obs.Flowlog.translated with
-         | Some x -> x.Rp_obs.Flowlog.xsrc = "198.51.100.7"
+       (fun (rec_ : Rp_core.Flow_export.record) ->
+         match rec_.Rp_core.Flow_export.translated with
+         | Some x -> Ipaddr.to_string x.Rp_core.Flow_export.xsrc = "198.51.100.7"
          | None -> false)
        exported);
   Rp_engine.Engine.stop e;
