@@ -16,42 +16,14 @@ type 'a entry = {
 
 type 'a winners = (Filter.t * 'a) option array
 
-(* Same closure trick as {!Dag.addr_matcher_of_engine}: the BMP engine
-   module's type parameter is fixed at wrapper creation, letting a
-   runtime-selected engine hold nodes of this structure.  Lookups feed
-   the same per-engine meters as the DAG's, so Table-2 style engine
-   accounting aggregates both classifiers.  Applied to an engine, it
-   resolves those meters once and returns the per-node factory. *)
-type 'a addr_matcher = {
-  am_insert : Prefix.t -> 'a -> unit;
-  am_lookup : Ipaddr.t -> (Prefix.t * 'a) option;
-}
-
-let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) =
-  let m_lookups = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".lookups") in
-  let m_accesses = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".accesses") in
-  fun () ->
-    let t = E.create () in
-    {
-      am_insert = (fun p v -> E.insert t p v);
-      am_lookup =
-        (fun a ->
-          Rp_obs.Counter.inc m_lookups;
-          let accesses = Rp_lpm.Access.meter () in
-          let a0 = !accesses in
-          let r = E.lookup t a in
-          Rp_obs.Counter.add m_accesses (!accesses - a0);
-          r);
-    }
-
 (* Decision nodes, one constructor per DAG level kind.  Levels where
    every residual filter is wildcarded are elided entirely (the FDD
    analogue of the DAG's wildcard-chain collapsing), except the source
    level: a lone v4 wildcard edge must still reject v6 keys, and the
    address matcher is what discriminates families. *)
 type 'a node =
-  | Leaf of 'a winners
-  | Addr of { a_level : int; a_matcher : 'a node addr_matcher }
+  | Leaf of { found : 'a winners option }  (* [Some w], built once *)
+  | Addr of { a_level : int; a_matcher : 'a node Rp_lpm.Engines.matcher }
   | Ports of {
       p_level : int;
       intervals : (int * int * 'a node) array;  (* disjoint, sorted *)
@@ -74,7 +46,7 @@ module Binding_tbl = Hashtbl.Make (struct
 end)
 
 type 'a t = {
-  new_matcher : unit -> 'a node addr_matcher;
+  new_matcher : unit -> 'a node Rp_lpm.Engines.matcher;
   n_gates : int;
   entries : 'a entry Binding_tbl.t;
   mutable next_uid : int;
@@ -94,13 +66,13 @@ let m_rebuilds = Rp_obs.Registry.counter "compiled.rebuilds"
 let create ?(engine = Rp_lpm.Engines.patricia) ~gates () =
   if gates <= 0 then invalid_arg "Compiled.create: gates";
   {
-    new_matcher = addr_matcher_of_engine engine;
+    new_matcher = Rp_lpm.Engines.matcher engine;
     n_gates = gates;
     entries = Binding_tbl.create 64;
     next_uid = 0;
     (* Placeholder; [dirty] forces the canonical (empty) build on
        first use, so an empty structure uniformly misses every key. *)
-    root = Leaf (Array.make gates None);
+    root = Leaf { found = Some (Array.make gates None) };
     dirty = true;
     memo = Hashtbl.create 1;
     nodes = 0;
@@ -224,7 +196,7 @@ let rebuild_inner t =
           | Some (g, _) when Filter.compare_specificity e.filter g <= 0 -> ()
           | Some _ | None -> w.(e.gate) <- Some (e.filter, e.inst))
         es;
-      Leaf w
+      Leaf { found = Some w }
     end
     else
       match level with
@@ -260,7 +232,7 @@ let rebuild_inner t =
             let mine, rest = own p [] rest in
             let above, stack = parent p stack in
             let subset = List.merge by_uid above mine in
-            am.am_insert p (build (level + 1) subset);
+            am.insert p (build (level + 1) subset);
             walk ((p, subset) :: stack) rest
         in
         walk [] sorted;
@@ -355,48 +327,44 @@ let prepare t = if t.dirty then rebuild t
 (* Charges mirror {!Dag.lookup} exactly — 2 up front for the BMP/hash
    function pointers, the engine's own charges plus 1 edge per address
    level, 1 probe plus 1 edge per port level, 1 edge per exact level —
-   so one compiled traversal accounts like one per-gate walk. *)
+   so one compiled traversal accounts like one per-gate walk.  As in
+   {!Dag.walk}, the walk is top-level functions taking their state as
+   arguments, an exact level uses [Hashtbl.find], and a leaf returns
+   the [Some w] it was built with, so a lookup allocates nothing. *)
+let rec walk key node =
+  match node with
+  | Leaf l ->
+    Rp_obs.Counter.inc m_matches;
+    l.found
+  | Addr a -> (
+      match a.a_matcher.lookup (addr_value key a.a_level) with
+      | Some (_, child) -> edge key child
+      | None -> None)
+  | Ports p ->
+    Rp_lpm.Access.charge 1;
+    walk_ports key (port_value key p.p_level) p.intervals p.pwild 0
+  | Exact e -> (
+      match Hashtbl.find e.table (exact_value key e.x_level) with
+      | child -> edge key child
+      | exception Not_found -> walk_wild key e.xwild)
+
+and edge key child =
+  Rp_lpm.Access.charge 1;
+  walk key child
+
+(* Follow the interval holding [v], else the wildcard edge. *)
+and walk_ports key v intervals pwild i =
+  if i >= Array.length intervals then walk_wild key pwild
+  else
+    let a, b, c = intervals.(i) in
+    if v < a then walk_wild key pwild
+    else if v <= b then edge key c
+    else walk_ports key v intervals pwild (i + 1)
+
+and walk_wild key = function Some child -> edge key child | None -> None
+
 let lookup t key =
   if t.dirty then rebuild t;
   Rp_obs.Counter.inc m_lookups;
   Rp_lpm.Access.charge 2;
-  let rec walk node =
-    match node with
-    | Leaf w ->
-      Rp_obs.Counter.inc m_matches;
-      Some w
-    | Addr a -> (
-        match a.a_matcher.am_lookup (addr_value key a.a_level) with
-        | Some (_, child) ->
-          Rp_lpm.Access.charge 1;
-          walk child
-        | None -> None)
-    | Ports p -> (
-        Rp_lpm.Access.charge 1;
-        let v = port_value key p.p_level in
-        let n = Array.length p.intervals in
-        let rec find i =
-          if i >= n then p.pwild
-          else
-            let a, b, c = p.intervals.(i) in
-            if v < a then p.pwild else if v <= b then Some c else find (i + 1)
-        in
-        match find 0 with
-        | Some child ->
-          Rp_lpm.Access.charge 1;
-          walk child
-        | None -> None)
-    | Exact e -> (
-        let v = exact_value key e.x_level in
-        let child =
-          match Hashtbl.find_opt e.table v with
-          | Some _ as c -> c
-          | None -> e.xwild
-        in
-        match child with
-        | Some child ->
-          Rp_lpm.Access.charge 1;
-          walk child
-        | None -> None)
-  in
-  walk t.root
+  walk key t.root

@@ -1,16 +1,5 @@
 open Rp_pkt
 
-(* Address-level matcher: a BMP engine instance wrapped in closures so
-   a runtime-selected engine can hold nodes of this DAG (the engine's
-   type parameter is fixed at wrapper-creation time). *)
-type 'a addr_matcher = {
-  am_name : string;
-  am_insert : Prefix.t -> 'a -> unit;
-  am_find : Prefix.t -> 'a option;
-  am_lookup : Ipaddr.t -> (Prefix.t * 'a) option;
-  am_iter : (Prefix.t -> 'a -> unit) -> unit;
-}
-
 module Prefix_tbl = Hashtbl.Make (struct
   type t = Prefix.t
 
@@ -24,30 +13,6 @@ module Filter_tbl = Hashtbl.Make (struct
   let equal = Filter.equal
   let hash = Filter.hash
 end)
-
-(* Per-engine meters: every address lookup through a wrapper counts
-   once, and its [Access]-metered memory accesses are attributed to
-   the engine by name.  Applied to an engine, this resolves the two
-   meters once and returns the per-node factory. *)
-let addr_matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) =
-  let m_lookups = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".lookups") in
-  let m_accesses = Rp_obs.Registry.counter ("lpm." ^ E.name ^ ".accesses") in
-  fun () ->
-    let t = E.create () in
-    {
-      am_name = E.name;
-      am_insert = (fun p v -> E.insert t p v);
-      am_find = (fun p -> E.find_exact t p);
-      am_lookup =
-        (fun a ->
-          Rp_obs.Counter.inc m_lookups;
-          let accesses = Rp_lpm.Access.meter () in
-          let a0 = !accesses in
-          let r = E.lookup t a in
-          Rp_obs.Counter.add m_accesses (!accesses - a0);
-          r);
-      am_iter = (fun f -> E.iter f t);
-    }
 
 type 'a node = {
   level : int;
@@ -77,7 +42,7 @@ and 'a leaf = { mutable best : (Filter.t * 'a) option }
    (ancestor labels for seeding, descendant labels for replication) in
    O(path + matches) instead of O(filters). *)
 and 'a addr = {
-  matcher : 'a node addr_matcher;
+  matcher : 'a node Rp_lpm.Engines.matcher;
   structure : 'a node Rp_lpm.Patricia.t;
   label_filters : (Filter.t * 'a) list ref Prefix_tbl.t;
       (** filters inserted at this node, grouped by their label *)
@@ -98,7 +63,7 @@ and 'a exact = {
 }
 
 type 'a t = {
-  new_matcher : unit -> 'a node addr_matcher;
+  new_matcher : unit -> 'a node Rp_lpm.Engines.matcher;
   nodes : int ref;
   mutable root : 'a node;
   mutable installed : (Filter.t * 'a) list;
@@ -145,7 +110,7 @@ let new_node t level = mk_node t.new_matcher t.nodes level
 
 let create ?(engine = Rp_lpm.Engines.patricia) () =
   let nodes = ref 0 in
-  let new_matcher = addr_matcher_of_engine engine in
+  let new_matcher = Rp_lpm.Engines.matcher engine in
   {
     new_matcher;
     nodes;
@@ -198,7 +163,7 @@ and make_child t level seeds =
 and insert_addr t a level ((f, _) as fv) =
   let lab = addr_label f level in
   let child =
-    match a.matcher.am_find lab with
+    match a.matcher.find lab with
     | Some c -> c
     | None ->
       (* Seed the new edge with every filter whose label subsumes it:
@@ -214,7 +179,7 @@ and insert_addr t a level ((f, _) as fv) =
           []
       in
       let c = make_child t (level + 1) seeds in
-      a.matcher.am_insert lab c;
+      a.matcher.insert lab c;
       Rp_lpm.Patricia.insert a.structure lab c;
       c
   in
@@ -356,7 +321,7 @@ let rec subtree_nodes node =
      | Leaf _ -> 0
      | Addr a ->
        let n = ref 0 in
-       a.matcher.am_iter (fun _ c -> n := !n + subtree_nodes c);
+       a.matcher.iter (fun _ c -> n := !n + subtree_nodes c);
        !n
      | Ports p ->
        List.fold_left
@@ -507,7 +472,7 @@ let optimize t =
   let rec visit node =
     (match node.kids with
      | Leaf _ -> ()
-     | Addr a -> a.matcher.am_iter (fun _ c -> visit c)
+     | Addr a -> a.matcher.iter (fun _ c -> visit c)
      | Ports p ->
        List.iter (fun (_, _, c) -> visit c) p.intervals;
        Option.iter visit p.wild
@@ -524,13 +489,15 @@ let optimize t =
   in
   visit t.root
 
-(* The walk allocates nothing beyond what the level indexes return.
-   Every function takes its state as arguments: a nested [let rec]
-   over [key] would be a closure allocated per lookup, and so would
-   [Access.measure]'s thunk and result pair, so an address level reads
-   the domain's access cell directly.  An exact level finds its child
-   with [Hashtbl.find] rather than [find_opt], whose [Some] would be
-   one more block per level. *)
+(* With PATRICIA at the address levels the walk allocates nothing:
+   the engine returns the result each edge built when it was inserted,
+   and a leaf returns its stored best.  Every function takes its state
+   as arguments: a nested [let rec] over [key] would be a closure
+   allocated per lookup, and so would [Access.measure]'s thunk and
+   result pair, so an address level reads the domain's access cell
+   directly.  An exact level finds its child with [Hashtbl.find]
+   rather than [find_opt], whose [Some] would be one more block per
+   level. *)
 let rec walk key node =
   match node.skip with
   | Some target ->
@@ -557,7 +524,7 @@ and walk_kids key node =
   | Addr a ->
     let accesses = Rp_lpm.Access.meter () in
     let before = !accesses in
-    let result = a.matcher.am_lookup (addr_value key node.level) in
+    let result = a.matcher.lookup (addr_value key node.level) in
     Rp_obs.Counter.add m_level_accesses.(node.level) (!accesses - before);
     (match result with Some (_, child) -> edge key child | None -> None)
   | Ports p ->

@@ -7,12 +7,14 @@ type route = {
   metric : int;
 }
 
+(* The engine binds each prefix to its route's [Some r], built once by
+   [add], so a lookup hands back the block the engine stored. *)
 type matcher = {
-  insert : Prefix.t -> route -> unit;
+  insert : Prefix.t -> route option -> unit;
   remove : Prefix.t -> unit;
-  lookup : Ipaddr.t -> (Prefix.t * route) option;
-  find : Prefix.t -> route option;
-  iter : (Prefix.t -> route -> unit) -> unit;
+  lookup : Ipaddr.t -> (Prefix.t * route option) option;
+  find : Prefix.t -> route option option;
+  iter : (Prefix.t -> route option -> unit) -> unit;
   length : unit -> int;
 }
 
@@ -61,9 +63,9 @@ let release t =
 
 let add t route =
   match t.m.find route.prefix with
-  | Some existing when existing.metric < route.metric -> ()
+  | Some (Some existing) when existing.metric < route.metric -> ()
   | Some _ | None ->
-    t.m.insert route.prefix route;
+    t.m.insert route.prefix (Some route);
     t.stamp <- fresh_stamp ()
 
 let remove t prefix =
@@ -73,7 +75,7 @@ let remove t prefix =
 let lookup t dst =
   Rp_obs.Counter.inc m_lookups;
   match t.m.lookup dst with
-  | Some (_, r) -> Some r
+  | Some (_, found) -> found
   | None ->
     Rp_obs.Counter.inc m_misses;
     None
@@ -87,7 +89,9 @@ let out_iface i =
   if i >= 0 && i < Array.length some_iface then some_iface.(i) else Some i
 
 (* A hit reuses the options the flow's first walk stored, so it
-   allocates nothing. *)
+   allocates nothing; nor does a walk to a route with a gateway.  A
+   directly connected route's next hop is the packet's own destination,
+   one [Some] per walk. *)
 let resolve t flows (m : Mbuf.t) =
   let out = Ft.cached_route flows m ~stamp:t.stamp in
   if out >= 0 then begin
@@ -108,7 +112,7 @@ let resolve t flows (m : Mbuf.t) =
 
 let stamp t = t.stamp
 let length t = t.m.length ()
-let iter f t = t.m.iter (fun _ r -> f r)
+let iter f t = t.m.iter (fun _ r -> Option.iter f r)
 
 let pp_route ppf r =
   Format.fprintf ppf "%a -> %s dev if%d metric %d" Prefix.pp r.prefix

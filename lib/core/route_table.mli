@@ -24,7 +24,9 @@ val remove : t -> Prefix.t -> unit
 
 (** [lookup t dst] is the best (longest-prefix) route for [dst]: one
     walk of the BMP engine, counted in [route_table.lookups] (and
-    [route_table.misses] when nothing matches). *)
+    [route_table.misses] when nothing matches).  The result is the
+    [Some r] that {!add} built, so with PATRICIA a lookup allocates
+    nothing. *)
 val lookup : t -> Ipaddr.t -> route option
 
 (** [out_iface i] is [Some i], shared for the first 64 interfaces so

@@ -273,50 +273,56 @@ let test_dag_v6 () =
   (* A v4 key must not match the v6 wildcard filter. *)
   check bool_t "family isolation" true (Dag.lookup dag (key ()) = None)
 
-(* A walk allocates only what its two address levels' BMP engines
-   return ([Some (prefix, child)], five words each): the walk itself,
-   the port and exact levels and the access metering allocate nothing.
-   Keys cover hits and misses at every level kind, v4 and v6; the
-   slack covers the [Gc.minor_words] boxing itself. *)
-let test_dag_lookup_alloc () =
+(* A walk allocates nothing: the address levels' PATRICIA returns the
+   result each edge built when it was inserted, and the walk itself,
+   the port and exact levels and the access metering allocate nothing
+   either.  Keys cover hits and misses at every level kind, v4 and v6;
+   the slack covers the [Gc.minor_words] boxing itself. *)
+let alloc_keys =
+  [|
+    key ~src:"128.252.153.1" ~dst:"128.252.153.7" ();
+    key ~src:"129.1.2.3" ~dst:"192.94.233.10" ~proto:Proto.tcp ();
+    key ~src:"128.252.153.9" ~dst:"9.9.9.9" ~sport:53 ();
+    key ~dport:150 ~iface:1 ~proto:Proto.tcp ();
+    key ~dport:150 ~iface:2 ~proto:Proto.tcp ();
+    key ~src:"2001:db8::1" ~dst:"2001:db8::2" ~proto:Proto.tcp ();
+    key ~src:"fe80::1" ~dst:"2001:db8::2" ();
+  |]
+
+let alloc_filters () =
   let f1, f2, f3, f4 = table1 () in
-  let dag = Dag.create () in
-  List.iter
-    (fun (f, v) -> Dag.insert dag f v)
-    [
-      (f1, 1); (f2, 2); (f3, 3); (f4, 4);
-      (Filter.v4 ~dport:(Filter.Port_range (100, 200)) ~iface:1 (), 5);
-      (Filter.v4 ~proto:Proto.udp ~sport:(Filter.Port 53) (), 6);
-      (Filter.v6 ~src:(Prefix.of_string "2001:db8::/32") ~proto:Proto.tcp (), 7);
-    ];
-  let keys =
-    [|
-      key ~src:"128.252.153.1" ~dst:"128.252.153.7" ();
-      key ~src:"129.1.2.3" ~dst:"192.94.233.10" ~proto:Proto.tcp ();
-      key ~src:"128.252.153.9" ~dst:"9.9.9.9" ~sport:53 ();
-      key ~dport:150 ~iface:1 ~proto:Proto.tcp ();
-      key ~dport:150 ~iface:2 ~proto:Proto.tcp ();
-      key ~src:"2001:db8::1" ~dst:"2001:db8::2" ~proto:Proto.tcp ();
-      key ~src:"fe80::1" ~dst:"2001:db8::2" ();
-    |]
-  in
+  [
+    (f1, 1); (f2, 2); (f3, 3); (f4, 4);
+    (Filter.v4 ~dport:(Filter.Port_range (100, 200)) ~iface:1 (), 5);
+    (Filter.v4 ~proto:Proto.udp ~sport:(Filter.Port 53) (), 6);
+    (Filter.v6 ~src:(Prefix.of_string "2001:db8::/32") ~proto:Proto.tcp (), 7);
+  ]
+
+(* Minor words per call of [lookup] over [alloc_keys], after a warm-up. *)
+let words_per_lookup lookup =
   let spin n =
     for i = 0 to n - 1 do
-      ignore (Dag.lookup dag (Array.unsafe_get keys (i mod Array.length keys)))
+      ignore
+        (Sys.opaque_identity
+           (lookup (Array.unsafe_get alloc_keys (i mod Array.length alloc_keys))))
     done
   in
+  spin 1000;
+  let n = 7000 in
+  let before = Gc.minor_words () in
+  spin n;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_dag_lookup_alloc () =
+  let dag = Dag.create () in
+  List.iter (fun (f, v) -> Dag.insert dag f v) (alloc_filters ());
   List.iter
     (fun optimized ->
       if optimized then Dag.optimize dag;
-      spin 1000;
-      let n = 7000 in
-      let before = Gc.minor_words () in
-      spin n;
-      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      let words = words_per_lookup (Dag.lookup dag) in
       check bool_t
-        (Printf.sprintf "<= 11 words per lookup (%.2f, optimized=%b)" words
-           optimized)
-        true (words <= 11.))
+        (Printf.sprintf "no words per lookup (%.3f, optimized=%b)" words optimized)
+        true (words <= 0.02))
     [ false; true ]
 
 (* --- DAG: the central equivalence property -------------------------- *)
@@ -1244,6 +1250,15 @@ let prop_aiu_cached_equals_uncached =
 
 (* --- compiled cross-gate classifier ---------------------------------- *)
 
+(* The same keys and filters, split over three gates, through the
+   compiled structure: no words per lookup either. *)
+let test_compiled_lookup_alloc () =
+  let c = Compiled.create ~gates:3 () in
+  List.iteri (fun i (f, v) -> Compiled.bind c ~gate:(i mod 3) f v) (alloc_filters ());
+  Compiled.prepare c;
+  let words = words_per_lookup (Compiled.lookup c) in
+  check bool_t (Printf.sprintf "no words per lookup (%.3f)" words) true (words <= 0.02)
+
 let test_compiled_basic () =
   let c = Compiled.create ~gates:2 () in
   let udp = Filter.v4 ~proto:Proto.udp () in
@@ -1639,5 +1654,7 @@ let () =
             test_compiled_rebuild_reuses;
           Alcotest.test_case "address partition = DAG" `Quick
             test_compiled_address_partition;
+          Alcotest.test_case "lookup allocates nothing" `Quick
+            test_compiled_lookup_alloc;
         ] );
     ]

@@ -122,6 +122,50 @@ let test_route_table () =
   | Some r -> check int_t "falls to default" 0 r.Route_table.iface
   | None -> Alcotest.fail "no route after remove"
 
+(* A walking [resolve] allocates nothing: the engine hands back the
+   [Some r] that [add] built, and a gateway route's next hop and the
+   egress interface's option are the route's and the shared ones.  A
+   packet without a FIX walks every time.  The slack covers
+   [Gc.minor_words]. *)
+let test_route_resolve_alloc () =
+  let rt = Route_table.create () in
+  List.iteri
+    (fun i p ->
+      Route_table.add rt
+        { Route_table.prefix = Prefix.of_string p;
+          next_hop = Some (Ipaddr.of_string (if i < 2 then "10.0.0.254" else "fe80::1"));
+          iface = i; metric = 0 })
+    [ "0.0.0.0/0"; "192.168.0.0/16"; "2001:db8::/32" ];
+  let flows = Rp_classifier.Flow_table.create ~gates:1 () in
+  let ms =
+    Array.map
+      (fun dst ->
+        Mbuf.synth ~len:100
+          ~key:
+            (Flow_key.make ~src:(Ipaddr.of_string "10.0.0.1")
+               ~dst:(Ipaddr.of_string dst) ~proto:Proto.udp ~sport:1 ~dport:2 ~iface:0)
+          ())
+      [| "192.168.5.5"; "8.8.8.8"; "2001:db8::9"; "fe80::2" |]
+  in
+  let spin n =
+    let routed = ref 0 in
+    for i = 0 to n - 1 do
+      if Route_table.resolve rt flows (Array.unsafe_get ms (i land 3)) >= 0 then incr routed
+    done;
+    !routed
+  in
+  ignore (spin 1000);
+  let n = 8000 in
+  let walks0 = Rp_obs.Counter.get (Rp_obs.Registry.counter "route_table.lookups") in
+  let before = Gc.minor_words () in
+  let routed = spin n in
+  let words = Gc.minor_words () -. before in
+  let walks = Rp_obs.Counter.get (Rp_obs.Registry.counter "route_table.lookups") - walks0 in
+  check int_t "every resolve walks" n walks;
+  check int_t "three of four destinations route" (3 * n / 4) routed;
+  check bool_t (Printf.sprintf "%.0f minor words for %d walks (none each)" words n)
+    true (words <= 100.)
+
 (* --- IP core ----------------------------------------------------------- *)
 
 let mk_router ?(mode = Router.Plugins) ?(gates = Gate.all) () =
@@ -665,7 +709,11 @@ let () =
           Alcotest.test_case "messages" `Quick test_pcu_messages;
         ] );
       ( "route_table",
-        [ Alcotest.test_case "lpm + metric" `Quick test_route_table ] );
+        [
+          Alcotest.test_case "lpm + metric" `Quick test_route_table;
+          Alcotest.test_case "a walking resolve allocates nothing" `Quick
+            test_route_resolve_alloc;
+        ] );
       ( "ip_core",
         [
           Alcotest.test_case "forwarding" `Quick test_forwarding_basic;
