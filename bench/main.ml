@@ -1660,10 +1660,10 @@ let fig_coldstart () =
 
      fix      bare FIX fast path, the session library compiled in but
               no session plugin bound (the Table-3 baseline shape);
-     cached   nat / conntrack / nat-out bound with the soft-slot
-              session cache on — steady state charges exactly ONE
-              session access per packet, and the cached next-hop
-              skips the LPM walk;
+     cached   nat / conntrack bound with the soft-slot session cache
+              on — steady state charges exactly ONE session access
+              per packet, and both directions, the NAT'd reply
+              included, ride the route cached in their flow records;
      nocache  the same plugins with cache=off: every session gate
               pays a full striped-table lookup (the naive feature
               layering this subsystem replaces).
@@ -1726,7 +1726,7 @@ let fig_session () =
               (Pcu.register_instance r.Router.pcu
                  ~instance:i.Plugin.instance_id
                  (Rp_classifier.Filter.v4 ())))
-          [ "nat"; "conntrack"; "nat-out" ];
+          [ "nat"; "conntrack" ];
         Some t
     in
     let e = Rp_engine.Engine.create Rp_engine.Engine.Inline r in
@@ -1735,7 +1735,7 @@ let fig_session () =
       ignore (Rp_engine.Engine.submit e ~now m);
       ignore (Rp_engine.Engine.flush e ~f:sink)
     in
-    (* warm: create every session and learn both routes *)
+    (* warm: create every session and cache both directions' routes *)
     for f = 0 to flows - 1 do
       shoot (Int64.of_int (f * 10)) (Mbuf.synth ~key:(fwd_key f) ~len:512 ());
       shoot (Int64.of_int ((f * 10) + 5)) (Mbuf.synth ~key:(rev_key f) ~len:512 ())
@@ -2189,8 +2189,7 @@ let fig_zipf () =
      records, never by failing or growing past the bound. *)
   let storm_cap = 65_536 in
   let aiu =
-    Rp_classifier.Aiu.create ~initial_records:1024 ~max_records:storm_cap
-      ~gates:1 ()
+    Rp_classifier.Aiu.create ~max_records:storm_cap ~gates:1 ()
   in
   Rp_classifier.Aiu.bind aiu ~gate:0 (Rp_classifier.Filter.v4 ()) ();
   for id = 0 to (2 * storm_cap) - 1 do

@@ -1,7 +1,7 @@
 (* session_soak — the session-subsystem soak scenario run by CI.
 
    Drives NAT'd bidirectional UDP traffic through the unified session
-   subsystem (nat / conntrack / nat-out on one shared table) on both
+   subsystem (nat / conntrack on one shared table) on both
    the inline and the sharded:4 engine, under control-plane churn:
    the conntrack binding is removed and re-added and the NAT plugin
    quarantined and restored mid-traffic, with a flush + snapshot-sync
@@ -69,7 +69,7 @@ let setup_session_plugins r ~table =
          (Rp_classifier.Filter.v4 ()));
     i.Plugin.instance_id
   in
-  (inst "nat", inst "conntrack", inst "nat-out")
+  (inst "nat", inst "conntrack")
 
 (* The churn schedule: a fixed LCG so every run (and both engine
    modes) sees the identical op sequence.  ~400 bursts of 1..16
@@ -112,7 +112,7 @@ let run_mode ~label mode =
       port = None;
       tos = Some 0x28;
     };
-  let nat_id, ct_id, _ = setup_session_plugins r ~table in
+  let nat_id, ct_id = setup_session_plugins r ~table in
   let e = Rp_engine.Engine.create mode r in
   let ct_filter = Rp_classifier.Filter.to_string (Rp_classifier.Filter.v4 ()) in
   let expected = { fwd_pkts = 0; fwd_bytes = 0; rev_pkts = 0; rev_bytes = 0 } in

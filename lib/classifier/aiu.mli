@@ -55,12 +55,10 @@ val compiled : 'a t -> 'a Compiled.t
 
 (** [create ~gates ()] builds an AIU with [gates] filter tables.
     [engine] selects the BMP plugin used by the DAGs' address levels;
-    flow-table sizing options are passed through to
-    {!Flow_table.create}. *)
+    [max_records] and [on_evict] pass through to {!Flow_table.create}. *)
 val create :
-  ?engine:Rp_lpm.Engines.t -> ?buckets:int -> ?initial_records:int ->
-  ?max_records:int -> ?on_evict:(gate:int -> 'a Flow_table.binding -> unit) ->
-  gates:int -> unit -> 'a t
+  ?engine:Rp_lpm.Engines.t -> ?max_records:int ->
+  ?on_evict:(gate:int -> 'a Flow_table.binding -> unit) -> gates:int -> unit -> 'a t
 
 val gates : 'a t -> int
 

@@ -80,31 +80,11 @@ let create ?(engine = Rp_lpm.Engines.patricia) ~gates () =
 
 let gates t = t.n_gates
 
-(* --- field projections (same level order as {!Dag}) ----------------- *)
-
-let addr_label (f : Filter.t) level =
-  if level = 0 then f.Filter.src else f.Filter.dst
-
-let addr_value (k : Flow_key.t) level =
-  if level = 0 then k.Flow_key.src else k.Flow_key.dst
-
-let port_label (f : Filter.t) level =
-  if level = 3 then f.Filter.sport else f.Filter.dport
-
-let port_value (k : Flow_key.t) level =
-  if level = 3 then k.Flow_key.sport else k.Flow_key.dport
-
-let exact_label (f : Filter.t) level =
-  if level = 2 then f.Filter.proto else f.Filter.iface
-
-let exact_value (k : Flow_key.t) level =
-  if level = 2 then k.Flow_key.proto else k.Flow_key.iface
-
 let wild_at level e =
   match level with
-  | 0 | 1 -> Prefix.is_wildcard (addr_label e.filter level)
-  | 2 | 5 -> exact_label e.filter level = Filter.Any_num
-  | 3 | 4 -> port_label e.filter level = Filter.Any_port
+  | 0 | 1 -> Prefix.is_wildcard (Filter.addr_label e.filter level)
+  | 2 | 5 -> Filter.exact_label e.filter level = Filter.Any_num
+  | 3 | 4 -> Filter.port_label e.filter level = Filter.Any_port
   | _ -> assert false
 
 (* --- control path ---------------------------------------------------- *)
@@ -211,7 +191,7 @@ let rebuild_inner t =
            nearest labelled ancestor: its subset is that ancestor's
            subset merged with its own entries.  The stable sort keeps
            each label's own entries in uid order. *)
-        let label e = addr_label e.filter level in
+        let label e = Filter.addr_label e.filter level in
         let sorted =
           List.stable_sort (fun a b -> Prefix.compare (label a) (label b)) es
         in
@@ -243,7 +223,7 @@ let rebuild_inner t =
           List.sort_uniq Int.compare
             (List.filter_map
                (fun e ->
-                 match exact_label e.filter level with
+                 match Filter.exact_label e.filter level with
                  | Filter.Num n -> Some n
                  | Filter.Any_num -> None)
                es)
@@ -254,7 +234,7 @@ let rebuild_inner t =
             let subset =
               List.filter
                 (fun e ->
-                  match exact_label e.filter level with
+                  match Filter.exact_label e.filter level with
                   | Filter.Any_num -> true
                   | Filter.Num m -> m = n)
                 es
@@ -273,7 +253,7 @@ let rebuild_inner t =
            splitting produces. *)
         let wilds = List.filter (wild_at level) es in
         let bounds_of e =
-          match port_label e.filter level with
+          match Filter.port_label e.filter level with
           | Filter.Port q -> Some (q, q)
           | Filter.Port_range (lo, hi) -> Some (lo, hi)
           | Filter.Any_port -> None
@@ -337,14 +317,14 @@ let rec walk key node =
     Rp_obs.Counter.inc m_matches;
     l.found
   | Addr a -> (
-      match a.a_matcher.lookup (addr_value key a.a_level) with
+      match a.a_matcher.lookup (Filter.addr_value key a.a_level) with
       | Some (_, child) -> edge key child
       | None -> None)
   | Ports p ->
     Rp_lpm.Access.charge 1;
-    walk_ports key (port_value key p.p_level) p.intervals p.pwild 0
+    walk_ports key (Filter.port_value key p.p_level) p.intervals p.pwild 0
   | Exact e -> (
-      match Hashtbl.find e.table (exact_value key e.x_level) with
+      match Hashtbl.find e.table (Filter.exact_value key e.x_level) with
       | child -> edge key child
       | exception Not_found -> walk_wild key e.xwild)
 

@@ -119,26 +119,6 @@ let create ?(engine = Rp_lpm.Engines.patricia) () =
     installed_tbl = Filter_tbl.create 64;
   }
 
-(* --- field projections --------------------------------------------- *)
-
-let addr_label (f : Filter.t) level =
-  if level = 0 then f.Filter.src else f.Filter.dst
-
-let addr_value (k : Flow_key.t) level =
-  if level = 0 then k.Flow_key.src else k.Flow_key.dst
-
-let port_label (f : Filter.t) level =
-  if level = 3 then f.Filter.sport else f.Filter.dport
-
-let port_value (k : Flow_key.t) level =
-  if level = 3 then k.Flow_key.sport else k.Flow_key.dport
-
-let exact_label (f : Filter.t) level =
-  if level = 2 then f.Filter.proto else f.Filter.iface
-
-let exact_value (k : Flow_key.t) level =
-  if level = 2 then k.Flow_key.proto else k.Flow_key.iface
-
 (* --- insertion (set pruning) --------------------------------------- *)
 
 let more_specific (f : Filter.t) (g : Filter.t) = Filter.compare_specificity f g > 0
@@ -161,7 +141,7 @@ and make_child t level seeds =
   child
 
 and insert_addr t a level ((f, _) as fv) =
-  let lab = addr_label f level in
+  let lab = Filter.addr_label f level in
   let child =
     match a.matcher.find lab with
     | Some c -> c
@@ -193,7 +173,7 @@ and insert_addr t a level ((f, _) as fv) =
       if not (Prefix.equal p lab) then insert_into t c fv)
 
 and insert_exact t e level ((f, _) as fv) =
-  match exact_label f level with
+  match Filter.exact_label f level with
   | Filter.Any_num ->
     let child =
       match e.ewild with
@@ -219,7 +199,7 @@ and insert_exact t e level ((f, _) as fv) =
     insert_into t child fv
 
 and insert_ports t p level ((f, _) as fv) =
-  match port_label f level with
+  match Filter.port_label f level with
   | Filter.Any_port ->
     let child =
       match p.wild with
@@ -366,7 +346,7 @@ let rec remove_from t node f =
   | Exact e -> remove_exact t e node.level f
 
 and remove_addr t a level f =
-  let lab = addr_label f level in
+  let lab = Filter.addr_label f level in
   (match Prefix_tbl.find_opt a.label_filters lab with
    | Some l ->
      l := drop_filter f !l;
@@ -381,7 +361,7 @@ and remove_addr t a level f =
   Rp_lpm.Patricia.iter_subtree a.structure lab (fun _ c -> remove_from t c f)
 
 and remove_exact t e level f =
-  match exact_label f level with
+  match Filter.exact_label f level with
   | Filter.Any_num ->
     e.xwild_filters <- drop_filter f e.xwild_filters;
     (match e.ewild with
@@ -431,7 +411,7 @@ and remove_ports t p level f =
           else true)
         p.intervals
   in
-  match port_label f level with
+  match Filter.port_label f level with
   | Filter.Any_port ->
     p.pwild_filters <- drop_filter f p.pwild_filters;
     (match p.wild with
@@ -524,15 +504,15 @@ and walk_kids key node =
   | Addr a ->
     let accesses = Rp_lpm.Access.meter () in
     let before = !accesses in
-    let result = a.matcher.lookup (addr_value key node.level) in
+    let result = a.matcher.lookup (Filter.addr_value key node.level) in
     Rp_obs.Counter.add m_level_accesses.(node.level) (!accesses - before);
     (match result with Some (_, child) -> edge key child | None -> None)
   | Ports p ->
     Rp_lpm.Access.charge 1;
     Rp_obs.Counter.inc m_level_accesses.(node.level);
-    walk_ports key (port_value key node.level) p.wild p.intervals
+    walk_ports key (Filter.port_value key node.level) p.wild p.intervals
   | Exact e ->
-    (match Hashtbl.find e.table (exact_value key node.level) with
+    (match Hashtbl.find e.table (Filter.exact_value key node.level) with
      | child -> edge key child
      | exception Not_found -> walk_wild key e.ewild)
 

@@ -271,3 +271,20 @@ let of_string input =
     (try Ok (make ~family ~src ~dst ?proto ~sport ~dport ?iface ~priority ())
      with Invalid_argument msg -> Error msg)
   | _ -> Error "filter must have six comma-separated fields"
+
+(* --- field projections by classifier level --------------------------- *)
+
+let addr_label f level = if level = 0 then f.src else f.dst
+
+let addr_value (k : Flow_key.t) level =
+  if level = 0 then k.Flow_key.src else k.Flow_key.dst
+
+let port_label f level = if level = 3 then f.sport else f.dport
+
+let port_value (k : Flow_key.t) level =
+  if level = 3 then k.Flow_key.sport else k.Flow_key.dport
+
+let exact_label f level = if level = 2 then f.proto else f.iface
+
+let exact_value (k : Flow_key.t) level =
+  if level = 2 then k.Flow_key.proto else k.Flow_key.iface

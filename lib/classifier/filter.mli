@@ -79,3 +79,17 @@ val pp : Format.formatter -> t -> unit
 val port_match_matches : port_match -> int -> bool
 val port_match_width : port_match -> int
 val num_match_matches : num_match -> int -> bool
+
+(** Field projections by classifier level, in the order of
+    {!compare_specificity}, which {!Dag} and {!Compiled} both walk:
+    0 source address, 1 destination address, 2 protocol, 3 source
+    port, 4 destination port, 5 interface.  A [_label] reads a
+    filter's field, a [_value] the flow key's; the address pair serves
+    levels 0-1, the port pair 3-4 and the exact pair 2 and 5. *)
+
+val addr_label : t -> int -> Prefix.t
+val addr_value : Flow_key.t -> int -> Ipaddr.t
+val port_label : t -> int -> port_match
+val port_value : Flow_key.t -> int -> int
+val exact_label : t -> int -> num_match
+val exact_value : Flow_key.t -> int -> int

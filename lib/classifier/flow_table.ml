@@ -102,14 +102,15 @@ type 'a t = {
    path never constructs one.  It also holds the slot's heap-valued
    per-flow state, built once per flow so hits allocate nothing: the
    FIX option handed to packets (valid while its generation is the
-   slot's), and the options of the cached route (valid while [f_route]
-   matches). *)
+   slot's), and the cached route (valid while [f_route] matches): the
+   options it set and the destination it was routed for. *)
 and 'a record = {
   r_tab : 'a t;
   r_slot : int;
   mutable r_fix : Mbuf.fix option;
   mutable r_out : int option;
   mutable r_hop : Ipaddr.t option;
+  mutable r_dst : Ipaddr.t;  (** routed for; [keyed_dst] = the key's *)
 }
 
 type stats = {
@@ -166,8 +167,14 @@ let[@inline] meta_of (k : Flow_key.t) =
   lor ((k.Flow_key.dport land 0xFFFF) lsl 24)
   lor (k.Flow_key.iface lsl 40)
 
+(* [r_dst] of a route cached for the destination the flow is keyed on,
+   told apart by address: an unrewritten flow stores no packet's
+   address and compares against its key. *)
+let keyed_dst = Ipaddr.V4 0l
+
 let handle t i =
-  { r_tab = t; r_slot = i; r_fix = None; r_out = None; r_hop = None }
+  { r_tab = t; r_slot = i; r_fix = None; r_out = None; r_hop = None;
+    r_dst = keyed_dst }
 
 let create ?(buckets = default_buckets) ?(initial_records = default_initial)
     ?(max_records = max_int) ?(on_evict = fun ~gate:_ _ -> ()) ~gates () =
@@ -698,39 +705,34 @@ let account t (m : Mbuf.t) ~verdict =
 
 (* --- per-flow route cache --------------------------------------------- *)
 
-(* The slot of [m]'s flow record when its FIX is still valid and [m]
-   still carries the destination the flow was keyed on, else -1. *)
+(* The slot of [m]'s flow record when its FIX is still valid, else -1. *)
 let route_slot t (m : Mbuf.t) =
-  match m.Mbuf.fix with
-  | None -> -1
-  | Some fix ->
-    let slot = fix_slot t fix in
-    if
-      slot >= 0
-      && Ipaddr.equal
-           (Array.unsafe_get t.keys slot).Flow_key.dst
-           m.Mbuf.key.Flow_key.dst
-    then slot
-    else -1
+  match m.Mbuf.fix with None -> -1 | Some fix -> fix_slot t fix
 
 let cached_route t (m : Mbuf.t) ~stamp =
   let slot = route_slot t m in
   if slot < 0 || get t slot f_route <> stamp then -1
   else
     let h = Array.unsafe_get t.handles slot in
+    let dst =
+      if h.r_dst == keyed_dst then (Array.unsafe_get t.keys slot).Flow_key.dst
+      else h.r_dst
+    in
     match h.r_out with
-    | Some out ->
+    | Some out when Ipaddr.equal dst m.Mbuf.key.Flow_key.dst ->
       m.Mbuf.out_iface <- h.r_out;
       m.Mbuf.next_hop <- h.r_hop;
       out
-    | None -> -1
+    | Some _ | None -> -1
 
 let cache_route t (m : Mbuf.t) ~stamp =
   let slot = route_slot t m in
   if slot >= 0 then begin
-    let h = t.handles.(slot) in
+    let h = t.handles.(slot) and dst = m.Mbuf.key.Flow_key.dst in
     h.r_out <- m.Mbuf.out_iface;
     h.r_hop <- m.Mbuf.next_hop;
+    h.r_dst <-
+      (if Ipaddr.equal t.keys.(slot).Flow_key.dst dst then keyed_dst else dst);
     set t slot f_route stamp
   end
 

@@ -153,21 +153,22 @@ val account :
   'a t -> Mbuf.t -> verdict:[ `Fwd | `Drop | `Absorb ] -> unit
 
 (** Per-flow route cache.  A record caches one route: a route-table
-    stamp in a spare word of its hot line, and the [out_iface] /
-    [next_hop] options it set, kept on the slot's handle.  Inserting a
-    flow clears it, so it leaves with the flow (evicted, recycled,
-    invalidated or flushed) and a fresh table never sees a
-    predecessor's.  Both functions only touch the record [m]'s FIX
-    names, when that FIX is still valid and [m] still carries the
-    destination the flow was keyed on.
+    stamp in a spare word of its hot line, and, kept on the slot's
+    handle, the [out_iface] / [next_hop] options it set and the
+    destination it was routed for.  Inserting a flow clears it, so it
+    leaves with the flow (evicted, recycled, invalidated or flushed)
+    and a fresh table never sees a predecessor's.  Both functions only
+    touch the record [m]'s FIX names, when that FIX is still valid.
 
     [cached_route t m ~stamp] is the egress interface cached at
-    [stamp], with [m.out_iface] and [m.next_hop] set from the cache;
-    [-1] (and [m] untouched) when nothing is cached at [stamp].
-    Allocates nothing.
+    [stamp] for [m]'s current destination, with [m.out_iface] and
+    [m.next_hop] set from the cache; [-1] (and [m] untouched) when
+    nothing is cached at [stamp] or the route was cached for another
+    destination — a packet whose NAT rewrite was skipped, or that a
+    plugin rewrote differently, walks.  Allocates nothing.
 
     [cache_route t m ~stamp] caches [m]'s current [out_iface] and
-    [next_hop] as the flow's route at [stamp]. *)
+    [next_hop] as the route of [m]'s destination at [stamp]. *)
 val cached_route : 'a t -> Mbuf.t -> stamp:int -> int
 val cache_route : 'a t -> Mbuf.t -> stamp:int -> unit
 

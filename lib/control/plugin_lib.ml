@@ -17,11 +17,13 @@ let available : (string * (module Plugin.PLUGIN)) list =
     ("token-bucket", (module Rp_sched.Tb_plugin));
     ("ipsec-in", (module Rp_crypto.Ipsec_plugin.In));
     ("ipsec-out", (module Rp_crypto.Ipsec_plugin.Out));
-    (* Unified session subsystem: NAT rewrite (+ QoS class + cached
-       next-hop) before routing, conntrack verdict at the firewall
-       gate, route learning after routing. *)
+    (* Unified session subsystem: NAT rewrite (+ QoS class) before
+       routing, conntrack verdict at the firewall gate.  Sessions
+       route through their flow records' route cache, so [nat-out]
+       has no work; the name stays loadable, as a no-op, for
+       configurations that bind it. *)
     ("nat", (module Rp_session.Nat_plugin.In));
-    ("nat-out", (module Rp_session.Nat_plugin.Out));
+    ("nat-out", Empty_plugin.make ~gate:Gate.Security_out ~name:"nat-out");
     ("conntrack", (module Rp_session.Conntrack_plugin));
     (* No-op plugins for framework-overhead experiments (Table 3). *)
     ("empty-options", Empty_plugin.make ~gate:Gate.Ip_options ~name:"empty-options");

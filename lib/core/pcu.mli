@@ -15,11 +15,9 @@ open Rp_classifier
 
 type t
 
-(** [create ()] builds a PCU with an AIU sized to {!Gate.count} gates.
-    Flow-table parameters pass through to the AIU. *)
-val create :
-  ?engine:Rp_lpm.Engines.t -> ?buckets:int -> ?initial_records:int ->
-  ?max_records:int -> unit -> t
+(** [create ()] builds a PCU with an AIU sized to {!Gate.count} gates;
+    [max_records] bounds its flow table. *)
+val create : ?engine:Rp_lpm.Engines.t -> ?max_records:int -> unit -> t
 
 val aiu : t -> Plugin.t Aiu.t
 

@@ -29,10 +29,6 @@ val remove : t -> Prefix.t -> unit
     nothing. *)
 val lookup : t -> Ipaddr.t -> route option
 
-(** [out_iface i] is [Some i], shared for the first 64 interfaces so
-    a cached route can set [Mbuf.out_iface] without allocating. *)
-val out_iface : int -> int option
-
 (** [resolve t flows m] routes [m] on the data path: it sets
     [m.out_iface] and [m.next_hop] (the route's gateway, or [m]'s own
     destination when directly connected) and returns the egress
@@ -42,8 +38,9 @@ val out_iface : int -> int option
     record of [flows] is cached with that record, and later packets of
     the flow reuse it — without a walk or an allocation, counted in
     [route_table.cache_hits] — while [t] is unchanged and the packet
-    still carries the destination the flow was keyed on (a NAT rewrite
-    walks).  The table's contents are identified by a stamp, unique
+    carries the destination the route was cached for: a NAT'd flow
+    caches its rewritten destination, and a packet that skipped the
+    rewrite walks.  The table's contents are identified by a stamp, unique
     across the process: every {!add} and {!remove} takes a fresh one,
     and so does every table {!create} builds.  A packet without a FIX
     (best-effort mode) always walks. *)

@@ -18,10 +18,10 @@ type t = {
 }
 
 let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
-    ?flow_buckets ?flow_max ?(fault_policy = Fault.Drop_packet) ?cycle_budget
+    ?flow_max ?(fault_policy = Fault.Drop_packet) ?cycle_budget
     ?quarantine_threshold ~ifaces () =
   if ifaces = [] then invalid_arg "Router.create: no interfaces";
-  let pcu = Pcu.create ?engine ?buckets:flow_buckets ?max_records:flow_max () in
+  let pcu = Pcu.create ?engine ?max_records:flow_max () in
   (match quarantine_threshold with
    | Some n -> Pcu.set_quarantine_threshold pcu n
    | None -> ());

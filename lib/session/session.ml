@@ -1,11 +1,13 @@
-(* Bidirectional session table: NAT + conntrack + QoS + cached
-   next-hop behind one lookup.
+(* Bidirectional session table: NAT + conntrack + QoS behind one
+   lookup.  Routing is not cached here: a session's packets ride the
+   route cached in their flow record, which every route change renews
+   ([Route_table.resolve]).
 
    Storage: every session is one row of [stride] immediates in flat
    int memory (Bigarray chunks, see the f_* offsets), plus one small
    block per direction, its view ([Sess]), holding what a packet needs
-   boxed: the addresses for the key copy, the export tuple, the
-   learned next hop.  Rows live in fixed-size chunks that never move:
+   boxed: the addresses for the key copy and the export tuple.  Rows
+   live in fixed-size chunks that never move:
    the table grows by adding chunks, so a worker domain writing a row
    through a cached handle can never lose its write to a concurrent
    copy.
@@ -99,11 +101,11 @@ let transition v dir tcp_flags =
    A row is [stride] ints at [(slot land cmask) * stride] in chunk
    [slot lsr cbits].  The first sixteen words are what a packet
    touches (generation, state, flags, QoS, and per direction the
-   last-touch time, learned route and counters); the tuples follow,
-   each address as the four 32-bit words [Ipaddr.word] splits it into
-   (the layout of [Flow_export]'s rows), then the control-path words.
-   Per-direction fields sit at [field + dir] ([+ 3 * dir] for the
-   counter triple). *)
+   last-touch time and counters; words 6 and 7 are spare); the tuples
+   follow, each address as the four 32-bit words [Ipaddr.word] splits
+   it into (the layout of [Flow_export]'s rows), then the control-path
+   words.  Per-direction fields sit at [field + dir] ([+ 3 * dir] for
+   the counter triple). *)
 
 let stride = 40
 let f_gen = 0 (* odd while the slot holds a live session *)
@@ -111,7 +113,6 @@ let f_state = 1
 let f_flags = 2 (* proto, NAT/QoS/two-key bits, address families *)
 let f_qos = 3
 let f_last = 4 (* + dir: last touch, ns *)
-let f_out = 6 (* + dir: learned out_iface, -1 = none *)
 let f_pkts = 8 (* + 3 * dir *)
 let f_bytes = 9
 let f_drops = 10
@@ -193,12 +194,10 @@ type table = {
 
 (* One direction of a session, as flow bindings' soft slots cache it:
    the handle (generation, slot, direction), the direction's
-   post-rewrite addresses boxed for the packet key, the tuple a flow
-   export carries, and the next hop the direction learned (written by
-   its own domain before [f_out]).  Built with the session, two per
-   session, and shared by every binding that caches it, so filling a
-   slot allocates nothing and the plugins on one packet read one
-   block. *)
+   post-rewrite addresses boxed for the packet key, and the tuple a
+   flow export carries.  Built with the session, two per session, and
+   shared by every binding that caches it, so filling a slot allocates
+   nothing and the plugins on one packet read one block. *)
 type Rp_classifier.Flow_table.soft +=
   | Sess of {
       tab : table;
@@ -206,7 +205,6 @@ type Rp_classifier.Flow_table.soft +=
       nsrc : Ipaddr.t;
       ndst : Ipaddr.t;
       xlate : Rp_core.Flow_export.xlate option;
-      mutable hop : Ipaddr.t option;
     }
   | No_session
   | Table_full
@@ -293,15 +291,6 @@ let created_ns s = Int64.of_int (get s.tab (slot s) f_created)
 
 let last_touch t i = max (get t i f_last) (get t i (f_last + 1))
 let last_ns s = Int64.of_int (last_touch s.tab (slot s))
-
-let route s dir =
-  let t = s.tab and i = slot s in
-  let out = get t i (f_out + dir_code dir) in
-  if out < 0 then None
-  else
-    match view t i (dir_code dir) with
-    | Some (Sess v) -> Some (out, v.hop)
-    | _ -> Some (out, None)
 
 (* ---- Timeouts and the wheel --------------------------------------- *)
 
@@ -527,18 +516,11 @@ module Hit = struct
     | Sess v -> rewrite_in v.tab (slot_of v.h) (v.h land 1) v.nsrc v.ndst m
     | _ -> false
 
-  (* The QoS class, and the learned route when the packet has none
-     yet; the options come preallocated. *)
   let stamp v (m : Mbuf.t) =
     match v with
     | Sess v ->
       let t = v.tab and i = slot_of v.h in
-      if get t i f_flags land b_qos <> 0 then m.Mbuf.tos <- get t i f_qos;
-      let out = get t i (f_out + (v.h land 1)) in
-      if out >= 0 && m.Mbuf.out_iface = None then begin
-        m.Mbuf.out_iface <- Rp_core.Route_table.out_iface out;
-        m.Mbuf.next_hop <- v.hop
-      end
+      if get t i f_flags land b_qos <> 0 then m.Mbuf.tos <- get t i f_qos
     | _ -> ()
 
   let touch v ~now ~len =
@@ -546,28 +528,6 @@ module Hit = struct
 
   let step v ~tcp_flags =
     match v with Sess v -> step_ref v.tab v.h ~tcp_flags | _ -> true
-
-  let route_known v =
-    match v with
-    | Sess v -> get v.tab (slot_of v.h) (f_out + (v.h land 1)) >= 0
-    | _ -> true
-
-  let route_learnable v k =
-    match v with
-    | Sess v -> translated v.tab (slot_of v.h) (v.h land 1) k
-    | _ -> false
-
-  (* Set-once by the direction's own domain: the hop first, so a reader
-     that sees [f_out] sees it too. *)
-  let learn v ifc hop =
-    match v with
-    | Sess v ->
-      let i = slot_of v.h and d = v.h land 1 in
-      if get v.tab i (f_out + d) < 0 then begin
-        v.hop <- hop;
-        set v.tab i (f_out + d) ifc
-      end
-    | _ -> ()
 
   let id v = match v with Sess v -> get v.tab (slot_of v.h) f_id | _ -> 0
 end
@@ -591,7 +551,6 @@ let cached s dir =
   match view s.tab (slot s) (dir_code dir) with Some v -> v | None -> No_session
 
 let apply_rewrite s dir m = Hit.rewrite (cached s dir) m
-let route_learnable s dir k = Hit.route_learnable (cached s dir) k
 
 (* ---- Soft-slot cache and export ----------------------------------- *)
 
@@ -955,7 +914,6 @@ module Table = struct
     set t i f_created now;
     for d = 0 to 1 do
       set t i (f_last + d) now;
-      set t i (f_out + d) (-1);
       set t i (f_pkts + (3 * d)) 0;
       set t i (f_bytes + (3 * d)) 0;
       set t i (f_drops + (3 * d)) 0
@@ -966,10 +924,9 @@ module Table = struct
       if nat then Some { Rp_core.Flow_export.xsrc; xdst; xsport; xdport } else None
     in
     let vs = t.views.(i lsr t.cbits) and j = 2 * (i land t.cmask) in
-    vs.(j) <- Some (Sess { tab = t; h = vh; nsrc = xsrc; ndst = xdst; xlate; hop = None });
+    vs.(j) <- Some (Sess { tab = t; h = vh; nsrc = xsrc; ndst = xdst; xlate });
     vs.(j + 1) <-
-      Some
-        (Sess { tab = t; h = vh lor 1; nsrc = key.dst; ndst = key.src; xlate; hop = None });
+      Some (Sess { tab = t; h = vh lor 1; nsrc = key.dst; ndst = key.src; xlate });
     let flags =
       key.proto land 0xFF lor fam
       lor (if nat then b_nat else 0)

@@ -1,14 +1,15 @@
 (** Bidirectional session table — the unified NAT / connection-tracking
-    / QoS / next-hop state layered on the flow table.
+    / QoS state layered on the flow table.
 
     A session pairs the forward and reverse five-tuples of one
     conversation.  It is one row of immediates in flat int storage —
     the forward and translated tuples, protocol, interface, QoS class,
     conntrack state, per-direction packet/byte/drop counters and
-    last-touch times, created time and per-direction learned route —
-    so the steady-state data path does one session hit (through a
-    handle cached in the flow record's soft slot) and zero further
-    lookups, and allocates nothing doing it.
+    last-touch times, and created time — so the steady-state data path
+    does one session hit (through a handle cached in the flow record's
+    soft slot) and zero further lookups, and allocates nothing doing
+    it.  A session caches no route: its packets ride the route cached
+    in their flow records.
 
     Both directions are found through one open-addressed index: the
     forward tuple and, for a NAT'd session, the translated tuple each
@@ -86,9 +87,6 @@ val created_ns : t -> int64
 (** The later of the two directions' last-touch times. *)
 val last_ns : t -> int64
 
-(** Cached next-hop for one direction: [(out_iface, next_hop)]. *)
-val route : t -> Flow_key.direction -> (int * Ipaddr.t option) option
-
 (** Account one packet on one direction and refresh its idle clock. *)
 val touch : t -> now:int64 -> dir:Flow_key.direction -> len:int -> unit
 
@@ -107,14 +105,6 @@ val conntrack_step :
     Returns [true] when the packet was actually translated ([false]
     for un-NAT'd sessions). *)
 val apply_rewrite : t -> Flow_key.direction -> Mbuf.t -> bool
-
-(** [route_learnable s dir k] — whether a routing decision made for
-    key [k] may be cached as [dir]'s next-hop: true exactly when [k]
-    is the direction's post-rewrite tuple.  False means the NAT
-    rewrite was bypassed (plugin quarantined or unbound), and caching
-    the decision would poison the session's route for when the
-    rewrite comes back. *)
-val route_learnable : t -> Flow_key.direction -> Flow_key.t -> bool
 
 (** The view of [s] in direction [dir] that {!cached_resolve} stores
     in flow bindings' soft slots. *)
@@ -245,8 +235,7 @@ module Hit : sig
   (** {!apply_rewrite} in the view's direction. *)
   val rewrite : t -> Mbuf.t -> bool
 
-  (** Stamp the QoS class and, when the packet has no route yet,
-      install the direction's learned route. *)
+  (** Stamp the session's QoS class into the packet's TOS. *)
   val stamp : t -> Mbuf.t -> unit
 
   (** {!touch}; [now] in ns. *)
@@ -254,15 +243,6 @@ module Hit : sig
 
   (** {!conntrack_step}: [false] = drop. *)
   val step : t -> tcp_flags:int -> bool
-
-  (** Whether the direction has learned its route. *)
-  val route_known : t -> bool
-
-  val route_learnable : t -> Flow_key.t -> bool
-
-  (** Record the routing decision for this direction (first writer
-      wins). *)
-  val learn : t -> int -> Ipaddr.t option -> unit
 
   val id : t -> int
 end

@@ -1,8 +1,9 @@
 (* Tests for the unified session subsystem: the bidirectional session
-   table (NAT rewrite + conntrack + QoS + cached next-hop behind one
-   hit), its plugins on the live data path, expiry/export, the pmgr
-   command surface, and inline ≡ sharded equivalence under NAT'd
-   bidirectional traffic with binding churn and quarantine. *)
+   table (NAT rewrite + conntrack + QoS behind one hit), its plugins on
+   the live data path, sessions' packets riding the flow record's
+   route cache, expiry/export, the pmgr command surface, and inline ≡
+   sharded equivalence under NAT'd bidirectional traffic with binding
+   churn and quarantine. *)
 
 open Rp_pkt
 open Rp_core
@@ -884,6 +885,10 @@ let prop_model =
 
 (* --- allocation pins ------------------------------------------------- *)
 
+let counter name = Rp_obs.Counter.get (Rp_obs.Registry.counter name)
+let route_hits () = counter "route_table.cache_hits"
+let route_walks () = counter "route_table.lookups"
+
 (* Minor words per call of [f], after one warm-up call. *)
 let words_per n f =
   f ();
@@ -893,32 +898,23 @@ let words_per n f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* nat, conntrack and nat-out on one table, each with its own binding,
-   as the gates run them. *)
+(* nat and conntrack on one table, each with its own binding, as the
+   gates run them. *)
 let session_path t =
   let nat = Nat_plugin.In.handle t ~cache:true
-  and ct = Conntrack_plugin.handle t ~cache:true
-  and out = Nat_plugin.Out.handle t ~cache:true in
-  let c1 = ctx_of () and c2 = ctx_of () and c3 = ctx_of () in
+  and ct = Conntrack_plugin.handle t ~cache:true in
+  let c1 = ctx_of () and c2 = ctx_of () in
   fun m ->
     ignore (nat c1 m);
-    ignore (ct c2 m);
-    ignore (out c3 m)
+    ignore (ct c2 m)
 
 let test_hit_path_allocates_nothing () =
   let t = fresh_table () in
   let path = session_path t in
   let m = Mbuf.synth ~key:(key ()) ~len:100 () in
   let hits0 = (Session.Table.stats t).Session.Table.cached_hits in
-  let words =
-    words_per 1000 (fun () ->
-        (* route decided at the first packet, installed on every later one *)
-        m.Mbuf.out_iface <- (if m.Mbuf.seq = 0 then Some 1 else None);
-        m.Mbuf.seq <- 1;
-        path m)
-  in
-  check bool_t "route installed from the session" true (m.Mbuf.out_iface = Some 1);
-  check int_t "soft-slot hits" (3 * 1000)
+  let words = words_per 1000 (fun () -> path m) in
+  check int_t "soft-slot hits" (2 * 1000)
     ((Session.Table.stats t).Session.Table.cached_hits - hits0);
   check bool_t
     (Printf.sprintf "%.3f minor words per packet (ceiling 0.1)" words)
@@ -954,6 +950,41 @@ let test_rewrite_allocation () =
     (Printf.sprintf "%.2f minor words per NAT'd packet (ceiling 8)" words)
     true (words <= 8.0)
 
+(* A NAT'd reply routes by its translated destination through the
+   route cached in its flow record (keyed on the pre-rewrite tuple):
+   after the first walk, resolve neither walks nor allocates. *)
+let test_nat_reply_resolve_allocation () =
+  let t = fresh_table () in
+  Session.Table.add_rule t (snat_rule (Ipaddr.v4 198 51 100 7));
+  ignore (Session.Table.resolve t (key ()) ~now:0L ~tcp_flags:0);
+  let reply =
+    Flow_key.make ~src:(Ipaddr.v4 192 168 1 9) ~dst:(Ipaddr.v4 198 51 100 7)
+      ~proto:Proto.udp ~sport:80 ~dport:4000 ~iface:1
+  in
+  let s, dir = Option.get (Session.Table.resolve t reply ~now:0L ~tcp_flags:0) in
+  let rt = Route_table.create () in
+  Route_table.add rt
+    { Route_table.prefix = Prefix.of_string "10.0.0.0/8"; next_hop = None;
+      iface = 0; metric = 0 };
+  let flows = Rp_classifier.Flow_table.create ~gates:1 () in
+  let m = Mbuf.synth ~key:reply ~len:100 () in
+  m.Mbuf.fix <-
+    Rp_classifier.Flow_table.some_fix
+      (Rp_classifier.Flow_table.insert flows reply ~now:0L);
+  check bool_t "reply translated" true (Session.apply_rewrite s dir m);
+  check int_t "first resolve walks to if0" 0 (Route_table.resolve rt flows m);
+  let hits0 = route_hits () and walks0 = route_walks () in
+  let n = 10_000 in
+  let words = words_per n (fun () -> ignore (Route_table.resolve rt flows m)) in
+  check int_t "every later resolve hits the flow's route" (n + 1)
+    (route_hits () - hits0);
+  check int_t "and none walks" 0 (route_walks () - walks0);
+  check bool_t "next hop is the translated destination" true
+    (m.Mbuf.out_iface = Some 0 && m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 1));
+  check bool_t
+    (Printf.sprintf "%.4f minor words per resolve (ceiling 0.01)" words)
+    true (words <= 0.01)
+
 (* --- router / engine helpers ----------------------------------------- *)
 
 let mk_router () =
@@ -964,8 +995,8 @@ let mk_router () =
   Router.add_route r (Prefix.of_string "172.16.0.0/12") ~iface:1 ();
   r
 
-(* Load nat / conntrack / nat-out, one instance each on [table], bound
-   to all IPv4 traffic.  Returns the instance ids. *)
+(* Load nat / conntrack, one instance each on [table], bound to all
+   IPv4 traffic.  Returns the instance ids. *)
 let setup_session_plugins r ~table =
   let inst plugin =
     let m = Option.get (Rp_control.Plugin_lib.find plugin) in
@@ -978,16 +1009,16 @@ let setup_session_plugins r ~table =
          (Rp_classifier.Filter.v4 ()));
     i.Plugin.instance_id
   in
-  (inst "nat", inst "conntrack", inst "nat-out")
+  (inst "nat", inst "conntrack")
+
+let outcome_str (res : Rp_engine.Shard.result) =
+  match res.Rp_engine.Shard.outcome with
+  | Rp_engine.Shard.Forwarded i -> Printf.sprintf "fwd:%d" i
+  | Rp_engine.Shard.Absorbed -> "absorbed"
+  | Rp_engine.Shard.Dropped why -> "drop:" ^ why
 
 let outcome_repr (res : Rp_engine.Shard.result) =
-  let o =
-    match res.Rp_engine.Shard.outcome with
-    | Rp_engine.Shard.Forwarded i -> Printf.sprintf "fwd:%d" i
-    | Rp_engine.Shard.Absorbed -> "absorbed"
-    | Rp_engine.Shard.Dropped why -> "drop:" ^ why
-  in
-  Printf.sprintf "%d %s %s tos=%d" res.Rp_engine.Shard.m.Mbuf.seq o
+  Printf.sprintf "%d %s %s tos=%d" res.Rp_engine.Shard.m.Mbuf.seq (outcome_str res)
     (Flow_key.to_string res.Rp_engine.Shard.m.Mbuf.key)
     res.Rp_engine.Shard.m.Mbuf.tos
 
@@ -1050,26 +1081,28 @@ let test_end_to_end_inline () =
      in
      Session.packets s Flow_key.Rev);
   (* steady state: no further table lookups, only cached soft-pointer
-     hits — one more packet adds 3 cached hits (nat, conntrack,
-     nat-out) and zero lookups *)
+     hits — one more packet adds 2 cached hits (nat, conntrack) and
+     zero lookups *)
   let before = Session.Table.stats t in
   run (Mbuf.synth ~key:(key ()) ~len:100 ()) (s_ns 9);
   let after = Session.Table.stats t in
   check int_t "steady state does no table lookups"
     before.Session.Table.lookups after.Session.Table.lookups;
   check int_t "steady state rides the cached pointer"
-    (before.Session.Table.cached_hits + 3)
+    (before.Session.Table.cached_hits + 2)
     after.Session.Table.cached_hits;
-  (* the cached next-hop is installed after the first routed packet of
-     each direction *)
-  (let s, _ =
-     Option.get
-       (Session.Table.resolve t ~create:false (key ()) ~now:0L ~tcp_flags:0)
-   in
-   check bool_t "forward route cached" true
-     (Session.route s Flow_key.Fwd = Some (1, Some (Ipaddr.v4 192 168 1 9)));
-   check bool_t "reverse route cached" true
-     (Session.route s Flow_key.Rev = Some (0, Some (Ipaddr.v4 10 0 0 1))));
+  (* both directions ride the route cached in their flow records, the
+     reply's for its translated destination *)
+  let hits0 = route_hits () and walks0 = route_walks () in
+  run (Mbuf.synth ~key:(key ()) ~len:100 ()) (s_ns 10);
+  run (Mbuf.synth ~key:reply_key ~len:100 ()) (s_ns 11);
+  (match !last with
+  | Some { Rp_engine.Shard.outcome = Rp_engine.Shard.Forwarded 0; m; _ } ->
+    check bool_t "reply's next hop is its translated destination" true
+      (m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 1))
+  | _ -> Alcotest.fail "steady reply not forwarded to if0");
+  check int_t "steady packets hit the flow route cache" 2 (route_hits () - hits0);
+  check int_t "and walk no route" 0 (route_walks () - walks0);
   (* flow-export records for NAT'd flows carry the translated tuple *)
   Rp_core.Flow_export.clear ();
   Rp_engine.Engine.flush_flows e;
@@ -1119,9 +1152,9 @@ let test_steady_state_accesses () =
         ignore (setup_session_plugins r ~table:"steady");
         Some t)
   in
-  (* NAT + conntrack + QoS + route ride on ONE additional charged
-     memory access over the bare FIX fast path (the cached next-hop
-     saves the LPM walk, so the net can even be lower) *)
+  (* NAT + conntrack + QoS ride on ONE additional charged memory
+     access over the bare FIX fast path, and both route through their
+     flow's cached route *)
   check bool_t
     (Printf.sprintf "session steady state (%d) <= FIX baseline (%d) + 1"
        session baseline)
@@ -1139,6 +1172,140 @@ let test_canonical_rss () =
     (Rp_engine.Engine.shard_of_key e k)
     (Rp_engine.Engine.shard_of_key e (Flow_key.reverse ~iface:1 k));
   Rp_engine.Engine.stop e
+
+(* --- routing: a session's packets follow the route table ------------- *)
+
+(* Three interfaces: 10/8 and 172.16/12 behind if0, 192.168/16 behind
+   if1, and if2 for the routes the tests add.  nat and conntrack on
+   [table], with SNAT of 10/8 sources only, so 172.16/12 conversations
+   are sessions without a rewrite. *)
+let routing_router ~table =
+  let ifaces = List.init 3 (fun id -> Iface.create ~id ()) in
+  let r = Router.create ~gates:Gate.all ~ifaces () in
+  List.iter
+    (fun (p, i) -> Router.add_route r (Prefix.of_string p) ~iface:i ())
+    [ ("10.0.0.0/8", 0); ("172.16.0.0/12", 0); ("192.168.0.0/16", 1) ];
+  let t = Session.Table.get table in
+  ignore (Session.Table.flush t);
+  Session.Table.add_rule t
+    { (snat_rule (Ipaddr.v4 198 51 100 7)) with
+      filter = Rp_classifier.Filter.v4 ~src:(Prefix.of_string "10.0.0.0/8") () };
+  let nat_id, _ = setup_session_plugins r ~table in
+  (r, t, nat_id)
+
+(* The four packets of a NAT'd and an un-NAT'd conversation, built
+   fresh per send. *)
+let pkt k = Mbuf.synth ~len:100 ~key:k ()
+let nat_fwd () = pkt (key ())
+
+let nat_rev () =
+  pkt
+    (key ~src:(Ipaddr.v4 192 168 1 9) ~dst:(Ipaddr.v4 198 51 100 7) ~sport:80
+       ~dport:4000 ~iface:1 ())
+
+let plain_fwd () = pkt (key ~src:(Ipaddr.v4 172 16 0 5) ~sport:5000 ())
+
+let plain_rev () =
+  pkt
+    (key ~src:(Ipaddr.v4 192 168 1 9) ~dst:(Ipaddr.v4 172 16 0 5) ~sport:80
+       ~dport:5000 ~iface:1 ())
+
+(* Submit one packet and return its result. *)
+let send1 e ~now m =
+  assert (Rp_engine.Engine.submit e ~now m);
+  let got = ref [] in
+  ignore (Rp_engine.Engine.flush e ~f:(fun res -> got := res :: !got));
+  match !got with
+  | [ res ] -> res
+  | _ -> Alcotest.fail "expected one result"
+
+let routing_modes = [ Rp_engine.Engine.Inline; Rp_engine.Engine.Sharded 2 ]
+
+(* Route changes reach established sessions at once, NAT'd or not, in
+   both directions: a more specific route takes their next packet, its
+   removal gives them back to the covering route, and with no route
+   left they drop as unroutable. *)
+let test_route_changes_reach_sessions () =
+  List.iteri
+    (fun n mode ->
+      let label = Rp_engine.Engine.mode_to_string mode ^ ": " in
+      let r, t, _ = routing_router ~table:(Printf.sprintf "rt-change-%d" n) in
+      let e = Rp_engine.Engine.create mode r in
+      let now = ref 0L in
+      let stage name want =
+        List.iter
+          (fun (what, pkt, out) ->
+            (* the first packet may walk, the second rides the cache *)
+            for i = 1 to 2 do
+              now := Int64.add !now 1_000_000L;
+              check string_t
+                (Printf.sprintf "%s%s: %s packet %d" label name what i)
+                out
+                (outcome_str (send1 e ~now:!now (pkt ())))
+            done)
+          [
+            ("NAT'd forward", nat_fwd, fst want);
+            ("NAT'd reply", nat_rev, snd want);
+            ("un-NAT'd forward", plain_fwd, fst want);
+            ("un-NAT'd reply", plain_rev, snd want);
+          ]
+      in
+      let pmgr cmd = ignore (ok (Rp_control.Pmgr.exec r cmd)) in
+      let specific = [ "192.168.1.0/24"; "10.0.0.0/24"; "172.16.0.0/24" ] in
+      stage "covering routes" ("fwd:1", "fwd:0");
+      List.iter (fun p -> pmgr ("route add " ^ p ^ " 2")) specific;
+      stage "more specific routes added" ("fwd:2", "fwd:2");
+      List.iter (fun p -> pmgr ("route del " ^ p)) specific;
+      stage "more specific routes removed" ("fwd:1", "fwd:0");
+      List.iter
+        (fun p -> pmgr ("route del " ^ p))
+        [ "192.168.0.0/16"; "10.0.0.0/8"; "172.16.0.0/12" ];
+      let unroutable = "drop:no route to destination" in
+      stage "covering routes removed" (unroutable, unroutable);
+      check int_t (label ^ "two sessions") 2 (Session.Table.length t);
+      Rp_engine.Engine.stop e;
+      ignore (Session.Table.flush t))
+    routing_modes
+
+(* A reply whose rewrite is skipped (nat quarantined) routes by the
+   destination it carries, and never leaves that route cached for the
+   translated destination: after the restore it routes by the
+   translated one again. *)
+let test_quarantine_routes_by_carried_dst () =
+  List.iteri
+    (fun n mode ->
+      let label = Rp_engine.Engine.mode_to_string mode ^ ": " in
+      let r, t, nat_id = routing_router ~table:(Printf.sprintf "rt-quar-%d" n) in
+      let pmgr cmd = ignore (ok (Rp_control.Pmgr.exec r cmd)) in
+      pmgr "route add 198.51.100.0/24 2";
+      let e = Rp_engine.Engine.create mode r in
+      let now = ref 0L in
+      let stage name ~fwd ~rev ~rev_dst =
+        for i = 1 to 2 do
+          now := Int64.add !now 1_000_000L;
+          check string_t
+            (Printf.sprintf "%s%s: forward %d" label name i)
+            fwd
+            (outcome_str (send1 e ~now:!now (nat_fwd ())));
+          now := Int64.add !now 1_000_000L;
+          let res = send1 e ~now:!now (nat_rev ()) in
+          check string_t
+            (Printf.sprintf "%s%s: reply %d" label name i)
+            rev (outcome_str res);
+          check string_t
+            (Printf.sprintf "%s%s: reply %d destination" label name i)
+            rev_dst
+            (Ipaddr.to_string res.Rp_engine.Shard.m.Mbuf.key.Flow_key.dst)
+        done
+      in
+      stage "nat bound" ~fwd:"fwd:1" ~rev:"fwd:0" ~rev_dst:"10.0.0.1";
+      pmgr (Printf.sprintf "plugin quarantine %d" nat_id);
+      stage "nat quarantined" ~fwd:"fwd:1" ~rev:"fwd:2" ~rev_dst:"198.51.100.7";
+      pmgr (Printf.sprintf "plugin restore %d" nat_id);
+      stage "nat restored" ~fwd:"fwd:1" ~rev:"fwd:0" ~rev_dst:"10.0.0.1";
+      Rp_engine.Engine.stop e;
+      ignore (Session.Table.flush t))
+    routing_modes
 
 (* --- pmgr command surface -------------------------------------------- *)
 
@@ -1240,12 +1407,19 @@ let scenario_pkt ~fwd ~flow ~fsel =
    order — and therefore conntrack evolution — is deterministic in
    both modes.  A control change reaches the shards before the next
    burst with no wait: the engine publishes it on submission. *)
-let run_scenario mode table ops =
+let run_scenario ?(nat_out = false) mode table ops =
   let r = mk_router () in
   let t = Session.Table.get table in
   ignore (Session.Table.flush t);
   Session.Table.add_rule t (snat_rule ~tos:0x18 (Ipaddr.v4 198 51 100 7));
-  let nat_id, ct_id, _ = setup_session_plugins r ~table in
+  let nat_id, ct_id = setup_session_plugins r ~table in
+  (if nat_out then
+     let pmgr cmd = ok (Rp_control.Pmgr.exec r cmd) in
+     ignore (pmgr "modload nat-out");
+     let id =
+       Scanf.sscanf (pmgr ("create nat-out table=" ^ table)) "instance %d" Fun.id
+     in
+     ignore (pmgr (Printf.sprintf "bind %d <*, *, *, *, *, *>" id)));
   let e = Rp_engine.Engine.create mode r in
   let ct_filter = Rp_classifier.Filter.to_string (Rp_classifier.Filter.v4 ()) in
   let results = ref [] in
@@ -1274,8 +1448,9 @@ let run_scenario mode table ops =
     ops;
   ignore (Rp_engine.Engine.flush e ~f:collect);
   Rp_engine.Engine.stop e;
+  let stats = Session.Table.stats t in
   ignore (Session.Table.flush t);
-  List.rev !results
+  (List.rev !results, stats)
 
 let prop_inline_equals_sharded =
   let n = ref 0 in
@@ -1283,15 +1458,31 @@ let prop_inline_equals_sharded =
     "inline = sharded:4 verdict-for-verdict, rewrite-for-rewrite" gen_ops
     (fun ops ->
       incr n;
-      let inline =
+      let inline, _ =
         run_scenario Rp_engine.Engine.Inline (Printf.sprintf "eq-inl-%d" !n) ops
       in
-      let sharded =
+      let sharded, _ =
         run_scenario (Rp_engine.Engine.Sharded 4)
           (Printf.sprintf "eq-shd-%d" !n)
           ops
       in
       inline = sharded)
+
+(* [nat-out] stays loadable, and binding it changes nothing: the same
+   verdicts, rewrites and session counters. *)
+let prop_nat_out_inert =
+  let n = ref 0 in
+  qtest ~count:10 "binding nat-out changes nothing" gen_ops (fun ops ->
+      incr n;
+      let without =
+        run_scenario Rp_engine.Engine.Inline (Printf.sprintf "no-out-%d" !n) ops
+      in
+      let bound =
+        run_scenario ~nat_out:true Rp_engine.Engine.Inline
+          (Printf.sprintf "out-%d" !n)
+          ops
+      in
+      without = bound)
 
 let () =
   Alcotest.run "rp_session"
@@ -1331,6 +1522,8 @@ let () =
             test_hit_path_allocates_nothing;
           Alcotest.test_case "rewrite allocates only the key" `Quick
             test_rewrite_allocation;
+          Alcotest.test_case "a NAT'd reply's resolve allocates nothing" `Quick
+            test_nat_reply_resolve_allocation;
         ] );
       ( "data-path",
         [
@@ -1339,8 +1532,15 @@ let () =
             test_steady_state_accesses;
           Alcotest.test_case "canonical RSS" `Quick test_canonical_rss;
         ] );
+      ( "routing",
+        [
+          Alcotest.test_case "route changes reach sessions" `Quick
+            test_route_changes_reach_sessions;
+          Alcotest.test_case "quarantine routes by carried dst" `Quick
+            test_quarantine_routes_by_carried_dst;
+        ] );
       ( "pmgr",
         [ Alcotest.test_case "sessions and nat commands" `Quick test_pmgr_commands ] );
       ( "equivalence",
-        [ prop_inline_equals_sharded ] );
+        [ prop_inline_equals_sharded; prop_nat_out_inert ] );
     ]
