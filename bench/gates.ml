@@ -134,7 +134,7 @@ let all =
           ("bench.fig_zipf.recon_bytes", Eq, Const 0.);
           ("bench.fig_zipf.lost_packets", Eq, Const 0.);
           ("bench.fig_zipf.storm.capacity", Eq, Const 65536.);
-          ("bench.fig_zipf.storm.recycled", Ge, Const 1.);
+          ("bench.fig_zipf.storm.recycled", Eq, Const 65536.);
         ];
     ]
 

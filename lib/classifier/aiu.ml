@@ -33,12 +33,12 @@ let m_invalidated = Rp_obs.Registry.counter "aiu.invalidated"
 let m_gate_bumps = Rp_obs.Registry.counter "aiu.gate_bumps"
 let m_revalidations = Rp_obs.Registry.counter "aiu.revalidations"
 
-let create ?engine ?max_records ?on_evict ~gates () =
+let create ?max_records ?on_evict ~gates () =
   if gates <= 0 then invalid_arg "Aiu.create: gates";
   {
     n_gates = gates;
-    tables = Array.init gates (fun _ -> Dag.create ?engine ());
-    compiled = Compiled.create ?engine ~gates ();
+    tables = Array.init gates (fun _ -> Dag.create ());
+    compiled = Compiled.create ~gates ();
     flows = Flow_table.create ?max_records ?on_evict ~gates ();
     mode = `Per_gate;
     listener = None;

@@ -53,11 +53,11 @@ val mode_of_string : string -> (mode, string) result
 (** The compiled cross-gate structure (introspection/benchmarks). *)
 val compiled : 'a t -> 'a Compiled.t
 
-(** [create ~gates ()] builds an AIU with [gates] filter tables.
-    [engine] selects the BMP plugin used by the DAGs' address levels;
-    [max_records] and [on_evict] pass through to {!Flow_table.create}. *)
+(** [create ~gates ()] builds an AIU with [gates] filter tables, whose
+    address levels use PATRICIA; [max_records] and [on_evict] pass
+    through to {!Flow_table.create}. *)
 val create :
-  ?engine:Rp_lpm.Engines.t -> ?max_records:int ->
+  ?max_records:int ->
   ?on_evict:(gate:int -> 'a Flow_table.binding -> unit) -> gates:int -> unit -> 'a t
 
 val gates : 'a t -> int

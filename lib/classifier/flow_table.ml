@@ -15,8 +15,8 @@ type 'a binding = {
    liveness) and leaves accounting in the back half.  Nothing in [hot]
    is an OCaml block, so steady-state lookup/insert/evict/account
    traffic allocates no heap words and gives the GC nothing to scan.
-   Offset 7 stamps the route cached with the flow (see
-   [cached_route]). *)
+   Offset 6 is spare; offset 7 stamps the route cached with the flow
+   (see [cached_route]). *)
 
 let stride = 16
 
@@ -27,7 +27,6 @@ let f_gen = 2 (* per-slot generation; FIX validity *)
 let f_in_use = 3
 let f_last = 4 (* last_use_ns as a native int *)
 let f_created = 5
-let f_live_pos = 6 (* position in the dense live-slot array *)
 let f_route = 7 (* route-table stamp of the cached route; 0 = none *)
 
 (* accounting (offsets 8-12) *)
@@ -61,23 +60,11 @@ type 'a t = {
      [hot]. *)
   mutable index : flat;
   mutable mask : int;
-  (* Free slots: a preallocated int-array stack (no cons cells). *)
-  mutable free : int array;
-  mutable free_top : int;
-  (* Dense array of the live slots, for O(live) maintenance sweeps;
-     each slot's position is mirrored in [f_live_pos]. *)
-  mutable live_slots : int array;
+  (* Every slot is on one of two lists: [used], the live slots in
+     insertion order (the oldest is the one recycled, and sweeps walk
+     it), or [free], popped from its back. *)
+  lists : Slot_list.t;
   mutable live : int;
-  (* Recycling FIFO: an int ring of (slot, gen) in insertion order;
-     gen detects entries whose record was evicted out of band.  The
-     scratch arrays make compaction in-place and allocation-free. *)
-  mutable ring_slot : int array;
-  mutable ring_gen : int array;
-  mutable ring_scratch_slot : int array;
-  mutable ring_scratch_gen : int array;
-  mutable ring_head : int;
-  mutable ring_len : int;
-  mutable fifo_stale : int;
   on_evict : gate:int -> 'a binding -> unit;
   mutable exporter : (reason:string -> 'a record -> unit) option;
   mutable s_lookups : int;
@@ -120,7 +107,6 @@ type stats = {
   evictions : int;
   recycled : int;
   chain_max : int;
-  fifo_depth : int;
   maint_visited : int;
 }
 
@@ -139,6 +125,9 @@ let m_recycled = Rp_obs.Registry.counter "flow_table.recycled"
 let m_expired = Rp_obs.Registry.counter "flow_table.expired"
 let m_acc_packets = Rp_obs.Registry.counter "flow_table.accounted_packets"
 let m_acc_bytes = Rp_obs.Registry.counter "flow_table.accounted_bytes"
+
+let used = 0
+let free = 1
 
 let default_buckets = 32768
 let default_initial = 1024
@@ -196,17 +185,8 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
       max_records;
       index = flat_make index_size;
       mask = index_size - 1;
-      free = Array.make (max n 1) 0;
-      free_top = n;
-      live_slots = Array.make (max n 1) 0;
+      lists = Slot_list.create ~lists:2 ~slots:n;
       live = 0;
-      ring_slot = Array.make (next_pow2 (max n 1)) 0;
-      ring_gen = Array.make (next_pow2 (max n 1)) 0;
-      ring_scratch_slot = Array.make (next_pow2 (max n 1)) 0;
-      ring_scratch_gen = Array.make (next_pow2 (max n 1)) 0;
-      ring_head = 0;
-      ring_len = 0;
-      fifo_stale = 0;
       on_evict;
       exporter = None;
       s_lookups = 0;
@@ -226,9 +206,9 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
   in
   t.handles <- Array.init n (handle t);
   t.some_handles <- Array.init n (fun i -> Some t.handles.(i));
-  (* Free stack popping 0, 1, 2, ... first, like the seed free list. *)
-  for i = 0 to n - 1 do
-    t.free.(i) <- n - 1 - i
+  (* Slots pop 0, 1, 2, ... first, like the seed free list. *)
+  for i = n - 1 downto 0 do
+    Slot_list.push_back t.lists free i
   done;
   t
 
@@ -401,74 +381,9 @@ let some_fix (r : 'a record) =
     r.r_fix <- o;
     o
 
-(* --- recycling FIFO -------------------------------------------------- *)
-
-(* Every in-use record has exactly one live [(slot, gen)] entry in the
-   ring (pushed by [insert]).  Evicting outside the recycle path
-   strands that entry; [mark_stale] accounts for it and compacts the
-   ring once stale entries outnumber live ones, so the FIFO stays
-   O(live records) under insert/remove churn even with the default
-   unbounded [max_records].  Compaction copies the live entries into
-   the preallocated scratch arrays and swaps, so it allocates
-   nothing. *)
-let rec compact_copy t cap k w =
-  if k >= t.ring_len then w
-  else begin
-    let idx = (t.ring_head + k) land (cap - 1) in
-    let s = t.ring_slot.(idx) and g = t.ring_gen.(idx) in
-    if get t s f_in_use = 1 && get t s f_gen = g then begin
-      t.ring_scratch_slot.(w) <- s;
-      t.ring_scratch_gen.(w) <- g;
-      compact_copy t cap (k + 1) (w + 1)
-    end
-    else compact_copy t cap (k + 1) w
-  end
-
-let compact t =
-  let w = compact_copy t (Array.length t.ring_slot) 0 0 in
-  let ts = t.ring_slot and tg = t.ring_gen in
-  t.ring_slot <- t.ring_scratch_slot;
-  t.ring_gen <- t.ring_scratch_gen;
-  t.ring_scratch_slot <- ts;
-  t.ring_scratch_gen <- tg;
-  t.ring_head <- 0;
-  t.ring_len <- w;
-  t.fifo_stale <- 0
-
-let mark_stale t =
-  t.fifo_stale <- t.fifo_stale + 1;
-  if 2 * t.fifo_stale > t.ring_len then compact t
-
-let ring_push t slot g =
-  let cap = Array.length t.ring_slot in
-  if t.ring_len = cap then begin
-    (* Double, unwrapping to head = 0.  Growth only (never steady
-       state): the ring is bounded by the record capacity plus stale
-       entries, which compaction keeps at O(live). *)
-    let ncap = cap * 2 in
-    let ns = Array.make ncap 0 and ng = Array.make ncap 0 in
-    for k = 0 to t.ring_len - 1 do
-      let idx = (t.ring_head + k) land (cap - 1) in
-      ns.(k) <- t.ring_slot.(idx);
-      ng.(k) <- t.ring_gen.(idx)
-    done;
-    t.ring_slot <- ns;
-    t.ring_gen <- ng;
-    t.ring_scratch_slot <- Array.make ncap 0;
-    t.ring_scratch_gen <- Array.make ncap 0;
-    t.ring_head <- 0
-  end;
-  let cap = Array.length t.ring_slot in
-  let tail = (t.ring_head + t.ring_len) land (cap - 1) in
-  t.ring_slot.(tail) <- slot;
-  t.ring_gen.(tail) <- g;
-  t.ring_len <- t.ring_len + 1
-
 (* --- eviction -------------------------------------------------------- *)
 
-let free_push t slot =
-  t.free.(t.free_top) <- slot;
-  t.free_top <- t.free_top + 1
+let free_push t slot = Slot_list.push_back t.lists free slot
 
 let evict ?(reason = "evicted") t slot =
   if get t slot f_in_use = 1 then begin
@@ -487,15 +402,16 @@ let evict ?(reason = "evicted") t slot =
     index_remove t slot;
     set t slot f_in_use 0;
     t.keys.(slot) <- dummy_key;
-    (* Swap-remove from the dense live set. *)
-    let p = get t slot f_live_pos in
-    let last = t.live - 1 in
-    let moved = t.live_slots.(last) in
-    t.live_slots.(p) <- moved;
-    set t moved f_live_pos p;
-    t.live <- last;
+    Slot_list.unlink t.lists slot;
+    t.live <- t.live - 1;
     t.s_evictions <- t.s_evictions + 1;
     Rp_obs.Counter.inc m_evictions
+  end
+
+let rec reindex t slot =
+  if slot >= 0 then begin
+    index_insert t slot;
+    reindex t (Slot_list.next t.lists slot)
   end
 
 (* Grow the record pool exponentially (1024, 2048, 4096, ...), as the
@@ -533,47 +449,25 @@ let grow t =
     in
     t.handles <- nh;
     t.some_handles <- nsh;
-    let nf = Array.make target 0 in
-    Array.blit t.free 0 nf 0 t.free_top;
-    t.free <- nf;
+    Slot_list.grow t.lists ~slots:target;
     (* New slots pop lowest-first: current, current+1, ... *)
     for s = target - 1 downto current do
       free_push t s
     done;
-    let nl = Array.make target 0 in
-    Array.blit t.live_slots 0 nl 0 t.live;
-    t.live_slots <- nl;
     t.allocated <- target;
     if 2 * target > Bigarray.Array1.dim t.index then begin
       let size = next_pow2 (2 * target) in
       t.index <- flat_make size;
       t.mask <- size - 1;
-      for li = 0 to t.live - 1 do
-        index_insert t t.live_slots.(li)
-      done
-    end
-  end
-
-(* Pop the oldest still-live (slot, gen) from the recycling ring,
-   skipping entries whose record was already evicted out of band. *)
-let rec ring_pop t =
-  if t.ring_len = 0 then invalid_arg "Flow_table: no record to recycle"
-  else begin
-    let cap = Array.length t.ring_slot in
-    let s = t.ring_slot.(t.ring_head) and g = t.ring_gen.(t.ring_head) in
-    t.ring_head <- (t.ring_head + 1) land (cap - 1);
-    t.ring_len <- t.ring_len - 1;
-    if get t s f_in_use = 1 && get t s f_gen = g then s
-    else begin
-      t.fifo_stale <- t.fifo_stale - 1;
-      ring_pop t
+      reindex t (Slot_list.first t.lists used)
     end
   end
 
 let rec allocate t =
-  if t.free_top > 0 then begin
-    t.free_top <- t.free_top - 1;
-    t.free.(t.free_top)
+  let s = Slot_list.last t.lists free in
+  if s >= 0 then begin
+    Slot_list.unlink t.lists s;
+    s
   end
   else if t.allocated < t.max_records then begin
     grow t;
@@ -582,7 +476,8 @@ let rec allocate t =
   else begin
     (* Recycle the oldest record (paper: "the oldest flow records
        are recycled"). *)
-    let s = ring_pop t in
+    let s = Slot_list.first t.lists used in
+    if s < 0 then invalid_arg "Flow_table: no record to recycle";
     evict ~reason:"recycled" t s;
     t.s_recycled <- t.s_recycled + 1;
     t.s_evictions <- t.s_evictions - 1;
@@ -598,8 +493,7 @@ let insert t key ~now =
   (match probe_find t key ~hash:h with
    | old when old >= 0 ->
      evict ~reason:"replaced" t old;
-     free_push t old;
-     mark_stale t
+     free_push t old
    | _ -> ());
   let slot = allocate t in
   t.keys.(slot) <- key;
@@ -620,61 +514,53 @@ let insert t key ~now =
   set t slot f_dropped 0;
   set t slot f_absorbed 0;
   index_insert t slot;
-  set t slot f_live_pos t.live;
-  t.live_slots.(t.live) <- slot;
+  Slot_list.push_back t.lists used slot;
   t.live <- t.live + 1;
   Rp_obs.Counter.inc m_inserts;
-  ring_push t slot (get t slot f_gen);
   t.handles.(slot)
 
 let remove t (r : 'a record) =
   if get t r.r_slot f_in_use = 1 then begin
     evict ~reason:"removed" t r.r_slot;
-    free_push t r.r_slot;
-    mark_stale t
+    free_push t r.r_slot
   end
 
-(* Maintenance sweeps walk the dense live set downward: evicting the
-   current slot swap-removes it by pulling in an already-visited slot
-   from the tail, so the walk neither skips nor revisits anyone.  Cost
-   is O(live), never O(allocated) — a table grown to millions of slots
-   with a handful of live flows pays for the handful. *)
+(* Maintenance sweeps walk [used] newest first, reading each slot's
+   predecessor before the slot can be evicted.  Cost is O(live), never
+   O(allocated) — a table grown to millions of slots with a handful of
+   live flows pays for the handful. *)
 
-let rec expire_loop t now_i idle_i i count =
-  if i < 0 then count
+let rec expire_loop t now_i idle_i slot count =
+  if slot < 0 then count
   else begin
-    let slot = t.live_slots.(i) in
+    let older = Slot_list.prev t.lists slot in
     t.s_maint_visited <- t.s_maint_visited + 1;
     let count =
       if now_i - get t slot f_last > idle_i then begin
         evict ~reason:"expired" t slot;
         free_push t slot;
-        mark_stale t;
         Rp_obs.Counter.inc m_expired;
         count + 1
       end
       else count
     in
-    expire_loop t now_i idle_i (i - 1) count
+    expire_loop t now_i idle_i older count
   end
 
 let expire t ~now ~idle_ns =
-  expire_loop t (Int64.to_int now) (Int64.to_int idle_ns) (t.live - 1) 0
+  expire_loop t (Int64.to_int now) (Int64.to_int idle_ns)
+    (Slot_list.last t.lists used) 0
 
-let rec flush_loop t i =
-  if i >= 0 then begin
-    let slot = t.live_slots.(i) in
+let rec flush_loop t slot =
+  if slot >= 0 then begin
+    let older = Slot_list.prev t.lists slot in
     t.s_maint_visited <- t.s_maint_visited + 1;
     evict ~reason:"flushed" t slot;
     free_push t slot;
-    flush_loop t (i - 1)
+    flush_loop t older
   end
 
-let flush t =
-  flush_loop t (t.live - 1);
-  t.ring_head <- 0;
-  t.ring_len <- 0;
-  t.fifo_stale <- 0
+let flush t = flush_loop t (Slot_list.last t.lists used)
 
 let set_exporter t f = t.exporter <- Some f
 
@@ -764,32 +650,31 @@ let clear_binding t (r : 'a record) ~gate =
   | None -> ()
 
 (* Evict only the records whose key [matches] (a changed filter); each
-   goes through the common [evict] path, so it is exported exactly once
-   (the in-use guard) even if its (slot, gen) entry is still queued
-   in the recycling FIFO — the stranded entry is accounted stale via
-   [mark_stale], exactly as on the remove/expire paths. *)
-let rec invalidate_loop t matches i count =
-  if i < 0 then count
+   goes through the common [evict] path, so it is exported exactly
+   once. *)
+let rec invalidate_loop t matches slot count =
+  if slot < 0 then count
   else begin
-    let slot = t.live_slots.(i) in
+    let older = Slot_list.prev t.lists slot in
     t.s_maint_visited <- t.s_maint_visited + 1;
     let count =
       if matches t.keys.(slot) then begin
         evict ~reason:"invalidated" t slot;
         free_push t slot;
-        mark_stale t;
         Rp_obs.Counter.inc m_invalidated;
         count + 1
       end
       else count
     in
-    invalidate_loop t matches (i - 1) count
+    invalidate_loop t matches older count
   end
 
-let invalidate t ~matches = invalidate_loop t matches (t.live - 1) 0
+let invalidate t ~matches =
+  invalidate_loop t matches (Slot_list.last t.lists used) 0
 
 let length t = t.live
 let capacity t = t.allocated
+let max_records t = t.max_records
 
 let stats t =
   {
@@ -799,15 +684,14 @@ let stats t =
     evictions = t.s_evictions;
     recycled = t.s_recycled;
     chain_max = t.s_chain_max;
-    fifo_depth = t.ring_len;
     maint_visited = t.s_maint_visited;
   }
 
-let rec iter_loop f t i =
-  if i >= 0 then begin
-    let slot = t.live_slots.(i) in
-    if get t slot f_in_use = 1 then f t.handles.(slot);
-    iter_loop f t (i - 1)
+let rec iter_loop f t slot =
+  if slot >= 0 then begin
+    let older = Slot_list.prev t.lists slot in
+    f t.handles.(slot);
+    iter_loop f t older
   end
 
-let iter f t = iter_loop f t (t.live - 1)
+let iter f t = iter_loop f t (Slot_list.last t.lists used)

@@ -15,14 +15,18 @@
     is open-addressing with linear probing over a power-of-two array
     kept at no more than half load (it is resized with the record
     pool), so probe runs stay short at any scale; deletion is
-    backward-shift, leaving no tombstones.  Free slots live in a
-    preallocated int-array stack and the recycling FIFO is an int
-    ring, so steady-state operation — lookup, insert, evict, recycle,
-    account, expire — allocates nothing on the OCaml heap.
+    backward-shift, leaving no tombstones.  Every slot is on one of
+    two {!Slot_list}s: the live slots in insertion order, or the free
+    slots.  Recycling takes the first live slot, and the maintenance
+    sweeps ({!expire}, {!flush}, {!invalidate}, {!iter}) walk the live
+    list newest first.  Steady-state operation — lookup, insert,
+    evict, recycle, account, expire — allocates nothing on the OCaml
+    heap.
 
     Records come from a pool that grows exponentially (1024, 2048,
     4096, …) up to a configurable maximum, after which the oldest
-    records are recycled.  Records are addressed by a {e flow index}
+    records (the earliest inserted of those still live) are
+    recycled.  Records are addressed by a {e flow index}
     (slot + generation); the generation guards against a recycled slot
     being mistaken for the original flow. *)
 
@@ -62,15 +66,11 @@ type stats = {
           inspected too); a miss that skipped d occupied slots before
           hitting an empty one records d.  This matches the number of
           per-slot memory accesses charged (see {!lookup}). *)
-  fifo_depth : int;
-      (** current recycling-FIFO length; stays O(live records) because
-          stale entries are compacted away when they outnumber live
-          ones *)
   maint_visited : int;
-      (** cumulative slots visited by the maintenance sweeps
-          ({!expire}, {!flush}, {!invalidate}, {!iter}) — these walk
-          the dense live set, so the figure grows with live records
-          per sweep, never with grown capacity *)
+      (** cumulative slots visited by {!expire}, {!flush} and
+          {!invalidate} — these walk the live list, so the figure
+          grows with live records per sweep, never with grown
+          capacity *)
 }
 
 (** [create ~gates ()] — [gates] is the number of gates whose bindings
@@ -127,12 +127,12 @@ val insert : 'a t -> Flow_key.t -> now:int64 -> 'a record
 val remove : 'a t -> 'a record -> unit
 
 (** [expire t ~now ~idle_ns] evicts every record idle strictly longer
-    than [idle_ns].  O(live records) — dead grown capacity costs
-    nothing; meant for periodic housekeeping. *)
+    than [idle_ns], newest first.  O(live records) — dead grown
+    capacity costs nothing; meant for periodic housekeeping. *)
 val expire : 'a t -> now:int64 -> idle_ns:int64 -> int
 
-(** [flush t] evicts everything (used when filter tables change, so no
-    stale binding survives).  O(live records). *)
+(** [flush t] evicts everything, newest first (used when filter
+    tables change, so no stale binding survives).  O(live records). *)
 val flush : 'a t -> unit
 
 (** [set_exporter t f] registers the NetFlow-style emission hook:
@@ -185,9 +185,9 @@ val iter_bindings : 'a record -> (gate:int -> 'a binding -> unit) -> unit
 (** Selective invalidation (control-plane churn support).
 
     [invalidate t ~matches] evicts every in-use record whose key
-    satisfies [matches] (reason ["invalidated"]), returning the count.
-    Each record is exported exactly once even if a stale entry for it
-    remains in the recycling FIFO.  O(live records).
+    satisfies [matches] (reason ["invalidated"]), newest first, and
+    returns the count.  Each record is exported exactly once.
+    O(live records).
 
     [bump_gate t ~gate] advances the table-wide generation for [gate]
     — used when a wildcard filter change makes every cached binding at
@@ -219,5 +219,12 @@ val last_use_ns : 'a record -> int
 
 val length : 'a t -> int
 val capacity : 'a t -> int
+
+(** The bound [create] was given ([max_int] when unbounded). *)
+val max_records : 'a t -> int
+
 val stats : 'a t -> stats
+
+(** [iter f t] calls [f] on every live record, newest first.  [f] may
+    evict the record it is given, but no other. *)
 val iter : ('a record -> unit) -> 'a t -> unit

@@ -44,7 +44,7 @@ type t = {
   mutable next_impl : int array;  (** per gate *)
 }
 
-let create ?engine ?max_records () =
+let create ?max_records () =
   let on_evict ~gate:_ (b : Plugin.t Flow_table.binding) =
     match b.Flow_table.instance.Plugin.on_flow_evict with
     | Some f -> f b
@@ -57,7 +57,7 @@ let create ?engine ?max_records () =
     faults = Hashtbl.create 64;
     quarantine_threshold = default_quarantine_threshold;
     aiu =
-      Aiu.create ?engine ?max_records ~on_evict ~gates:Gate.count ();
+      Aiu.create ?max_records ~on_evict ~gates:Gate.count ();
     next_instance = 1;
     next_impl = Array.make Gate.count 1;
   }

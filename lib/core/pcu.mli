@@ -17,7 +17,7 @@ type t
 
 (** [create ()] builds a PCU with an AIU sized to {!Gate.count} gates;
     [max_records] bounds its flow table. *)
-val create : ?engine:Rp_lpm.Engines.t -> ?max_records:int -> unit -> t
+val create : ?max_records:int -> unit -> t
 
 val aiu : t -> Plugin.t Aiu.t
 

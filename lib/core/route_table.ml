@@ -7,30 +7,12 @@ type route = {
   metric : int;
 }
 
-(* The engine binds each prefix to its route's [Some r], built once by
-   [add], so a lookup hands back the block the engine stored. *)
-type matcher = {
-  insert : Prefix.t -> route option -> unit;
-  remove : Prefix.t -> unit;
-  lookup : Ipaddr.t -> (Prefix.t * route option) option;
-  find : Prefix.t -> route option option;
-  iter : (Prefix.t -> route option -> unit) -> unit;
-  length : unit -> int;
-}
-
-let matcher_of_engine (module E : Rp_lpm.Lpm_intf.S) () =
-  let t = E.create () in
-  {
-    insert = (fun p v -> E.insert t p v);
-    remove = (fun p -> E.remove t p);
-    lookup = (fun a -> E.lookup t a);
-    find = (fun p -> E.find_exact t p);
-    iter = (fun f -> E.iter f t);
-    length = (fun () -> E.length t);
-  }
+module P = Rp_lpm.Patricia
 
 type t = {
-  m : matcher;
+  m : route option P.t;
+      (* each prefix bound to its route's [Some r], built once by
+         [add], so a lookup hands back the block the trie stored *)
   mutable stamp : int;
   mutable held : bool;  (* see [hold] *)
   c_cache_hits : Rp_obs.Counter.pending;
@@ -47,9 +29,9 @@ let m_lookups = Rp_obs.Registry.counter "route_table.lookups"
 let m_misses = Rp_obs.Registry.counter "route_table.misses"
 let m_cache_hits = Rp_obs.Registry.counter "route_table.cache_hits"
 
-let create ?(engine = Rp_lpm.Engines.patricia) () =
+let create () =
   {
-    m = matcher_of_engine engine ();
+    m = P.create ();
     stamp = fresh_stamp ();
     held = false;
     c_cache_hits = Rp_obs.Counter.pending m_cache_hits;
@@ -62,19 +44,19 @@ let release t =
   Rp_obs.Counter.settle t.c_cache_hits
 
 let add t route =
-  match t.m.find route.prefix with
+  match P.find_exact t.m route.prefix with
   | Some (Some existing) when existing.metric < route.metric -> ()
   | Some _ | None ->
-    t.m.insert route.prefix (Some route);
+    P.insert t.m route.prefix (Some route);
     t.stamp <- fresh_stamp ()
 
 let remove t prefix =
-  t.m.remove prefix;
+  P.remove t.m prefix;
   t.stamp <- fresh_stamp ()
 
 let lookup t dst =
   Rp_obs.Counter.inc m_lookups;
-  match t.m.lookup dst with
+  match P.lookup t.m dst with
   | Some (_, found) -> found
   | None ->
     Rp_obs.Counter.inc m_misses;
@@ -111,8 +93,8 @@ let resolve t flows (m : Mbuf.t) =
       r.iface
 
 let stamp t = t.stamp
-let length t = t.m.length ()
-let iter f t = t.m.iter (fun _ r -> Option.iter f r)
+let length t = P.length t.m
+let iter f t = P.iter (fun _ r -> Option.iter f r) t.m
 
 let pp_route ppf r =
   Format.fprintf ppf "%a -> %s dev if%d metric %d" Prefix.pp r.prefix

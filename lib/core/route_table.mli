@@ -1,6 +1,6 @@
 (** The routing table: longest-prefix match over destination prefixes,
-    built on a pluggable BMP engine (the paper's BMP plugins serve both
-    the classifier and routing — "Routing ... is packet classification
+    on the PATRICIA BMP plugin (the paper's BMP plugins serve both the
+    classifier and routing — "Routing ... is packet classification
     with only one field", section 5.1). *)
 
 open Rp_pkt
@@ -14,7 +14,7 @@ type route = {
 
 type t
 
-val create : ?engine:Rp_lpm.Engines.t -> unit -> t
+val create : unit -> t
 
 (** [add t route] installs [route], replacing an existing route for the
     same prefix only if the new metric is not worse. *)
@@ -23,10 +23,9 @@ val add : t -> route -> unit
 val remove : t -> Prefix.t -> unit
 
 (** [lookup t dst] is the best (longest-prefix) route for [dst]: one
-    walk of the BMP engine, counted in [route_table.lookups] (and
+    PATRICIA walk, counted in [route_table.lookups] (and
     [route_table.misses] when nothing matches).  The result is the
-    [Some r] that {!add} built, so with PATRICIA a lookup allocates
-    nothing. *)
+    [Some r] that {!add} built, so a lookup allocates nothing. *)
 val lookup : t -> Ipaddr.t -> route option
 
 (** [resolve t flows m] routes [m] on the data path: it sets

@@ -17,16 +17,16 @@ type t = {
   ctx : t Domain_ctx.t;
 }
 
-let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?engine
-    ?flow_max ?(fault_policy = Fault.Drop_packet) ?cycle_budget
-    ?quarantine_threshold ~ifaces () =
+let create ?(name = "router") ?(mode = Plugins) ?(gates = Gate.all) ?flow_max
+    ?(fault_policy = Fault.Drop_packet) ?cycle_budget ?quarantine_threshold
+    ~ifaces () =
   if ifaces = [] then invalid_arg "Router.create: no interfaces";
-  let pcu = Pcu.create ?engine ?max_records:flow_max () in
+  let pcu = Pcu.create ?max_records:flow_max () in
   (match quarantine_threshold with
    | Some n -> Pcu.set_quarantine_threshold pcu n
    | None -> ());
   Flow_export.install (Pcu.aiu pcu);
-  let routes = Route_table.create ?engine () in
+  let routes = Route_table.create () in
   let ifaces = Array.of_list ifaces in
   let ctx =
     Domain_ctx.create ~shard:0 ~birth_clock:false ~aiu:(Pcu.aiu pcu) ~routes

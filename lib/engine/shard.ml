@@ -64,8 +64,13 @@ let refresh_control t (snap : Snapshot.t) =
   ctx.D.control <- snap.Snapshot.control;
   Rp_classifier.Aiu.set_mode ctx.D.aiu snap.Snapshot.classifier
 
+(* An empty AIU whose flow table is bounded as the router's is. *)
+let flow_aiu (snap : Snapshot.t) =
+  Rp_classifier.Aiu.create ~max_records:snap.Snapshot.flow_max
+    ~gates:Gate.count ()
+
 let apply t (snap : Snapshot.t) =
-  let aiu = Rp_classifier.Aiu.create ~gates:Gate.count () in
+  let aiu = flow_aiu snap in
   Flow_export.install aiu;
   List.iter
     (fun (gate, filter, inst) -> Rp_classifier.Aiu.bind aiu ~gate filter inst)
@@ -84,7 +89,7 @@ let create ~index snap =
     {
       ctx =
         D.create ~shard:index ~birth_clock:true
-          ~aiu:(Rp_classifier.Aiu.create ~gates:Gate.count ())
+          ~aiu:(flow_aiu snap)
           ~routes:(Route_table.create ()) ~control:snap.Snapshot.control;
       m_flow_flushes = counter "flow_flushes";
       m_delta_applies = counter "delta_applies";

@@ -13,6 +13,7 @@ type t = {
   route_stamp : int;
   control : Domain_ctx.control;
   classifier : Rp_classifier.Aiu.mode;
+  flow_max : int;
   deltas : (int * delta) list;
 }
 
@@ -33,6 +34,7 @@ let capture ~gen ?(deltas = []) router =
     route_stamp = Route_table.stamp router.Router.routes;
     control = router.Router.ctx.Domain_ctx.control;
     classifier = Rp_classifier.Aiu.mode aiu;
+    flow_max = Rp_classifier.(Flow_table.max_records (Aiu.flow_table aiu));
     deltas;
   }
 

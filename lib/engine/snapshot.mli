@@ -51,6 +51,9 @@ type t = {
   classifier : Rp_classifier.Aiu.mode;
       (** cold-start resolution strategy the control AIU runs; shards
           apply it on every sync (delta replay or recompile) *)
+  flow_max : int;
+      (** the bound of the router's flow table ([max_int] when
+          unbounded), which every shard's flow table takes too *)
   deltas : (int * delta) list;
       (** (generation, mutation), oldest first; generations are
           consecutive and the last one equals [gen].  Bounded — a shard

@@ -22,19 +22,23 @@
    the NAT rewrite (ingress tuples) and after it (translated tuples)
    alike.  An un-NAT'd session has one entry.
 
-   Expiry: a hashed timer wheel of per-bucket int vectors.  A session
-   is scheduled at its deadline when created, when a state change
-   shortens its timeout, and whenever a pass finds it touched since; a
-   pass visits only the buckets whose ticks elapsed and re-checks each
-   slot there against its current state's timeout.
+   Expiry: a hashed timer wheel whose buckets are [Slot_list]s, as
+   are a pass's due slots and the parked and free ones: every slot in
+   use is on exactly one list, so moving it is an unlink and a push,
+   and no list holds a stale entry.  A session is scheduled at its
+   deadline when created, when a state change shortens its timeout,
+   and whenever a pass finds it touched since; a pass visits only the
+   buckets whose ticks elapsed and re-checks each slot there against
+   its current state's timeout.
 
-   Concurrency: one plain mutex guards the index, the free lists, the
-   wheel and growth.  Per-session counters and last-touch times are
-   per direction and single-writer (one domain processes a direction's
+   Concurrency: one plain mutex guards the index, the slot lists and
+   growth.  Per-session counters and last-touch times are per
+   direction and single-writer (one domain processes a direction's
    ingress tuple), so they are plain ints; a conntrack transition
    takes the mutex only when it changes the state. *)
 
 open Rp_pkt
+module Slot_list = Rp_classifier.Slot_list
 
 type tcp_state = Tcp_syn | Tcp_est | Tcp_fin | Tcp_closed
 type state = Tcp of tcp_state | Udp | Other
@@ -101,11 +105,11 @@ let transition v dir tcp_flags =
    A row is [stride] ints at [(slot land cmask) * stride] in chunk
    [slot lsr cbits].  The first sixteen words are what a packet
    touches (generation, state, flags, QoS, and per direction the
-   last-touch time and counters; words 6 and 7 are spare); the tuples
-   follow, each address as the four 32-bit words [Ipaddr.word] splits
-   it into (the layout of [Flow_export]'s rows), then the control-path
-   words.  Per-direction fields sit at [field + dir] ([+ 3 * dir] for
-   the counter triple). *)
+   last-touch time and counters; words 6, 7 and 15 are spare); the
+   tuples follow, each address as the four 32-bit words [Ipaddr.word]
+   splits it into (the layout of [Flow_export]'s rows), then the
+   control-path words.  Per-direction fields sit at [field + dir]
+   ([+ 3 * dir] for the counter triple). *)
 
 let stride = 40
 let f_gen = 0 (* odd while the slot holds a live session *)
@@ -117,7 +121,6 @@ let f_pkts = 8 (* + 3 * dir *)
 let f_bytes = 9
 let f_drops = 10
 let f_iface = 14
-let f_wseq = 15 (* sequence of the slot's current wheel entry *)
 let f_osrc = 16 (* forward (pre-rewrite) tuple *)
 let f_odst = 20
 let f_xsrc = 24 (* translated tuple; equal to the forward one un-NAT'd *)
@@ -161,16 +164,12 @@ type table = {
       (* two per slot, see [Sess] *)
   mutable allocated : int;
   mutable fresh : int; (* rows [fresh, allocated) were never used *)
-  mutable free : int array; (* slots ready for reuse *)
-  mutable nfree : int;
-  mutable parked : int array; (* freed by the last pass; see [unpark] *)
-  mutable nparked : int;
   mutable index : flat;
   mutable imask : int;
   mutable nlive : int;
-  mutable wheel : int array array; (* bucket vectors; [||] until used *)
-  mutable wlen : int array; (* entries per bucket *)
-  mutable due : int array; (* a pass's entries *)
+  mutable lists : Slot_list.t;
+      (* the wheel buckets, [l_due], [l_parked] and [l_free]; allocated
+         with the first rows *)
   mutable tick_bits : int;
   mutable last_tick : int;
   mutable rules_l : nat_rule list;
@@ -319,30 +318,23 @@ let tick_bits_of t =
 (* The first instant the session is idle past its state's timeout. *)
 let deadline t i = last_touch t i + timeout_of_code t (get t i f_state) + 1
 
-(* A wheel entry is [seq lsl slot_bits lor slot]; it is current while
-   the slot's [f_wseq] is [seq], so scheduling a slot again makes its
-   older entries stale without finding them. *)
-let slot_bits = ref_bits - 2
-let slot_mask = (1 lsl slot_bits) - 1
+(* Lists [0, wheel_size) are the wheel's buckets.  [l_due] holds a
+   pass's slots, [l_parked] the slots freed by the last pass and
+   [l_free] the slots ready for reuse. *)
+let l_due = wheel_size
+let l_parked = wheel_size + 1
+let l_free = wheel_size + 2
 
-(* [a] with room for [n] ints, and [a] with [v] stored at [n]. *)
-let reserve a n = if n <= Array.length a then a else Array.append a (Array.make (max 16 n) 0)
+(* Shared by every table until its first rows: its lists are empty and
+   nothing is ever pushed onto it. *)
+let no_lists = Slot_list.create ~lists:(wheel_size + 3) ~slots:0
 
-let push a n v =
-  let a = reserve a (n + 1) in
-  a.(n) <- v;
-  a
-
-(* Enter slot [i] in its deadline's bucket (never one the last pass
-   has already passed). *)
+(* Move slot [i] to its deadline's bucket (never one the last pass has
+   already passed). *)
 let schedule t i =
-  let seq = get t i f_wseq + 1 in
-  set t i f_wseq seq;
   let tk = max (deadline t i asr t.tick_bits) t.last_tick in
-  let b = tk land (wheel_size - 1) in
-  let n = t.wlen.(b) in
-  t.wheel.(b) <- push t.wheel.(b) n ((seq lsl slot_bits) lor i);
-  t.wlen.(b) <- n + 1
+  Slot_list.unlink t.lists i;
+  Slot_list.push_back t.lists (tk land (wheel_size - 1)) i
 
 (* ---- Per-packet operations on a ref ------------------------------- *)
 
@@ -650,16 +642,10 @@ module Table = struct
       views = Array.make (capacity lsr cbits) [||];
       allocated = 0;
       fresh = 0;
-      free = [||];
-      nfree = 0;
-      parked = [||];
-      nparked = 0;
       index = empty_chunk;
       imask = 0;
       nlive = 0;
-      wheel = [||];
-      wlen = [||];
-      due = [||];
+      lists = no_lists;
       tick_bits = 0;
       last_tick = 0;
       rules_l = [];
@@ -788,30 +774,33 @@ module Table = struct
     t.index <- index;
     t.imask <- mask
 
-  (* Double the rows (the first call allocates one chunk), adding
-     chunks so that no row moves; the index keeps four entries per
-     row. *)
+  (* Double the rows (the first call allocates one chunk and the slot
+     lists), adding chunks so that no row moves; the index keeps four
+     entries per row. *)
   let grow t ~now =
     let chunk = t.cmask + 1 in
-    let target = if t.allocated = 0 then chunk else min t.cap (2 * t.allocated) in
+    let first = t.allocated = 0 in
+    let target = if first then chunk else min t.cap (2 * t.allocated) in
     for c = t.allocated lsr t.cbits to (target lsr t.cbits) - 1 do
       t.rows.(c) <- flat_make (chunk * stride);
       t.views.(c) <- Array.make (2 * chunk) None
     done;
     t.allocated <- target;
     rehash t (4 * target);
-    if t.wheel = [||] then begin
-      t.wheel <- Array.make wheel_size [||];
-      t.wlen <- Array.make wheel_size 0;
+    if first then begin
+      t.lists <- Slot_list.create ~lists:(wheel_size + 3) ~slots:target;
       t.tick_bits <- tick_bits_of t;
       t.last_tick <- now asr t.tick_bits
     end
+    else Slot_list.grow t.lists ~slots:target
 
-  (* A slot for a new session, or -1 at capacity. *)
+  (* A slot for a new session, or -1 at capacity: the last one freed,
+     else one never used. *)
   let alloc_slot t ~now =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      t.free.(t.nfree)
+    let s = Slot_list.last t.lists l_free in
+    if s >= 0 then begin
+      Slot_list.unlink t.lists s;
+      s
     end
     else begin
       if t.fresh = t.allocated && t.allocated < t.cap then grow t ~now;
@@ -828,22 +817,16 @@ module Table = struct
      left the workers since (callers run passes between frames; perf
      and the soak flush the engine first), so no stale handle can
      write into a reused row. *)
-  let unpark t =
-    for j = 0 to t.nparked - 1 do
-      t.free <- push t.free t.nfree t.parked.(j);
-      t.nfree <- t.nfree + 1
-    done;
-    t.nparked <- 0
+  let unpark t = Slot_list.append t.lists ~src:l_parked ~dst:l_free
 
   let release t i ~reason =
     export t i ~reason;
     remove_entry t i 0;
     if get t i f_flags land b_two_keys <> 0 then remove_entry t i 1;
     set t i f_gen (get t i f_gen + 1);
-    set t i f_wseq (get t i f_wseq + 1);
     t.nlive <- t.nlive - 1;
-    t.parked <- push t.parked t.nparked i;
-    t.nparked <- t.nparked + 1;
+    Slot_list.unlink t.lists i;
+    Slot_list.push_back t.lists l_parked i;
     Atomic.incr t.expired_c
 
   (* ---- Creation ---- *)
@@ -1056,10 +1039,9 @@ module Table = struct
     | `Udp -> t.udp_ns <- ns
     | `Other -> t.other_ns <- ns);
     let bits = tick_bits_of t in
-    if t.wheel <> [||] && (ns < before || bits <> t.tick_bits) then begin
+    if t.allocated > 0 && (ns < before || bits <> t.tick_bits) then begin
       t.last_tick <- (t.last_tick lsl t.tick_bits) asr bits;
       t.tick_bits <- bits;
-      Array.fill t.wlen 0 wheel_size 0;
       live_slots t (schedule t)
     end
     else t.tick_bits <- bits;
@@ -1073,62 +1055,58 @@ module Table = struct
   let ahead = 16
   let ahead_sink = ref 0
 
-  let read_ahead t lo hi =
-    let sum = ref 0 in
-    for y = lo to hi - 1 do
-      let s = t.due.(y) land slot_mask in
-      (* one word in each 64-byte line of the row *)
-      sum :=
-        !sum + get t s f_state + get t s f_pkts + get t s f_wseq + get t s f_xsrc
-        + get t s f_osport + get t s f_hash
-    done;
-    for y = lo to hi - 1 do
-      let s = t.due.(y) land slot_mask in
-      sum := !sum + Bigarray.Array1.unsafe_get t.index (get t s f_hash land t.imask)
-    done;
-    ahead_sink := !sum
+  (* One word in each 64-byte line of a row, and the home of its first
+     index entry. *)
+  let row_words t s =
+    get t s f_state + get t s f_pkts + get t s f_osrc + get t s f_xsrc
+    + get t s f_osport + get t s f_hash
 
-  (* Visit the buckets of the ticks elapsed since the last pass (all
-     of them at most once), re-checking each slot whose entry there is
-     current: expired ones are exported and freed, the rest rescheduled
-     at their current deadline.  The entries are moved out first, so a
-     rescheduled slot is not seen twice. *)
+  let index_home t s =
+    Bigarray.Array1.unsafe_get t.index (get t s f_hash land t.imask)
+
+  let rec sum_ahead f t s k acc =
+    if s < 0 || k = 0 then acc
+    else sum_ahead f t (Slot_list.next t.lists s) (k - 1) (acc + f t s)
+
+  (* The next [ahead] slots on [l_due] from [s]: their rows, then their
+     index homes. *)
+  let read_ahead t s =
+    let rows = sum_ahead row_words t s ahead 0 in
+    ahead_sink := sum_ahead index_home t s ahead rows
+
+  (* Move the buckets of the ticks elapsed since the last pass (all of
+     them at most once) onto [l_due], in tick order, and re-check each
+     slot there: expired ones are exported and parked, the rest
+     rescheduled at their current deadline.  Either way a slot leaves
+     [l_due], so none is seen twice. *)
+  let rec reap_due t now k n =
+    let i = Slot_list.first t.lists l_due in
+    if i < 0 then n
+    else begin
+      let k = if k = 0 then (read_ahead t i; ahead) else k in
+      t.nvisited <- t.nvisited + 1;
+      if now - last_touch t i > timeout_of_code t (get t i f_state) then begin
+        release t i ~reason:"session-expired";
+        reap_due t now (k - 1) (n + 1)
+      end
+      else begin
+        schedule t i;
+        reap_due t now (k - 1) n
+      end
+    end
+
   let reap t ~now =
     let tk = now asr t.tick_bits in
-    let from = max t.last_tick (tk - wheel_size + 1) in
-    let n = ref 0 and nd = ref 0 in
-    for x = from to tk do
-      let b = x land (wheel_size - 1) in
-      let len = t.wlen.(b) in
-      t.due <- reserve t.due (!nd + len);
-      Array.blit t.wheel.(b) 0 t.due !nd len;
-      nd := !nd + len;
-      t.wlen.(b) <- 0
+    for x = max t.last_tick (tk - wheel_size + 1) to tk do
+      Slot_list.append t.lists ~src:(x land (wheel_size - 1)) ~dst:l_due
     done;
     t.last_tick <- max t.last_tick tk;
-    t.nvisited <- t.nvisited + !nd;
-    let x = ref 0 in
-    while !x < !nd do
-      let hi = min !nd (!x + ahead) in
-      read_ahead t !x hi;
-      for y = !x to hi - 1 do
-        let e = t.due.(y) in
-        let s = e land slot_mask in
-        if get t s f_wseq = e lsr slot_bits then
-          if now - last_touch t s > timeout_of_code t (get t s f_state) then begin
-            release t s ~reason:"session-expired";
-            incr n
-          end
-          else schedule t s
-      done;
-      x := hi
-    done;
-    !n
+    reap_due t now 0 0
 
   let expire t ~now =
     Mutex.lock t.lock;
     unpark t;
-    let n = if t.wheel = [||] then 0 else reap t ~now:(ns_of_int64 now) in
+    let n = if t.allocated = 0 then 0 else reap t ~now:(ns_of_int64 now) in
     Mutex.unlock t.lock;
     n
 
@@ -1137,7 +1115,6 @@ module Table = struct
     unpark t;
     let n = t.nlive in
     live_slots t (release t ~reason:"session-flushed");
-    if t.wheel <> [||] then Array.fill t.wlen 0 wheel_size 0;
     Mutex.unlock t.lock;
     n
 

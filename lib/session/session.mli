@@ -18,7 +18,10 @@
     doubling from 1024 rows up to its capacity and then refuses new
     sessions (counted; the plugins drop the packet as
     ["session table full"]).  Expiry runs on a timer wheel and visits
-    only the sessions whose deadline passed.
+    only the sessions whose deadline passed.  Every slot in use is on
+    one {!Rp_classifier.Slot_list}: a wheel bucket, or the freed slots
+    waiting for reuse, so rescheduling a session leaves no stale wheel
+    entry behind.
 
     Sharding: the two directions of a NAT'd session can RSS to
     different shards, so tables are shared across domains.  One mutex
@@ -150,7 +153,9 @@ module Table : sig
     ct_drops : int;
     key_conflicts : int;
     refused : int;  (** creations refused at capacity *)
-    visited : int;  (** sessions expiry passes have looked at *)
+    visited : int;
+        (** sessions expiry passes have looked at: live ones only, each
+            once per pass whose elapsed ticks held its deadline *)
   }
 
   (** [get name] — the process-wide table registry (create on first

@@ -627,22 +627,18 @@ let test_flow_table_recycling () =
   check int_t "recycled count" 1 (Flow_table.stats t).Flow_table.recycled
 
 let test_flow_table_fifo_bounded () =
-  (* Regression: with the default unbounded [max_records], the
-     recycling FIFO was only drained on the recycle path, so
-     insert/remove churn grew it one stale entry per insert forever.
-     Stale entries are now compacted away when they outnumber live
-     ones. *)
+  (* Insert/remove churn with the default unbounded [max_records]
+     must not grow the table: a removed record's slot is reused, so
+     the capacity stays that of the peak live count. *)
   let t = Flow_table.create ~buckets:64 ~initial_records:16 ~gates:2 () in
   for i = 1 to 10_000 do
     let r = Flow_table.insert t (mk_key (i land 0xFF)) ~now:0L in
     Flow_table.remove t r
   done;
   check int_t "no live records after churn" 0 (Flow_table.length t);
-  let depth = (Flow_table.stats t).Flow_table.fifo_depth in
-  check bool_t (Printf.sprintf "fifo drained (depth %d)" depth) true
-    (depth <= 1);
-  (* Mixed churn around a stable working set: depth must stay
-     O(live), not O(inserts). *)
+  check int_t "capacity after churn" 16 (Flow_table.capacity t);
+  (* Mixed churn around a stable working set: memory stays O(live),
+     not O(inserts). *)
   let live =
     Array.init 50 (fun i -> Flow_table.insert t (mk_key (10_000 + i)) ~now:0L)
   in
@@ -650,13 +646,7 @@ let test_flow_table_fifo_bounded () =
     let r = Flow_table.insert t (mk_key (20_000 + (i land 0x3F))) ~now:0L in
     Flow_table.remove t r
   done;
-  let depth = (Flow_table.stats t).Flow_table.fifo_depth in
-  let alive = Flow_table.length t in
-  check bool_t
-    (Printf.sprintf "fifo O(live) under churn (depth %d, live %d)" depth alive)
-    true
-    (depth <= (2 * alive) + 2);
-  (* Recycling still works after compaction rounds. *)
+  check int_t "capacity after mixed churn" 64 (Flow_table.capacity t);
   Array.iter (fun r -> Flow_table.remove t r) live;
   check int_t "empty again" 0 (Flow_table.length t)
 
@@ -708,11 +698,9 @@ let test_flow_table_invalidate () =
   check int_t "refilled" 8 (Flow_table.length t)
 
 (* Exactly-once export: drive eviction by invalidation, recycling and
-   expiry against the same single slot, with stale FIFO entries in
-   play, and count exporter calls per reason.  A record evicted by
-   invalidation while its (slot, gen) entry still sits in the
-   recycling FIFO must be neither double-exported nor leak
-   [fifo_stale]. *)
+   expiry against the same single slot, and count exporter calls per
+   reason.  A record evicted by invalidation must not be exported
+   again, and its slot must be the one the next insert takes. *)
 let test_flow_table_export_exactly_once () =
   let exported = Hashtbl.create 8 in
   let t =
@@ -726,12 +714,11 @@ let test_flow_table_export_exactly_once () =
       (fun (re, _, _) n acc -> if re = reason then acc + n else acc)
       exported 0
   in
-  (* 1. Invalidate while the record's FIFO entry is live. *)
+  (* 1. Invalidate a live record. *)
   ignore (Flow_table.insert t (mk_key 0) ~now:0L);
   check int_t "one invalidated" 1 (Flow_table.invalidate t ~matches:(fun _ -> true));
   check int_t "invalidated exported once" 1 (count "invalidated");
-  (* 2. The stranded FIFO entry must not break recycling: fill the one
-     slot again, then force a recycle. *)
+  (* 2. Fill the one slot again, then force a recycle. *)
   ignore (Flow_table.insert t (mk_key 1) ~now:1L);
   ignore (Flow_table.insert t (mk_key 2) ~now:2L) (* recycles key 1 *);
   check int_t "recycled exported once" 1 (count "recycled");
@@ -746,41 +733,134 @@ let test_flow_table_export_exactly_once () =
     (fun (reason, _, gen) n ->
       check int_t (Printf.sprintf "%s gen=%d exported once" reason gen) 1 n)
     exported;
-  (* No stale-entry leak: the FIFO is empty or all-stale-compacted. *)
-  check bool_t "fifo drained" true ((Flow_table.stats t).Flow_table.fifo_depth <= 1);
+  check int_t "capacity stays 1" 1 (Flow_table.capacity t);
   (* And the slot still works. *)
   ignore (Flow_table.insert t (mk_key 3) ~now:2000L);
   check int_t "slot reusable after all three paths" 1 (Flow_table.length t)
 
 let prop_flow_table_model =
-  (* Model check: a sequence of insert/remove/lookup agrees with a
-     simple association-list model (unbounded table). *)
-  qtest ~count:200 "flow table = model"
-    QCheck2.Gen.(list_size (int_range 1 60) (pair (int_bound 2) (int_bound 15)))
-    (fun ops ->
-      let t = Flow_table.create ~buckets:8 ~initial_records:2 ~gates:1 () in
-      let model = Hashtbl.create 16 in
-      let now = ref 0L in
+  (* Model check: an insertion-ordered list of (key, last use), on a
+     table bounded at 4 records and on an unbounded one; both start at
+     2 records, so the unbounded table grows to 16 and rebuilds its
+     index with live records.  When bounded, a recycle evicts the
+     model's oldest live key; [expire] evicts exactly its idle keys,
+     and [iter] visits newest first. *)
+  qtest ~count:300 "flow table = model"
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 1 80) (pair (int_bound 4) (int_bound 15))))
+    (fun (bounded, ops) ->
+      let t =
+        if bounded then
+          Flow_table.create ~buckets:8 ~initial_records:2 ~max_records:4 ~gates:1 ()
+        else Flow_table.create ~buckets:8 ~initial_records:2 ~gates:1 ()
+      in
+      let gone = ref [] in
+      Flow_table.set_exporter t (fun ~reason r ->
+          gone := (reason, Flow_table.key r) :: !gone);
+      let model = ref [] (* (i, last use), oldest first *) in
+      let now = ref 0 in
+      let exported () =
+        let l = List.rev !gone in
+        gone := [];
+        l
+      in
       List.for_all
         (fun (op, i) ->
-          now := Int64.add !now 1L;
-          let k = mk_key i in
-          match op with
-          | 0 ->
-            let r = Flow_table.insert t k ~now:!now in
-            Hashtbl.replace model i (Flow_table.gen r);
-            true
-          | 1 ->
-            (match Flow_table.lookup t k ~now:!now with
-             | Some r ->
-               Flow_table.remove t r;
-               Hashtbl.remove model i;
-               true
-             | None -> not (Hashtbl.mem model i))
-          | _ ->
-            (match Flow_table.lookup t k ~now:!now, Hashtbl.mem model i with
-             | Some _, true | None, false -> true
-             | Some _, false | None, true -> false))
+          incr now;
+          let k = mk_key i and now64 = Int64.of_int !now in
+          let step_ok =
+            match op with
+            | 0 | 1 ->
+              let replaced = List.mem_assoc i !model in
+              model := List.remove_assoc i !model;
+              let victim =
+                if bounded && List.length !model = 4 then begin
+                  let v = fst (List.hd !model) in
+                  model := List.tl !model;
+                  [ ("recycled", mk_key v) ]
+                end
+                else []
+              in
+              ignore (Flow_table.insert t k ~now:now64);
+              model := !model @ [ (i, !now) ];
+              exported ()
+              = (if replaced then [ ("replaced", k) ] else []) @ victim
+            | 2 ->
+              (match Flow_table.lookup t k ~now:now64 with
+               | Some r ->
+                 Flow_table.remove t r;
+                 model := List.remove_assoc i !model;
+                 exported () = [ ("removed", k) ]
+               | None -> not (List.mem_assoc i !model))
+            | 3 ->
+              (match (Flow_table.lookup t k ~now:now64, List.mem_assoc i !model) with
+               | Some _, true ->
+                 model := List.map (fun (j, l) -> (j, if j = i then !now else l)) !model;
+                 true
+               | None, false -> true
+               | Some _, false | None, true -> false)
+            | _ ->
+              let idle = 2 * i in
+              let expired, kept =
+                List.partition (fun (_, l) -> !now - l > idle) !model
+              in
+              model := kept;
+              let n = Flow_table.expire t ~now:now64 ~idle_ns:(Int64.of_int idle) in
+              n = List.length expired
+              && exported ()
+                 = List.rev_map (fun (j, _) -> ("expired", mk_key j)) expired
+          in
+          let seen = ref [] in
+          Flow_table.iter (fun r -> seen := Flow_table.key r :: !seen) t;
+          step_ok
+          && Flow_table.length t = List.length !model
+          && List.rev !seen = List.rev_map (fun (j, _) -> mk_key j) !model)
+        ops)
+
+(* [Slot_list] against OCaml lists: random moves, unlinks, appends and
+   growth over three lists, checked forward and backward after every
+   step, with no slot on two lists. *)
+let prop_slot_list_model =
+  qtest ~count:300 "slot lists = model"
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (quad (int_bound 3) (int_bound 15) (int_bound 2) (int_bound 2)))
+    (fun ops ->
+      let t = Slot_list.create ~lists:3 ~slots:4 in
+      let slots = ref 4 in
+      let model = Array.make 3 [] in
+      let drop s = Array.iteri (fun l xs -> model.(l) <- List.filter (( <> ) s) xs) model in
+      let rec forward s = if s < 0 then [] else s :: forward (Slot_list.next t s) in
+      let rec backward s = if s < 0 then [] else s :: backward (Slot_list.prev t s) in
+      List.for_all
+        (fun (op, s, a, b) ->
+          (match op with
+           | 0 when s < !slots ->
+             Slot_list.unlink t s;
+             Slot_list.push_back t a s;
+             drop s;
+             model.(a) <- model.(a) @ [ s ]
+           | 1 when s < !slots ->
+             Slot_list.unlink t s;
+             drop s
+           | 2 ->
+             Slot_list.append t ~src:a ~dst:b;
+             if a <> b then begin
+               model.(b) <- model.(b) @ model.(a);
+               model.(a) <- []
+             end
+           | 3 ->
+             slots := min 16 (!slots + s);
+             Slot_list.grow t ~slots:!slots
+           | _ -> ());
+          let all = List.concat (Array.to_list model) in
+          List.length (List.sort_uniq compare all) = List.length all
+          && List.for_all
+               (fun l ->
+                 forward (Slot_list.first t l) = model.(l)
+                 && backward (Slot_list.last t l) = List.rev model.(l)
+                 && (Slot_list.first t l < 0) = (model.(l) = []))
+               [ 0; 1; 2 ])
         ops)
 
 (* The whole point of the flat layout: once warm, the per-packet flow
@@ -1622,6 +1702,7 @@ let () =
           Alcotest.test_case "export exactly once" `Quick
             test_flow_table_export_exactly_once;
           prop_flow_table_model;
+          prop_slot_list_model;
           Alcotest.test_case "steady state GC-silent" `Quick
             test_flow_table_gc_silent;
           Alcotest.test_case "export allocates nothing" `Quick

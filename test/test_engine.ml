@@ -682,6 +682,25 @@ let test_inline_engine_matches_ip_core () =
    | v -> Alcotest.failf "direct path: %a" Ip_core.pp_verdict v);
   Engine.stop e
 
+(* [flow_max] bounds every flow table the router's packets meet: three
+   UDP flows through a two-record router leave two records and count
+   recycles, on the inline table and on a shard's alike.  (A shard that
+   takes the three in one frame recycles more than once: each packet's
+   gates re-insert the flow a later packet recycled.) *)
+let test_flow_max_bounds_shards mode () =
+  let ifaces = [ Iface.create ~id:0 (); Iface.create ~id:1 () ] in
+  let r = Router.create ~flow_max:2 ~ifaces () in
+  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
+  let e = Engine.create mode r in
+  for f = 0 to 2 do
+    assert (Engine.submit e ~now:0L (mk_pkt ~sport:(13_000 + f) ()))
+  done;
+  check int_t "all forwarded" 3 (Engine.flush e ~f:(fun _ -> ()));
+  check int_t "two records" 2 (Engine.shard_flow_count e 0);
+  check bool_t "recycled" true
+    ((Engine.shard_flow_stats e 0).Rp_classifier.Flow_table.recycled >= 1);
+  Engine.stop e
+
 (* --- counter consistency under concurrency ---------------------------- *)
 
 let test_counter_consistency () =
@@ -1842,6 +1861,10 @@ let () =
             (test_icmp_errors_leave Engine.Inline);
           Alcotest.test_case "icmp errors leave (sharded:2)" `Quick
             (test_icmp_errors_leave (Engine.Sharded 2));
+          Alcotest.test_case "flow_max bounds the flow table (inline)" `Quick
+            (test_flow_max_bounds_shards Engine.Inline);
+          Alcotest.test_case "flow_max bounds the flow table (sharded:1)" `Quick
+            (test_flow_max_bounds_shards (Engine.Sharded 1));
         ] );
       ( "batched",
         [
