@@ -1388,24 +1388,37 @@ let fig_batch () =
       "packets" "cum_packets" "model_s" "model_mpps" "wall_mpps";
     let next_report = ref interval in
     let submitted = ref 0 in
+    (* Minor words allocated by submit_batch + drain, and the packets
+       they drained, over the steady rows (ints: reading the counter
+       must allocate nothing itself). *)
+    let minor_words () = int_of_float (Gc.minor_words ()) in
+    let steady_words = ref 0 and steady_pkts = ref 0 in
     while !drained < total do
-      if !submitted < total then begin
-        ignore (Rp_sim.Synth.pull synth ~now_ns:0L link ~max:(2 * batch));
-        let n = Link.receive_batch link ~max:(min batch (total - !submitted)) scratch in
-        if n > 0 then begin
-          (match mode with
-           | Rp_engine.Engine.Inline ->
-             ignore (Rp_engine.Engine.submit_batch e ~now:0L scratch ~n)
-           | Rp_engine.Engine.Sharded _ ->
-             for i = 0 to n - 1 do
-               while not (Rp_engine.Engine.submit e ~now:0L scratch.(i)) do
-                 ignore (Rp_engine.Engine.drain e ~f:recycle)
-               done
-             done);
-          submitted := !submitted + n
+      let n =
+        if !submitted < total then begin
+          ignore (Rp_sim.Synth.pull synth ~now_ns:0L link ~max:(2 * batch));
+          Link.receive_batch link ~max:(min batch (total - !submitted)) scratch
         end
+        else 0
+      in
+      let w0 = minor_words () and d0 = !drained in
+      if n > 0 then begin
+        (match mode with
+         | Rp_engine.Engine.Inline ->
+           ignore (Rp_engine.Engine.submit_batch e ~now:0L scratch ~n)
+         | Rp_engine.Engine.Sharded _ ->
+           for i = 0 to n - 1 do
+             while not (Rp_engine.Engine.submit e ~now:0L scratch.(i)) do
+               ignore (Rp_engine.Engine.drain e ~f:recycle)
+             done
+           done);
+        submitted := !submitted + n
       end;
       ignore (Rp_engine.Engine.drain e ~f:recycle);
+      if !row_idx > 0 then begin
+        steady_words := !steady_words + (minor_words () - w0);
+        steady_pkts := !steady_pkts + (!drained - d0)
+      end;
       if !submitted >= total && !drained < total then
         ignore (Rp_engine.Engine.flush e ~f:recycle);
       while !drained >= !next_report do
@@ -1435,6 +1448,19 @@ let fig_batch () =
     Rp_obs.Registry.set
       (Printf.sprintf "bench.fig_batch.%s.generated" slug)
       (float_of_int (Rp_sim.Synth.generated synth));
+    (* A sharded engine's words are its workers', not the caller's. *)
+    if mode = Rp_engine.Engine.Inline then begin
+      let words =
+        float_of_int !steady_words /. float_of_int (max 1 !steady_pkts)
+      in
+      Printf.printf
+        "  %-10s steady-state %.3f minor words/packet through submit_batch \
+         + drain\n"
+        label words;
+      Rp_obs.Registry.set
+        (Printf.sprintf "bench.fig_batch.%s.words_per_pkt" slug)
+        words
+    end;
     Gc.full_major ();
     steady
   in

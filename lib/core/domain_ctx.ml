@@ -22,8 +22,10 @@ type control = {
 }
 
 (* Scratch for one batch, by position: {!Ip_core}'s packet states, and
-   what the states that set them carry; and the running domain's
-   {!Cost} and access meters, looked up once as the frame opens. *)
+   what the states that set them carry; the running domain's {!Cost}
+   and access meters, looked up once as the frame opens; and the one
+   handler context every handler call of the frame is given, refilled
+   before each call (a nested frame has its own). *)
 type frame = {
   mutable cycles : int ref;
   mutable accesses : int ref;
@@ -34,6 +36,7 @@ type frame = {
   icmp : Icmp.message array;  (* error the control domain originates *)
   sched : Plugin.t Rp_classifier.Flow_table.binding option array;
   now : int64 array;
+  hctx : Plugin.ctx;
 }
 
 type 'r t = {
@@ -52,24 +55,18 @@ type 'r t = {
 
 let batch = 32
 
-let dummy_mbuf =
-  Mbuf.synth
-    ~key:
-      (Flow_key.make ~src:Ipaddr.zero_v4 ~dst:Ipaddr.zero_v4 ~proto:0 ~sport:0
-         ~dport:0 ~iface:0)
-    ~len:0 ()
-
 let frame () =
   {
     cycles = ref 0;
     accesses = ref 0;
-    pkts = Array.make batch dummy_mbuf;
+    pkts = Array.make batch Mbuf.dummy;
     state = Array.make batch 0;
     out = Array.make batch (-1);
     why = Array.make batch "";
     icmp = Array.make batch Icmp.Time_exceeded;
     sched = Array.make batch None;
     now = Array.make batch 0L;
+    hctx = { Plugin.now_ns = 0L; binding = None };
   }
 
 let create ~shard ~birth_clock ~aiu ~routes ~control =

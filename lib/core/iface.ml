@@ -24,8 +24,7 @@ type t = {
   name : string;
   mtu : int;
   bandwidth_bps : int64;
-  fifo_limit : int;
-  fifo : Mbuf.t Queue.t;
+  fifo : Mbuf.t Ring.t;
   mutable qdisc : Plugin.t option;
   counters : counters;
   mutable up : bool;
@@ -34,13 +33,13 @@ type t = {
 
 let create ?name ?(mtu = 9180) ?(bandwidth_bps = 155_000_000L)
     ?(fifo_limit = 512) ~id () =
+  if fifo_limit < 1 then invalid_arg "Iface.create: fifo_limit < 1";
   {
     id;
     name = (match name with Some n -> n | None -> Printf.sprintf "if%d" id);
     mtu;
     bandwidth_bps;
-    fifo_limit;
-    fifo = Queue.create ();
+    fifo = Ring.create ~limit:fifo_limit ~dummy:Mbuf.dummy ();
     qdisc = None;
     counters =
       { rx_packets = 0; rx_bytes = 0; tx_packets = 0; tx_bytes = 0; drops = 0 };
@@ -72,15 +71,14 @@ let enqueue t ~now ~binding m =
        (* attach_scheduler guarantees this cannot happen *)
        assert false)
   | None ->
-    if Queue.length t.fifo >= t.fifo_limit then begin
+    if Ring.push t.fifo m then begin
+      t.queued <- true;
+      true
+    end
+    else begin
       t.counters.drops <- t.counters.drops + 1;
       Rp_obs.Counter.inc m_fifo_drops;
       false
-    end
-    else begin
-      Queue.push m t.fifo;
-      t.queued <- true;
-      true
     end
 
 let dequeue t ~now =
@@ -89,11 +87,11 @@ let dequeue t ~now =
     (match inst.Plugin.scheduler with
      | Some s -> s.Plugin.dequeue ~now
      | None -> assert false)
-  | None -> Queue.take_opt t.fifo
+  | None -> if Ring.is_empty t.fifo then None else Some (Ring.pop t.fifo)
 
 let drop_queued t ~now =
   match t.qdisc with
-  | None -> Queue.clear t.fifo
+  | None -> Ring.clear t.fifo
   | Some _ ->
     let more = ref true in
     while !more do
@@ -111,7 +109,7 @@ let backlog t =
     (match inst.Plugin.scheduler with
      | Some s -> s.Plugin.backlog ()
      | None -> assert false)
-  | None -> Queue.length t.fifo
+  | None -> Ring.length t.fifo
 
 let count_tx t m =
   t.counters.tx_packets <- t.counters.tx_packets + 1;

@@ -1,6 +1,13 @@
 (** Network interfaces: an output queue (a plain FIFO, or an attached
     packet-scheduling plugin instance) plus the usual counters.
 
+    The plain FIFO is a {!Rp_pkt.Ring} bounded by [fifo_limit]: its
+    array is allocated by the first packet queued and doubles as the
+    backlog grows, up to [fifo_limit] slots, so queueing and dequeueing
+    a packet allocate nothing but {!dequeue}'s [Some], and a
+    transmitted or discarded descriptor is not kept alive by the
+    queue.
+
     Transmission timing (link rate, serialization delay) is driven by
     the simulator; this module only owns the queueing decision. *)
 
@@ -19,8 +26,7 @@ type t = {
   name : string;
   mtu : int;
   bandwidth_bps : int64;  (** link rate used by the simulator *)
-  fifo_limit : int;
-  fifo : Mbuf.t Queue.t;
+  fifo : Mbuf.t Ring.t;  (** the plain FIFO, bounded by [fifo_limit] *)
   mutable qdisc : Plugin.t option;
       (** attached scheduling instance; [None] = plain FIFO *)
   counters : counters;
@@ -29,6 +35,8 @@ type t = {
       (** a packet was queued since the last {!take_queued} *)
 }
 
+(** [create ~id ()] — [fifo_limit] (default 512) bounds the plain FIFO.
+    @raise Invalid_argument if [fifo_limit < 1]. *)
 val create :
   ?name:string -> ?mtu:int -> ?bandwidth_bps:int64 -> ?fifo_limit:int ->
   id:int -> unit -> t

@@ -155,10 +155,17 @@ let recovered (ctx : ctx) id =
 (* Run one instance's handler under containment: an escaping exception
    or a per-invocation cycle-budget overrun becomes a fault instead of
    unwinding the pipeline.  The handler's own [Cost.charge]s land in
-   [cost], the frame's meter: a frame runs on one domain. *)
-let run_handler (ctx : ctx) cost ~now ~gate inst binding m =
+   the frame's meter: a frame runs on one domain.  The handler is given
+   the frame's context, refilled for this call; the clock, which rarely
+   changes within a frame, is written only when it does, which saves
+   its write barrier. *)
+let run_handler (ctx : ctx) (f : D.frame) ~now ~gate inst binding m =
+  let cost = f.D.cycles in
   let c0 = !cost in
-  match inst.Plugin.handle { Plugin.now_ns = now; binding } m with
+  let hctx = f.D.hctx in
+  if hctx.Plugin.now_ns != now then hctx.Plugin.now_ns <- now;
+  hctx.Plugin.binding <- binding;
+  match inst.Plugin.handle hctx m with
   | exception e -> contain ctx ~gate m inst (Fault.Exn (Printexc.to_string e))
   | action -> (
       let used = !cost - c0 in
@@ -235,7 +242,8 @@ let sweep (ctx : ctx) (f : D.frame) batch off n gate =
           Plugin.Continue
         | _, None -> Plugin.Continue
         | _, Some b ->
-          run_handler ctx cost ~now ~gate b.Rp_classifier.Flow_table.instance binding m
+          run_handler ctx f ~now ~gate b.Rp_classifier.Flow_table.instance
+            binding m
       in
       let c = !cost - c0 in
       cycles := !cycles + c;
@@ -618,6 +626,7 @@ and single router ~from ~now ~out ~binding m =
   f.D.sched.(0) <- binding;
   run_in ctx f ~from ~now f.D.pkts 0 1;
   leave ctx;
+  f.D.pkts.(0) <- Mbuf.dummy;
   verdict_of f 0
 
 and process router ~now m =
@@ -654,6 +663,7 @@ let invoke_gate router ~now ~gate m =
   f.D.now.(0) <- now;
   sweep ctx f f.D.pkts 0 1 gate;
   leave ctx;
+  f.D.pkts.(0) <- Mbuf.dummy;
   let st = f.D.state.(0) in
   if st = absorbed then Plugin.Consumed
   else if st = dropped then Plugin.Drop f.D.why.(0)

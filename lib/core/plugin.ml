@@ -6,8 +6,8 @@ type action =
   | Consumed
 
 type ctx = {
-  now_ns : int64;
-  binding : t Rp_classifier.Flow_table.binding option;
+  mutable now_ns : int64;
+  mutable binding : t Rp_classifier.Flow_table.binding option;
 }
 
 and t = {
@@ -50,6 +50,15 @@ end
 let code ~gate ~impl = (Gate.to_int gate lsl 16) lor (impl land 0xFFFF)
 let gate_of_code c = Gate.of_int (c lsr 16)
 let impl_of_code c = c land 0xFFFF
+
+let positive_int config key ~default =
+  match List.assoc_opt key config with
+  | None -> Ok default
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n > 0 -> Ok n
+      | Some _ | None ->
+        Error (Printf.sprintf "%s=%s: not a positive integer" key s))
 
 let simple ~instance_id ~code ~plugin_name ~gate ?(config = [])
     ?describe handle =

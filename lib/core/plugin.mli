@@ -20,10 +20,13 @@ type action =
           fragment for reassembly); the core stops processing it
           without counting a drop *)
 
-(** Context passed to a packet handler at a gate. *)
+(** Context passed to a packet handler at a gate.  The data path owns
+    one per frame and refills it before each call, so a handler call
+    allocates no context: a handler must not keep its [ctx] (or write
+    it) after it returns — copy the fields it needs instead. *)
 type ctx = {
-  now_ns : int64;
-  binding : t Rp_classifier.Flow_table.binding option;
+  mutable now_ns : int64;  (** the packet's clock *)
+  mutable binding : t Rp_classifier.Flow_table.binding option;
       (** the flow-record binding that routed the packet here; its
           [soft] slot holds the plugin's per-flow state *)
 }
@@ -87,6 +90,14 @@ val code : gate:Gate.t -> impl:int -> int
 
 val gate_of_code : int -> Gate.t option
 val impl_of_code : int -> int
+
+(** [positive_int config key ~default] — [key]'s value in [config] as
+    a positive integer, [default] when absent, and an [Error] naming
+    the key and value when it is malformed or not positive.  Plugins
+    read their queue bounds through it, so a bad bound fails
+    [create_instance] instead of silently becoming the default. *)
+val positive_int :
+  (string * string) list -> string -> default:int -> (int, string) result
 
 (** Convenience for plugins without per-flow state or scheduling. *)
 val simple :

@@ -50,6 +50,13 @@ type t = {
          layer swaps in the canonical-key hash so both directions of a
          conversation land on one shard. *)
   transmitters : (now:int64 -> unit) array;  (* by interface *)
+  (* The inline data path's and [drain]'s callbacks, built once with
+     the engine so a call allocates none.  Control domain only. *)
+  mutable now : int64;  (* the running inline [submit_batch]'s clock *)
+  mutable emit : Mbuf.t -> Ip_core.verdict -> Ip_core.handoff -> unit;
+  mutable sink : Shard.result -> unit;  (* the running [drain]'s [f] *)
+  mutable drained : int;  (* by the running [drain] *)
+  mutable deliver : Shard.result -> unit;
 }
 
 let mode t = t.mode
@@ -91,15 +98,29 @@ let deregister t =
 
 (* --- worker loop ---------------------------------------------------- *)
 
-let dummy_mbuf = Domain_ctx.dummy_mbuf
-
 let worker_loop t i =
   let shard = t.shard_tbl.(i) in
+  let ctx = Shard.ctx shard in
   let rx = t.rx.(i) and tx = t.tx.(i) in
   let busy = t.busy.(i) in
   let rx_count = t.shard_rx.(i) and tx_drops = t.tx_ring_drops.(i) in
-  let scratch = Array.make Domain_ctx.batch dummy_mbuf in
+  let scratch = Array.make Domain_ctx.batch Mbuf.dummy in
   let cycles = Cost.meter () in
+  (* A lost result whose packet still had a router-owned stage to run
+     ends here, so its drop is counted here; a settled or ICMP-error
+     result counted its drop when it settled.  Its fault events ride
+     the next result. *)
+  let emit m verdict handoff =
+    if Spsc.room tx > 0 then
+      Shard.fill (Spsc.stage_next tx) ctx m verdict handoff
+    else begin
+      Rp_obs.Counter.inc tx_drops;
+      match handoff with
+      | Ip_core.Local | Ip_core.Egress _ ->
+        Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
+      | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
+    end
+  in
   let running = ref true in
   while !running do
     if Spsc.is_empty rx then begin
@@ -118,26 +139,72 @@ let worker_loop t i =
       Shard.sync shard (Atomic.get t.snapshot);
       Rp_obs.Counter.add rx_count n;
       Rp_obs.Histogram.observe t.batch_hist n;
-      (* A lost result whose packet still had a router-owned stage to
-         run ends here, so its drop is counted here; a settled or
-         ICMP-error result counted its drop when it settled. *)
       let c0 = !cycles in
-      Ip_core.run (Shard.ctx shard) ~now:0L scratch ~n
-        ~emit:(fun m verdict handoff ->
-          let r = Shard.result (Shard.ctx shard) m verdict handoff in
-          if not (Spsc.stage tx r) then begin
-            Rp_obs.Counter.inc tx_drops;
-            match handoff with
-            | Ip_core.Local | Ip_core.Egress _ ->
-              Rp_obs.Drop_reason.count Rp_obs.Drop_reason.Tx_ring_overflow
-            | Ip_core.Settled | Ip_core.Icmp_error _ -> ()
-          end);
+      Ip_core.run ctx ~now:0L scratch ~n ~emit;
       (* The batch is one frame: its results publish with one store. *)
       Spsc.publish tx;
+      Array.fill scratch 0 n Mbuf.dummy;
       Shard.add_cycles shard (!cycles - c0);
       Atomic.set busy false
     end
   done
+
+(* --- the control domain's data path ---------------------------------- *)
+
+(* Serve the interfaces the data path queued onto since the last call
+   (a packet's own egress, and any ICMP error or echo reply the router
+   originated on the way), each through its transmitter. *)
+let transmit t ~now =
+  let ifaces = t.router.Router.ifaces in
+  for i = 0 to Array.length ifaces - 1 do
+    if Iface.take_queued ifaces.(i) then t.transmitters.(i) ~now
+  done
+
+(* One packet of the inline data path to the result ring, after the
+   engine served the interfaces it queued onto; [submit_batch] made
+   room for it. *)
+let emit_inline t m verdict handoff =
+  transmit t ~now:t.now;
+  Shard.fill (Spsc.stage_next t.tx.(0)) t.router.Router.ctx m verdict handoff
+
+(* Finish one result on the control domain, in place: apply its fault
+   events to the PCU, then run whatever router-owned stage the shard
+   handed back (an inline result is always settled). *)
+let finish t (r : Shard.result) =
+  if r.Shard.faults <> [] then begin
+    List.iter (Ip_core.apply_event t.router) r.Shard.faults;
+    r.Shard.faults <- []
+  end;
+  let m = r.Shard.m in
+  match r.Shard.handoff with
+  | Ip_core.Settled -> ()
+  | Ip_core.Icmp_error message ->
+    let now = m.Mbuf.birth_ns in
+    Ip_core.icmp_error t.router ~now m message;
+    transmit t ~now;
+    r.Shard.handoff <- Ip_core.Settled
+  | h ->
+    let now = m.Mbuf.birth_ns in
+    let verdict = Ip_core.resume t.router ~now m h in
+    transmit t ~now;
+    r.Shard.outcome <- Shard.outcome_of verdict;
+    r.Shard.handoff <- Ip_core.Settled
+
+(* One result to the running [drain]'s [f]; its slot then lets go of
+   the packet and is left settled, as [Shard.fill] expects, also when
+   [finish] or [f] raises. *)
+let deliver t r =
+  t.drained <- t.drained + 1;
+  match
+    finish t r;
+    t.sink r
+  with
+  | () -> r.Shard.m <- Mbuf.dummy
+  | exception e ->
+    r.Shard.m <- Mbuf.dummy;
+    r.Shard.faults <- [];
+    r.Shard.handoff <- Ip_core.Settled;
+    raise e
 
 (* --- construction --------------------------------------------------- *)
 
@@ -147,9 +214,6 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
    | _ -> ());
   let snap = Snapshot.capture ~gen:0 router in
   let n = match mode with Inline -> 0 | Sharded n -> n in
-  let dummy_result =
-    Shard.result router.Router.ctx dummy_mbuf (Ip_core.Dropped "dummy") Ip_core.Settled
-  in
   let t =
     {
       mode;
@@ -157,10 +221,11 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
       snapshot = Atomic.make snap;
       shard_tbl = Array.init n (fun i -> Shard.create ~index:i snap);
       rx =
-        Array.init n (fun _ -> Spsc.create ~capacity:rx_capacity ~dummy:dummy_mbuf);
+        Array.init n (fun _ ->
+            Spsc.create ~capacity:rx_capacity ~dummy:Mbuf.dummy);
       tx =
         Array.init (max n 1) (fun _ ->
-            Spsc.create ~capacity:tx_capacity ~dummy:dummy_result);
+            Spsc.create_slots ~capacity:tx_capacity ~make:Shard.blank);
       busy = Array.init n (fun _ -> Atomic.make false);
       shard_rx =
         Array.init n (fun i ->
@@ -186,8 +251,15 @@ let create ?(rx_capacity = 1024) ?(tx_capacity = 2048) mode router =
       rss = Flow_key.hash;
       transmitters =
         Array.map (fun ifc ~now -> Iface.drop_queued ifc ~now) router.Router.ifaces;
+      now = 0L;
+      emit = (fun _ _ _ -> ());
+      sink = ignore;
+      drained = 0;
+      deliver = ignore;
     }
   in
+  t.emit <- emit_inline t;
+  t.deliver <- deliver t;
   (* Observe every control-path AIU mutation so publications can carry
      it as a delta instead of forcing shard recompiles.  The gen-0
      snapshot above already reflects the AIU, so recording starts
@@ -306,15 +378,6 @@ let refuse t k =
 
 let set_transmitter t ~iface f = t.transmitters.(iface) <- f
 
-(* Serve the interfaces the data path queued onto since the last call
-   (a packet's own egress, and any ICMP error or echo reply the router
-   originated on the way), each through its transmitter. *)
-let transmit t ~now =
-  let ifaces = t.router.Router.ifaces in
-  for i = 0 to Array.length ifaces - 1 do
-    if Iface.take_queued ifaces.(i) then t.transmitters.(i) ~now
-  done
-
 (* One packet to its shard's RX ring.  The packet is counted as
    received by its interface before the push hands it to the worker;
    the room check first makes the push certain, since only this domain
@@ -352,18 +415,14 @@ let submit_batch t ~now batch ~n =
   match t.mode with
   | Inline ->
     let ring = t.tx.(0) in
-    let k = min n (Spsc.capacity ring - Spsc.length ring) in
+    let k = min n (Spsc.room ring) in
     for i = 0 to k - 1 do
       batch.(i).Mbuf.birth_ns <- now
     done;
     if k > 0 then begin
       Rp_obs.Counter.add t.m_submitted k;
-      let ctx = t.router.Router.ctx in
-      match
-        Ip_core.run ctx ~now batch ~n:k ~emit:(fun m verdict handoff ->
-            transmit t ~now;
-            ignore (Spsc.stage ring (Shard.result ctx m verdict handoff)))
-      with
+      t.now <- now;
+      match Ip_core.run t.router.Router.ctx ~now batch ~n:k ~emit:t.emit with
       | () -> Spsc.publish ring
       | exception e ->
         Spsc.publish ring;
@@ -393,45 +452,25 @@ let submit t ~now m =
     if ok then accept t ~packets:1 ~bytes:m.Mbuf.len;
     ok
 
-(* Finish one result on the control domain: apply its fault events to
-   the PCU, then run whatever router-owned stage the shard handed back
-   (an inline result is always settled). *)
-let finish t (r : Shard.result) =
-  if r.Shard.faults <> [] then List.iter (Ip_core.apply_event t.router) r.Shard.faults;
-  let m = r.Shard.m in
-  match r.Shard.handoff with
-  | Ip_core.Settled -> r
-  | Ip_core.Icmp_error message ->
-    let now = m.Mbuf.birth_ns in
-    Ip_core.icmp_error t.router ~now m message;
-    transmit t ~now;
-    { r with handoff = Ip_core.Settled }
-  | h ->
-    let now = m.Mbuf.birth_ns in
-    let verdict = Ip_core.resume t.router ~now m h in
-    transmit t ~now;
-    { r with outcome = Shard.outcome_of verdict; handoff = Ip_core.Settled }
-
 (* Each ring's head moves once per call, past the results handed to
    [f] (see [Spsc.consume]); [engine.drained] takes one add per call,
    also when [f] raises. *)
 let drain ?(max = max_int) t ~f =
-  let drained = ref 0 in
-  let deliver result =
-    incr drained;
-    f (finish t result)
-  in
+  t.sink <- f;
+  t.drained <- 0;
   (match
      for i = 0 to Array.length t.tx - 1 do
-       if !drained < max then
-         ignore (Spsc.consume t.tx.(i) ~max:(max - !drained) deliver)
+       if t.drained < max then
+         ignore (Spsc.consume t.tx.(i) ~max:(max - t.drained) t.deliver)
      done
    with
-   | () -> Rp_obs.Counter.add t.m_drained !drained
+   | () -> Rp_obs.Counter.add t.m_drained t.drained
    | exception e ->
-     Rp_obs.Counter.add t.m_drained !drained;
+     Rp_obs.Counter.add t.m_drained t.drained;
+     t.sink <- ignore;
      raise e);
-  !drained
+  t.sink <- ignore;
+  t.drained
 
 let flush t ~f =
   let total = ref 0 in

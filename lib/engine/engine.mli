@@ -28,7 +28,8 @@
     log reaches.  The hot path takes no locks.
 
     Results return on bounded TX rings (one per shard; [Inline] has
-    one too), with the shard's fault events and whatever router-owned
+    one too), whose slots hold preallocated result records written in
+    place, with the shard's fault events and whatever router-owned
     stage it handed back; {!drain} finishes those on the control domain
     — PCU fault attribution, punts and local delivery, ICMP errors, the
     output queue.  After each packet the engine serves every interface
@@ -36,7 +37,10 @@
     reply the router originated) through that interface's transmitter
     ({!set_transmitter}).  A frame's results are published on its ring
     with one store, and a {!drain} call takes each ring's results with
-    one.
+    one.  On the inline engine nothing between {!submit_batch} and the
+    end of {!drain} allocates for a cached flow queued on the default
+    FIFO: the handler context, the output queue's slot and the result
+    record are all reused.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)
@@ -115,7 +119,11 @@ val submit_batch : t -> now:int64 -> Mbuf.t array -> n:int -> int
     [Unbind] policy — published before the next packet like any other
     change), finishes handed-back stages, and calls [f] on each settled
     result, at most [max] of them, each ring's in the order its packets
-    were submitted.  Each ring's head advances once per call.  If [f]
+    were submitted.  A result is valid only during [f]: its record is
+    the result ring's slot, written in place for the next packet, and
+    its [m] reads {!Rp_pkt.Mbuf.dummy} once [f] returns, so a caller
+    that keeps anything copies the fields it needs.  Each ring's head
+    advances once per call.  If [f]
     raises, the results it was already handed (the raising one
     included) are consumed and the rest stay queued, in order, for the
     next call.  Returns the number of results drained, which is added

@@ -8,10 +8,10 @@ type outcome =
   | Dropped of string
 
 type result = {
-  m : Mbuf.t;
-  outcome : outcome;
-  faults : Fault.event list;
-  handoff : Ip_core.handoff;
+  mutable m : Mbuf.t;
+  mutable outcome : outcome;
+  mutable faults : Fault.event list;
+  mutable handoff : Ip_core.handoff;
 }
 
 type t = {
@@ -41,11 +41,24 @@ let outcome_of = function
   | Ip_core.Delivered_local | Ip_core.Absorbed -> Absorbed
   | Ip_core.Dropped why -> Dropped why
 
-(* The fault events queued since the previous result ride this one. *)
-let result (ctx : Ip_core.ctx) m verdict handoff =
-  let faults = List.rev ctx.D.events in
-  if faults <> [] then ctx.D.events <- [];
-  { m; outcome = outcome_of verdict; faults; handoff }
+let blank () =
+  { m = Mbuf.dummy; outcome = Absorbed; faults = []; handoff = Ip_core.Settled }
+
+(* The fault events queued since the previous result ride this one.
+   A consumed slot holds no faults and a settled hand-off (the
+   engine's [finish] leaves it so), and a field already holding its
+   value is not written again: each write into a slot, which lives in
+   the major heap, pays a write barrier. *)
+let fill r (ctx : Ip_core.ctx) m verdict handoff =
+  r.m <- m;
+  let outcome = outcome_of verdict in
+  if r.outcome != outcome then r.outcome <- outcome;
+  if handoff != Ip_core.Settled then r.handoff <- handoff;
+  match ctx.D.events with
+  | [] -> ()
+  | events ->
+    ctx.D.events <- [];
+    r.faults <- List.rev events
 
 (* Adopt the whole-value state a snapshot always carries in full: the
    control record, the classifier mode (so a classifier toggle reaches

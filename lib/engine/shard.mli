@@ -29,14 +29,18 @@ type outcome =
   | Absorbed  (** a plugin or the router itself consumed the packet *)
   | Dropped of string
 
+(** One packet's result, as a result ring slot holds it: the ring owns
+    one record per slot and rewrites it in place for each packet, so a
+    result is valid only while the call that handed it over runs.  The
+    fields are mutable for the engine; callers read them. *)
 type result = {
-  m : Mbuf.t;
-  outcome : outcome;
+  mutable m : Mbuf.t;
+  mutable outcome : outcome;
       (** provisional until [handoff] is [Settled] *)
-  faults : Fault.event list;
+  mutable faults : Fault.event list;
       (** the shard's fault events since its previous result, oldest
           first, for the PCU; empty in the common case *)
-  handoff : Ip_core.handoff;
+  mutable handoff : Ip_core.handoff;
 }
 
 type t
@@ -50,8 +54,17 @@ val ctx : t -> Ip_core.ctx
     interfaces: their [Forwarded i] values are built once. *)
 val outcome_of : Ip_core.verdict -> outcome
 
-(** One packet of an {!Ip_core.run} on [ctx], for a result ring. *)
-val result : Ip_core.ctx -> Mbuf.t -> Ip_core.verdict -> Ip_core.handoff -> result
+(** A result slot holding no packet ({!Rp_pkt.Mbuf.dummy}). *)
+val blank : unit -> result
+
+(** [fill r ctx m verdict handoff] writes one packet of an
+    {!Ip_core.run} on [ctx] into the result slot [r], moving the fault
+    events [ctx] queued since the previous result onto it.  [r] must
+    hold no faults and a [Settled] hand-off, as {!blank} and a
+    finished result do.  Allocates nothing unless there are such
+    events. *)
+val fill :
+  result -> Ip_core.ctx -> Mbuf.t -> Ip_core.verdict -> Ip_core.handoff -> unit
 
 (** Snapshot generation this shard last compiled. *)
 val seen_gen : t -> int

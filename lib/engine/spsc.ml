@@ -1,7 +1,9 @@
 type 'a t = {
   mutable buf : 'a array;  (* [||] until the first push *)
   mask : int;
-  dummy : 'a;
+  dummy : 'a;  (* written over a consumed slot, unless [owned] *)
+  make : unit -> 'a;  (* fills the slots at first use *)
+  owned : bool;  (* slots keep their values, which are filled in place *)
   head : int Atomic.t;  (* consumer index: next slot to pop *)
   tail : int Atomic.t;  (* producer index: next slot to fill *)
   mutable staged : int;  (* producer only: filled past [tail], unpublished *)
@@ -9,17 +11,25 @@ type 'a t = {
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
-let create ~capacity ~dummy =
+let make_ring ~capacity ~dummy ~make ~owned =
   if capacity < 1 then invalid_arg "Spsc.create: capacity < 1";
   let cap = pow2 capacity 2 in
   {
     buf = [||];
     mask = cap - 1;
     dummy;
+    make;
+    owned;
     head = Atomic.make 0;
     tail = Atomic.make 0;
     staged = 0;
   }
+
+let create ~capacity ~dummy =
+  make_ring ~capacity ~dummy ~make:(fun () -> dummy) ~owned:false
+
+let create_slots ~capacity ~make =
+  make_ring ~capacity ~dummy:(make ()) ~make ~owned:true
 
 let capacity t = t.mask + 1
 
@@ -32,17 +42,21 @@ let length t =
 
 let is_empty t = length t = 0
 
-let stage t x =
-  let at = Atomic.get t.tail + t.staged in
-  if at - Atomic.get t.head >= capacity t then false
-  else begin
-    (* Slots are allocated on first use, so building an engine costs no
-       ring memory; the tail publication publishes [buf] too. *)
-    if Array.length t.buf = 0 then t.buf <- Array.make (capacity t) t.dummy;
-    t.buf.(at land t.mask) <- x;
-    t.staged <- t.staged + 1;
-    true
-  end
+let room t = capacity t - (Atomic.get t.tail + t.staged - Atomic.get t.head)
+
+(* The next free slot, staged; the caller checked [room]. *)
+let next t =
+  (* Slots are allocated on first use, so building an engine costs no
+     ring memory; the tail publication publishes [buf] too. *)
+  if Array.length t.buf = 0 then
+    t.buf <- Array.init (capacity t) (fun _ -> t.make ());
+  let at = (Atomic.get t.tail + t.staged) land t.mask in
+  t.staged <- t.staged + 1;
+  at
+
+let stage_next t =
+  if room t <= 0 then invalid_arg "Spsc.stage_next: ring full";
+  t.buf.(next t)
 
 let publish t =
   if t.staged > 0 then begin
@@ -52,8 +66,9 @@ let publish t =
   end
 
 let push t x =
-  stage t x
+  room t > 0
   && begin
+    t.buf.(next t) <- x;
     publish t;
     true
   end
@@ -63,7 +78,7 @@ let pop t =
   if Atomic.get t.tail - h <= 0 then None
   else begin
     let x = t.buf.(h land t.mask) in
-    t.buf.(h land t.mask) <- t.dummy;
+    if not t.owned then t.buf.(h land t.mask) <- t.dummy;
     Atomic.set t.head (h + 1);
     Some x
   end
@@ -78,7 +93,7 @@ let pop_batch t ~max dst =
     for i = 0 to n - 1 do
       let slot = (h + i) land t.mask in
       dst.(i) <- t.buf.(slot);
-      t.buf.(slot) <- t.dummy
+      if not t.owned then t.buf.(slot) <- t.dummy
     done;
     Atomic.set t.head (h + n);
     n
@@ -93,7 +108,7 @@ let consume t ~max f =
     while !i < n do
       let slot = (h + !i) land t.mask in
       let x = t.buf.(slot) in
-      t.buf.(slot) <- t.dummy;
+      if not t.owned then t.buf.(slot) <- t.dummy;
       incr i;
       f x
     done

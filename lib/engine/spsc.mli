@@ -12,11 +12,20 @@
     read in [pop] that observes the advanced tail — elements are
     published safely across domains.
 
-    Either side can batch its index store.  A producer {!stage}s a
-    frame's elements and {!publish}es them with one tail store; a
-    consumer {!consume}s what is queued with one head store per call
-    (so does {!pop_batch}).  The engine's result rings run this way:
-    one atomic store per frame on each side, not one per packet.
+    Either side can batch its index store.  A producer stages a
+    frame's elements ({!stage_next}) and {!publish}es them with one
+    tail store; a consumer {!consume}s what is queued with one head
+    store per call (so does {!pop_batch}).  The engine's result rings
+    run this way: one atomic store per frame on each side, not one per
+    packet.
+
+    A ring built by {!create_slots} owns one value per slot, built at
+    first use: the producer fills the next slot's value in place
+    ({!stage_next}) instead of pushing a new one, and consuming leaves
+    it in its slot, so such a ring moves mutable records with no
+    allocation at all.  Its consumer must be done with a value before
+    the call that handed it over returns: the slot is free again from
+    then on.
 
     A full ring makes [push] return [false]; the producer counts the
     packet as a backpressure drop rather than blocking the data path
@@ -31,6 +40,12 @@ type 'a t
     [capacity < 1]. *)
 val create : capacity:int -> dummy:'a -> 'a t
 
+(** [create_slots ~capacity ~make] — a ring whose slots hold values of
+    their own, [make ()] each, built by the first {!stage_next}
+    (capacity rounded as by {!create}).  Use {!stage_next}, not
+    {!push}.  @raise Invalid_argument if [capacity < 1]. *)
+val create_slots : capacity:int -> make:(unit -> 'a) -> 'a t
+
 val capacity : 'a t -> int
 
 (** Number of elements currently queued.  Racy by nature (either side
@@ -43,10 +58,16 @@ val is_empty : 'a t -> bool
     otherwise [x] (and anything staged before it) is published. *)
 val push : 'a t -> 'a -> bool
 
-(** [stage t x] writes [x] into the next free slot without publishing
-    it: the consumer sees nothing until {!publish}.  [false] when the
-    ring, staged elements included, is full.  Producer side. *)
-val stage : 'a t -> 'a -> bool
+(** Free slots, staged elements counted as taken.  Producer side. *)
+val room : 'a t -> int
+
+(** [stage_next t] stages the next free slot of a {!create_slots} ring
+    without publishing it, and returns the slot's value for the
+    producer to fill in place; the consumer sees nothing until
+    {!publish}.  Producer side.
+    @raise Invalid_argument if the ring, staged slots included, is
+    full ([room t = 0]). *)
+val stage_next : 'a t -> 'a
 
 (** [publish t] makes every staged element visible to the consumer
     with one tail store (nothing when none is staged).  Producer

@@ -8,7 +8,6 @@ exception Empty
 type t = {
   buf : Mbuf.t array;
   mask : int;
-  dummy : Mbuf.t;
   mutable head : int;  (* next slot to receive *)
   mutable tail : int;  (* next slot to fill *)
   mutable txpackets : int;
@@ -22,18 +21,12 @@ type t = {
    absorbing bursts the caller thought would drop. *)
 let rec pow2_down n k = if k * 2 > n then k else pow2_down n (k * 2)
 
-let dummy_key =
-  Flow_key.make ~src:(Ipaddr.v4 0 0 0 0) ~dst:(Ipaddr.v4 0 0 0 0) ~proto:0
-    ~sport:0 ~dport:0 ~iface:0
-
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Link.create: capacity < 1";
   let cap = pow2_down capacity 1 in
-  let dummy = Mbuf.synth ~key:dummy_key ~len:0 () in
   {
-    buf = Array.make cap dummy;
+    buf = Array.make cap Mbuf.dummy;
     mask = cap - 1;
-    dummy;
     head = 0;
     tail = 0;
     txpackets = 0;
@@ -64,7 +57,7 @@ let receive t =
   if is_empty t then raise Empty;
   let slot = t.head land t.mask in
   let m = t.buf.(slot) in
-  t.buf.(slot) <- t.dummy;
+  t.buf.(slot) <- Mbuf.dummy;
   t.head <- t.head + 1;
   t.rxpackets <- t.rxpackets + 1;
   m
@@ -77,7 +70,7 @@ let receive_batch t ~max dst =
   for i = 0 to n - 1 do
     let slot = (t.head + i) land t.mask in
     dst.(i) <- t.buf.(slot);
-    t.buf.(slot) <- t.dummy
+    t.buf.(slot) <- Mbuf.dummy
   done;
   t.head <- t.head + n;
   t.rxpackets <- t.rxpackets + n;

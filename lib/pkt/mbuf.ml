@@ -73,6 +73,13 @@ let synth ?(ttl = 64) ?(tos = 0) ?(flow_label = 0) ?(tcp_flags = 0) ~key ~len
     ~len ~ttl ~tos ~flow_label ~options:[] ~raw:None ~ident:0
     ~dont_fragment:false ~frag:None ~tcp_flags
 
+let dummy =
+  synth
+    ~key:
+      (Flow_key.make ~src:Ipaddr.zero_v4 ~dst:Ipaddr.zero_v4 ~proto:0 ~sport:0
+         ~dport:0 ~iface:0)
+    ~len:0 ()
+
 type error =
   | V4_error of Ipv4_header.error
   | V6_error of Ipv6_header.error

@@ -78,6 +78,11 @@ type t = {
 val synth : ?ttl:int -> ?tos:int -> ?flow_label:int -> ?tcp_flags:int ->
   key:Flow_key.t -> len:int -> unit -> t
 
+(** A descriptor that carries no packet: rings and scratch arrays write
+    it over a slot they free, so the packet that left is not kept
+    alive.  Never processed or written. *)
+val dummy : t
+
 type error =
   | V4_error of Ipv4_header.error
   | V6_error of Ipv6_header.error

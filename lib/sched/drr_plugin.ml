@@ -15,7 +15,7 @@ end)
 
 type flow_q = {
   fkey : Flow_key.t;
-  q : Mbuf.t Queue.t;
+  q : Mbuf.t Ring.t;  (* bounded by [flow_limit] *)
   mutable deficit : int;
   mutable weight : int;
   mutable on_ring : bool;
@@ -28,7 +28,7 @@ type state = {
   instance_id : int;
   quantum : int;
   flow_limit : int;
-  ring : flow_q Queue.t;
+  ring : flow_q Ring.t;  (* the backlogged flows, each once *)
   flows : flow_q FK.t;
   reservations : int FK.t;  (** flow key -> reserved rate (bps) *)
   mutable backlog : int;
@@ -60,7 +60,7 @@ let new_flow st k =
   let fq =
     {
       fkey = k;
-      q = Queue.create ();
+      q = Ring.create ~limit:st.flow_limit ~dummy:Mbuf.dummy ();
       deficit = 0;
       weight = weight_for st k;
       on_ring = false;
@@ -89,83 +89,89 @@ let flow_of st binding (m : Mbuf.t) =
 
 let enqueue st ~now:_ m binding =
   let fq = flow_of st binding m in
-  if Queue.length fq.q >= st.flow_limit then begin
+  if not (Ring.push fq.q m) then begin
     st.dropped <- st.dropped + 1;
     Plugin.Rejected "per-flow queue full"
   end
   else begin
-    Queue.push m fq.q;
     st.backlog <- st.backlog + 1;
     if not fq.on_ring then begin
       fq.deficit <- 0;
       fq.on_ring <- true;
-      Queue.push fq st.ring
+      ignore (Ring.push st.ring fq)
     end;
     Cost.charge Cost.drr_enqueue;
     Plugin.Enqueued
   end
 
-let dequeue st ~now:_ =
-  let rec loop () =
-    match Queue.peek st.ring with
-    | exception Queue.Empty -> None
-    | fq ->
-      if fq.evicted || Queue.is_empty fq.q then begin
-        ignore (Queue.pop st.ring);
-        fq.on_ring <- false;
-        fq.deficit <- 0;
-        loop ()
+let rec dequeue st =
+  if Ring.is_empty st.ring then None
+  else begin
+    let fq = Ring.peek st.ring in
+    if fq.evicted || Ring.is_empty fq.q then begin
+      ignore (Ring.pop st.ring);
+      fq.on_ring <- false;
+      fq.deficit <- 0;
+      dequeue st
+    end
+    else begin
+      let head_len = (Ring.peek fq.q).Mbuf.len in
+      if fq.deficit >= head_len then begin
+        let m = Ring.pop fq.q in
+        fq.deficit <- fq.deficit - head_len;
+        st.backlog <- st.backlog - 1;
+        if Ring.is_empty fq.q then begin
+          ignore (Ring.pop st.ring);
+          fq.on_ring <- false;
+          fq.deficit <- 0
+        end;
+        Cost.charge Cost.drr_dequeue;
+        Some m
       end
       else begin
-        let head_len = (Queue.peek fq.q).Mbuf.len in
-        if fq.deficit >= head_len then begin
-          let m = Queue.pop fq.q in
-          fq.deficit <- fq.deficit - head_len;
-          st.backlog <- st.backlog - 1;
-          if Queue.is_empty fq.q then begin
-            ignore (Queue.pop st.ring);
-            fq.on_ring <- false;
-            fq.deficit <- 0
-          end;
-          Cost.charge Cost.drr_dequeue;
-          Some m
-        end
-        else begin
-          (* The round-robin pointer visits this flow: top up its
-             deficit by one (weighted) quantum and move on. *)
-          fq.deficit <- fq.deficit + (st.quantum * fq.weight);
-          ignore (Queue.pop st.ring);
-          Queue.push fq st.ring;
-          loop ()
-        end
+        (* The round-robin pointer visits this flow: top up its
+           deficit by one (weighted) quantum and move on. *)
+        fq.deficit <- fq.deficit + (st.quantum * fq.weight);
+        ignore (Ring.push st.ring (Ring.pop st.ring));
+        dequeue st
       end
-  in
-  loop ()
+    end
+  end
 
 let on_flow_evict st (b : Plugin.t Flow_table.binding) =
   match b.Flow_table.soft with
   | Some (Drr_flow fq) ->
     (* Queued packets of an evicted flow are lost; account for them. *)
-    st.dropped <- st.dropped + Queue.length fq.q;
-    st.backlog <- st.backlog - Queue.length fq.q;
-    Queue.clear fq.q;
+    st.dropped <- st.dropped + Ring.length fq.q;
+    st.backlog <- st.backlog - Ring.length fq.q;
+    Ring.clear fq.q;
     fq.evicted <- true;
     FK.remove st.flows fq.fkey;
     b.Flow_table.soft <- None
   | Some _ | None -> ()
 
-let int_config config key ~default =
-  match List.assoc_opt key config with
-  | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+(* Stands in a free slot of the active ring. *)
+let no_flow =
+  {
+    fkey = Mbuf.dummy.Mbuf.key;
+    q = Ring.create ~limit:1 ~dummy:Mbuf.dummy ();
+    deficit = 0;
+    weight = 1;
+    on_ring = false;
+    evicted = true;
+  }
+
+let ( let* ) = Result.bind
 
 let create_instance ~instance_id ~code ~config =
+  let* quantum = Plugin.positive_int config "quantum" ~default:512 in
+  let* flow_limit = Plugin.positive_int config "flow-limit" ~default:128 in
   let st =
     {
       instance_id;
-      quantum = int_config config "quantum" ~default:512;
-      flow_limit = int_config config "flow-limit" ~default:128;
-      ring = Queue.create ();
+      quantum;
+      flow_limit;
+      ring = Ring.create ~limit:max_int ~dummy:no_flow ();
       flows = FK.create 64;
       reservations = FK.create 16;
       backlog = 0;
@@ -176,7 +182,7 @@ let create_instance ~instance_id ~code ~config =
   let scheduler =
     {
       Plugin.enqueue = (fun ~now m binding -> enqueue st ~now m binding);
-      dequeue = (fun ~now -> dequeue st ~now);
+      dequeue = (fun ~now:_ -> dequeue st);
       backlog = (fun () -> st.backlog);
       sched_stats =
         (fun () ->

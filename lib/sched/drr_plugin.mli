@@ -15,7 +15,10 @@
 
     Config keys: [quantum] (bytes per round per weight unit, default
     512), [flow-limit] (packets per flow queue, default 128),
-    [iface] (informational). *)
+    [iface] (informational).  [quantum] and [flow-limit] must be
+    positive integers, or [create_instance] fails.  A flow's queue is a
+    {!Rp_pkt.Ring} of at most [flow-limit] packets that starts at 4
+    slots. *)
 
 open Rp_pkt
 open Rp_core

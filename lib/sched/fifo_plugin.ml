@@ -1,6 +1,7 @@
 (** Plain FIFO scheduling plugin: the degenerate qdisc, useful as a
     baseline and for exercising the scheduling gate without any
-    policy.  Config: [limit] (packets, default 512). *)
+    policy.  Config: [limit] (packets, a positive integer, default
+    512). *)
 
 open Rp_pkt
 open Rp_core
@@ -10,47 +11,39 @@ let gate = Gate.Scheduling
 let description = "single FIFO output queue"
 
 type state = {
-  q : Mbuf.t Queue.t;
-  limit : int;
+  q : Mbuf.t Ring.t;
   mutable dropped : int;
 }
 
 let create_instance ~instance_id ~code ~config =
-  let limit =
-    match List.assoc_opt "limit" config with
-    | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> 512)
-    | None -> 512
-  in
-  let st = { q = Queue.create (); limit; dropped = 0 } in
-  let scheduler =
-    {
-      Plugin.enqueue =
-        (fun ~now:_ m _binding ->
-          if Queue.length st.q >= st.limit then begin
-            st.dropped <- st.dropped + 1;
-            Plugin.Rejected "fifo full"
-          end
-          else begin
-            Queue.push m st.q;
-            Plugin.Enqueued
-          end);
-      dequeue =
-        (fun ~now:_ ->
-          match Queue.pop st.q with
-          | m -> Some m
-          | exception Queue.Empty -> None);
-      backlog = (fun () -> Queue.length st.q);
-      sched_stats =
-        (fun () ->
-          [ ("backlog", string_of_int (Queue.length st.q));
-            ("dropped", string_of_int st.dropped) ]);
-    }
-  in
-  let base =
-    Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
-      (fun _ _ -> Plugin.Continue)
-  in
-  Ok { base with Plugin.scheduler = Some scheduler }
+  Result.map
+    (fun limit ->
+      let st = { q = Ring.create ~limit ~dummy:Mbuf.dummy (); dropped = 0 } in
+      let scheduler =
+        {
+          Plugin.enqueue =
+            (fun ~now:_ m _binding ->
+              if Ring.push st.q m then Plugin.Enqueued
+              else begin
+                st.dropped <- st.dropped + 1;
+                Plugin.Rejected "fifo full"
+              end);
+          dequeue =
+            (fun ~now:_ ->
+              if Ring.is_empty st.q then None else Some (Ring.pop st.q));
+          backlog = (fun () -> Ring.length st.q);
+          sched_stats =
+            (fun () ->
+              [ ("backlog", string_of_int (Ring.length st.q));
+                ("dropped", string_of_int st.dropped) ]);
+        }
+      in
+      let base =
+        Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
+          (fun _ _ -> Plugin.Continue)
+      in
+      { base with Plugin.scheduler = Some scheduler })
+    (Plugin.positive_int config "limit" ~default:512)
 
 let message key _ =
   match key with

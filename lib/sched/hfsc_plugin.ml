@@ -18,19 +18,20 @@ end)
    same H-FSC leaf node" — plain H-FSC uses FIFO per leaf, "which may
    result in unfair service to different flows"). *)
 type leaf_q =
-  | Fifo_q of Mbuf.t Queue.t
+  | Fifo_q of Mbuf.t Ring.t
   | Drr_q of drr_leaf
 
 and drr_leaf = {
   quantum : int;
-  ring : sub_flow Queue.t;
+  ring : sub_flow Ring.t;  (* the backlogged sub-flows, each once *)
   mutable subs : (Flow_key.t * sub_flow) list;
   mutable dqlen : int;
+  sub_limit : int;  (* the class limit, which bounds each sub-flow too *)
 }
 
 and sub_flow = {
   skey : Flow_key.t;
-  sq : Mbuf.t Queue.t;
+  sq : Mbuf.t Ring.t;
   mutable deficit : int;
   mutable on_ring : bool;
 }
@@ -56,29 +57,43 @@ type class_t = {
 (* --- leaf queue operations ------------------------------------------- *)
 
 let leaf_len = function
-  | Fifo_q q -> Queue.length q
+  | Fifo_q q -> Ring.length q
   | Drr_q d -> d.dqlen
 
 let leaf_is_empty q = leaf_len q = 0
 
+let sub_ring limit = Ring.create ~limit ~dummy:Mbuf.dummy ()
+
+(* Stands in a free slot of a DRR leaf's ring. *)
+let no_sub =
+  { skey = Mbuf.dummy.Mbuf.key; sq = sub_ring 1; deficit = 0; on_ring = false }
+
+(* The caller checked the class limit, so the pushes succeed. *)
 let leaf_push q (m : Mbuf.t) =
   match q with
-  | Fifo_q fq -> Queue.push m fq
+  | Fifo_q fq -> ignore (Ring.push fq m)
   | Drr_q d ->
     let sub =
       match List.assoc_opt m.Mbuf.key d.subs with
       | Some s -> s
       | None ->
-        let s = { skey = m.Mbuf.key; sq = Queue.create (); deficit = 0; on_ring = false } in
+        let s =
+          {
+            skey = m.Mbuf.key;
+            sq = sub_ring d.sub_limit;
+            deficit = 0;
+            on_ring = false;
+          }
+        in
         d.subs <- (m.Mbuf.key, s) :: d.subs;
         s
     in
-    Queue.push m sub.sq;
+    ignore (Ring.push sub.sq m);
     d.dqlen <- d.dqlen + 1;
     if not sub.on_ring then begin
       sub.deficit <- 0;
       sub.on_ring <- true;
-      Queue.push sub d.ring
+      ignore (Ring.push d.ring sub)
     end
 
 (* Length of the packet a pop would return — for DRR leaves this is
@@ -87,53 +102,50 @@ let leaf_push q (m : Mbuf.t) =
    guarantee). *)
 let leaf_peek_len q =
   match q with
-  | Fifo_q fq -> (match Queue.peek fq with m -> Some m.Mbuf.len | exception Queue.Empty -> None)
+  | Fifo_q fq -> if Ring.is_empty fq then None else Some (Ring.peek fq).Mbuf.len
   | Drr_q d ->
-    Queue.fold
+    Ring.fold
       (fun acc sub ->
         match acc with
         | Some _ -> acc
         | None ->
-          (match Queue.peek sub.sq with
-           | m -> Some m.Mbuf.len
-           | exception Queue.Empty -> None))
+          if Ring.is_empty sub.sq then None else Some (Ring.peek sub.sq).Mbuf.len)
       None d.ring
+
+let rec drr_pop d =
+  if Ring.is_empty d.ring then None
+  else begin
+    let sub = Ring.peek d.ring in
+    if Ring.is_empty sub.sq then begin
+      ignore (Ring.pop d.ring);
+      sub.on_ring <- false;
+      sub.deficit <- 0;
+      drr_pop d
+    end
+    else
+      let head_len = (Ring.peek sub.sq).Mbuf.len in
+      if sub.deficit >= head_len then begin
+        let m = Ring.pop sub.sq in
+        sub.deficit <- sub.deficit - head_len;
+        d.dqlen <- d.dqlen - 1;
+        if Ring.is_empty sub.sq then begin
+          ignore (Ring.pop d.ring);
+          sub.on_ring <- false;
+          sub.deficit <- 0
+        end;
+        Some m
+      end
+      else begin
+        sub.deficit <- sub.deficit + d.quantum;
+        ignore (Ring.push d.ring (Ring.pop d.ring));
+        drr_pop d
+      end
+  end
 
 let leaf_pop q =
   match q with
-  | Fifo_q fq -> (match Queue.pop fq with m -> Some m | exception Queue.Empty -> None)
-  | Drr_q d ->
-    let rec loop () =
-      match Queue.peek d.ring with
-      | exception Queue.Empty -> None
-      | sub ->
-        if Queue.is_empty sub.sq then begin
-          ignore (Queue.pop d.ring);
-          sub.on_ring <- false;
-          sub.deficit <- 0;
-          loop ()
-        end
-        else
-          let head_len = (Queue.peek sub.sq).Mbuf.len in
-          if sub.deficit >= head_len then begin
-            let m = Queue.pop sub.sq in
-            sub.deficit <- sub.deficit - head_len;
-            d.dqlen <- d.dqlen - 1;
-            if Queue.is_empty sub.sq then begin
-              ignore (Queue.pop d.ring);
-              sub.on_ring <- false;
-              sub.deficit <- 0
-            end;
-            Some m
-          end
-          else begin
-            sub.deficit <- sub.deficit + d.quantum;
-            ignore (Queue.pop d.ring);
-            Queue.push sub d.ring;
-            loop ()
-          end
-    in
-    loop ()
+  | Fifo_q fq -> if Ring.is_empty fq then None else Some (Ring.pop fq)
+  | Drr_q d -> drr_pop d
 
 type Flow_table.soft += Hfsc_flow of class_t
 
@@ -160,9 +172,16 @@ let mk_class ~cname ~parent ~rsc ~fsc ?usc ~limit ?(leaf = `Fifo) () =
     limit;
     q =
       (match leaf with
-       | `Fifo -> Fifo_q (Queue.create ())
+       | `Fifo -> Fifo_q (Ring.create ~limit ~dummy:Mbuf.dummy ())
        | `Drr quantum ->
-         Drr_q { quantum; ring = Queue.create (); subs = []; dqlen = 0 });
+         Drr_q
+           {
+             quantum;
+             ring = Ring.create ~limit:max_int ~dummy:no_sub ();
+             subs = [];
+             dqlen = 0;
+             sub_limit = limit;
+           });
     rt_curve = None;
     ul_curve = None;
     cumul_rt = 0.0;
@@ -338,6 +357,8 @@ let add_class ~instance_id ~cname ?parent ?rsc ?fsc ?usc ?limit ?leaf () =
   | Ok st ->
     if List.mem_assoc cname st.classes then
       Error (Printf.sprintf "hfsc: class %s exists" cname)
+    else if Option.value limit ~default:1 < 1 then
+      Error "hfsc: a class limit must be a positive integer"
     else begin
       let parent_c =
         match parent with
@@ -376,18 +397,15 @@ let assign ~instance_id ~key ~cname =
 let drop_count ~instance_id =
   match state_of instance_id with Ok st -> st.dropped | Error _ -> 0
 
-let int_config config key ~default =
-  match List.assoc_opt key config with
-  | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let on_flow_evict (b : Plugin.t Flow_table.binding) =
   match b.Flow_table.soft with
   | Some (Hfsc_flow _) -> b.Flow_table.soft <- None
   | Some _ | None -> ()
 
+let ( let* ) = Result.bind
+
 let create_instance ~instance_id ~code ~config =
-  let default_limit = int_config config "class-limit" ~default:256 in
+  let* default_limit = Plugin.positive_int config "class-limit" ~default:256 in
   let root =
     mk_class ~cname:"root" ~parent:None ~rsc:None
       ~fsc:(Service_curve.linear 1.0) ~limit:default_limit ()
@@ -474,7 +492,12 @@ let message key payload =
           let rsc = Option.bind (find_opt "rsc") parse_curve in
           let fsc = Option.bind (find_opt "fsc") parse_curve in
           let usc = Option.bind (find_opt "ul") parse_curve in
-          let limit = Option.bind (find_opt "limit") int_of_string_opt in
+          (* A malformed limit reads as 0, which [add_class] refuses. *)
+          let limit =
+            Option.map
+              (fun s -> Option.value (int_of_string_opt s) ~default:0)
+              (find_opt "limit")
+          in
           let leaf =
             match find_opt "leaf" with
             | Some "fifo" -> Some `Fifo

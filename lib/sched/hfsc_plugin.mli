@@ -21,7 +21,12 @@
     bandwidth share (m2).
 
     Flows map to leaf classes via {!assign} (or the flow binding's
-    soft state); unassigned flows use the ["default"] leaf. *)
+    soft state); unassigned flows use the ["default"] leaf.
+
+    Config: [class-limit] (packets a class queues unless {!add_class}
+    gives its own [limit], default 256), a positive integer or
+    [create_instance] fails.  Each leaf queue is a {!Rp_pkt.Ring}
+    bounded by its class limit. *)
 
 open Rp_pkt
 open Rp_core
@@ -39,6 +44,8 @@ val message : string -> string -> (string, string) result
 (** Hierarchy construction.  [parent] defaults to the root.  [rsc]
     (real-time) is only meaningful on leaves; [fsc] defaults to a
     linear curve of slope 1.
+
+    [limit] must be positive, or the class is refused.
 
     [leaf] selects the intra-leaf queueing discipline — the paper's
     Hierarchical Scheduling Framework (section 6 future work): [`Fifo]

@@ -10,7 +10,8 @@
 
     Config: [limit] (packets, default 512), [min-th] (default 5),
     [max-th] (default 15), [max-p] (default 0.1), [wq] (EWMA weight,
-    default 0.002), [seed] (deterministic PRNG seed). *)
+    default 0.002), [seed] (deterministic PRNG seed, default 42).
+    [limit] and [seed] must be positive integers. *)
 
 open Rp_pkt
 open Rp_core
@@ -20,8 +21,7 @@ let gate = Gate.Scheduling
 let description = "RED (random early detection) queue management"
 
 type state = {
-  q : Mbuf.t Queue.t;
-  limit : int;
+  q : Mbuf.t Ring.t;
   min_th : float;
   max_th : float;
   max_p : float;
@@ -39,9 +39,9 @@ let instances : (int, state) Hashtbl.t = Hashtbl.create 8
 (* RED while-idle correction: when the queue has been empty, age the
    average as if small packets had departed. *)
 let update_avg st ~now =
-  let qlen = float_of_int (Queue.length st.q) in
+  let qlen = float_of_int (Ring.length st.q) in
   (match st.idle_since with
-   | Some since when Queue.is_empty st.q ->
+   | Some since when Ring.is_empty st.q ->
      let idle_s = Int64.to_float (Int64.sub now since) /. 1e9 in
      let departures = idle_s *. 1000.0 in
      st.avg <- st.avg *. ((1.0 -. st.wq) ** departures);
@@ -64,7 +64,7 @@ let drop_test st =
 let enqueue st ~now m =
   update_avg st ~now;
   let verdict =
-    if Queue.length st.q >= st.limit then `Forced else drop_test st
+    if Ring.length st.q >= Ring.limit st.q then `Forced else drop_test st
   in
   match verdict with
   | `Forced ->
@@ -77,40 +77,39 @@ let enqueue st ~now m =
     Plugin.Rejected "red: early drop"
   | `Pass ->
     st.count <- st.count + 1;
-    Queue.push m st.q;
+    ignore (Ring.push st.q m);
     Plugin.Enqueued
 
 let dequeue st ~now =
-  match Queue.pop st.q with
-  | m ->
-    if Queue.is_empty st.q then st.idle_since <- Some now;
+  if Ring.is_empty st.q then None
+  else begin
+    let m = Ring.pop st.q in
+    if Ring.is_empty st.q then st.idle_since <- Some now;
     Some m
-  | exception Queue.Empty -> None
+  end
 
 let float_config config key ~default =
   match List.assoc_opt key config with
   | Some s -> (match float_of_string_opt s with Some f when f >= 0.0 -> f | _ -> default)
   | None -> default
 
-let int_config config key ~default =
-  match List.assoc_opt key config with
-  | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
+let ( let* ) = Result.bind
 
 let create_instance ~instance_id ~code ~config =
   let min_th = float_config config "min-th" ~default:5.0 in
   let max_th = float_config config "max-th" ~default:15.0 in
   if min_th >= max_th then Error "red: min-th must be below max-th"
   else begin
+    let* limit = Plugin.positive_int config "limit" ~default:512 in
+    let* seed = Plugin.positive_int config "seed" ~default:42 in
     let st =
       {
-        q = Queue.create ();
-        limit = int_config config "limit" ~default:512;
+        q = Ring.create ~limit ~dummy:Mbuf.dummy ();
         min_th;
         max_th;
         max_p = float_config config "max-p" ~default:0.1;
         wq = float_config config "wq" ~default:0.002;
-        rng = Random.State.make [| int_config config "seed" ~default:42 |];
+        rng = Random.State.make [| seed |];
         avg = 0.0;
         count = 0;
         idle_since = None;
@@ -123,11 +122,11 @@ let create_instance ~instance_id ~code ~config =
       {
         Plugin.enqueue = (fun ~now m _binding -> enqueue st ~now m);
         dequeue = (fun ~now -> dequeue st ~now);
-        backlog = (fun () -> Queue.length st.q);
+        backlog = (fun () -> Ring.length st.q);
         sched_stats =
           (fun () ->
             [
-              ("backlog", string_of_int (Queue.length st.q));
+              ("backlog", string_of_int (Ring.length st.q));
               ("avg", Printf.sprintf "%.2f" st.avg);
               ("early-drops", string_of_int st.early_drops);
               ("forced-drops", string_of_int st.forced_drops);
@@ -161,5 +160,5 @@ let message key payload =
         | Some st ->
           Ok
             (Printf.sprintf "avg=%.2f backlog=%d early=%d forced=%d" st.avg
-               (Queue.length st.q) st.early_drops st.forced_drops)))
+               (Ring.length st.q) st.early_drops st.forced_drops)))
   | _ -> Error (Printf.sprintf "red: unknown message %s" key)

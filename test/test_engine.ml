@@ -9,6 +9,7 @@ open Rp_engine
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
+let int64_t = Alcotest.int64
 
 let ok = function
   | Ok v -> v
@@ -1512,14 +1513,15 @@ let route_ops_coherent mode ops =
           let n = Array.length pkts in
           assert (Engine.submit_batch e ~now:0L pkts ~n = n);
           let got = ref [] in
-          ignore (Engine.flush e ~f:(fun res -> got := res :: !got));
+          ignore
+            (Engine.flush e ~f:(fun res ->
+                 got := (res.Shard.outcome, res.Shard.m) :: !got));
           List.length !got = n
           && List.for_all
-               (fun (res : Shard.result) ->
-                 let outcome, hop = expect.(res.Shard.m.Mbuf.seq) in
-                 res.Shard.outcome = outcome
-                 && (hop = None
-                    || Option.equal Ipaddr.equal res.Shard.m.Mbuf.next_hop hop))
+               (fun (got, m) ->
+                 let outcome, hop = expect.(m.Mbuf.seq) in
+                 got = outcome
+                 && (hop = None || Option.equal Ipaddr.equal m.Mbuf.next_hop hop))
                !got
         | op ->
           ignore (ok (Rp_control.Pmgr.exec r (route_cmd op)));
@@ -1546,12 +1548,13 @@ let test_route_cache_more_specific () =
       let send () =
         assert (Engine.submit e ~now:0L (mk_pkt ~sport:3333 ()));
         let got = ref [] in
-        ignore (Engine.flush e ~f:(fun res -> got := res :: !got));
+        ignore
+          (Engine.flush e ~f:(fun res -> got := (res.Shard.outcome, res.Shard.m) :: !got));
         match !got with
         | [ res ] -> res
         | _ -> Alcotest.fail "expected one result"
       in
-      let outcome (res : Shard.result) = res.Shard.outcome in
+      let outcome (o, _) = o in
       check bool_t (label ^ "first packet on the /16") true
         (outcome (send ()) = Shard.Forwarded 1);
       let hits0 = counter_get "route_table.cache_hits"
@@ -1568,7 +1571,7 @@ let test_route_cache_more_specific () =
       check bool_t (label ^ "next packet takes the /24") true
         (outcome res = Shard.Forwarded 0);
       check bool_t (label ^ "through its gateway") true
-        (res.Shard.m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 254));
+        ((snd res).Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 254));
       check int_t (label ^ "no flow record evicted") 0
         (counter_get "flow_table.evictions" - ev0);
       Engine.stop e)
@@ -1709,31 +1712,44 @@ let test_tx_ring_overflow () =
    filters beside them, 1,024 routes), warmed, then fed prebuilt
    packets of cached flows: minor-heap words per packet for
    submit_batch + drain.  A cached flow walks no LPM and is handed a
-   preallocated FIX, a gate hands its handler the binding option
-   stored in the flow record, verdicts and outcomes are preallocated
-   per interface, the result ring hands results over without an
-   option, and the FIFO empties without one, so bringing any of these
-   allocations back fails here: the path measures 17.5 words (the
-   result record, the FIFO's queue cell, and a handler context per
-   gate), where one LPM walk alone used to allocate 100, the AIU's
-   (instance, record) pair 5 per gate, and the verdict, outcome,
-   ring option and local-address closure 11 together. *)
-let ceiling_words_per_pkt = 24.
+   preallocated FIX, a gate hands its handler the frame's context
+   refilled with the binding option stored in the flow record,
+   verdicts and outcomes are preallocated per interface, the FIFO is a
+   ring that empties without an option, the result ring's slots are
+   records written in place, and the engine's emit and deliver
+   callbacks are built with it, so the path allocates nothing: bringing
+   back any per-packet or per-call allocation — a handler context, a
+   queue cell, a result record, a closure, an LPM walk's result —
+   fails here.
 
-let test_alloc_ceiling () =
+   With [~drr] a DRR instance is if1's qdisc, bound to every flow at
+   the scheduling gate: a cached flow finds its queue in its soft slot,
+   and the default transmitter discards what was queued by dequeueing
+   it, which allocates the [Some] of each dequeue (2 words) and
+   nothing else. *)
+let alloc_words_per_pkt ~drr =
   let pmgr r cmd = ok (Rp_control.Pmgr.exec r cmd) in
+  let instance r p = Scanf.sscanf (pmgr r ("create " ^ p)) "instance %d" Fun.id in
   let r =
     Router.create
-      ~gates:[ Gate.Ip_options; Gate.Security_in; Gate.Stats ]
+      ~gates:
+        ([ Gate.Ip_options; Gate.Security_in; Gate.Stats ]
+        @ if drr then [ Gate.Scheduling ] else [])
       ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 () ]
       ()
   in
   List.iter
     (fun p ->
       ignore (pmgr r ("modload " ^ p));
-      let id = Scanf.sscanf (pmgr r ("create " ^ p)) "instance %d" Fun.id in
+      let id = instance r p in
       ignore (pmgr r (Printf.sprintf "bind %d <*, *, *, *, *, *>" id)))
     [ "empty-options"; "empty-security"; "empty-stats" ];
+  if drr then begin
+    ignore (pmgr r "modload drr");
+    let id = instance r "drr" in
+    ignore (pmgr r (Printf.sprintf "attach %d 1" id));
+    ignore (pmgr r (Printf.sprintf "bind %d <*, *, *, *, *, *>" id))
+  end;
   for i = 1 to 13 do
     Rp_classifier.Aiu.bind (Router.aiu r) ~gate:(Gate.to_int Gate.Ip_options)
       (Rp_classifier.Filter.v4
@@ -1775,11 +1791,92 @@ let test_alloc_ceiling () =
   let words = (Gc.minor_words () -. before) /. float_of_int !drained in
   Engine.stop e;
   check int_t "every packet forwarded" (1024 * 32) !drained;
+  words
+
+let check_ceiling ~drr ceiling () =
+  let words = alloc_words_per_pkt ~drr in
   check bool_t
-    (Printf.sprintf "%.1f minor words per packet (ceiling %.0f)" words
-       ceiling_words_per_pkt)
-    true
-    (words <= ceiling_words_per_pkt)
+    (Printf.sprintf "%.2f minor words per packet (ceiling %.2f)" words ceiling)
+    true (words <= ceiling)
+
+(* --- no retention ------------------------------------------------------- *)
+
+(* Once a batch is transmitted and drained, nothing the engine keeps —
+   the output queue's ring, the result ring's slots, a worker's scratch
+   — still reaches its descriptors: a full major collection frees every
+   one of them. *)
+let test_no_retention mode () =
+  let r = mk_router () in
+  let e = Engine.create mode r in
+  let n = 64 in
+  let weak = Weak.create n in
+  let submit () =
+    (* Built and submitted in a frame of their own, so no local keeps
+       them. *)
+    let pkts = Array.init n (fun i -> mk_pkt ~sport:(4000 + i) ()) in
+    Array.iteri (fun i m -> Weak.set weak i (Some m)) pkts;
+    check int_t "batch accepted" n (Engine.submit_batch e ~now:0L pkts ~n)
+  in
+  submit ();
+  let fwd = ref 0 in
+  ignore
+    (Engine.flush e ~f:(fun res ->
+         match res.Shard.outcome with Shard.Forwarded _ -> incr fwd | _ -> ()));
+  check int_t "all forwarded" n !fwd;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Engine.stop e;
+  check int_t (Engine.mode_to_string mode ^ ": descriptors still reachable") 0 !live
+
+(* --- a packet's own clock --------------------------------------------- *)
+
+(* On a shard a packet's [now] is its own birth time: the handler
+   context refilled for each call carries that packet's clock, so the
+   stats plugin's per-flow first/last times are the birth times of the
+   flow's first and last packets, not a neighbour's.  The stats
+   instance is wrapped to keep each flow's record, which a shard never
+   hands back (shard flow tables run no eviction hooks). *)
+let test_birth_clock_ctx () =
+  let r = mk_router ~gates:[ Gate.Stats ] () in
+  let stats =
+    ok (Stats_plugin.create_instance ~instance_id:9100 ~code:0 ~config:[])
+  in
+  let records = Hashtbl.create 8 in
+  let handle (ctx : Plugin.ctx) m =
+    let action = stats.Plugin.handle ctx m in
+    (match ctx.Plugin.binding with
+     | Some { Rp_classifier.Flow_table.soft = Some (Stats_plugin.Stat fs); _ } ->
+       Hashtbl.replace records m.Mbuf.key.Flow_key.sport fs
+     | Some _ | None -> ());
+    action
+  in
+  Rp_classifier.Aiu.bind (Router.aiu r) ~gate:(Gate.to_int Gate.Stats)
+    (Rp_classifier.Filter.v4 ()) { stats with Plugin.handle };
+  let e = Engine.create (Engine.Sharded 1) r in
+  let flows = 4 and rounds = 3 in
+  (* Flow f's packet of round k is born at 1000 k + f, so every packet
+     in flight carries a time of its own. *)
+  let birth f k = Int64.of_int ((1000 * k) + f) in
+  for k = 1 to rounds do
+    for f = 0 to flows - 1 do
+      assert (Engine.submit e ~now:(birth f k) (mk_pkt ~sport:(6000 + f) ()))
+    done
+  done;
+  check int_t "all drained" (flows * rounds) (Engine.flush e ~f:ignore);
+  Engine.stop e;
+  check int_t "one record per flow" flows (Hashtbl.length records);
+  Hashtbl.iter
+    (fun sport (fs : Stats_plugin.flow_stat) ->
+      let f = sport - 6000 in
+      check int_t "packets" rounds fs.Stats_plugin.f_packets;
+      check int64_t "first_ns is the first packet's birth" (birth f 1)
+        fs.Stats_plugin.first_ns;
+      check int64_t "last_ns is the last packet's birth" (birth f rounds)
+        fs.Stats_plugin.last_ns)
+    records
 
 let () =
   Alcotest.run "engine"
@@ -1836,12 +1933,20 @@ let () =
           Alcotest.test_case "inline result ring is bounded" `Quick
             test_inline_ring_bounded;
           Alcotest.test_case "allocation ceiling on cached flows" `Quick
-            test_alloc_ceiling;
+            (check_ceiling ~drr:false 0.05);
+          Alcotest.test_case "allocation ceiling through a DRR qdisc" `Quick
+            (check_ceiling ~drr:true 2.05);
           drain_contract Engine.Inline;
           drain_contract (Engine.Sharded 2);
         ] );
       ( "data path",
         [
+          Alcotest.test_case "no descriptor retained (inline)" `Quick
+            (test_no_retention Engine.Inline);
+          Alcotest.test_case "no descriptor retained (sharded:1)" `Quick
+            (test_no_retention (Engine.Sharded 1));
+          Alcotest.test_case "handlers see their packet's own clock" `Quick
+            test_birth_clock_ctx;
           Alcotest.test_case "intermittent fault never quarantines" `Quick
             test_intermittent_fault_no_quarantine;
           Alcotest.test_case "route to a missing interface drops" `Quick

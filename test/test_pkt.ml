@@ -967,6 +967,85 @@ let prop_link_fifo =
         ops;
       !ok && Link.rxpackets l = !expect)
 
+(* --- ring ------------------------------------------------------------ *)
+
+type ring_op = R_push of int | R_pop | R_clear
+
+let gen_ring_ops =
+  QCheck2.Gen.(
+    pair (int_range 1 20)
+      (list_size (int_range 0 200)
+         (frequency
+            [ (6, map (fun x -> R_push x) (int_bound 1000));
+              (4, return R_pop);
+              (1, return R_clear) ])))
+
+(* Against Stdlib's Queue, with pushes at the limit refused: every
+   pop returns the model's head, and after each operation the lengths
+   and the contents (oldest first) agree, across the doublings of the
+   array and its wrap-around. *)
+let prop_ring_model =
+  qtest "ring = Queue model" gen_ring_ops (fun (limit, ops) ->
+      let r = Ring.create ~limit ~dummy:(-1) () and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | R_push x ->
+              let room = Queue.length q < limit in
+              if room then Queue.push x q;
+              Ring.push r x = room
+            | R_pop ->
+              Queue.is_empty q = Ring.is_empty r
+              && (Queue.is_empty q || Queue.pop q = Ring.pop r)
+            | R_clear ->
+              Queue.clear q;
+              Ring.clear r;
+              true
+          in
+          agree
+          && Ring.length r = Queue.length q
+          && Ring.fold (fun l x -> x :: l) [] r = Queue.fold (fun l x -> x :: l) [] q)
+        ops)
+
+let test_ring_bounds () =
+  Alcotest.check_raises "limit 0" (Invalid_argument "Ring.create: limit < 1")
+    (fun () -> ignore (Ring.create ~limit:0 ~dummy:0 ()));
+  let r = Ring.create ~limit:3 ~dummy:0 () in
+  Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty")
+    (fun () -> ignore (Ring.pop r));
+  check bool_t "three fit" true (Ring.push r 1 && Ring.push r 2 && Ring.push r 3);
+  check bool_t "a fourth is refused" false (Ring.push r 4);
+  check int_t "oldest first" 1 (Ring.peek r);
+  check int_t "length" 3 (Ring.length r)
+
+(* A popped or cleared element is not reachable from the ring. *)
+let test_ring_releases () =
+  let n = 8 in
+  let weak = Weak.create n in
+  let r = Ring.create ~limit:n ~dummy:Mbuf.dummy () in
+  let fill () =
+    for i = 0 to n - 1 do
+      let m = Mbuf.synth ~key:(pool_key i) ~len:64 () in
+      Weak.set weak i (Some m);
+      assert (Ring.push r m)
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check weak) (List.init n Fun.id))
+  in
+  fill ();
+  for _ = 1 to n / 2 do
+    ignore (Ring.pop r)
+  done;
+  check int_t "popped ones freed" (n / 2) (live ());
+  Ring.clear r;
+  check int_t "cleared ones freed" 0 (live ());
+  fill ();
+  check int_t "refilled ring holds them" n (live ());
+  check int_t "still queued" n (Ring.length r)
+
 let () =
   Alcotest.run "rp_pkt"
     [
@@ -1041,6 +1120,12 @@ let () =
           Alcotest.test_case "steady state is GC-silent" `Quick
             test_pool_gc_silent;
           prop_pool_conservation;
+        ] );
+      ( "ring",
+        [
+          prop_ring_model;
+          Alcotest.test_case "bounds" `Quick test_ring_bounds;
+          Alcotest.test_case "freed slots let go" `Quick test_ring_releases;
         ] );
       ( "link",
         [

@@ -473,10 +473,60 @@ let test_token_bucket_mark_action () =
   check int_t "dscp marked" 7 m.Mbuf.tos;
   check bool_t "tagged" true (Mbuf.has_tag m "out-of-profile")
 
+(* --- queue bounds from config ---------------------------------------- *)
+
+(* A malformed or non-positive bound fails [create_instance]; an absent
+   one takes the default. *)
+let refuses_bad_bounds (module P : Plugin.PLUGIN) keys () =
+  (match P.create_instance ~instance_id:77 ~code:0 ~config:[] with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "%s: defaults refused: %s" P.name e);
+  List.iter
+    (fun key ->
+      List.iter
+        (fun v ->
+          match P.create_instance ~instance_id:77 ~code:0 ~config:[ (key, v) ] with
+          | Ok _ -> Alcotest.failf "%s: %s=%S accepted" P.name key v
+          | Error _ -> ())
+        [ "0"; "-3"; "many"; "" ];
+      match P.create_instance ~instance_id:77 ~code:0 ~config:[ (key, "7") ] with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s=7 refused: %s" P.name key e)
+    keys
+
+let test_iface_fifo_limit () =
+  Alcotest.check_raises "fifo_limit 0"
+    (Invalid_argument "Iface.create: fifo_limit < 1") (fun () ->
+      ignore (Iface.create ~id:0 ~fifo_limit:0 ()));
+  let ifc = Iface.create ~id:0 ~fifo_limit:2 () in
+  let queued = List.filter (fun seq -> Iface.enqueue ifc ~now:0L ~binding:None (pkt 1 seq)) [ 0; 1; 2 ] in
+  check int_t "two queued" 2 (List.length queued);
+  check int_t "the third tail-dropped" 1 ifc.Iface.counters.Iface.drops;
+  (match Iface.dequeue ifc ~now:0L with
+   | Some m -> check int_t "oldest first" 0 m.Mbuf.seq
+   | None -> Alcotest.fail "empty FIFO");
+  Iface.drop_queued ifc ~now:0L;
+  check int_t "drop_queued empties it" 0 (Iface.backlog ifc)
+
+let test_hfsc_bad_class_limit () =
+  ignore (mk_hfsc ());
+  (match Rp_sched.Hfsc_plugin.add_class ~instance_id:1 ~cname:"zero" ~limit:0 () with
+   | Error _ -> ()
+   | Ok () -> Alcotest.fail "class limit 0 accepted");
+  match Rp_sched.Hfsc_plugin.message "add-class" "1 bad limit=lots" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "malformed class limit accepted"
+
 let () =
   Alcotest.run "rp_sched"
     [
-      ("fifo", [ Alcotest.test_case "order and limit" `Quick test_fifo_order_and_limit ]);
+      ( "fifo",
+        [
+          Alcotest.test_case "order and limit" `Quick test_fifo_order_and_limit;
+          Alcotest.test_case "bad limit refused" `Quick
+            (refuses_bad_bounds (module Rp_sched.Fifo_plugin) [ "limit" ]);
+          Alcotest.test_case "iface fifo_limit" `Quick test_iface_fifo_limit;
+        ] );
       ( "drr",
         [
           Alcotest.test_case "equal fairness" `Quick test_drr_equal_fairness;
@@ -484,6 +534,8 @@ let () =
           Alcotest.test_case "byte fairness" `Quick test_drr_mixed_packet_sizes;
           Alcotest.test_case "per-flow limit" `Quick test_drr_per_flow_limit;
           prop_drr_work_conserving;
+          Alcotest.test_case "bad bounds refused" `Quick
+            (refuses_bad_bounds (module Rp_sched.Drr_plugin) [ "quantum"; "flow-limit" ]);
         ] );
       ( "service_curve",
         [
@@ -499,11 +551,16 @@ let () =
           Alcotest.test_case "HSF: drr leaf via message" `Quick test_hfsc_drr_leaf_via_message;
           Alcotest.test_case "upper-limit curve" `Quick test_hfsc_upper_limit;
           Alcotest.test_case "class errors" `Quick test_hfsc_class_errors;
+          Alcotest.test_case "bad class-limit refused" `Quick
+            (refuses_bad_bounds (module Rp_sched.Hfsc_plugin) [ "class-limit" ]);
+          Alcotest.test_case "bad class limit refused" `Quick test_hfsc_bad_class_limit;
         ] );
       ( "red",
         [
           Alcotest.test_case "no drops when light" `Quick test_red_no_drops_when_light;
           Alcotest.test_case "drops when congested" `Quick test_red_drops_when_congested;
+          Alcotest.test_case "bad bounds refused" `Quick
+            (refuses_bad_bounds (module Rp_sched.Red_plugin) [ "limit"; "seed" ]);
         ] );
       ( "token_bucket",
         [

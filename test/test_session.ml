@@ -1032,22 +1032,25 @@ let test_end_to_end_inline () =
   Session.Table.add_rule t (snat_rule ~tos:0x38 (Ipaddr.v4 198 51 100 7));
   let _ids = setup_session_plugins r ~table in
   let e = Rp_engine.Engine.create Rp_engine.Engine.Inline r in
+  (* A result is valid only during [f]: keep copies of its fields. *)
   let last = ref None in
   let run m now =
     assert (Rp_engine.Engine.submit e ~now m);
-    ignore (Rp_engine.Engine.flush e ~f:(fun res -> last := Some res))
+    ignore
+      (Rp_engine.Engine.flush e ~f:(fun res ->
+           last := Some (res.Rp_engine.Shard.outcome, res.Rp_engine.Shard.m)))
   in
   for i = 1 to 5 do
     run (Mbuf.synth ~key:(key ()) ~len:100 ()) (s_ns i)
   done;
   (match !last with
-  | Some res ->
-    (match res.Rp_engine.Shard.outcome with
+  | Some (outcome, m) ->
+    (match outcome with
     | Rp_engine.Shard.Forwarded 1 -> ()
     | _ -> Alcotest.fail "forward packet not forwarded to if1");
     check string_t "source translated on the wire key" "198.51.100.7"
-      (Ipaddr.to_string res.Rp_engine.Shard.m.Mbuf.key.Flow_key.src);
-    check int_t "qos class stamped" 0x38 res.Rp_engine.Shard.m.Mbuf.tos
+      (Ipaddr.to_string m.Mbuf.key.Flow_key.src);
+    check int_t "qos class stamped" 0x38 m.Mbuf.tos
   | None -> Alcotest.fail "no forward result");
   (* replies enter at if1 addressed to the NAT address *)
   let reply_key =
@@ -1058,12 +1061,12 @@ let test_end_to_end_inline () =
     run (Mbuf.synth ~key:reply_key ~len:100 ()) (s_ns i)
   done;
   (match !last with
-  | Some res ->
-    (match res.Rp_engine.Shard.outcome with
+  | Some (outcome, m) ->
+    (match outcome with
     | Rp_engine.Shard.Forwarded 0 -> ()
     | _ -> Alcotest.fail "reply not forwarded to if0");
     check string_t "reply destination restored" "10.0.0.1"
-      (Ipaddr.to_string res.Rp_engine.Shard.m.Mbuf.key.Flow_key.dst)
+      (Ipaddr.to_string m.Mbuf.key.Flow_key.dst)
   | None -> Alcotest.fail "no reply result");
   let st = Session.Table.stats t in
   check int_t "one session for both directions" 1 st.Session.Table.live;
@@ -1097,7 +1100,7 @@ let test_end_to_end_inline () =
   run (Mbuf.synth ~key:(key ()) ~len:100 ()) (s_ns 10);
   run (Mbuf.synth ~key:reply_key ~len:100 ()) (s_ns 11);
   (match !last with
-  | Some { Rp_engine.Shard.outcome = Rp_engine.Shard.Forwarded 0; m; _ } ->
+  | Some (Rp_engine.Shard.Forwarded 0, m) ->
     check bool_t "reply's next hop is its translated destination" true
       (m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 1))
   | _ -> Alcotest.fail "steady reply not forwarded to if0");
@@ -1210,11 +1213,13 @@ let plain_rev () =
     (key ~src:(Ipaddr.v4 192 168 1 9) ~dst:(Ipaddr.v4 172 16 0 5) ~sport:80
        ~dport:5000 ~iface:1 ())
 
-(* Submit one packet and return its result. *)
+(* Submit one packet and return its outcome and descriptor. *)
 let send1 e ~now m =
   assert (Rp_engine.Engine.submit e ~now m);
   let got = ref [] in
-  ignore (Rp_engine.Engine.flush e ~f:(fun res -> got := res :: !got));
+  ignore
+    (Rp_engine.Engine.flush e ~f:(fun res ->
+         got := (outcome_str res, res.Rp_engine.Shard.m) :: !got));
   match !got with
   | [ res ] -> res
   | _ -> Alcotest.fail "expected one result"
@@ -1241,7 +1246,7 @@ let test_route_changes_reach_sessions () =
               check string_t
                 (Printf.sprintf "%s%s: %s packet %d" label name what i)
                 out
-                (outcome_str (send1 e ~now:!now (pkt ())))
+                (fst (send1 e ~now:!now (pkt ())))
             done)
           [
             ("NAT'd forward", nat_fwd, fst want);
@@ -1286,16 +1291,16 @@ let test_quarantine_routes_by_carried_dst () =
           check string_t
             (Printf.sprintf "%s%s: forward %d" label name i)
             fwd
-            (outcome_str (send1 e ~now:!now (nat_fwd ())));
+            (fst (send1 e ~now:!now (nat_fwd ())));
           now := Int64.add !now 1_000_000L;
-          let res = send1 e ~now:!now (nat_rev ()) in
+          let out, m = send1 e ~now:!now (nat_rev ()) in
           check string_t
             (Printf.sprintf "%s%s: reply %d" label name i)
-            rev (outcome_str res);
+            rev out;
           check string_t
             (Printf.sprintf "%s%s: reply %d destination" label name i)
             rev_dst
-            (Ipaddr.to_string res.Rp_engine.Shard.m.Mbuf.key.Flow_key.dst)
+            (Ipaddr.to_string m.Mbuf.key.Flow_key.dst)
         done
       in
       stage "nat bound" ~fwd:"fwd:1" ~rev:"fwd:0" ~rev_dst:"10.0.0.1";
