@@ -57,11 +57,12 @@ let all =
          cycles, so the table3 pin covers it.  Sharded packets are
          genuinely in flight, so some pool starvation is expected
          backpressure; inline must never starve.  Inline, pooled
-         descriptors of cached flows cross submit_batch + drain with
-         no allocation at all. *)
+         descriptors cross submit_batch + drain with no allocation at
+         all, on cached flows and on the cold run's new flows alike. *)
       gates "fig-batch"
         [
           ("bench.fig_batch.inline.words_per_pkt", Le, Const 0.05);
+          ("bench.fig_batch.inline_cold.words_per_pkt", Le, Const 0.05);
           ("bench.fig_batch.sharded4.steady_mpps", Ge, Const 0.02);
           ("bench.fig_batch.inline.pool_exhausted", Le, Const 0.);
           ("bench.fig_batch.sharded4.pool_exhausted", Le, Const 2000.);

@@ -1270,7 +1270,11 @@ let csv_out : string option ref = ref None
    over charged cycles; for sharded engines the busiest shard is the
    makespan), reported as a CSV time series with one row per
    [interval] packets so CI can gate the steady-state rows and spot
-   warm-up-only performance. *)
+   warm-up-only performance.  A third, cold run sends every packet on
+   a flow of its own into a flow table bounded at 1,024 records, so
+   each packet misses, resolves its gates and recycles a record: the
+   first-packet path, whose allocation is gated beside the cached
+   one. *)
 let fig_batch () =
   section "fig-batch: batched zero-copy data path (pool + link + synth)";
   let total = 30_000 and interval = 3_000 and batch = 32 in
@@ -1279,7 +1283,9 @@ let fig_batch () =
     "Synth generator (%d flows, IMIX sizes) -> pool/link -> batched\n\
      dispatch, %d packets per engine, one CSV row per %d packets.\n\
      Mpps is model throughput (charged cycles at %.0f MHz); the first\n\
-     row is warm-up (cold flow cache), the rest are steady state.\n\n"
+     row is warm-up (cold flow cache), the rest are steady state.  The\n\
+     cold run gives every packet a flow of its own (flow table bounded\n\
+     at 1,024 records, so every packet misses and recycles).\n\n"
     flows total interval Cost.cpu_mhz;
   let csv =
     Option.map
@@ -1292,12 +1298,13 @@ let fig_batch () =
             ])
       !csv_out
   in
-  let run ~slug ~label ~mode =
+  let run ?(cold = false) ~slug ~label ~mode () =
     let gates = [ Gate.Ip_options; Gate.Firewall; Gate.Stats ] in
     let ifaces =
       [ Iface.create ~id:0 (); Iface.create ~id:1 ~fifo_limit:max_int () ]
     in
-    let r = Router.create ~mode:Router.Plugins ~gates ~ifaces () in
+    let flow_max = if cold then Some 1024 else None in
+    let r = Router.create ~mode:Router.Plugins ~gates ?flow_max ~ifaces () in
     Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
     List.iteri
       (fun i gate ->
@@ -1312,7 +1319,10 @@ let fig_batch () =
     let e = Rp_engine.Engine.create mode r in
     let pool = Pool.create ~capacity:4096 () in
     let link = Link.create ~capacity:512 () in
-    let synth = Rp_sim.Synth.create ~flows ~pool () in
+    let synth =
+      if cold then Rp_sim.Synth.create ~flows:total ~sweep:true ~pool ()
+      else Rp_sim.Synth.create ~flows ~pool ()
+    in
     let scratch = Array.make batch (Mbuf.synth ~key:(Rp_sim.Traffic.flow_key ~id:0 ()) ~len:0 ()) in
     let drained = ref 0 in
     let recycle (res : Rp_engine.Shard.result) =
@@ -1465,12 +1475,14 @@ let fig_batch () =
     steady
   in
   let inline =
-    run ~slug:"inline" ~label:"inline" ~mode:Rp_engine.Engine.Inline
+    run ~slug:"inline" ~label:"inline" ~mode:Rp_engine.Engine.Inline ()
   in
   let sharded =
     run ~slug:"sharded4" ~label:"sharded:4"
-      ~mode:(Rp_engine.Engine.Sharded 4)
+      ~mode:(Rp_engine.Engine.Sharded 4) ()
   in
+  ignore
+    (run ~cold:true ~slug:"inline_cold" ~label:"cold" ~mode:Rp_engine.Engine.Inline ());
   (match csv with Some c -> Rp_obs.Csv_stats.close c | None -> ());
   Printf.printf
     "  steady-state model mpps/domain: inline %.4f, sharded:4 %.4f\n\

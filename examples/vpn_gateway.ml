@@ -110,7 +110,7 @@ let () =
         Bytes.set raw pos (Char.chr (Char.code (Bytes.get raw pos) lxor 0x80))
       | None -> ());
      tampered.Mbuf.key <- { tampered.Mbuf.key with Flow_key.iface = 0 };
-     tampered.Mbuf.fix <- None;
+     tampered.Mbuf.fix <- Mbuf.no_fix;
      (match Ip_core.process gw_b ~now:0L tampered with
       | Ip_core.Dropped reason ->
         Printf.printf "\ntampered packet   : dropped by gw-b (%s)\n" reason
@@ -125,7 +125,7 @@ let () =
      let copy = Mbuf.synth ~key:{ replay.Mbuf.key with Flow_key.iface = 0 } ~len:replay.Mbuf.len () in
      copy.Mbuf.raw <- Option.map Bytes.copy replay.Mbuf.raw;
      replay.Mbuf.key <- { replay.Mbuf.key with Flow_key.iface = 0 };
-     replay.Mbuf.fix <- None;
+     replay.Mbuf.fix <- Mbuf.no_fix;
      ignore (Ip_core.process gw_b ~now:0L replay);
      (match Ip_core.process gw_b ~now:1L copy with
       | Ip_core.Dropped reason ->

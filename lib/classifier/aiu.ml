@@ -89,8 +89,7 @@ let invalidate_for t ~gate f =
     Rp_obs.Counter.inc m_gate_bumps
   end
   else
-    Rp_obs.Counter.add m_invalidated
-      (Flow_table.invalidate t.flows ~matches:(fun k -> Filter.matches f k))
+    Rp_obs.Counter.add m_invalidated (Flow_table.invalidate t.flows f)
 
 (* Both classifier representations are maintained on every mutation:
    the per-gate DAGs stay the source of truth (revalidation, delta
@@ -167,59 +166,52 @@ let classify_miss t key ~now =
 (* Lazy revalidation after a gate-generation bump: re-resolve this
    record's binding at [gate] with one DAG lookup, then re-stamp it.
    Only runs for flows actually touched after a wildcard filter
-   change; steady-state traffic never reaches it. *)
-let revalidate t record ~gate =
+   change; steady-state traffic never reaches it.  The lookup runs on
+   [key], the packet's, when it is the record's; only a packet a
+   plugin rewrote after an earlier gate classified it rebuilds the
+   record's key. *)
+let revalidate t record key ~gate =
   if Flow_table.gate_stale t.flows record ~gate then begin
     Flow_table.clear_binding t.flows record ~gate;
-    (match Dag.lookup t.tables.(gate) (Flow_table.key record) with
+    let key = if Flow_table.has_key record key then key else Flow_table.key record in
+    (match Dag.lookup t.tables.(gate) key with
      | Some (filter, v) -> Flow_table.set_binding t.flows record ~gate ~filter v
      | None -> ());
     Flow_table.revalidated t.flows record ~gate;
     Rp_obs.Counter.inc m_revalidations
   end
 
+let find_or_insert t key ~now =
+  let slot = Flow_table.find t.flows key ~now in
+  if slot >= 0 then Flow_table.record_at t.flows slot else classify_miss t key ~now
+
 let classify_key t key ~gate ~now =
   check_gate t gate;
-  let record =
-    match Flow_table.lookup t.flows key ~now with
-    | Some r -> r
-    | None -> classify_miss t key ~now
-  in
-  revalidate t record ~gate;
+  let record = find_or_insert t key ~now in
+  revalidate t record key ~gate;
   match Flow_table.binding record ~gate with
   | Some b -> Some (b.Flow_table.instance, record)
   | None -> None
 
 let classify t mbuf ~gate ~now =
   check_gate t gate;
+  let fix = mbuf.Mbuf.fix in
+  let slot = Flow_table.fix_slot t.flows fix in
   let record =
-    match mbuf.Mbuf.fix with
-    | Some fix ->
-      (match Flow_table.find_fix t.flows fix with
-       | Some _ as found ->
-         Rp_obs.Counter.note t.c_fix_hits 1;
-         if not t.held then Rp_obs.Counter.settle t.c_fix_hits;
-         found
-       | None ->
-         (* Stale FIX (row recycled): drop it and reclassify. *)
-         Rp_obs.Counter.inc m_fix_stale;
-         mbuf.Mbuf.fix <- None;
-         None)
-    | None -> None
-  in
-  let record =
-    match record with
-    | Some r -> r
-    | None ->
-      let r =
-        match Flow_table.lookup t.flows mbuf.Mbuf.key ~now with
-        | Some r -> r
-        | None -> classify_miss t mbuf.Mbuf.key ~now
-      in
-      mbuf.Mbuf.fix <- Flow_table.some_fix r;
+    if slot >= 0 then begin
+      Rp_obs.Counter.note t.c_fix_hits 1;
+      if not t.held then Rp_obs.Counter.settle t.c_fix_hits;
+      Flow_table.record_at t.flows slot
+    end
+    else begin
+      (* No FIX, or a stale one (row recycled): reclassify. *)
+      if fix >= 0 then Rp_obs.Counter.inc m_fix_stale;
+      let r = find_or_insert t mbuf.Mbuf.key ~now in
+      mbuf.Mbuf.fix <- Flow_table.fix_of_record r;
       r
+    end
   in
-  revalidate t record ~gate;
+  revalidate t record mbuf.Mbuf.key ~gate;
   record
 
 let flush_flows t =

@@ -88,9 +88,11 @@ val clear_listener : 'a t -> unit
     this packet's flow, found through the packet's FIX, by a flow-table
     lookup, or inserted by a miss; the instance bound at [gate] is
     [Flow_table.binding record ~gate] ([None] if no filter at that gate
-    matches the flow), a stored option, so a classification allocates
-    nothing on a hit.  Side effects: on a flow miss the flow record is
-    created and populated for {e all} gates; the packet's FIX is set.
+    matches the flow), a stored option.  A classification allocates
+    nothing, a miss included once the slot's binding blocks exist and
+    none was lent (see {!Flow_table}), unless the filter tables do.  Side effects: on a
+    flow miss the flow record is created and populated for {e all}
+    gates; the packet's FIX, an immediate int, is set.
     Counts [aiu.fix_hits] (see {!hold} for when). *)
 val classify :
   'a t -> Mbuf.t -> gate:int -> now:int64 -> 'a Flow_table.record

@@ -83,14 +83,16 @@ let num_match_matches nm v =
   | Any_num -> true
   | Num n -> v = n
 
+let matches_numbers f ~proto ~sport ~dport ~iface =
+  num_match_matches f.proto proto
+  && port_match_matches f.sport sport
+  && port_match_matches f.dport dport
+  && num_match_matches f.iface iface
+
 let matches f (k : Flow_key.t) =
-  Ipaddr.width f.src.Prefix.addr = Ipaddr.width k.src
-  && Prefix.matches f.src k.src
+  Prefix.matches f.src k.src
   && Prefix.matches f.dst k.dst
-  && num_match_matches f.proto k.proto
-  && port_match_matches f.sport k.sport
-  && port_match_matches f.dport k.dport
-  && num_match_matches f.iface k.iface
+  && matches_numbers f ~proto:k.proto ~sport:k.sport ~dport:k.dport ~iface:k.iface
 
 (* Specificity of a single field as an integer: larger = more
    specific.  Ports use the negated width so narrower ranges win. *)

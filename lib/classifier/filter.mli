@@ -51,6 +51,11 @@ val is_v4 : t -> bool
     address family never match. *)
 val matches : t -> Flow_key.t -> bool
 
+(** [matches_numbers f ~proto ~sport ~dport ~iface] is [matches]'s
+    test of the four fields beside the addresses; with
+    {!Prefix.matches_words} it tests a key stored as words. *)
+val matches_numbers : t -> proto:int -> sport:int -> dport:int -> iface:int -> bool
+
 (** Specificity order used to resolve which of several matching filters
     wins: lexicographic over the six fields in DAG level order (source
     prefix length, destination prefix length, protocol, source port

@@ -3,38 +3,46 @@ open Rp_pkt
 type soft = ..
 
 type 'a binding = {
-  instance : 'a;
-  mutable filter : Filter.t option;
+  mutable instance : 'a;
+  mutable filter : Filter.t;
   mutable soft : soft option;
+  mutable owner : Mbuf.fix;
+  mutable lent : bool;
 }
 
 (* Flat storage: every fixed-size per-record field lives in one native
-   int Bigarray, [hot], at [slot * stride + field].  The first eight
-   fields of a slot share one 64-byte cache line, ordered so a probe
-   touches only the front of the line (hash, packed tuple, generation,
-   liveness) and leaves accounting in the back half.  Nothing in [hot]
-   is an OCaml block, so steady-state lookup/insert/evict/account
-   traffic allocates no heap words and gives the GC nothing to scan.
-   Offset 6 is spare; offset 7 stamps the route cached with the flow
-   (see [cached_route]). *)
+   int Bigarray, [hot], at [slot * stride + field], three 64-byte lines
+   a slot.  The first line is all a probe and a FIX check read: the
+   packed meta word, the first word of each address, the generation
+   and the state word, beside the last-use time, the route stamp and
+   the key hash.  The second holds words 1-3 of each address (zero for
+   IPv4) and the creation time; the third the accounting.  Nothing in
+   [hot] is an OCaml block, so lookup, insert, evict and account
+   traffic allocates no heap words and gives the GC nothing to scan. *)
 
-let stride = 16
+let stride = 24
 
 (* hot line (offsets 0-7) *)
-let f_hash = 0 (* Flow_key.hash, cached for probes and index removal *)
-let f_meta = 1 (* packed proto/sport/dport/iface, a one-word prefilter *)
-let f_gen = 2 (* per-slot generation; FIX validity *)
-let f_in_use = 3
-let f_last = 4 (* last_use_ns as a native int *)
-let f_created = 5
-let f_route = 7 (* route-table stamp of the cached route; 0 = none *)
+let f_meta = 0 (* families, proto, ports, iface; see [meta_of] *)
+let f_src = 1 (* word 0 of the source address *)
+let f_dst = 2 (* word 0 of the destination address *)
+let f_gen = 3 (* per-slot generation; FIX validity *)
+let f_state = 4 (* bit 0: in use; bit [g + 1]: gate [g]'s binding is live *)
+let f_last = 5 (* last_use_ns as a native int *)
+let f_route = 6 (* route-table stamp of the cached route; 0 = none *)
+let f_hash = 7 (* Flow_key.hash, to reindex a grown index *)
 
-(* accounting (offsets 8-12) *)
-let f_packets = 8
-let f_bytes = 9
-let f_fwd = 10
-let f_dropped = 11
-let f_absorbed = 12
+(* key tail (offsets 8-13): source words 1-3, then destination words
+   1-3 *)
+let f_tail = 8
+let f_created = 14
+
+(* accounting (offsets 16-20) *)
+let f_packets = 16
+let f_bytes = 17
+let f_fwd = 18
+let f_dropped = 19
+let f_absorbed = 20
 
 type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -45,21 +53,22 @@ type 'a t = {
   gate_gens : int array;
   mutable hot : flat;  (** [stride] ints per slot; see the f_* offsets *)
   mutable slot_gate_gens : flat;  (** per-slot per-gate stamps, [slot*gates+g] *)
-  mutable bindings : 'a binding option array;  (** [slot*gates+g] *)
-  mutable keys : Flow_key.t array;  (** boxed key per slot (dummy when free) *)
+  mutable blocks : 'a binding option array;
+      (** [slot*gates+g]: the pair's binding block, made by its first
+          bind and refilled for every later flow unless it was lent;
+          live while the state word's gate bit is set *)
   mutable handles : 'a record array;  (** one preallocated handle per slot *)
-  mutable some_handles : 'a record option array;
-      (** [Some handles.(i)], preallocated so lookups return without
-          allocating *)
   mutable allocated : int;
   max_records : int;
-  (* Open-addressing index: power-of-two array of [slot + 1] entries
-     (0 = empty), linear probing, kept at least twice the record
-     capacity so the load factor never exceeds 1/2.  Deletion is
-     backward-shift (no tombstones), using the home hash cached in
-     [hot]. *)
+  (* Open-addressing index: a power-of-two array of entries (0 =
+     empty), linear probing, kept at least twice the record capacity so
+     the load factor never exceeds 1/2.  An entry packs the low 31 bits
+     of its key's hash above [slot + 1]: a probe reads a record only
+     when that fingerprint matches, and deletion (backward-shift, no
+     tombstones) finds an entry's home bucket in the entry itself. *)
   mutable index : flat;
   mutable mask : int;
+  mutable inspected : int;  (** occupied entries the last probe read *)
   (* Every slot is on one of two lists: [used], the live slots in
      insertion order (the oldest is the one recycled, and sweeps walk
      it), or [free], popped from its back. *)
@@ -86,18 +95,18 @@ type 'a t = {
 
 (* A record is a stable handle onto a slot: one is preallocated per
    slot and reused for every flow that ever occupies it, so the data
-   path never constructs one.  It also holds the slot's heap-valued
-   per-flow state, built once per flow so hits allocate nothing: the
-   FIX option handed to packets (valid while its generation is the
-   slot's), and the cached route (valid while [f_route] matches): the
-   options it set and the destination it was routed for. *)
+   path never constructs one.  It also holds the slot's cached route
+   (valid while [f_route] matches): the egress option it set, the
+   gateway, and the destination it was routed for — [keyed_dst] for
+   the flow's own destination, which also stands for a directly
+   connected route's next hop, so a route cached by a flow's first
+   packet keeps none of that packet's addresses. *)
 and 'a record = {
   r_tab : 'a t;
   r_slot : int;
-  mutable r_fix : Mbuf.fix option;
   mutable r_out : int option;
-  mutable r_hop : Ipaddr.t option;
-  mutable r_dst : Ipaddr.t;  (** routed for; [keyed_dst] = the key's *)
+  mutable r_hop : Ipaddr.t;
+  mutable r_dst : Ipaddr.t;
 }
 
 type stats = {
@@ -109,10 +118,6 @@ type stats = {
   chain_max : int;
   maint_visited : int;
 }
-
-let dummy_key =
-  Flow_key.make ~src:Ipaddr.zero_v4 ~dst:Ipaddr.zero_v4 ~proto:0 ~sport:0
-    ~dport:0 ~iface:0
 
 (* Process-wide counters (all tables aggregated); the per-table [stats]
    record remains the precise per-instance view. *)
@@ -147,27 +152,80 @@ let flat_make n =
   Bigarray.Array1.fill a 0;
   a
 
-(* Pack the non-address tuple fields into one word: equal metas plus
-   equal cached hashes make a full (boxed) key comparison almost
-   certainly a match, so probes stay in flat memory until then. *)
-let[@inline] meta_of (k : Flow_key.t) =
-  k.Flow_key.proto land 0xFF
-  lor ((k.Flow_key.sport land 0xFFFF) lsl 8)
-  lor ((k.Flow_key.dport land 0xFFFF) lsl 24)
-  lor (k.Flow_key.iface lsl 40)
+(* --- keys as words ------------------------------------------------------
 
-(* [r_dst] of a route cached for the destination the flow is keyed on,
-   told apart by address: an unrewritten flow stores no packet's
-   address and compares against its key. *)
+   A key is its meta word, word 0 of each address in the hot line, and
+   the addresses' other words in the tail.  Meta packs each address's
+   family (bits 0-1) with the protocol (8 bits), the ports (16 each)
+   and the interface (20 bits), so two keys are equal exactly when
+   these nine words are; an IPv4 address's tail words are 0, so a
+   probe compares the tail only when a family bit is set. *)
+
+let v6_src = 1
+let v6_dst = 2
+
+let[@inline] meta_of (k : Flow_key.t) =
+  (if Ipaddr.is_v6 k.Flow_key.src then v6_src else 0)
+  lor (if Ipaddr.is_v6 k.Flow_key.dst then v6_dst else 0)
+  lor ((k.Flow_key.proto land 0xFF) lsl 2)
+  lor ((k.Flow_key.sport land 0xFFFF) lsl 10)
+  lor ((k.Flow_key.dport land 0xFFFF) lsl 26)
+  lor ((k.Flow_key.iface land 0xFFFFF) lsl 42)
+
+let[@inline] meta_proto meta = (meta lsr 2) land 0xFF
+let[@inline] meta_sport meta = (meta lsr 10) land 0xFFFF
+let[@inline] meta_dport meta = (meta lsr 26) land 0xFFFF
+let[@inline] meta_iface meta = meta lsr 42
+
+let[@inline] tail t slot j =
+  Bigarray.Array1.unsafe_get t.hot ((slot * stride) + f_tail + j)
+
+(* Words 1-3 of [a] against the tail words from [off] (0 = source,
+   3 = destination). *)
+let tail_is t slot off (a : Ipaddr.t) =
+  tail t slot off = Ipaddr.word a 1
+  && tail t slot (off + 1) = Ipaddr.word a 2
+  && tail t slot (off + 2) = Ipaddr.word a 3
+
+let[@inline] key_at t slot (src : Ipaddr.t) (dst : Ipaddr.t) meta s0 d0 =
+  get t slot f_meta = meta
+  && get t slot f_src = s0
+  && get t slot f_dst = d0
+  && (meta land (v6_src lor v6_dst) = 0 || (tail_is t slot 0 src && tail_is t slot 3 dst))
+
+(* [a] against the record's destination words. *)
+let dst_is t slot (a : Ipaddr.t) =
+  let v6 = get t slot f_meta land v6_dst <> 0 in
+  Ipaddr.is_v6 a = v6
+  && Ipaddr.word a 0 = get t slot f_dst
+  && ((not v6) || tail_is t slot 3 a)
+
+let[@inline] keyed_word t slot ~w0 ~off j =
+  if j = 0 then get t slot w0 else tail t slot (off + j - 1)
+
+let prefix_at t slot ~w0 ~off ~v6 p =
+  Prefix.matches_words p ~v6 (get t slot w0) (tail t slot off) (tail t slot (off + 1))
+    (tail t slot (off + 2))
+
+(* [Filter.matches f] on the record's words. *)
+let filter_at t slot (f : Filter.t) =
+  let meta = get t slot f_meta in
+  prefix_at t slot ~w0:f_src ~off:0 ~v6:(meta land v6_src <> 0) f.Filter.src
+  && prefix_at t slot ~w0:f_dst ~off:3 ~v6:(meta land v6_dst <> 0) f.Filter.dst
+  && Filter.matches_numbers f ~proto:(meta_proto meta) ~sport:(meta_sport meta)
+       ~dport:(meta_dport meta) ~iface:(meta_iface meta)
+
+(* [r_dst] and [r_hop] of a route cached for the destination the flow
+   is keyed on, told apart by address. *)
 let keyed_dst = Ipaddr.V4 0l
 
 let handle t i =
-  { r_tab = t; r_slot = i; r_fix = None; r_out = None; r_hop = None;
-    r_dst = keyed_dst }
+  { r_tab = t; r_slot = i; r_out = None; r_hop = keyed_dst; r_dst = keyed_dst }
 
 let create ?(buckets = default_buckets) ?(initial_records = default_initial)
     ?(max_records = max_int) ?(on_evict = fun ~gate:_ _ -> ()) ~gates () =
   if buckets <= 0 then invalid_arg "Flow_table.create: buckets";
+  if gates < 0 || gates > 61 then invalid_arg "Flow_table.create: gates";
   let n = min initial_records max_records in
   let n = max n 0 in
   let index_size = next_pow2 (max buckets (2 * max n 1)) in
@@ -177,14 +235,13 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
       gate_gens = Array.make gates 0;
       hot = flat_make (n * stride);
       slot_gate_gens = flat_make (n * gates);
-      bindings = Array.make (n * gates) None;
-      keys = Array.make n dummy_key;
+      blocks = Array.make (n * gates) None;
       handles = [||];
-      some_handles = [||];
       allocated = n;
       max_records;
       index = flat_make index_size;
       mask = index_size - 1;
+      inspected = 0;
       lists = Slot_list.create ~lists:2 ~slots:n;
       live = 0;
       on_evict;
@@ -205,7 +262,6 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
     }
   in
   t.handles <- Array.init n (handle t);
-  t.some_handles <- Array.init n (fun i -> Some t.handles.(i));
   (* Slots pop 0, 1, 2, ... first, like the seed free list. *)
   for i = n - 1 downto 0 do
     Slot_list.push_back t.lists free i
@@ -216,7 +272,6 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
 
 let slot (r : 'a record) = r.r_slot
 let gen (r : 'a record) = get r.r_tab r.r_slot f_gen
-let key (r : 'a record) = r.r_tab.keys.(r.r_slot)
 let packets (r : 'a record) = get r.r_tab r.r_slot f_packets
 let bytes (r : 'a record) = get r.r_tab r.r_slot f_bytes
 let fwd (r : 'a record) = get r.r_tab r.r_slot f_fwd
@@ -224,17 +279,39 @@ let dropped (r : 'a record) = get r.r_tab r.r_slot f_dropped
 let absorbed (r : 'a record) = get r.r_tab r.r_slot f_absorbed
 let created_ns (r : 'a record) = get r.r_tab r.r_slot f_created
 let last_use_ns (r : 'a record) = get r.r_tab r.r_slot f_last
+let meta (r : 'a record) = get r.r_tab r.r_slot f_meta
+let proto r = meta_proto (meta r)
+let sport r = meta_sport (meta r)
+let dport r = meta_dport (meta r)
+let iface r = meta_iface (meta r)
+let src_v6 r = meta r land v6_src <> 0
+let dst_v6 r = meta r land v6_dst <> 0
+let src_word (r : 'a record) j = keyed_word r.r_tab r.r_slot ~w0:f_src ~off:0 j
+let dst_word (r : 'a record) j = keyed_word r.r_tab r.r_slot ~w0:f_dst ~off:3 j
+
+let key (r : 'a record) =
+  let addr v6 w = Ipaddr.of_words ~v6 (w r 0) (w r 1) (w r 2) (w r 3) in
+  Flow_key.make ~src:(addr (src_v6 r) src_word) ~dst:(addr (dst_v6 r) dst_word)
+    ~proto:(proto r) ~sport:(sport r) ~dport:(dport r) ~iface:(iface r)
+
+let has_key (r : 'a record) (k : Flow_key.t) =
+  let src = k.Flow_key.src and dst = k.Flow_key.dst in
+  key_at r.r_tab r.r_slot src dst (meta_of k) (Ipaddr.word src 0) (Ipaddr.word dst 0)
+
+let[@inline] bound t slot g = get t slot f_state land (2 lsl g) <> 0
 
 let binding (r : 'a record) ~gate =
-  if gate >= r.r_tab.gates then None
-  else r.r_tab.bindings.((r.r_slot * r.r_tab.gates) + gate)
+  let t = r.r_tab in
+  if gate < 0 || gate >= t.gates || not (bound t r.r_slot gate) then None
+  else Array.unsafe_get t.blocks ((r.r_slot * t.gates) + gate)
 
 let iter_bindings (r : 'a record) f =
-  let base = r.r_slot * r.r_tab.gates in
-  for g = 0 to r.r_tab.gates - 1 do
-    match r.r_tab.bindings.(base + g) with
-    | Some b -> f ~gate:g b
-    | None -> ()
+  let t = r.r_tab in
+  for g = 0 to t.gates - 1 do
+    if bound t r.r_slot g then
+      match t.blocks.((r.r_slot * t.gates) + g) with
+      | Some b -> f ~gate:g b
+      | None -> ()
   done
 
 (* --- the open-addressing index ---------------------------------------
@@ -245,15 +322,21 @@ let iter_bindings (r : 'a record) f =
    (and so is a [ref] loop counter), which would put minor-heap words
    on every packet — the one thing this table exists to avoid. *)
 
-let rec idx_ins_loop t slot i =
-  if Bigarray.Array1.unsafe_get t.index i = 0 then
-    Bigarray.Array1.unsafe_set t.index i (slot + 1)
-  else idx_ins_loop t slot ((i + 1) land t.mask)
+let e_bits = 31
+let e_slot_mask = (1 lsl e_bits) - 1
+let fp_mask = (1 lsl e_bits) - 1
 
-let index_insert t slot = idx_ins_loop t slot (get t slot f_hash land t.mask)
+let[@inline] entry slot h = ((h land fp_mask) lsl e_bits) lor (slot + 1)
+let[@inline] idx t i = Bigarray.Array1.unsafe_get t.index i
+
+let rec idx_ins_loop t e i =
+  if idx t i = 0 then Bigarray.Array1.unsafe_set t.index i e
+  else idx_ins_loop t e ((i + 1) land t.mask)
+
+let index_insert t slot h = idx_ins_loop t (entry slot h) (h land t.mask)
 
 let rec idx_find t slot i =
-  if Bigarray.Array1.unsafe_get t.index i = slot + 1 then i
+  if idx t i land e_slot_mask = slot + 1 then i
   else idx_find t slot ((i + 1) land t.mask)
 
 (* Backward-shift deletion: refill the hole at [i] from the rest of
@@ -262,10 +345,10 @@ let rec idx_find t slot i =
    [i] lies on the cyclic path from [home] to [j]. *)
 let rec idx_shift t i j =
   let j = (j + 1) land t.mask in
-  let e = Bigarray.Array1.unsafe_get t.index j in
+  let e = idx t j in
   if e = 0 then Bigarray.Array1.unsafe_set t.index i 0
   else begin
-    let home = get t (e - 1) f_hash land t.mask in
+    let home = (e lsr e_bits) land t.mask in
     if (j - home) land t.mask >= (j - i) land t.mask then begin
       Bigarray.Array1.unsafe_set t.index i e;
       idx_shift t j j
@@ -277,52 +360,65 @@ let index_remove t slot =
   let i = idx_find t slot (get t slot f_hash land t.mask) in
   idx_shift t i i
 
+(* The probe: the slot holding the key, or -1; [t.inspected] is left at
+   the occupied entries read — a hit at depth d (d entries skipped)
+   reads d+1, a miss that skipped d occupied entries before an empty
+   one reads d.  No stats, no charges. *)
+let rec probe_loop t src dst fp meta s0 d0 i n =
+  let e = idx t i in
+  if e = 0 then begin
+    t.inspected <- n;
+    -1
+  end
+  else
+    let slot = (e land e_slot_mask) - 1 in
+    if e lsr e_bits = fp && key_at t slot src dst meta s0 d0 then begin
+      t.inspected <- n + 1;
+      slot
+    end
+    else probe_loop t src dst fp meta s0 d0 ((i + 1) land t.mask) (n + 1)
+
+let probe t (key : Flow_key.t) h =
+  let src = key.Flow_key.src and dst = key.Flow_key.dst in
+  probe_loop t src dst (h land fp_mask) (meta_of key) (Ipaddr.word src 0)
+    (Ipaddr.word dst 0) (h land t.mask) 0
+
 (* --- lookup ---------------------------------------------------------- *)
 
 (* Charge model (mirrors the chained table so the Table-3 cost figures
    are unchanged): one access for the home-bucket read, plus one per
-   occupied slot inspected along the probe run — a collision-free hit
+   occupied entry inspected along the probe run — a collision-free hit
    costs 2, a miss on an empty home bucket costs 1.  The probe run
    plays the role of the old bucket chain; empty index entries beyond
    the first read are not charged. *)
-let rec lookup_probe t key h meta now i inspected =
-  let e = Bigarray.Array1.unsafe_get t.index i in
-  if e = 0 then begin
-    t.s_misses <- t.s_misses + 1;
-    Rp_obs.Counter.note t.c_misses 1;
-    if inspected > t.s_chain_max then t.s_chain_max <- inspected;
-    None
-  end
-  else begin
-    let slot = e - 1 in
-    Rp_lpm.Access.charge 1;
-    let inspected = inspected + 1 in
-    if
-      get t slot f_hash = h
-      && get t slot f_meta = meta
-      && Flow_key.equal (Array.unsafe_get t.keys slot) key
-    then begin
-      t.s_hits <- t.s_hits + 1;
-      Rp_obs.Counter.note t.c_hits 1;
-      if inspected > t.s_chain_max then t.s_chain_max <- inspected;
-      set t slot f_last (Int64.to_int now);
-      Array.unsafe_get t.some_handles slot
-    end
-    else lookup_probe t key h meta now ((i + 1) land t.mask) inspected
-  end
-
-let lookup t key ~now =
+let find t key ~now =
   t.s_lookups <- t.s_lookups + 1;
   Rp_obs.Counter.note t.c_lookups 1;
-  Rp_lpm.Access.charge 1;
-  let h = Flow_key.hash key in
-  let r = lookup_probe t key h (meta_of key) now (h land t.mask) 0 in
+  let slot = probe t key (Flow_key.hash key) in
+  let inspected = t.inspected in
+  Rp_lpm.Access.charge (1 + inspected);
+  if inspected > t.s_chain_max then t.s_chain_max <- inspected;
+  if slot >= 0 then begin
+    t.s_hits <- t.s_hits + 1;
+    Rp_obs.Counter.note t.c_hits 1;
+    set t slot f_last (Int64.to_int now)
+  end
+  else begin
+    t.s_misses <- t.s_misses + 1;
+    Rp_obs.Counter.note t.c_misses 1
+  end;
   if not t.held then begin
     Rp_obs.Counter.settle t.c_lookups;
     Rp_obs.Counter.settle t.c_hits;
     Rp_obs.Counter.settle t.c_misses
   end;
-  r
+  slot
+
+let record_at t slot = t.handles.(slot)
+
+let lookup t key ~now =
+  let slot = find t key ~now in
+  if slot < 0 then None else Some t.handles.(slot)
 
 (* A data-path frame holds its table: lookups and accounting then
    [note] their registry counters, and [release] settles them, one add
@@ -338,55 +434,38 @@ let release t =
   Rp_obs.Counter.settle t.c_acc_packets;
   Rp_obs.Counter.settle t.c_acc_bytes
 
-(* Uninstrumented probe for internal use (insert's duplicate scan):
-   no stats, no access charges; returns the slot or -1. *)
-let rec pfind_loop t key h meta i =
-  let e = Bigarray.Array1.unsafe_get t.index i in
-  if e = 0 then -1
-  else
-    let slot = e - 1 in
-    if
-      get t slot f_hash = h
-      && get t slot f_meta = meta
-      && Flow_key.equal t.keys.(slot) key
-    then slot
-    else pfind_loop t key h meta ((i + 1) land t.mask)
-
-let probe_find t key ~hash:h = pfind_loop t key h (meta_of key) (h land t.mask)
+let[@inline] fix_of t slot = Mbuf.make_fix ~slot ~gen:(get t slot f_gen)
 
 (* The slot [fix] names while its flow still occupies it, else -1. *)
 let fix_slot t (fix : Mbuf.fix) =
-  let slot = fix.Mbuf.slot in
-  if
-    slot >= 0
-    && slot < t.allocated
-    && get t slot f_in_use = 1
-    && get t slot f_gen = fix.Mbuf.gen
-  then slot
-  else -1
+  if fix < 0 then -1
+  else
+    let slot = Mbuf.fix_slot fix in
+    if slot < t.allocated && get t slot f_state land 1 = 1 && fix_of t slot = fix
+    then slot
+    else -1
 
-let find_fix t fix =
-  let slot = fix_slot t fix in
-  if slot < 0 then None else Array.unsafe_get t.some_handles slot
-
-let fix_of_record (r : 'a record) = { Mbuf.slot = r.r_slot; gen = gen r }
-
-(* Built by the flow's first packet, which pays a miss anyway; insert
-   itself stays allocation-free. *)
-let some_fix (r : 'a record) =
-  match r.r_fix with
-  | Some fix as o when fix.Mbuf.gen = gen r -> o
-  | Some _ | None ->
-    let o = Some (fix_of_record r) in
-    r.r_fix <- o;
-    o
+let fix_of_record (r : 'a record) = fix_of r.r_tab r.r_slot
 
 (* --- eviction -------------------------------------------------------- *)
 
 let free_push t slot = Slot_list.push_back t.lists free slot
 
-let evict ?(reason = "evicted") t slot =
-  if get t slot f_in_use = 1 then begin
+(* Each live binding block at [i] lets go of its flow: its soft state
+   is dropped, so nothing the flow kept stays reachable, and its owner
+   is none, so a handle kept past the flow matches no FIX.  A lent
+   block may be in another domain's hands: the table drops it instead
+   and writes nothing into it. *)
+let release_block t i b =
+  if b.lent then t.blocks.(i) <- None
+  else begin
+    if b.soft != None then b.soft <- None;
+    b.owner <- Mbuf.no_fix
+  end
+
+let evict t slot reason =
+  let state = get t slot f_state in
+  if state land 1 = 1 then begin
     (* Export the flow record first, while key/accounting/bindings are
        still intact — this is the NetFlow emission point. *)
     (match t.exporter with
@@ -394,14 +473,15 @@ let evict ?(reason = "evicted") t slot =
      | None -> ());
     let base = slot * t.gates in
     for g = 0 to t.gates - 1 do
-      match t.bindings.(base + g) with
-      | Some b -> t.on_evict ~gate:g b
-      | None -> ()
+      if state land (2 lsl g) <> 0 then
+        match t.blocks.(base + g) with
+        | Some b ->
+          t.on_evict ~gate:g b;
+          release_block t (base + g) b
+        | None -> ()
     done;
-    Array.fill t.bindings base t.gates None;
     index_remove t slot;
-    set t slot f_in_use 0;
-    t.keys.(slot) <- dummy_key;
+    set t slot f_state 0;
     Slot_list.unlink t.lists slot;
     t.live <- t.live - 1;
     t.s_evictions <- t.s_evictions + 1;
@@ -410,7 +490,7 @@ let evict ?(reason = "evicted") t slot =
 
 let rec reindex t slot =
   if slot >= 0 then begin
-    index_insert t slot;
+    index_insert t slot (get t slot f_hash);
     reindex t (Slot_list.next t.lists slot)
   end
 
@@ -434,21 +514,11 @@ let grow t =
         (Bigarray.Array1.sub ngg 0 (current * t.gates));
     t.slot_gate_gens <- ngg;
     let nb = Array.make (target * t.gates) None in
-    Array.blit t.bindings 0 nb 0 (current * t.gates);
-    t.bindings <- nb;
-    let nk = Array.make target dummy_key in
-    Array.blit t.keys 0 nk 0 current;
-    t.keys <- nk;
-    let nh =
+    Array.blit t.blocks 0 nb 0 (current * t.gates);
+    t.blocks <- nb;
+    t.handles <-
       Array.init target (fun i ->
-          if i < current then t.handles.(i) else handle t i)
-    in
-    let nsh =
-      Array.init target (fun i ->
-          if i < current then t.some_handles.(i) else Some nh.(i))
-    in
-    t.handles <- nh;
-    t.some_handles <- nsh;
+          if i < current then t.handles.(i) else handle t i);
     Slot_list.grow t.lists ~slots:target;
     (* New slots pop lowest-first: current, current+1, ... *)
     for s = target - 1 downto current do
@@ -478,7 +548,7 @@ let rec allocate t =
        are recycled"). *)
     let s = Slot_list.first t.lists used in
     if s < 0 then invalid_arg "Flow_table: no record to recycle";
-    evict ~reason:"recycled" t s;
+    evict t s "recycled";
     t.s_recycled <- t.s_recycled + 1;
     t.s_evictions <- t.s_evictions - 1;
     Rp_obs.Counter.inc m_recycled;
@@ -486,26 +556,36 @@ let rec allocate t =
     s
   end
 
-let insert t key ~now =
+let put_tail t slot off (a : Ipaddr.t) =
+  let b = (slot * stride) + f_tail + off in
+  Bigarray.Array1.unsafe_set t.hot b (Ipaddr.word a 1);
+  Bigarray.Array1.unsafe_set t.hot (b + 1) (Ipaddr.word a 2);
+  Bigarray.Array1.unsafe_set t.hot (b + 2) (Ipaddr.word a 3)
+
+let insert t (key : Flow_key.t) ~now =
   let h = Flow_key.hash key in
   (* Silent duplicate scan: no stats or access charges, the caller has
      already paid for its miss. *)
-  (match probe_find t key ~hash:h with
-   | old when old >= 0 ->
-     evict ~reason:"replaced" t old;
-     free_push t old
-   | _ -> ());
+  let old = probe t key h in
+  if old >= 0 then begin
+    evict t old "replaced";
+    free_push t old
+  end;
   let slot = allocate t in
-  t.keys.(slot) <- key;
-  set t slot f_hash h;
+  let src = key.Flow_key.src and dst = key.Flow_key.dst in
   set t slot f_meta (meta_of key);
+  set t slot f_src (Ipaddr.word src 0);
+  set t slot f_dst (Ipaddr.word dst 0);
+  put_tail t slot 0 src;
+  put_tail t slot 3 dst;
+  set t slot f_hash h;
   set t slot f_gen (get t slot f_gen + 1);
   set t slot f_route 0;
   for g = 0 to t.gates - 1 do
     Bigarray.Array1.unsafe_set t.slot_gate_gens ((slot * t.gates) + g)
       t.gate_gens.(g)
   done;
-  set t slot f_in_use 1;
+  set t slot f_state 1;
   set t slot f_last (Int64.to_int now);
   set t slot f_created (Int64.to_int now);
   set t slot f_packets 0;
@@ -513,15 +593,15 @@ let insert t key ~now =
   set t slot f_fwd 0;
   set t slot f_dropped 0;
   set t slot f_absorbed 0;
-  index_insert t slot;
+  index_insert t slot h;
   Slot_list.push_back t.lists used slot;
   t.live <- t.live + 1;
   Rp_obs.Counter.inc m_inserts;
   t.handles.(slot)
 
 let remove t (r : 'a record) =
-  if get t r.r_slot f_in_use = 1 then begin
-    evict ~reason:"removed" t r.r_slot;
+  if get t r.r_slot f_state land 1 = 1 then begin
+    evict t r.r_slot "removed";
     free_push t r.r_slot
   end
 
@@ -537,7 +617,7 @@ let rec expire_loop t now_i idle_i slot count =
     t.s_maint_visited <- t.s_maint_visited + 1;
     let count =
       if now_i - get t slot f_last > idle_i then begin
-        evict ~reason:"expired" t slot;
+        evict t slot "expired";
         free_push t slot;
         Rp_obs.Counter.inc m_expired;
         count + 1
@@ -555,7 +635,7 @@ let rec flush_loop t slot =
   if slot >= 0 then begin
     let older = Slot_list.prev t.lists slot in
     t.s_maint_visited <- t.s_maint_visited + 1;
-    evict ~reason:"flushed" t slot;
+    evict t slot "flushed";
     free_push t slot;
     flush_loop t older
   end
@@ -570,61 +650,72 @@ let set_exporter t f = t.exporter <- Some f
    recycled mid-flight (only possible with a bounded table under
    pressure) is simply not attributed. *)
 let account t (m : Mbuf.t) ~verdict =
-  match m.Mbuf.fix with
-  | None -> ()
-  | Some fix ->
-    let slot = fix_slot t fix in
-    if slot >= 0 then begin
-      set t slot f_packets (get t slot f_packets + 1);
-      set t slot f_bytes (get t slot f_bytes + m.Mbuf.len);
-      (match verdict with
-       | `Fwd -> set t slot f_fwd (get t slot f_fwd + 1)
-       | `Drop -> set t slot f_dropped (get t slot f_dropped + 1)
-       | `Absorb -> set t slot f_absorbed (get t slot f_absorbed + 1));
-      Rp_obs.Counter.note t.c_acc_packets 1;
-      Rp_obs.Counter.note t.c_acc_bytes m.Mbuf.len;
-      if not t.held then begin
-        Rp_obs.Counter.settle t.c_acc_packets;
-        Rp_obs.Counter.settle t.c_acc_bytes
-      end
+  let slot = fix_slot t m.Mbuf.fix in
+  if slot >= 0 then begin
+    set t slot f_packets (get t slot f_packets + 1);
+    set t slot f_bytes (get t slot f_bytes + m.Mbuf.len);
+    (match verdict with
+     | `Fwd -> set t slot f_fwd (get t slot f_fwd + 1)
+     | `Drop -> set t slot f_dropped (get t slot f_dropped + 1)
+     | `Absorb -> set t slot f_absorbed (get t slot f_absorbed + 1));
+    Rp_obs.Counter.note t.c_acc_packets 1;
+    Rp_obs.Counter.note t.c_acc_bytes m.Mbuf.len;
+    if not t.held then begin
+      Rp_obs.Counter.settle t.c_acc_packets;
+      Rp_obs.Counter.settle t.c_acc_bytes
     end
+  end
 
 (* --- per-flow route cache --------------------------------------------- *)
 
-(* The slot of [m]'s flow record when its FIX is still valid, else -1. *)
-let route_slot t (m : Mbuf.t) =
-  match m.Mbuf.fix with None -> -1 | Some fix -> fix_slot t fix
-
 let cached_route t (m : Mbuf.t) ~stamp =
-  let slot = route_slot t m in
+  let slot = fix_slot t m.Mbuf.fix in
   if slot < 0 || get t slot f_route <> stamp then -1
   else
-    let h = Array.unsafe_get t.handles slot in
-    let dst =
-      if h.r_dst == keyed_dst then (Array.unsafe_get t.keys slot).Flow_key.dst
-      else h.r_dst
-    in
+    let h = Array.unsafe_get t.handles slot and dst = m.Mbuf.key.Flow_key.dst in
     match h.r_out with
-    | Some out when Ipaddr.equal dst m.Mbuf.key.Flow_key.dst ->
+    | Some out
+      when if h.r_dst == keyed_dst then dst_is t slot dst else Ipaddr.equal h.r_dst dst
+      ->
       m.Mbuf.out_iface <- h.r_out;
-      m.Mbuf.next_hop <- h.r_hop;
+      m.Mbuf.next_hop <- (if h.r_hop == keyed_dst then dst else h.r_hop);
       out
     | Some _ | None -> -1
 
 let cache_route t (m : Mbuf.t) ~stamp =
-  let slot = route_slot t m in
+  let slot = fix_slot t m.Mbuf.fix in
   if slot >= 0 then begin
     let h = t.handles.(slot) and dst = m.Mbuf.key.Flow_key.dst in
     h.r_out <- m.Mbuf.out_iface;
-    h.r_hop <- m.Mbuf.next_hop;
-    h.r_dst <-
-      (if Ipaddr.equal t.keys.(slot).Flow_key.dst dst then keyed_dst else dst);
+    h.r_hop <- (if m.Mbuf.next_hop == dst then keyed_dst else m.Mbuf.next_hop);
+    h.r_dst <- (if dst_is t slot dst then keyed_dst else dst);
     set t slot f_route stamp
   end
 
-let set_binding t (r : 'a record) ~gate ?filter instance =
+(* --- bindings ---------------------------------------------------------- *)
+
+let set_binding t (r : 'a record) ~gate ~filter instance =
   if gate < 0 || gate >= t.gates then invalid_arg "Flow_table.set_binding: gate";
-  t.bindings.((r.r_slot * t.gates) + gate) <- Some { instance; filter; soft = None }
+  let slot = r.r_slot in
+  let i = (slot * t.gates) + gate and owner = fix_of t slot in
+  (match t.blocks.(i) with
+   | Some b when not b.lent ->
+     if b.instance != instance then b.instance <- instance;
+     if b.filter != filter then b.filter <- filter;
+     if b.soft != None then b.soft <- None;
+     b.owner <- owner
+   | Some _ | None ->
+     t.blocks.(i) <- Some { instance; filter; soft = None; owner; lent = false });
+  set t slot f_state (get t slot f_state lor (2 lsl gate))
+
+let still_bound binding (fix : Mbuf.fix) =
+  match binding with
+  | Some b when fix >= 0 && b.owner = fix -> binding
+  | Some _ | None -> None
+
+let lend = function
+  | Some b -> if not b.lent then b.lent <- true
+  | None -> ()
 
 (* --- selective invalidation ----------------------------------------- *)
 
@@ -643,34 +734,38 @@ let revalidated t (r : 'a record) ~gate =
     t.gate_gens.(gate)
 
 let clear_binding t (r : 'a record) ~gate =
-  match t.bindings.((r.r_slot * t.gates) + gate) with
-  | Some b ->
-    t.on_evict ~gate b;
-    t.bindings.((r.r_slot * t.gates) + gate) <- None
-  | None -> ()
+  let slot = r.r_slot in
+  if bound t slot gate then begin
+    let i = (slot * t.gates) + gate in
+    (match t.blocks.(i) with
+     | Some b ->
+       t.on_evict ~gate b;
+       release_block t i b
+     | None -> ());
+    set t slot f_state (get t slot f_state land lnot (2 lsl gate))
+  end
 
-(* Evict only the records whose key [matches] (a changed filter); each
-   goes through the common [evict] path, so it is exported exactly
-   once. *)
-let rec invalidate_loop t matches slot count =
+(* Evict only the records [f] matches (a changed filter), read from
+   their words; each goes through the common [evict] path, so it is
+   exported exactly once. *)
+let rec invalidate_loop t f slot count =
   if slot < 0 then count
   else begin
     let older = Slot_list.prev t.lists slot in
     t.s_maint_visited <- t.s_maint_visited + 1;
     let count =
-      if matches t.keys.(slot) then begin
-        evict ~reason:"invalidated" t slot;
+      if filter_at t slot f then begin
+        evict t slot "invalidated";
         free_push t slot;
         Rp_obs.Counter.inc m_invalidated;
         count + 1
       end
       else count
     in
-    invalidate_loop t matches older count
+    invalidate_loop t f older count
   end
 
-let invalidate t ~matches =
-  invalidate_loop t matches (Slot_list.last t.lists used) 0
+let invalidate t f = invalidate_loop t f (Slot_list.last t.lists used) 0
 
 let length t = t.live
 let capacity t = t.allocated

@@ -206,12 +206,24 @@ let put_scalars a o ~reason ~proto ~sport ~dport ~iface ~packets ~bytes
   a.(o + c_reason) <- reason_code reason;
   a.(o + c_session) <- session
 
-(* Everything but the per-gate instance ids. *)
-let put_row a o ~reason ~src ~dst ~proto ~sport ~dport ~iface ~packets ~bytes
-    ~forwarded ~dropped ~absorbed ~created ~last ~session xlate =
-  put_addr a (o + c_src) src;
-  put_addr a (o + c_dst) dst;
-  let flags = v6_flag src f_src_v6 lor v6_flag dst f_dst_v6 in
+let rec put_bindings a o r g =
+  if g < Gate.count then begin
+    a.(o + c_inst + g) <-
+      (match Ft.binding r ~gate:g with
+       | Some b -> b.Ft.instance.Plugin.instance_id
+       | None -> none);
+    put_bindings a o r (g + 1)
+  end
+
+(* The record's words go straight into the row: no key is rebuilt. *)
+let put_flow a o ~reason r xlate =
+  for j = 0 to 3 do
+    a.(o + c_src + j) <- Ft.src_word r j;
+    a.(o + c_dst + j) <- Ft.dst_word r j
+  done;
+  let flags =
+    (if Ft.src_v6 r then f_src_v6 else 0) lor if Ft.dst_v6 r then f_dst_v6 else 0
+  in
   a.(o + c_flags) <-
     (match xlate with
      | None -> flags
@@ -222,26 +234,11 @@ let put_row a o ~reason ~src ~dst ~proto ~sport ~dport ~iface ~packets ~bytes
        a.(o + c_xdport) <- x.xdport;
        flags lor f_xlate lor v6_flag x.xsrc f_xsrc_v6
        lor v6_flag x.xdst f_xdst_v6);
-  put_scalars a o ~reason ~proto ~sport ~dport ~iface ~packets ~bytes
-    ~forwarded ~dropped ~absorbed ~created ~last ~session
-
-let rec put_bindings a o r g =
-  if g < Gate.count then begin
-    a.(o + c_inst + g) <-
-      (match Ft.binding r ~gate:g with
-       | Some b -> b.Ft.instance.Plugin.instance_id
-       | None -> none);
-    put_bindings a o r (g + 1)
-  end
-
-let put_flow a o ~reason r xlate =
-  let key = Ft.key r in
-  put_row a o ~reason ~src:key.Flow_key.src ~dst:key.Flow_key.dst
-    ~proto:key.Flow_key.proto ~sport:key.Flow_key.sport
-    ~dport:key.Flow_key.dport ~iface:key.Flow_key.iface ~packets:(Ft.packets r)
+  put_scalars a o ~reason ~proto:(Ft.proto r) ~sport:(Ft.sport r)
+    ~dport:(Ft.dport r) ~iface:(Ft.iface r) ~packets:(Ft.packets r)
     ~bytes:(Ft.bytes r) ~forwarded:(Ft.fwd r) ~dropped:(Ft.dropped r)
     ~absorbed:(Ft.absorbed r) ~created:(Ft.created_ns r)
-    ~last:(Ft.last_use_ns r) ~session:none xlate;
+    ~last:(Ft.last_use_ns r) ~session:none;
   put_bindings a o r 0
 
 (* The one place a row becomes a [record]. *)

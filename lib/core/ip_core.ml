@@ -184,7 +184,7 @@ let run_handler (ctx : ctx) (f : D.frame) ~now ~gate inst binding m =
    flow pays the full cold-start resolution), one gate's invocation
    overhead.  Returns the flow's record. *)
 let charge_classify cost acc aiu ~now ~gate m =
-  let had_fix = m.Mbuf.fix <> None in
+  let had_fix = m.Mbuf.fix >= 0 in
   let a0 = !acc in
   let record = Rp_classifier.Aiu.classify aiu m ~gate:(Gate.to_int gate) ~now in
   let accesses = !acc - a0 in
@@ -362,7 +362,7 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
       (* The trace ends with this domain's traversal; a packet leaving
          mid-path is classified again where it resumes. *)
       m.Mbuf.tseq <- 0;
-      if st = parked_local then m.Mbuf.fix <- None
+      if st = parked_local then m.Mbuf.fix <- Mbuf.no_fix
     end
   done;
   if span then Rp_obs.Slo.settle ctx.D.slo;
@@ -502,7 +502,12 @@ and route ctx f batch off n =
 (* After all gates, the fragment/DF decision: a datagram over the
    egress MTU that may not be fragmented (IPv4 with DF, IPv6) is
    dropped with an ICMP "packet too big"; the rest go to the output
-   queue. *)
+   queue.  The scheduling binding rides with the packet only while its
+   block is still bound for the packet's flow: a later packet of the
+   frame may have recycled the flow's slot and refilled the block for
+   another flow, whose soft state the packet must not touch.  A shard
+   lends the block it parks a packet with, so it never refills a block
+   the control domain may be writing. *)
 and egress_stage ctx f batch off n =
   let sched = gate_enabled ctx Gate.Scheduling in
   for i = 0 to n - 1 do
@@ -513,9 +518,15 @@ and egress_stage ctx f batch off n =
       if big && (m.Mbuf.version = Mbuf.V6 || m.Mbuf.dont_fragment) then
         drop_icmp ctx f i m "needs fragmentation" (Icmp.Packet_too_big mtu)
       else begin
-        if not sched then f.D.sched.(i) <- None;
+        (if not sched then f.D.sched.(i) <- None
+         else
+           let b = f.D.sched.(i) in
+           let live = Rp_classifier.Flow_table.still_bound b m.Mbuf.fix in
+           if live != b then f.D.sched.(i) <- live);
         match ctx.D.owner with
-        | None -> f.D.state.(i) <- parked_egress
+        | None ->
+          Rp_classifier.Flow_table.lend f.D.sched.(i);
+          f.D.state.(i) <- parked_egress
         | Some router when not big ->
           if enqueue router f i m then f.D.state.(i) <- forwarded
           else settle_drop f i "output queue"

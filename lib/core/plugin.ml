@@ -51,14 +51,26 @@ let code ~gate ~impl = (Gate.to_int gate lsl 16) lor (impl land 0xFFFF)
 let gate_of_code c = Gate.of_int (c lsr 16)
 let impl_of_code c = c land 0xFFFF
 
-let positive_int config key ~default =
+let config_value parse config key ~default ~ok ~expect =
   match List.assoc_opt key config with
   | None -> Ok default
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> Ok n
-      | Some _ | None ->
-        Error (Printf.sprintf "%s=%s: not a positive integer" key s))
+      match parse (String.trim s) with
+      | Some v when ok v -> Ok v
+      | Some _ | None -> Error (Printf.sprintf "%s=%s: not %s" key s expect))
+
+let config_int = config_value int_of_string_opt
+
+let config_float config key ~default ~ok ~expect =
+  config_value float_of_string_opt config key ~default
+    ~ok:(fun f -> Float.is_finite f && ok f)
+    ~expect
+
+let positive_int config key ~default =
+  config_int config key ~default ~ok:(fun n -> n > 0) ~expect:"a positive integer"
+
+let positive_float config key ~default =
+  config_float config key ~default ~ok:(fun f -> f > 0.0) ~expect:"a positive number"
 
 let simple ~instance_id ~code ~plugin_name ~gate ?(config = [])
     ?describe handle =

@@ -99,6 +99,24 @@ val impl_of_code : int -> int
 val positive_int :
   (string * string) list -> string -> default:int -> (int, string) result
 
+(** [positive_float] is {!positive_int} for a finite positive number
+    (rates, bursts). *)
+val positive_float :
+  (string * string) list -> string -> default:float -> (float, string) result
+
+(** [config_int config key ~default ~ok ~expect] — [key]'s value as an
+    integer satisfying [ok], [default] when absent, else an [Error]
+    saying the value is not [expect] (e.g. ["a TOS byte (0-255)"]).
+    [config_float] is the same for a finite number; both readers
+    above are instances. *)
+val config_int :
+  (string * string) list -> string -> default:int -> ok:(int -> bool) ->
+  expect:string -> (int, string) result
+
+val config_float :
+  (string * string) list -> string -> default:float -> ok:(float -> bool) ->
+  expect:string -> (float, string) result
+
 (** Convenience for plugins without per-flow state or scheduling. *)
 val simple :
   instance_id:int -> code:int -> plugin_name:string -> gate:Gate.t ->

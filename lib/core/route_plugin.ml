@@ -47,9 +47,7 @@ let apply t decision (m : Mbuf.t) =
     t.routed <- t.routed + 1;
     m.Mbuf.out_iface <- Some out_iface;
     m.Mbuf.next_hop <-
-      (match next_hop with
-       | Some _ as nh -> nh
-       | None -> Some m.Mbuf.key.Flow_key.dst);
+      (match next_hop with Some nh -> nh | None -> m.Mbuf.key.Flow_key.dst);
     Plugin.Continue
 
 let create_instance ~instance_id ~code ~config =

@@ -70,10 +70,10 @@ let some_iface = Array.init 64 Option.some
 let out_iface i =
   if i >= 0 && i < Array.length some_iface then some_iface.(i) else Some i
 
-(* A hit reuses the options the flow's first walk stored, so it
-   allocates nothing; nor does a walk to a route with a gateway.  A
-   directly connected route's next hop is the packet's own destination,
-   one [Some] per walk. *)
+(* A hit reuses what the flow's first walk stored, and a walk returns
+   the [Some r] built at [add] and stores addresses it already holds
+   (the gateway, or the packet's own destination when directly
+   connected), so neither allocates. *)
 let resolve t flows (m : Mbuf.t) =
   let out = Ft.cached_route flows m ~stamp:t.stamp in
   if out >= 0 then begin
@@ -87,8 +87,7 @@ let resolve t flows (m : Mbuf.t) =
     | None -> -1
     | Some r ->
       m.Mbuf.out_iface <- out_iface r.iface;
-      m.Mbuf.next_hop <-
-        (match r.next_hop with Some _ as nh -> nh | None -> Some dst);
+      m.Mbuf.next_hop <- (match r.next_hop with Some nh -> nh | None -> dst);
       Ft.cache_route flows m ~stamp:t.stamp;
       r.iface
 

@@ -79,35 +79,33 @@ let on_flow_evict t (b : Plugin.t Flow_table.binding) =
   | Some _ | None -> ()
 
 let create_instance ~instance_id ~code ~config =
-  let history_limit =
-    match List.assoc_opt "history" config with
-    | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> 64)
-    | None -> 64
-  in
-  let t =
-    {
-      packets = 0;
-      bytes = 0;
-      flows_seen = 0;
-      flows_closed = 0;
-      history = [];
-      history_limit;
-    }
-  in
-  Hashtbl.replace instance_totals instance_id t;
-  let base =
-    Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
-      ~describe:(fun () ->
-        Printf.sprintf "stats: %d pkts / %d bytes over %d flows" t.packets
-          t.bytes t.flows_seen)
-      (fun _ _ -> Plugin.Continue)
-  in
-  Ok
-    {
-      base with
-      Plugin.handle = (fun ctx m -> record t ctx m);
-      on_flow_evict = Some (on_flow_evict t);
-    }
+  match Plugin.positive_int config "history" ~default:64 with
+  | Error _ as e -> e
+  | Ok history_limit ->
+    let t =
+      {
+        packets = 0;
+        bytes = 0;
+        flows_seen = 0;
+        flows_closed = 0;
+        history = [];
+        history_limit;
+      }
+    in
+    Hashtbl.replace instance_totals instance_id t;
+    let base =
+      Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
+        ~describe:(fun () ->
+          Printf.sprintf "stats: %d pkts / %d bytes over %d flows" t.packets
+            t.bytes t.flows_seen)
+        (fun _ _ -> Plugin.Continue)
+    in
+    Ok
+      {
+        base with
+        Plugin.handle = (fun ctx m -> record t ctx m);
+        on_flow_evict = Some (on_flow_evict t);
+      }
 
 let message key payload =
   match key with

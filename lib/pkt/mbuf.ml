@@ -1,9 +1,21 @@
 type version = V4 | V6
 
-type fix = {
-  slot : int;
-  gen : int;
-}
+(* A FIX packs the slot in the low [fix_slot_bits] bits and the low
+   31 bits of the generation above them, so it is an immediate int and
+   never negative; -1 is none. *)
+type fix = int
+
+let no_fix = -1
+let fix_slot_bits = 31
+let fix_slot_mask = (1 lsl fix_slot_bits) - 1
+let fix_gen_mask = (1 lsl 31) - 1
+let make_fix ~slot ~gen = ((gen land fix_gen_mask) lsl fix_slot_bits) lor slot
+let fix_slot fix = fix land fix_slot_mask
+let fix_gen fix = fix lsr fix_slot_bits
+
+(* Physically unique: [next_hop == no_hop] is the test, so no address
+   value, the all-ones one included, can be mistaken for it. *)
+let no_hop = Ipaddr.of_string "255.255.255.255"
 
 type frag_info = {
   offset : int;
@@ -19,9 +31,9 @@ type t = {
   mutable flow_label : int;
   mutable options : Ipv6_header.Option_tlv.t list;
   mutable raw : Bytes.t option;
-  mutable fix : fix option;
+  mutable fix : fix;
   mutable out_iface : int option;
-  mutable next_hop : Ipaddr.t option;
+  mutable next_hop : Ipaddr.t;
   mutable birth_ns : int64;
   mutable seq : int;
   mutable tags : string list;
@@ -49,9 +61,9 @@ let descriptor ~key ~version ~len ~ttl ~tos ~flow_label ~options ~raw ~ident
     flow_label;
     options;
     raw;
-    fix = None;
+    fix = no_fix;
     out_iface = None;
-    next_hop = None;
+    next_hop = no_hop;
     birth_ns = 0L;
     seq = 0;
     tags = [];
@@ -289,4 +301,5 @@ let add_tag m tag = if not (has_tag m tag) then m.tags <- tag :: m.tags
 
 let pp ppf m =
   Format.fprintf ppf "pkt{%a len=%d ttl=%d%s}" Flow_key.pp m.key m.len m.ttl
-    (match m.fix with None -> "" | Some f -> Printf.sprintf " fix=%d.%d" f.slot f.gen)
+    (if m.fix < 0 then ""
+     else Printf.sprintf " fix=%d.%d" (fix_slot m.fix) (fix_gen m.fix))

@@ -11,11 +11,24 @@
 type version = V4 | V6
 
 (** Flow index: slot in the flow table plus a generation stamp so a
-    recycled row is never mistaken for the original flow. *)
-type fix = {
-  slot : int;
-  gen : int;
-}
+    recycled row is never mistaken for the original flow, packed into
+    one immediate int ({!make_fix}); {!no_fix} ([-1]) is none, and a
+    packed FIX is never negative. *)
+type fix = int
+
+val no_fix : fix
+
+(** [make_fix ~slot ~gen] packs a slot below [2{^31}] with the low 31
+    bits of [gen]; {!fix_slot} and {!fix_gen} read them back. *)
+val make_fix : slot:int -> gen:int -> fix
+
+val fix_slot : fix -> int
+val fix_gen : fix -> int
+
+(** The [next_hop] of a packet not yet routed: a physically unique
+    address, so [m.next_hop == no_hop] is the test and no real address
+    is mistaken for it. *)
+val no_hop : Ipaddr.t
 
 (** Fragment position of this mbuf within its original datagram
     ([offset] in bytes of upper-layer payload; [more] = more fragments
@@ -38,9 +51,11 @@ type t = {
   mutable options : Ipv6_header.Option_tlv.t list;
       (** hop-by-hop options awaiting option plugins *)
   mutable raw : Bytes.t option;  (** full wire datagram, if materialized *)
-  mutable fix : fix option;
+  mutable fix : fix;  (** {!no_fix} until the AIU classifies the packet *)
   mutable out_iface : int option;
-  mutable next_hop : Ipaddr.t option;
+  mutable next_hop : Ipaddr.t;
+      (** the route's gateway, or the destination itself when directly
+          connected; {!no_hop} until routed *)
   mutable birth_ns : int64;  (** arrival timestamp, set by the driver *)
   mutable seq : int;  (** generator sequence number (testing aid) *)
   mutable tags : string list;  (** free-form annotations, e.g. "esp" *)

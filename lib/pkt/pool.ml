@@ -96,9 +96,9 @@ let alloc t ~key ~len =
   m.Mbuf.tos <- 0;
   m.Mbuf.flow_label <- 0;
   m.Mbuf.options <- [];
-  m.Mbuf.fix <- None;
+  m.Mbuf.fix <- Mbuf.no_fix;
   m.Mbuf.out_iface <- None;
-  m.Mbuf.next_hop <- None;
+  m.Mbuf.next_hop <- Mbuf.no_hop;
   m.Mbuf.birth_ns <- 0L;
   m.Mbuf.seq <- 0;
   m.Mbuf.tags <- [];

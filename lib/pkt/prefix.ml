@@ -22,9 +22,25 @@ let compare a b =
 let equal a b = compare a b = 0
 let hash p = Ipaddr.hash p.addr lxor (p.len * 0x45D9F3B)
 
+(* Does the 32-bit word [w] agree with the prefix word [pw] on its top
+   [bits] bits (none when [bits <= 0], all when [bits >= 32])? *)
+let[@inline] word_in w pw bits =
+  bits <= 0
+  || (w lxor pw) land (if bits >= 32 then 0xFFFF_FFFF else 0xFFFF_FFFF lxor (0xFFFF_FFFF lsr bits))
+     = 0
+
+let matches_words p ~v6 w0 w1 w2 w3 =
+  let a = p.addr and len = p.len in
+  Ipaddr.is_v6 a = v6
+  && word_in w0 (Ipaddr.word a 0) len
+  && ((not v6)
+     || word_in w1 (Ipaddr.word a 1) (len - 32)
+        && word_in w2 (Ipaddr.word a 2) (len - 64)
+        && word_in w3 (Ipaddr.word a 3) (len - 96))
+
 let matches p a =
-  Ipaddr.width p.addr = Ipaddr.width a
-  && (p.len = 0 || Ipaddr.equal (Ipaddr.prefix_bits a p.len) p.addr)
+  matches_words p ~v6:(Ipaddr.is_v6 a) (Ipaddr.word a 0) (Ipaddr.word a 1)
+    (Ipaddr.word a 2) (Ipaddr.word a 3)
 
 let subsumes p q =
   Ipaddr.width p.addr = Ipaddr.width q.addr

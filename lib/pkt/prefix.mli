@@ -28,6 +28,13 @@ val hash : t -> int
     [p.addr].  Addresses of the other family never match. *)
 val matches : t -> Ipaddr.t -> bool
 
+(** [matches_words p ~v6 w0 w1 w2 w3] is [matches p a] for the address
+    [a] of family [v6] whose {!Ipaddr.word}s are [w0]..[w3] (an IPv4
+    address's [w1]..[w3] are ignored): the test for a caller that
+    stores addresses as words.  {!matches} is this on [a]'s words.
+    Allocates nothing. *)
+val matches_words : t -> v6:bool -> int -> int -> int -> int -> bool
+
 (** [subsumes p q] is true iff every address matched by [q] is matched
     by [p] (i.e. [p] is a — not necessarily proper — prefix of [q]). *)
 val subsumes : t -> t -> bool

@@ -88,27 +88,36 @@ let dequeue st ~now =
     Some m
   end
 
-let float_config config key ~default =
-  match List.assoc_opt key config with
-  | Some s -> (match float_of_string_opt s with Some f when f >= 0.0 -> f | _ -> default)
-  | None -> default
-
 let ( let* ) = Result.bind
 
+let threshold config key ~default =
+  Plugin.config_float config key ~default ~ok:(fun f -> f >= 0.0)
+    ~expect:"a non-negative number"
+
 let create_instance ~instance_id ~code ~config =
-  let min_th = float_config config "min-th" ~default:5.0 in
-  let max_th = float_config config "max-th" ~default:15.0 in
+  let* min_th = threshold config "min-th" ~default:5.0 in
+  let* max_th = threshold config "max-th" ~default:15.0 in
   if min_th >= max_th then Error "red: min-th must be below max-th"
   else begin
     let* limit = Plugin.positive_int config "limit" ~default:512 in
     let* seed = Plugin.positive_int config "seed" ~default:42 in
+    let* max_p =
+      Plugin.config_float config "max-p" ~default:0.1
+        ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+        ~expect:"a probability in [0, 1]"
+    in
+    let* wq =
+      Plugin.config_float config "wq" ~default:0.002
+        ~ok:(fun w -> w > 0.0 && w <= 1.0)
+        ~expect:"a weight in (0, 1]"
+    in
     let st =
       {
         q = Ring.create ~limit ~dummy:Mbuf.dummy ();
         min_th;
         max_th;
-        max_p = float_config config "max-p" ~default:0.1;
-        wq = float_config config "wq" ~default:0.002;
+        max_p;
+        wq;
         rng = Random.State.make [| seed |];
         avg = 0.0;
         count = 0;

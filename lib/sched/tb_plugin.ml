@@ -75,41 +75,30 @@ let handle st (ctx : Plugin.ctx) (m : Mbuf.t) =
         Plugin.Continue
     end
 
+let ( let* ) = Result.bind
+
 let create_instance ~instance_id ~code ~config =
-  let float_config key ~default =
-    match List.assoc_opt key config with
-    | Some s -> (match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> default)
-    | None -> default
-  in
-  let action =
+  let* action =
     match List.assoc_opt "action" config with
     | Some "mark" -> Ok `Mark
     | Some "drop" | None -> Ok `Drop
     | Some other -> Error (Printf.sprintf "token-bucket: unknown action %S" other)
   in
-  match action with
-  | Error _ as e -> e
-  | Ok action ->
-    let st =
-      {
-        rate = float_config "rate" ~default:125_000.0;
-        burst = float_config "burst" ~default:16_384.0;
-        action;
-        dscp =
-          (match List.assoc_opt "dscp" config with
-           | Some s -> Option.value (int_of_string_opt s) ~default:1
-           | None -> 1);
-        conformed = 0;
-        exceeded = 0;
-      }
-    in
-    Hashtbl.replace instances instance_id st;
-    Ok
-      (Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
-         ~describe:(fun () ->
-           Printf.sprintf "token-bucket: rate=%.0fB/s conformed=%d exceeded=%d"
-             st.rate st.conformed st.exceeded)
-         (fun ctx m -> handle st ctx m))
+  let* rate = Plugin.positive_float config "rate" ~default:125_000.0 in
+  let* burst = Plugin.positive_float config "burst" ~default:16_384.0 in
+  let* dscp =
+    Plugin.config_int config "dscp" ~default:1
+      ~ok:(fun d -> d >= 0 && d <= 255)
+      ~expect:"a TOS byte (0-255)"
+  in
+  let st = { rate; burst; action; dscp; conformed = 0; exceeded = 0 } in
+  Hashtbl.replace instances instance_id st;
+  Ok
+    (Plugin.simple ~instance_id ~code ~plugin_name:name ~gate ~config
+       ~describe:(fun () ->
+         Printf.sprintf "token-bucket: rate=%.0fB/s conformed=%d exceeded=%d"
+           st.rate st.conformed st.exceeded)
+       (fun ctx m -> handle st ctx m))
 
 let counters ~instance_id =
   match Hashtbl.find_opt instances instance_id with

@@ -78,7 +78,7 @@ and deliver node dest m =
   | To_node (peer, in_iface) ->
     (* Entering a new router: the FIX is meaningless there, and the
        six-tuple's incoming interface changes. *)
-    m.Mbuf.fix <- None;
+    m.Mbuf.fix <- Mbuf.no_fix;
     m.Mbuf.key <- { m.Mbuf.key with Flow_key.iface = in_iface };
     receive peer m
 

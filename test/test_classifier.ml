@@ -563,12 +563,16 @@ let mk_key i =
     ~dst:(Ipaddr.v4 10 1 0 1) ~proto:Proto.udp ~sport:(1000 + i) ~dport:53
     ~iface:0
 
+(* Every IPv4 key, and the keys [mk_key i] for [i] in [lo, hi]. *)
+let any_v4 = Filter.v4 ()
+let mk_keys lo hi = Filter.v4 ~sport:(Filter.Port_range (1000 + lo, 1000 + hi)) ()
+
 let test_flow_table_hit_miss () =
   let t = Flow_table.create ~buckets:64 ~gates:3 () in
   let k = mk_key 1 in
   check bool_t "miss first" true (Flow_table.lookup t k ~now:0L = None);
   let r = Flow_table.insert t k ~now:0L in
-  Flow_table.set_binding t r ~gate:1 "sched";
+  Flow_table.set_binding t r ~gate:1 ~filter:any_v4 "sched";
   (match Flow_table.lookup t k ~now:5L with
    | None -> Alcotest.fail "expected hit"
    | Some r' ->
@@ -586,17 +590,17 @@ let test_flow_table_fix () =
   let t = Flow_table.create ~buckets:64 ~gates:2 () in
   let r = Flow_table.insert t (mk_key 1) ~now:0L in
   let fix = Flow_table.fix_of_record r in
-  (match Flow_table.find_fix t fix with
-   | Some r' -> check bool_t "fix resolves" true (r == r')
-   | None -> Alcotest.fail "fix should resolve");
+  (match Flow_table.fix_slot t fix with
+   | -1 -> Alcotest.fail "fix should resolve"
+   | slot -> check bool_t "fix resolves" true (r == Flow_table.record_at t slot));
   Flow_table.remove t r;
-  check bool_t "fix invalid after remove" true (Flow_table.find_fix t fix = None);
+  check bool_t "fix invalid after remove" true (Flow_table.fix_slot t fix < 0);
   (* Reuse the slot for another flow: the old FIX must not resolve. *)
   let r2 = Flow_table.insert t (mk_key 2) ~now:1L in
   check bool_t "slot reused" true (Flow_table.slot r2 = Flow_table.slot r);
-  check bool_t "stale fix rejected" true (Flow_table.find_fix t fix = None);
+  check bool_t "stale fix rejected" true (Flow_table.fix_slot t fix < 0);
   check bool_t "new fix ok" true
-    (Flow_table.find_fix t (Flow_table.fix_of_record r2) <> None)
+    (Flow_table.fix_slot t (Flow_table.fix_of_record r2) >= 0)
 
 let test_flow_table_growth () =
   let t = Flow_table.create ~buckets:64 ~initial_records:4 ~gates:1 () in
@@ -657,8 +661,8 @@ let test_flow_table_eviction_callback () =
   in
   let t = Flow_table.create ~buckets:16 ~gates:2 ~on_evict () in
   let r = Flow_table.insert t (mk_key 1) ~now:0L in
-  Flow_table.set_binding t r ~gate:0 "a";
-  Flow_table.set_binding t r ~gate:1 "b";
+  Flow_table.set_binding t r ~gate:0 ~filter:any_v4 "a";
+  Flow_table.set_binding t r ~gate:1 ~filter:any_v4 "b";
   Flow_table.remove t r;
   check int_t "two callbacks" 2 (List.length !evicted);
   check bool_t "gates seen" true
@@ -679,17 +683,15 @@ let test_flow_table_invalidate () =
   let t = Flow_table.create ~buckets:16 ~gates:1 () in
   for i = 0 to 7 do
     let r = Flow_table.insert t (mk_key i) ~now:0L in
-    Flow_table.set_binding t r ~gate:0 "x"
+    Flow_table.set_binding t r ~gate:0 ~filter:any_v4 "x"
   done;
-  (* mk_key i has sport = 1000 + i: invalidate the even sports. *)
-  let n =
-    Flow_table.invalidate t ~matches:(fun k -> k.Flow_key.sport mod 2 = 0)
-  in
+  (* mk_key i has sport = 1000 + i: invalidate the lower half. *)
+  let n = Flow_table.invalidate t (mk_keys 0 3) in
   check int_t "half invalidated" 4 n;
   check int_t "half kept" 4 (Flow_table.length t);
   for i = 0 to 7 do
     let present = Flow_table.lookup t (mk_key i) ~now:1L <> None in
-    check bool_t (Printf.sprintf "flow %d" i) (i mod 2 = 1) present
+    check bool_t (Printf.sprintf "flow %d" i) (i >= 4) present
   done;
   (* Slots freed by invalidation are reusable. *)
   for i = 8 to 11 do
@@ -716,7 +718,7 @@ let test_flow_table_export_exactly_once () =
   in
   (* 1. Invalidate a live record. *)
   ignore (Flow_table.insert t (mk_key 0) ~now:0L);
-  check int_t "one invalidated" 1 (Flow_table.invalidate t ~matches:(fun _ -> true));
+  check int_t "one invalidated" 1 (Flow_table.invalidate t any_v4);
   check int_t "invalidated exported once" 1 (count "invalidated");
   (* 2. Fill the one slot again, then force a recycle. *)
   ignore (Flow_table.insert t (mk_key 1) ~now:1L);
@@ -864,11 +866,12 @@ let prop_slot_list_model =
         ops)
 
 (* The whole point of the flat layout: once warm, the per-packet flow
-   paths — lookup hit/miss, insert over a recycled slot, an expiry
-   sweep that finds nothing — allocate no OCaml-heap words at all
-   (same contract the packet pool proved in its GC-silence test).
-   Keys are preallocated so only table work is measured; small
-   constant slack covers the [Gc.minor_words] boxing itself. *)
+   paths — a [find] hit/miss (the data path's lookup; [lookup] wraps
+   it in a fresh [Some]), insert over a recycled slot, an expiry sweep
+   that finds nothing — allocate no OCaml-heap words at all (same
+   contract the packet pool proved in its GC-silence test).  Keys are
+   preallocated so only table work is measured; small constant slack
+   covers the [Gc.minor_words] boxing itself. *)
 let test_flow_table_gc_silent () =
   let t =
     Flow_table.create ~buckets:2048 ~initial_records:256 ~max_records:256
@@ -880,7 +883,7 @@ let test_flow_table_gc_silent () =
       ignore (Flow_table.insert t keys.(i) ~now:0L)
     done;
     for i = 0 to 511 do
-      ignore (Flow_table.lookup t keys.(i) ~now:1L)
+      ignore (Flow_table.find t keys.(i) ~now:1L)
     done;
     (* table is full: each of these recycles the oldest record *)
     for i = 256 to 511 do
@@ -919,9 +922,11 @@ let test_flow_export_gc_silent () =
     for i = lo to lo + 255 do
       match Flow_table.lookup t keys.(i) ~now:1L with
       | Some r ->
-        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Firewall) inst;
-        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Scheduling) inst;
-        mbufs.(i).Mbuf.fix <- Flow_table.some_fix r;
+        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Firewall) ~filter:any_v4
+          inst;
+        Flow_table.set_binding t r ~gate:(Gate.to_int Gate.Scheduling)
+          ~filter:any_v4 inst;
+        mbufs.(i).Mbuf.fix <- Flow_table.fix_of_record r;
         Flow_table.account t mbufs.(i) ~verdict:`Fwd
       | None -> Alcotest.fail "flow missing"
     done
@@ -966,14 +971,14 @@ let test_flow_table_olive_maintenance () =
   done;
   check bool_t "grew to thousands of slots" true (Flow_table.capacity t >= 4096);
   (* Drain to three live flows (mk_key i has sport = 1000 + i). *)
-  let n = Flow_table.invalidate t ~matches:(fun k -> k.Flow_key.sport >= 1003) in
+  let n = Flow_table.invalidate t (mk_keys 3 4095) in
   check int_t "drained" 4093 n;
   check int_t "three live" 3 (Flow_table.length t);
   let v0 = (Flow_table.stats t).Flow_table.maint_visited in
   check int_t "nothing idle" 0 (Flow_table.expire t ~now:1L ~idle_ns:1_000_000_000L);
   let v1 = (Flow_table.stats t).Flow_table.maint_visited in
   check int_t "expire visited exactly the live slots" 3 (v1 - v0);
-  ignore (Flow_table.invalidate t ~matches:(fun _ -> false));
+  ignore (Flow_table.invalidate t (Filter.v6 ()));
   let v2 = (Flow_table.stats t).Flow_table.maint_visited in
   check int_t "invalidate visited exactly the live slots" 3 (v2 - v1)
 
@@ -1030,6 +1035,215 @@ let test_flow_table_probe_charges () =
   check int_t "miss past 2 occupied charges 3" 3 c;
   check int_t "miss records occupied slots skipped" 2
     (Flow_table.stats t).Flow_table.chain_max
+
+(* Two IPv6 keys that differ only in word 3 of one address but whose
+   hashes agree in the 31 bits an index entry keeps, so the probe
+   reaches the words themselves: a birthday search over that word. *)
+let fingerprint_twins ~dst =
+  let seen = Hashtbl.create 200_000 in
+  let key w =
+    let a = Ipaddr.v6 0x20010db8l 7l 0l (Int32.of_int w) in
+    let b = Ipaddr.v6 0x20010db8l 9l 0l 1l in
+    let src, dst = if dst then (b, a) else (a, b) in
+    Flow_key.make ~src ~dst ~proto:Proto.udp ~sport:1000 ~dport:53 ~iface:0
+  in
+  let rec go w =
+    if w > 1_000_000 then Alcotest.fail "no fingerprint twins found"
+    else
+      let k = key w in
+      let fp = Flow_key.hash k land 0x7FFF_FFFF in
+      match Hashtbl.find_opt seen fp with
+      | Some k' -> [ k'; k ]
+      | None ->
+        Hashtbl.add seen fp k;
+        go (w + 1)
+  in
+  go 0
+
+(* Prefix and filter tests on words against the bit-masking rule they
+   replace: an address matches [addr/len] when its family is the
+   prefix's and [Ipaddr.prefix_bits] of it at [len] is the prefix's
+   address.  Lengths run over every value of both families, so a length
+   inside a word (an IPv4 /13, an IPv6 /48 or /100) is drawn as often
+   as a word boundary.  A table holding just the key invalidates it
+   exactly when the filter matches, read from the stored words. *)
+let ref_prefix_matches (p : Prefix.t) a =
+  Ipaddr.width p.Prefix.addr = Ipaddr.width a
+  && Ipaddr.equal (Ipaddr.prefix_bits a p.Prefix.len) p.Prefix.addr
+
+let gen_addr_of ~v6 =
+  QCheck2.Gen.(
+    let* w = array_repeat 4 (int_bound 0xFFFF_FFFF) in
+    return (Ipaddr.of_words ~v6 w.(0) w.(1) w.(2) w.(3)))
+
+(* A [v6]-family prefix of any length: [a] with at most one bit
+   flipped when [a] is of that family, so it matches [a] often, else a
+   random address. *)
+let gen_prefix_near ~v6 a =
+  QCheck2.Gen.(
+    let* base = if Ipaddr.is_v6 a = v6 then return a else gen_addr_of ~v6 in
+    let width = Ipaddr.width base in
+    let* len = int_range 0 width in
+    let* flip = option (int_bound (width - 1)) in
+    let ws = Array.init 4 (Ipaddr.word base) in
+    Option.iter (fun b -> ws.(b / 32) <- ws.(b / 32) lxor (1 lsl (31 - (b mod 32)))) flip;
+    return (Prefix.make (Ipaddr.of_words ~v6 ws.(0) ws.(1) ws.(2) ws.(3)) len))
+
+let prop_words_match_filters =
+  qtest ~count:1000 "word-based prefix and filter tests = bit masking"
+    QCheck2.Gen.(
+      let* src = bool >>= fun v6 -> gen_addr_of ~v6 in
+      let* dst = frequency [ (4, return (Ipaddr.is_v6 src)); (1, bool) ] >>= fun v6 -> gen_addr_of ~v6 in
+      let* proto = oneofl [ Proto.tcp; Proto.udp; Proto.icmp ] in
+      let* sport = int_bound 9 and* dport = int_bound 9 and* iface = int_bound 2 in
+      let k = Flow_key.make ~src ~dst ~proto ~sport ~dport ~iface in
+      let* v6 = frequency [ (4, return (Ipaddr.is_v6 src)); (1, bool) ] in
+      let* fsrc = gen_prefix_near ~v6 src and* fdst = gen_prefix_near ~v6 dst in
+      let* fproto = gen_proto and* fsport = gen_port_match and* fdport = gen_port_match in
+      let* fiface = gen_iface in
+      let make = if v6 then Filter.v6 else Filter.v4 in
+      return
+        (k, make ~src:fsrc ~dst:fdst ?proto:fproto ~sport:fsport ~dport:fdport ?iface:fiface ()))
+    (fun (k, f) ->
+      let src_ok = ref_prefix_matches f.Filter.src k.Flow_key.src
+      and dst_ok = ref_prefix_matches f.Filter.dst k.Flow_key.dst in
+      let expect =
+        src_ok && dst_ok
+        && Filter.matches_numbers f ~proto:k.Flow_key.proto ~sport:k.Flow_key.sport
+             ~dport:k.Flow_key.dport ~iface:k.Flow_key.iface
+      in
+      let t = Flow_table.create ~buckets:8 ~initial_records:1 ~gates:1 () in
+      ignore (Flow_table.insert t k ~now:0L);
+      Prefix.matches f.Filter.src k.Flow_key.src = src_ok
+      && Prefix.matches f.Filter.dst k.Flow_key.dst = dst_ok
+      && Filter.matches f k = expect
+      && Flow_table.invalidate t f = if expect then 1 else 0)
+
+(* Keys that differ only in address family, in one IPv6 word, or in
+   the interface: a table comparing packed words must keep each pair
+   apart. *)
+let word_keys =
+  let v6 a b c d = Ipaddr.v6 (Int32.of_int a) (Int32.of_int b) (Int32.of_int c) (Int32.of_int d) in
+  let k ?(proto = Proto.udp) ?(sport = 1000) ?(iface = 0) src dst =
+    Flow_key.make ~src ~dst ~proto ~sport ~dport:53 ~iface
+  in
+  let s4 = Ipaddr.v4 1 2 3 4 and d4 = Ipaddr.v4 5 6 7 8 in
+  let s6 = v6 0x01020304 0 0 0 and d6 = v6 0x05060708 0 0 0 in
+  [|
+    k s4 d4;
+    k s6 d6 (* the same words, IPv6 *);
+    k s4 d6 (* mixed families *);
+    k s6 d4;
+    k ~iface:1 s4 d4;
+    k ~iface:1 s6 d6;
+    k (v6 0x01020304 1 0 0) d6;
+    k (v6 0x01020304 0 1 0) d6;
+    k (v6 0x01020304 0 0 1) d6;
+    k s6 (v6 0x05060708 0 0 1);
+    k s6 (v6 0x05060708 0 1 0);
+    k ~proto:Proto.tcp s4 d4;
+    k ~sport:1001 s6 d6;
+    k ~iface:0xFFFFF s4 d4;
+  |]
+  |> Fun.flip Array.append
+       (Array.of_list (fingerprint_twins ~dst:false @ fingerprint_twins ~dst:true))
+
+(* The flat table against a [Hashtbl] reference, on [word_keys] in a
+   six-record table (index of 16 entries) under random insert, lookup,
+   remove, expire and — once full — recycling inserts.  Every lookup
+   agrees with the reference and rebuilds its key; its charge is 1 plus
+   the occupied entries it inspected: exactly the occupied run from
+   the home bucket on a miss (linear probing fills the same cells
+   whatever the insertion order), at most that run on a hit.  Every
+   FIX ever handed out validates exactly while its own incarnation is
+   live, so a recycled or reused slot's FIX never does. *)
+let prop_flow_table_words =
+  qtest ~count:300 "packed keys = Hashtbl reference"
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (pair (int_bound 5) (int_bound (Array.length word_keys - 1))))
+    (fun ops ->
+      Rp_lpm.Access.set_enabled true;
+      let max_records = 6 and mask = 15 in
+      let t = Flow_table.create ~buckets:8 ~max_records ~gates:1 () in
+      let model : (Flow_key.t, int * int ref) Hashtbl.t = Hashtbl.create 16 in
+      let seq = ref 0 and now = ref 0 and fixes = ref [] and ok = ref true in
+      let assert_ b = if not b then ok := false in
+      let home k = Flow_key.hash k land mask in
+      let run_from h =
+        let occ = Array.make (mask + 1) false in
+        Hashtbl.iter
+          (fun k _ ->
+            let rec place p = if occ.(p) then place ((p + 1) land mask) else occ.(p) <- true in
+            place (home k))
+          model;
+        let rec run p n = if occ.(p) then run ((p + 1) land mask) (n + 1) else n in
+        run h 0
+      in
+      let oldest () =
+        Hashtbl.fold
+          (fun k (s, _) acc ->
+            match acc with Some (_, s') when s' <= s -> acc | _ -> Some (k, s))
+          model None
+      in
+      List.iter
+        (fun (op, i) ->
+          incr now;
+          let k = word_keys.(i) in
+          (match op with
+           | 0 | 1 ->
+             Hashtbl.remove model k;
+             if Hashtbl.length model >= max_records then
+               Option.iter (fun (o, _) -> Hashtbl.remove model o) (oldest ());
+             let r = Flow_table.insert t k ~now:(Int64.of_int !now) in
+             incr seq;
+             Hashtbl.replace model k (!seq, ref !now);
+             fixes := (Flow_table.fix_of_record r, k, !seq) :: !fixes
+           | 2 | 3 ->
+             let run = run_from (home k) in
+             let slot, charge =
+               Rp_lpm.Access.measure (fun () ->
+                   Flow_table.find t k ~now:(Int64.of_int !now))
+             in
+             (match Hashtbl.find_opt model k with
+              | Some (_, last) ->
+                last := !now;
+                assert_ (slot >= 0);
+                assert_
+                  (slot >= 0
+                  && Flow_key.equal (Flow_table.key (Flow_table.record_at t slot)) k);
+                assert_ (charge >= 2 && charge <= 1 + run)
+              | None ->
+                assert_ (slot < 0);
+                assert_ (charge = 1 + run))
+           | 4 -> (
+             match Flow_table.lookup t k ~now:(Int64.of_int !now) with
+             | Some r ->
+               Flow_table.remove t r;
+               assert_ (Hashtbl.mem model k);
+               Hashtbl.remove model k
+             | None -> assert_ (not (Hashtbl.mem model k)))
+           | _ ->
+             let idle = 3 in
+             let gone =
+               Hashtbl.fold
+                 (fun k (_, last) acc -> if !now - !last > idle then k :: acc else acc)
+                 model []
+             in
+             List.iter (Hashtbl.remove model) gone;
+             assert_
+               (Flow_table.expire t ~now:(Int64.of_int !now) ~idle_ns:(Int64.of_int idle)
+               = List.length gone));
+          assert_ (Flow_table.length t = Hashtbl.length model);
+          List.iter
+            (fun (fix, k, s) ->
+              let live =
+                match Hashtbl.find_opt model k with Some (s', _) -> s' = s | None -> false
+              in
+              assert_ (Flow_table.fix_slot t fix >= 0 = live))
+            !fixes)
+        ops;
+      !ok)
 
 let prop_flow_table_equiv =
   (* The flat table against a boxed reference model on a bounded
@@ -1121,13 +1335,8 @@ let prop_flow_table_equiv =
              m_live := kept;
              assert_ (n = List.length gone)
            | 6 ->
-             let n =
-               Flow_table.invalidate t
-                 ~matches:(fun k -> k.Flow_key.sport mod 2 = 0)
-             in
-             let gone, kept =
-               List.partition (fun (idx, _, _, _) -> (1000 + idx) mod 2 = 0) !m_live
-             in
+             let n = Flow_table.invalidate t (mk_keys 0 5) in
+             let gone, kept = List.partition (fun (idx, _, _, _) -> idx <= 5) !m_live in
              List.iter (m_export "invalidated") gone;
              m_live := kept;
              assert_ (n = List.length gone)
@@ -1144,11 +1353,12 @@ let prop_flow_table_equiv =
                 match m_find idx with Some (_, s, _, _) -> s = seq | None -> false
               in
               let got =
-                match Flow_table.find_fix t fix with
-                | Some r ->
+                match Flow_table.fix_slot t fix with
+                | -1 -> false
+                | slot ->
+                  let r = Flow_table.record_at t slot in
                   Flow_table.gen r = gen
                   && (Flow_table.key r).Flow_key.sport - 1000 = idx
-                | None -> false
               in
               assert_ (got = expect))
             !fixes)
@@ -1193,7 +1403,7 @@ let test_aiu_classify_caches () =
         | None -> false);
      check bool_t "gate1 empty" true (Flow_table.binding record ~gate:1 = None)
    | None -> Alcotest.fail "expected gate0 match");
-  check bool_t "fix set" true (m.Mbuf.fix <> None);
+  check bool_t "fix set" true (m.Mbuf.fix >= 0);
   (* Subsequent gate uses the FIX: no flow-table lookup. *)
   let stats_before = Flow_table.stats (Aiu.flow_table aiu) in
   (match aiu_classify aiu m ~gate:2 ~now:1L with
@@ -1260,7 +1470,8 @@ let test_aiu_selective_invalidation () =
 
 (* A filter with both addresses wildcarded takes the O(1) gate-bump
    path: no flow is evicted, and cached bindings at that gate
-   revalidate lazily (one DAG lookup) on next use. *)
+   revalidate lazily (one DAG lookup, on the packet's own key, into the
+   binding's own block) on next use, allocating nothing. *)
 let test_aiu_wildcard_bump_lazy_revalidation () =
   let aiu = Aiu.create ~gates:2 () in
   let fw = Filter.v4 ~proto:Proto.udp () in
@@ -1280,13 +1491,18 @@ let test_aiu_wildcard_bump_lazy_revalidation () =
     (Flow_table.length (Aiu.flow_table aiu));
   check int_t "one gate bump" 1 (counter_get "aiu.gate_bumps" - bumps0);
   (* Touch two of the four flows: exactly two lazy revalidations. *)
-  List.iteri
-    (fun i k ->
-      if i < 2 then
-        match Aiu.classify_key aiu k ~gate:0 ~now:1L with
-        | Some (v, _) -> check string_t "v2 after bump" "v2" v
-        | None -> Alcotest.fail "expected v2")
-    keys;
+  let ms = Array.of_list (List.map (fun k -> Mbuf.synth ~key:k ~len:64 ()) keys) in
+  let before = Gc.minor_words () in
+  let r0 = Aiu.classify aiu ms.(0) ~gate:0 ~now:1L in
+  let r1 = Aiu.classify aiu ms.(1) ~gate:0 ~now:1L in
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "revalidation allocates nothing" 0. words;
+  List.iter
+    (fun r ->
+      match Flow_table.binding r ~gate:0 with
+      | Some b -> check string_t "v2 after bump" "v2" b.Flow_table.instance
+      | None -> Alcotest.fail "expected v2")
+    [ r0; r1 ];
   check int_t "revalidations proportional to touched flows" 2
     (counter_get "aiu.revalidations" - reval0)
 
@@ -1712,6 +1928,8 @@ let () =
           Alcotest.test_case "probe charges and chain_max" `Quick
             test_flow_table_probe_charges;
           prop_flow_table_equiv;
+          prop_flow_table_words;
+          prop_words_match_filters;
         ] );
       ( "aiu",
         [

@@ -399,6 +399,37 @@ let test_pmgr_classifier_commands () =
   check bool_t "bad subcommand rejected" true
     (Result.is_error (Rp_control.Pmgr.exec r "classifier compiled maybe"))
 
+(* A malformed or out-of-range config value fails [pmgr create]
+   instead of silently becoming the default; a valid one (each range's
+   end points included) is accepted. *)
+let test_pmgr_create_key plugin key ~bad ~good () =
+  let r = mk_router () in
+  ignore (ok (Rp_control.Pmgr.exec r ("modload " ^ plugin)));
+  let create v = Rp_control.Pmgr.exec r (Printf.sprintf "create %s %s=%s" plugin key v) in
+  List.iter
+    (fun v ->
+      match create v with
+      | Error _ -> ()
+      | Ok out -> Alcotest.failf "create %s %s=%s accepted: %S" plugin key v out)
+    bad;
+  List.iter (fun v -> ignore (ok (create v))) good
+
+let create_key_cases =
+  [
+    ("token-bucket", "rate", [ "fast"; "-5"; "0"; "nan"; "inf" ], [ "1000"; "0.5" ]);
+    ("token-bucket", "burst", [ "-5"; "0"; "big" ], [ "1500" ]);
+    ("token-bucket", "dscp", [ "256"; "-1"; "ef" ], [ "0"; "46"; "255" ]);
+    ("red", "max-p", [ "1.5"; "-0.1"; "often" ], [ "0"; "0.2"; "1" ]);
+    ("red", "wq", [ "0"; "1.01"; "slow" ], [ "0.002"; "1" ]);
+    ("stats", "history", [ "0"; "-3"; "lots" ], [ "1"; "16" ]);
+  ]
+
+let test_pmgr_create_pair () =
+  let r = mk_router () in
+  ignore (ok (Rp_control.Pmgr.exec r "modload token-bucket"));
+  check bool_t "rate=fast burst=-5 refused" true
+    (Result.is_error (Rp_control.Pmgr.exec r "create token-bucket rate=fast burst=-5"))
+
 let () =
   Alcotest.run "rp_control"
     [
@@ -413,7 +444,16 @@ let () =
           Alcotest.test_case "fault commands" `Quick test_pmgr_fault_commands;
           Alcotest.test_case "classifier commands" `Quick
             test_pmgr_classifier_commands;
-        ] );
+          Alcotest.test_case "bad token-bucket pair refused" `Quick
+            test_pmgr_create_pair;
+        ]
+        @ List.map
+            (fun (plugin, key, bad, good) ->
+              Alcotest.test_case
+                (Printf.sprintf "create %s %s= checked" plugin key)
+                `Quick
+                (test_pmgr_create_key plugin key ~bad ~good))
+            create_key_cases );
       ( "ssp",
         [
           prop_ssp_codec_roundtrip;

@@ -1521,7 +1521,7 @@ let route_ops_coherent mode ops =
                (fun (got, m) ->
                  let outcome, hop = expect.(m.Mbuf.seq) in
                  got = outcome
-                 && (hop = None || Option.equal Ipaddr.equal m.Mbuf.next_hop hop))
+                 && Option.fold hop ~none:true ~some:(Ipaddr.equal m.Mbuf.next_hop))
                !got
         | op ->
           ignore (ok (Rp_control.Pmgr.exec r (route_cmd op)));
@@ -1571,7 +1571,7 @@ let test_route_cache_more_specific () =
       check bool_t (label ^ "next packet takes the /24") true
         (outcome res = Shard.Forwarded 0);
       check bool_t (label ^ "through its gateway") true
-        ((snd res).Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 254));
+        (Ipaddr.equal (snd res).Mbuf.next_hop (Ipaddr.v4 10 0 0 254));
       check int_t (label ^ "no flow record evicted") 0
         (counter_get "flow_table.evictions" - ev0);
       Engine.stop e)
@@ -1711,8 +1711,8 @@ let test_tx_ring_overflow () =
 (* The Table-3 router (empty plugins bound at three gates, 13 inert
    filters beside them, 1,024 routes), warmed, then fed prebuilt
    packets of cached flows: minor-heap words per packet for
-   submit_batch + drain.  A cached flow walks no LPM and is handed a
-   preallocated FIX, a gate hands its handler the frame's context
+   submit_batch + drain.  A cached flow walks no LPM and carries its
+   FIX as an immediate int, a gate hands its handler the frame's context
    refilled with the binding option stored in the flow record,
    verdicts and outcomes are preallocated per interface, the FIFO is a
    ring that empties without an option, the result ring's slots are
@@ -1727,11 +1727,11 @@ let test_tx_ring_overflow () =
    and the default transmitter discards what was queued by dequeueing
    it, which allocates the [Some] of each dequeue (2 words) and
    nothing else. *)
-let alloc_words_per_pkt ~drr =
+let table3_router ?flow_max ~drr () =
   let pmgr r cmd = ok (Rp_control.Pmgr.exec r cmd) in
   let instance r p = Scanf.sscanf (pmgr r ("create " ^ p)) "instance %d" Fun.id in
   let r =
-    Router.create
+    Router.create ?flow_max
       ~gates:
         ([ Gate.Ip_options; Gate.Security_in; Gate.Stats ]
         @ if drr then [ Gate.Scheduling ] else [])
@@ -1761,6 +1761,10 @@ let alloc_words_per_pkt ~drr =
   for j = 0 to 1023 do
     Router.add_route r (Prefix.make (Ipaddr.v4 20 (j lsr 8) (j land 255) 0) 24) ~iface:1 ()
   done;
+  r
+
+let alloc_words_per_pkt ~drr =
+  let r = table3_router ~drr () in
   let e = Engine.create Engine.Inline r in
   let batches =
     Array.init 8 (fun b ->
@@ -1776,9 +1780,9 @@ let alloc_words_per_pkt ~drr =
       Array.iter
         (fun m ->
           m.Mbuf.ttl <- 64;
-          m.Mbuf.fix <- None;
+          m.Mbuf.fix <- Mbuf.no_fix;
           m.Mbuf.out_iface <- None;
-          m.Mbuf.next_hop <- None)
+          m.Mbuf.next_hop <- Mbuf.no_hop)
         batch;
       ignore (Engine.submit_batch e ~now:0L batch ~n:32);
       ignore (Engine.drain e ~f:count)
@@ -1798,6 +1802,93 @@ let check_ceiling ~drr ceiling () =
   check bool_t
     (Printf.sprintf "%.2f minor words per packet (ceiling %.2f)" words ceiling)
     true (words <= ceiling)
+
+(* The same router with its flow table bounded at 1,024 records, fed
+   pooled descriptors whose keys cycle through 8,192 flows: every
+   packet is a new flow, so each one misses, resolves its three bound
+   gates, recycles the oldest record (exporting it), walks the LPM and
+   caches its route.  A flow record is flat ints, each (slot, gate)
+   pair's binding block is refilled in place, the FIX is an immediate
+   int and a directly connected route's next hop is the packet's own
+   destination, so once every pair has its block none of this
+   allocates: a boxed key, a binding, an option or a FIX block per
+   flow fails here. *)
+let test_new_flow_ceiling () =
+  let r = table3_router ~flow_max:1024 ~drr:false () in
+  let e = Engine.create Engine.Inline r in
+  let pool = Pool.create ~capacity:64 () in
+  let keys =
+    Array.init 8192 (fun f ->
+        Flow_key.make ~src:(Ipaddr.v4 10 0 (f lsr 8) (f land 255))
+          ~dst:(Ipaddr.v4 20 ((f lsr 8) land 3) (f land 255) 1)
+          ~proto:Proto.udp ~sport:(1000 + (f land 63)) ~dport:9000 ~iface:0)
+  in
+  let batch = Array.make 32 Mbuf.dummy in
+  let next = ref 0 and drained = ref 0 in
+  let f res =
+    incr drained;
+    Pool.free pool res.Shard.m
+  in
+  let run rounds =
+    for _ = 1 to rounds do
+      for i = 0 to 31 do
+        batch.(i) <- Pool.alloc pool ~key:keys.(!next) ~len:64;
+        next := (!next + 1) land 8191
+      done;
+      ignore (Engine.submit_batch e ~now:0L batch ~n:32);
+      ignore (Engine.drain e ~f)
+    done
+  in
+  let misses () = counter_get "flow_table.misses" in
+  run 512;
+  drained := 0;
+  let m0 = misses () in
+  let before = Gc.minor_words () in
+  run 1024;
+  let words = (Gc.minor_words () -. before) /. float_of_int !drained in
+  let missed = misses () - m0 in
+  Engine.stop e;
+  check int_t "every packet forwarded" (1024 * 32) !drained;
+  check int_t "every packet a new flow" (1024 * 32) missed;
+  check bool_t
+    (Printf.sprintf "%.3f minor words per new flow (ceiling 0.05)" words)
+    true (words <= 0.05)
+
+(* Selective invalidation reads each record's words where they lie:
+   over 4,096 live records of which it evicts half, and exports each,
+   it allocates nothing per record — rebuilding a key per record to
+   test the filter would cost 30 words each. *)
+let test_invalidate_allocates_nothing () =
+  let r = table3_router ~drr:false () in
+  let aiu = Router.aiu r in
+  let ft = Rp_classifier.Aiu.flow_table aiu in
+  let key f =
+    Flow_key.make ~src:(Ipaddr.v4 10 0 (f lsr 8) (f land 255))
+      ~dst:(Ipaddr.v4 20 0 0 1) ~proto:Proto.udp ~sport:1000 ~dport:9000 ~iface:0
+  in
+  let fill () =
+    for f = 0 to 4095 do
+      let m = Mbuf.synth ~key:(key f) ~len:64 () in
+      ignore (Rp_classifier.Aiu.classify aiu m ~gate:0 ~now:0L);
+      Rp_classifier.Flow_table.account ft m ~verdict:`Fwd
+    done
+  in
+  let half = Rp_classifier.Filter.v4 ~src:(Prefix.of_string "10.0.0.0/21") () in
+  let measure () =
+    fill ();
+    check int_t "4,096 live" 4096 (Rp_classifier.Flow_table.length ft);
+    let before = Gc.minor_words () in
+    let n = Rp_classifier.Flow_table.invalidate ft half in
+    let words = Gc.minor_words () -. before in
+    check int_t "half invalidated" 2048 n;
+    Rp_classifier.Flow_table.flush ft;
+    words
+  in
+  ignore (measure ());
+  let words = measure () in
+  check bool_t
+    (Printf.sprintf "%.0f minor words for 4,096 records (ceiling 64)" words)
+    true (words <= 64.)
 
 (* --- no retention ------------------------------------------------------- *)
 
@@ -1878,6 +1969,138 @@ let test_birth_clock_ctx () =
         fs.Stats_plugin.last_ns)
     records
 
+(* A flow's scheduling binding is refilled in place for the next flow
+   of its slot, except a block a shard lent with a parked packet.  On
+   sharded:1 with a one-record flow table, packet A is parked with its
+   binding, then packet B's flow recycles the slot before the control
+   domain resumes A.  A probe qdisc stamps each binding's soft state
+   with the first key it queues: A must reach the queue with its own
+   block and B with a fresh one (so A neither reads nor writes B's soft
+   state), and each gets exactly one verdict. *)
+type Rp_classifier.Flow_table.soft += Queued_for of Flow_key.t
+
+(* A router with one bound probe qdisc on interface 1 and a
+   [flow_max]-record flow table; [crossed] counts packets that met
+   soft state stamped with another key, [seen] the binding each source
+   port last queued with.  The probe spins [dawdle] times before it
+   reads the soft state, widening the window in which another domain
+   could refill the block. *)
+let probe_router ?(dawdle = 0) ~flow_max () =
+  let r =
+    Router.create ~gates:[ Gate.Scheduling ] ~flow_max
+      ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 () ]
+      ()
+  in
+  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
+  let crossed = Atomic.make 0 and seen = Hashtbl.create 4 in
+  let enqueue ~now:_ (m : Mbuf.t) binding =
+    let key = m.Mbuf.key in
+    for _ = 1 to dawdle do
+      Domain.cpu_relax ()
+    done;
+    Hashtbl.replace seen key.Flow_key.sport binding;
+    (match binding with
+     | Some (b : Plugin.t Rp_classifier.Flow_table.binding) -> (
+         match b.Rp_classifier.Flow_table.soft with
+         | Some (Queued_for k) -> if not (Flow_key.equal k key) then Atomic.incr crossed
+         | Some _ | None -> b.Rp_classifier.Flow_table.soft <- Some (Queued_for key))
+     | None -> ());
+    Plugin.Enqueued
+  in
+  let probe =
+    {
+      (Plugin.simple ~instance_id:9200 ~code:0 ~plugin_name:"probe"
+         ~gate:Gate.Scheduling (fun _ _ -> Plugin.Continue))
+      with
+      Plugin.scheduler =
+        Some
+          {
+            Plugin.enqueue;
+            dequeue = (fun ~now:_ -> None);
+            backlog = (fun () -> 0);
+            sched_stats = (fun () -> []);
+          };
+    }
+  in
+  Rp_classifier.Aiu.bind (Router.aiu r) ~gate:(Gate.to_int Gate.Scheduling)
+    (Rp_classifier.Filter.v4 ()) probe;
+  Iface.attach_scheduler (Router.iface r 1) probe;
+  (r, crossed, seen)
+
+let test_recycled_egress_binding () =
+  let r, crossed, seen = probe_router ~flow_max:1 () in
+  let e = Engine.create (Engine.Sharded 1) r in
+  assert (Engine.submit e ~now:0L (mk_pkt ~sport:7001 ()));
+  wait "A parked" (fun () -> Engine.idle e);
+  assert (Engine.submit e ~now:0L (mk_pkt ~sport:7002 ()));
+  wait "B parked" (fun () -> Engine.idle e);
+  check int_t "B recycled A's slot" 1
+    (Engine.shard_flow_stats e 0).Rp_classifier.Flow_table.recycled;
+  let verdicts = ref [] in
+  ignore
+    (Engine.flush e ~f:(fun res ->
+         verdicts := (res.Shard.m.Mbuf.key.Flow_key.sport, res.Shard.outcome) :: !verdicts));
+  Engine.stop e;
+  check bool_t "one verdict each, both forwarded" true
+    (List.sort compare !verdicts
+    = [ (7001, Shard.Forwarded 1); (7002, Shard.Forwarded 1) ]);
+  (match Hashtbl.find seen 7001, Hashtbl.find seen 7002 with
+   | Some a, Some b -> check bool_t "B bound a fresh block" false (a == b)
+   | _ -> Alcotest.fail "A and B must both queue with a binding");
+  check int_t "no packet saw another flow's soft state" 0 (Atomic.get crossed)
+
+(* Within one frame the block is refilled in place: on the inline
+   engine with a one-record table, packets A and B of two flows share a
+   batch, so B's classification recycles A's slot and refills the block
+   A was classified with before either reaches the queue.  A must reach
+   the queue without a binding, B with its own, and neither may meet
+   the other's soft state. *)
+let test_recycled_binding_in_frame () =
+  let r, crossed, seen = probe_router ~flow_max:1 () in
+  let e = Engine.create Engine.Inline r in
+  let batch = [| mk_pkt ~sport:7001 (); mk_pkt ~sport:7002 () |] in
+  check int_t "both accepted" 2 (Engine.submit_batch e ~now:0L batch ~n:2);
+  let verdicts = ref 0 in
+  ignore (Engine.flush e ~f:(fun _ -> incr verdicts));
+  Engine.stop e;
+  check int_t "one verdict each" 2 !verdicts;
+  check int_t "B recycled A's slot" 1
+    (Rp_classifier.Flow_table.stats (Rp_classifier.Aiu.flow_table (Router.aiu r)))
+      .Rp_classifier.Flow_table.recycled;
+  check bool_t "A queued without B's binding" true (Hashtbl.find seen 7001 = None);
+  check bool_t "B queued with its own binding" true (Hashtbl.find seen 7002 <> None);
+  check int_t "no packet saw another flow's soft state" 0 (Atomic.get crossed)
+
+(* The same hand-off under load: three flows alternate through a
+   one-record table on sharded:1, so every packet recycles the slot,
+   and the shard binds each packet while the control domain queues the
+   one before it through a dawdling probe.  No packet may meet soft
+   state another flow's packet stamped, and each gets exactly one
+   verdict.  A shard that refilled the lent block in place fails this
+   within a few thousand packets. *)
+let test_recycled_egress_binding_stress () =
+  let r, crossed, _ = probe_router ~dawdle:200 ~flow_max:1 () in
+  let e = Engine.create (Engine.Sharded 1) r in
+  let total = 3000 and verdicts = ref 0 and forwarded = ref 0 in
+  let f res =
+    incr verdicts;
+    if res.Shard.outcome = Shard.Forwarded 1 then incr forwarded
+  in
+  (* The shard binds packet i, recycling packet i-1's slot, while the
+     control domain queues packet i-1. *)
+  for i = 0 to total - 1 do
+    wait "shard idle" (fun () -> Engine.idle e);
+    assert (Engine.submit e ~now:0L (mk_pkt ~sport:(7000 + (i mod 3)) ()));
+    ignore (Engine.drain ~max:1 e ~f)
+  done;
+  ignore (Engine.flush e ~f);
+  let recycled = (Engine.shard_flow_stats e 0).Rp_classifier.Flow_table.recycled in
+  Engine.stop e;
+  check int_t "one verdict per packet" total !verdicts;
+  check int_t "every packet forwarded" total !forwarded;
+  check bool_t "the slot was recycled throughout" true (recycled >= total / 2);
+  check int_t "no packet saw another flow's soft state" 0 (Atomic.get crossed)
+
 let () =
   Alcotest.run "engine"
     [
@@ -1936,6 +2159,10 @@ let () =
             (check_ceiling ~drr:false 0.05);
           Alcotest.test_case "allocation ceiling through a DRR qdisc" `Quick
             (check_ceiling ~drr:true 2.05);
+          Alcotest.test_case "allocation ceiling on new flows" `Quick
+            test_new_flow_ceiling;
+          Alcotest.test_case "invalidation allocates nothing per record" `Quick
+            test_invalidate_allocates_nothing;
           drain_contract Engine.Inline;
           drain_contract (Engine.Sharded 2);
         ] );
@@ -1970,6 +2197,12 @@ let () =
             (test_flow_max_bounds_shards Engine.Inline);
           Alcotest.test_case "flow_max bounds the flow table (sharded:1)" `Quick
             (test_flow_max_bounds_shards (Engine.Sharded 1));
+          Alcotest.test_case "recycled slot's binding stays with its flow" `Quick
+            test_recycled_egress_binding;
+          Alcotest.test_case "recycled slot's binding under load (sharded:1)" `Quick
+            test_recycled_egress_binding_stress;
+          Alcotest.test_case "binding recycled within a frame (inline)" `Quick
+            test_recycled_binding_in_frame;
         ] );
       ( "batched",
         [

@@ -606,7 +606,11 @@ let export_flow_case ft c =
   let k = case_key c in
   let r = Ft.insert ft k ~now:(Int64.of_int c.created) in
   let bindings = case_bindings c in
-  List.iter (fun (g, id) -> Ft.set_binding ft r ~gate:g (instance id)) bindings;
+  List.iter
+    (fun (g, id) ->
+      Ft.set_binding ft r ~gate:g ~filter:(Rp_classifier.Filter.exact_of_key k)
+        (instance id))
+    bindings;
   let translated =
     if c.nat then begin
       let _, s, dir = session_of c ~soft:true in
@@ -617,7 +621,7 @@ let export_flow_case ft c =
     else None
   in
   let m = Mbuf.synth ~key:k ~len:c.len () in
-  m.Mbuf.fix <- Ft.some_fix r;
+  m.Mbuf.fix <- Ft.fix_of_record r;
   let fwd, drop, absorb = c.verdicts in
   List.iter
     (fun (n, verdict) ->
@@ -637,7 +641,7 @@ let export_flow_case ft c =
    | "expired" ->
      ignore (Ft.expire ft ~now:(Int64.add last 1L) ~idle_ns:0L)
    | "flushed" -> Ft.flush ft
-   | _ -> ignore (Ft.invalidate ft ~matches:(fun _ -> true)));
+   | _ -> ignore (Ft.invalidate ft (Rp_classifier.Filter.exact_of_key k)));
   let bindings =
     List.map
       (fun (g, id) -> (Gate.name (Option.get (Gate.of_int g)), id))
@@ -701,7 +705,7 @@ let prop_export_ring =
            in
            let r = Ft.insert pad_ft k ~now:0L in
            let m = Mbuf.synth ~key:k ~len:64 () in
-           m.Mbuf.fix <- Ft.some_fix r;
+           m.Mbuf.fix <- Ft.fix_of_record r;
            Ft.account pad_ft m ~verdict:`Fwd
          done;
          Ft.flush pad_ft;

@@ -429,7 +429,14 @@ let mk_binding () : Plugin.t Rp_classifier.Flow_table.binding option =
     Plugin.simple ~instance_id:0 ~code:0 ~plugin_name:"x" ~gate:Gate.Congestion
       (fun _ _ -> Plugin.Continue)
   in
-  Some { Rp_classifier.Flow_table.instance = dummy_instance; filter = None; soft = None }
+  Some
+    {
+      Rp_classifier.Flow_table.instance = dummy_instance;
+      filter = Rp_classifier.Filter.v4 ();
+      soft = None;
+      owner = Mbuf.no_fix;
+      lent = false;
+    }
 
 let test_token_bucket_conformance () =
   let inst =

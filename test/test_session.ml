@@ -526,8 +526,10 @@ let plugin_binding () =
     Rp_classifier.Flow_table.instance =
       Plugin.simple ~instance_id:1 ~code:0 ~plugin_name:"test" ~gate:Gate.Firewall
         (fun _ _ -> Plugin.Continue);
-    filter = None;
+    filter = Rp_classifier.Filter.v4 ();
     soft = None;
+    owner = Mbuf.no_fix;
+    lent = false;
   }
 
 let ctx_of ?(now = s_ns 1) () = { Plugin.now_ns = now; binding = Some (plugin_binding ()) }
@@ -969,7 +971,7 @@ let test_nat_reply_resolve_allocation () =
   let flows = Rp_classifier.Flow_table.create ~gates:1 () in
   let m = Mbuf.synth ~key:reply ~len:100 () in
   m.Mbuf.fix <-
-    Rp_classifier.Flow_table.some_fix
+    Rp_classifier.Flow_table.fix_of_record
       (Rp_classifier.Flow_table.insert flows reply ~now:0L);
   check bool_t "reply translated" true (Session.apply_rewrite s dir m);
   check int_t "first resolve walks to if0" 0 (Route_table.resolve rt flows m);
@@ -980,7 +982,7 @@ let test_nat_reply_resolve_allocation () =
     (route_hits () - hits0);
   check int_t "and none walks" 0 (route_walks () - walks0);
   check bool_t "next hop is the translated destination" true
-    (m.Mbuf.out_iface = Some 0 && m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 1));
+    (m.Mbuf.out_iface = Some 0 && Ipaddr.equal m.Mbuf.next_hop (Ipaddr.v4 10 0 0 1));
   check bool_t
     (Printf.sprintf "%.4f minor words per resolve (ceiling 0.01)" words)
     true (words <= 0.01)
@@ -1102,7 +1104,7 @@ let test_end_to_end_inline () =
   (match !last with
   | Some (Rp_engine.Shard.Forwarded 0, m) ->
     check bool_t "reply's next hop is its translated destination" true
-      (m.Mbuf.next_hop = Some (Ipaddr.v4 10 0 0 1))
+      (Ipaddr.equal m.Mbuf.next_hop (Ipaddr.v4 10 0 0 1))
   | _ -> Alcotest.fail "steady reply not forwarded to if0");
   check int_t "steady packets hit the flow route cache" 2 (route_hits () - hits0);
   check int_t "and walk no route" 0 (route_walks () - walks0);
