@@ -2131,6 +2131,17 @@ let fig_zipf () =
     done;
     !mx
   in
+  (* Slots the shards' expiry passes visit (nothing else sweeps their
+     tables in this phase). *)
+  let maint_visited () =
+    let s = ref 0 in
+    for i = 0 to 3 do
+      s := !s + (Rp_engine.Engine.shard_flow_stats e i).Rp_classifier
+                  .Flow_table.maint_visited
+    done;
+    !s
+  in
+  let visited0 = maint_visited () in
   let t_steady0 = Unix.gettimeofday () in
   let steady_sent = ref 0 in
   let batches = ref 0 in
@@ -2153,6 +2164,7 @@ let fig_zipf () =
   if live_end < !min_sustained then min_sustained := live_end;
   expired := !expired + Rp_engine.Engine.expire_flows e ~now:!now
                           ~idle_ns:idle_sim_ns;
+  let expiry_visits = maint_visited () - visited0 in
   let cycles1 =
     let mx = ref 0 in
     for i = 0 to 3 do
@@ -2179,12 +2191,13 @@ let fig_zipf () =
   Printf.printf
     "  steady: %d packets over %.0f s sim (%.1f s wall), %.4f model \
      mpps/domain\n\
-    \  arrivals=%d expired=%d min_sustained=%d probe chain_max=%d\n"
+    \  arrivals=%d expired=%d expiry visits=%d min_sustained=%d probe \
+     chain_max=%d\n"
     !steady_sent sim_seconds
     (Unix.gettimeofday () -. t_steady0)
     steady_mpps
     (Rp_sim.Synth.arrivals synth)
-    !expired !min_sustained chain_max;
+    !expired expiry_visits !min_sustained chain_max;
   (* Wind down: the pump pulls up to [2 * batch] packets per iteration
      but submits at most [batch], so a link's worth of generated
      packets can still be queued when the steady loop exits — feed
@@ -2251,6 +2264,8 @@ let fig_zipf () =
   m "sim_seconds" sim_seconds;
   m "arrivals" (float_of_int (Rp_sim.Synth.arrivals synth));
   m "expired" (float_of_int !expired);
+  m "expiry_visits_per_flow"
+    (float_of_int expiry_visits /. float_of_int (max 1 high_water));
   m "steady_mpps" steady_mpps;
   m "chain_max" (float_of_int chain_max);
   m "p99_setup_cycles" p99_setup;

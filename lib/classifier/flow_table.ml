@@ -44,15 +44,13 @@ let f_fwd = 18
 let f_dropped = 19
 let f_absorbed = 20
 
-type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type 'a t = {
   gates : int;
   (* Table-wide per-gate generation, bumped when a wildcard-ish filter
      change at that gate makes every cached binding there suspect. *)
   gate_gens : int array;
-  mutable hot : flat;  (** [stride] ints per slot; see the f_* offsets *)
-  mutable slot_gate_gens : flat;  (** per-slot per-gate stamps, [slot*gates+g] *)
+  mutable hot : Index.flat;  (** [stride] ints per slot; see the f_* offsets *)
+  mutable slot_gate_gens : Index.flat;  (** per-slot per-gate stamps, [slot*gates+g] *)
   mutable blocks : 'a binding option array;
       (** [slot*gates+g]: the pair's binding block, made by its first
           bind and refilled for every later flow unless it was lent;
@@ -60,20 +58,18 @@ type 'a t = {
   mutable handles : 'a record array;  (** one preallocated handle per slot *)
   mutable allocated : int;
   max_records : int;
-  (* Open-addressing index: a power-of-two array of entries (0 =
-     empty), linear probing, kept at least twice the record capacity so
-     the load factor never exceeds 1/2.  An entry packs the low 31 bits
-     of its key's hash above [slot + 1]: a probe reads a record only
-     when that fingerprint matches, and deletion (backward-shift, no
-     tombstones) finds an entry's home bucket in the entry itself. *)
-  mutable index : flat;
-  mutable mask : int;
+  mutable index : Index.flat;  (** at least twice the record capacity: load <= 1/2 *)
   mutable inspected : int;  (** occupied entries the last probe read *)
   (* Every slot is on one of two lists: [used], the live slots in
-     insertion order (the oldest is the one recycled, and sweeps walk
-     it), or [free], popped from its back. *)
+     insertion order (the oldest is the one recycled, and [flush],
+     [invalidate] and [iter] walk it), or [free], popped from its
+     back. *)
   lists : Slot_list.t;
   mutable live : int;
+  (* From the first [expire] on, every live slot is also on the wheel
+     at its last use, then, plus [idle]: early, never late. *)
+  mutable wheel : Wheel.t option;
+  mutable idle : int;
   on_evict : gate:int -> 'a binding -> unit;
   mutable exporter : (reason:string -> 'a record -> unit) option;
   mutable s_lookups : int;
@@ -137,20 +133,11 @@ let free = 1
 let default_buckets = 32768
 let default_initial = 1024
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 let[@inline] get t slot field =
   Bigarray.Array1.unsafe_get t.hot ((slot * stride) + field)
 
 let[@inline] set t slot field v =
   Bigarray.Array1.unsafe_set t.hot ((slot * stride) + field) v
-
-let flat_make n =
-  let a = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout n in
-  Bigarray.Array1.fill a 0;
-  a
 
 (* --- keys as words ------------------------------------------------------
 
@@ -219,6 +206,11 @@ let filter_at t slot (f : Filter.t) =
    is keyed on, told apart by address. *)
 let keyed_dst = Ipaddr.V4 0l
 
+(* An index entry packs a 31-bit hash fingerprint above [slot + 1]: a
+   probe reads a record only when the fingerprint matches. *)
+let e_bits = 31
+let e_mask = (1 lsl e_bits) - 1
+
 let handle t i =
   { r_tab = t; r_slot = i; r_out = None; r_hop = keyed_dst; r_dst = keyed_dst }
 
@@ -228,22 +220,22 @@ let create ?(buckets = default_buckets) ?(initial_records = default_initial)
   if gates < 0 || gates > 61 then invalid_arg "Flow_table.create: gates";
   let n = min initial_records max_records in
   let n = max n 0 in
-  let index_size = next_pow2 (max buckets (2 * max n 1)) in
   let t =
     {
       gates;
       gate_gens = Array.make gates 0;
-      hot = flat_make (n * stride);
-      slot_gate_gens = flat_make (n * gates);
+      hot = Index.flat (n * stride);
+      slot_gate_gens = Index.flat (n * gates);
       blocks = Array.make (n * gates) None;
       handles = [||];
       allocated = n;
       max_records;
-      index = flat_make index_size;
-      mask = index_size - 1;
+      index = Index.make (max buckets (2 * max n 1));
       inspected = 0;
       lists = Slot_list.create ~lists:2 ~slots:n;
       live = 0;
+      wheel = None;
+      idle = 0;
       on_evict;
       exporter = None;
       s_lookups = 0;
@@ -322,66 +314,35 @@ let iter_bindings (r : 'a record) f =
    (and so is a [ref] loop counter), which would put minor-heap words
    on every packet — the one thing this table exists to avoid. *)
 
-let e_bits = 31
-let e_slot_mask = (1 lsl e_bits) - 1
-let fp_mask = (1 lsl e_bits) - 1
-
-let[@inline] entry slot h = ((h land fp_mask) lsl e_bits) lor (slot + 1)
-let[@inline] idx t i = Bigarray.Array1.unsafe_get t.index i
-
-let rec idx_ins_loop t e i =
-  if idx t i = 0 then Bigarray.Array1.unsafe_set t.index i e
-  else idx_ins_loop t e ((i + 1) land t.mask)
-
-let index_insert t slot h = idx_ins_loop t (entry slot h) (h land t.mask)
-
-let rec idx_find t slot i =
-  if idx t i land e_slot_mask = slot + 1 then i
-  else idx_find t slot ((i + 1) land t.mask)
-
-(* Backward-shift deletion: refill the hole at [i] from the rest of
-   its probe run so no tombstones accumulate.  An entry at [j] whose
-   home bucket is [home] may move into the hole at [i] exactly when
-   [i] lies on the cyclic path from [home] to [j]. *)
-let rec idx_shift t i j =
-  let j = (j + 1) land t.mask in
-  let e = idx t j in
-  if e = 0 then Bigarray.Array1.unsafe_set t.index i 0
-  else begin
-    let home = (e lsr e_bits) land t.mask in
-    if (j - home) land t.mask >= (j - i) land t.mask then begin
-      Bigarray.Array1.unsafe_set t.index i e;
-      idx_shift t j j
-    end
-    else idx_shift t i j
-  end
+let index_insert t slot h =
+  Index.insert t.index ~bits:e_bits ~hash:(h land e_mask) (slot + 1)
 
 let index_remove t slot =
-  let i = idx_find t slot (get t slot f_hash land t.mask) in
-  idx_shift t i i
+  Index.remove t.index ~bits:e_bits ~hash:(get t slot f_hash land e_mask) (slot + 1)
 
 (* The probe: the slot holding the key, or -1; [t.inspected] is left at
    the occupied entries read — a hit at depth d (d entries skipped)
    reads d+1, a miss that skipped d occupied entries before an empty
    one reads d.  No stats, no charges. *)
-let rec probe_loop t src dst fp meta s0 d0 i n =
-  let e = idx t i in
+let rec probe_loop t src dst fp meta s0 d0 mask i n =
+  let e = Bigarray.Array1.unsafe_get t.index i in
   if e = 0 then begin
     t.inspected <- n;
     -1
   end
   else
-    let slot = (e land e_slot_mask) - 1 in
+    let slot = (e land e_mask) - 1 in
     if e lsr e_bits = fp && key_at t slot src dst meta s0 d0 then begin
       t.inspected <- n + 1;
       slot
     end
-    else probe_loop t src dst fp meta s0 d0 ((i + 1) land t.mask) (n + 1)
+    else probe_loop t src dst fp meta s0 d0 mask ((i + 1) land mask) (n + 1)
 
 let probe t (key : Flow_key.t) h =
   let src = key.Flow_key.src and dst = key.Flow_key.dst in
-  probe_loop t src dst (h land fp_mask) (meta_of key) (Ipaddr.word src 0)
-    (Ipaddr.word dst 0) (h land t.mask) 0
+  let mask = Bigarray.Array1.dim t.index - 1 in
+  probe_loop t src dst (h land e_mask) (meta_of key) (Ipaddr.word src 0)
+    (Ipaddr.word dst 0) mask (h land mask) 0
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -483,15 +444,22 @@ let evict t slot reason =
     index_remove t slot;
     set t slot f_state 0;
     Slot_list.unlink t.lists slot;
+    (match t.wheel with Some w -> Wheel.unlink w slot | None -> ());
     t.live <- t.live - 1;
     t.s_evictions <- t.s_evictions + 1;
     Rp_obs.Counter.inc m_evictions
   end
 
-let rec reindex t slot =
+(* [f] on each slot of [used] from [slot] on, newest first or oldest
+   first, reading the next slot before [f] may evict this one.  Cost
+   is O(live), never O(allocated). *)
+let rec walk t f ~newest slot =
   if slot >= 0 then begin
-    index_insert t slot (get t slot f_hash);
-    reindex t (Slot_list.next t.lists slot)
+    let next =
+      if newest then Slot_list.prev t.lists slot else Slot_list.next t.lists slot
+    in
+    f slot;
+    walk t f ~newest next
   end
 
 (* Grow the record pool exponentially (1024, 2048, 4096, ...), as the
@@ -503,12 +471,12 @@ let grow t =
   let current = t.allocated in
   let target = min t.max_records (max 1 (current * 2)) in
   if target > current then begin
-    let nhot = flat_make (target * stride) in
+    let nhot = Index.flat (target * stride) in
     if current > 0 then
       Bigarray.Array1.blit t.hot
         (Bigarray.Array1.sub nhot 0 (current * stride));
     t.hot <- nhot;
-    let ngg = flat_make (target * t.gates) in
+    let ngg = Index.flat (target * t.gates) in
     if current * t.gates > 0 then
       Bigarray.Array1.blit t.slot_gate_gens
         (Bigarray.Array1.sub ngg 0 (current * t.gates));
@@ -520,18 +488,23 @@ let grow t =
       Array.init target (fun i ->
           if i < current then t.handles.(i) else handle t i);
     Slot_list.grow t.lists ~slots:target;
+    (match t.wheel with Some w -> Wheel.grow w ~slots:target | None -> ());
     (* New slots pop lowest-first: current, current+1, ... *)
     for s = target - 1 downto current do
       free_push t s
     done;
     t.allocated <- target;
     if 2 * target > Bigarray.Array1.dim t.index then begin
-      let size = next_pow2 (2 * target) in
-      t.index <- flat_make size;
-      t.mask <- size - 1;
-      reindex t (Slot_list.first t.lists used)
+      t.index <- Index.make (2 * target);
+      walk t (fun slot -> index_insert t slot (get t slot f_hash)) ~newest:false
+        (Slot_list.first t.lists used)
     end
   end
+
+let[@inline] deadline t slot = get t slot f_last + t.idle + 1
+
+let schedule t slot =
+  match t.wheel with Some w -> Wheel.schedule w slot ~at:(deadline t slot) | None -> ()
 
 let rec allocate t =
   let s = Slot_list.last t.lists free in
@@ -595,6 +568,7 @@ let insert t (key : Flow_key.t) ~now =
   set t slot f_absorbed 0;
   index_insert t slot h;
   Slot_list.push_back t.lists used slot;
+  schedule t slot;
   t.live <- t.live + 1;
   Rp_obs.Counter.inc m_inserts;
   t.handles.(slot)
@@ -605,42 +579,52 @@ let remove t (r : 'a record) =
     free_push t r.r_slot
   end
 
-(* Maintenance sweeps walk [used] newest first, reading each slot's
-   predecessor before the slot can be evicted.  Cost is O(live), never
-   O(allocated) — a table grown to millions of slots with a handful of
-   live flows pays for the handful. *)
-
-let rec expire_loop t now_i idle_i slot count =
-  if slot < 0 then count
-  else begin
-    let older = Slot_list.prev t.lists slot in
-    t.s_maint_visited <- t.s_maint_visited + 1;
-    let count =
-      if now_i - get t slot f_last > idle_i then begin
+(* The table joins the wheel at its first pass, and a pass with
+   another idle time re-ticks it; either schedules every live record
+   again, once. *)
+let expire t ~now ~idle_ns =
+  let now = Int64.to_int now and idle = min (Int64.to_int idle_ns) Wheel.max_timeout in
+  let w =
+    match t.wheel with
+    | Some w -> w
+    | None -> Wheel.create ~slots:t.allocated ~timeout:idle ~now
+  in
+  if Option.is_none t.wheel || idle <> t.idle then begin
+    Wheel.retick w ~timeout:idle;
+    t.wheel <- Some w;
+    t.idle <- idle;
+    walk t (schedule t) ~newest:false (Slot_list.first t.lists used)
+  end;
+  (* reading ahead the hot, tail and accounting lines and the index home *)
+  let read slot =
+    get t slot f_last + get t slot f_created + get t slot f_packets
+    + Index.home t.index (get t slot f_hash)
+  in
+  Wheel.pass w ~now ~deadline:(deadline t) ~read ~expired:(fun slot ->
+      t.s_maint_visited <- t.s_maint_visited + 1;
+      now - get t slot f_last > t.idle
+      && begin
         evict t slot "expired";
         free_push t slot;
         Rp_obs.Counter.inc m_expired;
-        count + 1
-      end
-      else count
-    in
-    expire_loop t now_i idle_i older count
-  end
+        true
+      end)
 
-let expire t ~now ~idle_ns =
-  expire_loop t (Int64.to_int now) (Int64.to_int idle_ns)
-    (Slot_list.last t.lists used) 0
+(* Evict every live record [pred] holds for; returns how many. *)
+let sweep t reason pred =
+  let n = ref 0 in
+  walk t
+    (fun slot ->
+      t.s_maint_visited <- t.s_maint_visited + 1;
+      if pred slot then begin
+        evict t slot reason;
+        free_push t slot;
+        incr n
+      end)
+    ~newest:true (Slot_list.last t.lists used);
+  !n
 
-let rec flush_loop t slot =
-  if slot >= 0 then begin
-    let older = Slot_list.prev t.lists slot in
-    t.s_maint_visited <- t.s_maint_visited + 1;
-    evict t slot "flushed";
-    free_push t slot;
-    flush_loop t older
-  end
-
-let flush t = flush_loop t (Slot_list.last t.lists used)
+let flush t = ignore (sweep t "flushed" (fun _ -> true))
 
 let set_exporter t f = t.exporter <- Some f
 
@@ -748,24 +732,10 @@ let clear_binding t (r : 'a record) ~gate =
 (* Evict only the records [f] matches (a changed filter), read from
    their words; each goes through the common [evict] path, so it is
    exported exactly once. *)
-let rec invalidate_loop t f slot count =
-  if slot < 0 then count
-  else begin
-    let older = Slot_list.prev t.lists slot in
-    t.s_maint_visited <- t.s_maint_visited + 1;
-    let count =
-      if filter_at t slot f then begin
-        evict t slot "invalidated";
-        free_push t slot;
-        Rp_obs.Counter.inc m_invalidated;
-        count + 1
-      end
-      else count
-    in
-    invalidate_loop t f older count
-  end
-
-let invalidate t f = invalidate_loop t f (Slot_list.last t.lists used) 0
+let invalidate t f =
+  let n = sweep t "invalidated" (fun slot -> filter_at t slot f) in
+  Rp_obs.Counter.add m_invalidated n;
+  n
 
 let length t = t.live
 let capacity t = t.allocated
@@ -782,11 +752,5 @@ let stats t =
     maint_visited = t.s_maint_visited;
   }
 
-let rec iter_loop f t slot =
-  if slot >= 0 then begin
-    let older = Slot_list.prev t.lists slot in
-    f t.handles.(slot);
-    iter_loop f t older
-  end
-
-let iter f t = iter_loop f t (Slot_list.last t.lists used)
+let iter f t =
+  walk t (fun slot -> f t.handles.(slot)) ~newest:true (Slot_list.last t.lists used)

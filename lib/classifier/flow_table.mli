@@ -18,23 +18,23 @@
     hit compares ints, and {!key} rebuilds a key only for control-path
     callers.
 
-    The key index is open-addressing with linear probing over a
-    power-of-two array kept at no more than half load (it is resized
-    with the record pool), so probe runs stay short at any scale.  Each
+    The key index ({!Index}, shared with the session table) is kept at
+    no more than half load, so probe runs stay short at any scale.  Each
     entry packs 31 bits of its key's hash beside its slot, so a probe
-    reads a record line only when that fingerprint matches; deletion is
-    backward-shift, leaving no tombstones.  Every slot is on one of two
-    {!Slot_list}s: the live slots in insertion order, or the free
-    slots.  Recycling takes the first live slot, and the maintenance
-    sweeps ({!expire}, {!flush}, {!invalidate}, {!iter}) walk the live
-    list newest first.
+    reads a record line only when that fingerprint matches.  Every slot
+    is on one of two {!Slot_list}s: the live slots in insertion order,
+    or the free slots.  Recycling takes the first live slot, and
+    {!flush}, {!invalidate} and {!iter} walk the live list newest
+    first.  From its first {!expire} on, the table also keeps every
+    live record on the session table's timer wheel ({!Wheel}), so a
+    pass visits only the records that came due.
 
     Each (slot, gate) pair owns one {!binding} block, its [Some]
     included, made the first time that pair is bound and refilled in
     place for each later flow in the slot (a {!lend}ed block is
     replaced instead).  Once every pair a workload binds has its
-    block, {!find}, insert, bind, evict, recycle, account and expire
-    allocate nothing on the OCaml heap.
+    block, {!find}, insert, bind, evict, recycle and account allocate
+    nothing on the OCaml heap, and an {!expire} pass a few words.
 
     Records come from a pool that grows exponentially (1024, 2048,
     4096, …) up to a configurable maximum, after which the oldest
@@ -90,10 +90,9 @@ type stats = {
           hitting an empty one records d.  This matches the number of
           per-slot memory accesses charged (see {!find}). *)
   maint_visited : int;
-      (** cumulative slots visited by {!expire}, {!flush} and
-          {!invalidate} — these walk the live list, so the figure
-          grows with live records per sweep, never with grown
-          capacity *)
+      (** cumulative slots visited by {!expire} (the due records it
+          re-checks) and by {!flush} and {!invalidate} (every live
+          record), never grown-but-dead capacity *)
 }
 
 (** [create ~gates ()] — [gates] is the number of gates whose bindings
@@ -158,8 +157,11 @@ val insert : 'a t -> Flow_key.t -> now:int64 -> 'a record
 val remove : 'a t -> 'a record -> unit
 
 (** [expire t ~now ~idle_ns] evicts every record idle strictly longer
-    than [idle_ns], newest first.  O(live records) — dead grown
-    capacity costs nothing; meant for periodic housekeeping. *)
+    than [idle_ns], in no promised order.  It visits only the records
+    the wheel hands back, evicting those still idle and rescheduling
+    the rest at their last use; the first call, or one with another
+    [idle_ns], first schedules every live record once (not counted in
+    [maint_visited]).  Records must be used at non-decreasing times. *)
 val expire : 'a t -> now:int64 -> idle_ns:int64 -> int
 
 (** [flush t] evicts everything, newest first (used when filter

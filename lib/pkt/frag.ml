@@ -69,40 +69,28 @@ module Reassembly = struct
     template : Mbuf.t;  (** header fields for the rebuilt datagram *)
   }
 
-  type key = {
-    src : Ipaddr.t;
-    dst : Ipaddr.t;
-    proto : int;
-    ident : int;
-  }
-
-  module KT = Hashtbl.Make (struct
-    type t = key
-
-    let equal a b =
-      a.proto = b.proto && a.ident = b.ident && Ipaddr.equal a.src b.src
-      && Ipaddr.equal a.dst b.dst
-
-    let hash k = Ipaddr.hash k.src lxor (Ipaddr.hash k.dst * 3) lxor (k.ident * 65537) lxor k.proto
-  end)
-
   type t = {
     timeout_ns : int64;
-    table : datagram KT.t;
+    table : (Ipaddr.t * Ipaddr.t * int * int, datagram) Hashtbl.t;
+    mutable oldest_ns : int64;  (** no pending datagram is older *)
   }
 
+  let c_expired = Rp_obs.Registry.counter "frag.reasm_expired"
+  let c_evicted = Rp_obs.Registry.counter "frag.reasm_evicted"
+  let c_refused = Rp_obs.Registry.counter "frag.reasm_refused"
+
+  let max_pending = 1024
+  let max_frags = 64
+
   let create ?(timeout_ns = 30_000_000_000L) () =
-    { timeout_ns; table = KT.create 32 }
+    { timeout_ns; table = Hashtbl.create 32; oldest_ns = Int64.max_int }
 
+  (* A datagram is (source, destination, protocol, identification). *)
   let key_of (m : Mbuf.t) =
-    {
-      src = m.Mbuf.key.Flow_key.src;
-      dst = m.Mbuf.key.Flow_key.dst;
-      proto = m.Mbuf.key.Flow_key.proto;
-      ident = m.Mbuf.ident;
-    }
+    let k = m.Mbuf.key in
+    (k.Flow_key.src, k.Flow_key.dst, k.Flow_key.proto, m.Mbuf.ident)
 
-  let pending t = KT.length t.table
+  let pending t = Hashtbl.length t.table
 
   (* Is [0, total) fully covered by the chunks? *)
   let complete d =
@@ -149,19 +137,41 @@ module Reassembly = struct
     end;
     m
 
+  (* Drop the datagrams first seen before [before], counted in [c];
+     [oldest_ns] is then exact. *)
+  let drop_before t ~before c =
+    let stale = ref [] and oldest = ref Int64.max_int in
+    Hashtbl.iter
+      (fun k d ->
+        if d.first_seen_ns < before then stale := k :: !stale
+        else oldest := min !oldest d.first_seen_ns)
+      t.table;
+    List.iter (Hashtbl.remove t.table) !stale;
+    t.oldest_ns <- !oldest;
+    Rp_obs.Counter.add c (List.length !stale);
+    List.length !stale
+
+  let expire t ~now = drop_before t ~before:(Int64.sub now t.timeout_ns) c_expired
+
   let offer t ~now (m : Mbuf.t) =
     match m.Mbuf.frag with
     | None -> Some m
     | Some f ->
+      if t.oldest_ns < Int64.sub now t.timeout_ns then ignore (expire t ~now);
       let k = key_of m in
       let d =
-        match KT.find_opt t.table k with
+        match Hashtbl.find_opt t.table k with
         | Some d -> d
         | None ->
+          (* at the cap, the datagrams first seen earliest make room *)
+          while Hashtbl.length t.table >= max_pending do
+            ignore (drop_before t ~before:(Int64.succ t.oldest_ns) c_evicted)
+          done;
           let d =
             { chunks = []; total = None; first_seen_ns = now; template = m }
           in
-          KT.add t.table k d;
+          Hashtbl.add t.table k d;
+          t.oldest_ns <- min t.oldest_ns now;
           d
       in
       let hdr = header_size m in
@@ -174,18 +184,15 @@ module Reassembly = struct
         (f.Mbuf.offset, plen, payload)
         :: List.filter (fun (off, _, _) -> off <> f.Mbuf.offset) d.chunks;
       if not f.Mbuf.more then d.total <- Some (f.Mbuf.offset + plen);
-      if complete d then begin
-        KT.remove t.table k;
+      if List.compare_length_with d.chunks max_frags > 0 then begin
+        (* past the per-datagram cap: the datagram is dropped whole *)
+        Hashtbl.remove t.table k;
+        Rp_obs.Counter.inc c_refused;
+        None
+      end
+      else if complete d then begin
+        Hashtbl.remove t.table k;
         Some (rebuild d)
       end
       else None
-
-  let expire t ~now =
-    let stale = ref [] in
-    KT.iter
-      (fun k d ->
-        if Int64.sub now d.first_seen_ns > t.timeout_ns then stale := k :: !stale)
-      t.table;
-    List.iter (KT.remove t.table) !stale;
-    List.length !stale
 end

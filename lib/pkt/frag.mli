@@ -3,7 +3,8 @@
     Routers fragment IPv4 datagrams that exceed the egress MTU (unless
     DF is set); IPv6 routers never fragment — the source must.  The
     reassembler is the endpoint-side counterpart, keyed by
-    (source, destination, protocol, identification), with a timeout. *)
+    (source, destination, protocol, identification), bounded in
+    datagrams and in fragments per datagram, with a timeout. *)
 
 open! Ipaddr
 
@@ -26,15 +27,24 @@ module Reassembly : sig
       reassembly timer). *)
   val create : ?timeout_ns:int64 -> unit -> t
 
+  (** The bounds: incomplete datagrams held (1024), and distinct
+      fragments of one datagram (64). *)
+  val max_pending : int
+
+  val max_frags : int
+
   (** [offer t ~now m] accepts a packet.  Unfragmented packets are
       returned immediately; fragments are buffered, and the completed
-      datagram is returned when the last hole closes. *)
+      datagram is returned when the last hole closes.  The timeout
+      applies first; a new datagram at [max_pending] evicts the one
+      first seen earliest ([frag.reasm_evicted]), and one offered more
+      than [max_frags] fragments is dropped ([frag.reasm_refused]). *)
   val offer : t -> now:int64 -> Mbuf.t -> Mbuf.t option
 
-  (** Datagrams currently incomplete. *)
+  (** Datagrams currently incomplete; never more than [max_pending]. *)
   val pending : t -> int
 
   (** Drop incomplete datagrams older than the timeout; returns how
-      many were discarded. *)
+      many were discarded (counted in [frag.reasm_expired]). *)
   val expire : t -> now:int64 -> int
 end

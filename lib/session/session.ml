@@ -12,20 +12,18 @@
    through a cached handle can never lose its write to a concurrent
    copy.
 
-   Index: one open-addressed int array (linear probing, backward-shift
-   deletion, load at most 1/2) of [hash lsl ref_bits lor (ref + 1)]
-   entries, where a ref is [slot lsl 1 lor which]: [which] = 0 is the
-   session's forward tuple, 1 its translated tuple.  The hash is
+   Index: an [Rp_classifier.Index], at most half full, of
+   [hash lsl ref_bits lor (ref + 1)] entries, where a ref is
+   [slot lsl 1 lor which]: [which] = 0 is the session's forward tuple,
+   1 its translated tuple.  The hash is
    symmetric in the two endpoints, so a tuple and its reverse land on
    one entry; probing compares the row's words in both orientations,
    and the orientation that matches is the packet's direction — before
    the NAT rewrite (ingress tuples) and after it (translated tuples)
    alike.  An un-NAT'd session has one entry.
 
-   Expiry: a hashed timer wheel whose buckets are [Slot_list]s, as
-   are a pass's due slots and the parked and free ones: every slot in
-   use is on exactly one list, so moving it is an unlink and a push,
-   and no list holds a stale entry.  A session is scheduled at its
+   Expiry: the flow table's [Rp_classifier.Wheel]; every slot is on the
+   wheel or on the parked or free list.  A session is scheduled at its
    deadline when created, when a state change shortens its timeout,
    and whenever a pass finds it touched since; a pass visits only the
    buckets whose ticks elapsed and re-checks each slot there against
@@ -38,7 +36,7 @@
    takes the mutex only when it changes the state. *)
 
 open Rp_pkt
-module Slot_list = Rp_classifier.Slot_list
+open Rp_classifier
 
 type tcp_state = Tcp_syn | Tcp_est | Tcp_fin | Tcp_closed
 type state = Tcp of tcp_state | Udp | Other
@@ -143,8 +141,6 @@ let b_two_keys = 0x400 (* the translated tuple has its own index entry *)
 let v6_shift = 11
 let[@inline] b_v6 f = 1 lsl (v6_shift + ((f - f_osrc) lsr 2))
 
-type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type nat_rule = {
   kind : [ `Snat | `Dnat ];
   filter : Rp_classifier.Filter.t;
@@ -159,19 +155,16 @@ type table = {
   cap : int;
   cbits : int; (* log2 of the rows per chunk *)
   cmask : int;
-  rows : flat array; (* chunk directory; unallocated: [empty_chunk] *)
+  rows : Index.flat array; (* chunk directory; unallocated: [empty_chunk] *)
   views : Rp_classifier.Flow_table.soft option array array;
       (* two per slot, see [Sess] *)
   mutable allocated : int;
-  mutable fresh : int; (* rows [fresh, allocated) were never used *)
-  mutable index : flat;
-  mutable imask : int;
+  mutable index : Index.flat;
   mutable nlive : int;
+  (* Every slot is on the wheel or on [l_parked] or [l_free]; both are
+     made with the first rows. *)
+  mutable wheel : Wheel.t;
   mutable lists : Slot_list.t;
-      (* the wheel buckets, [l_due], [l_parked] and [l_free]; allocated
-         with the first rows *)
-  mutable tick_bits : int;
-  mutable last_tick : int;
   mutable rules_l : nat_rule list;
   mutable tcp_syn_ns : int;
   mutable tcp_est_ns : int;
@@ -208,7 +201,7 @@ type Rp_classifier.Flow_table.soft +=
   | No_session
   | Table_full
 
-let empty_chunk : flat = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout 0
+let empty_chunk = Index.flat 0
 
 let[@inline] chunk t slot = Array.unsafe_get t.rows (slot lsr t.cbits)
 let[@inline] base t slot = (slot land t.cmask) * stride
@@ -243,7 +236,6 @@ let dir_code (d : Flow_key.direction) = match d with Fwd -> 0 | Rev -> 1
 let direction r : Flow_key.direction = if r land 1 = 0 then Fwd else Rev
 let ref_of s dir = (s.h land ref_mask) lor dir_code dir
 let equal a b = a.tab == b.tab && a.h = b.h
-let alive s = valid s.tab s.h
 let slot s = slot_of s.h
 
 (* ---- Accessors ---------------------------------------------------- *)
@@ -293,10 +285,6 @@ let last_ns s = Int64.of_int (last_touch s.tab (slot s))
 
 (* ---- Timeouts and the wheel --------------------------------------- *)
 
-let wheel_bits = 12
-let wheel_size = 1 lsl wheel_bits
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
-
 let timeout_of_code t v =
   if v = 0 then t.udp_ns
   else if v = 1 then t.other_ns
@@ -306,35 +294,22 @@ let timeout_of_code t v =
     | 1 -> t.tcp_est_ns
     | _ -> t.tcp_fin_ns
 
-(* A tick of about a sixteenth of the shortest timeout: a pass's
-   partly elapsed tick then holds few sessions not yet due, and the
-   wheel spans 256 shortest timeouts. *)
-let tick_bits_of t =
-  let m =
-    min t.tcp_syn_ns (min t.tcp_est_ns (min t.tcp_fin_ns (min t.udp_ns t.other_ns)))
-  in
-  log2 (max 1 (m / 16))
+let shortest t =
+  min t.tcp_syn_ns (min t.tcp_est_ns (min t.tcp_fin_ns (min t.udp_ns t.other_ns)))
 
 (* The first instant the session is idle past its state's timeout. *)
 let deadline t i = last_touch t i + timeout_of_code t (get t i f_state) + 1
 
-(* Lists [0, wheel_size) are the wheel's buckets.  [l_due] holds a
-   pass's slots, [l_parked] the slots freed by the last pass and
-   [l_free] the slots ready for reuse. *)
-let l_due = wheel_size
-let l_parked = wheel_size + 1
-let l_free = wheel_size + 2
+(* [l_parked] holds the slots freed by the last pass, [l_free] the
+   slots ready for reuse. *)
+let l_parked = 0
+let l_free = 1
 
-(* Shared by every table until its first rows: its lists are empty and
-   nothing is ever pushed onto it. *)
-let no_lists = Slot_list.create ~lists:(wheel_size + 3) ~slots:0
-
-(* Move slot [i] to its deadline's bucket (never one the last pass has
-   already passed). *)
-let schedule t i =
-  let tk = max (deadline t i asr t.tick_bits) t.last_tick in
-  Slot_list.unlink t.lists i;
-  Slot_list.push_back t.lists (tk land (wheel_size - 1)) i
+(* Shared by every table until its first rows: nothing is ever put on
+   them. *)
+let no_wheel = Wheel.create ~slots:0 ~timeout:0 ~now:0
+let no_lists = Slot_list.create ~lists:2 ~slots:0
+let schedule t i = Wheel.schedule t.wheel i ~at:(deadline t i)
 
 (* ---- Per-packet operations on a ref ------------------------------- *)
 
@@ -623,15 +598,10 @@ module Table = struct
   let initial_rows = 1024
   let secs n = n * 1_000_000_000
 
-  (* Timeouts are capped so deadlines never overflow. *)
-  let max_timeout = 1 lsl 60
-
-  let next_pow2 n = 1 lsl log2 ((2 * n) - 1)
-
   let create ?(capacity = default_capacity) tname =
-    let capacity = next_pow2 (max 1 (min capacity max_capacity)) in
+    let capacity = Index.pow2_at_least (max 1 (min capacity max_capacity)) in
     let chunk = min initial_rows capacity in
-    let cbits = log2 chunk in
+    let cbits = Index.log2 chunk in
     {
       tname;
       lock = Mutex.create ();
@@ -641,13 +611,10 @@ module Table = struct
       rows = Array.make (capacity lsr cbits) empty_chunk;
       views = Array.make (capacity lsr cbits) [||];
       allocated = 0;
-      fresh = 0;
       index = empty_chunk;
-      imask = 0;
       nlive = 0;
+      wheel = no_wheel;
       lists = no_lists;
-      tick_bits = 0;
-      last_tick = 0;
       rules_l = [];
       tcp_syn_ns = secs 30;
       tcp_est_ns = secs 300;
@@ -717,100 +684,67 @@ module Table = struct
       else 0
 
   (* The ref (slot and direction) [k] resolves to, or -1. *)
-  let rec probe t (k : Flow_key.t) h i =
+  let rec probe t (k : Flow_key.t) h mask i =
     let e = Bigarray.Array1.unsafe_get t.index i in
     if e = 0 then -1
     else
       let r = (e land ref_mask) - 1 in
       let o = if e lsr ref_bits = h then orient t (r lsr 1) (r land 1) k else 0 in
-      if o = 0 then probe t k h ((i + 1) land t.imask)
+      if o = 0 then probe t k h mask ((i + 1) land mask)
       else (r land lnot 1) lor (o - 1)
 
-  let find t k h = if t.nlive = 0 then -1 else probe t k h (h land t.imask)
+  let find t k h =
+    let mask = Bigarray.Array1.dim t.index - 1 in
+    if t.nlive = 0 then -1 else probe t k h mask (h land mask)
 
-  let rec insert_entry index mask e i =
-    if Bigarray.Array1.unsafe_get index i = 0 then Bigarray.Array1.unsafe_set index i e
-    else insert_entry index mask e ((i + 1) land mask)
-
-  let add_entry t h r =
-    insert_entry t.index t.imask ((h lsl ref_bits) lor (r + 1)) (h land t.imask)
-
-  (* Backward-shift deletion: pull each later entry of the run into the
-     hole when its home does not lie between the hole and it. *)
-  let rec shift_back t hole j =
-    let e = Bigarray.Array1.unsafe_get t.index j in
-    if e = 0 then Bigarray.Array1.unsafe_set t.index hole 0
-    else
-      let home = (e lsr ref_bits) land t.imask in
-      if (j - home) land t.imask >= (j - hole) land t.imask then begin
-        Bigarray.Array1.unsafe_set t.index hole e;
-        shift_back t j ((j + 1) land t.imask)
-      end
-      else shift_back t hole ((j + 1) land t.imask)
-
-  let rec find_entry t want j =
-    let e = Bigarray.Array1.unsafe_get t.index j in
-    if e = 0 then ()
-    else if e land ref_mask = want then shift_back t j ((j + 1) land t.imask)
-    else find_entry t want ((j + 1) land t.imask)
+  (* Entry [which] of slot [i]: its ref + 1 under the hash in the row. *)
+  let add_entry t i which =
+    Index.insert t.index ~bits:ref_bits ~hash:(get t i (f_hash + which))
+      (((i lsl 1) lor which) + 1)
 
   let remove_entry t i which =
-    find_entry t (((i lsl 1) lor which) + 1) (get t i (f_hash + which) land t.imask)
+    Index.remove t.index ~bits:ref_bits ~hash:(get t i (f_hash + which))
+      (((i lsl 1) lor which) + 1)
 
-  let flat_make n =
-    let a = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout n in
-    Bigarray.Array1.fill a 0;
-    a
+  let live_slots t f =
+    for i = 0 to t.allocated - 1 do
+      if get t i f_gen land 1 = 1 then f i
+    done
 
   (* ---- Slots ---- *)
 
-  let rehash t size =
-    let old = t.index and index = flat_make size in
-    let mask = size - 1 in
-    for j = 0 to Bigarray.Array1.dim old - 1 do
-      let e = Bigarray.Array1.unsafe_get old j in
-      if e <> 0 then insert_entry index mask e ((e lsr ref_bits) land mask)
-    done;
-    t.index <- index;
-    t.imask <- mask
-
-  (* Double the rows (the first call allocates one chunk and the slot
-     lists), adding chunks so that no row moves; the index keeps four
-     entries per row. *)
-  let grow t ~now =
+  (* Double the rows (the first call allocates one chunk, the wheel,
+     ticked by the shortest timeout, and the slot lists), adding chunks
+     so that no row moves; the new slots go on [l_free], to be taken
+     lowest first.  The index keeps four entries per row. *)
+  let grow t =
     let chunk = t.cmask + 1 in
-    let first = t.allocated = 0 in
-    let target = if first then chunk else min t.cap (2 * t.allocated) in
+    let target = if t.allocated = 0 then chunk else min t.cap (2 * t.allocated) in
     for c = t.allocated lsr t.cbits to (target lsr t.cbits) - 1 do
-      t.rows.(c) <- flat_make (chunk * stride);
+      t.rows.(c) <- Index.flat (chunk * stride);
       t.views.(c) <- Array.make (2 * chunk) None
     done;
+    if t.allocated = 0 then begin
+      t.wheel <- Wheel.create ~slots:target ~timeout:(shortest t) ~now:0;
+      t.lists <- Slot_list.create ~lists:2 ~slots:target
+    end;
+    Wheel.grow t.wheel ~slots:target;
+    Slot_list.grow t.lists ~slots:target;
+    for i = target - 1 downto t.allocated do
+      Slot_list.push_back t.lists l_free i
+    done;
     t.allocated <- target;
-    rehash t (4 * target);
-    if first then begin
-      t.lists <- Slot_list.create ~lists:(wheel_size + 3) ~slots:target;
-      t.tick_bits <- tick_bits_of t;
-      t.last_tick <- now asr t.tick_bits
-    end
-    else Slot_list.grow t.lists ~slots:target
+    t.index <- Index.make (4 * target);
+    live_slots t (fun i ->
+        add_entry t i 0;
+        if get t i f_flags land b_two_keys <> 0 then add_entry t i 1)
 
-  (* A slot for a new session, or -1 at capacity: the last one freed,
-     else one never used. *)
-  let alloc_slot t ~now =
+  (* A slot for a new session, the last one freed, or -1 at capacity. *)
+  let alloc_slot t =
+    if Slot_list.last t.lists l_free < 0 && t.allocated < t.cap then grow t;
     let s = Slot_list.last t.lists l_free in
-    if s >= 0 then begin
-      Slot_list.unlink t.lists s;
-      s
-    end
-    else begin
-      if t.fresh = t.allocated && t.allocated < t.cap then grow t ~now;
-      if t.fresh < t.allocated then begin
-        let i = t.fresh in
-        t.fresh <- i + 1;
-        i
-      end
-      else -1
-    end
+    if s >= 0 then Slot_list.unlink t.lists s;
+    s
 
   (* Slots freed by the previous pass rejoin the free list: every
      packet that validated a handle to them before they were freed has
@@ -825,7 +759,7 @@ module Table = struct
     if get t i f_flags land b_two_keys <> 0 then remove_entry t i 1;
     set t i f_gen (get t i f_gen + 1);
     t.nlive <- t.nlive - 1;
-    Slot_list.unlink t.lists i;
+    Wheel.unlink t.wheel i;
     Slot_list.push_back t.lists l_parked i;
     Atomic.incr t.expired_c
 
@@ -917,7 +851,7 @@ module Table = struct
     in
     set t i f_flags flags;
     set t i f_hash h;
-    add_entry t h (i lsl 1);
+    add_entry t i 0;
     (if two_keys then
        let x =
          { key with src = xsrc; dst = xdst; sport = xsport; dport = xdport }
@@ -928,7 +862,7 @@ module Table = struct
        if find t x hx >= 0 then Atomic.incr t.conflicts_c
        else begin
          set t i (f_hash + 1) hx;
-         add_entry t hx ((i lsl 1) lor 1);
+         add_entry t i 1;
          set t i f_flags (flags lor b_two_keys)
        end);
     set t i f_gen (get t i f_gen + 1);
@@ -961,7 +895,7 @@ module Table = struct
           (* index insert: two writes *)
           Rp_lpm.Access.charge 2;
           Rp_core.Cost.charge_mem 2;
-          let i = alloc_slot t ~now in
+          let i = alloc_slot t in
           if i < 0 then begin
             Atomic.incr t.refused_c;
             -2
@@ -1020,93 +954,45 @@ module Table = struct
       | `Udp -> t.udp_ns
       | `Other -> t.other_ns)
 
-  let live_slots t f =
-    for i = 0 to t.fresh - 1 do
-      if get t i f_gen land 1 = 1 then f i
-    done
-
   (* A shorter timeout can bring deadlines forward past where the
-     wheel holds them, and a new tick size moves every bucket: either
-     reschedules every live session, once (control path). *)
+     wheel holds them, and a new tick size moves every bucket: a new
+     timeout reschedules every live session, once (control path). *)
   let set_timeout t (c : timeout_class) ns =
-    let ns = Int64.to_int (max 0L (min ns (Int64.of_int max_timeout))) in
+    let ns = Int64.to_int (max 0L (min ns (Int64.of_int Wheel.max_timeout))) in
     Mutex.lock t.lock;
-    let before = Int64.to_int (timeout t c) in
     (match c with
     | `Tcp_syn -> t.tcp_syn_ns <- ns
     | `Tcp_est -> t.tcp_est_ns <- ns
     | `Tcp_fin -> t.tcp_fin_ns <- ns
     | `Udp -> t.udp_ns <- ns
     | `Other -> t.other_ns <- ns);
-    let bits = tick_bits_of t in
-    if t.allocated > 0 && (ns < before || bits <> t.tick_bits) then begin
-      t.last_tick <- (t.last_tick lsl t.tick_bits) asr bits;
-      t.tick_bits <- bits;
+    if t.allocated > 0 then begin
+      Wheel.retick t.wheel ~timeout:(shortest t);
       live_slots t (schedule t)
-    end
-    else t.tick_bits <- bits;
+    end;
     Mutex.unlock t.lock
 
-  (* A pass's rows are cold (their sessions have idled a timeout), and
-     so are the index lines their removal probes.  Reading a batch of
-     rows, then the batch's index homes, before processing it lets
-     those misses overlap instead of stalling the pass one by one; the
-     sum only keeps the reads. *)
-  let ahead = 16
-  let ahead_sink = ref 0
-
   (* One word in each 64-byte line of a row, and the home of its first
-     index entry. *)
+     index entry: what a pass reads ahead. *)
   let row_words t s =
     get t s f_state + get t s f_pkts + get t s f_osrc + get t s f_xsrc
-    + get t s f_osport + get t s f_hash
+    + get t s f_osport + Index.home t.index (get t s f_hash)
 
-  let index_home t s =
-    Bigarray.Array1.unsafe_get t.index (get t s f_hash land t.imask)
-
-  let rec sum_ahead f t s k acc =
-    if s < 0 || k = 0 then acc
-    else sum_ahead f t (Slot_list.next t.lists s) (k - 1) (acc + f t s)
-
-  (* The next [ahead] slots on [l_due] from [s]: their rows, then their
-     index homes. *)
-  let read_ahead t s =
-    let rows = sum_ahead row_words t s ahead 0 in
-    ahead_sink := sum_ahead index_home t s ahead rows
-
-  (* Move the buckets of the ticks elapsed since the last pass (all of
-     them at most once) onto [l_due], in tick order, and re-check each
-     slot there: expired ones are exported and parked, the rest
-     rescheduled at their current deadline.  Either way a slot leaves
-     [l_due], so none is seen twice. *)
-  let rec reap_due t now k n =
-    let i = Slot_list.first t.lists l_due in
-    if i < 0 then n
-    else begin
-      let k = if k = 0 then (read_ahead t i; ahead) else k in
-      t.nvisited <- t.nvisited + 1;
-      if now - last_touch t i > timeout_of_code t (get t i f_state) then begin
-        release t i ~reason:"session-expired";
-        reap_due t now (k - 1) (n + 1)
-      end
-      else begin
-        schedule t i;
-        reap_due t now (k - 1) n
-      end
-    end
-
-  let reap t ~now =
-    let tk = now asr t.tick_bits in
-    for x = max t.last_tick (tk - wheel_size + 1) to tk do
-      Slot_list.append t.lists ~src:(x land (wheel_size - 1)) ~dst:l_due
-    done;
-    t.last_tick <- max t.last_tick tk;
-    reap_due t now 0 0
-
+  (* A pass re-checks each due slot: expired ones are exported and
+     parked, the rest rescheduled at their current deadline. *)
   let expire t ~now =
     Mutex.lock t.lock;
     unpark t;
-    let n = if t.allocated = 0 then 0 else reap t ~now:(ns_of_int64 now) in
+    let now = ns_of_int64 now in
+    let n =
+      if t.allocated = 0 then 0
+      else
+        Wheel.pass t.wheel ~now ~deadline:(deadline t) ~read:(row_words t)
+          ~expired:(fun i ->
+            t.nvisited <- t.nvisited + 1;
+            now - last_touch t i > timeout_of_code t (get t i f_state)
+            && (release t i ~reason:"session-expired"; true))
+    in
     Mutex.unlock t.lock;
     n
 

@@ -17,11 +17,10 @@
     whichever way round it is seen.  The table is bounded: it grows by
     doubling from 1024 rows up to its capacity and then refuses new
     sessions (counted; the plugins drop the packet as
-    ["session table full"]).  Expiry runs on a timer wheel and visits
-    only the sessions whose deadline passed.  Every slot in use is on
-    one {!Rp_classifier.Slot_list}: a wheel bucket, or the freed slots
-    waiting for reuse, so rescheduling a session leaves no stale wheel
-    entry behind.
+    ["session table full"]).  Expiry runs on the timer wheel the flow
+    table shares ({!Rp_classifier.Wheel}) and visits only the sessions
+    whose deadline passed; every slot is on a wheel bucket or on a list
+    of freed slots, so rescheduling leaves no stale entry behind.
 
     Sharding: the two directions of a NAT'd session can RSS to
     different shards, so tables are shared across domains.  One mutex
@@ -41,9 +40,6 @@ type state = Tcp of tcp_state | Udp | Other
 type t
 
 val equal : t -> t -> bool
-
-(** The session is still in the table (not expired or flushed). *)
-val alive : t -> bool
 
 (** Unique, process-wide. *)
 val id : t -> int
@@ -198,7 +194,7 @@ module Table : sig
 
   val rules : t -> nat_rule list
 
-  (** A shorter timeout reschedules every live session once. *)
+  (** A new timeout reschedules every live session once. *)
   val set_timeout : t -> timeout_class -> int64 -> unit
 
   val timeout : t -> timeout_class -> int64

@@ -744,12 +744,15 @@ let prop_flow_table_model =
   (* Model check: an insertion-ordered list of (key, last use), on a
      table bounded at 4 records and on an unbounded one; both start at
      2 records, so the unbounded table grows to 16 and rebuilds its
-     index with live records.  When bounded, a recycle evicts the
-     model's oldest live key; [expire] evicts exactly its idle keys,
-     and [iter] visits newest first. *)
+     index with live records, on the wheel once the first pass ran.
+     When bounded, a recycle evicts the model's oldest live key;
+     [expire] evicts exactly its idle keys, none early or late, each
+     exported once (in no promised order), and [iter] visits newest
+     first.  The idle time changes between passes (ticks of 1 to 512
+     ns), and the clock jumps by up to 16 spans of the finest wheel. *)
   qtest ~count:300 "flow table = model"
     QCheck2.Gen.(
-      pair bool (list_size (int_range 1 80) (pair (int_bound 4) (int_bound 15))))
+      pair bool (list_size (int_range 1 80) (pair (int_bound 5) (int_bound 15))))
     (fun (bounded, ops) ->
       let t =
         if bounded then
@@ -801,22 +804,85 @@ let prop_flow_table_model =
                  true
                | None, false -> true
                | Some _, false | None, true -> false)
-            | _ ->
-              let idle = 2 * i in
+            | 4 ->
+              let idle = if i < 8 then 2 * i else 1 lsl i in
               let expired, kept =
                 List.partition (fun (_, l) -> !now - l > idle) !model
               in
               model := kept;
               let n = Flow_table.expire t ~now:now64 ~idle_ns:(Int64.of_int idle) in
               n = List.length expired
-              && exported ()
-                 = List.rev_map (fun (j, _) -> ("expired", mk_key j)) expired
+              && List.sort compare (exported ())
+                 = List.sort compare
+                     (List.map (fun (j, _) -> ("expired", mk_key j)) expired)
+            | _ ->
+              now := !now + (4096 * i);
+              true
           in
           let seen = ref [] in
           Flow_table.iter (fun r -> seen := Flow_table.key r :: !seen) t;
           step_ok
           && Flow_table.length t = List.length !model
           && List.rev !seen = List.rev_map (fun (j, _) -> mk_key j) !model)
+        ops)
+
+(* [Wheel] against a list of (deadline, slot) sorted by deadline, under
+   random schedules (some in the past, some beyond a span), unlinks,
+   re-ticks, growth and passes whose clock jumps by up to ten spans of
+   the finest tick, or steps back.  A pass must fire exactly the model's prefix due
+   by [now], re-checking no slot twice, and leave the rest scheduled
+   at their deadlines. *)
+let prop_wheel_model =
+  qtest ~count:300 "wheel = sorted-list model"
+    QCheck2.Gen.(
+      list_size (int_range 1 100) (triple (int_bound 4) (int_bound 15) (int_bound 20)))
+    (fun ops ->
+      let w = Wheel.create ~slots:8 ~timeout:64 ~now:0 in
+      let slots = ref 8 and now = ref 0 in
+      let model = ref [] (* (deadline, slot), sorted *) in
+      let drop s = model := List.filter (fun (_, s') -> s' <> s) !model in
+      let deadline s = fst (List.find (fun (_, s') -> s' = s) !model) in
+      List.for_all
+        (fun (op, s, x) ->
+          match op with
+          | (0 | 1) when s >= !slots -> true
+          | 0 ->
+            let at = !now + (x * x * x * 8) - (200 * x) in
+            Wheel.schedule w s ~at;
+            drop s;
+            model := List.merge compare [ (at, s) ] !model;
+            true
+          | 1 ->
+            Wheel.unlink w s;
+            drop s;
+            true
+          | 2 ->
+            Wheel.retick w ~timeout:(1 lsl x);
+            List.iter (fun (at, s) -> Wheel.schedule w s ~at) !model;
+            true
+          | 3 ->
+            slots := min 16 (!slots + s);
+            Wheel.grow w ~slots:!slots;
+            true
+          | _ ->
+            (* now and then a pass at an earlier instant than the last *)
+            now := if s = 0 then !now - (50 * x) else !now + (x * x * x * x);
+            let seen = ref [] and fired = ref [] and twice = ref false in
+            let n =
+              Wheel.pass w ~now:!now ~deadline ~read:(fun _ -> 0) ~expired:(fun s ->
+                  twice := !twice || List.mem s !seen;
+                  seen := s :: !seen;
+                  deadline s <= !now
+                  && begin
+                    Wheel.unlink w s;
+                    fired := s :: !fired;
+                    true
+                  end)
+            in
+            let due, rest = List.partition (fun (at, _) -> at <= !now) !model in
+            model := rest;
+            (not !twice) && n = List.length due
+            && List.sort compare !fired = List.sort compare (List.map snd due))
         ops)
 
 (* [Slot_list] against OCaml lists: random moves, unlinks, appends and
@@ -867,11 +933,12 @@ let prop_slot_list_model =
 
 (* The whole point of the flat layout: once warm, the per-packet flow
    paths — a [find] hit/miss (the data path's lookup; [lookup] wraps
-   it in a fresh [Some]), insert over a recycled slot, an expiry sweep
-   that finds nothing — allocate no OCaml-heap words at all (same
-   contract the packet pool proved in its GC-silence test).  Keys are
-   preallocated so only table work is measured; small constant slack
-   covers the [Gc.minor_words] boxing itself. *)
+   it in a fresh [Some]), insert over a recycled slot — allocate no
+   OCaml-heap words at all (same contract the packet pool proved in
+   its GC-silence test), and an expiry pass that finds nothing only
+   its few words of closures.  Keys are preallocated so only table
+   work is measured; small constant slack covers the [Gc.minor_words]
+   boxing itself and the pass. *)
 let test_flow_table_gc_silent () =
   let t =
     Flow_table.create ~buckets:2048 ~initial_records:256 ~max_records:256
@@ -903,8 +970,9 @@ let test_flow_table_gc_silent () =
 (* Export copies ints: with the exporter (and the session layer's
    translated-tuple hook) installed, a recycling insert and an expiry
    pass export flows that carry packets and gate bindings without
-   allocating.  Bindings and packets are set up outside the measured
-   windows; the slack is the GC-silence test's. *)
+   allocating per flow (a pass allocates its few words of closures).
+   Bindings and packets are set up outside the measured windows; the
+   slack is the GC-silence test's. *)
 let test_flow_export_gc_silent () =
   let module Fx = Rp_core.Flow_export in
   let module Gate = Rp_core.Gate in
@@ -960,10 +1028,10 @@ let test_flow_export_gc_silent () =
   done;
   Fx.clear ()
 
-(* Regression for the O(allocated) maintenance sweeps: expire and
-   invalidate walk the dense live set, so after growing to thousands
-   of slots and draining back to a handful, a sweep visits exactly
-   [live] slots — grown-but-dead capacity costs nothing. *)
+(* Regression for the O(allocated) maintenance sweeps: after growing
+   to thousands of slots and draining back to a handful, invalidate
+   visits exactly [live] slots — grown-but-dead capacity costs
+   nothing — and expire visits only what is due. *)
 let test_flow_table_olive_maintenance () =
   let t = Flow_table.create ~buckets:64 ~initial_records:4 ~gates:1 () in
   for i = 0 to 4095 do
@@ -974,13 +1042,26 @@ let test_flow_table_olive_maintenance () =
   let n = Flow_table.invalidate t (mk_keys 3 4095) in
   check int_t "drained" 4093 n;
   check int_t "three live" 3 (Flow_table.length t);
-  let v0 = (Flow_table.stats t).Flow_table.maint_visited in
+  let visited () = (Flow_table.stats t).Flow_table.maint_visited in
+  let v0 = visited () in
   check int_t "nothing idle" 0 (Flow_table.expire t ~now:1L ~idle_ns:1_000_000_000L);
-  let v1 = (Flow_table.stats t).Flow_table.maint_visited in
-  check int_t "expire visited exactly the live slots" 3 (v1 - v0);
+  let v1 = visited () in
+  check int_t "expire with nothing due visited no slot" 0 (v1 - v0);
   ignore (Flow_table.invalidate t (Filter.v6 ()));
-  let v2 = (Flow_table.stats t).Flow_table.maint_visited in
-  check int_t "invalidate visited exactly the live slots" 3 (v2 - v1)
+  let v2 = visited () in
+  check int_t "invalidate visited exactly the live slots" 3 (v2 - v1);
+  (* A new idle time schedules the live records again; flows 0 and 1
+     idle past it.  Flow 2, used since it was scheduled, comes due with
+     them and goes back on the wheel at its last use, so a second pass
+     at the same instant visits none. *)
+  check int_t "nothing idle yet" 0 (Flow_table.expire t ~now:100L ~idle_ns:500L);
+  ignore (Flow_table.lookup t (mk_key 2) ~now:600L);
+  let v3 = visited () in
+  check int_t "two due" 2 (Flow_table.expire t ~now:1000L ~idle_ns:500L);
+  let v4 = visited () in
+  check int_t "the pass visited the three due" 3 (v4 - v3);
+  check int_t "none due again" 0 (Flow_table.expire t ~now:1000L ~idle_ns:500L);
+  check int_t "a second pass at the same instant visits no slot" 0 (visited () - v4)
 
 (* The probe run is charged like the old bucket chain — one access for
    the home-bucket read plus one per occupied slot inspected — and
@@ -1918,6 +1999,7 @@ let () =
           Alcotest.test_case "export exactly once" `Quick
             test_flow_table_export_exactly_once;
           prop_flow_table_model;
+          prop_wheel_model;
           prop_slot_list_model;
           Alcotest.test_case "steady state GC-silent" `Quick
             test_flow_table_gc_silent;

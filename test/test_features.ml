@@ -300,6 +300,42 @@ let test_reassembly_timeout () =
   check int_t "expired" 1 (Frag.Reassembly.expire reasm ~now:5000L);
   check int_t "gone" 0 (Frag.Reassembly.pending reasm)
 
+(* A fragment of datagram [ident], at [offset], with more to come. *)
+let mk_frag ~ident ~offset =
+  let m = mk_pkt ~len:100 () in
+  m.Mbuf.ident <- ident;
+  m.Mbuf.frag <- Some { Mbuf.offset; more = true };
+  m
+
+(* A flood of first fragments that never complete stays within the
+   datagram cap, each datagram beyond it evicting the oldest; a
+   datagram offered more fragments than its cap is dropped whole; and
+   the timeout applies from [offer] alone, with no [expire] call. *)
+let test_reassembly_bounded () =
+  let module R = Frag.Reassembly in
+  let count name = Rp_obs.Counter.get (Rp_obs.Registry.counter ("frag.reasm_" ^ name)) in
+  let evicted0 = count "evicted" and refused0 = count "refused" in
+  let expired0 = count "expired" in
+  let reasm = R.create () in
+  for i = 0 to 9_999 do
+    ignore (R.offer reasm ~now:(Int64.of_int i) (mk_frag ~ident:i ~offset:0))
+  done;
+  check int_t "pending at the cap" R.max_pending (R.pending reasm);
+  check int_t "the rest evicted" (10_000 - R.max_pending) (count "evicted" - evicted0);
+  let reasm = R.create () in
+  for j = 0 to R.max_frags do
+    ignore (R.offer reasm ~now:0L (mk_frag ~ident:1 ~offset:(8 * j)))
+  done;
+  check int_t "one fragment too many refuses the datagram" 1 (count "refused" - refused0);
+  check int_t "nothing pending after a refusal" 0 (R.pending reasm);
+  let reasm = R.create ~timeout_ns:1000L () in
+  ignore (R.offer reasm ~now:0L (mk_frag ~ident:1 ~offset:0));
+  ignore (R.offer reasm ~now:500L (mk_frag ~ident:2 ~offset:0));
+  ignore (R.offer reasm ~now:1200L (mk_frag ~ident:3 ~offset:0));
+  check int_t "the datagram past its timeout went at the next offer" 2
+    (R.pending reasm);
+  check int_t "expired" 1 (count "expired" - expired0)
+
 let test_router_fragments_at_egress () =
   (* Egress MTU 1500, 4 KB datagrams: the router fragments; DF makes
      it drop with an ICMP packet-too-big. *)
@@ -512,6 +548,7 @@ let () =
           Alcotest.test_case "raw wire fragments" `Quick test_fragment_raw_bytes;
           prop_fragment_reassemble;
           Alcotest.test_case "reassembly timeout" `Quick test_reassembly_timeout;
+          Alcotest.test_case "reassembly is bounded" `Quick test_reassembly_bounded;
           Alcotest.test_case "router fragments at egress" `Quick
             test_router_fragments_at_egress;
         ] );
