@@ -93,6 +93,30 @@ let all =
             Lt,
             other "bench.fig_coldstart.micro.pergate_g8" );
         ];
+      (* The simulated link shares are deterministic: weighted DRR
+         holds each flow within 3 points of its 1:1:2:4 share (1/8,
+         1/8, 2/8, 4/8), and H-FSC's real-time curve gives voice its
+         full 64 kb/s within a millisecond, although its link share
+         is 10%. *)
+      gates "fig-drr"
+        [
+          ("bench.fig_drr.flow1.share", Ge, Const 0.095);
+          ("bench.fig_drr.flow1.share", Le, Const 0.155);
+          ("bench.fig_drr.flow2.share", Ge, Const 0.095);
+          ("bench.fig_drr.flow2.share", Le, Const 0.155);
+          ("bench.fig_drr.flow3.share", Ge, Const 0.22);
+          ("bench.fig_drr.flow3.share", Le, Const 0.28);
+          ("bench.fig_drr.flow4.share", Ge, Const 0.47);
+          ("bench.fig_drr.flow4.share", Le, Const 0.53);
+        ];
+      gates "fig-hfsc"
+        [
+          ("bench.fig_hfsc.voice.goodput_mbps", Ge, Const 0.063);
+          ("bench.fig_hfsc.voice.max_latency_ms", Le, Const 1.);
+          ( "bench.fig_hfsc.data.goodput_mbps",
+            Ge,
+            other "bench.fig_hfsc.bulk.goodput_mbps" );
+        ];
       (* NAT + conntrack + QoS ride on at most one charged access over
          the bare FIX path, with no steady-state table lookups. *)
       gates "fig-session"

@@ -454,7 +454,12 @@ let fig_drr () =
     (fun (id, w, g) ->
       Printf.printf "  %-6d %7d %14.2f %8.1f%% %9.1f%%\n" id w (mbps g)
         (g /. total_g *. 100.0)
-        (float_of_int w /. float_of_int total_w *. 100.0))
+        (float_of_int w /. float_of_int total_w *. 100.0);
+      let set what v =
+        Rp_obs.Registry.set (Printf.sprintf "bench.fig_drr.flow%d.%s" id what) v
+      in
+      set "share" (g /. total_g);
+      set "goodput_mbps" (mbps g))
     drr;
   let fifo = run_with ~qdisc:`Fifo in
   let total_gf = List.fold_left (fun a (_, _, g) -> a +. g) 0.0 fifo in
@@ -524,13 +529,19 @@ let fig_hfsc () =
   add 2 ~len:1000 ~pps:1500.0;
   add 3 ~len:1000 ~pps:1500.0;
   Rp_sim.Scenario.run s ~seconds:5.0;
-  let report id cname =
+  let report id cname slug =
     match Rp_sim.Sink.flow s.Rp_sim.Scenario.sink (Rp_sim.Scenario.sink_key ~id ()) with
     | Some fs ->
       let mean, mx = Rp_sim.Sink.latency fs in
-      Printf.printf "  %-8s %14.3f %14.2f %12.2f\n" cname
-        (mbps (Rp_sim.Sink.goodput_bps fs))
-        (mean *. 1000.0) (mx *. 1000.0)
+      let goodput = mbps (Rp_sim.Sink.goodput_bps fs) in
+      Printf.printf "  %-8s %14.3f %14.2f %12.2f\n" cname goodput
+        (mean *. 1000.0) (mx *. 1000.0);
+      let set what v =
+        Rp_obs.Registry.set (Printf.sprintf "bench.fig_hfsc.%s.%s" slug what) v
+      in
+      set "goodput_mbps" goodput;
+      set "mean_latency_ms" (mean *. 1000.0);
+      set "max_latency_ms" (mx *. 1000.0)
     | None -> Printf.printf "  %-8s (no packets delivered)\n" cname
   in
   Printf.printf
@@ -538,9 +549,9 @@ let fig_hfsc () =
      RSC (m1 = 2 Mb/s for 20 ms, m2 = 0.5 Mb/s) but only a 10%% fair\n\
      share.  Voice offers 64 kb/s; data and bulk offer 12 Mb/s each.\n\n";
   Printf.printf "  %-8s %14s %14s %12s\n" "class" "goodput Mb/s" "mean lat ms" "max lat ms";
-  report 1 "A-voice";
-  report 2 "A-data";
-  report 3 "B-bulk";
+  report 1 "A-voice" "voice";
+  report 2 "A-data" "data";
+  report 3 "B-bulk" "bulk";
   Printf.printf
     "\n  expectation: voice gets its full 64 kb/s with millisecond-scale\n\
     \  latency (RSC decouples delay from its small share); data:bulk\n\

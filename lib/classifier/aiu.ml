@@ -155,10 +155,15 @@ let classify_miss t key ~now =
      | None -> ())
    | `Per_gate ->
      for g = 0 to t.n_gates - 1 do
-       match Dag.lookup t.tables.(g) key with
-       | Some (filter, v) ->
-         Flow_table.set_binding t.flows record ~gate:g ~filter v
-       | None -> ()
+       let table = t.tables.(g) in
+       (* A gate no filter was ever bound at: its walk's only cost is
+          the 2 function-pointer accesses, charged without it. *)
+       if Dag.pristine table then Rp_lpm.Access.charge 2
+       else
+         match Dag.lookup table key with
+         | Some (filter, v) ->
+           Flow_table.set_binding t.flows record ~gate:g ~filter v
+         | None -> ()
      done);
   Rp_obs.Counter.add m_miss_accesses (!accesses - a0);
   record

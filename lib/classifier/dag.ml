@@ -68,6 +68,7 @@ type 'a t = {
   mutable root : 'a node;
   mutable installed : (Filter.t * 'a) list;
   installed_tbl : 'a Filter_tbl.t;  (** same contents, O(1) membership *)
+  mutable pristine : bool;  (** no filter since [create] or [clear] *)
 }
 
 let n_levels = 6
@@ -117,6 +118,7 @@ let create ?(engine = Rp_lpm.Engines.patricia) () =
     root = mk_node new_matcher nodes 0;
     installed = [];
     installed_tbl = Filter_tbl.create 64;
+    pristine = true;
   }
 
 (* --- insertion (set pruning) --------------------------------------- *)
@@ -276,6 +278,7 @@ and insert_port_range t p level fv lo hi =
     intervals
 
 let insert t f v =
+  t.pristine <- false;
   let already = Filter_tbl.mem t.installed_tbl f in
   Filter_tbl.replace t.installed_tbl f v;
   if already then begin
@@ -440,7 +443,8 @@ let clear t =
   Filter_tbl.reset t.installed_tbl;
   t.installed <- [];
   t.nodes := 0;
-  t.root <- new_node t 0
+  t.root <- new_node t 0;
+  t.pristine <- true
 
 (* --- lookup --------------------------------------------------------- *)
 
@@ -538,3 +542,4 @@ let find t f = Filter_tbl.find_opt t.installed_tbl f
 let length t = List.length t.installed
 let iter f t = List.iter (fun (flt, v) -> f flt v) t.installed
 let node_count t = !(t.nodes)
+let pristine t = t.pristine

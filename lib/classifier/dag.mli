@@ -58,6 +58,13 @@ val clear : 'a t -> unit
 (** Number of trie nodes currently allocated (memory diagnostics). *)
 val node_count : 'a t -> int
 
+(** [pristine t] — no filter was inserted since [t] was created or
+    cleared: the root is the only node and has never held an edge, so
+    {!lookup} would return [None] having charged only its 2
+    function-pointer accesses.  A table emptied by {!remove} is not
+    pristine (its address level may still charge a visit). *)
+val pristine : 'a t -> bool
+
 (** [optimize t] applies the paper's wildcard-chain collapsing
     (section 5.1.2): consecutive levels whose only edge is the
     wildcard are jumped in a single access.  Purely a lookup-cost

@@ -81,21 +81,24 @@ let enqueue t ~now ~binding m =
       false
     end
 
-let dequeue t ~now =
+let pull t ~now =
   match t.qdisc with
   | Some inst ->
     (match inst.Plugin.scheduler with
      | Some s -> s.Plugin.dequeue ~now
      | None -> assert false)
-  | None -> if Ring.is_empty t.fifo then None else Some (Ring.pop t.fifo)
+  | None -> if Ring.is_empty t.fifo then Mbuf.dummy else Ring.pop t.fifo
+
+let dequeue t ~now =
+  let m = pull t ~now in
+  if m == Mbuf.dummy then None else Some m
 
 let drop_queued t ~now =
   match t.qdisc with
   | None -> Ring.clear t.fifo
   | Some _ ->
-    let more = ref true in
-    while !more do
-      match dequeue t ~now with Some _ -> () | None -> more := false
+    while pull t ~now != Mbuf.dummy do
+      ()
     done
 
 let take_queued t =

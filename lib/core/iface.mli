@@ -3,8 +3,8 @@
 
     The plain FIFO is a {!Rp_pkt.Ring} bounded by [fifo_limit]: its
     array is allocated by the first packet queued and doubles as the
-    backlog grows, up to [fifo_limit] slots, so queueing and dequeueing
-    a packet allocate nothing but {!dequeue}'s [Some], and a
+    backlog grows, up to [fifo_limit] slots, so queueing and pulling a
+    packet allocate nothing, and a
     transmitted or discarded descriptor is not kept alive by the
     queue.
 
@@ -57,11 +57,19 @@ val enqueue :
   t -> now:int64 -> binding:Plugin.t Rp_classifier.Flow_table.binding option ->
   Mbuf.t -> bool
 
-(** [dequeue t ~now] takes the next packet to put on the wire. *)
+(** [pull t ~now] takes the next packet to put on the wire, or
+    {!Rp_pkt.Mbuf.dummy} (compare with [==]) when the queue gives up
+    nothing at [now]: the [dequeue] contract of {!Plugin.scheduler}.
+    It allocates nothing. *)
+val pull : t -> now:int64 -> Mbuf.t
+
+(** [dequeue t ~now] is {!pull} with [None] for the dummy: a
+    convenience for callers off the data path (it allocates the
+    [Some]). *)
 val dequeue : t -> now:int64 -> Mbuf.t option
 
 (** [drop_queued t ~now] takes every packet the output queue gives up
-    at [now] and discards it, as repeated {!dequeue}s until [None]
+    at [now] and discards it, as repeated {!pull}s until the dummy
     would; the default FIFO is emptied at once. *)
 val drop_queued : t -> now:int64 -> unit
 

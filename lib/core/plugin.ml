@@ -26,7 +26,7 @@ and scheduler = {
   enqueue :
     now:int64 -> Mbuf.t -> t Rp_classifier.Flow_table.binding option ->
     enq_result;
-  dequeue : now:int64 -> Mbuf.t option;
+  dequeue : now:int64 -> Mbuf.t;
   backlog : unit -> int;
   sched_stats : unit -> (string * string) list;
 }

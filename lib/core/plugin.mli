@@ -52,12 +52,15 @@ and t = {
 (** Output-queue interface of scheduling instances.  [enqueue] is
     called at the scheduling gate with the packet's flow binding (per-
     flow queues live in the binding's soft state); [dequeue] is called
-    by the interface driver when the link can transmit. *)
+    by the interface driver when the link can transmit, and returns
+    the next packet itself, or {!Rp_pkt.Mbuf.dummy} (compared with
+    [==]) when the queue has nothing to send: a dequeue allocates no
+    option. *)
 and scheduler = {
   enqueue :
     now:int64 -> Mbuf.t -> t Rp_classifier.Flow_table.binding option ->
     enq_result;
-  dequeue : now:int64 -> Mbuf.t option;
+  dequeue : now:int64 -> Mbuf.t;
   backlog : unit -> int;  (** packets currently queued *)
   sched_stats : unit -> (string * string) list;
 }

@@ -87,7 +87,7 @@ val rss : t -> Flow_key.t -> int
 
 (** [set_transmitter t ~iface f] — [f ~now] serves interface [iface]
     after a packet queued onto it: it takes what the output queue gives
-    up ({!Rp_core.Iface.dequeue}) and puts it on a link.  The default,
+    up ({!Rp_core.Iface.pull}) and puts it on a link.  The default,
     for an interface without a link, discards what was queued
     ({!Rp_core.Iface.drop_queued}).  The simulator installs its link
     model here ([Rp_sim.Net.connect]). *)

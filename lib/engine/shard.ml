@@ -92,8 +92,11 @@ let apply t (snap : Snapshot.t) =
      recompile never loses NetFlow accounting. *)
   Rp_classifier.Aiu.flush_flows t.ctx.D.aiu;
   t.ctx.D.aiu <- aiu;
-  refresh_control t snap;
-  Atomic.set t.seen_gen snap.gen
+  refresh_control t snap
+
+(* Last, after the counters a sync bumps: [Engine.synced] reads
+   [seen_gen], and a caller it answers must see the counts too. *)
+let publish t (snap : Snapshot.t) = Atomic.set t.seen_gen snap.gen
 
 let create ~index snap =
   let prefix = Printf.sprintf "engine.shard%d." index in
@@ -113,6 +116,7 @@ let create ~index snap =
     }
   in
   apply t snap;
+  publish t snap;
   t
 
 let replay_delta t = function
@@ -140,7 +144,6 @@ let sync t snap =
          path. *)
       List.iter (fun (_, d) -> replay_delta t d) pending;
       refresh_control t snap;
-      Atomic.set t.seen_gen snap.gen;
       Rp_obs.Counter.inc t.m_delta_applies;
       Rp_obs.Counter.add t.m_deltas_replayed (List.length pending)
     end
@@ -149,5 +152,6 @@ let sync t snap =
       (* A recompile discards the private flow cache — same semantics
          as the single-domain AIU flush on any filter-table mutation. *)
       Rp_obs.Counter.inc t.m_flow_flushes
-    end
+    end;
+    publish t snap
   end

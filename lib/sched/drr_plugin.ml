@@ -13,27 +13,40 @@ module FK = Hashtbl.Make (struct
   let hash = Flow_key.hash
 end)
 
+(* A flow's queue.  The record outlives its flow: an evicted record
+   goes on its owner's free list once it is off the active ring, and
+   the owner's next new flow takes it, with its ring at the size it
+   grew to and its soft-slot option, built once with the record. *)
 type flow_q = {
-  fkey : Flow_key.t;
+  mutable fkey : Flow_key.t;
   q : Mbuf.t Ring.t;  (* bounded by [flow_limit] *)
   mutable deficit : int;
   mutable weight : int;
   mutable on_ring : bool;
   mutable evicted : bool;
+  owner : owner;
+  soft : Flow_table.soft option;  (* [Some (Drr_flow self)] *)
 }
 
-type Flow_table.soft += Drr_flow of flow_q
+(* The instance that made a queue.  A flow's binding may name another
+   instance than the qdisc its packets reach (one binding, several
+   interfaces), so eviction goes by the queue's owner. *)
+and owner = Unowned | Owned of state
 
-type state = {
+and state = {
   instance_id : int;
   quantum : int;
   flow_limit : int;
   ring : flow_q Ring.t;  (* the backlogged flows, each once *)
+  free : flow_q Ring.t;  (* evicted records off every ring, for reuse *)
   flows : flow_q FK.t;
   reservations : int FK.t;  (** flow key -> reserved rate (bps) *)
   mutable backlog : int;
   mutable dropped : int;
+  mutable self : owner;  (* [Owned] of this state *)
 }
+
+type Flow_table.soft += Drr_flow of flow_q
 
 let instances : (int, state) Hashtbl.t = Hashtbl.create 8
 
@@ -56,16 +69,32 @@ let weight_for st k =
   | Some rate -> max 1 (rate / max 1 min_rate)
   | None -> 1
 
+(* A queue for the new flow [k]: a recycled record when one is free,
+   reset to an empty queue, no deficit and [k]'s weight. *)
 let new_flow st k =
   let fq =
-    {
-      fkey = k;
-      q = Ring.create ~limit:st.flow_limit ~dummy:Mbuf.dummy ();
-      deficit = 0;
-      weight = weight_for st k;
-      on_ring = false;
-      evicted = false;
-    }
+    if Ring.is_empty st.free then
+      let rec fq =
+        {
+          fkey = k;
+          q = Ring.create ~limit:st.flow_limit ~dummy:Mbuf.dummy ();
+          deficit = 0;
+          weight = weight_for st k;
+          on_ring = false;
+          evicted = false;
+          owner = st.self;
+          soft = Some (Drr_flow fq);
+        }
+      in
+      fq
+    else begin
+      let fq = Ring.pop st.free in
+      fq.fkey <- k;
+      fq.deficit <- 0;
+      fq.weight <- weight_for st k;
+      fq.evicted <- false;
+      fq
+    end
   in
   FK.replace st.flows k fq;
   fq
@@ -77,15 +106,15 @@ let flow_of st binding (m : Mbuf.t) =
      | Some (Drr_flow fq) when not fq.evicted -> fq
      | Some _ | None ->
        let fq = new_flow st m.Mbuf.key in
-       b.Flow_table.soft <- Some (Drr_flow fq);
+       b.Flow_table.soft <- fq.soft;
        fq)
   | None ->
     (* Monolithic mode: no AIU binding, classify internally by
        hashing the flow key — the ALTQ comparison path of Table 3. *)
     Cost.charge Cost.monolithic_classifier;
-    (match FK.find_opt st.flows m.Mbuf.key with
-     | Some fq when not fq.evicted -> fq
-     | Some _ | None -> new_flow st m.Mbuf.key)
+    (match FK.find st.flows m.Mbuf.key with
+     | fq when not fq.evicted -> fq
+     | _ | (exception Not_found) -> new_flow st m.Mbuf.key)
 
 let enqueue st ~now:_ m binding =
   let fq = flow_of st binding m in
@@ -104,14 +133,23 @@ let enqueue st ~now:_ m binding =
     Plugin.Enqueued
   end
 
+let free fq =
+  match fq.owner with Owned st -> ignore (Ring.push st.free fq) | Unowned -> ()
+
+(* Take [fq] off the head of the active ring; an evicted record is
+   free from then on. *)
+let retire st fq =
+  ignore (Ring.pop st.ring);
+  fq.on_ring <- false;
+  fq.deficit <- 0;
+  if fq.evicted then free fq
+
 let rec dequeue st =
-  if Ring.is_empty st.ring then None
+  if Ring.is_empty st.ring then Mbuf.dummy
   else begin
     let fq = Ring.peek st.ring in
     if fq.evicted || Ring.is_empty fq.q then begin
-      ignore (Ring.pop st.ring);
-      fq.on_ring <- false;
-      fq.deficit <- 0;
+      retire st fq;
       dequeue st
     end
     else begin
@@ -120,13 +158,9 @@ let rec dequeue st =
         let m = Ring.pop fq.q in
         fq.deficit <- fq.deficit - head_len;
         st.backlog <- st.backlog - 1;
-        if Ring.is_empty fq.q then begin
-          ignore (Ring.pop st.ring);
-          fq.on_ring <- false;
-          fq.deficit <- 0
-        end;
+        if Ring.is_empty fq.q then retire st fq;
         Cost.charge Cost.drr_dequeue;
-        Some m
+        m
       end
       else begin
         (* The round-robin pointer visits this flow: top up its
@@ -138,19 +172,22 @@ let rec dequeue st =
     end
   end
 
-let on_flow_evict st (b : Plugin.t Flow_table.binding) =
+(* Queued packets of an evicted flow are lost, and counted so by the
+   queue's owner.  The record is free once it is off the active ring:
+   at once, or when the dequeue loop next reaches it there. *)
+let on_flow_evict (b : Plugin.t Flow_table.binding) =
   match b.Flow_table.soft with
-  | Some (Drr_flow fq) ->
-    (* Queued packets of an evicted flow are lost; account for them. *)
+  | Some (Drr_flow ({ owner = Owned st; _ } as fq)) ->
     st.dropped <- st.dropped + Ring.length fq.q;
     st.backlog <- st.backlog - Ring.length fq.q;
     Ring.clear fq.q;
     fq.evicted <- true;
     FK.remove st.flows fq.fkey;
-    b.Flow_table.soft <- None
+    b.Flow_table.soft <- None;
+    if not fq.on_ring then free fq
   | Some _ | None -> ()
 
-(* Stands in a free slot of the active ring. *)
+(* Stands in a free slot of the active ring and the free list. *)
 let no_flow =
   {
     fkey = Mbuf.dummy.Mbuf.key;
@@ -159,6 +196,8 @@ let no_flow =
     weight = 1;
     on_ring = false;
     evicted = true;
+    owner = Unowned;
+    soft = None;
   }
 
 let ( let* ) = Result.bind
@@ -172,12 +211,15 @@ let create_instance ~instance_id ~code ~config =
       quantum;
       flow_limit;
       ring = Ring.create ~limit:max_int ~dummy:no_flow ();
+      free = Ring.create ~limit:max_int ~dummy:no_flow ();
       flows = FK.create 64;
       reservations = FK.create 16;
       backlog = 0;
       dropped = 0;
+      self = Unowned;
     }
   in
+  st.self <- Owned st;
   Hashtbl.replace instances instance_id st;
   let scheduler =
     {
@@ -205,7 +247,7 @@ let create_instance ~instance_id ~code ~config =
     {
       base with
       Plugin.scheduler = Some scheduler;
-      on_flow_evict = Some (on_flow_evict st);
+      on_flow_evict = Some on_flow_evict;
     }
 
 let state_of instance_id =
@@ -236,6 +278,12 @@ let weight_of ~instance_id ~key =
     (match FK.find_opt st.flows key with
      | Some fq -> Some fq.weight
      | None -> Some (weight_for st key))
+
+let queue_state (b : Plugin.t Flow_table.binding) =
+  match b.Flow_table.soft with
+  | Some (Drr_flow fq) when not fq.evicted ->
+    Some (Ring.length fq.q, fq.deficit, fq.weight)
+  | Some _ | None -> None
 
 let drop_count ~instance_id =
   match state_of instance_id with Ok st -> st.dropped | Error _ -> 0

@@ -17,8 +17,15 @@
     512), [flow-limit] (packets per flow queue, default 128),
     [iface] (informational).  [quantum] and [flow-limit] must be
     positive integers, or [create_instance] fails.  A flow's queue is a
-    {!Rp_pkt.Ring} of at most [flow-limit] packets that starts at 4
-    slots. *)
+    {!Rp_pkt.Ring} of at most [flow-limit] packets, allocated by its
+    first packet.
+
+    Queue records are recycled: an evicted flow's record goes on its
+    instance's free list once it is off the active ring (at once, or
+    when the round-robin pointer next reaches it), and the next new
+    flow takes it with an empty queue, no deficit, its own weight and
+    its ring at the size it grew to.  The free list starts empty and
+    grows only at eviction. *)
 
 open Rp_pkt
 open Rp_core
@@ -45,6 +52,13 @@ val unreserve : instance_id:int -> key:Flow_key.t -> (unit, string) result
 (** [weight_of ~instance_id ~key] — current weight (1 = best effort). *)
 val weight_of : instance_id:int -> key:Flow_key.t -> int option
 
+(** The flow queue held by a binding's soft slot, as (packets queued,
+    deficit, weight); [None] when the slot holds none. *)
+val queue_state :
+  Plugin.t Rp_classifier.Flow_table.binding -> (int * int * int) option
+
 (** Packets dropped because a per-flow queue overflowed, plus packets
-    lost to flow-record eviction. *)
+    lost to flow-record eviction, counted by the instance that owns
+    the queue (a binding may name another instance than the qdisc its
+    packets reach). *)
 val drop_count : instance_id:int -> int

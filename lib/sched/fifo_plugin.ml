@@ -30,7 +30,7 @@ let create_instance ~instance_id ~code ~config =
               end);
           dequeue =
             (fun ~now:_ ->
-              if Ring.is_empty st.q then None else Some (Ring.pop st.q));
+              if Ring.is_empty st.q then Mbuf.dummy else Ring.pop st.q);
           backlog = (fun () -> Ring.length st.q);
           sched_stats =
             (fun () ->

@@ -113,7 +113,7 @@ let leaf_peek_len q =
       None d.ring
 
 let rec drr_pop d =
-  if Ring.is_empty d.ring then None
+  if Ring.is_empty d.ring then Mbuf.dummy
   else begin
     let sub = Ring.peek d.ring in
     if Ring.is_empty sub.sq then begin
@@ -133,7 +133,7 @@ let rec drr_pop d =
           sub.on_ring <- false;
           sub.deficit <- 0
         end;
-        Some m
+        m
       end
       else begin
         sub.deficit <- sub.deficit + d.quantum;
@@ -142,9 +142,10 @@ let rec drr_pop d =
       end
   end
 
+(* The leaf's next packet, or [Mbuf.dummy] when it is empty. *)
 let leaf_pop q =
   match q with
-  | Fifo_q fq -> if Ring.is_empty fq then None else Some (Ring.pop fq)
+  | Fifo_q fq -> if Ring.is_empty fq then Mbuf.dummy else Ring.pop fq
   | Drr_q d -> drr_pop d
 
 type Flow_table.soft += Hfsc_flow of class_t
@@ -313,28 +314,29 @@ let rec ls_candidate ~t c =
     | Some k -> ls_candidate ~t k
     | None -> None
 
+(* Advance virtual times along the path from [c] up to the root's
+   children (link-sharing accounting happens for every transmission,
+   whichever criterion chose it). *)
+let rec advance st c len =
+  let share = max 1.0 c.fsc.Service_curve.m2 in
+  c.vt <- c.vt +. (float_of_int len /. share);
+  match c.parent with
+  | Some p when p != st.root -> advance st p len
+  | Some _ | None -> ()
+
 let serve st leaf ~rt =
-  match leaf_pop leaf.q with
-  | None -> None
-  | Some m ->
-  let len = m.Mbuf.len in
-  leaf.sent_pkts <- leaf.sent_pkts + 1;
-  leaf.sent_bytes <- leaf.sent_bytes + len;
-  leaf.cumul_total <- leaf.cumul_total +. float_of_int len;
-  st.backlog <- st.backlog - 1;
-  if rt then leaf.cumul_rt <- leaf.cumul_rt +. float_of_int len;
-  (* Advance virtual times along the path (link-sharing accounting
-     happens for every transmission, whichever criterion chose it). *)
-  let rec advance c =
-    let share = max 1.0 c.fsc.Service_curve.m2 in
-    c.vt <- c.vt +. (float_of_int len /. share);
-    match c.parent with
-    | Some p when p != st.root -> advance p
-    | Some _ | None -> ()
-  in
-  advance leaf;
-  Cost.charge Cost.hfsc_dequeue;
-  Some m
+  let m = leaf_pop leaf.q in
+  if m != Mbuf.dummy then begin
+    let len = m.Mbuf.len in
+    leaf.sent_pkts <- leaf.sent_pkts + 1;
+    leaf.sent_bytes <- leaf.sent_bytes + len;
+    leaf.cumul_total <- leaf.cumul_total +. float_of_int len;
+    st.backlog <- st.backlog - 1;
+    if rt then leaf.cumul_rt <- leaf.cumul_rt +. float_of_int len;
+    advance st leaf len;
+    Cost.charge Cost.hfsc_dequeue
+  end;
+  m
 
 let dequeue st ~now =
   match rt_candidate st ~now with
@@ -342,7 +344,7 @@ let dequeue st ~now =
   | None ->
     (match ls_candidate ~t:(sec_of_ns now) st.root with
      | Some leaf -> serve st leaf ~rt:false
-     | None -> None)
+     | None -> Mbuf.dummy)
 
 (* --- control --------------------------------------------------------- *)
 

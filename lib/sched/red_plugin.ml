@@ -29,24 +29,27 @@ type state = {
   rng : Random.State.t;
   mutable avg : float;
   mutable count : int;  (** packets since last drop *)
-  mutable idle_since : int64 option;
+  mutable idle_since : int64;  (** [busy] while the queue holds packets *)
   mutable early_drops : int;
   mutable forced_drops : int;
 }
 
 let instances : (int, state) Hashtbl.t = Hashtbl.create 8
 
+(* [idle_since] when the queue has not gone idle since the last
+   enqueue. *)
+let busy = Int64.min_int
+
 (* RED while-idle correction: when the queue has been empty, age the
    average as if small packets had departed. *)
 let update_avg st ~now =
   let qlen = float_of_int (Ring.length st.q) in
-  (match st.idle_since with
-   | Some since when Ring.is_empty st.q ->
-     let idle_s = Int64.to_float (Int64.sub now since) /. 1e9 in
-     let departures = idle_s *. 1000.0 in
-     st.avg <- st.avg *. ((1.0 -. st.wq) ** departures);
-     st.idle_since <- None
-   | Some _ | None -> ());
+  if st.idle_since <> busy && Ring.is_empty st.q then begin
+    let idle_s = Int64.to_float (Int64.sub now st.idle_since) /. 1e9 in
+    let departures = idle_s *. 1000.0 in
+    st.avg <- st.avg *. ((1.0 -. st.wq) ** departures);
+    st.idle_since <- busy
+  end;
   st.avg <- ((1.0 -. st.wq) *. st.avg) +. (st.wq *. qlen)
 
 let drop_test st =
@@ -81,11 +84,11 @@ let enqueue st ~now m =
     Plugin.Enqueued
 
 let dequeue st ~now =
-  if Ring.is_empty st.q then None
+  if Ring.is_empty st.q then Mbuf.dummy
   else begin
     let m = Ring.pop st.q in
-    if Ring.is_empty st.q then st.idle_since <- Some now;
-    Some m
+    if Ring.is_empty st.q then st.idle_since <- now;
+    m
   end
 
 let ( let* ) = Result.bind
@@ -121,7 +124,7 @@ let create_instance ~instance_id ~code ~config =
         rng = Random.State.make [| seed |];
         avg = 0.0;
         count = 0;
-        idle_since = None;
+        idle_since = busy;
         early_drops = 0;
         forced_drops = 0;
       }

@@ -186,16 +186,22 @@ type table = {
 
 (* One direction of a session, as flow bindings' soft slots cache it:
    the handle (generation, slot, direction), the direction's
-   post-rewrite addresses boxed for the packet key, and the tuple a
-   flow export carries.  Built with the session, two per session, and
-   shared by every binding that caches it, so filling a slot allocates
-   nothing and the plugins on one packet read one block. *)
+   post-rewrite addresses boxed for the packet key, the post-rewrite
+   key itself, and the tuple a flow export carries.  Built with the
+   session, two per session, and shared by every binding that caches
+   it, so filling a slot allocates nothing and the plugins on one
+   packet read one block.  [xkey] is the key the direction's packets
+   leave with, built by the first rewrite that needs it (or, forward,
+   at creation) and reused by every later one whose packet has its
+   protocol and interface; its single writer is the domain that
+   processes the direction. *)
 type Rp_classifier.Flow_table.soft +=
   | Sess of {
       tab : table;
       h : int;
       nsrc : Ipaddr.t;
       ndst : Ipaddr.t;
+      mutable xkey : Flow_key.t;
       xlate : Rp_core.Flow_export.xlate option;
     }
   | No_session
@@ -457,18 +463,9 @@ let rewrite_raw t i d buf (k : Flow_key.t) =
     end
   end
 
-(* The rewrite proper, on the row of slot [i], direction [d]; [nsrc]
-   and [ndst] are the new addresses boxed. *)
-let rewrite_in t i d nsrc ndst (m : Mbuf.t) =
-  let k = m.Mbuf.key in
-  if translated t i d k then false
-  else begin
-    (match m.Mbuf.raw with Some buf -> rewrite_raw t i d buf k | None -> ());
-    m.Mbuf.key <-
-      { k with src = nsrc; dst = ndst; sport = get t i (new_sport d);
-        dport = get t i (new_dport d) };
-    true
-  end
+(* Stands in a view's [xkey] until its first rewrite: no packet has
+   its protocol. *)
+let no_key = { Mbuf.dummy.Mbuf.key with Flow_key.proto = -1 }
 
 (* ---- The plugins' per-packet operations --------------------------- *)
 
@@ -478,9 +475,30 @@ module Hit = struct
   let none = No_session
   let full = Table_full
 
-  let rewrite v m =
+  (* The rewrite proper, in the view's direction. *)
+  let rewrite v (m : Mbuf.t) =
     match v with
-    | Sess v -> rewrite_in v.tab (slot_of v.h) (v.h land 1) v.nsrc v.ndst m
+    | Sess v ->
+      let t = v.tab and i = slot_of v.h and d = v.h land 1 in
+      let k = m.Mbuf.key in
+      if translated t i d k then false
+      else begin
+        (match m.Mbuf.raw with
+         | Some buf -> rewrite_raw t i d buf k
+         | None -> ());
+        let x = v.xkey in
+        m.Mbuf.key <-
+          (if x.proto = k.proto && x.iface = k.iface then x
+           else begin
+             let x =
+               { k with src = v.nsrc; dst = v.ndst;
+                 sport = get t i (new_sport d); dport = get t i (new_dport d) }
+             in
+             v.xkey <- x;
+             x
+           end);
+        true
+      end
     | _ -> false
 
   let stamp v (m : Mbuf.t) =
@@ -771,15 +789,19 @@ module Table = struct
     done;
     if Ipaddr.is_v6 a then b_v6 f else 0
 
-  let first_rule t kind key =
-    List.find_opt
-      (fun r -> r.kind = kind && Rp_classifier.Filter.matches r.filter key)
-      t.rules_l
+  (* A plain recursion rather than [List.find_opt] over a closure: a
+     session's creation allocates its views and keys only. *)
+  let rec first_rule kind key = function
+    | [] -> None
+    | r :: rules ->
+      if r.kind = kind && Rp_classifier.Filter.matches r.filter key then Some r
+      else first_rule kind key rules
 
   (* Fill slot [i] with a new session for [key] and index it.  Under
      the lock. *)
   let fill t i (key : Flow_key.t) ~h ~now ~tcp_flags =
-    let snat = first_rule t `Snat key and dnat = first_rule t `Dnat key in
+    let snat = first_rule `Snat key t.rules_l
+    and dnat = first_rule `Dnat key t.rules_l in
     let xsrc, xsport =
       match snat with
       | Some r -> (r.addr, Option.value r.port ~default:key.sport)
@@ -840,10 +862,22 @@ module Table = struct
     let xlate =
       if nat then Some { Rp_core.Flow_export.xsrc; xdst; xsport; xdport } else None
     in
+    (* The key forward packets leave with: the creating packet's,
+       translated, so the forward view starts with it. *)
+    let x =
+      if nat then
+        { key with src = xsrc; dst = xdst; sport = xsport; dport = xdport }
+      else no_key
+    in
     let vs = t.views.(i lsr t.cbits) and j = 2 * (i land t.cmask) in
-    vs.(j) <- Some (Sess { tab = t; h = vh; nsrc = xsrc; ndst = xdst; xlate });
+    vs.(j) <-
+      Some
+        (Sess { tab = t; h = vh; nsrc = xsrc; ndst = xdst; xkey = x; xlate });
     vs.(j + 1) <-
-      Some (Sess { tab = t; h = vh lor 1; nsrc = key.dst; ndst = key.src; xlate });
+      Some
+        (Sess
+           { tab = t; h = vh lor 1; nsrc = key.dst; ndst = key.src;
+             xkey = no_key; xlate });
     let flags =
       key.proto land 0xFF lor fam
       lor (if nat then b_nat else 0)
@@ -853,9 +887,6 @@ module Table = struct
     set t i f_hash h;
     add_entry t i 0;
     (if two_keys then
-       let x =
-         { key with src = xsrc; dst = xdst; sport = xsport; dport = xdport }
-       in
        let hx = key_hash x in
        (* reply tuple already owned by another session: keep the
           forward entry only *)

@@ -101,8 +101,10 @@ val conntrack_step :
     addresses and TCP/UDP ports, with one RFC 1624 incremental fixup
     of the IPv4 header checksum and of the L4 checksum.  The L4 header
     is found from the wire (IHL, or past an IPv6 hop-by-hop header).
-    Returns [true] when the packet was actually translated ([false]
-    for un-NAT'd sessions). *)
+    The packet's new key is the one the direction's view keeps,
+    shared with the direction's other packets ({!Flow_key.t} is
+    immutable).  Returns [true] when the packet was actually
+    translated ([false] for un-NAT'd sessions). *)
 val apply_rewrite : t -> Flow_key.direction -> Mbuf.t -> bool
 
 (** The view of [s] in direction [dir] that {!cached_resolve} stores
@@ -223,7 +225,10 @@ end
     The plugins' per-packet operations, on the session view a flow
     binding's soft slot caches: one per session and direction, built
     with the session and shared by every binding that caches it.  None
-    allocates (the rewrite's copy of the packet key aside). *)
+    allocates, except a view's first rewrite for a protocol and
+    interface: it builds the post-rewrite key the view then keeps and
+    hands every later packet it rewrites (the forward view starts with
+    the creating packet's). *)
 module Hit : sig
   type t = Rp_classifier.Flow_table.soft
 

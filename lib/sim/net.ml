@@ -55,9 +55,8 @@ let settle_bound = 256
 let rec kick node out =
   if not node.busy.(out) then begin
     let ifc = Router.iface node.rtr out in
-    match Iface.dequeue ifc ~now:(Sim.now node.sim) with
-    | None -> ()
-    | Some m ->
+    let m = Iface.pull ifc ~now:(Sim.now node.sim) in
+    if m != Mbuf.dummy then begin
       node.busy.(out) <- true;
       let ser = tx_time_ns ifc m.Mbuf.len in
       Sim.after node.sim ser (fun () ->
@@ -70,6 +69,7 @@ let rec kick node out =
           let c0 = Cost.get () in
           kick node out;
           node.cycles <- node.cycles + Cost.get () - c0)
+    end
   end
 
 and deliver node dest m =

@@ -1595,6 +1595,44 @@ let test_aiu_no_match () =
   (* The flow record exists nonetheless (negative caching). *)
   check int_t "record cached" 1 (Flow_table.length (Aiu.flow_table aiu))
 
+(* A per-gate cold start skips the walk of a gate table no filter was
+   ever bound at and charges its 2 function-pointer accesses without
+   it: the accesses of walking it, and the same verdicts.  A table
+   emptied by unbinding is walked. *)
+let test_aiu_skips_pristine_tables () =
+  let k = key ~proto:Proto.tcp () in
+  let walk t =
+    snd (Rp_lpm.Access.measure (fun () -> ignore (Dag.lookup t k)))
+  in
+  let f = Filter.v4 ~proto:Proto.tcp () in
+  let d = Dag.create () in
+  check bool_t "a new table is pristine" true (Dag.pristine d);
+  check int_t "its walk charges 2" 2 (walk d);
+  Dag.insert d f 1;
+  Dag.remove d f;
+  check bool_t "an emptied one is not" false (Dag.pristine d);
+  Dag.clear d;
+  check bool_t "a cleared one is" true (Dag.pristine d);
+  let aiu = Aiu.create ~gates:4 () in
+  Aiu.bind aiu ~gate:1 f "tcp";
+  Aiu.bind aiu ~gate:3 f "gone";
+  Aiu.unbind aiu ~gate:3 f;
+  let expected =
+    List.fold_left
+      (fun n g -> n + walk (Aiu.filter_table aiu ~gate:g))
+      0 [ 0; 1; 2; 3 ]
+  in
+  let a0 = counter_get "aiu.miss_accesses" and l0 = counter_get "dag.lookups" in
+  check bool_t "the bound gate's verdict" true
+    (Option.map fst (Aiu.classify_key aiu k ~gate:1 ~now:0L) = Some "tcp");
+  check int_t "cold-start accesses = the four walks" expected
+    (counter_get "aiu.miss_accesses" - a0);
+  check int_t "two tables walked" 2 (counter_get "dag.lookups" - l0);
+  check bool_t "no verdict at the others" true
+    (List.for_all
+       (fun g -> Aiu.classify_key aiu k ~gate:g ~now:0L = None)
+       [ 0; 2; 3 ])
+
 let prop_aiu_cached_equals_uncached =
   qtest ~count:150 "aiu: cached result = uncached classification"
     QCheck2.Gen.(
@@ -2023,6 +2061,8 @@ let () =
           Alcotest.test_case "wildcard gate bump" `Quick
             test_aiu_wildcard_bump_lazy_revalidation;
           prop_aiu_cached_equals_uncached;
+          Alcotest.test_case "pristine gate tables are not walked" `Quick
+            test_aiu_skips_pristine_tables;
         ] );
       ( "compiled",
         [

@@ -487,7 +487,7 @@ let test_qdisc_fault_contained () =
         Some
           {
             Plugin.enqueue = (fun ~now:_ _ _ -> failwith "qdisc boom");
-            dequeue = (fun ~now:_ -> None);
+            dequeue = (fun ~now:_ -> Mbuf.dummy);
             backlog = (fun () -> 0);
             sched_stats = (fun () -> []);
           };

@@ -30,6 +30,11 @@ let scheduler_of (inst : Plugin.t) =
   | Some s -> s
   | None -> Alcotest.fail "instance has no scheduler"
 
+(* A dequeue as an option: [None] for the scheduler's [Mbuf.dummy]. *)
+let deq s ~now =
+  let m = s.Plugin.dequeue ~now in
+  if m == Mbuf.dummy then None else Some m
+
 let mk_instance (module P : Plugin.PLUGIN) config =
   ok (P.create_instance ~instance_id:1 ~code:0 ~config)
 
@@ -38,7 +43,7 @@ let mk_instance (module P : Plugin.PLUGIN) config =
 let drain s n =
   let counts = Hashtbl.create 8 in
   for _ = 1 to n do
-    match s.Plugin.dequeue ~now:0L with
+    match deq s ~now:0L with
     | Some m ->
       let id =
         match m.Mbuf.key.Flow_key.src with
@@ -68,12 +73,12 @@ let test_fifo_order_and_limit () =
   check int_t "backlog" 3 (s.Plugin.backlog ());
   let seqs =
     List.init 3 (fun _ ->
-        match s.Plugin.dequeue ~now:0L with
+        match deq s ~now:0L with
         | Some m -> m.Mbuf.seq
         | None -> -1)
   in
   check bool_t "FIFO order" true (seqs = [ 0; 1; 2 ]);
-  check bool_t "empty" true (s.Plugin.dequeue ~now:0L = None)
+  check bool_t "empty" true (deq s ~now:0L = None)
 
 (* --- DRR --------------------------------------------------------------- *)
 
@@ -130,7 +135,7 @@ let test_drr_mixed_packet_sizes () =
   let bytes = ref 0 in
   let c1 = ref 0 and c2 = ref 0 in
   while !bytes < 60_000 do
-    match s.Plugin.dequeue ~now:0L with
+    match deq s ~now:0L with
     | Some m ->
       bytes := !bytes + m.Mbuf.len;
       let id =
@@ -176,11 +181,138 @@ let prop_drr_work_conserving =
         let n = ref 0 in
         let continue = ref true in
         while !continue do
-          match s.Plugin.dequeue ~now:0L with
+          match deq s ~now:0L with
           | Some _ -> incr n
           | None -> continue := false
         done;
         !n = List.length arrivals && s.Plugin.backlog () = 0)
+
+(* Recycling: a flow binding as the AIU makes one, and its eviction as
+   the PCU runs it (through the binding's instance). *)
+let binding (inst : Plugin.t) =
+  {
+    Rp_classifier.Flow_table.instance = inst;
+    filter = Rp_classifier.Filter.v4 ();
+    soft = None;
+    owner = Mbuf.no_fix;
+    lent = false;
+  }
+
+let evict (b : Plugin.t Rp_classifier.Flow_table.binding) =
+  Option.get b.Rp_classifier.Flow_table.instance.Plugin.on_flow_evict b
+
+let enq s b m =
+  match s.Plugin.enqueue ~now:0L m (Some b) with
+  | Plugin.Enqueued -> ()
+  | Plugin.Rejected why -> Alcotest.failf "rejected: %s" why
+
+let test_drr_recycles_queues () =
+  let inst = mk_instance (module Rp_sched.Drr_plugin) [ ("quantum", "500") ] in
+  let s = scheduler_of inst in
+  let soft b = b.Rp_classifier.Flow_table.soft in
+  (* flow 1 sends two packets, is served and leaves: its record is off
+     the active ring *)
+  let b1 = binding inst in
+  enq s b1 (pkt 1 0);
+  enq s b1 (pkt 1 1);
+  ignore (deq s ~now:0L);
+  ignore (deq s ~now:0L);
+  let rec1 = soft b1 in
+  evict b1;
+  check bool_t "eviction empties the slot" true (soft b1 = None);
+  (* the next new flow, reserved at three times the base rate, takes
+     flow 1's record: empty, no deficit, its own weight *)
+  let reserve id rate_bps =
+    ok (Rp_sched.Drr_plugin.reserve ~instance_id:1 ~key:(key id) ~rate_bps)
+  in
+  reserve 3 3_000_000;
+  reserve 4 1_000_000;
+  let b3 = binding inst in
+  enq s b3 (pkt 3 0);
+  check bool_t "the freed record is reused" true (soft b3 == rec1);
+  check bool_t "empty, no deficit, its reservation's weight" true
+    (Rp_sched.Drr_plugin.queue_state b3 = Some (1, 0, 3));
+  check bool_t "weight_of sees it" true
+    (Rp_sched.Drr_plugin.weight_of ~instance_id:1 ~key:(key 3) = Some 3);
+  (match deq s ~now:0L with
+   | Some m ->
+     check bool_t "only the new flow's packet" true
+       (Flow_key.equal m.Mbuf.key (key 3))
+   | None -> Alcotest.fail "nothing dequeued");
+  check bool_t "then empty" true (s.Plugin.dequeue ~now:0L == Mbuf.dummy);
+  (* a flow evicted while still on the active ring is not handed out
+     until the round-robin pointer takes it off *)
+  let b5 = binding inst in
+  enq s b5 (pkt 5 0);
+  enq s b5 (pkt 5 1);
+  let rec5 = soft b5 in
+  let dropped0 = Rp_sched.Drr_plugin.drop_count ~instance_id:1 in
+  evict b5;
+  check int_t "its queued packets count as drops" (dropped0 + 2)
+    (Rp_sched.Drr_plugin.drop_count ~instance_id:1);
+  check int_t "and leave the backlog" 0 (s.Plugin.backlog ());
+  let b6 = binding inst in
+  enq s b6 (pkt 6 0);
+  check bool_t "a record on the ring is not reused" true
+    (soft b6 != rec5 && soft b6 != rec1);
+  ignore (deq s ~now:0L);
+  check bool_t "drained" true (s.Plugin.dequeue ~now:0L == Mbuf.dummy);
+  let b7 = binding inst in
+  enq s b7 (pkt 7 0);
+  check bool_t "off the ring, it is" true (soft b7 == rec5);
+  check bool_t "with an empty queue" true
+    (Rp_sched.Drr_plugin.queue_state b7 = Some (1, 0, 1))
+
+(* One binding (instance 1's) whose packets reach another instance's
+   qdisc: the queue is instance 2's, and so are its eviction's drops
+   and its record. *)
+let test_drr_evicts_by_owner () =
+  let a = mk_instance (module Rp_sched.Drr_plugin) [] in
+  let b =
+    ok (Rp_sched.Drr_plugin.create_instance ~instance_id:2 ~code:0 ~config:[])
+  in
+  let sa = scheduler_of a and sb = scheduler_of b in
+  let fb = binding a in
+  enq sb fb (pkt 1 0);
+  enq sb fb (pkt 1 1);
+  let record = fb.Rp_classifier.Flow_table.soft in
+  evict fb;
+  check int_t "the owner counts the drops" 2
+    (Rp_sched.Drr_plugin.drop_count ~instance_id:2);
+  check int_t "the binding's instance does not" 0
+    (Rp_sched.Drr_plugin.drop_count ~instance_id:1);
+  check int_t "owner backlog" 0 (sb.Plugin.backlog ());
+  check int_t "other backlog" 0 (sa.Plugin.backlog ());
+  check bool_t "owner drains" true (sb.Plugin.dequeue ~now:0L == Mbuf.dummy);
+  let fa = binding a in
+  enq sa fa (pkt 2 0);
+  check bool_t "instance 1 makes its own record" true
+    (fa.Rp_classifier.Flow_table.soft != record);
+  let fb2 = binding a in
+  enq sb fb2 (pkt 3 0);
+  check bool_t "instance 2 reuses its own" true
+    (fb2.Rp_classifier.Flow_table.soft == record)
+
+(* The scheduler contract: a dequeue returns the packet itself, or
+   [Mbuf.dummy] when the queue has nothing to send. *)
+let test_empty_dequeue_is_dummy () =
+  List.iter
+    (fun (name, (module P : Plugin.PLUGIN)) ->
+      let s = scheduler_of (mk_instance (module P) []) in
+      check bool_t (name ^ ": empty") true
+        (s.Plugin.dequeue ~now:0L == Mbuf.dummy);
+      let m = pkt 1 0 in
+      ignore (s.Plugin.enqueue ~now:0L m None);
+      check bool_t (name ^ ": the packet itself") true
+        (s.Plugin.dequeue ~now:1000L == m);
+      check bool_t (name ^ ": empty again") true
+        (s.Plugin.dequeue ~now:2000L == Mbuf.dummy))
+    [
+      ("fifo", (module Rp_sched.Fifo_plugin));
+      ("red", (module Rp_sched.Red_plugin));
+      ("drr", (module Rp_sched.Drr_plugin));
+      ("hfsc", (module Rp_sched.Hfsc_plugin));
+    ]
 
 (* --- Service curves ----------------------------------------------------- *)
 
@@ -284,7 +416,7 @@ let test_hfsc_realtime_priority () =
     ignore (s.Plugin.enqueue ~now:1000L (pkt 2 seq) None)
   done;
   ignore (s.Plugin.enqueue ~now:2000L (pkt ~len:200 1 0) None);
-  (match s.Plugin.dequeue ~now:3000L with
+  (match deq s ~now:3000L with
    | Some m ->
      check bool_t "voice served first" true
        (Flow_key.equal m.Mbuf.key (key 1))
@@ -358,7 +490,7 @@ let test_hfsc_upper_limit () =
      simulated second. *)
   let served_capped = ref 0 and served_open = ref 0 in
   for i = 0 to 4999 do
-    match s.Plugin.dequeue ~now:(Int64.of_int (i * 200_000)) with
+    match deq s ~now:(Int64.of_int (i * 200_000)) with
     | Some m ->
       if Flow_key.equal m.Mbuf.key (key 1) then incr served_capped
       else incr served_open
@@ -399,7 +531,7 @@ let test_red_no_drops_when_light () =
     (match s.Plugin.enqueue ~now:(Int64.of_int (seq * 1000)) (pkt 1 seq) None with
      | Plugin.Enqueued -> ()
      | Plugin.Rejected r -> Alcotest.failf "unexpected drop: %s" r);
-    ignore (s.Plugin.dequeue ~now:(Int64.of_int (seq * 1000)))
+    ignore (deq s ~now:(Int64.of_int (seq * 1000)))
   done
 
 let test_red_drops_when_congested () =
@@ -543,6 +675,15 @@ let () =
           prop_drr_work_conserving;
           Alcotest.test_case "bad bounds refused" `Quick
             (refuses_bad_bounds (module Rp_sched.Drr_plugin) [ "quantum"; "flow-limit" ]);
+          Alcotest.test_case "recycles flow queues" `Quick
+            test_drr_recycles_queues;
+          Alcotest.test_case "evicts by the queue's owner" `Quick
+            test_drr_evicts_by_owner;
+        ] );
+      ( "contract",
+        [
+          Alcotest.test_case "empty dequeue is Mbuf.dummy" `Quick
+            test_empty_dequeue_is_dummy;
         ] );
       ( "service_curve",
         [

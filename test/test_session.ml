@@ -938,9 +938,24 @@ let test_rewrite_allocation () =
         ignore (Session.apply_rewrite s dir m))
   in
   check bool_t
-    (Printf.sprintf "%.2f minor words per rewrite (ceiling 8: the key copy)" words)
-    true (words <= 8.0);
-  (* and the whole NAT'd hit path costs only that copy *)
+    (Printf.sprintf "%.2f minor words per rewrite (ceiling 0.01)" words)
+    true (words <= 0.01);
+  (* the rewritten key is the view's own, built once *)
+  let x = m.Mbuf.key in
+  Bytes.blit wire 0 buf 0 (Bytes.length wire);
+  m.Mbuf.key <- k0;
+  ignore (Session.apply_rewrite s dir m);
+  check bool_t "later rewrites share one key" true (m.Mbuf.key == x);
+  check bool_t "the rewritten key" true
+    (Flow_key.equal x { k0 with src = Ipaddr.v4 198 51 100 7; sport = 40000 });
+  (* a packet on another interface gets a key of its own, which the
+     view then keeps *)
+  Bytes.blit wire 0 buf 0 (Bytes.length wire);
+  m.Mbuf.key <- { k0 with iface = 3 };
+  ignore (Session.apply_rewrite s dir m);
+  check bool_t "another interface, another key" true
+    (m.Mbuf.key != x && m.Mbuf.key.Flow_key.iface = 3);
+  (* and the whole NAT'd hit path allocates nothing *)
   let path = session_path t in
   let words =
     words_per 1000 (fun () ->
@@ -949,8 +964,8 @@ let test_rewrite_allocation () =
         path m)
   in
   check bool_t
-    (Printf.sprintf "%.2f minor words per NAT'd packet (ceiling 8)" words)
-    true (words <= 8.0)
+    (Printf.sprintf "%.2f minor words per NAT'd packet (ceiling 0.01)" words)
+    true (words <= 0.01)
 
 (* A NAT'd reply routes by its translated destination through the
    route cached in its flow record (keyed on the pre-rewrite tuple):
@@ -1025,6 +1040,95 @@ let outcome_repr (res : Rp_engine.Shard.result) =
     res.Rp_engine.Shard.m.Mbuf.tos
 
 (* --- end to end on the inline engine --------------------------------- *)
+
+(* A NAT'd TCP conversation through nat, conntrack and DRR on the
+   inline engine, as perf's nat-drr runs it: one DRR instance bound to
+   every flow and attached to if1, a second attached to if0.  Once each
+   direction has sent its first packet (the session, both flow
+   records, both DRR queues and the reply's translated key are built),
+   a packet allocates nothing from submit to transmit: the rewrite
+   reuses its view's key, each DRR queue is its flow's, and every
+   dequeue returns the packet itself. *)
+let test_nat_drr_conversation_allocates_nothing () =
+  let r = mk_router () in
+  let table = "gc-silent" in
+  let t = Session.Table.get table in
+  ignore (Session.Table.flush t);
+  Session.Table.add_rule t (snat_rule (Ipaddr.v4 198 51 100 7));
+  ignore (setup_session_plugins r ~table);
+  let pmgr cmd = ok (Rp_control.Pmgr.exec r cmd) in
+  ignore (pmgr "modload drr");
+  List.iteri
+    (fun i ifc ->
+      let id = Scanf.sscanf (pmgr "create drr") "instance %d" Fun.id in
+      if i = 0 then
+        ignore (pmgr (Printf.sprintf "bind %d <*, *, *, *, *, *>" id));
+      ignore (pmgr (Printf.sprintf "attach %d %d" id ifc)))
+    [ 1; 0 ];
+  let e = Rp_engine.Engine.create Rp_engine.Engine.Inline r in
+  let wire_pkt ~src ~dst ~sport ~dport ~iface =
+    let buf, _, _ =
+      build ~src ~dst ~proto:Proto.tcp ~sport ~dport "gc-silent"
+    in
+    match Mbuf.of_bytes ~iface buf with
+    | Ok m -> (m, Bytes.copy buf, m.Mbuf.key)
+    | Error err -> Alcotest.failf "parse: %a" Mbuf.pp_error err
+  in
+  let fwd, fwd_wire, fwd_key =
+    wire_pkt ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 9) ~sport:4000
+      ~dport:80 ~iface:0
+  and rev, rev_wire, rev_key =
+    wire_pkt ~src:(Ipaddr.v4 192 168 1 9) ~dst:(Ipaddr.v4 198 51 100 7)
+      ~sport:80 ~dport:4000 ~iface:1
+  in
+  let batch = [| fwd; rev |] in
+  let reset m wire key =
+    Bytes.blit wire 0 (Option.get m.Mbuf.raw) 0 (Bytes.length wire);
+    m.Mbuf.key <- key;
+    m.Mbuf.ttl <- 64;
+    m.Mbuf.fix <- Mbuf.no_fix;
+    m.Mbuf.out_iface <- None;
+    m.Mbuf.next_hop <- Mbuf.no_hop
+  in
+  let forwarded = ref 0 in
+  let count (res : Rp_engine.Shard.result) =
+    match res.Rp_engine.Shard.outcome with
+    | Rp_engine.Shard.Forwarded _ -> incr forwarded
+    | _ -> ()
+  in
+  let now = s_ns 1 in
+  let round () =
+    reset fwd fwd_wire fwd_key;
+    reset rev rev_wire rev_key;
+    ignore (Rp_engine.Engine.submit_batch e ~now batch ~n:2);
+    ignore (Rp_engine.Engine.drain e ~f:count)
+  in
+  (* the handshake: a SYN out, its answer back *)
+  fwd.Mbuf.tcp_flags <- flags ~syn:true ();
+  rev.Mbuf.tcp_flags <- flags ~syn:true ~ack:true ();
+  round ();
+  fwd.Mbuf.tcp_flags <- flags ~ack:true ();
+  rev.Mbuf.tcp_flags <- flags ~ack:true ();
+  round ();
+  forwarded := 0;
+  let n = 1000 in
+  let words = words_per n round /. 2. in
+  check int_t "every packet forwarded" (2 * (n + 1)) !forwarded;
+  let st = Session.Table.stats t in
+  check int_t "one session" 1 st.Session.Table.live;
+  check bool_t "both directions rewritten" true
+    (st.Session.Table.rewrites >= 2 * (n + 2));
+  check bool_t "the conversation is established" true
+    (let s, _ =
+       Option.get
+         (Session.Table.resolve t ~create:false fwd_key ~now:0L ~tcp_flags:0)
+     in
+     Session.state s = Session.Tcp Session.Tcp_est);
+  check bool_t
+    (Printf.sprintf "%.4f minor words per packet (ceiling 0.01)" words)
+    true (words <= 0.01);
+  Rp_engine.Engine.stop e;
+  ignore (Session.Table.flush t)
 
 let test_end_to_end_inline () =
   let r = mk_router () in
@@ -1527,10 +1631,12 @@ let () =
         [
           Alcotest.test_case "soft-slot hit path allocates nothing" `Quick
             test_hit_path_allocates_nothing;
-          Alcotest.test_case "rewrite allocates only the key" `Quick
+          Alcotest.test_case "rewrite reuses the view's key" `Quick
             test_rewrite_allocation;
           Alcotest.test_case "a NAT'd reply's resolve allocates nothing" `Quick
             test_nat_reply_resolve_allocation;
+          Alcotest.test_case "nat + conntrack + DRR conversation is GC-silent"
+            `Quick test_nat_drr_conversation_allocates_nothing;
         ] );
       ( "data-path",
         [
