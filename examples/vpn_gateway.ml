@@ -22,10 +22,8 @@ let hex_preview s n =
          Printf.sprintf "%02x" (Char.code s.[i])))
 
 let payload_of (m : Mbuf.t) =
-  match m.Mbuf.raw with
-  | Some raw ->
-    let off = Ipv4_header.size + Udp_header.size in
-    Bytes.sub_string raw off (Bytes.length raw - off)
+  match Mbuf.l4_message m with
+  | Some msg -> Bytes.sub_string msg Udp_header.size (Bytes.length msg - Udp_header.size)
   | None -> "?"
 
 let () =
@@ -106,7 +104,7 @@ let () =
      ignore (Iface.dequeue (Router.iface gw_a 1) ~now:0L);
      (match tampered.Mbuf.raw with
       | Some raw ->
-        let pos = Ipv4_header.size + Udp_header.size + 5 in
+        let pos = Mbuf.l4_offset tampered + Udp_header.size + 5 in
         Bytes.set raw pos (Char.chr (Char.code (Bytes.get raw pos) lxor 0x80))
       | None -> ());
      tampered.Mbuf.key <- { tampered.Mbuf.key with Flow_key.iface = 0 };

@@ -129,7 +129,15 @@ let handle_path t ~now flow phop (m : Mbuf.t) =
        FK.replace t.paths flow
          { phop; out_iface = r.Route_table.iface; path_refreshed_ns = now });
     (* Rewrite the previous hop to this router before forwarding. *)
-    m.Mbuf.raw <- Some (encode (Path { flow; phop = t.my_addr }))
+    let k = m.Mbuf.key in
+    let fwd =
+      Mbuf.datagram ~ttl:m.Mbuf.ttl ~tos:m.Mbuf.tos ~flow_label:m.Mbuf.flow_label
+        ~options:m.Mbuf.options ~src:k.Flow_key.src ~dst:k.Flow_key.dst
+        ~proto:Proto.rsvp ~iface:k.Flow_key.iface
+        (encode (Path { flow; phop = t.my_addr }))
+    in
+    m.Mbuf.raw <- fwd.Mbuf.raw;
+    m.Mbuf.len <- fwd.Mbuf.len
 
 let install_resv t ~now flow rate =
   match FK.find_opt t.paths flow with
@@ -172,19 +180,29 @@ let remove_resv t flow (entry : resv_entry) =
        (filter_of_flow flow));
   FK.remove t.resvs flow
 
+let path_packet ~sender ~flow =
+  let flow = normalize flow in
+  Mbuf.datagram ~src:sender ~dst:flow.Flow_key.dst ~proto:Proto.rsvp
+    ~iface:flow.Flow_key.iface
+    (encode (Path { flow; phop = sender }))
+
+let resv_packet ~receiver ~to_hop ~flow ~rate_bps =
+  let flow = normalize flow in
+  Mbuf.datagram ~src:receiver ~dst:to_hop ~proto:Proto.rsvp ~iface:0
+    (encode (Resv { flow; rate_bps }))
+
 (* Relay the RESV toward our previous hop by re-injecting an upstream
-   copy into our own data path. *)
+   copy into our own data path (from our address, so only to a hop of
+   its family). *)
 let relay_resv t ~now flow rate phop =
-  if not (Ipaddr.equal phop flow.Flow_key.src) && not (Router.is_local t.rtr phop)
-  then begin
-    let key =
-      Flow_key.make ~src:t.my_addr ~dst:phop ~proto:Proto.rsvp ~sport:0
-        ~dport:0 ~iface:0
-    in
-    let m = Mbuf.synth ~key ~len:64 () in
-    m.Mbuf.raw <- Some (encode (Resv { flow; rate_bps = rate }));
-    ignore (Ip_core.process t.rtr ~now m)
-  end
+  if
+    (not (Ipaddr.equal phop flow.Flow_key.src))
+    && (not (Router.is_local t.rtr phop))
+    && Ipaddr.is_v4 phop = Ipaddr.is_v4 t.my_addr
+  then
+    ignore
+      (Ip_core.process t.rtr ~now
+         (resv_packet ~receiver:t.my_addr ~to_hop:phop ~flow ~rate_bps:rate))
 
 let attach rtr =
   let my_addr =
@@ -194,12 +212,12 @@ let attach rtr =
   in
   let t = { rtr; my_addr; paths = FK.create 16; resvs = FK.create 16; failed = 0 } in
   Router.set_punt rtr ~proto:Proto.rsvp (fun ~now (m : Mbuf.t) ->
-      match m.Mbuf.raw with
+      match Mbuf.l4_message m with
       | None ->
         t.failed <- t.failed + 1;
         Router.Punt_consume
-      | Some raw ->
-        (match decode raw with
+      | Some msg ->
+        (match decode msg with
          | Ok (Path { flow; phop }) ->
            (* PATH follows the data path downstream. *)
            handle_path t ~now flow phop m;
@@ -244,23 +262,3 @@ let tick t ~now ~lifetime_ns =
   List.iter (fun (flow, e) -> remove_resv t flow e) !stale_resvs;
   List.iter (FK.remove t.paths) !stale_paths;
   (List.length !stale_paths, List.length !stale_resvs)
-
-let path_packet ~sender ~flow =
-  let flow = normalize flow in
-  let key =
-    Flow_key.make ~src:sender ~dst:flow.Flow_key.dst ~proto:Proto.rsvp
-      ~sport:0 ~dport:0 ~iface:flow.Flow_key.iface
-  in
-  let m = Mbuf.synth ~key ~len:64 () in
-  m.Mbuf.raw <- Some (encode (Path { flow; phop = sender }));
-  m
-
-let resv_packet ~receiver ~to_hop ~flow ~rate_bps =
-  let flow = normalize flow in
-  let key =
-    Flow_key.make ~src:receiver ~dst:to_hop ~proto:Proto.rsvp ~sport:0
-      ~dport:0 ~iface:0
-  in
-  let m = Mbuf.synth ~key ~len:64 () in
-  m.Mbuf.raw <- Some (encode (Resv { flow; rate_bps }));
-  m

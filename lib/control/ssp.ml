@@ -132,10 +132,10 @@ let handle_teardown t flow =
 let attach rtr =
   let t = { rtr; installed = FK.create 16; failed = 0 } in
   Router.set_punt rtr ~proto:Proto.ssp (fun ~now:_ (m : Mbuf.t) ->
-      (match m.Mbuf.raw with
+      (match Mbuf.l4_message m with
        | None -> t.failed <- t.failed + 1
-       | Some raw ->
-         (match decode raw with
+       | Some msg ->
+         (match decode msg with
           | Ok (Setup { flow; rate_bps }) -> handle_setup t flow rate_bps
           | Ok (Teardown { flow }) -> handle_teardown t flow
           | Error _ -> t.failed <- t.failed + 1));
@@ -149,14 +149,8 @@ let reservations t =
 let failures t = t.failed
 
 let control_packet ~src ~(flow : Flow_key.t) msg =
-  let raw = encode msg in
-  let key =
-    Flow_key.make ~src ~dst:flow.Flow_key.dst ~proto:Proto.ssp ~sport:0
-      ~dport:0 ~iface:flow.Flow_key.iface
-  in
-  let m = Mbuf.synth ~key ~len:(40 + Bytes.length raw) () in
-  m.Mbuf.raw <- Some raw;
-  m
+  Mbuf.datagram ~src ~dst:flow.Flow_key.dst ~proto:Proto.ssp
+    ~iface:flow.Flow_key.iface (encode msg)
 
 let setup_packet ~src ~flow ~rate_bps =
   control_packet ~src ~flow (Setup { flow; rate_bps })

@@ -373,7 +373,6 @@ let close (ctx : ctx) (f : D.frame) ~span batch off n =
 
 (* --- the pipeline ---------------------------------------------------- *)
 
-let family_of m = match m.Mbuf.version with Mbuf.V4 -> `V4 | Mbuf.V6 -> `V6
 let unreachable = Icmp.Dest_unreachable Icmp.Net_unreachable
 
 (* One frame through the data path, stage by stage (paper, Figure 3):
@@ -580,16 +579,17 @@ and enqueue router f i piece =
 (* Answer ICMP echo requests addressed to the router itself (so the
    router is pingable end to end). *)
 and answer_echo router ~now (m : Mbuf.t) =
-  let key = m.Mbuf.key and family = family_of m in
+  let key = m.Mbuf.key in
   let proto = key.Flow_key.proto in
-  match m.Mbuf.raw with
-  | Some raw when proto = Proto.icmp || proto = Proto.icmpv6 -> (
-      match Icmp.parse ~family raw with
+  if proto = Proto.icmp || proto = Proto.icmpv6 then
+    match Mbuf.l4_message m with
+    | None -> ()
+    | Some msg -> (
+      match Icmp.parse ~src:key.Flow_key.src ~dst:key.Flow_key.dst msg with
       | Ok { Icmp.message = Icmp.Echo_request { ident; seq }; payload } ->
-        send_icmp router ~now ~family ~src:key.Flow_key.dst ~to_:m
+        send_icmp router ~now ~src:key.Flow_key.dst ~to_:m
           { Icmp.message = Icmp.Echo_reply { ident; seq }; payload }
       | Ok _ | Error _ -> ())
-  | Some _ | None -> ()
 
 (* Generate an ICMP error about [orig] back toward its source.  Per the
    RFC rules: never about ICMP itself, and only when the router has an
@@ -606,24 +606,18 @@ and icmp_error router ~now (orig : Mbuf.t) message =
         | None -> ""
       in
       router.Router.icmp_sent <- router.Router.icmp_sent + 1;
-      send_icmp router ~now ~src ~to_:orig ~family:(family_of orig)
-        { Icmp.message; payload }
+      send_icmp router ~now ~src ~to_:orig { Icmp.message; payload }
 
 (* Route an ICMP message from [src] back to [to_]'s source through this
-   router's own data path. *)
-and send_icmp router ~now ~family ~src ~to_ icmp =
-  let body = Icmp.serialize ~family icmp in
-  let proto, hdr =
-    match family with
-    | `V4 -> (Proto.icmp, Ipv4_header.size)
-    | `V6 -> (Proto.icmpv6, Ipv6_header.size)
-  in
-  let key =
-    Flow_key.make ~src ~dst:to_.Mbuf.key.Flow_key.src ~proto ~sport:0 ~dport:0
+   router's own data path, as a whole datagram. *)
+and send_icmp router ~now ~src ~to_ icmp =
+  let dst = to_.Mbuf.key.Flow_key.src in
+  let m =
+    Mbuf.datagram ~src ~dst
+      ~proto:(if Ipaddr.is_v4 src then Proto.icmp else Proto.icmpv6)
       ~iface:to_.Mbuf.key.Flow_key.iface
+      (Icmp.serialize ~src ~dst icmp)
   in
-  let m = Mbuf.synth ~key ~len:(hdr + Bytes.length body) () in
-  m.Mbuf.raw <- Some body;
   ignore (process router ~now m)
 
 (* One packet on the router's context, from stage [from]. *)

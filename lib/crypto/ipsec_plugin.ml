@@ -10,79 +10,84 @@ let trailer_len = 8  (* SPI + sequence *)
 let icv_len = 12  (* HMAC-MD5-96 *)
 let overhead = trailer_len + icv_len
 
-(* Payload region of a raw UDP datagram: after the IP and UDP
-   headers.  Returns (payload_off, ip_version). *)
-let payload_off (m : Mbuf.t) =
-  if m.Mbuf.key.Flow_key.proto <> Proto.udp then None
-  else
-    match m.Mbuf.version with
-    | Mbuf.V4 -> Some (Ipv4_header.size + Udp_header.size, `V4)
-    | Mbuf.V6 -> Some (Ipv6_header.size + Udp_header.size, `V6)
+(* Where a UDP datagram's header starts; the payload after it is
+   what is protected, and the IP header, any hop-by-hop header and
+   the UDP header stay in the clear.  [None] for a packet without
+   bytes or without a UDP header. *)
+let udp_offset (m : Mbuf.t) =
+  let l4 = Mbuf.l4_offset m in
+  if m.Mbuf.key.Flow_key.proto <> Proto.udp || l4 < 0
+     || l4 + Udp_header.size > m.Mbuf.len
+  then None
+  else Some l4
 
 (* Rewrite the length fields (and the IPv4 header checksum) after the
    datagram grew or shrank by [delta] bytes. *)
-let fix_lengths raw version delta =
-  match version with
-  | `V4 ->
-    (match Ipv4_header.parse raw 0 with
-     | Ok h ->
-       Ipv4_header.serialize
-         { h with Ipv4_header.total_length = h.Ipv4_header.total_length + delta }
-         raw 0
-     | Error _ -> ());
-    (match Udp_header.parse raw Ipv4_header.size with
-     | Ok u ->
-       Udp_header.serialize
-         { u with Udp_header.length = u.Udp_header.length + delta; checksum = 0 }
-         raw Ipv4_header.size
-     | Error _ -> ())
-  | `V6 ->
-    (match Ipv6_header.parse raw 0 with
-     | Ok h ->
-       Ipv6_header.serialize
-         { h with Ipv6_header.payload_length = h.Ipv6_header.payload_length + delta }
-         raw 0
-     | Error _ -> ());
-    (match Udp_header.parse raw Ipv6_header.size with
-     | Ok u ->
-       Udp_header.serialize
-         { u with Udp_header.length = u.Udp_header.length + delta; checksum = 0 }
-         raw Ipv6_header.size
-     | Error _ -> ())
+let fix_lengths (m : Mbuf.t) raw ~l4 delta =
+  (match m.Mbuf.version with
+   | Mbuf.V4 ->
+     (match Ipv4_header.parse raw 0 with
+      | Ok h ->
+        Ipv4_header.serialize
+          { h with Ipv4_header.total_length = h.Ipv4_header.total_length + delta }
+          raw 0
+      | Error _ -> ())
+   | Mbuf.V6 ->
+     (match Ipv6_header.parse raw 0 with
+      | Ok h ->
+        Ipv6_header.serialize
+          { h with Ipv6_header.payload_length = h.Ipv6_header.payload_length + delta }
+          raw 0
+      | Error _ -> ()));
+  match Udp_header.parse raw l4 with
+  | Ok u ->
+    Udp_header.serialize
+      { u with Udp_header.length = u.Udp_header.length + delta; checksum = 0 }
+      raw l4
+  | Error _ -> ()
 
 let tag_prefix = "ipsec:"
 
 (* --- outbound -------------------------------------------------------- *)
 
+(* Bytes without a UDP header to keep in the clear (another protocol,
+   or a non-initial fragment) are refused: a packet that has bytes is
+   never carried as a tag, so [raw] stays its first [len] bytes. *)
+let no_udp_header = "ipsec: no UDP header"
+
 let protect sa (m : Mbuf.t) =
-  let seq = Sa.next_seq sa in
-  (match m.Mbuf.raw, payload_off m with
-   | Some raw, Some (off, version) ->
-     let old_len = Bytes.length raw in
-     let plen = old_len - off in
-     let grown = Bytes.create (old_len + overhead) in
-     Bytes.blit raw 0 grown 0 old_len;
-     (* Encrypt the payload in place (ESP only). *)
-     (match sa.Sa.transform with
-      | Sa.Esp ->
-        let cipher = Sa.packet_cipher sa ~seq in
-        Rc4.apply cipher grown off plen
-      | Sa.Ah -> ());
-     (* Trailer: SPI and sequence. *)
-     Bytes.set_int32_be grown old_len sa.Sa.spi;
-     Bytes.set_int32_be grown (old_len + 4) (Int32.of_int seq);
-     (* ICV over payload + trailer. *)
-     let icv =
-       Hmac.md5_bytes ~key:sa.Sa.auth_key grown off (plen + trailer_len)
-     in
-     Bytes.blit_string icv 0 grown (old_len + trailer_len) icv_len;
-     fix_lengths grown version overhead;
-     m.Mbuf.raw <- Some grown
-   | _, _ ->
-     (* Synthetic packet: carry the transform as metadata. *)
-     Mbuf.add_tag m (Printf.sprintf "%s%ld:%d" tag_prefix sa.Sa.spi seq));
-  m.Mbuf.len <- m.Mbuf.len + overhead;
-  Plugin.Continue
+  match m.Mbuf.raw, udp_offset m with
+  | Some _, None -> Plugin.Drop no_udp_header
+  | Some raw, Some l4 ->
+    let seq = Sa.next_seq sa in
+    let off = l4 + Udp_header.size and old_len = m.Mbuf.len in
+    let plen = old_len - off in
+    let grown = Bytes.create (old_len + overhead) in
+    Bytes.blit raw 0 grown 0 old_len;
+    (* Encrypt the payload in place (ESP only). *)
+    (match sa.Sa.transform with
+     | Sa.Esp ->
+       let cipher = Sa.packet_cipher sa ~seq in
+       Rc4.apply cipher grown off plen
+     | Sa.Ah -> ());
+    (* Trailer: SPI and sequence. *)
+    Bytes.set_int32_be grown old_len sa.Sa.spi;
+    Bytes.set_int32_be grown (old_len + 4) (Int32.of_int seq);
+    (* ICV over payload + trailer. *)
+    let icv =
+      Hmac.md5_bytes ~key:sa.Sa.auth_key grown off (plen + trailer_len)
+    in
+    Bytes.blit_string icv 0 grown (old_len + trailer_len) icv_len;
+    fix_lengths m grown ~l4 overhead;
+    m.Mbuf.raw <- Some grown;
+    m.Mbuf.len <- m.Mbuf.len + overhead;
+    Plugin.Continue
+  | None, _ ->
+    (* Synthetic packet: carry the transform as metadata. *)
+    let seq = Sa.next_seq sa in
+    Mbuf.add_tag m (Printf.sprintf "%s%ld:%d" tag_prefix sa.Sa.spi seq);
+    m.Mbuf.len <- m.Mbuf.len + overhead;
+    Plugin.Continue
 
 (* --- inbound --------------------------------------------------------- *)
 
@@ -108,7 +113,9 @@ let in_reassembled ~instance_id =
 (* AH/ESP verification needs the whole datagram: fragments of a
    protected packet are buffered and the verification runs on the
    reassembled datagram (RFC 1825: reassembly precedes AH/ESP
-   processing at the receiver). *)
+   processing at the receiver).  A buffered fragment is absorbed; if
+   its datagram never completes, the reassembler's discard counts it
+   under [frag_evicted]. *)
 let reassemble_first st (ctx : Plugin.ctx) (m : Mbuf.t) =
   match m.Mbuf.frag with
   | None -> `Whole
@@ -131,9 +138,10 @@ let find_tag (m : Mbuf.t) =
     m.Mbuf.tags
 
 let unprotect st sa (m : Mbuf.t) =
-  match m.Mbuf.raw, payload_off m with
-  | Some raw, Some (off, version) ->
-    let total = Bytes.length raw in
+  match m.Mbuf.raw, udp_offset m with
+  | Some _, None -> Plugin.Drop no_udp_header
+  | Some raw, Some l4 ->
+    let off = l4 + Udp_header.size and total = m.Mbuf.len in
     let plen = total - off - overhead in
     if plen < 0 then Plugin.Drop "ipsec: packet too short"
     else begin
@@ -160,7 +168,7 @@ let unprotect st sa (m : Mbuf.t) =
            Rc4.apply cipher raw off plen
          | Sa.Ah -> ());
         let shrunk = Bytes.sub raw 0 (total - overhead) in
-        fix_lengths shrunk version (-overhead);
+        fix_lengths m shrunk ~l4 (-overhead);
         m.Mbuf.raw <- Some shrunk;
         m.Mbuf.len <- m.Mbuf.len - overhead;
         Plugin.Continue

@@ -1,7 +1,8 @@
 (* The unified drop-reason taxonomy.  Every way the router loses a
    packet — data-path verdicts, ring overflow, pool exhaustion,
-   engine backpressure — funnels through [count], which bumps both
-   the per-reason counter and [drops.total], so the conservation
+   engine backpressure, fragments a reassembler gave up on — funnels
+   through [count], which bumps both the per-reason counter and
+   [drops.total], so the conservation
    invariant (Σ per-reason == total) holds by construction and the
    tests only have to prove the *wiring*: that each drop site counts
    exactly once, under exactly one reason. *)
@@ -13,6 +14,10 @@ type t =
   | Queue_overflow  (** output queue / qdisc rejected the packet *)
   | Frag_loss  (** partial fragment loss at egress *)
   | Needs_frag  (** fragmentation needed but forbidden (DF / IPv6) *)
+  | Frag_evicted
+      (** a fragment a reassembler buffered (its verdict was to be
+          absorbed) whose datagram then timed out, was evicted or
+          refused, or a duplicate replaced *)
   | Conntrack  (** out-of-state drop by connection tracking *)
   | Session_table_full
       (** a session plugin could not open a session: the table is at
@@ -27,8 +32,8 @@ type t =
 
 let all =
   [ Ttl_expired; No_route; Fault; Queue_overflow; Frag_loss; Needs_frag;
-    Conntrack; Session_table_full; Policy; Link_overflow; Pool_exhausted;
-    Backpressure; Tx_ring_overflow ]
+    Frag_evicted; Conntrack; Session_table_full; Policy; Link_overflow;
+    Pool_exhausted; Backpressure; Tx_ring_overflow ]
 
 let name = function
   | Ttl_expired -> "ttl_expired"
@@ -37,6 +42,7 @@ let name = function
   | Queue_overflow -> "queue_overflow"
   | Frag_loss -> "frag_loss"
   | Needs_frag -> "needs_frag"
+  | Frag_evicted -> "frag_evicted"
   | Conntrack -> "conntrack"
   | Session_table_full -> "session_table_full"
   | Policy -> "policy"

@@ -16,6 +16,10 @@ type t =
   | Queue_overflow  (** output queue / qdisc rejected the packet *)
   | Frag_loss  (** partial fragment loss at egress *)
   | Needs_frag  (** fragmentation needed but forbidden (DF / IPv6) *)
+  | Frag_evicted
+      (** a fragment a reassembler buffered (its verdict was to be
+          absorbed) whose datagram then timed out, was evicted or
+          refused, or a duplicate replaced *)
   | Conntrack  (** out-of-state drop by connection tracking *)
   | Session_table_full
       (** a session plugin could not open a session: the table is at

@@ -85,12 +85,17 @@ module Reassembly = struct
   let create ?(timeout_ns = 30_000_000_000L) () =
     { timeout_ns; table = Hashtbl.create 32; oldest_ns = Int64.max_int }
 
+  (* Buffered fragments that die unreassembled; their verdict was to
+     be absorbed, so this is where their loss is counted. *)
+  let discarded n = Rp_obs.Drop_reason.add Rp_obs.Drop_reason.Frag_evicted n
+
   (* A datagram is (source, destination, protocol, identification). *)
   let key_of (m : Mbuf.t) =
     let k = m.Mbuf.key in
     (k.Flow_key.src, k.Flow_key.dst, k.Flow_key.proto, m.Mbuf.ident)
 
   let pending t = Hashtbl.length t.table
+  let buffered t = Hashtbl.fold (fun _ d n -> n + List.length d.chunks) t.table 0
 
   (* Is [0, total) fully covered by the chunks? *)
   let complete d =
@@ -105,50 +110,50 @@ module Reassembly = struct
       in
       walk 0 sorted
 
+  (* The whole datagram: its wire bytes parsed afresh when every
+     fragment carried bytes ([None] if they make no datagram), else a
+     descriptor like the fragments'. *)
   let rebuild d =
-    let total = Option.get d.total in
-    let hdr = header_size d.template in
-    let m =
-      Mbuf.synth ~ttl:d.template.Mbuf.ttl ~tos:d.template.Mbuf.tos
-        ~key:d.template.Mbuf.key ~len:(hdr + total) ()
-    in
-    m.Mbuf.ident <- d.template.Mbuf.ident;
-    m.Mbuf.seq <- d.template.Mbuf.seq;
-    m.Mbuf.birth_ns <- d.template.Mbuf.birth_ns;
-    m.Mbuf.tags <- d.template.Mbuf.tags;
-    (* Rebuild wire bytes when every chunk carried them. *)
-    if List.for_all (fun (_, _, b) -> b <> None) d.chunks then begin
-      let buf = Bytes.create (hdr + total) in
-      let h =
-        Ipv4_header.default ~tos:d.template.Mbuf.tos
-          ~ident:d.template.Mbuf.ident ~ttl:d.template.Mbuf.ttl
-          ~total_length:(hdr + total) ~proto:d.template.Mbuf.key.Flow_key.proto
-          ~src:d.template.Mbuf.key.Flow_key.src
-          ~dst:d.template.Mbuf.key.Flow_key.dst ()
-      in
-      Ipv4_header.serialize h buf 0;
-      List.iter
-        (fun (off, len, bytes) ->
-          match bytes with
-          | Some b -> Bytes.blit b 0 buf (hdr + off) len
-          | None -> ())
-        d.chunks;
-      m.Mbuf.raw <- Some buf
-    end;
-    m
+    let t = d.template and total = Option.get d.total in
+    let k = t.Mbuf.key in
+    match
+      if List.exists (fun (_, _, b) -> b = None) d.chunks then
+        Mbuf.synth ~ttl:t.Mbuf.ttl ~tos:t.Mbuf.tos ~key:k
+          ~len:(header_size t + total) ()
+      else begin
+        let payload = Bytes.create total in
+        List.iter
+          (fun (off, len, b) -> Bytes.blit (Option.get b) 0 payload off len)
+          d.chunks;
+        Mbuf.datagram ~ttl:t.Mbuf.ttl ~tos:t.Mbuf.tos ~src:k.Flow_key.src
+          ~dst:k.Flow_key.dst ~proto:k.Flow_key.proto ~iface:k.Flow_key.iface
+          payload
+      end
+    with
+    | m ->
+      m.Mbuf.ident <- t.Mbuf.ident;
+      m.Mbuf.seq <- t.Mbuf.seq;
+      m.Mbuf.birth_ns <- t.Mbuf.birth_ns;
+      m.Mbuf.tags <- t.Mbuf.tags;
+      Some m
+    | exception Invalid_argument _ -> None
 
   (* Drop the datagrams first seen before [before], counted in [c];
      [oldest_ns] is then exact. *)
   let drop_before t ~before c =
-    let stale = ref [] and oldest = ref Int64.max_int in
+    let stale = ref [] and oldest = ref Int64.max_int and frags = ref 0 in
     Hashtbl.iter
       (fun k d ->
-        if d.first_seen_ns < before then stale := k :: !stale
+        if d.first_seen_ns < before then begin
+          stale := k :: !stale;
+          frags := !frags + List.length d.chunks
+        end
         else oldest := min !oldest d.first_seen_ns)
       t.table;
     List.iter (Hashtbl.remove t.table) !stale;
     t.oldest_ns <- !oldest;
     Rp_obs.Counter.add c (List.length !stale);
+    if !frags > 0 then discarded !frags;
     List.length !stale
 
   let expire t ~now = drop_before t ~before:(Int64.sub now t.timeout_ns) c_expired
@@ -179,20 +184,28 @@ module Reassembly = struct
       let payload =
         Option.map (fun raw -> Bytes.sub raw hdr plen) m.Mbuf.raw
       in
-      (* Duplicate fragments are replaced, not double counted. *)
-      d.chunks <-
-        (f.Mbuf.offset, plen, payload)
-        :: List.filter (fun (off, _, _) -> off <> f.Mbuf.offset) d.chunks;
+      (* A duplicate fragment replaces the one buffered, which dies. *)
+      if List.exists (fun (off, _, _) -> off = f.Mbuf.offset) d.chunks then begin
+        discarded 1;
+        d.chunks <- List.filter (fun (off, _, _) -> off <> f.Mbuf.offset) d.chunks
+      end;
+      d.chunks <- (f.Mbuf.offset, plen, payload) :: d.chunks;
       if not f.Mbuf.more then d.total <- Some (f.Mbuf.offset + plen);
+      let discard () =
+        Hashtbl.remove t.table k;
+        discarded (List.length d.chunks);
+        None
+      in
       if List.compare_length_with d.chunks max_frags > 0 then begin
         (* past the per-datagram cap: the datagram is dropped whole *)
-        Hashtbl.remove t.table k;
         Rp_obs.Counter.inc c_refused;
-        None
+        discard ()
       end
-      else if complete d then begin
-        Hashtbl.remove t.table k;
-        Some (rebuild d)
-      end
+      else if complete d then
+        match rebuild d with
+        | Some _ as whole ->
+          Hashtbl.remove t.table k;
+          whole
+        | None -> discard ()
       else None
 end

@@ -12,8 +12,8 @@ open! Ipaddr
     Fragment payload sizes are multiples of 8 bytes except the last.
     Fails when the datagram cannot be fragmented (IPv6, or DF set).
     The input must itself be unfragmented or a fragment — offsets
-    compose.  When [m.raw] is present, real per-fragment wire bytes
-    (with correct IPv4 headers) are produced. *)
+    compose.  When [m.raw] is present, each fragment's [raw] is its
+    own whole wire datagram (IPv4 header and payload slice). *)
 val fragment :
   Mbuf.t -> mtu:int -> (Mbuf.t list, [ `Dont_fragment | `V6_never_fragments ]) result
 
@@ -24,7 +24,13 @@ module Reassembly : sig
   type t
 
   (** [create ()] — [timeout_ns] defaults to 30 s (the classic
-      reassembly timer). *)
+      reassembly timer).  Every buffered fragment that dies
+      unreassembled counts once under the [frag_evicted] drop reason:
+      those of a datagram that times out, is evicted or refused, or
+      whose bytes reassemble into no datagram {!Mbuf.of_bytes}
+      accepts, and a fragment a duplicate replaces.  So every fragment
+      offered ends in a reassembled datagram, in [frag_evicted], or
+      still buffered. *)
   val create : ?timeout_ns:int64 -> unit -> t
 
   (** The bounds: incomplete datagrams held (1024), and distinct
@@ -35,14 +41,19 @@ module Reassembly : sig
 
   (** [offer t ~now m] accepts a packet.  Unfragmented packets are
       returned immediately; fragments are buffered, and the completed
-      datagram is returned when the last hole closes.  The timeout
-      applies first; a new datagram at [max_pending] evicts the one
-      first seen earliest ([frag.reasm_evicted]), and one offered more
-      than [max_frags] fragments is dropped ([frag.reasm_refused]). *)
+      datagram is returned when the last hole closes: parsed from its
+      rebuilt bytes when every fragment had bytes, so its key carries
+      the transport header's ports.  The timeout applies first; a new
+      datagram at [max_pending] evicts the one first seen earliest
+      ([frag.reasm_evicted]), and one offered more than [max_frags]
+      fragments is dropped ([frag.reasm_refused]). *)
   val offer : t -> now:int64 -> Mbuf.t -> Mbuf.t option
 
   (** Datagrams currently incomplete; never more than [max_pending]. *)
   val pending : t -> int
+
+  (** Fragments currently buffered, across the pending datagrams. *)
+  val buffered : t -> int
 
   (** Drop incomplete datagrams older than the timeout; returns how
       many were discarded (counted in [frag.reasm_expired]). *)

@@ -101,7 +101,19 @@ let word2 = function
   | Packet_too_big mtu -> mtu land 0xFFFFFFFF
   | Param_problem ptr -> (ptr land 0xFF) lsl 24
 
-let serialize ~family t =
+let family_of src = if Ipaddr.is_v4 src then `V4 else `V6
+
+(* ICMPv6's checksum also covers the IPv6 pseudo-header (RFC 4443
+   section 2.3); ICMP's covers the message alone. *)
+let checksum ~src ~dst buf len =
+  Checksum.finish
+    (Checksum.add (Checksum.sum buf 0 len)
+       (match family_of src with
+        | `V4 -> 0
+        | `V6 -> Udp_header.pseudo_header_sum ~src ~dst ~proto:Proto.icmpv6 ~len))
+
+let serialize ~src ~dst t =
+  let family = family_of src in
   let ty, code = type_code ~family t.message in
   let len = 8 + String.length t.payload in
   let buf = Bytes.create len in
@@ -112,22 +124,23 @@ let serialize ~family t =
   set_u16 buf 4 ((w2 lsr 16) land 0xFFFF);
   set_u16 buf 6 (w2 land 0xFFFF);
   Bytes.blit_string t.payload 0 buf 8 (String.length t.payload);
-  set_u16 buf 2 (Checksum.compute buf 0 len);
+  set_u16 buf 2 (checksum ~src ~dst buf len);
   buf
 
-let parse ~family buf =
-  if Bytes.length buf < 8 then Error Truncated
-  else if not (Checksum.valid buf 0 (Bytes.length buf)) then Error Bad_checksum
+let parse ~src ~dst buf =
+  let len = Bytes.length buf in
+  if len < 8 then Error Truncated
+  else if checksum ~src ~dst buf len <> 0 then Error Bad_checksum
   else begin
     let ty = Char.code (Bytes.get buf 0) in
     let code = Char.code (Bytes.get buf 1) in
     let hi = u16 buf 4 and lo = u16 buf 6 in
     let mtu = (hi lsl 16) lor lo in
     match
-      of_type_code ~family ty code ~ident:hi ~seq:lo ~mtu ~pointer:(hi lsr 8)
+      of_type_code ~family:(family_of src) ty code ~ident:hi ~seq:lo ~mtu
+        ~pointer:(hi lsr 8)
     with
-    | Some message ->
-      Ok { message; payload = Bytes.sub_string buf 8 (Bytes.length buf - 8) }
+    | Some message -> Ok { message; payload = Bytes.sub_string buf 8 (len - 8) }
     | None -> Error (Unknown_type (ty, code))
   end
 

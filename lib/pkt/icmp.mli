@@ -34,11 +34,15 @@ type error = Truncated | Bad_checksum | Unknown_type of int * int
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Serialize/parse.  The checksum covers the whole ICMP message; for
-    ICMPv6 a pseudo-header would also be included on a real wire — we
-    follow the v4 rule in both families, documented simplification. *)
-val serialize : family:[ `V4 | `V6 ] -> t -> Bytes.t
+(** [serialize ~src ~dst t] is the message from [src] to [dst]: ICMP
+    when they are IPv4 addresses, ICMPv6 when they are IPv6.  The
+    checksum covers the whole message and, for ICMPv6, the IPv6
+    pseudo-header too (RFC 4443 section 2.3). *)
+val serialize : src:Ipaddr.t -> dst:Ipaddr.t -> t -> Bytes.t
 
-val parse : family:[ `V4 | `V6 ] -> Bytes.t -> (t, error) result
+(** [parse ~src ~dst buf] reads the whole of [buf] as the message its
+    datagram carried from [src] to [dst], with {!serialize}'s
+    checksum rule. *)
+val parse : src:Ipaddr.t -> dst:Ipaddr.t -> Bytes.t -> (t, error) result
 
 val pp : Format.formatter -> t -> unit

@@ -139,6 +139,20 @@ let key_of ~iface ~proto buf ~l4 src dst =
 let tcp_flags_of ~proto buf ~l4 =
   if proto = Proto.tcp then rd8 buf (l4 + 13) land 0x3F else 0
 
+(* Where the transport header starts in a datagram's bytes, by their
+   version nibble: IHL for IPv4, past a hop-by-hop header for IPv6
+   (the parser accepts no other extension header); -1 when the bytes
+   are too short to say.  The parser and [l4_offset] both read it
+   here. *)
+let l4_of_buf buf =
+  let n = Bytes.length buf in
+  if n < Ipv4_header.size then -1
+  else if rd8 buf 0 lsr 4 <> 6 then (rd8 buf 0 land 0xF) * 4
+  else if n < Ipv6_header.size then -1
+  else if rd8 buf 6 <> Proto.ipv6_hop_by_hop then Ipv6_header.size
+  else if n < Ipv6_header.size + 2 then -1
+  else Ipv6_header.size + ((rd8 buf (Ipv6_header.size + 1) + 1) * 8)
+
 let v4 ~iface buf =
   match Ipv4_header.validate buf 0 with
   | Some e -> Error (V4_error e)
@@ -148,7 +162,7 @@ let v4 ~iface buf =
        one); a datagram must be all there *)
     if len > Bytes.length buf then Error (V4_error (Ipv4_header.Bad_length len))
     else
-      let proto = rd8 buf 9 and l4 = Ipv4_header.size in
+      let proto = rd8 buf 9 and l4 = l4_of_buf buf in
       match transport_error ~proto buf l4 with
       | Some e -> Error e
       | None ->
@@ -200,17 +214,16 @@ let v6 ~iface buf =
     let len = Ipv6_header.size + rd16 buf 4 in
     if len > Bytes.length buf then Error (V6_error Ipv6_header.Truncated)
     else
-      let next = rd8 buf 6 in
+      let next = rd8 buf 6 and l4 = l4_of_buf buf in
       if next <> Proto.ipv6_hop_by_hop then
-        v6_upper ~iface buf ~len ~options:[] ~proto:next ~l4:Ipv6_header.size
+        v6_upper ~iface buf ~len ~options:[] ~proto:next ~l4
       else
         match Ipv6_header.Hop_by_hop.parse buf Ipv6_header.size with
         | Error e -> Error (V6_error e)
-        | Ok (hbh, hbh_len) ->
+        | Ok (hbh, _) ->
           v6_upper ~iface buf ~len
             ~options:(semantic hbh.Ipv6_header.Hop_by_hop.options)
-            ~proto:hbh.Ipv6_header.Hop_by_hop.next_header
-            ~l4:(Ipv6_header.size + hbh_len)
+            ~proto:hbh.Ipv6_header.Hop_by_hop.next_header ~l4
 
 let of_bytes ~iface buf =
   if Bytes.length buf = 0 then Error Empty
@@ -220,81 +233,84 @@ let of_bytes ~iface buf =
     else if version = 6 then v6 ~iface buf
     else Error (V4_error (Ipv4_header.Bad_version version))
 
-let udp_v4 ?(ttl = 64) ?(tos = 0) ~src ~dst ~sport ~dport ~iface ~payload () =
-  let plen = String.length payload in
-  let total = Ipv4_header.size + Udp_header.size + plen in
-  let buf = Bytes.create total in
-  let ip =
-    Ipv4_header.default ~tos ~ttl ~total_length:total ~proto:Proto.udp ~src
-      ~dst ()
+(* The builder writes the IP header (and any hop-by-hop header) with
+   the header serializers, puts [msg] after it, and parses the result,
+   so a built datagram is exactly what the wire would deliver. *)
+let datagram ?(ttl = 64) ?(tos = 0) ?(flow_label = 0) ?(options = []) ~src
+    ~dst ~proto ~iface msg =
+  let mlen = Bytes.length msg in
+  let buf, l4 =
+    if Ipaddr.is_v4 src then begin
+      let total = Ipv4_header.size + mlen in
+      if options <> [] || total > 0xFFFF then invalid_arg "Mbuf.datagram";
+      let buf = Bytes.create total in
+      Ipv4_header.serialize
+        (Ipv4_header.default ~tos ~ttl ~total_length:total ~proto ~src ~dst ())
+        buf 0;
+      (buf, Ipv4_header.size)
+    end
+    else begin
+      let hbh =
+        if options = [] then None
+        else Some { Ipv6_header.Hop_by_hop.next_header = proto; options }
+      in
+      let hbh_len = Option.fold ~none:0 ~some:Ipv6_header.Hop_by_hop.wire_length hbh in
+      if hbh_len + mlen > 0xFFFF then invalid_arg "Mbuf.datagram";
+      let buf = Bytes.create (Ipv6_header.size + hbh_len + mlen) in
+      Ipv6_header.serialize
+        (Ipv6_header.default ~traffic_class:tos ~flow_label ~hop_limit:ttl
+           ~payload_length:(hbh_len + mlen)
+           ~next_header:(if hbh = None then proto else Proto.ipv6_hop_by_hop)
+           ~src ~dst ())
+        buf 0;
+      Option.iter
+        (fun h -> ignore (Ipv6_header.Hop_by_hop.serialize h buf Ipv6_header.size))
+        hbh;
+      (buf, Ipv6_header.size + hbh_len)
+    end
   in
-  Ipv4_header.serialize ip buf 0;
-  let udp =
-    {
-      Udp_header.sport;
-      dport;
-      length = Udp_header.size + plen;
-      checksum = 0;
-    }
-  in
-  Udp_header.serialize udp buf Ipv4_header.size;
-  Bytes.blit_string payload 0 buf (Ipv4_header.size + Udp_header.size) plen;
-  let csum =
-    Udp_header.compute_checksum ~src ~dst buf Ipv4_header.size
-      (Udp_header.size + plen)
-  in
-  Udp_header.serialize { udp with Udp_header.checksum = csum } buf Ipv4_header.size;
-  let key = Flow_key.make ~src ~dst ~proto:Proto.udp ~sport ~dport ~iface in
-  let m = synth ~ttl ~tos ~key ~len:total () in
-  m.raw <- Some buf;
-  m
+  Bytes.blit msg 0 buf l4 mlen;
+  match of_bytes ~iface buf with
+  | Ok m -> m
+  | Error e -> invalid_arg (Format.asprintf "Mbuf.datagram: %a" pp_error e)
 
-let udp_v6 ?(hop_limit = 64) ?(traffic_class = 0) ?(flow_label = 0)
-    ?(options = []) ~src ~dst ~sport ~dport ~iface ~payload () =
-  let plen = String.length payload in
-  let hbh =
-    if options = [] then None
-    else Some { Ipv6_header.Hop_by_hop.next_header = Proto.udp; options }
-  in
-  let hbh_len =
-    match hbh with
-    | None -> 0
-    | Some h -> Ipv6_header.Hop_by_hop.wire_length h
-  in
-  let payload_length = hbh_len + Udp_header.size + plen in
-  let total = Ipv6_header.size + payload_length in
-  let buf = Bytes.create total in
-  let next_header =
-    match hbh with None -> Proto.udp | Some _ -> Proto.ipv6_hop_by_hop
-  in
-  let ip =
-    Ipv6_header.default ~traffic_class ~flow_label ~hop_limit ~payload_length
-      ~next_header ~src ~dst ()
-  in
-  Ipv6_header.serialize ip buf 0;
-  (match hbh with
-   | None -> ()
-   | Some h ->
-     let written = Ipv6_header.Hop_by_hop.serialize h buf Ipv6_header.size in
-     assert (written = hbh_len));
-  let udp_off = Ipv6_header.size + hbh_len in
-  let udp =
-    {
-      Udp_header.sport;
-      dport;
-      length = Udp_header.size + plen;
-      checksum = 0;
-    }
-  in
-  Udp_header.serialize udp buf udp_off;
-  Bytes.blit_string payload 0 buf (udp_off + Udp_header.size) plen;
-  let csum = Udp_header.compute_checksum ~src ~dst buf udp_off (Udp_header.size + plen) in
-  Udp_header.serialize { udp with Udp_header.checksum = csum } buf udp_off;
-  let key = Flow_key.make ~src ~dst ~proto:Proto.udp ~sport ~dport ~iface in
-  let m = synth ~ttl:hop_limit ~tos:traffic_class ~flow_label ~key ~len:total () in
-  m.raw <- Some buf;
-  m.options <- options;
-  m
+let l4_offset m =
+  match m.raw with
+  | None -> -1
+  | Some buf ->
+    let l4 = l4_of_buf buf in
+    if l4 < 0 || l4 > m.len then -1
+    else if rd8 buf 0 lsr 4 <> 6 && rd16 buf 6 land 0x1FFF <> 0 then
+      -1 (* a non-initial IPv4 fragment has no transport header *)
+    else l4
+
+let l4_message m =
+  let l4 = l4_offset m in
+  match m.raw with
+  | Some buf when l4 >= 0 && m.len <= Bytes.length buf ->
+    Some (Bytes.sub buf l4 (m.len - l4))
+  | Some _ | None -> None
+
+let udp_message ~src ~dst ~sport ~dport payload =
+  let len = Udp_header.size + String.length payload in
+  let msg = Bytes.create len in
+  Bytes.blit_string payload 0 msg Udp_header.size (String.length payload);
+  let udp = { Udp_header.sport; dport; length = len; checksum = 0 } in
+  Udp_header.serialize udp msg 0;
+  Udp_header.serialize
+    { udp with checksum = Udp_header.compute_checksum ~src ~dst msg 0 len }
+    msg 0;
+  msg
+
+let udp_v4 ?ttl ?tos ~src ~dst ~sport ~dport ~iface ~payload () =
+  datagram ?ttl ?tos ~src ~dst ~proto:Proto.udp ~iface
+    (udp_message ~src ~dst ~sport ~dport payload)
+
+let udp_v6 ?hop_limit ?traffic_class ?flow_label ?options ~src ~dst ~sport
+    ~dport ~iface ~payload () =
+  datagram ?ttl:hop_limit ?tos:traffic_class ?flow_label ?options ~src ~dst
+    ~proto:Proto.udp ~iface
+    (udp_message ~src ~dst ~sport ~dport payload)
 
 let has_tag m tag = List.mem tag m.tags
 let add_tag m tag = if not (has_tag m tag) then m.tags <- tag :: m.tags

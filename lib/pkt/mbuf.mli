@@ -50,7 +50,9 @@ type t = {
   mutable flow_label : int;  (** IPv6 only; 0 otherwise *)
   mutable options : Ipv6_header.Option_tlv.t list;
       (** hop-by-hop options awaiting option plugins *)
-  mutable raw : Bytes.t option;  (** full wire datagram, if materialized *)
+  mutable raw : Bytes.t option;
+      (** [None], or the whole datagram, its first [len] bytes from the
+          IP header on: never a bare transport message *)
   mutable fix : fix;  (** {!no_fix} until the AIU classifies the packet *)
   mutable out_iface : int option;
   mutable next_hop : Ipaddr.t;
@@ -125,8 +127,29 @@ val pp_error : Format.formatter -> error -> unit
     [V6_error Truncated].  Never raises. *)
 val of_bytes : iface:int -> Bytes.t -> (t, error) result
 
-(** [udp_v4 ...] and [udp_v6 ...] build a complete wire datagram plus
-    its descriptor; the UDP checksum is filled in. *)
+(** [datagram ~src ~dst ~proto ~iface msg] writes an IP header of
+    [src]'s family (IPv6 with a hop-by-hop header when there are
+    [options]) before the transport message [msg] and returns
+    {!of_bytes}'s descriptor of the bytes.  [ttl] defaults to 64, the
+    rest to 0.  @raise Invalid_argument when {!of_bytes} refuses them
+    (options on IPv4, over 65,535 bytes, a bad UDP or TCP header). *)
+val datagram :
+  ?ttl:int -> ?tos:int -> ?flow_label:int ->
+  ?options:Ipv6_header.Option_tlv.t list -> src:Ipaddr.t -> dst:Ipaddr.t ->
+  proto:int -> iface:int -> Bytes.t -> t
+
+(** [l4_offset m] is where the transport header starts in [m.raw], past
+    the IP header and any hop-by-hop header; [-1] without bytes, for a
+    non-initial IPv4 fragment, or past [len].  The one place that knows
+    the layout: {!of_bytes} reads the ports at the same offset, from
+    the same function.  Allocation-free. *)
+val l4_offset : t -> int
+
+(** [l4_message m] copies the bytes from {!l4_offset} to [len], if any. *)
+val l4_message : t -> Bytes.t option
+
+(** [udp_v4 ...] and [udp_v6 ...] build a UDP datagram through
+    {!datagram}, with the UDP checksum filled in. *)
 val udp_v4 :
   ?ttl:int -> ?tos:int -> src:Ipaddr.t -> dst:Ipaddr.t -> sport:int ->
   dport:int -> iface:int -> payload:string -> unit -> t

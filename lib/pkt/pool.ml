@@ -1,8 +1,8 @@
-(* Free-list packet pool: every descriptor and its backing buffer is
-   allocated once, up front; the steady-state alloc/free cycle only
-   moves indices and overwrites mutable fields, so a saturated data
-   path runs without minor-heap allocation (verified by the qcheck
-   Gc.minor_words test). *)
+(* Free-list packet pool: every descriptor is allocated once, up
+   front; the steady-state alloc/free cycle only moves indices and
+   overwrites mutable fields, so a saturated data path runs without
+   minor-heap allocation (verified by the qcheck Gc.minor_words
+   test). *)
 
 exception Empty
 
@@ -23,13 +23,9 @@ type stats = {
 type t = {
   uid : int;
   mbufs : Mbuf.t array;
-  backing : Bytes.t option array;
-      (* the permanent [Some buf] cell per slot, restored on [free] so
-         a handler that swapped [raw] cannot leak the pool's buffer *)
   free_stack : int array;  (* slot indices; [0 .. top-1] are free *)
   is_free : bool array;
   mutable top : int;
-  buf_size : int;
   mutable allocs : int;
   mutable frees : int;
   mutable exhausted : int;
@@ -41,19 +37,13 @@ let dummy_key =
   Flow_key.make ~src:(Ipaddr.v4 0 0 0 0) ~dst:(Ipaddr.v4 0 0 0 0) ~proto:0
     ~sport:0 ~dport:0 ~iface:0
 
-let create ?(buf_size = 2048) ~capacity () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Pool.create: capacity < 1";
-  if buf_size < 0 then invalid_arg "Pool.create: buf_size < 0";
   incr next_uid;
   let uid = !next_uid in
-  let backing =
-    Array.init capacity (fun _ ->
-        if buf_size = 0 then None else Some (Bytes.create buf_size))
-  in
   let mbufs =
     Array.init capacity (fun slot ->
         let m = Mbuf.synth ~key:dummy_key ~len:0 () in
-        m.Mbuf.raw <- backing.(slot);
         m.Mbuf.pool_id <- uid;
         m.Mbuf.pool_slot <- slot;
         m)
@@ -61,11 +51,9 @@ let create ?(buf_size = 2048) ~capacity () =
   {
     uid;
     mbufs;
-    backing;
     free_stack = Array.init capacity (fun i -> i);
     is_free = Array.make capacity true;
     top = capacity;
-    buf_size;
     allocs = 0;
     frees = 0;
     exhausted = 0;
@@ -75,7 +63,6 @@ let create ?(buf_size = 2048) ~capacity () =
 
 let capacity t = Array.length t.mbufs
 let available t = t.top
-let buf_size t = t.buf_size
 
 let alloc t ~key ~len =
   if t.top = 0 then begin
@@ -96,6 +83,7 @@ let alloc t ~key ~len =
   m.Mbuf.tos <- 0;
   m.Mbuf.flow_label <- 0;
   m.Mbuf.options <- [];
+  m.Mbuf.raw <- None;
   m.Mbuf.fix <- Mbuf.no_fix;
   m.Mbuf.out_iface <- None;
   m.Mbuf.next_hop <- Mbuf.no_hop;
@@ -126,10 +114,7 @@ let free t m =
       t.is_free.(slot) <- true;
       t.free_stack.(t.top) <- slot;
       t.top <- t.top + 1;
-      t.frees <- t.frees + 1;
-      (* Restore the permanent backing buffer; everything else is
-         overwritten by the next [alloc]. *)
-      m.Mbuf.raw <- t.backing.(slot)
+      t.frees <- t.frees + 1
     end
   end
 

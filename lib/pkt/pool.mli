@@ -1,7 +1,7 @@
 (** Free-list packet pool — the zero-copy allocation discipline of a
     fast data path (snabb's [core.packet] freelist is the model): every
-    {!Mbuf.t} descriptor and its flat [Bytes] backing buffer is
-    allocated once at pool creation, and the steady-state
+    {!Mbuf.t} descriptor is allocated once at pool creation, and the
+    steady-state
     [alloc]/[free] cycle performs {e no} GC allocation — it pops/pushes
     a slot index and overwrites the descriptor's mutable fields.
 
@@ -25,24 +25,20 @@ type stats = {
   foreign_frees : int;  (** {!free} calls on another pool's descriptor *)
 }
 
-(** [create ~capacity ()] preallocates [capacity] descriptors, each
-    owning a [buf_size]-byte wire buffer (default 2048; [0] = no
-    backing buffers, descriptors only). *)
-val create : ?buf_size:int -> capacity:int -> unit -> t
+(** [create ~capacity ()] preallocates [capacity] descriptors. *)
+val create : capacity:int -> unit -> t
 
 val capacity : t -> int
 val available : t -> int
-val buf_size : t -> int
 
 (** [alloc t ~key ~len] pops a free descriptor and resets it to a
     fresh synthetic packet ([ttl] 64, no FIX, no tags, version from
-    [key.src]'s address family).  The descriptor keeps its preallocated
-    backing buffer in [raw].  Allocation-free.
+    [key.src]'s address family) with no wire bytes ([raw = None]: a
+    keyed descriptor has no datagram).  Allocation-free.
     @raise Empty when the pool is exhausted. *)
 val alloc : t -> key:Flow_key.t -> len:int -> Mbuf.t
 
-(** [free t m] returns [m] to the free list and restores its backing
-    buffer.  Freeing a descriptor that is already free, or one that
+(** [free t m] returns [m] to the free list.  Freeing a descriptor that is already free, or one that
     belongs to a different pool (or none), is a counted no-op — the
     free list is never corrupted. *)
 val free : t -> Mbuf.t -> unit

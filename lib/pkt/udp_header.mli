@@ -27,6 +27,12 @@ val parse : Bytes.t -> int -> (t, error) result
     Use {!compute_checksum} first when a valid checksum is wanted. *)
 val serialize : t -> Bytes.t -> int -> unit
 
+(** [pseudo_header_sum ~src ~dst ~proto ~len] is the raw
+    one's-complement sum ({!Checksum.sum}) of the pseudo-header that
+    UDP, TCP and ICMPv6 checksums cover: both addresses, the protocol
+    and the upper-layer length. *)
+val pseudo_header_sum : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
+
 (** [compute_checksum ~src ~dst buf off len] computes the UDP checksum
     over the pseudo-header plus the datagram ([len] bytes at [off],
     with the checksum field zeroed by the caller or present — the field

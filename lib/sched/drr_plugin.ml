@@ -13,7 +13,7 @@ module FK = Hashtbl.Make (struct
   let hash = Flow_key.hash
 end)
 
-(* A flow's queue.  The record outlives its flow: an evicted record
+(* A flow's queue.  The record outlives its flow: a released record
    goes on its owner's free list once it is off the active ring, and
    the owner's next new flow takes it, with its ring at the size it
    grew to and its soft-slot option, built once with the record. *)
@@ -23,7 +23,9 @@ type flow_q = {
   mutable deficit : int;
   mutable weight : int;
   mutable on_ring : bool;
-  mutable evicted : bool;
+  mutable released : bool;
+      (* no flow refers to it: its queued packets still drain, and it
+         is free once off the active ring *)
   owner : owner;
   soft : Flow_table.soft option;  (* [Some (Drr_flow self)] *)
 }
@@ -38,7 +40,7 @@ and state = {
   quantum : int;
   flow_limit : int;
   ring : flow_q Ring.t;  (* the backlogged flows, each once *)
-  free : flow_q Ring.t;  (* evicted records off every ring, for reuse *)
+  free : flow_q Ring.t;  (* released records off every ring, for reuse *)
   flows : flow_q FK.t;
   reservations : int FK.t;  (** flow key -> reserved rate (bps) *)
   mutable backlog : int;
@@ -81,7 +83,7 @@ let new_flow st k =
           deficit = 0;
           weight = weight_for st k;
           on_ring = false;
-          evicted = false;
+          released = false;
           owner = st.self;
           soft = Some (Drr_flow fq);
         }
@@ -92,19 +94,33 @@ let new_flow st k =
       fq.fkey <- k;
       fq.deficit <- 0;
       fq.weight <- weight_for st k;
-      fq.evicted <- false;
+      fq.released <- false;
       fq
     end
   in
   FK.replace st.flows k fq;
   fq
 
+let free fq =
+  match fq.owner with Owned st -> ignore (Ring.push st.free fq) | Unowned -> ()
+
+(* No flow refers to [fq] from now on. *)
+let release fq =
+  (match fq.owner with Owned st -> FK.remove st.flows fq.fkey | Unowned -> ());
+  fq.released <- true;
+  if not fq.on_ring then free fq
+
+(* A flow's queue is the enqueuing qdisc's own.  A binding whose queue
+   another qdisc made (a route change moved the flow to another
+   interface) gets a new one here; the old one drains on its own
+   qdisc's ring and is freed there. *)
 let flow_of st binding (m : Mbuf.t) =
   match binding with
   | Some (b : Plugin.t Flow_table.binding) ->
     (match b.Flow_table.soft with
-     | Some (Drr_flow fq) when not fq.evicted -> fq
-     | Some _ | None ->
+     | Some (Drr_flow fq) when fq.owner == st.self -> fq
+     | soft ->
+       (match soft with Some (Drr_flow fq) -> release fq | Some _ | None -> ());
        let fq = new_flow st m.Mbuf.key in
        b.Flow_table.soft <- fq.soft;
        fq)
@@ -113,8 +129,8 @@ let flow_of st binding (m : Mbuf.t) =
        hashing the flow key — the ALTQ comparison path of Table 3. *)
     Cost.charge Cost.monolithic_classifier;
     (match FK.find st.flows m.Mbuf.key with
-     | fq when not fq.evicted -> fq
-     | _ | (exception Not_found) -> new_flow st m.Mbuf.key)
+     | fq -> fq
+     | exception Not_found -> new_flow st m.Mbuf.key)
 
 let enqueue st ~now:_ m binding =
   let fq = flow_of st binding m in
@@ -133,22 +149,19 @@ let enqueue st ~now:_ m binding =
     Plugin.Enqueued
   end
 
-let free fq =
-  match fq.owner with Owned st -> ignore (Ring.push st.free fq) | Unowned -> ()
-
-(* Take [fq] off the head of the active ring; an evicted record is
+(* Take [fq] off the head of the active ring; a released record is
    free from then on. *)
 let retire st fq =
   ignore (Ring.pop st.ring);
   fq.on_ring <- false;
   fq.deficit <- 0;
-  if fq.evicted then free fq
+  if fq.released then free fq
 
 let rec dequeue st =
   if Ring.is_empty st.ring then Mbuf.dummy
   else begin
     let fq = Ring.peek st.ring in
-    if fq.evicted || Ring.is_empty fq.q then begin
+    if Ring.is_empty fq.q then begin
       retire st fq;
       dequeue st
     end
@@ -181,10 +194,8 @@ let on_flow_evict (b : Plugin.t Flow_table.binding) =
     st.dropped <- st.dropped + Ring.length fq.q;
     st.backlog <- st.backlog - Ring.length fq.q;
     Ring.clear fq.q;
-    fq.evicted <- true;
-    FK.remove st.flows fq.fkey;
     b.Flow_table.soft <- None;
-    if not fq.on_ring then free fq
+    release fq
   | Some _ | None -> ()
 
 (* Stands in a free slot of the active ring and the free list. *)
@@ -195,7 +206,7 @@ let no_flow =
     deficit = 0;
     weight = 1;
     on_ring = false;
-    evicted = true;
+    released = true;
     owner = Unowned;
     soft = None;
   }
@@ -281,8 +292,7 @@ let weight_of ~instance_id ~key =
 
 let queue_state (b : Plugin.t Flow_table.binding) =
   match b.Flow_table.soft with
-  | Some (Drr_flow fq) when not fq.evicted ->
-    Some (Ring.length fq.q, fq.deficit, fq.weight)
+  | Some (Drr_flow fq) -> Some (Ring.length fq.q, fq.deficit, fq.weight)
   | Some _ | None -> None
 
 let drop_count ~instance_id =

@@ -25,7 +25,13 @@
     when the round-robin pointer next reaches it), and the next new
     flow takes it with an empty queue, no deficit, its own weight and
     its ring at the size it grew to.  The free list starts empty and
-    grows only at eviction. *)
+    grows only at eviction.
+
+    A flow's queue belongs to the qdisc that enqueues it.  When a
+    flow's packets reach another DRR qdisc than the one whose queue its
+    binding holds (a route change moved it to another interface), the
+    new qdisc gives it a new queue; the old one keeps its packets,
+    drains on its own qdisc, and is freed there once empty. *)
 
 open Rp_pkt
 open Rp_core

@@ -428,21 +428,7 @@ let fixup buf off acc ~udp =
     end
   end
 
-(* The transport header's offset, read from the wire: IHL for IPv4,
-   past a hop-by-hop header for IPv6 (the parser accepts no other
-   extension header).  -1 when it is absent (a non-initial IPv4
-   fragment) or out of the buffer. *)
-let l4_offset buf ~v6 =
-  let n = Bytes.length buf in
-  if not v6 then
-    if n < 20 || Bytes.get_uint16_be buf 6 land 0x1FFF <> 0 then -1
-    else (Bytes.get_uint8 buf 0 land 0xF) * 4
-  else if n < 40 then -1
-  else if Bytes.get_uint8 buf 6 = 0 then
-    if n < 42 then -1 else 40 + ((Bytes.get_uint8 buf 41 + 1) * 8)
-  else 40
-
-let rewrite_raw t i d buf (k : Flow_key.t) =
+let rewrite_raw t i d (m : Mbuf.t) buf (k : Flow_key.t) =
   let v6 = Ipaddr.is_v6 k.src in
   let sa, da = if v6 then (8, 24) else (12, 16) in
   if Bytes.length buf >= (if v6 then 40 else 20) then begin
@@ -450,7 +436,7 @@ let rewrite_raw t i d buf (k : Flow_key.t) =
     let acc = addr_delta t i (new_dst d) k.dst buf da acc in
     (* the IPv4 header checksum covers only the addresses *)
     if not v6 then fixup buf 10 acc ~udp:false;
-    let l4 = if k.proto = 6 || k.proto = 17 then l4_offset buf ~v6 else -1 in
+    let l4 = if k.proto = 6 || k.proto = 17 then Mbuf.l4_offset m else -1 in
     if l4 >= 0 && l4 + 4 <= Bytes.length buf then begin
       let nsp = get t i (new_sport d) and ndp = get t i (new_dport d) in
       if k.sport <> nsp then Bytes.set_uint16_be buf l4 nsp;
@@ -484,7 +470,7 @@ module Hit = struct
       if translated t i d k then false
       else begin
         (match m.Mbuf.raw with
-         | Some buf -> rewrite_raw t i d buf k
+         | Some buf -> rewrite_raw t i d m buf k
          | None -> ());
         let x = v.xkey in
         m.Mbuf.key <-

@@ -200,6 +200,40 @@ let test_ssp_installs_reservation () =
   ignore (Rp_sim.Sim.run s.Rp_sim.Scenario.sim);
   check int_t "torn down" 0 (List.length (Rp_control.Ssp.reservations daemon))
 
+(* A control message as a host puts it on the wire: an IPv4 header from
+   the header serializer, then the message, parsed like any arrival. *)
+let wire ~src ~dst ~proto ?(iface = 0) msg =
+  let len = Ipv4_header.size + Bytes.length msg in
+  let buf = Bytes.create len in
+  Ipv4_header.serialize (Ipv4_header.default ~total_length:len ~proto ~src ~dst ()) buf 0;
+  Bytes.blit msg 0 buf Ipv4_header.size (Bytes.length msg);
+  match Mbuf.of_bytes ~iface buf with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "of_bytes: %a" Mbuf.pp_error e
+
+(* Regression: a SETUP that arrives as wire bytes installs its
+   reservation, as the one [setup_packet] builds does. *)
+let test_ssp_wire_setup () =
+  let s = Rp_sim.Scenario.single_router ~in_ifaces:1 () in
+  let r = s.Rp_sim.Scenario.router in
+  ignore (ok (Rp_control.Pmgr.exec r "modload drr"));
+  ignore (ok (Rp_control.Pmgr.exec r "create drr"));
+  ignore (ok (Rp_control.Pmgr.exec r (Printf.sprintf "attach 1 %d" s.Rp_sim.Scenario.out_iface)));
+  let daemon = Rp_control.Ssp.attach r in
+  let flow = flow_of_id 1 in
+  let setup =
+    wire ~src:(Ipaddr.v4 10 0 0 1) ~dst:flow.Flow_key.dst ~proto:Proto.ssp
+      (Rp_control.Ssp.encode (Rp_control.Ssp.Setup { flow; rate_bps = 3_000_000 }))
+  in
+  Rp_sim.Net.inject s.Rp_sim.Scenario.node setup ~at:0L;
+  ignore (Rp_sim.Sim.run s.Rp_sim.Scenario.sim);
+  check int_t "no failures" 0 (Rp_control.Ssp.failures daemon);
+  match Rp_control.Ssp.reservations daemon with
+  | [ (f, rate, _) ] ->
+    check bool_t "flow recorded" true (Flow_key.equal f { flow with Flow_key.iface = 0 });
+    check int_t "rate" 3_000_000 rate
+  | l -> Alcotest.failf "expected one reservation, got %d" (List.length l)
+
 let test_ssp_no_drr_counts_failure () =
   let s = Rp_sim.Scenario.single_router ~in_ifaces:1 () in
   let daemon = Rp_control.Ssp.attach s.Rp_sim.Scenario.router in
@@ -304,6 +338,32 @@ let test_rsvp_end_to_end () =
   check int_t "expired everywhere" 4 (p1 + v1 + p2 + v2);
   check int_t "r1 resv gone" 0 (List.length (Rp_control.Rsvp.reservations d1));
   check int_t "r2 paths gone" 0 (List.length (Rp_control.Rsvp.path_state d2))
+
+(* Regression: PATH and RESV that arrive as wire bytes set up the same
+   state as the ones [path_packet] and [resv_packet] build. *)
+let test_rsvp_wire () =
+  let sim, n1, n2, d1, d2, r1_addr, r2_addr = rsvp_chain () in
+  let sender = Ipaddr.v4 10 0 0 1 and receiver = Ipaddr.v4 192 168 1 1 in
+  let flow =
+    Flow_key.make ~src:sender ~dst:receiver ~proto:Proto.udp ~sport:4000 ~dport:9000
+      ~iface:0
+  in
+  Rp_sim.Net.inject n1
+    (wire ~src:sender ~dst:receiver ~proto:Proto.rsvp
+       (Rp_control.Rsvp.encode (Rp_control.Rsvp.Path { flow; phop = sender })))
+    ~at:0L;
+  ignore (Rp_sim.Sim.run sim);
+  (match Rp_control.Rsvp.path_state d2 with
+   | [ (_, phop, _) ] -> check bool_t "r2 phop = r1" true (Ipaddr.equal phop r1_addr)
+   | l -> Alcotest.failf "r2 path entries: %d" (List.length l));
+  Rp_sim.Net.inject n2
+    (wire ~src:receiver ~dst:r2_addr ~proto:Proto.rsvp ~iface:1
+       (Rp_control.Rsvp.encode (Rp_control.Rsvp.Resv { flow; rate_bps = 2_000_000 })))
+    ~at:(Int64.add (Rp_sim.Sim.now sim) 10L);
+  ignore (Rp_sim.Sim.run sim);
+  check int_t "r2 reservation" 1 (List.length (Rp_control.Rsvp.reservations d2));
+  check int_t "r1 reservation" 1 (List.length (Rp_control.Rsvp.reservations d1));
+  check int_t "no failures" 0 (Rp_control.Rsvp.failures d1 + Rp_control.Rsvp.failures d2)
 
 let test_rsvp_resv_without_path_fails () =
   let sim, _n1, n2, _d1, d2, _r1_addr, r2_addr = rsvp_chain () in
@@ -461,6 +521,7 @@ let () =
           Alcotest.test_case "installs reservation" `Quick
             test_ssp_installs_reservation;
           Alcotest.test_case "no drr = failure" `Quick test_ssp_no_drr_counts_failure;
+          Alcotest.test_case "wire-bytes setup installs" `Quick test_ssp_wire_setup;
         ] );
       ( "robustness",
         [ prop_pmgr_never_raises; prop_pmgr_mutated_commands ] );
@@ -468,6 +529,7 @@ let () =
         [
           prop_rsvp_codec_roundtrip;
           Alcotest.test_case "path/resv end to end" `Quick test_rsvp_end_to_end;
+          Alcotest.test_case "wire-bytes path/resv" `Quick test_rsvp_wire;
           Alcotest.test_case "resv without path" `Quick
             test_rsvp_resv_without_path_fails;
           Alcotest.test_case "refresh keeps soft state" `Quick

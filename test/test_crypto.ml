@@ -290,6 +290,131 @@ let test_ipsec_synthetic_path () =
   | Rp_core.Plugin.Drop _ -> ()
   | Rp_core.Plugin.Consumed | Rp_core.Plugin.Continue -> Alcotest.fail "unprotected packet accepted"
 
+(* Regression: on an IPv6/UDP datagram with a hop-by-hop header, the
+   protection starts after the UDP header, wherever the hop-by-hop
+   header puts it: the protected datagram reparses with its ports and
+   its option, and the round trip restores the payload. *)
+let test_esp_v6_hop_by_hop () =
+  let out, inp = mk_pair ~sa_name:"esp-v6-hbh" ~transform:Sa.Esp in
+  let secret = "the hop-by-hop header moves the ports" in
+  let alert = Ipv6_header.Option_tlv.Router_alert 0 in
+  let m =
+    Mbuf.udp_v6 ~options:[ alert ] ~src:(Ipaddr.of_string "fd00::1")
+      ~dst:(Ipaddr.of_string "2001:db8::2") ~sport:4000 ~dport:5000 ~iface:0
+      ~payload:secret ()
+  in
+  let original_len = m.Mbuf.len in
+  (match out.Rp_core.Plugin.handle ctx m with
+   | Rp_core.Plugin.Continue -> ()
+   | _ -> Alcotest.fail "protect did not continue");
+  let raw = Option.get m.Mbuf.raw in
+  (match Mbuf.of_bytes ~iface:0 raw with
+   | Ok m' ->
+     check int_t "source port in the clear" 4000 m'.Mbuf.key.Flow_key.sport;
+     check int_t "destination port in the clear" 5000 m'.Mbuf.key.Flow_key.dport;
+     check bool_t "hop-by-hop option in the clear" true (m'.Mbuf.options = [ alert ]);
+     check int_t "length" m.Mbuf.len m'.Mbuf.len
+   | Error e -> Alcotest.failf "protected datagram: %a" Mbuf.pp_error e);
+  let clear = Bytes.to_string raw in
+  let rec contains i =
+    i + String.length secret <= String.length clear
+    && (String.sub clear i (String.length secret) = secret || contains (i + 1))
+  in
+  check bool_t "payload encrypted" false (contains 0);
+  (match inp.Rp_core.Plugin.handle ctx m with
+   | Rp_core.Plugin.Continue -> ()
+   | Rp_core.Plugin.Drop r -> Alcotest.failf "unprotect dropped: %s" r
+   | Rp_core.Plugin.Consumed -> Alcotest.fail "unprotect consumed");
+  check int_t "length restored" original_len m.Mbuf.len;
+  match Mbuf.l4_message m with
+  | Some msg ->
+    check string_t "payload restored" secret
+      (Bytes.sub_string msg Udp_header.size (Bytes.length msg - Udp_header.size))
+  | None -> Alcotest.fail "no UDP message"
+
+(* Bytes without a UDP header to keep in the clear (a non-initial
+   fragment, another protocol) are refused, never carried as a tag:
+   the packet leaves untouched or not at all. *)
+let test_no_udp_header_refused () =
+  let out, _ = mk_pair ~sa_name:"esp-no-udp" ~transform:Sa.Esp in
+  let m = mk_raw_packet (String.make 1200 'q') in
+  m.Mbuf.ident <- 9;
+  let later =
+    match Frag.fragment m ~mtu:576 with
+    | Ok (_ :: rest) -> rest
+    | _ -> Alcotest.fail "fragment"
+  in
+  let icmp =
+    Mbuf.datagram ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 10 0 0 2)
+      ~proto:Proto.icmp ~iface:0 (Bytes.make 40 'i')
+  in
+  List.iter
+    (fun (m : Mbuf.t) ->
+      let before = Bytes.copy (Option.get m.Mbuf.raw) and len = m.Mbuf.len in
+      (match out.Rp_core.Plugin.handle ctx m with
+       | Rp_core.Plugin.Drop _ -> ()
+       | _ -> Alcotest.fail "a packet without a UDP header was passed on");
+      check bool_t "bytes untouched" true (Option.get m.Mbuf.raw = before);
+      check int_t "length untouched" len m.Mbuf.len;
+      check bool_t "not tagged" true (m.Mbuf.tags = []))
+    (icmp :: later)
+
+(* Fragments the inbound plugin buffers are absorbed; when their
+   datagram times out, is refused or a duplicate replaces one, each
+   counts once under [frag_evicted], so every fragment offered ends
+   in a reassembled datagram, a counted drop or the buffer. *)
+let test_frag_evicted () =
+  let out, inp = mk_pair ~sa_name:"esp-frag" ~transform:Sa.Esp in
+  let frags ~ident ~len ~mtu =
+    let m = mk_raw_packet (String.make len 'p') in
+    m.Mbuf.ident <- ident;
+    ignore (out.Rp_core.Plugin.handle ctx m);
+    match Frag.fragment m ~mtu with
+    | Ok fs -> fs
+    | Error _ -> Alcotest.fail "fragment"
+  in
+  let evicted () = Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Frag_evicted in
+  let at now (m : Mbuf.t) =
+    inp.Rp_core.Plugin.handle { ctx with Rp_core.Plugin.now_ns = now } m
+  in
+  let consumed now ms =
+    List.iter
+      (fun m ->
+        match at now m with
+        | Rp_core.Plugin.Consumed -> ()
+        | _ -> Alcotest.fail "a fragment was not absorbed")
+      ms
+  in
+  let e0 = evicted () in
+  let a = frags ~ident:1 ~len:3000 ~mtu:576 and b = frags ~ident:2 ~len:1000 ~mtu:576 in
+  let c = frags ~ident:3 ~len:600 ~mtu:28 in
+  (* all of [a] but its last, then time passes *)
+  let a_held = List.filteri (fun i _ -> i < List.length a - 1) a in
+  consumed 0L a_held;
+  check int_t "nothing lost yet" 0 (evicted () - e0);
+  let b_first = List.hd b and b_rest = List.tl b in
+  consumed 31_000_000_000L [ b_first ];
+  check int_t "the timed-out datagram's fragments" (List.length a_held) (evicted () - e0);
+  (* a duplicate replaces the fragment buffered *)
+  consumed 31_000_000_000L [ b_first ];
+  check int_t "the replaced duplicate" (List.length a_held + 1) (evicted () - e0);
+  (* the rest of [b] completes it: verified and passed on *)
+  let last = List.nth b_rest (List.length b_rest - 1) in
+  consumed 31_000_000_000L (List.filter (fun m -> m != last) b_rest);
+  (match at 31_000_000_000L last with
+   | Rp_core.Plugin.Continue -> ()
+   | _ -> Alcotest.fail "the reassembled datagram did not continue");
+  (* one fragment past the per-datagram cap refuses the datagram *)
+  let cap = Frag.Reassembly.max_frags in
+  check bool_t "enough fragments" true (List.length c > cap);
+  consumed 31_000_000_000L (List.filteri (fun i _ -> i <= cap) c);
+  let offered = List.length a_held + 2 + List.length b_rest + cap + 1 in
+  let reassembled = List.length b in
+  check int_t "offered = reassembled + frag_evicted" offered
+    (reassembled + (evicted () - e0));
+  check int_t "the refused datagram's fragments" (List.length a_held + 1 + cap + 1)
+    (evicted () - e0)
+
 let test_sa_config_errors () =
   (match Ipsec_plugin.Out.create_instance ~instance_id:1 ~code:0 ~config:[] with
    | Error _ -> ()
@@ -358,6 +483,12 @@ let () =
           Alcotest.test_case "ah cleartext auth" `Quick
             test_ah_authenticates_without_encrypting;
           Alcotest.test_case "synthetic path" `Quick test_ipsec_synthetic_path;
+          Alcotest.test_case "v6 hop-by-hop stays in the clear" `Quick
+            test_esp_v6_hop_by_hop;
+          Alcotest.test_case "no udp header is refused" `Quick
+            test_no_udp_header_refused;
+          Alcotest.test_case "buffered fragments end in frag_evicted" `Quick
+            test_frag_evicted;
           Alcotest.test_case "config errors" `Quick test_sa_config_errors;
           prop_esp_roundtrip_random_payloads;
         ] );

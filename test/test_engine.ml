@@ -911,7 +911,7 @@ let test_submit_batch_inline_equiv () =
 let test_submit_batch_sharded_recycles () =
   let r = mk_router () in
   let e = Engine.create (Sharded 2) r in
-  let pool = Pool.create ~buf_size:0 ~capacity:64 () in
+  let pool = Pool.create ~capacity:64 () in
   let total = 256 and batch = 16 in
   let scratch = Array.make batch (mk_pkt ()) in
   let recycled = ref 0 in
@@ -1165,20 +1165,9 @@ let class_pkt kind =
   | 1 -> synth ~ttl:1 fwd  (* time exceeded *)
   | 2 -> synth (Ipaddr.v4 8 8 8 8)  (* net unreachable *)
   | 3 ->
-    let body =
-      Icmp.serialize ~family:`V4
-        { Icmp.message = Icmp.Echo_request { ident = 7; seq = 1 }; payload = "ping" }
-    in
-    let m =
-      Mbuf.synth
-        ~key:
-          (Flow_key.make ~src ~dst:router_addr ~proto:Proto.icmp ~sport:0 ~dport:0
-             ~iface:0)
-        ~len:(Ipv4_header.size + Bytes.length body)
-        ()
-    in
-    m.Mbuf.raw <- Some body;
-    m
+    Mbuf.datagram ~src ~dst:router_addr ~proto:Proto.icmp ~iface:0
+      (Icmp.serialize ~src ~dst:router_addr
+         { Icmp.message = Icmp.Echo_request { ident = 7; seq = 1 }; payload = "ping" })
   | 4 -> synth ~proto:punt_consume fwd
   | 5 -> synth ~proto:punt_forward fwd
   | 6 ->

@@ -32,12 +32,13 @@ let test_icmp_roundtrip () =
     ]
   in
   List.iter
-    (fun family ->
+    (fun (src, dst) ->
+      let src = Ipaddr.of_string src and dst = Ipaddr.of_string dst in
       List.iter
         (fun message ->
           let t = { Icmp.message; payload = "original header bytes here.." } in
-          let wire = Icmp.serialize ~family t in
-          match Icmp.parse ~family wire with
+          let wire = Icmp.serialize ~src ~dst t in
+          match Icmp.parse ~src ~dst wire with
           | Ok t' ->
             check bool_t
               (Format.asprintf "%a roundtrip" Icmp.pp t)
@@ -45,16 +46,18 @@ let test_icmp_roundtrip () =
               (t'.Icmp.message = message && t'.Icmp.payload = t.Icmp.payload)
           | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
         cases)
-    [ `V4; `V6 ]
+    [ ("10.0.0.1", "172.31.0.1"); ("2001:db8::1", "2001:db8::2") ]
+
+let v4_a = Ipaddr.v4 10 0 0 1 and v4_b = Ipaddr.v4 172 31 0 1
 
 let test_icmp_checksum_detects () =
   let wire =
-    Icmp.serialize ~family:`V4
+    Icmp.serialize ~src:v4_a ~dst:v4_b
       { Icmp.message = Icmp.Time_exceeded; payload = "xyz" }
   in
   Bytes.set wire 9 'Q';
   check bool_t "corruption detected" true
-    (match Icmp.parse ~family:`V4 wire with
+    (match Icmp.parse ~src:v4_a ~dst:v4_b wire with
      | Error Icmp.Bad_checksum -> true
      | Ok _ | Error _ -> false)
 
@@ -67,6 +70,9 @@ let mk_router ?(mtu1 = 9180) () =
   (* Route back to sources, and a local address to send errors from. *)
   Router.add_route r (Prefix.of_string "10.0.0.0/8") ~iface:0 ();
   Router.add_local_addr r (Ipaddr.v4 172 31 0 1);
+  Router.add_route r (Prefix.of_string "2001:db8:1::/48") ~iface:1 ();
+  Router.add_route r (Prefix.of_string "fd00::/8") ~iface:0 ();
+  Router.add_local_addr r (Ipaddr.of_string "2001:db8:ffff::1");
   r
 
 let mk_pkt ?(ttl = 64) ?(len = 1000) ?(dst = "192.168.1.1") () =
@@ -75,6 +81,13 @@ let mk_pkt ?(ttl = 64) ?(len = 1000) ?(dst = "192.168.1.1") () =
       (Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.of_string dst)
          ~proto:Proto.udp ~sport:5000 ~dport:9000 ~iface:0)
     ~len ()
+
+(* The ICMP message a router-made datagram carries, read at its
+   transport offset. *)
+let icmp_of (m : Mbuf.t) =
+  match Mbuf.l4_message m with
+  | Some msg -> Icmp.parse ~src:m.Mbuf.key.Flow_key.src ~dst:m.Mbuf.key.Flow_key.dst msg
+  | None -> Alcotest.fail "no ICMP message"
 
 let test_icmp_ttl_exceeded () =
   let r = mk_router () in
@@ -88,13 +101,10 @@ let test_icmp_ttl_exceeded () =
     check int_t "icmp proto" Proto.icmp icmp_pkt.Mbuf.key.Flow_key.proto;
     check bool_t "addressed to source" true
       (Ipaddr.equal icmp_pkt.Mbuf.key.Flow_key.dst (Ipaddr.v4 10 0 0 1));
-    (match icmp_pkt.Mbuf.raw with
-     | Some body ->
-       (match Icmp.parse ~family:`V4 body with
-        | Ok { Icmp.message = Icmp.Time_exceeded; _ } -> ()
-        | Ok t -> Alcotest.failf "wrong message: %a" Icmp.pp t
-        | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
-     | None -> Alcotest.fail "no body")
+    (match icmp_of icmp_pkt with
+     | Ok { Icmp.message = Icmp.Time_exceeded; _ } -> ()
+     | Ok t -> Alcotest.failf "wrong message: %a" Icmp.pp t
+     | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
   | None -> Alcotest.fail "no icmp on if0"
 
 let test_icmp_no_route () =
@@ -105,13 +115,10 @@ let test_icmp_no_route () =
   check int_t "icmp generated" 1 r.Router.icmp_sent;
   match Iface.dequeue (Router.iface r 0) ~now:0L with
   | Some icmp_pkt ->
-    (match icmp_pkt.Mbuf.raw with
-     | Some body ->
-       (match Icmp.parse ~family:`V4 body with
-        | Ok { Icmp.message = Icmp.Dest_unreachable Icmp.Net_unreachable; _ } -> ()
-        | Ok t -> Alcotest.failf "wrong message: %a" Icmp.pp t
-        | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
-     | None -> Alcotest.fail "no body")
+    (match icmp_of icmp_pkt with
+     | Ok { Icmp.message = Icmp.Dest_unreachable Icmp.Net_unreachable; _ } -> ()
+     | Ok t -> Alcotest.failf "wrong message: %a" Icmp.pp t
+     | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
   | None -> Alcotest.fail "no icmp on if0"
 
 let test_icmp_never_about_icmp () =
@@ -131,19 +138,13 @@ let test_icmp_needs_local_addr () =
 let test_icmp_echo_responder () =
   let r = mk_router () in
   let router_addr = Ipaddr.v4 172 31 0 1 in
+  let src = Ipaddr.v4 10 0 0 1 in
   let body =
-    Icmp.serialize ~family:`V4
+    Icmp.serialize ~src ~dst:router_addr
       { Icmp.message = Icmp.Echo_request { ident = 5; seq = 2 };
         payload = "ping payload" }
   in
-  let m =
-    Mbuf.synth
-      ~key:
-        (Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst:router_addr
-           ~proto:Proto.icmp ~sport:0 ~dport:0 ~iface:0)
-      ~len:(Ipv4_header.size + Bytes.length body) ()
-  in
-  m.Mbuf.raw <- Some body;
+  let m = Mbuf.datagram ~src ~dst:router_addr ~proto:Proto.icmp ~iface:0 body in
   (match Ip_core.process r ~now:0L m with
    | Ip_core.Delivered_local -> ()
    | v -> Alcotest.failf "expected local delivery, got %a" Ip_core.pp_verdict v);
@@ -152,15 +153,141 @@ let test_icmp_echo_responder () =
   | Some reply ->
     check bool_t "to the pinger" true
       (Ipaddr.equal reply.Mbuf.key.Flow_key.dst (Ipaddr.v4 10 0 0 1));
-    (match reply.Mbuf.raw with
-     | Some raw ->
-       (match Icmp.parse ~family:`V4 raw with
-        | Ok { Icmp.message = Icmp.Echo_reply { ident = 5; seq = 2 }; payload } ->
-          check bool_t "payload echoed" true (payload = "ping payload")
-        | Ok t -> Alcotest.failf "wrong reply: %a" Icmp.pp t
-        | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
-     | None -> Alcotest.fail "no reply body")
+    (match icmp_of reply with
+     | Ok { Icmp.message = Icmp.Echo_reply { ident = 5; seq = 2 }; payload } ->
+       check bool_t "payload echoed" true (payload = "ping payload")
+     | Ok t -> Alcotest.failf "wrong reply: %a" Icmp.pp t
+     | Error e -> Alcotest.failf "parse: %a" Icmp.pp_error e)
   | None -> Alcotest.fail "no echo reply sent"
+
+(* The hosts and the router's own address, in both families. *)
+let host4 = Ipaddr.v4 10 0 0 1 and router4 = Ipaddr.v4 172 31 0 1
+let host6 = Ipaddr.of_string "fd00::1" and router6 = Ipaddr.of_string "2001:db8:ffff::1"
+
+(* An echo request as a host puts it on the wire: built here from the
+   IP header serializers and the Internet checksum alone, the ICMPv6
+   one over the RFC 4443 pseudo-header, independently of [Icmp]. *)
+let wire_echo ~src ~dst ~ident ~seq payload =
+  let v6 = Ipaddr.is_v6 src in
+  let mlen = 8 + String.length payload in
+  let msg = Bytes.make mlen '\000' in
+  Bytes.set_uint8 msg 0 (if v6 then 128 else 8);
+  Bytes.set_uint16_be msg 4 ident;
+  Bytes.set_uint16_be msg 6 seq;
+  Bytes.blit_string payload 0 msg 8 (String.length payload);
+  let pseudo =
+    if not v6 then 0
+    else
+      let p = Bytes.make 40 '\000' in
+      Ipaddr.write src p 0;
+      Ipaddr.write dst p 16;
+      Bytes.set_int32_be p 32 (Int32.of_int mlen);
+      Bytes.set_uint8 p 39 Proto.icmpv6;
+      Checksum.sum p 0 40
+  in
+  Bytes.set_uint16_be msg 2 (Checksum.finish (pseudo + Checksum.sum msg 0 mlen));
+  let hdr = if v6 then Ipv6_header.size else Ipv4_header.size in
+  let buf = Bytes.create (hdr + mlen) in
+  if v6 then
+    Ipv6_header.serialize
+      (Ipv6_header.default ~payload_length:mlen ~next_header:Proto.icmpv6 ~src ~dst ())
+      buf 0
+  else
+    Ipv4_header.serialize
+      (Ipv4_header.default ~total_length:(hdr + mlen) ~proto:Proto.icmp ~src ~dst ())
+      buf 0;
+  Bytes.blit msg 0 buf hdr mlen;
+  buf
+
+let parse_wire buf =
+  match Mbuf.of_bytes ~iface:0 buf with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "of_bytes: %a" Mbuf.pp_error e
+
+(* Everything the router queued on [iface]. *)
+let queued r iface =
+  let rec go acc =
+    match Iface.dequeue (Router.iface r iface) ~now:0L with
+    | Some m -> go (m :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+(* A datagram the router made is its own bytes: they parse to the same
+   key, and [len] is their count. *)
+let check_reparses label (m : Mbuf.t) =
+  match m.Mbuf.raw with
+  | None -> Alcotest.failf "%s: no bytes" label
+  | Some raw ->
+    check int_t (label ^ ": len = byte count") (Bytes.length raw) m.Mbuf.len;
+    (match Mbuf.of_bytes ~iface:m.Mbuf.key.Flow_key.iface raw with
+     | Ok m' ->
+       check bool_t (label ^ ": same key") true (Flow_key.equal m.Mbuf.key m'.Mbuf.key);
+       check int_t (label ^ ": same len") m.Mbuf.len m'.Mbuf.len
+     | Error e -> Alcotest.failf "%s: reparse: %a" label Mbuf.pp_error e)
+
+(* Regression: a ping that arrives as wire bytes, in either family
+   (the ICMPv6 one with its pseudo-header checksum), is answered once,
+   and the reply is a datagram of its own. *)
+let test_wire_ping () =
+  List.iter
+    (fun (label, src, dst) ->
+      let r = mk_router () in
+      let m = parse_wire (wire_echo ~src ~dst ~ident:9 ~seq:4 "wire ping") in
+      (match Ip_core.process r ~now:0L m with
+       | Ip_core.Delivered_local -> ()
+       | v -> Alcotest.failf "%s: %a" label Ip_core.pp_verdict v);
+      match queued r 0 with
+      | [ reply ] ->
+        check_reparses label reply;
+        check bool_t (label ^ ": to the pinger") true
+          (Ipaddr.equal reply.Mbuf.key.Flow_key.dst src);
+        (match icmp_of reply with
+         | Ok { Icmp.message = Icmp.Echo_reply { ident = 9; seq = 4 }; payload } ->
+           check bool_t (label ^ ": payload echoed") true (payload = "wire ping")
+         | Ok t -> Alcotest.failf "%s: wrong reply: %a" label Icmp.pp t
+         | Error e -> Alcotest.failf "%s: reply: %a" label Icmp.pp_error e)
+      | l -> Alcotest.failf "%s: %d replies" label (List.length l))
+    [ ("v4", host4, router4); ("v6", host6, router6) ]
+
+(* Regression: every ICMP error the router makes, in either family, is
+   a whole datagram that reparses with [len] equal to its byte count. *)
+let test_icmp_errors_reparse () =
+  List.iter
+    (fun (label, src, dst, ttl, len, df, want) ->
+      let r = mk_router ~mtu1:576 () in
+      let m =
+        if Ipaddr.is_v4 src then
+          Mbuf.udp_v4 ~ttl ~src ~dst ~sport:5000 ~dport:9000 ~iface:0
+            ~payload:(String.make len 'x') ()
+        else
+          Mbuf.udp_v6 ~hop_limit:ttl ~src ~dst ~sport:5000 ~dport:9000 ~iface:0
+            ~payload:(String.make len 'x') ()
+      in
+      m.Mbuf.dont_fragment <- df;
+      (match Ip_core.process r ~now:0L m with
+       | Ip_core.Dropped _ -> ()
+       | v -> Alcotest.failf "%s: %a" label Ip_core.pp_verdict v);
+      match queued r 0 with
+      | [ err ] ->
+        check_reparses label err;
+        (match icmp_of err with
+         | Ok { Icmp.message; _ } ->
+           check bool_t (label ^ ": the error") true (message = want)
+         | Error e -> Alcotest.failf "%s: %a" label Icmp.pp_error e)
+      | l -> Alcotest.failf "%s: %d errors" label (List.length l))
+    [
+      ("v4 time exceeded", host4, Ipaddr.v4 192 168 1 1, 1, 100, false, Icmp.Time_exceeded);
+      ("v6 time exceeded", host6, Ipaddr.of_string "2001:db8:1::1", 1, 100, false,
+       Icmp.Time_exceeded);
+      ("v4 no route", host4, Ipaddr.v4 8 8 8 8, 64, 100, false,
+       Icmp.Dest_unreachable Icmp.Net_unreachable);
+      ("v6 no route", host6, Ipaddr.of_string "2001:4860::8888", 64, 100, false,
+       Icmp.Dest_unreachable Icmp.Net_unreachable);
+      ("v4 too big", host4, Ipaddr.v4 192 168 1 1, 64, 1000, true, Icmp.Packet_too_big 576);
+      ("v6 too big", host6, Ipaddr.of_string "2001:db8:1::1", 64, 1000, false,
+       Icmp.Packet_too_big 576);
+    ]
 
 (* --- fragmentation ------------------------------------------------------ *)
 
@@ -335,6 +462,60 @@ let test_reassembly_bounded () =
   check int_t "the datagram past its timeout went at the next offer" 2
     (R.pending reasm);
   check int_t "expired" 1 (count "expired" - expired0)
+
+let frag_evicted () = Rp_obs.Drop_reason.get Rp_obs.Drop_reason.Frag_evicted
+
+(* Every fragment offered ends in exactly one place: a reassembled
+   datagram, the [frag_evicted] drop reason (timed out, refused,
+   evicted or replaced by a duplicate), or the buffer.  Datagrams of wire bytes
+   fragmented at random MTUs (small ones pass the 64-fragment cap),
+   offered in a random order with duplicates and time jumps past the
+   timeout. *)
+let prop_reassembly_conserves =
+  qtest ~count:300 "reassembly: offered = reassembled + discarded + buffered"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 4) (pair (int_range 100 1500) (int_range 28 600)))
+        (list_size (int_range 0 200) (triple (int_bound 3) (int_bound 500) (int_bound 9))))
+    (fun (datagrams, ops) ->
+      let frags =
+        Array.of_list
+          (List.mapi
+             (fun i (len, mtu) ->
+               let m =
+                 Mbuf.udp_v4 ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 1)
+                   ~sport:1 ~dport:2 ~iface:0 ~payload:(String.make len 'f') ()
+               in
+               m.Mbuf.ident <- i;
+               match Frag.fragment m ~mtu with
+               | Ok fs -> Array.of_list fs
+               | Error _ -> [||])
+             datagrams)
+      in
+      let e0 = frag_evicted () in
+      let r = Frag.Reassembly.create ~timeout_ns:100L () in
+      let now = ref 0L and offered = ref 0 and reassembled = ref 0 in
+      List.iter
+        (fun (d, j, jump) ->
+          let fs = frags.(d mod Array.length frags) in
+          now := Int64.add !now (if jump = 0 then 200L else 1L);
+          incr offered;
+          match Frag.Reassembly.offer r ~now:!now fs.(j mod Array.length fs) with
+          | Some _ -> reassembled := !reassembled + Array.length fs
+          | None -> ())
+        ops;
+      !offered = !reassembled + (frag_evicted () - e0) + Frag.Reassembly.buffered r)
+
+(* Evicted datagrams are reported with their fragments too. *)
+let test_reassembly_reports_evictions () =
+  let e0 = frag_evicted () in
+  let r = Frag.Reassembly.create () in
+  for i = 0 to 1_999 do
+    ignore (Frag.Reassembly.offer r ~now:(Int64.of_int i) (mk_frag ~ident:i ~offset:0))
+  done;
+  check int_t "one fragment per evicted datagram"
+    (2_000 - Frag.Reassembly.max_pending) (frag_evicted () - e0);
+  check int_t "the rest buffered" Frag.Reassembly.max_pending (Frag.Reassembly.buffered r)
 
 let test_router_fragments_at_egress () =
   (* Egress MTU 1500, 4 KB datagrams: the router fragments; DF makes
@@ -540,6 +721,9 @@ let () =
           Alcotest.test_case "never about icmp" `Quick test_icmp_never_about_icmp;
           Alcotest.test_case "needs local addr" `Quick test_icmp_needs_local_addr;
           Alcotest.test_case "echo responder" `Quick test_icmp_echo_responder;
+          Alcotest.test_case "wire-bytes ping is answered" `Quick test_wire_ping;
+          Alcotest.test_case "router-made errors reparse" `Quick
+            test_icmp_errors_reparse;
         ] );
       ( "frag",
         [
@@ -549,6 +733,9 @@ let () =
           prop_fragment_reassemble;
           Alcotest.test_case "reassembly timeout" `Quick test_reassembly_timeout;
           Alcotest.test_case "reassembly is bounded" `Quick test_reassembly_bounded;
+          prop_reassembly_conserves;
+          Alcotest.test_case "reassembly reports evictions" `Quick
+            test_reassembly_reports_evictions;
           Alcotest.test_case "router fragments at egress" `Quick
             test_router_fragments_at_egress;
         ] );

@@ -783,6 +783,391 @@ let test_of_bytes_alloc () =
     true
     (words <= of_bytes_words_v4_udp)
 
+(* --- the datagrams the router builds ---------------------------------- *)
+
+open Rp_core
+
+(* Hosts behind if0, destinations behind if1 (MTU 576), and the
+   router's own address, in both families. *)
+let host ~v6 i =
+  if v6 then Ipaddr.of_string (Printf.sprintf "fd00::%x" (1 + i))
+  else Ipaddr.v4 10 0 (i lsr 8 land 0xFF) (1 + (i land 0x7F))
+
+let far ~v6 i =
+  if v6 then Ipaddr.of_string (Printf.sprintf "2001:db8:1::%x" (1 + i))
+  else Ipaddr.v4 192 168 (i lsr 8 land 0xFF) (1 + (i land 0x7F))
+
+let router_addr ~v6 =
+  if v6 then Ipaddr.of_string "2001:db8:ffff::1" else Ipaddr.v4 172 31 0 1
+
+let mk_router () =
+  let r =
+    Router.create ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 ~mtu:576 () ] ()
+  in
+  List.iter
+    (fun (p, iface) -> Router.add_route r (Prefix.of_string p) ~iface ())
+    [ ("10.0.0.0/8", 0); ("fd00::/8", 0); ("192.168.0.0/16", 1); ("2001:db8:1::/48", 1) ];
+  Router.add_local_addr r (router_addr ~v6:false);
+  Router.add_local_addr r (router_addr ~v6:true);
+  r
+
+(* What the router queued on [iface]. *)
+let queued r iface =
+  let rec go acc =
+    match Iface.dequeue (Router.iface r iface) ~now:0L with
+    | Some m -> go (m :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+(* [m]'s bytes, if it has any, are its datagram: they reparse to its
+   key, its length and its hop-by-hop options. *)
+let reparses (m : Mbuf.t) =
+  match m.Mbuf.raw with
+  | None -> true
+  | Some raw ->
+    (match Mbuf.of_bytes ~iface:m.Mbuf.key.Flow_key.iface raw with
+     | Ok m' ->
+       Flow_key.equal m.Mbuf.key m'.Mbuf.key && m.Mbuf.len = m'.Mbuf.len
+       && m.Mbuf.options = m'.Mbuf.options
+     | Error _ -> false)
+
+let icmp_proto ~v6 = if v6 then Proto.icmpv6 else Proto.icmp
+
+(* The datagrams one scenario makes the router build: UDP datagrams
+   (hop-by-hop options on IPv6), an echo reply, each ICMP error the
+   router sends, SSP SETUP/TEARDOWN, RSVP PATH (as sent and as an RSVP
+   router forwards it, on IPv6 also behind a Router Alert) and RESV, a
+   reassembled datagram (IPv4; IPv6 routers never fragment) and an
+   IPsec-protected one. *)
+let built_datagrams (v6, i, sport, dport, payload, options) =
+  let src = host ~v6 i and dst = far ~v6 i and me = router_addr ~v6 in
+  let udp ?(ttl = 64) ?(options = []) payload =
+    if v6 then
+      Mbuf.udp_v6 ~hop_limit:ttl ~options ~src ~dst ~sport ~dport ~iface:0 ~payload ()
+    else Mbuf.udp_v4 ~ttl ~src ~dst ~sport ~dport ~iface:0 ~payload ()
+  in
+  let from_router ?(setup = ignore) ?(out = 0) m =
+    let r = mk_router () in
+    setup r;
+    ignore (Ip_core.process r ~now:0L m);
+    queued r out
+  in
+  let echo =
+    Mbuf.datagram ~src ~dst:me ~proto:(icmp_proto ~v6) ~iface:0
+      (Icmp.serialize ~src ~dst:me
+         { Icmp.message = Icmp.Echo_request { ident = i; seq = sport }; payload })
+  in
+  let too_big =
+    let m = udp (String.make 1000 'b') in
+    m.Mbuf.dont_fragment <- true;
+    m
+  in
+  let unroutable =
+    if v6 then Mbuf.udp_v6 ~src ~dst:(Ipaddr.of_string "2001:4860::1") ~sport ~dport ~iface:0 ~payload ()
+    else Mbuf.udp_v4 ~src ~dst:(Ipaddr.v4 8 8 8 8) ~sport ~dport ~iface:0 ~payload ()
+  in
+  let flow = Flow_key.make ~src ~dst ~proto:Proto.udp ~sport ~dport ~iface:0 in
+  let reassembled =
+    let m = Mbuf.udp_v4 ~src:(host ~v6:false i) ~dst:(far ~v6:false i) ~sport ~dport
+        ~iface:0 ~payload:(payload ^ String.make 1200 'r') ()
+    in
+    m.Mbuf.ident <- i;
+    match Frag.fragment m ~mtu:576 with
+    | Ok frags ->
+      let reasm = Frag.Reassembly.create () in
+      List.filter_map (fun f -> Frag.Reassembly.offer reasm ~now:0L f) (List.rev frags)
+    | Error _ -> []
+  in
+  let protected =
+    Rp_crypto.Ipsec_plugin.add_sa ~name:"built"
+      (Rp_crypto.Sa.create ~spi:7l ~transform:Rp_crypto.Sa.Esp ~auth_key:"a"
+         ~enc_key:"e" ());
+    let out =
+      match
+        Rp_crypto.Ipsec_plugin.Out.create_instance ~instance_id:99 ~code:0
+          ~config:[ ("sa", "built") ]
+      with
+      | Ok inst -> inst
+      | Error e -> failwith e
+    in
+    let m = udp ~options payload in
+    ignore (out.Plugin.handle { Plugin.now_ns = 0L; binding = None } m);
+    m
+  in
+  let rsvp_forwarded path =
+    from_router ~out:1 ~setup:(fun r -> ignore (Rp_control.Rsvp.attach r)) path
+  in
+  (* On IPv6, a PATH behind a hop-by-hop Router Alert keeps it when
+     forwarded. *)
+  let path_alert () =
+    let p = Rp_control.Rsvp.path_packet ~sender:src ~flow in
+    if not v6 then p
+    else
+      Mbuf.datagram ~options:[ Ipv6_header.Option_tlv.Router_alert 0 ] ~src ~dst
+        ~proto:Proto.rsvp ~iface:0 (Option.get (Mbuf.l4_message p))
+  in
+  [ ("udp", [ udp payload ]);
+    ("udp with options", [ udp ~options payload ]);
+    ("echo reply", from_router echo);
+    ("time exceeded", from_router (udp ~ttl:1 payload));
+    ("net unreachable", from_router unroutable);
+    ("packet too big", from_router too_big);
+    ("ssp setup", [ Rp_control.Ssp.setup_packet ~src ~flow ~rate_bps:1000 ]);
+    ("ssp teardown", [ Rp_control.Ssp.teardown_packet ~src ~flow ]);
+    ("rsvp path", [ Rp_control.Rsvp.path_packet ~sender:src ~flow ]);
+    ("rsvp path forwarded",
+     rsvp_forwarded (Rp_control.Rsvp.path_packet ~sender:src ~flow));
+    ("rsvp path with router alert", [ path_alert () ]);
+    ("rsvp path with router alert forwarded", rsvp_forwarded (path_alert ()));
+    ("rsvp resv", [ Rp_control.Rsvp.resv_packet ~receiver:dst ~to_hop:me ~flow ~rate_bps:1000 ]);
+    ("reassembled", reassembled);
+    ("ipsec", [ protected ]) ]
+
+let gen_built =
+  QCheck2.Gen.(
+    let* v6 = bool and* i = int_bound 1000 in
+    let* sport = int_range 1 0xFFFF and* dport = int_range 1 0xFFFF in
+    let* payload = string_size ~gen:printable (int_bound 60) in
+    let* options = list_size (int_bound 2) gen_option in
+    return (v6, i, sport, dport, payload, if v6 then options else []))
+
+let prop_built_datagrams_reparse =
+  QCheck2.Test.make ~count:100
+    ~name:"every datagram the router builds reparses to its key and length"
+    gen_built (fun c ->
+      List.for_all
+        (fun (label, ms) ->
+          (ms <> [] || QCheck2.Test.fail_reportf "%s: nothing built" label)
+          && List.for_all
+               (fun m -> reparses m || QCheck2.Test.fail_reportf "%s: %a" label Mbuf.pp m)
+               ms)
+        (built_datagrams c))
+  |> QCheck_alcotest.to_alcotest
+
+(* --- ICMP on the whole pipeline, valid and mangled ---------------------- *)
+
+(* An ICMP or ICMPv6 message to the router, from the header serializers
+   and the Internet checksum alone (ICMPv6's over the RFC 4443
+   pseudo-header), independently of [Icmp]: type, code and the second
+   word as generated, optionally behind a hop-by-hop header. *)
+let icmp_wire ~v6 ~src ~dst ~ttl ~options (ty, code, word2) payload =
+  let mlen = 8 + String.length payload in
+  let msg = Bytes.make mlen '\000' in
+  Bytes.set_uint8 msg 0 ty;
+  Bytes.set_uint8 msg 1 code;
+  Bytes.set_int32_be msg 4 (Int32.of_int word2);
+  Bytes.blit_string payload 0 msg 8 (String.length payload);
+  let pseudo =
+    if not v6 then 0
+    else
+      let p = Bytes.make 40 '\000' in
+      Ipaddr.write src p 0;
+      Ipaddr.write dst p 16;
+      Bytes.set_int32_be p 32 (Int32.of_int mlen);
+      Bytes.set_uint8 p 39 Proto.icmpv6;
+      Checksum.sum p 0 40
+  in
+  Bytes.set_uint16_be msg 2 (Checksum.finish (pseudo + Checksum.sum msg 0 mlen));
+  let hbh =
+    if v6 && options <> [] then
+      Some { Ipv6_header.Hop_by_hop.next_header = Proto.icmpv6; options }
+    else None
+  in
+  let hbh_len = Option.fold ~none:0 ~some:Ipv6_header.Hop_by_hop.wire_length hbh in
+  let l4 = (if v6 then Ipv6_header.size else Ipv4_header.size) + hbh_len in
+  let buf = Bytes.create (l4 + mlen) in
+  if v6 then begin
+    Ipv6_header.serialize
+      (Ipv6_header.default ~hop_limit:ttl ~payload_length:(hbh_len + mlen)
+         ~next_header:(if hbh = None then Proto.icmpv6 else Proto.ipv6_hop_by_hop)
+         ~src ~dst ())
+      buf 0;
+    Option.iter (fun h -> ignore (Ipv6_header.Hop_by_hop.serialize h buf Ipv6_header.size)) hbh
+  end
+  else
+    Ipv4_header.serialize
+      (Ipv4_header.default ~ttl ~total_length:(l4 + mlen) ~proto:Proto.icmp ~src ~dst ())
+      buf 0;
+  Bytes.blit msg 0 buf l4 mlen;
+  buf
+
+(* Echo requests (most of them), echo replies, errors and unknown
+   types, to the router's own address. *)
+let gen_icmp_datagram =
+  QCheck2.Gen.(
+    let* v6 = bool and* i = int_bound 1000 in
+    let* kind =
+      frequency
+        [ (6, return `Echo); (1, return `Reply); (1, return `Error); (1, return `Other) ]
+    in
+    let* word2 = int_bound 0x7FFFFFFF and* code = int_bound 3 and* other = int_bound 255 in
+    let* ttl = frequency [ (8, return 64); (1, int_bound 2) ] in
+    let* payload = string_size (int_bound 48) in
+    let* options = list_size (int_bound 2) gen_option in
+    let ty =
+      match kind, v6 with
+      | `Echo, false -> (8, 0) | `Echo, true -> (128, 0)
+      | `Reply, false -> (0, 0) | `Reply, true -> (129, 0)
+      | `Error, false -> (11, code) | `Error, true -> (3, code)
+      | `Other, _ -> (other, code)
+    in
+    let src = host ~v6 i in
+    return
+      ( icmp_wire ~v6 ~src ~dst:(router_addr ~v6) ~ttl ~options
+          (fst ty, snd ty, word2) payload,
+        (* an [`Other] type may draw an echo request too *)
+        if ty = (if v6 then (128, 0) else (8, 0)) && ttl > 1 then
+          Some (src, word2 lsr 16, word2 land 0xFFFF, payload)
+        else None ))
+
+(* A datagram, and the echo request it is by construction: [None] for
+   other messages and for mangled bytes, whose answer only the parsers
+   can tell. *)
+let gen_icmp_mangled =
+  QCheck2.Gen.(
+    let* buf, echo = gen_icmp_datagram in
+    let* mangle = bool in
+    if not mangle then return (buf, `Built echo)
+    else
+      let* pokes = list_size (int_range 1 3) (pair (int_bound 1000) (int_bound 255)) in
+      let* cut = opt (int_bound 1000) in
+      let buf = Bytes.copy buf in
+      List.iter (fun (i, b) -> Bytes.set buf (i mod Bytes.length buf) (Char.chr b)) pokes;
+      return
+        ( (match cut with
+           | Some k -> Bytes.sub buf 0 (k mod (Bytes.length buf + 1))
+           | None -> buf),
+          `Mangled ))
+
+(* The echo request a parsed datagram is, if it is a well-formed one
+   the router must answer: to a local address, not a fragment, with
+   TTL to spare and a message [Icmp] accepts.  It must agree with what
+   a datagram was built as. *)
+let echo_request r (m : Mbuf.t) =
+  let k = m.Mbuf.key in
+  if
+    Router.is_local r k.Flow_key.dst && m.Mbuf.frag = None && m.Mbuf.ttl > 1
+    && k.Flow_key.proto = icmp_proto ~v6:(Ipaddr.is_v6 k.Flow_key.src)
+  then
+    match Mbuf.l4_message m with
+    | Some msg -> (
+      match Icmp.parse ~src:k.Flow_key.src ~dst:k.Flow_key.dst msg with
+      | Ok { Icmp.message = Icmp.Echo_request { ident; seq }; payload } ->
+        Some (k.Flow_key.src, ident, seq, payload)
+      | Ok _ | Error _ -> None)
+    | None -> None
+  else None
+
+let echo_reply (m : Mbuf.t) =
+  let k = m.Mbuf.key in
+  match Mbuf.l4_message m with
+  | Some msg -> (
+    match Icmp.parse ~src:k.Flow_key.src ~dst:k.Flow_key.dst msg with
+    | Ok { Icmp.message = Icmp.Echo_reply { ident; seq }; payload } ->
+      Some (k.Flow_key.dst, ident, seq, payload)
+    | Ok _ | Error _ -> None)
+  | None -> None
+
+(* The datagrams through a fresh router on [mode]: nothing raises; each
+   one [of_bytes] accepts ends in exactly one result, a drop counted
+   under its reason; each well-formed echo request gets exactly one
+   reply; and everything the router sends reparses.  The router's own
+   datagrams (its ICMP errors and echo replies) that never leave are
+   drops too: one to a source without a route is counted under
+   [No_route]. *)
+let icmp_pipeline mode bufs =
+  let module E = Rp_engine.Engine in
+  let r = mk_router () in
+  let e = E.create mode r in
+  let sent = ref [] in
+  Array.iteri
+    (fun i ifc ->
+      E.set_transmitter e ~iface:i (fun ~now ->
+          let rec go () =
+            let m = Iface.pull ifc ~now in
+            if m != Mbuf.dummy then begin
+              sent := m :: !sent;
+              go ()
+            end
+          in
+          go ()))
+    r.Router.ifaces;
+  let verdict_drops () =
+    List.fold_left (fun n why -> n + Rp_obs.Drop_reason.get why) 0
+      Rp_obs.Drop_reason.verdict_reasons
+  in
+  let drops0 = verdict_drops () in
+  let n = List.length bufs in
+  let results = Array.make n 0 and dropped = ref 0 and submitted = ref 0 in
+  let forwarded = ref 0 in
+  let expected = ref [] in
+  let record (res : Rp_engine.Shard.result) =
+    let i = res.Rp_engine.Shard.m.Mbuf.seq in
+    results.(i) <- results.(i) + 1;
+    match res.Rp_engine.Shard.outcome with
+    | Rp_engine.Shard.Dropped _ -> incr dropped
+    | Rp_engine.Shard.Forwarded _ -> incr forwarded
+    | Rp_engine.Shard.Absorbed -> ()
+  in
+  let outcome =
+    match
+      List.iteri
+        (fun i (buf, built) ->
+          match Mbuf.of_bytes ~iface:0 buf with
+          | Error e ->
+            if built <> `Mangled then
+              QCheck2.Test.fail_reportf "packet %d: %a" i Mbuf.pp_error e;
+            results.(i) <- 1
+          | Ok m ->
+            m.Mbuf.seq <- i;
+            let echo = echo_request r m in
+            (match built with
+             | `Built b when b <> echo ->
+               QCheck2.Test.fail_reportf "packet %d: not read as it was built" i
+             | `Built _ | `Mangled -> ());
+            Option.iter (fun x -> expected := x :: !expected) echo;
+            if not (E.submit e ~now:(Int64.of_int i) m) then
+              QCheck2.Test.fail_reportf "packet %d refused" i;
+            incr submitted;
+            ignore (E.drain e ~f:record))
+        bufs;
+      ignore (E.flush e ~f:record)
+    with
+    | () -> Ok ()
+    | exception (QCheck2.Test.Test_fail _ as x) -> raise x
+    | exception x -> Error (Printexc.to_string x)
+  in
+  E.stop e;
+  let sort = List.sort compare in
+  let replies = List.filter_map echo_reply !sent in
+  match outcome with
+  | Error x -> QCheck2.Test.fail_reportf "%s: raised %s" (E.mode_to_string mode) x
+  | Ok () ->
+    (Array.for_all (( = ) 1) results
+     || QCheck2.Test.fail_reportf "%s: a packet without exactly one result"
+          (E.mode_to_string mode))
+    &&
+    let own = r.Router.icmp_sent + List.length !expected in
+    let own_dropped = own - (List.length !sent - !forwarded) in
+    (verdict_drops () - drops0 = !dropped + own_dropped
+     || QCheck2.Test.fail_reportf "%s: %d drops and %d of its own, %d counted"
+          (E.mode_to_string mode) !dropped own_dropped (verdict_drops () - drops0))
+    && (sort replies = sort !expected
+       || QCheck2.Test.fail_reportf "%s: %d echo requests, %d replies"
+            (E.mode_to_string mode) (List.length !expected) (List.length replies))
+    && List.for_all reparses !sent
+
+let prop_icmp_pipeline =
+  QCheck2.Test.make ~count:40
+    ~name:"icmp/icmpv6 to the router, valid and mangled: one verdict, one reply"
+    ~print:(fun bufs -> String.concat "\n" (List.map (fun (b, _) -> print_bytes b) bufs))
+    QCheck2.Gen.(list_size (int_range 1 16) gen_icmp_mangled)
+    (fun bufs ->
+      icmp_pipeline Rp_engine.Engine.Inline bufs
+      && icmp_pipeline (Rp_engine.Engine.Sharded 1) bufs)
+  |> QCheck_alcotest.to_alcotest
+
 (* --- pool ----------------------------------------------------------- *)
 
 let pool_key id =
@@ -799,7 +1184,7 @@ let test_pool_alloc_free () =
   check int_t "ttl reset" 64 m.Mbuf.ttl;
   check bool_t "v4 from key" true (m.Mbuf.version = Mbuf.V4);
   check int_t "len set" 64 m.Mbuf.len;
-  check bool_t "backing buffer attached" true (m.Mbuf.raw <> None);
+  check bool_t "no wire bytes" true (m.Mbuf.raw = None);
   Pool.free p m;
   check int_t "back home" 8 (Pool.available p);
   let s = Pool.stats p in
@@ -807,7 +1192,7 @@ let test_pool_alloc_free () =
   check int_t "frees" 1 s.Pool.frees
 
 let test_pool_exhaustion () =
-  let p = Pool.create ~buf_size:0 ~capacity:2 () in
+  let p = Pool.create ~capacity:2 () in
   let _a = Pool.alloc p ~key:(pool_key 0) ~len:64 in
   let _b = Pool.alloc p ~key:(pool_key 1) ~len:64 in
   check bool_t "alloc on empty raises" true
@@ -817,7 +1202,7 @@ let test_pool_exhaustion () =
   check int_t "exhaustion counted" 1 (Pool.stats p).Pool.exhausted
 
 let test_pool_double_free () =
-  let p = Pool.create ~buf_size:0 ~capacity:4 () in
+  let p = Pool.create ~capacity:4 () in
   let m = Pool.alloc p ~key:(pool_key 0) ~len:64 in
   Pool.free p m;
   Pool.free p m;
@@ -825,8 +1210,8 @@ let test_pool_double_free () =
   check int_t "double free counted" 1 (Pool.stats p).Pool.double_frees
 
 let test_pool_foreign_free () =
-  let p = Pool.create ~buf_size:0 ~capacity:4 () in
-  let q = Pool.create ~buf_size:0 ~capacity:4 () in
+  let p = Pool.create ~capacity:4 () in
+  let q = Pool.create ~capacity:4 () in
   let m = Pool.alloc p ~key:(pool_key 0) ~len:64 in
   Pool.free q m;
   check int_t "other pool unchanged" 4 (Pool.available q);
@@ -844,7 +1229,7 @@ let prop_pool_conservation =
     QCheck2.Gen.(list_size (int_range 0 200) (int_bound 2))
     (fun ops ->
       let cap = 16 in
-      let p = Pool.create ~buf_size:0 ~capacity:cap () in
+      let p = Pool.create ~capacity:cap () in
       let live = Queue.create () in
       List.iter
         (fun op ->
@@ -1110,6 +1495,8 @@ let () =
           prop_of_bytes_valid;
           prop_of_bytes_mangled;
         ] );
+      ( "built",
+        [ prop_built_datagrams_reparse; prop_icmp_pipeline ] );
       ( "pool",
         [
           Alcotest.test_case "alloc/free round trip" `Quick test_pool_alloc_free;

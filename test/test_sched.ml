@@ -293,6 +293,69 @@ let test_drr_evicts_by_owner () =
   check bool_t "instance 2 reuses its own" true
     (fb2.Rp_classifier.Flow_table.soft == record)
 
+(* A route change moves a bound flow to another interface, with the
+   two DRR qdiscs attached as perf's nat-drr attaches them (one bound
+   to every flow, on if1; one more on if0) and nothing transmitting.
+   The packet after the change queues on if0's qdisc, in a queue of
+   that qdisc's own; the two left on if1 stay there.  Every packet
+   leaves exactly once, from the interface it was routed to, and no
+   backlog goes below zero. *)
+let test_drr_route_change () =
+  let r = Router.create ~ifaces:[ Iface.create ~id:0 (); Iface.create ~id:1 () ] () in
+  let pmgr cmd = ok (Rp_control.Pmgr.exec r cmd) in
+  ignore (pmgr "modload drr");
+  List.iteri
+    (fun i ifc ->
+      let id = Scanf.sscanf (pmgr "create drr") "instance %d" Fun.id in
+      if i = 0 then ignore (pmgr (Printf.sprintf "bind %d <*, *, *, *, *, *>" id));
+      ignore (pmgr (Printf.sprintf "attach %d %d" id ifc)))
+    [ 1; 0 ];
+  ignore (pmgr "route add 192.168.0.0/16 1");
+  let send seq =
+    match Ip_core.process r ~now:0L (pkt 1 seq) with
+    | Ip_core.Enqueued _ -> ()
+    | v -> Alcotest.failf "packet %d: %a" seq Ip_core.pp_verdict v
+  in
+  send 0;
+  send 1;
+  ignore (pmgr "route add 192.168.1.0/24 0");
+  send 2;
+  let backlog i = Iface.backlog (Router.iface r i) in
+  check int_t "if1 holds the two before the change" 2 (backlog 1);
+  check int_t "if0 holds the one after" 1 (backlog 0);
+  let sent i =
+    let rec go acc =
+      match Iface.dequeue (Router.iface r i) ~now:0L with
+      | Some m -> go (m.Mbuf.seq :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  let s1 = sent 1 and s0 = sent 0 in
+  check (Alcotest.list int_t) "if1 sends 0 and 1" [ 0; 1 ] s1;
+  check (Alcotest.list int_t) "if0 sends 2" [ 2 ] s0;
+  check int_t "if1 backlog" 0 (backlog 1);
+  check int_t "if0 backlog" 0 (backlog 0);
+  (* the flow keeps its new queue, and the old one was freed *)
+  send 3;
+  check (Alcotest.list int_t) "the flow stays on if0" [ 3 ] (sent 0);
+  check int_t "if1 idle" 0 (backlog 1);
+  (* the same at the plugin: the queue a binding left behind is freed
+     once drained, and its qdisc's next new flow takes it *)
+  let a = mk_instance (module Rp_sched.Drr_plugin) [] in
+  let b = ok (Rp_sched.Drr_plugin.create_instance ~instance_id:2 ~code:0 ~config:[]) in
+  let sa = scheduler_of a and sb = scheduler_of b in
+  let fb = binding a in
+  enq sa fb (pkt 1 0);
+  let left = fb.Rp_classifier.Flow_table.soft in
+  enq sb fb (pkt 1 1);
+  check bool_t "a queue of b's own" true (fb.Rp_classifier.Flow_table.soft != left);
+  check bool_t "a still sends its packet" true (Option.is_some (deq sa ~now:0L));
+  check bool_t "b sends its own" true (Option.is_some (deq sb ~now:0L));
+  let fa = binding a in
+  enq sa fa (pkt 2 0);
+  check bool_t "the drained queue is reused" true (fa.Rp_classifier.Flow_table.soft == left)
+
 (* The scheduler contract: a dequeue returns the packet itself, or
    [Mbuf.dummy] when the queue has nothing to send. *)
 let test_empty_dequeue_is_dummy () =
@@ -679,6 +742,8 @@ let () =
             test_drr_recycles_queues;
           Alcotest.test_case "evicts by the queue's owner" `Quick
             test_drr_evicts_by_owner;
+          Alcotest.test_case "a route change moves the flow's queue" `Quick
+            test_drr_route_change;
         ] );
       ( "contract",
         [

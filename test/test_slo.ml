@@ -376,7 +376,7 @@ let test_link_pool_reasons () =
     (Link.transmit link (Mbuf.synth ~key ~len:64 ()));
   check int_t "link overflow counted once" 1 (Dr.get Dr.Link_overflow - l0);
   let p0 = Dr.get Dr.Pool_exhausted in
-  let pool = Pool.create ~buf_size:0 ~capacity:1 () in
+  let pool = Pool.create ~capacity:1 () in
   ignore (Pool.alloc pool ~key ~len:64);
   (match Pool.alloc pool ~key ~len:64 with
    | exception Pool.Empty -> ()
