@@ -37,6 +37,10 @@ let all =
           ("bench.table3.plugins_3gates.cycles", Eq, Const 6955.3149999999996);
           ("bench.table3.monolithic_drr.cycles", Eq, Const 8160.);
           ("bench.table3.plugins_drr.cycles", Eq, Const 8105.1750000000002);
+          (* per-flow DRR state is bounded by the backlog *)
+          ( "bench.table3.monolithic_drr.drr_queues",
+            Le,
+            other "bench.table3.monolithic_drr.drr_backlog" );
         ];
       (* Model-cycle speedup (busiest shard), so it holds on any core
          count. *)

@@ -71,12 +71,7 @@ let decode buf =
         | _ -> Error "rsvp: unknown message type"
       end
 
-module FK = Hashtbl.Make (struct
-  type t = Flow_key.t
-
-  let equal = Flow_key.equal
-  let hash = Flow_key.hash
-end)
+module FK = Flow_key.Table
 
 type path_entry = {
   phop : Ipaddr.t;

@@ -67,12 +67,7 @@ let decode buf =
         | _ -> Error "ssp: unknown message type"
       end
 
-module FK = Hashtbl.Make (struct
-  type t = Flow_key.t
-
-  let equal = Flow_key.equal
-  let hash = Flow_key.hash
-end)
+module FK = Flow_key.Table
 
 type t = {
   rtr : Router.t;

@@ -430,7 +430,7 @@ and entry ctx f ~now batch off n =
        rx_bytes := !rx_bytes + m.Mbuf.len
      | None -> ());
     if m.Mbuf.ttl <= 1 then drop_icmp ctx f i m "ttl expired" Icmp.Time_exceeded
-    else m.Mbuf.ttl <- m.Mbuf.ttl - 1
+    else Mbuf.set_ttl m (m.Mbuf.ttl - 1)
   done;
   if ctx.D.owner <> None then Iface.add_rx ~packets:n ~bytes:!rx_bytes
 
@@ -593,7 +593,11 @@ and answer_echo router ~now (m : Mbuf.t) =
 
 (* Generate an ICMP error about [orig] back toward its source.  Per the
    RFC rules: never about ICMP itself, and only when the router has an
-   address of the right family to source it from. *)
+   address of the right family to source it from.  It quotes the
+   offending datagram's IPv4 header and first 8 data bytes (RFC 792),
+   or as much of the IPv6 datagram as keeps the error within the
+   1,280-byte minimum MTU (RFC 4443 section 2.4(c)); never past its
+   [len]. *)
 and icmp_error router ~now (orig : Mbuf.t) message =
   let proto = orig.Mbuf.key.Flow_key.proto in
   if proto <> Proto.icmp && proto <> Proto.icmpv6 then
@@ -602,7 +606,14 @@ and icmp_error router ~now (orig : Mbuf.t) message =
     | Some src ->
       let payload =
         match orig.Mbuf.raw with
-        | Some raw -> Bytes.sub_string raw 0 (min 28 (Bytes.length raw))
+        | Some raw ->
+          let quote =
+            match orig.Mbuf.version with
+            | Mbuf.V4 -> ((Bytes.get_uint8 raw 0 land 0xF) * 4) + 8
+            | Mbuf.V6 -> 1280 - Ipv6_header.size - 8
+          in
+          let len = min orig.Mbuf.len (Bytes.length raw) in
+          Bytes.sub_string raw 0 (min quote len)
         | None -> ""
       in
       router.Router.icmp_sent <- router.Router.icmp_sent + 1;

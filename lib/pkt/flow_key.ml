@@ -46,6 +46,13 @@ let hash k =
   in
   h land max_int
 
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 type direction = Fwd | Rev
 
 let reverse ?iface k =

@@ -27,6 +27,9 @@ val compare : t -> t -> int
     into the same bucket. *)
 val hash : t -> int
 
+(** Hash tables keyed by flow, with {!equal} and {!hash}. *)
+module Table : Hashtbl.S with type key = t
+
 (** Which side of a bidirectional conversation a tuple is, relative to
     its canonical form (see {!canonical}). *)
 type direction = Fwd | Rev

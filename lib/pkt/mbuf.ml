@@ -114,40 +114,44 @@ let pp_error ppf = function
 let rd8 = Bytes.get_uint8
 let rd16 = Bytes.get_uint16_be
 
-(* The transport header at [off] is checked only for the protocols
-   whose ports enter the key. *)
-let transport_error ~proto buf off =
-  if proto = Proto.udp then
-    match Udp_header.validate buf off with
+(* The transport header at [l4] is checked only for the protocols
+   whose ports enter the key, and only when the bytes hold one. *)
+let transport_error ~proto buf l4 =
+  if l4 < 0 then None
+  else if proto = Proto.udp then
+    match Udp_header.validate buf l4 with
     | None -> None
     | Some e -> Some (Udp_error e)
   else if proto = Proto.tcp then
-    match Tcp_header.validate buf off with
+    match Tcp_header.validate buf l4 with
     | None -> None
     | Some e -> Some (Tcp_error e)
   else None
 
 (* The six-tuple: the caller reads the addresses, the ports come from
-   the validated transport header at [l4]. *)
+   the validated transport header at [l4] (0 without one). *)
 let key_of ~iface ~proto buf ~l4 src dst =
-  let ports = proto = Proto.udp || proto = Proto.tcp in
+  let ports = l4 >= 0 && (proto = Proto.udp || proto = Proto.tcp) in
   Flow_key.make ~src ~dst ~proto
     ~sport:(if ports then rd16 buf l4 else 0)
     ~dport:(if ports then rd16 buf (l4 + 2) else 0)
     ~iface
 
 let tcp_flags_of ~proto buf ~l4 =
-  if proto = Proto.tcp then rd8 buf (l4 + 13) land 0x3F else 0
+  if l4 >= 0 && proto = Proto.tcp then rd8 buf (l4 + 13) land 0x3F else 0
 
 (* Where the transport header starts in a datagram's bytes, by their
    version nibble: IHL for IPv4, past a hop-by-hop header for IPv6
    (the parser accepts no other extension header); -1 when the bytes
-   are too short to say.  The parser and [l4_offset] both read it
-   here. *)
+   hold none: too short to say, or a non-initial IPv4 fragment, whose
+   bytes are the middle of the payload (RFC 791: only the fragment at
+   offset 0 carries the transport header).  The parser and
+   [l4_offset] both read it here. *)
 let l4_of_buf buf =
   let n = Bytes.length buf in
   if n < Ipv4_header.size then -1
-  else if rd8 buf 0 lsr 4 <> 6 then (rd8 buf 0 land 0xF) * 4
+  else if rd8 buf 0 lsr 4 <> 6 then
+    if rd16 buf 6 land 0x1FFF <> 0 then -1 else (rd8 buf 0 land 0xF) * 4
   else if n < Ipv6_header.size then -1
   else if rd8 buf 6 <> Proto.ipv6_hop_by_hop then Ipv6_header.size
   else if n < Ipv6_header.size + 2 then -1
@@ -279,10 +283,7 @@ let l4_offset m =
   | None -> -1
   | Some buf ->
     let l4 = l4_of_buf buf in
-    if l4 < 0 || l4 > m.len then -1
-    else if rd8 buf 0 lsr 4 <> 6 && rd16 buf 6 land 0x1FFF <> 0 then
-      -1 (* a non-initial IPv4 fragment has no transport header *)
-    else l4
+    if l4 > m.len then -1 else l4
 
 let l4_message m =
   let l4 = l4_offset m in
@@ -311,6 +312,27 @@ let udp_v6 ?hop_limit ?traffic_class ?flow_label ?options ~src ~dst ~sport
   datagram ?ttl:hop_limit ?tos:traffic_class ?flow_label ?options ~src ~dst
     ~proto:Proto.udp ~iface
     (udp_message ~src ~dst ~sport ~dport payload)
+
+let set_ttl m ttl =
+  m.ttl <- ttl;
+  match m.raw with
+  | None -> ()
+  | Some buf ->
+    if m.version = V6 then Bytes.set_uint8 buf 7 ttl
+    else begin
+      (* the TTL shares its header word with the protocol; byte-wide
+         accesses are primitives, the 16-bit ones calls *)
+      let proto = rd8 buf 9 in
+      let old_word = (rd8 buf 8 lsl 8) lor proto in
+      let c =
+        Checksum.adjust
+          ((rd8 buf 10 lsl 8) lor rd8 buf 11)
+          ~old_word ~new_word:((ttl lsl 8) lor proto)
+      in
+      Bytes.set_uint8 buf 8 ttl;
+      Bytes.set_uint8 buf 10 (c lsr 8);
+      Bytes.set_uint8 buf 11 (c land 0xFF)
+    end
 
 let has_tag m tag = List.mem tag m.tags
 let add_tag m tag = if not (has_tag m tag) then m.tags <- tag :: m.tags

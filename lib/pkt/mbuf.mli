@@ -112,7 +112,9 @@ val pp_error : Format.formatter -> error -> unit
 (** [of_bytes ~iface buf] parses a wire datagram: the IP header
     (v4 or v6 by version nibble), an optional IPv6 hop-by-hop header,
     and UDP/TCP ports when applicable (ports are 0 for other
-    protocols).
+    protocols).  Only an IPv4 fragment at offset 0 carries a transport
+    header (RFC 791): a non-initial fragment's ports and TCP flags are
+    0 and its payload is not checked as one.
 
     It is the one wire parser, and a direct one: it runs the header
     modules' allocation-free validators ({!Ipv4_header.validate},
@@ -144,6 +146,12 @@ val datagram :
     the layout: {!of_bytes} reads the ports at the same offset, from
     the same function.  Allocation-free. *)
 val l4_offset : t -> int
+
+(** [set_ttl m ttl] sets the descriptor's TTL (IPv6: hop limit) and
+    writes it into [m.raw] too, adjusting the IPv4 header checksum
+    incrementally (RFC 1624), so the forwarded bytes reparse with it.
+    Allocation-free. *)
+val set_ttl : t -> int -> unit
 
 (** [l4_message m] copies the bytes from {!l4_offset} to [len], if any. *)
 val l4_message : t -> Bytes.t option

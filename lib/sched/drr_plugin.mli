@@ -13,19 +13,32 @@
     hashing the flow key — and charges
     {!Rp_core.Cost.monolithic_classifier} for it.
 
+    The scheduling itself is {!Drr_core}, which H-FSC's [`Drr] leaves
+    run on too; this plugin adds the binding, the reservations'
+    control interface and the cost-model charges.
+
     Config keys: [quantum] (bytes per round per weight unit, default
     512), [flow-limit] (packets per flow queue, default 128),
     [iface] (informational).  [quantum] and [flow-limit] must be
     positive integers, or [create_instance] fails.  A flow's queue is a
-    {!Rp_pkt.Ring} of at most [flow-limit] packets, allocated by its
-    first packet.
+    {!Rp_pkt.Ring} of at most [flow-limit] packets.
 
-    Queue records are recycled: an evicted flow's record goes on its
-    instance's free list once it is off the active ring (at once, or
-    when the round-robin pointer next reaches it), and the next new
-    flow takes it with an empty queue, no deficit, its own weight and
-    its ring at the size it grew to.  The free list starts empty and
-    grows only at eviction.
+    A queue lives only while its flow is bound or backlogged:
+    - a bound flow's queue is found only through the binding's soft
+      slot; it goes back on the instance's free list when the flow
+      record is evicted (at once when it is off the active ring, else
+      when the round-robin pointer next reaches it);
+    - an unbound flow's queue (the monolithic row, best-effort mode) is
+      found by its key, and is freed the moment it drains, so the key
+      table never holds more queues than packets are queued.
+
+    Queue records are recycled: a new queue takes a freed record with
+    an empty queue, no deficit, and its ring at the size it grew to.
+    The free list starts empty.  The [flows] stat counts the queues the
+    instance holds off its free list: one per bound flow, one per
+    backlogged unbound flow, and released queues not yet off the
+    active ring (an evicted flow's queue leaves it at the next
+    dequeue).
 
     A flow's queue belongs to the qdisc that enqueues it.  When a
     flow's packets reach another DRR qdisc than the one whose queue its
@@ -68,3 +81,9 @@ val queue_state :
     the queue (a binding may name another instance than the qdisc its
     packets reach). *)
 val drop_count : instance_id:int -> int
+
+(** The [flows] stat: queues the instance holds off its free list. *)
+val flow_count : instance_id:int -> int
+
+(** Packets queued on the instance. *)
+val backlog : instance_id:int -> int

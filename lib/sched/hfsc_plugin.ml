@@ -6,35 +6,15 @@ let name = "hfsc"
 let gate = Gate.Scheduling
 let description = "Hierarchical Fair Service Curve scheduling"
 
-module FK = Hashtbl.Make (struct
-  type t = Flow_key.t
-
-  let equal = Flow_key.equal
-  let hash = Flow_key.hash
-end)
+module FK = Flow_key.Table
 
 (* Leaf queueing discipline (the paper's HSF future work, section 6:
    "DRR could be used to do fair queuing for all flows ending in the
    same H-FSC leaf node" — plain H-FSC uses FIFO per leaf, "which may
-   result in unfair service to different flows"). *)
-type leaf_q =
-  | Fifo_q of Mbuf.t Ring.t
-  | Drr_q of drr_leaf
-
-and drr_leaf = {
-  quantum : int;
-  ring : sub_flow Ring.t;  (* the backlogged sub-flows, each once *)
-  mutable subs : (Flow_key.t * sub_flow) list;
-  mutable dqlen : int;
-  sub_limit : int;  (* the class limit, which bounds each sub-flow too *)
-}
-
-and sub_flow = {
-  skey : Flow_key.t;
-  sq : Mbuf.t Ring.t;
-  mutable deficit : int;
-  mutable on_ring : bool;
-}
+   result in unfair service to different flows").  A DRR leaf is a
+   {!Drr_core} whose flows are all found by key, each queue bounded
+   by the class limit. *)
+type leaf_q = Fifo_q of Mbuf.t Ring.t | Drr_q of Drr_core.t
 
 type class_t = {
   cname : string;
@@ -58,95 +38,29 @@ type class_t = {
 
 let leaf_len = function
   | Fifo_q q -> Ring.length q
-  | Drr_q d -> d.dqlen
+  | Drr_q d -> Drr_core.backlog d
 
 let leaf_is_empty q = leaf_len q = 0
-
-let sub_ring limit = Ring.create ~limit ~dummy:Mbuf.dummy ()
-
-(* Stands in a free slot of a DRR leaf's ring. *)
-let no_sub =
-  { skey = Mbuf.dummy.Mbuf.key; sq = sub_ring 1; deficit = 0; on_ring = false }
 
 (* The caller checked the class limit, so the pushes succeed. *)
 let leaf_push q (m : Mbuf.t) =
   match q with
   | Fifo_q fq -> ignore (Ring.push fq m)
-  | Drr_q d ->
-    let sub =
-      match List.assoc_opt m.Mbuf.key d.subs with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            skey = m.Mbuf.key;
-            sq = sub_ring d.sub_limit;
-            deficit = 0;
-            on_ring = false;
-          }
-        in
-        d.subs <- (m.Mbuf.key, s) :: d.subs;
-        s
-    in
-    ignore (Ring.push sub.sq m);
-    d.dqlen <- d.dqlen + 1;
-    if not sub.on_ring then begin
-      sub.deficit <- 0;
-      sub.on_ring <- true;
-      ignore (Ring.push d.ring sub)
-    end
+  | Drr_q d -> ignore (Drr_core.push d (Drr_core.find d m.Mbuf.key) m)
 
-(* Length of the packet a pop would return — for DRR leaves this is
-   approximated by the ring head's head packet (the rt criterion only
-   needs a deadline estimate; intra-leaf order is fairness, not
-   guarantee). *)
-let leaf_peek_len q =
-  match q with
-  | Fifo_q fq -> if Ring.is_empty fq then None else Some (Ring.peek fq).Mbuf.len
-  | Drr_q d ->
-    Ring.fold
-      (fun acc sub ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if Ring.is_empty sub.sq then None else Some (Ring.peek sub.sq).Mbuf.len)
-      None d.ring
-
-let rec drr_pop d =
-  if Ring.is_empty d.ring then Mbuf.dummy
-  else begin
-    let sub = Ring.peek d.ring in
-    if Ring.is_empty sub.sq then begin
-      ignore (Ring.pop d.ring);
-      sub.on_ring <- false;
-      sub.deficit <- 0;
-      drr_pop d
-    end
-    else
-      let head_len = (Ring.peek sub.sq).Mbuf.len in
-      if sub.deficit >= head_len then begin
-        let m = Ring.pop sub.sq in
-        sub.deficit <- sub.deficit - head_len;
-        d.dqlen <- d.dqlen - 1;
-        if Ring.is_empty sub.sq then begin
-          ignore (Ring.pop d.ring);
-          sub.on_ring <- false;
-          sub.deficit <- 0
-        end;
-        m
-      end
-      else begin
-        sub.deficit <- sub.deficit + d.quantum;
-        ignore (Ring.push d.ring (Ring.pop d.ring));
-        drr_pop d
-      end
-  end
+(* Length of the packet a pop would return, 0 when the leaf is empty:
+   for DRR leaves the head of the ring's first backlogged queue (the
+   rt criterion only needs a deadline estimate; intra-leaf order is
+   fairness, not guarantee). *)
+let leaf_peek_len = function
+  | Fifo_q fq -> if Ring.is_empty fq then 0 else (Ring.peek fq).Mbuf.len
+  | Drr_q d -> Drr_core.head_len d
 
 (* The leaf's next packet, or [Mbuf.dummy] when it is empty. *)
 let leaf_pop q =
   match q with
   | Fifo_q fq -> if Ring.is_empty fq then Mbuf.dummy else Ring.pop fq
-  | Drr_q d -> drr_pop d
+  | Drr_q d -> Drr_core.pop d
 
 type Flow_table.soft += Hfsc_flow of class_t
 
@@ -174,15 +88,7 @@ let mk_class ~cname ~parent ~rsc ~fsc ?usc ~limit ?(leaf = `Fifo) () =
     q =
       (match leaf with
        | `Fifo -> Fifo_q (Ring.create ~limit ~dummy:Mbuf.dummy ())
-       | `Drr quantum ->
-         Drr_q
-           {
-             quantum;
-             ring = Ring.create ~limit:max_int ~dummy:no_sub ();
-             subs = [];
-             dqlen = 0;
-             sub_limit = limit;
-           });
+       | `Drr quantum -> Drr_q (Drr_core.create ~quantum ~limit));
     rt_curve = None;
     ul_curve = None;
     cumul_rt = 0.0;
@@ -274,9 +180,7 @@ let rt_candidate st ~now =
       | Some a when not (leaf_is_empty leaf.q) ->
         let eligible = Service_curve.anchored_inverse a leaf.cumul_rt in
         if eligible <= t then begin
-          let head_len =
-            float_of_int (Option.value (leaf_peek_len leaf.q) ~default:0)
-          in
+          let head_len = float_of_int (leaf_peek_len leaf.q) in
           let deadline =
             Service_curve.anchored_inverse a (leaf.cumul_rt +. head_len)
           in
@@ -398,6 +302,14 @@ let assign ~instance_id ~key ~cname =
 
 let drop_count ~instance_id =
   match state_of instance_id with Ok st -> st.dropped | Error _ -> 0
+
+let leaf_queues ~instance_id ~cname =
+  match state_of instance_id with
+  | Error _ -> None
+  | Ok st ->
+    (match List.assoc_opt cname st.classes with
+     | Some { q = Drr_q d; _ } -> Some (Drr_core.held d)
+     | Some _ | None -> None)
 
 let on_flow_evict (b : Plugin.t Flow_table.binding) =
   match b.Flow_table.soft with

@@ -51,7 +51,10 @@ val message : string -> string -> (string, string) result
     Hierarchical Scheduling Framework (section 6 future work): [`Fifo]
     (plain H-FSC, default) or [`Drr quantum], which runs deficit round
     robin across the flows sharing the leaf so they divide the class's
-    service fairly.
+    service fairly.  A DRR leaf runs on the DRR qdisc's core
+    ({!Drr_core}): each flow's queue is found by its key and is freed
+    the moment it drains, so a leaf holds at most one queue per queued
+    packet, and the class limit bounds both.
 
     [usc] is the upper-limit service curve: a hard cap on the class's
     service (H-FSC's third curve).  The cap applies to the
@@ -71,3 +74,7 @@ val assign :
   instance_id:int -> key:Flow_key.t -> cname:string -> (unit, string) result
 
 val drop_count : instance_id:int -> int
+
+(** The per-flow queues a [`Drr] leaf holds (at most its queued
+    packets); [None] for a FIFO leaf or an unknown class. *)
+val leaf_queues : instance_id:int -> cname:string -> int option

@@ -9,12 +9,7 @@ type flow_stats = {
   mutable latency_max_ns : int64;
 }
 
-module FK = Hashtbl.Make (struct
-  type t = Flow_key.t
-
-  let equal = Flow_key.equal
-  let hash = Flow_key.hash
-end)
+module FK = Flow_key.Table
 
 type t = {
   sink_name : string;

@@ -525,7 +525,9 @@ let prop_mbuf_v4_roundtrip =
 
 (* The reference datagram parser: the header parsers composed, each
    record copied into the descriptor, with [of_bytes]'s datagram-length
-   check after the IP header.  [of_bytes] must agree with it on every
+   check after the IP header.  Only an IPv4 fragment at offset 0 holds
+   a transport header (RFC 791), so a later fragment's ports and TCP
+   flags are 0, unparsed.  [of_bytes] must agree with it on every
    field, and on every error. *)
 let reference_of_bytes ~iface buf =
   let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
@@ -553,7 +555,10 @@ let reference_of_bytes ~iface buf =
       if len > Bytes.length buf then Error (Mbuf.V4_error (Ipv4_header.Bad_length len))
       else
         let proto = h.Ipv4_header.proto in
-        let* sport, dport, tcp_flags = ports ~proto Ipv4_header.size in
+        let* sport, dport, tcp_flags =
+          if h.Ipv4_header.fragment_offset <> 0 then Ok (0, 0, 0)
+          else ports ~proto Ipv4_header.size
+        in
         let key =
           Flow_key.make ~src:h.Ipv4_header.src ~dst:h.Ipv4_header.dst ~proto ~sport
             ~dport ~iface
@@ -1114,7 +1119,9 @@ let icmp_pipeline mode bufs =
     match
       List.iteri
         (fun i (buf, built) ->
-          match Mbuf.of_bytes ~iface:0 buf with
+          (* the router writes into the bytes it forwards (the TTL),
+             so each run gets its own copy *)
+          match Mbuf.of_bytes ~iface:0 (Bytes.copy buf) with
           | Error e ->
             if built <> `Mangled then
               QCheck2.Test.fail_reportf "packet %d: %a" i Mbuf.pp_error e;
@@ -1167,6 +1174,153 @@ let prop_icmp_pipeline =
       icmp_pipeline Rp_engine.Engine.Inline bufs
       && icmp_pipeline (Rp_engine.Engine.Sharded 1) bufs)
   |> QCheck_alcotest.to_alcotest
+
+(* What [mode] sends for [ms], submitted to [r] in order. *)
+let sent_by mode r ms =
+  let module E = Rp_engine.Engine in
+  let e = E.create mode r in
+  let sent = ref [] in
+  Array.iteri
+    (fun i ifc ->
+      E.set_transmitter e ~iface:i (fun ~now ->
+          let rec go () =
+            let m = Iface.pull ifc ~now in
+            if m != Mbuf.dummy then begin
+              sent := m :: !sent;
+              go ()
+            end
+          in
+          go ()))
+    r.Router.ifaces;
+  List.iter
+    (fun m ->
+      assert (E.submit e ~now:0L m);
+      ignore (E.drain e ~f:ignore))
+    ms;
+  ignore (E.flush e ~f:ignore);
+  E.stop e;
+  List.rev !sent
+
+(* A forwarded datagram's bytes carry the decremented TTL (hop limit),
+   and an IPv4 header checksum that still holds. *)
+let test_forwarded_ttl mode () =
+  let r = mk_router () in
+  let payload = String.make 100 'p' in
+  let v4 =
+    Mbuf.udp_v4 ~ttl:64 ~src:(Ipaddr.v4 10 0 0 5) ~dst:(far ~v6:false 1)
+      ~sport:4000 ~dport:5000 ~iface:0 ~payload ()
+  and v6 =
+    Mbuf.udp_v6 ~hop_limit:64 ~src:(Ipaddr.of_string "fd00::5")
+      ~dst:(far ~v6:true 1) ~sport:4000 ~dport:5000 ~iface:0 ~payload ()
+  in
+  match sent_by mode r [ v4; v6 ] with
+  | [ a; b ] ->
+    List.iter
+      (fun (name, (m : Mbuf.t)) ->
+        let raw = Option.get m.Mbuf.raw in
+        match Mbuf.of_bytes ~iface:0 raw with
+        | Ok m' ->
+          check int_t (name ^ ": descriptor ttl") 63 m.Mbuf.ttl;
+          check int_t (name ^ ": reparsed ttl") 63 m'.Mbuf.ttl
+        | Error e -> Alcotest.failf "%s: %a" name Mbuf.pp_error e)
+      [ ("v4", a); ("v6", b) ];
+    check bool_t "v4 header checksum" true
+      (Checksum.valid (Option.get a.Mbuf.raw) 0 Ipv4_header.size)
+  | l -> Alcotest.failf "%d datagrams forwarded, not 2" (List.length l)
+
+(* Every fragment of a UDP and of a TCP datagram parses; only the one
+   at offset 0 carries a transport header, so only it has ports. *)
+let test_fragments_parse () =
+  let src = Ipaddr.v4 10 0 0 5 and dst = Ipaddr.v4 192 168 1 1 in
+  let tcp =
+    let msg = Bytes.make 1208 '\000' in
+    Tcp_header.serialize
+      {
+        Tcp_header.sport = 4000;
+        dport = 5000;
+        seq = 0l;
+        ack_seq = 0l;
+        flags = Tcp_header.flags_of_byte 0x18;
+        window = 65535;
+        checksum = 0;
+        urgent = 0;
+      }
+      msg 0;
+    Mbuf.datagram ~src ~dst ~proto:Proto.tcp ~iface:0 msg
+  in
+  List.iter
+    (fun (name, whole, flags) ->
+      check int_t (name ^ ": 1,228 bytes") 1228 whole.Mbuf.len;
+      let frags =
+        match Frag.fragment whole ~mtu:576 with
+        | Ok l -> l
+        | Error _ -> Alcotest.failf "%s: not fragmented" name
+      in
+      check int_t (name ^ ": three fragments") 3 (List.length frags);
+      List.iteri
+        (fun i (f : Mbuf.t) ->
+          match Mbuf.of_bytes ~iface:0 (Option.get f.Mbuf.raw) with
+          | Error e -> Alcotest.failf "%s fragment %d: %a" name (i + 1) Mbuf.pp_error e
+          | Ok m ->
+            let k = m.Mbuf.key in
+            let ports = if i = 0 then (4000, 5000) else (0, 0) in
+            check (Alcotest.pair int_t int_t)
+              (Printf.sprintf "%s fragment %d ports" name (i + 1))
+              ports (k.Flow_key.sport, k.Flow_key.dport);
+            check int_t
+              (Printf.sprintf "%s fragment %d tcp flags" name (i + 1))
+              (if i = 0 then flags else 0) m.Mbuf.tcp_flags;
+            check int_t
+              (Printf.sprintf "%s fragment %d transport offset" name (i + 1))
+              (if i = 0 then Ipv4_header.size else -1) (Mbuf.l4_offset m))
+        frags)
+    [
+      ( "udp",
+        Mbuf.udp_v4 ~src ~dst ~sport:4000 ~dport:5000 ~iface:0
+          ~payload:(String.make 1200 '\000') (),
+        0 );
+      ("tcp", tcp, 0x18);
+    ]
+
+(* An ICMP error quotes the offending IPv4 header and 8 bytes, or as
+   much of an IPv6 datagram as fits in 1,280 bytes, never past the
+   datagram. *)
+let test_icmp_quote () =
+  let r = mk_router () in
+  let error_about (m : Mbuf.t) =
+    (match Ip_core.process r ~now:0L m with
+     | Ip_core.Dropped _ -> ()
+     | v -> Alcotest.failf "not dropped: %a" Ip_core.pp_verdict v);
+    match queued r 0 with
+    | [ e ] -> e
+    | l -> Alcotest.failf "%d errors queued, not 1" (List.length l)
+  in
+  let quote (e : Mbuf.t) =
+    let k = e.Mbuf.key in
+    match Icmp.parse ~src:k.Flow_key.src ~dst:k.Flow_key.dst
+            (Option.get (Mbuf.l4_message e)) with
+    | Ok { Icmp.message = Icmp.Time_exceeded; payload } -> payload
+    | Ok _ | Error _ -> Alcotest.fail "not a time-exceeded error"
+  in
+  let v6 len =
+    Mbuf.udp_v6 ~hop_limit:1 ~src:(Ipaddr.of_string "fd00::5")
+      ~dst:(far ~v6:true 1) ~sport:4000 ~dport:5000 ~iface:0
+      ~payload:(String.make (len - Ipv6_header.size - Udp_header.size) 'q') ()
+  in
+  let small = v6 53 in
+  let e = error_about small in
+  check string_t "v6: all 53 bytes quoted"
+    (Bytes.to_string (Option.get small.Mbuf.raw)) (quote e);
+  let e = error_about (v6 1500) in
+  check int_t "v6: a 1,280-byte error about 1,500 bytes" 1280 e.Mbuf.len;
+  check int_t "v6: 1,232 bytes quoted" 1232 (String.length (quote e));
+  let big =
+    Mbuf.udp_v4 ~ttl:1 ~src:(Ipaddr.v4 10 0 0 5) ~dst:(far ~v6:false 1)
+      ~sport:4000 ~dport:5000 ~iface:0 ~payload:(String.make 500 'q') ()
+  in
+  check string_t "v4: the header and 8 bytes"
+    (Bytes.sub_string (Option.get big.Mbuf.raw) 0 28)
+    (quote (error_about big))
 
 (* --- pool ----------------------------------------------------------- *)
 
@@ -1494,9 +1648,20 @@ let () =
           Alcotest.test_case "allocation ceiling, v4/udp" `Quick test_of_bytes_alloc;
           prop_of_bytes_valid;
           prop_of_bytes_mangled;
+          Alcotest.test_case "every fragment parses, the first with ports" `Quick
+            test_fragments_parse;
         ] );
       ( "built",
-        [ prop_built_datagrams_reparse; prop_icmp_pipeline ] );
+        [
+          prop_built_datagrams_reparse;
+          prop_icmp_pipeline;
+          Alcotest.test_case "forwarded bytes carry the ttl (inline)" `Quick
+            (test_forwarded_ttl Rp_engine.Engine.Inline);
+          Alcotest.test_case "forwarded bytes carry the ttl (sharded:1)" `Quick
+            (test_forwarded_ttl (Rp_engine.Engine.Sharded 1));
+          Alcotest.test_case "icmp errors quote what the RFCs ask" `Quick
+            test_icmp_quote;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "alloc/free round trip" `Quick test_pool_alloc_free;

@@ -719,6 +719,186 @@ let test_hfsc_bad_class_limit () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed class limit accepted"
 
+(* --- the DRR core, through both of its users ------------------------- *)
+
+(* Flow [i] of many: 10.x.y.z, so ids run past 255. *)
+let many_key i =
+  Flow_key.make
+    ~src:(Ipaddr.v4 10 ((i lsr 16) land 255) ((i lsr 8) land 255) (i land 255))
+    ~dst:(Ipaddr.v4 192 168 1 1) ~proto:Proto.udp ~sport:1000 ~dport:9000
+    ~iface:0
+
+let flows_stat s = List.assoc "flows" (s.Plugin.sched_stats ())
+
+(* One-packet flows with no binding (Table 3's ALTQ row, best-effort
+   mode): a queue found by key lives only while it holds packets, so
+   the instance holds none once they have all left. *)
+let test_drr_keyed_queues_bounded () =
+  let s = scheduler_of (mk_instance (module Rp_sched.Drr_plugin) []) in
+  let n = 100_000 in
+  for i = 0 to n - 1 do
+    ignore (s.Plugin.enqueue ~now:0L (Mbuf.synth ~key:(many_key i) ~len:100 ()) None);
+    if i land 15 = 15 then
+      while s.Plugin.dequeue ~now:0L != Mbuf.dummy do () done
+  done;
+  while s.Plugin.dequeue ~now:0L != Mbuf.dummy do () done;
+  check int_t "drained" 0 (s.Plugin.backlog ());
+  check Alcotest.string "no queue held" "0" (flows_stat s)
+
+(* The same through an H-FSC DRR leaf: its per-flow queues are the DRR
+   core's, found by key and freed as they drain. *)
+let test_hfsc_drr_leaf_bounded () =
+  let _inst, s = mk_hfsc () in
+  ok (Rp_sched.Hfsc_plugin.add_class ~instance_id:1 ~cname:"shared" ~leaf:(`Drr 500) ());
+  let n = 20_000 in
+  for i = 0 to n - 1 do
+    ok (Rp_sched.Hfsc_plugin.assign ~instance_id:1 ~key:(many_key i) ~cname:"shared")
+  done;
+  let held () =
+    Option.get (Rp_sched.Hfsc_plugin.leaf_queues ~instance_id:1 ~cname:"shared")
+  in
+  let peak = ref 0 in
+  for i = 0 to n - 1 do
+    ignore (s.Plugin.enqueue ~now:0L (Mbuf.synth ~key:(many_key i) ~len:100 ()) None);
+    peak := max !peak (held ());
+    if i land 15 = 15 then
+      while s.Plugin.dequeue ~now:0L != Mbuf.dummy do () done
+  done;
+  while s.Plugin.dequeue ~now:0L != Mbuf.dummy do () done;
+  check int_t "drained" 0 (s.Plugin.backlog ());
+  check bool_t "never more queues than packets" true (!peak <= 16);
+  check int_t "key-found queues" 0 (held ())
+
+(* Random interleavings of enqueue, dequeue and flow eviction against a
+   model of per-flow FIFOs.  Flows 0-3 are always bound, 4-7 never (on
+   H-FSC every flow's leaf queue is found by key all the same).  After
+   every step: each dequeued packet is the head of its flow's model
+   queue (per-flow FIFO, nothing lost or duplicated), the backlog is
+   the model's and never negative, and attempts = dequeued + queued +
+   dropped; an empty dequeue means nothing is queued.  After a full
+   drain, no key-found queue is held, and a DRR instance holds exactly
+   one queue per bound flow that has one. *)
+type core_op = Enq of int * int | Deq | Evict of int
+
+let gen_core_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 300)
+      (frequency
+         [
+           (5, map2 (fun f n -> Enq (f, n)) (int_bound 7) (int_range 64 1500));
+           (4, return Deq);
+           (1, map (fun f -> Evict f) (int_bound 3));
+         ]))
+
+let print_core_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Enq (f, len) -> Printf.sprintf "e%d:%d" f len
+         | Deq -> "d"
+         | Evict f -> Printf.sprintf "x%d" f)
+       ops)
+
+let flow_id (m : Mbuf.t) =
+  match m.Mbuf.key.Flow_key.src with
+  | Ipaddr.V4 x -> Int32.to_int (Int32.logand x 0xFFl)
+  | Ipaddr.V6 _ -> -1
+
+let core_model ~hfsc ops =
+  let inst, s =
+    if hfsc then begin
+      let inst, s = mk_hfsc () in
+      ok
+        (Rp_sched.Hfsc_plugin.add_class ~instance_id:1 ~cname:"leaf" ~limit:6
+           ~leaf:(`Drr 300) ());
+      for f = 0 to 7 do
+        ok (Rp_sched.Hfsc_plugin.assign ~instance_id:1 ~key:(key f) ~cname:"leaf")
+      done;
+      (inst, s)
+    end
+    else
+      let inst =
+        mk_instance (module Rp_sched.Drr_plugin)
+          [ ("quantum", "300"); ("flow-limit", "4") ]
+      in
+      (inst, scheduler_of inst)
+  in
+  let drops () =
+    if hfsc then Rp_sched.Hfsc_plugin.drop_count ~instance_id:1
+    else Rp_sched.Drr_plugin.drop_count ~instance_id:1
+  in
+  let bindings = Array.init 4 (fun _ -> binding inst) in
+  let model = Array.init 8 (fun _ -> Queue.create ()) in
+  let queued () = Array.fold_left (fun n q -> n + Queue.length q) 0 model in
+  let attempts = ref 0 and dequeued = ref 0 and now = ref 0L in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let step op =
+    now := Int64.add !now 1000L;
+    (match op with
+     | Enq (f, len) ->
+       let m = pkt ~len f !attempts in
+       incr attempts;
+       let b = if f < 4 then Some bindings.(f) else None in
+       (match s.Plugin.enqueue ~now:!now m b with
+        | Plugin.Enqueued -> Queue.push m.Mbuf.seq model.(f)
+        | Plugin.Rejected _ -> ())
+     | Deq ->
+       let m = s.Plugin.dequeue ~now:!now in
+       if m == Mbuf.dummy then begin
+         if queued () <> 0 then fail "empty dequeue with %d queued" (queued ())
+       end
+       else begin
+         incr dequeued;
+         let f = flow_id m in
+         match Queue.take_opt model.(f) with
+         | Some seq when seq = m.Mbuf.seq -> ()
+         | Some seq -> fail "flow %d: packet %d before %d" f m.Mbuf.seq seq
+         | None -> fail "flow %d: packet %d not queued" f m.Mbuf.seq
+       end
+     | Evict f ->
+       (* the flow record goes; DRR drops what the flow had queued *)
+       evict bindings.(f);
+       if not hfsc then Queue.clear model.(f));
+    let backlog = s.Plugin.backlog () in
+    if backlog < 0 then fail "backlog %d" backlog;
+    if backlog <> queued () then fail "backlog %d, model %d" backlog (queued ());
+    if !attempts <> !dequeued + backlog + drops () then
+      fail "%d enqueued <> %d dequeued + %d queued + %d dropped" !attempts
+        !dequeued backlog (drops ())
+  in
+  List.iter step ops;
+  (* a full drain ends with an empty dequeue, which also takes the
+     evicted queues left on the ring off it *)
+  let rec drain () =
+    let before = !dequeued in
+    step Deq;
+    if !dequeued > before then drain ()
+  in
+  drain ();
+  if hfsc then
+    Rp_sched.Hfsc_plugin.leaf_queues ~instance_id:1 ~cname:"leaf" = Some 0
+    || fail "the leaf holds queues after a drain"
+  else
+    let bound =
+      Array.fold_left
+        (fun n b -> if b.Rp_classifier.Flow_table.soft <> None then n + 1 else n)
+        0 bindings
+    in
+    (* a queue held past the bound flows' own is a key-found one *)
+    Rp_sched.Drr_plugin.flow_count ~instance_id:1 = bound
+    || fail "%d queues held, %d bound flows"
+         (Rp_sched.Drr_plugin.flow_count ~instance_id:1) bound
+
+let prop_drr_core_model =
+  QCheck2.Test.make ~count:300 ~name:"drr core = per-flow FIFO model (qdisc)"
+    ~print:print_core_ops gen_core_ops (core_model ~hfsc:false)
+  |> QCheck_alcotest.to_alcotest
+
+let prop_hfsc_drr_leaf_model =
+  QCheck2.Test.make ~count:300 ~name:"drr core = per-flow FIFO model (hfsc leaf)"
+    ~print:print_core_ops gen_core_ops (core_model ~hfsc:true)
+  |> QCheck_alcotest.to_alcotest
+
 let () =
   Alcotest.run "rp_sched"
     [
@@ -744,6 +924,9 @@ let () =
             test_drr_evicts_by_owner;
           Alcotest.test_case "a route change moves the flow's queue" `Quick
             test_drr_route_change;
+          Alcotest.test_case "key-found queues live while backlogged" `Quick
+            test_drr_keyed_queues_bounded;
+          prop_drr_core_model;
         ] );
       ( "contract",
         [
@@ -767,6 +950,9 @@ let () =
           Alcotest.test_case "bad class-limit refused" `Quick
             (refuses_bad_bounds (module Rp_sched.Hfsc_plugin) [ "class-limit" ]);
           Alcotest.test_case "bad class limit refused" `Quick test_hfsc_bad_class_limit;
+          Alcotest.test_case "HSF: drr leaf queues live while backlogged" `Quick
+            test_hfsc_drr_leaf_bounded;
+          prop_hfsc_drr_leaf_model;
         ] );
       ( "red",
         [
